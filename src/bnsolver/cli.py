@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
 
-from .errors import BNSolverError, ConfigurationError
-from .functional import Params, fibering_profile
+from .errors import BNSolverError, ConfigurationError, NonconvergenceError
+from .functional import FiberingProfile, Params
 from .grid import (
     AnnulusD,
     Box,
@@ -38,12 +36,14 @@ from .nehari import find_roots
 from .solve import (
     ContinuationConfig,
     SeedKind,
+    build_record,
+    estimate_mu_star,
     ground_state,
     minimax_gamma,
     minimize_on_Nminus,
     minimize_on_Nplus,
     multistart_Nminus,
-    trace_existence_boundary,
+    sphere_directions,
 )
 from .verify import (
     certify_solution,
@@ -52,7 +52,6 @@ from .verify import (
     threshold_report,
 )
 
-THREADS_ENV = "BNSOLVER_THREADS"
 KNOWN_SEARCHES = ("nplus", "nminus", "multistart", "minimax", "mu_star")
 
 
@@ -99,6 +98,26 @@ class ConfigFile:
             raise ConfigurationError(f"{self.path}: missing [{section}] {key}")
         return val
 
+    def token(self, section, key, tok, kind=float):
+        """One token of a key's value converted by `kind` (int or float)."""
+        try:
+            return kind(tok)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise self.error(section, key, f"not {what}: {tok!r}") from None
+
+    def number(self, section, key, kind=float, default=None, required=False, many=False):
+        """Typed value of a key: one `kind` number, or a tuple of one or more
+        whitespace-separated numbers when `many`.  Malformed values raise a
+        line-anchored ConfigurationError."""
+        text = self.get(section, key, default, required)
+        toks = text.split()
+        if not toks or (len(toks) > 1 and not many):
+            raise self.error(section, key,
+                             f"expected {'numbers' if many else 'one number'}, got {text!r}")
+        vals = tuple(self.token(section, key, tok, kind) for tok in toks)
+        return vals if many else vals[0]
+
 
 def _parse_values(cfg, section, key, text, lambda1=None):
     """Number list; supports `linspace a b n` and `c*lambda1` entries."""
@@ -106,7 +125,10 @@ def _parse_values(cfg, section, key, text, lambda1=None):
     if toks and toks[0].lower() == "linspace":
         if len(toks) != 4:
             raise cfg.error(section, key, "linspace needs: linspace start stop count")
-        a, b, n = float(toks[1]), float(toks[2]), int(toks[3])
+        a, b = (cfg.token(section, key, tok) for tok in toks[1:3])
+        n = cfg.token(section, key, toks[3], int)
+        if n < 0:
+            raise cfg.error(section, key, f"linspace count must be >= 0, got {n}")
         return [float(x) for x in np.linspace(a, b, n)]
     out = []
     for tok in toks:
@@ -114,12 +136,9 @@ def _parse_values(cfg, section, key, text, lambda1=None):
         if t.endswith("*lambda1"):
             if lambda1 is None:
                 raise cfg.error(section, key, "lambda1-relative value not allowed here")
-            out.append(float(t[: -len("*lambda1")]) * lambda1)
+            out.append(cfg.token(section, key, t[: -len("*lambda1")]) * lambda1)
         else:
-            try:
-                out.append(float(tok))
-            except ValueError:
-                raise cfg.error(section, key, f"not a number: {tok!r}") from None
+            out.append(cfg.token(section, key, tok))
     return out
 
 
@@ -144,26 +163,24 @@ def parse_config(path) -> RunConfig:
     cfg = ConfigFile(path)
 
     shape_name = cfg.get("domain", "shape", required=True).lower()
-    dim = int(cfg.get("domain", "dimension", required=True))
-    res = int(cfg.get("domain", "resolution", required=True))
+    dim = cfg.number("domain", "dimension", int, required=True)
+    res = cfg.number("domain", "resolution", int, required=True)
     if shape_name == "box":
-        sides = [float(s) for s in cfg.get("domain", "sides", required=True).split()]
-        shape = Box(tuple(sides))
+        shape = Box(cfg.number("domain", "sides", required=True, many=True))
     elif shape_name == "annulus":
-        shape = AnnulusD(float(cfg.get("domain", "delta0", required=True)))
+        shape = AnnulusD(cfg.number("domain", "delta0", required=True))
     else:
         raise cfg.error("domain", "shape", f"unknown shape {shape_name!r}")
     spec = DomainSpec(shape, dim, res)
 
     kind = cfg.get("boundary", "kind", "constant").lower()
     if kind == "constant":
-        boundary = Constant(float(cfg.get("boundary", "value", "1.0")))
+        boundary = Constant(cfg.number("boundary", "value", default="1.0"))
     elif kind == "bump":
-        direction = tuple(float(x) for x in cfg.get("boundary", "direction", required=True).split())
         boundary = BumpOnBoundary(
-            direction,
-            float(cfg.get("boundary", "width", required=True)),
-            float(cfg.get("boundary", "amplitude", "1.0")),
+            cfg.number("boundary", "direction", required=True, many=True),
+            cfg.number("boundary", "width", required=True),
+            cfg.number("boundary", "amplitude", default="1.0"),
         )
     elif kind == "table":
         boundary = ("table", cfg.get("boundary", "file", required=True))
@@ -184,13 +201,13 @@ def parse_config(path) -> RunConfig:
         lambdas_text=cfg.get("parameters", "lambdas", required=True),
         mus_text=cfg.get("parameters", "mus", "0.0"),
         searches=searches,
-        directions=int(cfg.get("searches", "directions", "6")),
-        epsilon=float(cfg.get("searches", "epsilon", "0.2")),
+        directions=cfg.number("searches", "directions", int, default="6"),
+        epsilon=cfg.number("searches", "epsilon", default="0.2"),
         out_dir=cfg.get("output", "directory", "out"),
         dump_fields=cfg.get("output", "dump_fields", "false").lower() in ("true", "1", "yes"),
-        seed=int(cfg.get("random", "seed", "0")),
-        budget_factor=float(cfg.get("searches", "budget_factor", "1.0")),
-        mu_star_cells=int(cfg.get("searches", "mu_star_cells", "24")),
+        seed=cfg.number("random", "seed", int, default="0"),
+        budget_factor=cfg.number("searches", "budget_factor", default="1.0"),
+        mu_star_cells=cfg.number("searches", "mu_star_cells", int, default="24"),
         cfg=cfg,
     )
 
@@ -198,23 +215,30 @@ def parse_config(path) -> RunConfig:
 # -- run ----------------------------------------------------------------------
 
 
-def _axis_directions(ndim, count):
-    dirs = []
-    for k in range(ndim):
-        for s in (+1.0, -1.0):
-            e = np.zeros(ndim)
-            e[k] = s
-            dirs.append(e)
-    if count > len(dirs):
-        for signs in np.ndindex(*(2,) * ndim):
-            v = np.array([1.0 if s == 0 else -1.0 for s in signs])
-            dirs.append(v / np.linalg.norm(v))
-    return dirs[:count]
+def _setup(rc: RunConfig):
+    """Domain, spectral data, lift and the (lambda, mu) lists of a config."""
+    domain = build_domain(rc.domain_spec)
+    spectral = compute_spectral_data(domain)
+    boundary = rc.boundary
+    if isinstance(boundary, tuple) and boundary[0] == "table":
+        boundary = load_node_table(boundary[1], domain)
+    lift = solve_lift(boundary, domain)
+
+    lambdas = _parse_values(rc.cfg, "parameters", "lambdas", rc.lambdas_text,
+                            lambda1=spectral.lambda1)
+    mus = _parse_values(rc.cfg, "parameters", "mus", rc.mus_text, lambda1=spectral.lambda1)
+    for lam in lambdas:
+        if lam <= 0:
+            raise rc.cfg.error("parameters", "lambdas",
+                               f"lambda values must be positive, got {lam}")
+    for mu in mus:
+        if mu < 0:
+            raise rc.cfg.error("parameters", "mus", f"mu values must be nonnegative, got {mu}")
+    return domain, spectral, lift, lambdas, mus
 
 
-def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig, searches=None):
+def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig):
     """One (lambda, mu) cell; never raises (failures are recorded)."""
-    searches = rc.searches if searches is None else searches
     cell = {
         "index": ci,
         "lambda": lam,
@@ -239,24 +263,24 @@ def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig, searches=None):
         p = Params(lam=lam, mu=mu, spectral=spectral, lift=lift)
         records = []
         rec_plus = rec_minus = None
-        if "nplus" in searches and mu > 0:
+        if "nplus" in rc.searches and mu > 0:
             rec_plus = minimize_on_Nplus(p, budget_factor=rc.budget_factor)
             records.append(rec_plus)
-        if "nminus" in searches:
+        if "nminus" in rc.searches:
             gs = ground_state(lam, spectral, lift, budget_factor=rc.budget_factor)
             rec_minus = minimize_on_Nminus(
                 p, gs, seed_kind=SeedKind.GROUND_STATE_RAY, budget_factor=rc.budget_factor
             )
             records.append(rec_minus)
-        if "multistart" in searches:
+        if "multistart" in rc.searches:
             if rec_plus is None:
                 raise ConfigurationError("multistart needs the nplus search in the same run")
-            dirs = _axis_directions(p.domain.ndim, rc.directions)
+            dirs = sphere_directions(p.domain.ndim, rc.directions)
             extra = multistart_Nminus(
                 p, dirs, rc.epsilon, rec_plus, budget_factor=rc.budget_factor
             )
             records.extend(extra)
-        if "minimax" in searches:
+        if "minimax" in rc.searches:
             if rec_plus is None or rec_minus is None:
                 raise ConfigurationError("minimax needs nplus and nminus in the same run")
             mm = minimax_gamma(p, rc.epsilon, rec_plus, rec_minus,
@@ -299,40 +323,12 @@ def run(config_path, out_dir_override=None) -> int:
     (out / "cells").mkdir(parents=True, exist_ok=True)
     shutil.copy(config_path, out / "config.ini")
 
-    domain = build_domain(rc.domain_spec)
-    spectral = compute_spectral_data(domain)
-    boundary = rc.boundary
-    if isinstance(boundary, tuple) and boundary[0] == "table":
-        boundary = load_node_table(boundary[1], domain)
-    lift = solve_lift(boundary, domain)
-
-    lambdas = _parse_values(rc.cfg, "parameters", "lambdas", rc.lambdas_text,
-                            lambda1=spectral.lambda1)
-    mus = _parse_values(rc.cfg, "parameters", "mus", rc.mus_text, lambda1=spectral.lambda1)
-    for lam in lambdas:
-        if lam <= 0:
-            raise ConfigurationError(f"lambda values must be positive, got {lam}")
-    for mu in mus:
-        if mu < 0:
-            raise ConfigurationError(f"mu values must be nonnegative, got {mu}")
-
-    cells = [(i, lam, mu) for i, (lam, mu) in enumerate(
-        (lam, mu) for lam in lambdas for mu in mus)]
-    cell_searches = [s for s in rc.searches if s != "mu_star"]
+    _, spectral, lift, lambdas, mus = _setup(rc)
     results = []
-    if cell_searches:
-        workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-        if workers == 1:
-            results = [_run_cell(i, lam, mu, spectral, lift, rc, cell_searches)
-                       for i, lam, mu in cells]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(
-                    lambda t: _run_cell(t[0], t[1], t[2], spectral, lift, rc, cell_searches),
-                    cells))
-        results.sort(key=lambda c: c["index"])
+    if any(s != "mu_star" for s in rc.searches):
+        results = [_run_cell(i, lam, mu, spectral, lift, rc)
+                   for i, (lam, mu) in enumerate((lam, mu) for lam in lambdas for mu in mus)]
 
-    # single-writer output pass
     sweep_rows = []
     for cell in results:
         fields = cell.pop("_fields", [])
@@ -367,16 +363,24 @@ def run(config_path, out_dir_override=None) -> int:
     if "mu_star" in rc.searches:
         cfg = ContinuationConfig(max_cells=rc.mu_star_cells,
                                  budget_factor=rc.budget_factor)
-        boundary = trace_existence_boundary(
-            [lam for lam in lambdas if lam < spectral.lambda1], spectral, lift, cfg)
+        stars = []
+        for lam in lambdas:
+            if lam >= spectral.lambda1:
+                continue
+            mu_star, rows = estimate_mu_star(lam, spectral, lift, cfg)
+            if not (np.isfinite(mu_star) and mu_star > 0):
+                raise NonconvergenceError(
+                    f"mu* estimate at lambda={lam} is not finite positive: {mu_star}"
+                )
+            stars.append((lam, mu_star, rows))
         with open(out / "mu_star.csv", "w") as f:
             f.write("lambda,mu_star,n_cells\n")
-            for lam, mu_star in zip(boundary.lambda_grid, boundary.mu_star_estimates):
-                f.write(f"{_fmt(lam)},{_fmt(mu_star)},{len(boundary.branch_data[lam])}\n")
+            for lam, mu_star, rows in stars:
+                f.write(f"{_fmt(lam)},{_fmt(mu_star)},{len(rows)}\n")
         with open(out / "mu_star_branches.csv", "w") as f:
             f.write("lambda,mu,energy_plus,energy_minus,plus_converged,minus_converged\n")
-            for lam in boundary.lambda_grid:
-                for r in boundary.branch_data[lam]:
+            for lam, _, rows in stars:
+                for r in rows:
                     f.write(
                         f"{_fmt(lam)},{_fmt(r.mu)},{_fmt(r.energy_plus)},"
                         f"{_fmt(r.energy_minus)},{r.plus_converged},{r.minus_converged}\n"
@@ -406,13 +410,12 @@ def report(run_dir) -> int:
     cells = []
     if cells_dir.is_dir():
         for fp in sorted(cells_dir.glob("cell_*.json")):
-            if fp.name.endswith(".json"):
-                try:
-                    with open(fp) as f:
-                        cells.append(json.load(f))
-                except json.JSONDecodeError as e:
-                    print(f"error: corrupt cell file {fp}: {e}", file=sys.stderr)
-                    return 1
+            try:
+                with open(fp) as f:
+                    cells.append(json.load(f))
+            except json.JSONDecodeError as e:
+                print(f"error: corrupt cell file {fp}: {e}", file=sys.stderr)
+                return 1
 
     with open(out / "heatmap.csv", "w") as f:
         f.write("lambda,mu,n_solutions,status\n")
@@ -453,22 +456,12 @@ def report(run_dir) -> int:
 # -- fibering profile and certify ------------------------------------------------
 
 
-def fibering_profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0,
-                         out_path=None) -> int:
-    rc = parse_config(config_path)
-    domain = build_domain(rc.domain_spec)
-    spectral = compute_spectral_data(domain)
-    boundary = rc.boundary
-    if isinstance(boundary, tuple) and boundary[0] == "table":
-        boundary = load_node_table(boundary[1], domain)
-    lift = solve_lift(boundary, domain)
-    lambdas = _parse_values(rc.cfg, "parameters", "lambdas", rc.lambdas_text,
-                            lambda1=spectral.lambda1)
-    mus = _parse_values(rc.cfg, "parameters", "mus", rc.mus_text, lambda1=spectral.lambda1)
+def profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0, out_path=None) -> int:
+    domain, spectral, lift, lambdas, mus = _setup(parse_config(config_path))
     p = Params(lam=lambdas[0], mu=mus[0], spectral=spectral, lift=lift)
 
     v = load_field(ray_path, domain)
-    prof = fibering_profile(v, p)
+    prof = FiberingProfile(v, p)
     rr = find_roots(v, p, profile=prof)
     ts = np.linspace(0.0, tmax_factor * rr.t_minus, samples)
     T, dT, d2T = prof.T(ts), prof.dT(ts), prof.d2T(ts)
@@ -497,14 +490,7 @@ def certify_cmd(record_path) -> int:
     if not cfg_path.exists():
         print(f"error: no config.ini next to the run ({cfg_path})", file=sys.stderr)
         return 1
-    rc = parse_config(cfg_path)
-    domain = build_domain(rc.domain_spec)
-    spectral = compute_spectral_data(domain)
-    boundary = rc.boundary
-    if isinstance(boundary, tuple) and boundary[0] == "table":
-        boundary = load_node_table(boundary[1], domain)
-    lift = solve_lift(boundary, domain)
-
+    domain, spectral, lift, _, _ = _setup(parse_config(cfg_path))
     p = Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
     ok = True
     n = 0
@@ -515,11 +501,8 @@ def certify_cmd(record_path) -> int:
             ok = False
             continue
         v = load_field(rec_path.parent / dumpname, domain)
-        from .solve import _build_record  # rebuild with fresh diagnostics
-
-        seed_kind = SeedKind(r.get("seed", "user"))
-        rebuilt = _build_record(p, v.values, gn=float("nan"),
-                                seed_kind=seed_kind, iterations=0)
+        rebuilt = build_record(p, v.values, gn=float("nan"),
+                               seed_kind=SeedKind(r.get("seed", "user")), iterations=0)
         cert = certify_solution(rebuilt, p)
         n += 1
         print(f"record {k} ({r['class']}, energy {_fmt(r['energy'])}):")
@@ -567,8 +550,8 @@ def main(argv=None) -> int:
         if args.cmd == "report":
             return report(args.rundir)
         if args.cmd == "fibering-profile":
-            return fibering_profile_cmd(args.config, args.ray, samples=args.samples,
-                                        tmax_factor=args.tmax, out_path=args.out)
+            return profile_cmd(args.config, args.ray, samples=args.samples,
+                               tmax_factor=args.tmax, out_path=args.out)
         if args.cmd == "certify":
             return certify_cmd(args.record)
     except BNSolverError as e:

@@ -81,12 +81,16 @@ def energy(v: Field, p: Params) -> float:
     )
 
 
+def gradient_values(vvals, p: Params) -> np.ndarray:
+    """L2 representation of the gradient on raw values:
+    -Lap v - lam (v + mu phi) - |v + mu phi|^(2*-2)(v + mu phi)."""
+    w = vvals + p.mu_phi
+    return p.domain.apply_neg_laplacian(vvals) - p.lam * w - signed_pow(w, p.two_star - 1.0)
+
+
 def gradient(v: Field, p: Params) -> Field:
-    """L2 representation: -Lap v - lam (v + mu phi) - |v + mu phi|^(2*-2)(v + mu phi)."""
-    d = v.domain
-    w = v.values + p.mu_phi
-    g = d.apply_neg_laplacian(v.values) - p.lam * w - signed_pow(w, p.two_star - 1.0)
-    return Field(g, d)
+    """L2 representation of the gradient, see `gradient_values`."""
+    return Field(gradient_values(v.values, p), v.domain)
 
 
 def hessian_apply(v: Field, h: Field, p: Params) -> Field:
@@ -103,9 +107,7 @@ class FiberingProfile:
     """Scalar data of one fibering map t -> E(t v).
 
     Ray coefficients (||v||^2, ||v||_2^2, integrals against phi) are frozen at
-    construction; the critical integrals are evaluated per t.  The roots
-    t_plus/t_minus stay None until a root finder fills them in, after which
-    the profile is treated as immutable.
+    construction; the critical integrals are evaluated per t.
     """
 
     def __init__(self, v: Field, p: Params):
@@ -129,8 +131,6 @@ class FiberingProfile:
         self.sign_pairing = p.lam * p.mu * self.phi_v + p.mu ** (ts - 1.0) * w0 * float(
             np.dot(abs_pow(phi, ts - 1.0), vv)
         )
-        self.t_plus: Optional[float] = None
-        self.t_minus: Optional[float] = None
         self._t0: Optional[float] = None
 
     @property
@@ -213,20 +213,12 @@ class FiberingProfile:
         return val
 
 
-def fibering_profile(v: Field, p: Params) -> FiberingProfile:
-    return FiberingProfile(v, p)
-
-
 def fibering(v: Field, p: Params, t):
     """(T, T', T'') of the fibering map of ray v at t >= 0."""
     if np.any(np.asarray(t) < 0):
         raise ArgumentError("fibering parameter t must be >= 0")
     prof = FiberingProfile(v, p)
     return prof.T(t), prof.dT(t), prof.d2T(t)
-
-
-def fibering_t0(v: Field, p: Params) -> float:
-    return FiberingProfile(v, p).t0
 
 
 def _probe_admissibility(p: Params):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import ArgumentError, MuBeyondRangeError, NumericalError
-from .functional import FiberingProfile, Params, energy, fibering_profile
+from .functional import FiberingProfile, Params, energy
 from .grid import Field
 from .numutil import abs_pow
 
@@ -47,11 +47,9 @@ class RayRoots:
     t_minus: float
     t_plus: Optional[float]
     pairing_sign: float
-    bracket_history: Tuple[Tuple[float, float], ...]
 
 
-def _refine_root(prof: FiberingProfile, lo, flo, hi, fhi, tol, history: List,
-                 max_iter: int = 200):
+def _refine_root(prof: FiberingProfile, lo, flo, hi, fhi, tol, max_iter: int = 200):
     """Safeguarded Newton inside a sign-changing bracket of T'."""
     if flo == 0.0:
         return lo
@@ -71,7 +69,6 @@ def _refine_root(prof: FiberingProfile, lo, flo, hi, fhi, tol, history: List,
             hi, fhi = t, f
         else:
             lo, flo = t, f
-        history.append((lo, hi))
         d2 = prof.d2T(t)
         t_newton = t - f / d2 if d2 != 0 else None
         if t_newton is not None and lo < t_newton < hi:
@@ -92,7 +89,7 @@ def _refine_root(prof: FiberingProfile, lo, flo, hi, fhi, tol, history: List,
 def find_roots(v: Field, p: Params, profile: Optional[FiberingProfile] = None) -> RayRoots:
     """Roots of T' on the ray through v: always t_minus > t0, and t_plus in
     (0, t0) exactly when the pairing sign is positive."""
-    prof = profile if profile is not None else fibering_profile(v, p)
+    prof = profile if profile is not None else FiberingProfile(v, p)
     t0 = prof.t0  # raises MuTooLargeError when the threshold is undefined
     f0 = prof.dT(t0)
     if f0 <= 0.0:
@@ -100,7 +97,6 @@ def find_roots(v: Field, p: Params, profile: Optional[FiberingProfile] = None) -
             f"T'(t0) = {f0:.6e} <= 0: mu beyond the two-root regime on this ray"
         )
     tol = 1e-11 * (1.0 + abs(f0))
-    history: List[Tuple[float, float]] = []
 
     lo, flo = t0, f0
     hi, fhi = t0, f0
@@ -112,22 +108,17 @@ def find_roots(v: Field, p: Params, profile: Optional[FiberingProfile] = None) -
         lo, flo = hi, fhi
     else:
         raise NumericalError("T' stayed positive after 60 doublings of t0")
-    history.append((lo, hi))
-    t_minus = _refine_root(prof, lo, flo, hi, fhi, tol, history)
+    t_minus = _refine_root(prof, lo, flo, hi, fhi, tol)
 
     t_plus = None
     if prof.sign_pairing > 0.0:
         # T'(0) = -pairing < 0 and T'(t0) > 0
-        history.append((0.0, t0))
-        t_plus = _refine_root(prof, 0.0, -prof.sign_pairing, t0, f0, tol, history)
+        t_plus = _refine_root(prof, 0.0, -prof.sign_pairing, t0, f0, tol)
 
-    prof.t_minus = t_minus
-    prof.t_plus = t_plus
     return RayRoots(
         t_minus=float(t_minus),
         t_plus=None if t_plus is None else float(t_plus),
         pairing_sign=float(prof.sign_pairing),
-        bracket_history=tuple(history),
     )
 
 
@@ -138,7 +129,7 @@ def classify(v: Field, p: Params) -> NehariClass:
     T''(1) is inside its own band; ambiguous boundary cases are reported as
     NotOnManifold (the Zero part is proven empty, so a Zero verdict must be a
     deliberate event, not a tie-break)."""
-    prof = fibering_profile(v, p)
+    prof = FiberingProfile(v, p)
     tp = prof.dT(1.0)
     tpp = prof.d2T(1.0)
     scale = (
@@ -163,17 +154,28 @@ def reduced_J(v_unit: Field, p: Params, return_root: bool = False):
     """J(v) = E(t_minus(v) v) on the nonnegative cone of the unit critical
     sphere."""
     d = v_unit.domain
-    ts = p.two_star
-    nrm = d.lp_norm(v_unit.values, ts)
+    if d is not p.domain:
+        raise ArgumentError("ray and parameters live on different domains")
+    nrm = d.lp_norm(v_unit.values, p.two_star)
     if abs(nrm - 1.0) > 1e-8:
         raise ArgumentError(f"reduced functional needs ||v||_2* = 1, got {nrm:.12g}")
     if v_unit.values.min() < -1e-12 * max(1.0, np.abs(v_unit.values).max()):
         raise ArgumentError("reduced functional needs v >= 0 on the cone")
-    rr = find_roots(v_unit, p)
-    val = energy(Field(rr.t_minus * v_unit.values, d), p)
+    val, t_minus, _ = reduced_functional(v_unit.values, p)
     if return_root:
-        return val, rr.t_minus
+        return val, t_minus
     return val
+
+
+def reduced_functional(vvals, p: Params):
+    """J(v) = E(t_minus(v) v) on raw values, unchecked; returns
+    (J, t_minus, t_minus * v).  The Minus-branch descent, the multistart seeds
+    and the minimax search all evaluate J here; `reduced_J` is the checked
+    entry point on the unit cone."""
+    d = p.domain
+    rr = find_roots(Field(vvals, d), p)
+    w = rr.t_minus * vvals
+    return energy(Field(w, d), p), rr.t_minus, w
 
 
 def barycenter(v: Field) -> np.ndarray:

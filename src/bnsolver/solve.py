@@ -12,7 +12,7 @@ minimizers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,10 +29,10 @@ from .errors import (
     ProjectionError,
     SeedingError,
 )
-from .functional import Params, energy
+from .functional import Params, energy, gradient_values
 from .grid import AnnulusD, Domain, Field, _default_bump
 from .lift import compose_solution
-from .nehari import Klass, NehariClass, barycenter, classify, find_roots
+from .nehari import Klass, NehariClass, barycenter, classify, find_roots, reduced_functional
 from .numutil import abs_pow, signed_pow, smoothstep, solve_cg, solve_minres
 
 
@@ -91,11 +91,6 @@ def _target_tol(p: Params, vvals, e_val):
     return 1e-9 * (1.0 + h1 + abs(e_val))
 
 
-def _grad_raw(p: Params, vvals):
-    w = vvals + p.mu_phi
-    return p.domain.apply_neg_laplacian(vvals) - p.lam * w - signed_pow(w, p.two_star - 1.0)
-
-
 def _wnorm(domain: Domain, vals):
     return float(np.sqrt(domain.weight) * np.linalg.norm(vals))
 
@@ -113,12 +108,13 @@ def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
     A = d.matrix
     ts = p.two_star
     v = np.array(vvals, dtype=float)
-    g = _grad_raw(p, v)
+    g = gradient_values(v, p)
     gn = _wnorm(d, g)
-    for k in range(max_steps):
+    steps = 0
+    while steps < max_steps:
         e_val = energy(Field(v, d), p)
         if gn <= _target_tol(p, v, e_val):
-            return v, gn, k, True
+            return v, gn, steps, True
         w = v + p.mu_phi
         H = A - sparse.diags(p.lam + (ts - 1.0) * abs_pow(w, ts - 2.0))
         delta, _ = solve_minres(H, -g, rtol=min(1e-2, inner_rtol + 0.1 * gn), maxiter=4000,
@@ -127,7 +123,7 @@ def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
         accepted = False
         for _ in range(30):
             vt = v + step * delta
-            gt = _grad_raw(p, vt)
+            gt = gradient_values(vt, p)
             gnt = _wnorm(d, gt)
             if gnt < (1.0 - 0.25 * step) * gn:
                 v, g, gn = vt, gt, gnt
@@ -136,8 +132,9 @@ def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
             step *= 0.5
         if not accepted:
             break
+        steps += 1
     e_val = energy(Field(v, d), p)
-    return v, gn, max_steps, gn <= _target_tol(p, v, e_val)
+    return v, gn, steps, gn <= _target_tol(p, v, e_val)
 
 
 def zero_relax_seed(p: Params) -> Field:
@@ -194,7 +191,7 @@ def minimize_on_Nplus(
     descent_cap = min(budget - 1, max(10, int(50 * budget_factor)))
     for it in range(budget):
         iterations = it + 1
-        g = _grad_raw(p, v)
+        g = gradient_values(v, p)
         gn = _wnorm(d, g)
         e_val = energy(Field(v, d), p)
         if gn <= 1e3 * _target_tol(p, v, e_val) or it >= descent_cap:
@@ -240,11 +237,13 @@ def minimize_on_Nplus(
             f"Plus-branch solve stalled at grad norm {gn:.3e} after {iterations} iterations",
             residual=gn,
         )
-    return _build_record(p, v, gn, seed_kind, iterations)
+    return build_record(p, v, gn, seed_kind, iterations)
 
 
-def _build_record(p, vvals, gn, seed_kind, iterations, seed_direction=None,
-                  seed_energy=None, seed_below=None):
+def build_record(p, vvals, gn, seed_kind, iterations, seed_direction=None,
+                 seed_energy=None, seed_below=None) -> SolutionRecord:
+    """Record of the manifold point v with fresh diagnostics (energy, class,
+    positivity of u = v + mu*phi, barycenter)."""
     d = p.domain
     vf = Field(vvals, d)
     uf = compose_solution(vf, p.mu, p.lift)
@@ -266,6 +265,40 @@ def _build_record(p, vvals, gn, seed_kind, iterations, seed_direction=None,
         seed_energy=seed_energy,
         seed_below_threshold=seed_below,
     )
+
+
+def _cone_step(p: Params, v, t, j_val, g, dr, beta, max_backtracks):
+    """One projected line-search step of J on the unit critical sphere's
+    nonnegative cone.
+
+    v is the current cone point with J(v) = j_val and t = t_minus(v), g the
+    gradient at t v and dr its Riesz lift.  The lift is made tangent to the
+    sphere at v, and trial points max(v - beta * dtan, 0) / norm are scored
+    by J with Armijo backtracking (beta halves on each rejection; a trial
+    point that vanishes or has no t_minus root counts as a rejection).
+    Returns (v, t, w, J, beta) of the accepted point, or None when dtan is
+    not a descent direction or all `max_backtracks` trials are rejected.
+    """
+    d = p.domain
+    ts = p.two_star
+    theta = d.weight * float(np.dot(signed_pow(v, ts - 1.0), dr))
+    dtan = dr - theta * v
+    slope = t * d.inner(g, dtan)
+    if slope <= 0:
+        return None
+    for _ in range(max_backtracks):
+        vt = np.maximum(v - beta * dtan, 0.0)
+        nt = d.lp_norm(vt, ts)
+        if nt > 0.0:
+            vt /= nt
+            try:
+                jt, tt, wt = reduced_functional(vt, p)
+            except (MuTooLargeError, MuBeyondRangeError):
+                jt = None
+            if jt is not None and jt < j_val - 1e-4 * beta * slope:
+                return vt, tt, wt, jt, beta
+        beta *= 0.5
+    return None
 
 
 def minimize_on_Nminus(
@@ -296,50 +329,21 @@ def minimize_on_Nminus(
     warm_dir = None
     beta0 = 1.0
 
-    def reduced(vvals):
-        rr = find_roots(Field(vvals, d), p)
-        w = rr.t_minus * vvals
-        return rr.t_minus, w, energy(Field(w, d), p)
-
-    t, w, j_val = reduced(v)
+    j_val, t, w = reduced_functional(v, p)
     for attempt in range(3):
         for it in range(budget):
             iterations += 1
-            g = _grad_raw(p, w)
+            g = gradient_values(w, p)
             gn = _wnorm(d, g)
             if gn <= 1e2 * _target_tol(p, w, j_val):
                 break
             dr = _riesz(d, g, x0=warm_dir)
             warm_dir = dr
-            theta = d.weight * float(np.dot(signed_pow(v, ts - 1.0), dr))
-            dtan = dr - theta * v
-            slope = t * d.inner(g, dtan)
-            if slope <= 0:
+            step = _cone_step(p, v, t, j_val, g, dr, beta0, max_backtracks=30)
+            if step is None:
                 break
-            accepted = False
-            beta = beta0
-            for _ in range(30):
-                vt = np.maximum(v - beta * dtan, 0.0)
-                nt = d.lp_norm(vt, ts)
-                if nt == 0.0:
-                    raise ProjectionError(
-                        "iterate left the nonnegative cone irreparably",
-                        snapshot=Field(v, d),
-                    )
-                vt /= nt
-                try:
-                    tt, wt, jt = reduced(vt)
-                except (MuTooLargeError, MuBeyondRangeError):
-                    beta *= 0.5
-                    continue
-                if jt < j_val - 1e-4 * beta * slope:
-                    v, t, w, j_val = vt, tt, wt, jt
-                    beta0 = min(beta * 2.0, 4.0)
-                    accepted = True
-                    break
-                beta *= 0.5
-            if not accepted:
-                break
+            v, t, w, j_val, beta = step
+            beta0 = min(beta * 2.0, 4.0)
 
         wv, gn, steps, ok = _newton_polish(p, w, max_steps=newton_budget)
         iterations += steps
@@ -347,7 +351,7 @@ def minimize_on_Nminus(
             cls = classify(Field(wv, d), p)
             e_val = energy(Field(wv, d), p)
             if cls.klass is Klass.MINUS and e_val > 0:
-                return _build_record(
+                return build_record(
                     p, wv, gn, seed_kind, iterations,
                     seed_direction=seed_direction,
                     seed_energy=seed_energy,
@@ -360,7 +364,7 @@ def minimize_on_Nminus(
         if nrm == 0:
             raise ProjectionError("descent collapsed to zero", snapshot=Field(v, d))
         v /= nrm
-        t, w, j_val = reduced(v)
+        j_val, t, w = reduced_functional(v, p)
         beta0 *= 0.25
 
     raise NonconvergenceError(
@@ -470,11 +474,9 @@ def multistart_Nminus(
         for tf in t_factors:
             comp = vplus.v.values + tf * t_star * U
             try:
-                rr = find_roots(Field(comp, d), p)
+                e_val, _, w = reduced_functional(comp, p)
             except (MuTooLargeError, MuBeyondRangeError):
                 continue
-            w = rr.t_minus * comp
-            e_val = energy(Field(w, d), p)
             if best is None or e_val < best[1]:
                 best = (w, e_val)
         if best is None:
@@ -516,14 +518,15 @@ class MinimaxResult:
     gamma_estimate: float
     window: tuple
     reason: str
-    lattice_values: dict = dc_field(default_factory=dict)
 
     @property
     def found(self):
         return self.record is not None
 
 
-def _sphere_directions(N: int):
+def sphere_directions(N: int, count: Optional[int] = None):
+    """Unit directions in R^N: the 2N signed axes first, then the 2^N
+    normalized diagonals; the first `count` of them (all when None)."""
     dirs = []
     for k in range(N):
         for s in (+1.0, -1.0):
@@ -533,7 +536,7 @@ def _sphere_directions(N: int):
     for signs in np.ndindex(*(2,) * N):
         v = np.array([1.0 if s == 0 else -1.0 for s in signs])
         dirs.append(v / np.linalg.norm(v))
-    return dirs
+    return dirs[:count]
 
 
 def minimax_gamma(
@@ -566,13 +569,9 @@ def minimax_gamma(
     q = p.spectral.s_quantum
     window = (vplus.energy + q, vminus.energy + q)
 
-    dirs = list(directions) if directions is not None else _sphere_directions(d.ndim)
+    dirs = list(directions) if directions is not None else sphere_directions(d.ndim)
     r_bar = 1.0 - epsilon
     radii = np.linspace(0.0, r_bar, n_radii)
-
-    def normalized(vals):
-        n = d.lp_norm(vals, ts)
-        return vals / n if n > 0 else None
 
     family = {}
     for j, y in enumerate(dirs):
@@ -582,17 +581,11 @@ def minimax_gamma(
             mix = 1.0 - r / r_bar if r_bar > 0 else 1.0
             if mix > 0:
                 vals = vals + mix * make_bubble(eps_k, -y, d, delta0).field.values
-            vals = normalized(vals)
-            if vals is None:
-                continue
-            family[(j, k)] = vals
+            n = d.lp_norm(vals, ts)
+            if n > 0:
+                family[(j, k)] = vals / n
 
-    def j_of(vals):
-        rr = find_roots(Field(vals, d), p)
-        w = rr.t_minus * vals
-        return energy(Field(w, d), p), rr.t_minus, w
-
-    values = {key: j_of(v)[0] for key, v in family.items()}
+    values = {key: reduced_functional(v, p)[0] for key, v in family.items()}
     boundary_keys = {key for key in family if key[1] == len(radii) - 1}
 
     for _ in range(relax_rounds):
@@ -600,54 +593,32 @@ def minimax_gamma(
             if key in boundary_keys:
                 continue
             v = family[key]
-            jv, t, w = j_of(v)
+            jv, t, w = reduced_functional(v, p)
             for _ in range(inner_steps):
-                g = _grad_raw(p, w)
-                dr = _riesz(d, g)
-                theta = d.weight * float(np.dot(signed_pow(v, ts - 1.0), dr))
-                dtan = dr - theta * v
-                slope = t * d.inner(g, dtan)
-                if slope <= 0:
+                g = gradient_values(w, p)
+                step = _cone_step(p, v, t, jv, g, _riesz(d, g), 1.0, max_backtracks=20)
+                if step is None:
                     break
-                beta, moved = 1.0, False
-                for _ in range(20):
-                    vt = normalized(np.maximum(v - beta * dtan, 0.0))
-                    if vt is not None:
-                        try:
-                            jt, tt, wt = j_of(vt)
-                        except (MuTooLargeError, MuBeyondRangeError):
-                            beta *= 0.5
-                            continue
-                        if jt < jv - 1e-4 * beta * slope:
-                            v, jv, t, w = vt, jt, tt, wt
-                            moved = True
-                            break
-                    beta *= 0.5
-                if not moved:
-                    break
+                v, t, w, jv, _ = step
             family[key], values[key] = v, jv
 
     gamma_est = max(values.values())
     arg = max(values, key=lambda k: values[k])
-    v_star = family[arg]
-    rr = find_roots(Field(v_star, d), p)
-    w_star = rr.t_minus * v_star
+    _, _, w_star = reduced_functional(family[arg], p)
 
     wv, gn, steps, ok = _newton_polish(p, w_star, max_steps=max(10, int(40 * budget_factor)))
     if not ok:
-        return MinimaxResult(None, gamma_est, window,
-                             f"polish stalled at grad norm {gn:.3e}", values)
-    rec = _build_record(p, wv, gn, SeedKind.MINIMAX, steps)
+        return MinimaxResult(None, gamma_est, window, f"polish stalled at grad norm {gn:.3e}")
+    rec = build_record(p, wv, gn, SeedKind.MINIMAX, steps)
     if rec.nehari_class.klass is not Klass.MINUS:
         return MinimaxResult(None, gamma_est, window,
-                             f"polished point classified {rec.nehari_class.klass.name}", values)
+                             f"polished point classified {rec.nehari_class.klass.name}")
     if not window[0] < rec.energy < window[1]:
         return MinimaxResult(
             None, gamma_est, window,
             f"polished energy {rec.energy:.6g} outside window ({window[0]:.6g}, {window[1]:.6g})",
-            values,
         )
-    return MinimaxResult(rec, gamma_est, window, "accepted", values)
+    return MinimaxResult(rec, gamma_est, window, "accepted")
 
 
 # -- ground state cache and continuation --------------------------------------
@@ -688,35 +659,6 @@ class BranchRow:
     plus_converged: bool
     minus_converged: bool
     record_plus: Optional[SolutionRecord] = None
-
-
-@dataclass
-class ExistenceBoundary:
-    """Solvability boundary estimate over a lambda grid."""
-
-    lambda_grid: list
-    mu_star_estimates: list
-    branch_data: dict
-
-    def __post_init__(self):
-        for lam, mu in zip(self.lambda_grid, self.mu_star_estimates):
-            if not (np.isfinite(mu) and mu > 0):
-                raise NonconvergenceError(
-                    f"mu* estimate at lambda={lam} is not finite positive: {mu}"
-                )
-
-
-def trace_existence_boundary(lambdas, spectral, lift,
-                             cfg: Optional[ContinuationConfig] = None) -> ExistenceBoundary:
-    """Continuation estimate of the solvability boundary over a lambda grid."""
-    lams, stars, branches = [], [], {}
-    for lam in lambdas:
-        mu_star, rows = estimate_mu_star(lam, spectral, lift, cfg)
-        lams.append(float(lam))
-        stars.append(float(mu_star))
-        branches[float(lam)] = rows
-    return ExistenceBoundary(lambda_grid=lams, mu_star_estimates=stars,
-                             branch_data=branches)
 
 
 def estimate_mu_star(lam: float, spectral, lift, cfg: Optional[ContinuationConfig] = None):

@@ -20,7 +20,7 @@ from bnsolver.errors import (
     NonconvergenceError,
     ProjectionError,
 )
-from bnsolver.functional import Params, energy, fibering_profile, gradient, hessian_apply
+from bnsolver.functional import FiberingProfile, Params, energy, gradient, hessian_apply
 from bnsolver.grid import (
     AnnulusD,
     Box,
@@ -148,7 +148,7 @@ def test_criterion_03_fibering_oracle(box5):
     orderings_checked = 0
     for k in range(200):
         v = box5.random_field(rng)
-        prof = fibering_profile(v, p)
+        prof = FiberingProfile(v, p)
         rr = find_roots(v, p, profile=prof)
         # oracle window [1e-4, 4 t_minus], 1e5 samples
         roots = scan_oracle(prof, 4.0 * rr.t_minus, samples=100_000)

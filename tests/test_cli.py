@@ -87,14 +87,34 @@ def test_certify_subcommand(completed_run, capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+def assert_same_outputs(a, b):
+    """sweep.csv and every cells/*.json are byte-identical in run dirs a and b."""
+    names = sorted(fp.name for fp in (a / "cells").glob("*.json"))
+    assert names and names == sorted(fp.name for fp in (b / "cells").glob("*.json"))
+    for rel in ["sweep.csv"] + [f"cells/{n}" for n in names]:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
 def test_run_determinism(tmp_path):
+    """Two runs of one config give byte-identical sweep.csv and cell files."""
+    cfg = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert_same_outputs(*outs)
+
+
+def test_threaded_run_matches_serial(tmp_path, monkeypatch):
+    """Cells run serially: BNSOLVER_THREADS, which a former cell pool read,
+    leaves every output byte unchanged."""
     outs = []
-    for tag in ("a", "b"):
+    for tag, workers in (("serial", "1"), ("pool", "2")):
         out = tmp_path / f"out_{tag}"
         cfg = write_config(tmp_path, BASE_CONFIG.format(out=out), name=f"cfg_{tag}.ini")
+        monkeypatch.setenv("BNSOLVER_THREADS", workers)
         assert main(["run", str(cfg)]) == 0
-        outs.append((out / "sweep.csv").read_bytes())
-    assert outs[0] == outs[1]
+        outs.append(out)
+    assert_same_outputs(*outs)
 
 
 def test_fibering_profile_subcommand(tmp_path, capsys):
@@ -143,6 +163,40 @@ def test_config_errors(tmp_path):
 
     code = main(["run", str(write_config(tmp_path, cfg, name="bad4.ini"))])
     assert code == 2
+
+
+MALFORMED = [
+    ("dimension = 3", "dimension = three"),
+    ("resolution = 9", "resolution = 9.5"),
+    ("sides = 1 1 1", "sides = 1 one 1"),
+    ("shape = box\nsides = 1 1 1", "shape = annulus\ndelta0 = wide"),
+    ("value = 1.0", "value = 1.0 2.0"),
+    ("kind = constant\nvalue = 1.0", "kind = bump\nwidth = 0.8\ndirection = 1 0 x"),
+    ("kind = constant\nvalue = 1.0", "kind = bump\ndirection = 1 0 0\nwidth = narrow"),
+    ("kind = constant\nvalue = 1.0", "kind = bump\ndirection = 1 0 0\nwidth = 0.8\namplitude = ?"),
+    ("run = nplus nminus", "run = nplus nminus\ndirections = six"),
+    ("run = nplus nminus", "run = nplus nminus\nepsilon = 0.2.1"),
+    ("run = nplus nminus", "run = nplus nminus\nbudget_factor = x"),
+    ("run = nplus nminus", "run = nplus nminus\nmu_star_cells = 8.5"),
+    ("seed = 0", "seed = zero"),
+    ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = linspace 0.1 x 3"),
+    ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = linspace 0.1 0.2 three"),
+    ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = linspace 0.1 0.2 -1"),
+    ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = half*lambda1"),
+    ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = -0.5*lambda1"),
+    ("mus = 0.01", "mus = -0.01"),
+]
+
+
+@pytest.mark.parametrize("old, new", MALFORMED, ids=[n.splitlines()[-1] for _, n in MALFORMED])
+def test_malformed_numbers_are_anchored(tmp_path, capsys, old, new):
+    text = BASE_CONFIG.format(out=tmp_path / "out")
+    assert old in text
+    text = text.replace(old, new)
+    bad_line = text.splitlines().index(new.splitlines()[-1]) + 1
+    cfg = write_config(tmp_path, text)
+    assert main(["run", str(cfg)]) == 2
+    assert f"{cfg}:{bad_line}: " in capsys.readouterr().err
 
 
 def test_crash_isolation(tmp_path):
@@ -197,17 +251,6 @@ def test_annulus_run_with_multistart_and_minimax(tmp_path):
     assert len(cell["records"]) >= 2  # nplus, nminus, plus whatever multistart kept
     assert "minimax" in cell
     assert set(cell["minimax"]) >= {"found", "gamma_estimate", "window", "reason"}
-
-
-def test_threaded_run_matches_serial(tmp_path, monkeypatch):
-    outs = []
-    for tag, workers in (("serial", "1"), ("pool", "2")):
-        out = tmp_path / f"out_{tag}"
-        cfg = write_config(tmp_path, BASE_CONFIG.format(out=out), name=f"cfg_{tag}.ini")
-        monkeypatch.setenv("BNSOLVER_THREADS", workers)
-        assert main(["run", str(cfg)]) == 0
-        outs.append((out / "sweep.csv").read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_mu_star_search(tmp_path):

@@ -3,11 +3,10 @@ import pytest
 
 from bnsolver.errors import ArgumentError, MuTooLargeError
 from bnsolver.functional import (
+    FiberingProfile,
     Params,
     energy,
     fibering,
-    fibering_profile,
-    fibering_t0,
     gradient,
     hessian_apply,
     two_star_exponent,
@@ -115,7 +114,7 @@ def test_fibering_homogeneous_closed_forms(box9):
     p = box9.params(lam=0.0, mu=0.0)
     ts = p.two_star
     v = box9.random_field(rng)
-    prof = fibering_profile(v, p)
+    prof = FiberingProfile(v, p)
     a = dom.h1_norm_sq(v.values)
     b = dom.weight * np.sum(np.abs(v.values) ** ts)
     for t in (0.3, 1.0, 2.7):
@@ -131,7 +130,7 @@ def test_fibering_derivative_identities(box9):
     dom = box9.domain
     for _ in range(5):
         v = box9.random_field(rng)
-        prof = fibering_profile(v, p)
+        prof = FiberingProfile(v, p)
         # T'(1) = <grad E(v), v>
         g = gradient(v, p)
         assert abs(prof.dT(1.0) - dom.inner(g.values, v.values)) <= 1e-11 * (
@@ -154,7 +153,7 @@ def test_fibering_eventual_negativity(box9):
     p = box9.params(lam_factor=0.5, mu=0.01)
     for _ in range(5):
         v = box9.random_field(rng)
-        prof = fibering_profile(v, p)
+        prof = FiberingProfile(v, p)
         t = prof.t0
         for _ in range(60):
             if prof.dT(t) < 0:
@@ -176,10 +175,10 @@ def test_t0_formula_and_scaling(box9):
     b = dom.weight * np.sum(np.abs(v.values) ** ts)
     c = (ts - 1.0) * 2.0 ** (ts - 2.0)
     expected = (a / (c * b)) ** (1.0 / (ts - 2.0))
-    t0 = fibering_t0(v, p0)
+    t0 = FiberingProfile(v, p0).t0
     assert abs(t0 - expected) <= 1e-12 * expected
     # homogeneity at mu = 0: doubling the ray halves t0
-    t0_scaled = fibering_t0(2.0 * v, p0)
+    t0_scaled = FiberingProfile(2.0 * v, p0).t0
     assert abs(t0_scaled - 0.5 * t0) <= 1e-12 * t0
 
 
@@ -188,7 +187,7 @@ def test_t0_guarantees_convexity_below(box9):
     p = box9.params(lam_factor=0.5, mu=0.01)
     for _ in range(8):
         v = box9.random_field(rng)
-        prof = fibering_profile(v, p)
+        prof = FiberingProfile(v, p)
         t0 = prof.t0
         for t in np.linspace(0.05, 0.95, 7) * t0:
             assert prof.d2T(t) > 0
@@ -199,7 +198,7 @@ def test_t0_mu_too_large(box9):
     assert not p_big.admissible
     v = box9.spectral.e1
     with pytest.raises(MuTooLargeError) as ei:
-        fibering_t0(v, p_big)
+        FiberingProfile(v, p_big).t0
     assert ei.value.numerator is not None and ei.value.numerator <= 0
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bnsolver.errors import ArgumentError
-from bnsolver.functional import fibering_profile
+from bnsolver.functional import FiberingProfile
 from bnsolver.grid import Field
 from bnsolver.nehari import (
     Klass,
@@ -64,7 +64,7 @@ def test_root_ordering_and_pairing(box9):
     p = box9.params(lam_factor=0.5, mu=0.01)
     for _ in range(15):
         v = box9.random_field(rng, positive=True)  # positive ray -> positive pairing
-        prof = fibering_profile(v, p)
+        prof = FiberingProfile(v, p)
         rr = find_roots(v, p, profile=prof)
         assert rr.pairing_sign > 0
         assert rr.t_plus is not None
@@ -76,7 +76,7 @@ def test_root_ordering_and_pairing(box9):
 def test_negative_pairing_has_no_plus_root(box9):
     p = box9.params(lam_factor=0.5, mu=0.01)
     v = -1.0 * box9.spectral.e1
-    prof = fibering_profile(v, p)
+    prof = FiberingProfile(v, p)
     assert prof.sign_pairing < 0
     rr = find_roots(v, p, profile=prof)
     assert rr.t_plus is None
@@ -88,7 +88,7 @@ def test_roots_match_scan_oracle(box5):
     p = box5.params(lam_factor=0.5, mu=0.02)
     for _ in range(25):
         v = box5.random_field(rng)
-        prof = fibering_profile(v, p)
+        prof = FiberingProfile(v, p)
         rr = find_roots(v, p, profile=prof)
         lo = 1e-4
         roots = scan_oracle(prof, 4.0 * rr.t_minus, samples=20_000)
@@ -154,7 +154,7 @@ def test_reduced_J_is_ray_maximum(box9):
     raw /= dom.lp_norm(raw, p.two_star)
     v = Field(raw, dom)
     J, t_minus = reduced_J(v, p, return_root=True)
-    prof = fibering_profile(v, p)
+    prof = FiberingProfile(v, p)
     samples = prof.T(np.linspace(0.0, 3.0 * t_minus, 100))
     assert J >= samples.max() - 1e-10 * (1.0 + abs(J))
 
@@ -176,7 +176,7 @@ def test_minimum_on_segment(box9):
     p = box9.params(lam_factor=0.5, mu=0.01)
     for _ in range(6):
         v = box9.random_field(rng, positive=True)
-        prof = fibering_profile(v, p)
+        prof = FiberingProfile(v, p)
         rr = find_roots(v, p, profile=prof)
         assert rr.t_plus is not None
         grid = np.linspace(0.0, rr.t_minus, 250)

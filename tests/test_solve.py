@@ -54,6 +54,17 @@ def test_minus_branch_record(cell13):
     assert rec.energy < rec_plus.energy + q
 
 
+def test_newton_polish_counts_steps_taken(box9, monkeypatch):
+    # a zero Newton direction fails the first line search: no step is taken
+    from bnsolver import solve
+
+    p = box9.params(lam_factor=0.5, mu=0.01)
+    monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), True))
+    _, _, steps, ok = solve._newton_polish(p, solve.zero_relax_seed(p).values, max_steps=40)
+    assert not ok
+    assert steps == 0
+
+
 def test_plus_branch_absent_at_mu_zero(box13):
     p0 = box13.params(mu=0.0)
     with pytest.raises(BranchAbsentError):

@@ -1,16 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from bnsolver import verify
 from bnsolver.errors import IncompleteInputError, PreconditionError
-from bnsolver.functional import hessian_apply
+from bnsolver.functional import Params, energy, hessian_apply
 from bnsolver.grid import Field, zero_field
 from bnsolver.nehari import Klass
 from bnsolver.solve import (
     SeedKind,
+    build_record,
     ground_state,
     minimize_on_Nminus,
     minimize_on_Nplus,
-    _build_record,
 )
 from bnsolver.verify import (
     certify_solution,
@@ -42,16 +45,76 @@ def test_certify_converged_records(cell9):
     assert sign_check.lhs < 0
 
 
-def test_certify_detects_corruption(cell9):
-    p, rec_plus, _ = cell9
-    bad = _build_record(
-        p, 1.1 * rec_plus.v.values, gn=rec_plus.grad_norm,
-        seed_kind=rec_plus.seed, iterations=0,
+def _fails_alone(cert, fragment):
+    failed = [c.name for c in cert.failed()]
+    assert len(failed) == 1 and fragment in failed[0], str(cert)
+
+
+def test_certify_detects_corruption(cell9, box9, monkeypatch):
+    """Every check of certify_solution and nonexistence_certificate has a
+    corruption that fails it and no other check."""
+    p, rec_plus, rec_minus = cell9
+    d = p.domain
+
+    # residual: a high-frequency perturbation orthogonal to H(v) v moves the
+    # gradient but keeps T'(1) inside the manifold tolerance
+    v = rec_plus.v.values
+    hv = hessian_apply(rec_plus.v, rec_plus.v, p).values
+    h = np.sin(7 * np.pi * d.interior_coords[:, 0]) * p.spectral.e1.values
+    h -= d.inner(h, hv) / d.inner(hv, hv) * hv
+    bad = build_record(
+        p, v + 1e-7 * h, gn=rec_plus.grad_norm, seed_kind=rec_plus.seed, iterations=0,
     )
-    cert = certify_solution(bad, p)
-    assert not cert.overall
-    res_check = next(c for c in cert.checks if "residual" in c.name)
-    assert not res_check.passed
+    _fails_alone(certify_solution(bad, p), "residual")
+
+    u = rec_plus.u.values.copy()
+    u[0] = -1e-3
+    _fails_alone(certify_solution(replace(rec_plus, u=Field(u, d)), p), "positive nodewise")
+    _fails_alone(
+        certify_solution(replace(rec_plus, nehari_class=rec_minus.nehari_class), p),
+        "manifold class",
+    )
+
+    # sign patterns: the energy shifted by a constant, so every energy
+    # difference (and with it every bound relative to energy(0)) is kept
+    e_plus, e_minus = energy(rec_plus.v, p), energy(rec_minus.v, p)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "energy", lambda f, q: energy(f, q) - e_plus + 1.0)
+        _fails_alone(certify_solution(rec_plus, p), "energy < 0 on Plus")
+    with monkeypatch.context() as m:
+        m.setattr(verify, "energy", lambda f, q: energy(f, q) - e_minus - 1.0)
+        _fails_alone(certify_solution(rec_minus, p), "energy > 0 on Minus")
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_energy_at_zero", lambda q: e_plus - 1.0)
+        _fails_alone(certify_solution(rec_plus, p), "energy <= energy(0) on Plus")
+
+    # Minus upper bounds: a quantum from a corrupted Sobolev estimate
+    tiny_S = replace(p.spectral, sobolev_S=1e-6 * p.spectral.sobolev_S)
+    p_tiny = Params(lam=p.lam, mu=p.mu, spectral=tiny_S, lift=p.lift)
+    _fails_alone(certify_solution(rec_minus, p_tiny), "(1/N) S^(N/2) on Minus")
+    _fails_alone(certify_solution(replace(rec_minus, seed=SeedKind.MINIMAX), p_tiny),
+                 "on minimax Minus")
+
+    # nonexistence pairing
+    sp, dom = box9.spectral, box9.domain
+    lam1, e1 = sp.lambda1, sp.e1
+
+    def cert(lam, mu, candidate=None, spectral=sp):
+        q = Params(lam=lam, mu=mu, spectral=spectral, lift=box9.lift)
+        return nonexistence_certificate(q, candidate=candidate)
+
+    flipped = replace(sp, e1=Field(-e1.values, dom))
+    _fails_alone(cert(lam1, 0.0, spectral=flipped), "int(phi e1) positive")
+    _fails_alone(cert(lam1, 1e-14), "a-priori pairing margin")
+    u = e1.values.copy()
+    u[0] = -1e-3
+    _fails_alone(cert(lam1, 0.01, Field(u, dom)), "candidate nonnegative")
+    _fails_alone(cert(lam1, 0.0, Field(1e-8 * e1.values, dom)), "pairing margin")
+    # negative within the nonnegativity tolerance, amplified by lam - lam1
+    _fails_alone(cert(100.0 * lam1, 1e-8, Field(np.full(dom.n_interior, -1e-13), dom)),
+                 "margin dominates")
+    shifted = replace(sp, lambda1=lam1 * (1.0 + 1e-3))
+    _fails_alone(cert(shifted.lambda1, 0.01, e1, spectral=shifted), "eigen defect")
 
 
 def test_certify_homogeneous_ground_state(box9):
