@@ -190,6 +190,9 @@ def parse_config(path) -> RunConfig:
     searches = cfg.get("searches", "run", required=True).split()
     if not searches:
         raise cfg.error("searches", "run", "empty searches set")
+    seed = cfg.number("random", "seed", int, default="0")
+    if seed < 0:
+        raise cfg.error("random", "seed", f"seed must be >= 0, got {seed}")
     for s in searches:
         if s not in KNOWN_SEARCHES:
             raise cfg.error("searches", "run",
@@ -205,7 +208,7 @@ def parse_config(path) -> RunConfig:
         epsilon=cfg.number("searches", "epsilon", default="0.2"),
         out_dir=cfg.get("output", "directory", "out"),
         dump_fields=cfg.get("output", "dump_fields", "false").lower() in ("true", "1", "yes"),
-        seed=cfg.number("random", "seed", int, default="0"),
+        seed=seed,
         budget_factor=cfg.number("searches", "budget_factor", default="1.0"),
         mu_star_cells=cfg.number("searches", "mu_star_cells", int, default="24"),
         cfg=cfg,
@@ -257,7 +260,7 @@ def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig):
             cert = nonexistence_certificate(p, candidate=None)
             probe = nonexistence_certificate(p, candidate=spectral.e1)
             cell["certificates"] = [cert.to_json_dict(), probe.to_json_dict()]
-            cell["status"] = "nonexistence" if cert.overall and probe.overall else "failed"
+            cell["status"] = "nonexistence" if cert.overall and probe.overall else "uncertified"
             return cell
 
         p = Params(lam=lam, mu=mu, spectral=spectral, lift=lift)
@@ -457,10 +460,14 @@ def report(run_dir) -> int:
 
 
 def profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0, out_path=None) -> int:
-    domain, spectral, lift, lambdas, mus = _setup(parse_config(config_path))
+    rc = parse_config(config_path)
+    domain, spectral, lift, lambdas, mus = _setup(rc)
+    for key, values in (("lambdas", lambdas), ("mus", mus)):
+        if not values:
+            raise rc.cfg.error("parameters", key, "fibering-profile needs at least one value")
     p = Params(lam=lambdas[0], mu=mus[0], spectral=spectral, lift=lift)
 
-    v = load_field(ray_path, domain)
+    v = load_field(ray_path, domain).values
     prof = FiberingProfile(v, p)
     rr = find_roots(v, p, profile=prof)
     ts = np.linspace(0.0, tmax_factor * rr.t_minus, samples)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, MuTooLargeError
-from .grid import Field, SpectralData, _default_bump
+from .grid import SpectralData, _default_bump
 from .lift import HarmonicLift
 from .numutil import abs_pow, signed_pow
 
@@ -70,37 +70,44 @@ class Params:
         return self.mu * self.lift.phi.values
 
 
-def energy(v: Field, p: Params) -> float:
-    d = v.domain
-    w = v.values + p.mu_phi
+def _checked(v, p: Params) -> np.ndarray:
+    """The value array v, checked to have one value per interior node of p's domain."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (p.domain.n_interior,):
+        raise ArgumentError(
+            f"value array of shape {v.shape} does not match interior size {p.domain.n_interior}"
+        )
+    return v
+
+
+def energy(v, p: Params) -> float:
+    v = _checked(v, p)
+    d = p.domain
+    w = v + p.mu_phi
     ts = p.two_star
     return (
-        0.5 * d.h1_norm_sq(v.values)
+        0.5 * d.h1_norm_sq(v)
         - 0.5 * p.lam * d.l2_norm_sq(w)
         - d.weight * float(np.sum(abs_pow(w, ts))) / ts
     )
 
 
-def gradient_values(vvals, p: Params) -> np.ndarray:
-    """L2 representation of the gradient on raw values:
+def gradient_values(v, p: Params) -> np.ndarray:
+    """L2 representation of the gradient:
     -Lap v - lam (v + mu phi) - |v + mu phi|^(2*-2)(v + mu phi)."""
-    w = vvals + p.mu_phi
-    return p.domain.apply_neg_laplacian(vvals) - p.lam * w - signed_pow(w, p.two_star - 1.0)
+    v = _checked(v, p)
+    w = v + p.mu_phi
+    return p.domain.apply_neg_laplacian(v) - p.lam * w - signed_pow(w, p.two_star - 1.0)
 
 
-def gradient(v: Field, p: Params) -> Field:
-    """L2 representation of the gradient, see `gradient_values`."""
-    return Field(gradient_values(v.values, p), v.domain)
-
-
-def hessian_apply(v: Field, h: Field, p: Params) -> Field:
+def hessian_apply(v, h, p: Params) -> np.ndarray:
     """-Lap h - lam h - (2*-1)|v + mu phi|^(2*-2) h."""
-    d = v.domain
-    w = v.values + p.mu_phi
+    v, h = _checked(v, p), _checked(h, p)
+    w = v + p.mu_phi
     ts = p.two_star
-    out = d.apply_neg_laplacian(h.values) - p.lam * h.values
-    out -= (ts - 1.0) * abs_pow(w, ts - 2.0) * h.values
-    return Field(out, d)
+    out = p.domain.apply_neg_laplacian(h) - p.lam * h
+    out -= (ts - 1.0) * abs_pow(w, ts - 2.0) * h
+    return out
 
 
 class FiberingProfile:
@@ -110,27 +117,29 @@ class FiberingProfile:
     construction; the critical integrals are evaluated per t.
     """
 
-    def __init__(self, v: Field, p: Params):
-        if not np.any(v.values):
+    def __init__(self, v, p: Params):
+        v = _checked(v, p)
+        if not np.any(v):
             raise ArgumentError("fibering ray must be nonzero")
-        d = v.domain
-        if d is not p.domain:
-            raise ArgumentError("ray and parameters live on different domains")
         self.v = v
         self.p = p
         ts = p.two_star
+        d = p.domain
         w0 = d.weight
-        vv = v.values
         phi = p.lift.phi.values
-        self.a = d.h1_norm_sq(vv)
-        self.l2 = d.l2_norm_sq(vv)
-        self.phi_v = w0 * float(np.dot(phi, vv))
+        self.a = d.h1_norm_sq(v)
+        self.l2 = d.l2_norm_sq(v)
+        self.phi_v = w0 * float(np.dot(phi, v))
         self.phi_l2 = d.l2_norm_sq(phi)
-        self.v_crit = w0 * float(np.sum(abs_pow(vv, ts)))
-        self.phi_crit_v2 = w0 * float(np.dot(abs_pow(phi, ts - 2.0), vv**2))
+        self.v_crit = w0 * float(np.sum(abs_pow(v, ts)))
+        self.phi_crit_v2 = w0 * float(np.dot(abs_pow(phi, ts - 2.0), v**2))
         self.sign_pairing = p.lam * p.mu * self.phi_v + p.mu ** (ts - 1.0) * w0 * float(
-            np.dot(abs_pow(phi, ts - 1.0), vv)
+            np.dot(abs_pow(phi, ts - 1.0), v)
         )
+        # Every ray sum is finite exactly when the ray is: a NaN or inf value
+        # fails here rather than in a root bracket.
+        if not np.isfinite([self.a, self.l2, self.phi_v, self.v_crit, self.phi_crit_v2]).all():
+            raise ArgumentError("fibering ray contains non-finite values")
         self._t0: Optional[float] = None
 
     @property
@@ -155,35 +164,34 @@ class FiberingProfile:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
-        n = self.v.values.size
+        n = self.v.size
         out = np.empty(tt.size)
         chunk = max(1, _BATCH_ELEMS // max(n, 1))
         muphi = self.p.mu_phi
         for s in range(0, tt.size, chunk):
-            block = tt[s : s + chunk, None] * self.v.values[None, :] + muphi[None, :]
+            block = tt[s : s + chunk, None] * self.v[None, :] + muphi[None, :]
             out[s : s + chunk] = kernel(block)
         return float(out[0]) if scalar else out
 
     def crit_mass(self, t):
         """int |t v + mu phi|^{2*} dx."""
         ts = self.p.two_star
-        w0 = self.v.domain.weight
+        w0 = self.p.domain.weight
         return self._batched(t, lambda W: w0 * abs_pow(W, ts).sum(axis=1))
 
     def crit_pair_v(self, t):
         """int |t v + mu phi|^{2*-2} (t v + mu phi) v dx."""
         ts = self.p.two_star
-        w0 = self.v.domain.weight
-        vv = self.v.values
+        w0 = self.p.domain.weight
         return self._batched(
-            t, lambda W: w0 * (signed_pow(W, ts - 1.0) * vv[None, :]).sum(axis=1)
+            t, lambda W: w0 * (signed_pow(W, ts - 1.0) * self.v[None, :]).sum(axis=1)
         )
 
     def crit_quad_v2(self, t):
         """int |t v + mu phi|^{2*-2} v^2 dx."""
         ts = self.p.two_star
-        w0 = self.v.domain.weight
-        v2 = self.v.values**2
+        w0 = self.p.domain.weight
+        v2 = self.v**2
         return self._batched(
             t, lambda W: w0 * (abs_pow(W, ts - 2.0) * v2[None, :]).sum(axis=1)
         )
@@ -213,7 +221,7 @@ class FiberingProfile:
         return val
 
 
-def fibering(v: Field, p: Params, t):
+def fibering(v, p: Params, t):
     """(T, T', T'') of the fibering map of ray v at t >= 0."""
     if np.any(np.asarray(t) < 0):
         raise ArgumentError("fibering parameter t must be >= 0")
@@ -229,11 +237,11 @@ def _probe_admissibility(p: Params):
     if p.mu == 0.0:
         return True, "homogeneous case"
     domain = p.spectral.domain
-    probes = [p.spectral.e1]
+    probes = [p.spectral.e1.values]
     bump = _default_bump(domain)
     l2 = np.sqrt(domain.l2_norm_sq(bump))
     if l2 > 0:
-        probes.append(Field(bump / l2, domain))
+        probes.append(bump / l2)
     try:
         for probe in probes:
             prof = FiberingProfile(probe, p)

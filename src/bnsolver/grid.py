@@ -13,7 +13,12 @@ Discrete conventions, fixed once and used everywhere:
   vanishing on the boundary this coincides with the tensor trapezoid rule;
 * the H^1_0 seminorm is the edge sum of one-sided differences, which makes
   summation by parts <-Lap u, v> = sum of edge products exact in floating
-  point up to roundoff.
+  point up to roundoff;
+* `Field` lives only at the API edges: it is the type of stored and
+  exchanged data (solution records, the lift, the eigenfunction, seeds and
+  field dumps).  The energy, fibering and manifold kernels and the `Domain`
+  methods take and return raw value arrays of length `n_interior`, and never
+  write to their inputs.
 """
 
 from __future__ import annotations
@@ -145,25 +150,18 @@ class Domain:
         self.nb_minus = [inv[self.interior_flat - strides[d]] for d in range(N)]
 
         # Boundary = non-interior lattice nodes adjacent to an interior node.
-        bflat = []
-        for d in range(N):
-            for sgn, nb in ((+1, self.nb_plus[d]), (-1, self.nb_minus[d])):
-                miss = nb < 0
-                bflat.append(self.interior_flat[miss] + sgn * strides[d])
-        bflat = np.unique(np.concatenate(bflat)) if bflat else np.array([], dtype=np.int64)
-        self.boundary_flat = bflat
-        self.boundary_coords = pts[bflat]
-        self._boundary_order = {int(f): i for i, f in enumerate(bflat)}
-
         # Stencil edges into the boundary, per axis and side, for lift solves:
-        # (interior index, boundary-order index).
-        self._boundary_edges = []
+        # (axis, interior index, boundary-order index).
+        edges = []
         for d in range(N):
             for sgn, nb in ((+1, self.nb_plus[d]), (-1, self.nb_minus[d])):
                 miss = np.flatnonzero(nb < 0)
-                flat = self.interior_flat[miss] + sgn * strides[d]
-                border = np.array([self._boundary_order[int(f)] for f in flat], dtype=np.int64)
-                self._boundary_edges.append((d, miss, border))
+                edges.append((d, miss, self.interior_flat[miss] + sgn * strides[d]))
+        self.boundary_flat = np.unique(np.concatenate([flat for _, _, flat in edges]))
+        self.boundary_coords = pts[self.boundary_flat]
+        self._boundary_edges = [
+            (d, miss, np.searchsorted(self.boundary_flat, flat)) for d, miss, flat in edges
+        ]
 
         self._matrix = None
 
@@ -289,10 +287,6 @@ class Field:
     def _like(self, values):
         return Field(values, self.domain)
 
-    def __add__(self, other):
-        self._check(other)
-        return self._like(self.values + other.values)
-
     def __sub__(self, other):
         self._check(other)
         return self._like(self.values - other.values)
@@ -302,19 +296,9 @@ class Field:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self._like(-self.values)
-
-    def __abs__(self):
-        return self._like(np.abs(self.values))
-
     def _check(self, other):
         if not isinstance(other, Field) or other.domain is not self.domain:
             raise ArgumentError("fields live on different domains")
-
-    @property
-    def norm_h1(self):
-        return float(np.sqrt(self.domain.h1_norm_sq(self.values)))
 
     @property
     def norm_l2(self):
@@ -350,11 +334,6 @@ class SpectralData:
 
 def build_domain(spec: DomainSpec) -> Domain:
     return Domain(spec)
-
-
-def apply_laplacian(u: Field) -> Field:
-    """-Lap u with zero Dirichlet ghost values."""
-    return Field(u.domain.apply_neg_laplacian(u.values), u.domain)
 
 
 def norms(u: Field, p: Optional[float] = None):

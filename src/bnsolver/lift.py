@@ -106,8 +106,6 @@ def load_node_table(path, domain: Domain) -> NodeTable:
 @dataclass(frozen=True)
 class HarmonicLift:
     phi: Field
-    g: object
-    g_values: np.ndarray
     residual: float
 
     @property
@@ -148,7 +146,7 @@ def solve_lift(g, domain: Domain, rtol: float = 1e-13) -> HarmonicLift:
         )
     phi = np.clip(phi, lo, hi)
 
-    return HarmonicLift(phi=Field(phi, domain), g=g, g_values=gvals, residual=resid)
+    return HarmonicLift(phi=Field(phi, domain), residual=resid)
 
 
 def compose_solution(v: Field, mu: float, lift: HarmonicLift) -> Field:

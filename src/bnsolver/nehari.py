@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, MuBeyondRangeError, NumericalError
-from .functional import FiberingProfile, Params, energy
+from .functional import FiberingProfile, Params, _checked, energy
 from .grid import Field
 from .numutil import abs_pow
 
@@ -86,7 +86,7 @@ def _refine_root(prof: FiberingProfile, lo, flo, hi, fhi, tol, max_iter: int = 2
     )
 
 
-def find_roots(v: Field, p: Params, profile: Optional[FiberingProfile] = None) -> RayRoots:
+def find_roots(v, p: Params, profile: Optional[FiberingProfile] = None) -> RayRoots:
     """Roots of T' on the ray through v: always t_minus > t0, and t_plus in
     (0, t0) exactly when the pairing sign is positive."""
     prof = profile if profile is not None else FiberingProfile(v, p)
@@ -122,7 +122,7 @@ def find_roots(v: Field, p: Params, profile: Optional[FiberingProfile] = None) -
     )
 
 
-def classify(v: Field, p: Params) -> NehariClass:
+def classify(v, p: Params) -> NehariClass:
     """Three-way manifold membership from T'(1) and T''(1).
 
     Zero is reported only when T'(1) vanishes well inside tolerance AND
@@ -150,32 +150,28 @@ def classify(v: Field, p: Params) -> NehariClass:
     return NehariClass(klass=klass, t_prime=tp, t_second_deriv=tpp, tolerance=tol_class)
 
 
-def reduced_J(v_unit: Field, p: Params, return_root: bool = False):
+def reduced_J(v_unit, p: Params, return_root: bool = False):
     """J(v) = E(t_minus(v) v) on the nonnegative cone of the unit critical
     sphere."""
-    d = v_unit.domain
-    if d is not p.domain:
-        raise ArgumentError("ray and parameters live on different domains")
-    nrm = d.lp_norm(v_unit.values, p.two_star)
+    v_unit = _checked(v_unit, p)
+    nrm = p.domain.lp_norm(v_unit, p.two_star)
     if abs(nrm - 1.0) > 1e-8:
         raise ArgumentError(f"reduced functional needs ||v||_2* = 1, got {nrm:.12g}")
-    if v_unit.values.min() < -1e-12 * max(1.0, np.abs(v_unit.values).max()):
+    if v_unit.min() < -1e-12 * max(1.0, np.abs(v_unit).max()):
         raise ArgumentError("reduced functional needs v >= 0 on the cone")
-    val, t_minus, _ = reduced_functional(v_unit.values, p)
+    val, t_minus, _ = reduced_functional(v_unit, p)
     if return_root:
         return val, t_minus
     return val
 
 
-def reduced_functional(vvals, p: Params):
-    """J(v) = E(t_minus(v) v) on raw values, unchecked; returns
-    (J, t_minus, t_minus * v).  The Minus-branch descent, the multistart seeds
-    and the minimax search all evaluate J here; `reduced_J` is the checked
-    entry point on the unit cone."""
-    d = p.domain
-    rr = find_roots(Field(vvals, d), p)
-    w = rr.t_minus * vvals
-    return energy(Field(w, d), p), rr.t_minus, w
+def reduced_functional(v, p: Params):
+    """J(v) = E(t_minus(v) v), unchecked; returns (J, t_minus, t_minus * v).
+    The Minus-branch descent, the multistart seeds and the minimax search all
+    evaluate J here; `reduced_J` is the checked entry point on the unit cone."""
+    rr = find_roots(v, p)
+    w = rr.t_minus * v
+    return energy(w, p), rr.t_minus, w
 
 
 def barycenter(v: Field) -> np.ndarray:
@@ -189,19 +185,14 @@ def barycenter(v: Field) -> np.ndarray:
     return d.weight * (d.interior_coords * dens[:, None]).sum(axis=0)
 
 
-def gradient_direction_integral(v: Field) -> np.ndarray:
-    """int (x/|x|) |grad v|^2 dx, the directional concentration indicator."""
-    return v.domain.gradient_direction_integral(v.values)
-
-
-def ray_set_membership(u: Field, p: Params, rtol: float = 1e-8) -> RaySet:
+def ray_set_membership(u, p: Params, rtol: float = 1e-8) -> RaySet:
     """Position of u relative to the Minus part along its own ray: compares
     t_minus(u/||u||)/||u|| to 1."""
-    d = u.domain
-    nu = np.sqrt(d.h1_norm_sq(u.values))
+    u = _checked(u, p)
+    nu = np.sqrt(p.domain.h1_norm_sq(u))
     if nu == 0.0:
         raise ArgumentError("membership of the zero field is undefined")
-    rr = find_roots(Field(u.values / nu, d), p)
+    rr = find_roots(u / nu, p)
     ratio = rr.t_minus / nu
     if abs(ratio - 1.0) <= rtol:
         return RaySet.ON_N_MINUS

@@ -112,7 +112,7 @@ def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
     gn = _wnorm(d, g)
     steps = 0
     while steps < max_steps:
-        e_val = energy(Field(v, d), p)
+        e_val = energy(v, p)
         if gn <= _target_tol(p, v, e_val):
             return v, gn, steps, True
         w = v + p.mu_phi
@@ -133,7 +133,7 @@ def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
         if not accepted:
             break
         steps += 1
-    e_val = energy(Field(v, d), p)
+    e_val = energy(v, p)
     return v, gn, steps, gn <= _target_tol(p, v, e_val)
 
 
@@ -169,8 +169,7 @@ def minimize_on_Nplus(
 
     def project_plus(vals):
         nonlocal pairing_positive_seen
-        f = Field(vals, d)
-        rr = find_roots(f, p)
+        rr = find_roots(vals, p)
         if rr.t_plus is None:
             return None
         pairing_positive_seen = True
@@ -193,7 +192,7 @@ def minimize_on_Nplus(
         iterations = it + 1
         g = gradient_values(v, p)
         gn = _wnorm(d, g)
-        e_val = energy(Field(v, d), p)
+        e_val = energy(v, p)
         if gn <= 1e3 * _target_tol(p, v, e_val) or it >= descent_cap:
             break
         dr = _riesz(d, g, x0=warm_dir)
@@ -207,7 +206,7 @@ def minimize_on_Nplus(
             except (MuTooLargeError, MuBeyondRangeError):
                 vt = None
             if vt is not None:
-                et = energy(Field(vt, d), p)
+                et = energy(vt, p)
                 if et < e_val - 1e-4 * beta * slope:
                     v = vt
                     e_val = et
@@ -223,7 +222,7 @@ def minimize_on_Nplus(
                 va = project_plus(np.abs(v))
             except (MuTooLargeError, MuBeyondRangeError):
                 va = None
-            if va is not None and energy(Field(va, d), p) <= e_val + 1e-12 * (1 + abs(e_val)):
+            if va is not None and energy(va, p) <= e_val + 1e-12 * (1 + abs(e_val)):
                 v = va
 
     if not pairing_positive_seen:
@@ -247,11 +246,11 @@ def build_record(p, vvals, gn, seed_kind, iterations, seed_direction=None,
     d = p.domain
     vf = Field(vvals, d)
     uf = compose_solution(vf, p.mu, p.lift)
-    cls = classify(vf, p)
+    cls = classify(vvals, p)
     return SolutionRecord(
         v=vf,
         u=uf,
-        energy=energy(vf, p),
+        energy=energy(vvals, p),
         nehari_class=cls,
         grad_norm=gn,
         positive=bool(uf.values.min() > 0.0),
@@ -348,8 +347,8 @@ def minimize_on_Nminus(
         wv, gn, steps, ok = _newton_polish(p, w, max_steps=newton_budget)
         iterations += steps
         if ok:
-            cls = classify(Field(wv, d), p)
-            e_val = energy(Field(wv, d), p)
+            cls = classify(wv, p)
+            e_val = energy(wv, p)
             if cls.klass is Klass.MINUS and e_val > 0:
                 return build_record(
                     p, wv, gn, seed_kind, iterations,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError, IncompleteInputError, PreconditionError
 from .functional import Params, energy, gradient_values, hessian_apply
-from .grid import Field, zero_field
+from .grid import Field
 from .nehari import Klass, classify
 from .numutil import signed_pow
 from .solve import SeedKind, SolutionRecord
@@ -89,7 +89,7 @@ def r_lambda(p: Params) -> float:
 
 
 def _energy_at_zero(p: Params) -> float:
-    return energy(zero_field(p.domain), p)
+    return energy(np.zeros(p.domain.n_interior), p)
 
 
 def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
@@ -107,7 +107,7 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
     umin = float(rec.u.values.min())
     checks.append(Check("u = v + mu*phi positive nodewise", umin > 0.0, umin, 0.0, 0.0))
 
-    cls = classify(rec.v, p)
+    cls = classify(rec.v.values, p)
     on_manifold = cls.klass in (Klass.PLUS, Klass.MINUS)
     consistent = cls.klass is rec.nehari_class.klass
     checks.append(
@@ -120,7 +120,7 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
         )
     )
 
-    e_val = energy(rec.v, p)
+    e_val = energy(rec.v.values, p)
     if cls.klass is Klass.PLUS:
         checks.append(
             Check("sign pattern: energy < 0 on Plus", e_val < -STRICT_MARGIN, e_val, 0.0,
@@ -163,8 +163,8 @@ def nonexistence_certificate(p: Params, candidate: Optional[Field] = None) -> Ce
     has strictly positive left side (>= lam mu int(phi e1) > 0), so no
     nonnegative field can satisfy the equation; the certificate reports the
     margin.  Without a candidate the a-priori margin lam mu int(phi e1) is
-    reported.  The mu = 0, u = 0 probe is a degenerate equality and is
-    flagged inconclusive.
+    reported.  At mu = 0 that margin is zero, and so is the pairing margin of
+    the zero candidate: the probe proves nothing and its margin check fails.
     """
     if p.lam < p.lambda1:
         raise PreconditionError(
@@ -177,13 +177,6 @@ def nonexistence_certificate(p: Params, candidate: Optional[Field] = None) -> Ce
     checks = [
         Check("int(phi e1) positive", phi_e1 > STRICT_MARGIN, phi_e1, 0.0, STRICT_MARGIN)
     ]
-
-    degenerate = p.mu == 0.0 and (candidate is None or not np.any(candidate.values))
-    if degenerate:
-        checks.append(
-            Check("degenerate probe (mu = 0, u = 0): margin inconclusive", True, 0.0, 0.0, 0.0)
-        )
-        return Certificate(tuple(checks))
 
     if candidate is None:
         checks.append(
@@ -260,8 +253,7 @@ def convexity_ball_check(
         u *= rng.uniform(0.0, 0.999) * rl / nu
         h = rng.standard_normal(d.n_interior)
         h /= np.sqrt(d.h1_norm_sq(h))
-        uf, hf = Field(u, d), Field(h, d)
-        form = d.inner(hessian_apply(uf, hf, p).values, h)
+        form = d.inner(hessian_apply(u, h, p), h)
         min_form = min(min_form, form)
         if form <= STRICT_MARGIN:
             ok = False

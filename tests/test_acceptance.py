@@ -20,7 +20,7 @@ from bnsolver.errors import (
     NonconvergenceError,
     ProjectionError,
 )
-from bnsolver.functional import FiberingProfile, Params, energy, gradient, hessian_apply
+from bnsolver.functional import FiberingProfile, Params, energy, gradient_values, hessian_apply
 from bnsolver.grid import (
     AnnulusD,
     Box,
@@ -115,21 +115,19 @@ def test_criterion_02_calculus_consistency(box9):
             if n_pairs >= 50:
                 break
             n_pairs += 1
-            v = box9.random_field(rng)
-            h = box9.random_field(rng)
+            v = box9.random_field(rng).values
+            h = box9.random_field(rng).values
             step = 1e-5
             fd = (energy(v + step * h, p) - energy(v + (-step) * h, p)) / (2 * step)
-            an = dom.inner(gradient(v, p).values, h.values)
+            an = dom.inner(gradient_values(v, p), h)
             worst_g = max(worst_g, abs(fd - an) / (1.0 + abs(fd)))
-            gfd = (gradient(v + step * h, p).values - gradient(v + (-step) * h, p).values) / (
+            gfd = (gradient_values(v + step * h, p) - gradient_values(v + (-step) * h, p)) / (
                 2 * step
             )
-            ha = hessian_apply(v, h, p).values
+            ha = hessian_apply(v, h, p)
             worst_h = max(worst_h, np.linalg.norm(gfd - ha) / (1.0 + np.linalg.norm(ha)))
-            Au = dom.apply_neg_laplacian(v.values)
-            sbp = abs(dom.inner(Au, v.values) - dom.h1_norm_sq(v.values)) / abs(
-                dom.h1_norm_sq(v.values)
-            )
+            Au = dom.apply_neg_laplacian(v)
+            sbp = abs(dom.inner(Au, v) - dom.h1_norm_sq(v)) / abs(dom.h1_norm_sq(v))
             worst_sbp = max(worst_sbp, sbp)
     ok = n_pairs >= 50 and worst_g < 1e-6 and worst_h < 1e-5 and worst_sbp < 1e-12
     report(2, ok, f"{n_pairs} pairs: grad {worst_g:.2e} (<1e-6), "
@@ -147,7 +145,7 @@ def test_criterion_03_fibering_oracle(box5):
     zero_free = True
     orderings_checked = 0
     for k in range(200):
-        v = box5.random_field(rng)
+        v = box5.random_field(rng).values
         prof = FiberingProfile(v, p)
         rr = find_roots(v, p, profile=prof)
         # oracle window [1e-4, 4 t_minus], 1e5 samples
@@ -169,16 +167,16 @@ def test_criterion_03_fibering_oracle(box5):
     p0 = box5.params(lam=lam, mu=0.0)
     worst_cf = 0.0
     for _ in range(50):
-        v = box5.random_field(rng)
+        v = box5.random_field(rng).values
         rr = find_roots(v, p0)
-        a = dom.h1_norm_sq(v.values) - lam * dom.l2_norm_sq(v.values)
-        b = dom.weight * np.sum(np.abs(v.values) ** ts)
+        a = dom.h1_norm_sq(v) - lam * dom.l2_norm_sq(v)
+        b = dom.weight * np.sum(np.abs(v) ** ts)
         t_exact = (a / b) ** (1.0 / (ts - 2.0))
         worst_cf = max(worst_cf, abs(rr.t_minus - t_exact) / t_exact)
 
     # a further 800 rescaled rays keep the Zero class empty (>= 1000 total)
     for _ in range(800):
-        v = box5.random_field(rng)
+        v = box5.random_field(rng).values
         rr = find_roots(v, p)
         if classify(rr.t_minus * v, p).klass is Klass.ZERO:
             zero_free = False
@@ -195,8 +193,8 @@ def test_criterion_04_two_solution_regime(cell17):
     ok = True
     details = []
     for tag, rec in (("plus", rec_plus), ("minus", rec_minus)):
-        g = gradient(rec.v, p)
-        gn = np.sqrt(dom.weight) * np.linalg.norm(g.values)
+        g = gradient_values(rec.v.values, p)
+        gn = np.sqrt(dom.weight) * np.linalg.norm(g)
         h1 = np.sqrt(dom.h1_norm_sq(rec.v.values))
         res_ok = gn < 1e-7 * (1.0 + h1)
         pos_ok = rec.u.values.min() > 0.0
@@ -389,10 +387,10 @@ def test_criterion_10_bubble_sanity(annulus29):
     for tf in np.geomspace(0.3, 3.0, 15):
         comp = rec_plus.v.values + tf * t_star * U
         try:
-            rr = find_roots(Field(comp, dom), p)
+            rr = find_roots(comp, p)
         except BNSolverError:
             continue
-        best = min(best, energy(Field(rr.t_minus * comp, dom), p))
+        best = min(best, energy(rr.t_minus * comp, p))
     sublevel_ok = best < threshold
 
     ok = trend_ok and approach_ok and sublevel_ok

@@ -145,6 +145,32 @@ def test_fibering_profile_subcommand(tmp_path, capsys):
     assert out_text.splitlines()[0] == "t,T,T1,T2"
 
 
+def test_fibering_profile_empty_list_is_anchored(tmp_path, capsys):
+    dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
+    ray_path = tmp_path / "ray.txt"
+    dump_field(type(zero_field(dom))(np.ones(dom.n_interior), dom), ray_path)
+    for old, new in (("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = linspace 0.1 0.2 0"),
+                     ("mus = 0.01", "mus = linspace 0.1 0.2 0")):
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
+        cfg = write_config(tmp_path, text)
+        bad_line = text.splitlines().index(new) + 1
+        assert main(["fibering-profile", str(cfg), "--ray", str(ray_path)]) == 2
+        assert f"{cfg}:{bad_line}: " in capsys.readouterr().err
+
+
+def test_nonexistence_cell_at_mu_zero_is_uncertified(tmp_path):
+    """The mu = 0 pairing margins are zero: the cell is uncertified, not failed."""
+    out = tmp_path / "out"
+    cfg_text = BASE_CONFIG.format(out=out).replace(
+        "lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = 1.2*lambda1").replace(
+        "mus = 0.01", "mus = 0.0")
+    assert main(["run", str(write_config(tmp_path, cfg_text))]) == 0
+    cell = json.loads((out / "cells" / "cell_0000.json").read_text())
+    assert cell["mode"] == "nonexistence"
+    assert cell["status"] == "uncertified"
+    assert cell["error"] is None
+
+
 def test_config_errors(tmp_path):
     bad = write_config(tmp_path, "[domain]\nshape box\n", name="bad1.ini")
     with pytest.raises(ConfigurationError) as ei:
@@ -179,6 +205,7 @@ MALFORMED = [
     ("run = nplus nminus", "run = nplus nminus\nbudget_factor = x"),
     ("run = nplus nminus", "run = nplus nminus\nmu_star_cells = 8.5"),
     ("seed = 0", "seed = zero"),
+    ("seed = 0", "seed = -1"),
     ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = linspace 0.1 x 3"),
     ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = linspace 0.1 0.2 three"),
     ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = linspace 0.1 0.2 -1"),

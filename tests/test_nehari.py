@@ -10,7 +10,6 @@ from bnsolver.nehari import (
     barycenter,
     classify,
     find_roots,
-    gradient_direction_integral,
     ray_set_membership,
     reduced_J,
 )
@@ -51,7 +50,7 @@ def test_mu_zero_closed_form_root(box9):
     ts = p.two_star
     for _ in range(10):
         v = box9.random_field(rng)
-        rr = find_roots(v, p)
+        rr = find_roots(v.values, p)
         a = dom.h1_norm_sq(v.values) - lam * dom.l2_norm_sq(v.values)
         b = dom.weight * np.sum(np.abs(v.values) ** ts)
         expected = (a / b) ** (1.0 / (ts - 2.0))
@@ -63,7 +62,7 @@ def test_root_ordering_and_pairing(box9):
     rng = np.random.default_rng(41)
     p = box9.params(lam_factor=0.5, mu=0.01)
     for _ in range(15):
-        v = box9.random_field(rng, positive=True)  # positive ray -> positive pairing
+        v = box9.random_field(rng, positive=True).values  # positive ray -> positive pairing
         prof = FiberingProfile(v, p)
         rr = find_roots(v, p, profile=prof)
         assert rr.pairing_sign > 0
@@ -75,7 +74,7 @@ def test_root_ordering_and_pairing(box9):
 
 def test_negative_pairing_has_no_plus_root(box9):
     p = box9.params(lam_factor=0.5, mu=0.01)
-    v = -1.0 * box9.spectral.e1
+    v = -1.0 * box9.spectral.e1.values
     prof = FiberingProfile(v, p)
     assert prof.sign_pairing < 0
     rr = find_roots(v, p, profile=prof)
@@ -87,7 +86,7 @@ def test_roots_match_scan_oracle(box5):
     rng = np.random.default_rng(42)
     p = box5.params(lam_factor=0.5, mu=0.02)
     for _ in range(25):
-        v = box5.random_field(rng)
+        v = box5.random_field(rng).values
         prof = FiberingProfile(v, p)
         rr = find_roots(v, p, profile=prof)
         lo = 1e-4
@@ -103,7 +102,7 @@ def test_classify_constructed_points(box9):
     p = box9.params(lam_factor=0.5, mu=0.01)
     hits = {Klass.PLUS: 0, Klass.MINUS: 0}
     for _ in range(20):
-        v = box9.random_field(rng, positive=True)
+        v = box9.random_field(rng, positive=True).values
         rr = find_roots(v, p)
         cm = classify(rr.t_minus * v, p)
         assert cm.klass is Klass.MINUS
@@ -117,11 +116,24 @@ def test_classify_constructed_points(box9):
     assert hits[Klass.PLUS] > 0 and hits[Klass.MINUS] > 0
 
 
+def test_nonfinite_or_misfit_ray_rejected(box9, box5):
+    p = box9.params(lam_factor=0.5, mu=0.01)
+    v = box9.random_field(np.random.default_rng(51), positive=True).values.copy()
+    v[7] = np.nan
+    with pytest.raises(ArgumentError, match="non-finite"):
+        find_roots(v, p)
+    with pytest.raises(ArgumentError, match="non-finite"):
+        classify(v, p)
+    # a ray from another domain is rejected by its length
+    with pytest.raises(ArgumentError, match="interior size"):
+        find_roots(box5.random_field(np.random.default_rng(52)).values, p)
+
+
 def test_no_zero_class_on_random_rescaled_rays(box5):
     rng = np.random.default_rng(44)
     p = box5.params(lam_factor=0.5, mu=0.02)
     for _ in range(100):
-        v = box5.random_field(rng)
+        v = box5.random_field(rng).values
         rr = find_roots(v, p)
         assert classify(rr.t_minus * v, p).klass is not Klass.ZERO
         if rr.t_plus is not None:
@@ -138,8 +150,7 @@ def test_reduced_J_homogeneous_closed_form(box9):
     for _ in range(8):
         raw = np.abs(rng.standard_normal(dom.n_interior)) + 0.05
         raw /= dom.lp_norm(raw, ts)
-        v = Field(raw, dom)
-        J = reduced_J(v, p)
+        J = reduced_J(raw, p)
         a = dom.h1_norm_sq(raw) - lam * dom.l2_norm_sq(raw)
         expected = a ** (N / 2.0) / N
         assert abs(J - expected) <= 1e-9 * expected
@@ -152,9 +163,8 @@ def test_reduced_J_is_ray_maximum(box9):
     p = box9.params(lam_factor=0.5, mu=0.01)
     raw = np.abs(rng.standard_normal(dom.n_interior)) + 0.05
     raw /= dom.lp_norm(raw, p.two_star)
-    v = Field(raw, dom)
-    J, t_minus = reduced_J(v, p, return_root=True)
-    prof = FiberingProfile(v, p)
+    J, t_minus = reduced_J(raw, p, return_root=True)
+    prof = FiberingProfile(raw, p)
     samples = prof.T(np.linspace(0.0, 3.0 * t_minus, 100))
     assert J >= samples.max() - 1e-10 * (1.0 + abs(J))
 
@@ -163,19 +173,19 @@ def test_reduced_J_cone_violations(box9):
     p = box9.params()
     rng = np.random.default_rng(47)
     v = box9.random_field(rng)  # sign-changing
-    unit = Field(v.values / box9.domain.lp_norm(v.values, p.two_star), box9.domain)
+    unit = v.values / box9.domain.lp_norm(v.values, p.two_star)
     with pytest.raises(ArgumentError):
         reduced_J(unit, p)
     pos = np.abs(v.values) + 0.1
     with pytest.raises(ArgumentError):
-        reduced_J(Field(2.0 * pos / box9.domain.lp_norm(pos, p.two_star), box9.domain), p)
+        reduced_J(2.0 * pos / box9.domain.lp_norm(pos, p.two_star), p)
 
 
 def test_minimum_on_segment(box9):
     rng = np.random.default_rng(48)
     p = box9.params(lam_factor=0.5, mu=0.01)
     for _ in range(6):
-        v = box9.random_field(rng, positive=True)
+        v = box9.random_field(rng, positive=True).values
         prof = FiberingProfile(v, p)
         rr = find_roots(v, p, profile=prof)
         assert rr.t_plus is not None
@@ -221,19 +231,19 @@ def test_gradient_direction_integral_symmetry(annulus9):
     dom = annulus9.domain
     y = np.array([1.0, 0.0, 0.0])
     b = make_bubble(0.3, y, dom, 0.45)
-    gdi = gradient_direction_integral(b.field)
+    gdi = dom.gradient_direction_integral(b.field.values)
     assert np.dot(gdi, y) > 0
     # centered symmetric profile: integral vanishes
     r = np.linalg.norm(dom.interior_coords, axis=1)
     radial = np.exp(-((r - 1.2) ** 2) / 0.1)
-    gdi0 = gradient_direction_integral(Field(radial, dom))
+    gdi0 = dom.gradient_direction_integral(radial)
     assert np.abs(gdi0).max() < 1e-10 * dom.h1_norm_sq(radial)
 
 
 def test_ray_set_membership(box9):
     rng = np.random.default_rng(49)
     p = box9.params(lam_factor=0.5, mu=0.01)
-    v = box9.random_field(rng, positive=True)
+    v = box9.random_field(rng, positive=True).values
     rr = find_roots(v, p)
     w = rr.t_minus * v
     assert ray_set_membership(w, p) is RaySet.ON_N_MINUS
@@ -252,7 +262,7 @@ def test_manifold_separation_sampled_floor(box9):
         minus_pts, plus_pts = [], []
         for _ in range(8):
             v = box9.random_field(rng, positive=True)
-            rr = find_roots(v, p)
+            rr = find_roots(v.values, p)
             minus_pts.append(rr.t_minus * v.values)
             if rr.t_plus is not None:
                 plus_pts.append(rr.t_plus * v.values)

@@ -39,7 +39,7 @@ def test_plus_branch_record(cell13, box13):
     assert rec.energy < 0
     assert rec.nehari_class.klass is Klass.PLUS
     assert rec.positive
-    assert rec.energy <= energy(zero_field(dom), p) + 1e-12
+    assert rec.energy <= energy(zero_field(dom).values, p) + 1e-12
     h1 = np.sqrt(dom.h1_norm_sq(rec.v.values))
     assert rec.grad_norm < 1e-8 * (1.0 + abs(rec.energy))
     assert rec.grad_norm < 1e-7 * (1.0 + h1)
@@ -191,8 +191,8 @@ def test_bubble_mirror_symmetry(annulus9):
     y = np.array([0.0, 0.0, 1.0])
     b1 = make_bubble(0.3, y, annulus9.domain, 0.45)
     b2 = make_bubble(0.3, -y, annulus9.domain, 0.45)
-    e1 = energy(b1.field, p)
-    e2 = energy(b2.field, p)
+    e1 = energy(b1.field.values, p)
+    e2 = energy(b2.field.values, p)
     assert abs(e1 - e2) <= 1e-8 * (1.0 + abs(e1))
 
 
@@ -240,7 +240,7 @@ def test_mu_star_finite_positive_and_deterministic(box9):
     # energy at zero decreases in mu (closed form), a monotone backdrop
     from bnsolver.grid import zero_field as zf
 
-    e0s = [energy(zf(box9.domain), box9.params(lam=lam, mu=m)) for m in mus]
+    e0s = [energy(zf(box9.domain).values, box9.params(lam=lam, mu=m)) for m in mus]
     assert all(b < a for a, b in zip(e0s, e0s[1:]))
 
     mu2, rows2 = estimate_mu_star(lam, box9.spectral, box9.lift, cfg)

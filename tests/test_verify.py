@@ -59,7 +59,7 @@ def test_certify_detects_corruption(cell9, box9, monkeypatch):
     # residual: a high-frequency perturbation orthogonal to H(v) v moves the
     # gradient but keeps T'(1) inside the manifold tolerance
     v = rec_plus.v.values
-    hv = hessian_apply(rec_plus.v, rec_plus.v, p).values
+    hv = hessian_apply(rec_plus.v.values, rec_plus.v.values, p)
     h = np.sin(7 * np.pi * d.interior_coords[:, 0]) * p.spectral.e1.values
     h -= d.inner(h, hv) / d.inner(hv, hv) * hv
     bad = build_record(
@@ -77,7 +77,7 @@ def test_certify_detects_corruption(cell9, box9, monkeypatch):
 
     # sign patterns: the energy shifted by a constant, so every energy
     # difference (and with it every bound relative to energy(0)) is kept
-    e_plus, e_minus = energy(rec_plus.v, p), energy(rec_minus.v, p)
+    e_plus, e_minus = energy(rec_plus.v.values, p), energy(rec_minus.v.values, p)
     with monkeypatch.context() as m:
         m.setattr(verify, "energy", lambda f, q: energy(f, q) - e_plus + 1.0)
         _fails_alone(certify_solution(rec_plus, p), "energy < 0 on Plus")
@@ -99,12 +99,15 @@ def test_certify_detects_corruption(cell9, box9, monkeypatch):
     sp, dom = box9.spectral, box9.domain
     lam1, e1 = sp.lambda1, sp.e1
 
-    def cert(lam, mu, candidate=None, spectral=sp):
-        q = Params(lam=lam, mu=mu, spectral=spectral, lift=box9.lift)
+    def cert(lam, mu, candidate=None, spectral=sp, lift=box9.lift):
+        q = Params(lam=lam, mu=mu, spectral=spectral, lift=lift)
         return nonexistence_certificate(q, candidate=candidate)
 
-    flipped = replace(sp, e1=Field(-e1.values, dom))
-    _fails_alone(cert(lam1, 0.0, spectral=flipped), "int(phi e1) positive")
+    # int(phi e1) positive but below the strict margin, while lam*mu lifts
+    # the a-priori margin above it
+    phi = box9.lift.phi.values
+    faint = replace(box9.lift, phi=Field(5e-13 / dom.inner(phi, e1.values) * phi, dom))
+    _fails_alone(cert(lam1, 1.0, lift=faint), "int(phi e1) positive")
     _fails_alone(cert(lam1, 1e-14), "a-priori pairing margin")
     u = e1.values.copy()
     u[0] = -1e-3
@@ -171,10 +174,13 @@ def test_nonexistence_margin_monotone_in_mu(box9):
 
 
 def test_nonexistence_degenerate_probe_inconclusive(box9):
+    """At mu = 0 the zero candidate and the candidate-free probe prove
+    nothing: their zero margins are reported as failed checks."""
     p = box9.params(lam=box9.spectral.lambda1, mu=0.0)
     cert = nonexistence_certificate(p, candidate=zero_field(box9.domain))
-    assert cert.overall
-    assert any("inconclusive" in c.name for c in cert.checks)
+    assert not cert.overall
+    _fails_alone(cert, "pairing margin (lam-lam1)")
+    _fails_alone(nonexistence_certificate(p), "a-priori pairing margin")
 
 
 # -- convexity ball ------------------------------------------------------------
@@ -203,8 +209,8 @@ def test_convexity_fails_far_outside(box9):
     gs = ground_state(0.0, box9.spectral, box9.lift)
     rl = r_lambda(p00)
     nv = np.sqrt(box9.domain.h1_norm_sq(gs.values))
-    u = Field((20.0 * rl / nv) * gs.values, box9.domain)
-    form = box9.domain.inner(hessian_apply(u, u, p00).values, u.values)
+    u = (20.0 * rl / nv) * gs.values
+    form = box9.domain.inner(hessian_apply(u, u, p00), u)
     assert form < 0
 
 
