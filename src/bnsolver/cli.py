@@ -465,6 +465,12 @@ def profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0, out_path=No
     for key, values in (("lambdas", lambdas), ("mus", mus)):
         if not values:
             raise rc.cfg.error("parameters", key, "fibering-profile needs at least one value")
+    if lambdas[0] >= spectral.lambda1:
+        raise rc.cfg.error(
+            "parameters", "lambdas",
+            f"fibering-profile needs lambda < lambda1, got lambda = {lambdas[0]:.6g} "
+            f">= lambda1 = {spectral.lambda1:.6g}",
+        )
     p = Params(lam=lambdas[0], mu=mus[0], spectral=spectral, lift=lift)
 
     v = load_field(ray_path, domain).values

@@ -40,6 +40,7 @@ class Params:
     lift: HarmonicLift
     admissible: bool = dc_field(init=False)
     admissible_note: str = dc_field(init=False)
+    mu_phi: np.ndarray = dc_field(init=False, repr=False, compare=False)  # read-only mu * phi
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
@@ -48,6 +49,9 @@ class Params:
             raise ArgumentError(f"mu must be finite and >= 0, got {self.mu}")
         if self.spectral.domain is not self.lift.phi.domain:
             raise ArgumentError("spectral data and lift built on different domains")
+        mu_phi = self.mu * self.lift.phi.values
+        mu_phi.flags.writeable = False
+        object.__setattr__(self, "mu_phi", mu_phi)
         ok, note = _probe_admissibility(self)
         object.__setattr__(self, "admissible", ok)
         object.__setattr__(self, "admissible_note", note)
@@ -63,11 +67,6 @@ class Params:
     @property
     def lambda1(self):
         return self.spectral.lambda1
-
-    @property
-    def mu_phi(self):
-        """Raw value array of mu * phi."""
-        return self.mu * self.lift.phi.values
 
 
 def _checked(v, p: Params) -> np.ndarray:

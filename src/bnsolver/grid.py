@@ -18,11 +18,18 @@ Discrete conventions, fixed once and used everywhere:
   exchanged data (solution records, the lift, the eigenfunction, seeds and
   field dumps).  The energy, fibering and manifold kernels and the `Domain`
   methods take and return raw value arrays of length `n_interior`, and never
-  write to their inputs.
+  write to their inputs;
+* linear solves: every solve with -Lap (the Riesz lift, the harmonic lift,
+  the inverse power eigensolve) goes through `Domain.solve_poisson`, exact
+  on boxes, where the stencil is diagonal in the tensor sine basis (and the
+  eigenpair is closed-form), and CG on masked lattices.  The one exception
+  is the Sobolev descent, which keeps its own inexact CG on every domain
+  (see `estimate_sobolev_S`).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -164,6 +171,7 @@ class Domain:
         ]
 
         self._matrix = None
+        self._sine = None
 
         if isinstance(spec.shape, AnnulusD):
             self._check_condition_d(pts, interior)
@@ -184,27 +192,55 @@ class Domain:
     def matrix(self):
         """Sparse CSR matrix of -Lap on interior nodes (Dirichlet ghosts = 0)."""
         if self._matrix is None:
+            # Assembled straight into CSR, one row per interior node with its
+            # columns in increasing order (interior numbering follows the
+            # lattice, so -stride_0 < ... < -1 < 0 < 1 < ... < stride_0).
             n = self.n_interior
-            diag = np.full(n, 2.0 * float(np.sum(1.0 / self.h**2)))
-            rows = [np.arange(n)]
-            cols = [np.arange(n)]
-            vals = [diag]
-            for d in range(self.ndim):
-                c = 1.0 / self.h[d] ** 2
-                for nb in (self.nb_plus[d], self.nb_minus[d]):
-                    ok = nb >= 0
-                    rows.append(np.flatnonzero(ok))
-                    cols.append(nb[ok])
-                    vals.append(np.full(int(ok.sum()), -c))
-            A = sparse.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n, n),
+            c = [-1.0 / h**2 for h in self.h]
+            stencil = (
+                [(self.nb_minus[d], c[d]) for d in range(self.ndim)]
+                + [(np.arange(n), 2.0 * float(np.sum(1.0 / self.h**2)))]
+                + [(self.nb_plus[d], c[d]) for d in reversed(range(self.ndim))]
             )
-            self._matrix = A.tocsr()
+            cols = np.stack([nb for nb, _ in stencil], axis=1).astype(np.int32)
+            keep = cols >= 0
+            data = np.broadcast_to([v for _, v in stencil], cols.shape)[keep]
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(keep.sum(axis=1), out=indptr[1:])
+            self._matrix = sparse.csr_matrix((data, cols[keep], indptr), shape=(n, n))
         return self._matrix
 
     def apply_neg_laplacian(self, values):
         return self.matrix @ values
+
+    def _sine_basis(self):
+        """(S, eig) of a box: the orthonormal sine matrix
+        S[j, k] = sqrt(2/(n+1)) sin(pi (j+1) (k+1) / (n+1)), n = res - 2, that
+        diagonalises the 3-point stencil on every axis, and the eigenvalues of
+        -Lap on the tensor grid of sine modes.  Built once per domain."""
+        if self._sine is None:
+            n = self.spec.resolution - 2
+            k = np.arange(1, n + 1)
+            S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+            axis_eig = np.sin(0.5 * np.pi * k / (n + 1)) ** 2
+            self._sine = (S, sum(np.ix_(*(4.0 / h**2 * axis_eig for h in self.h))))
+        return self._sine
+
+    def solve_poisson(self, b, x0=None, rtol=1e-8, maxiter=None, label="riesz lift"):
+        """x = (-Lap)^{-1} b for a raw value array b.
+
+        Exact on a box: the sine matrix is applied along every axis, the
+        coefficients are divided by the stencil eigenvalues and the sine
+        matrix is applied again.  On a masked lattice, CG from x0 to relative
+        residual rtol within maxiter iterations (default 20 * n_interior) that
+        raises NumericalError when it stops short.  The defaults are those of
+        the Riesz lift in the descents.
+        """
+        if isinstance(self.spec.shape, Box):
+            S, eig = self._sine_basis()
+            coef = _sine_transform(S, np.reshape(b, eig.shape))
+            return _sine_transform(S, coef / eig).ravel()
+        return _cg(self.matrix, b, x0, rtol, maxiter or 20 * self.n_interior, label)
 
     # -- quadrature and norms ----------------------------------------------
 
@@ -263,6 +299,32 @@ class Domain:
             f"Domain({self.spec.shape!r}, N={self.ndim}, res={self.spec.resolution}, "
             f"interior={self.n_interior})"
         )
+
+
+def _sine_transform(S, x):
+    """The symmetric matrix S applied along every axis of the array x.
+    np.einsum, not tensordot or @, keeps these small products off BLAS,
+    whose work buffer would add to peak RSS."""
+    idx = list(range(x.ndim))
+    for d in idx:
+        out = idx.copy()
+        out[d] = x.ndim
+        x = np.einsum(S, [x.ndim, d], x, idx, out)
+    return x
+
+
+def _cg(A, b, x0, rtol, maxiter, label):
+    """CG solve that raises NumericalError, with its label and relative
+    residual, when it stops short of rtol."""
+    x, ok = solve_cg(A, b, x0=x0, rtol=rtol, maxiter=maxiter, label=label)
+    if not ok:
+        resid = float(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
+        raise NumericalError(
+            f"{label}: conjugate gradients stopped at relative residual {resid:.3e} "
+            f"(rtol {rtol:g}) after {maxiter} iterations",
+            residual=resid,
+        )
+    return x
 
 
 @dataclass(frozen=True)
@@ -346,11 +408,23 @@ def norms(u: Field, p: Optional[float] = None):
 
 
 def principal_eigenpair(domain: Domain, tol: float = 1e-10, max_outer: int = 400):
-    """Inverse power iteration with CG inner solves.
+    """Principal Dirichlet eigenpair (lambda1, e1) with e1 > 0 and ||e1||_2 = 1.
 
-    Returns (lambda1, e1) with e1 > 0 and ||e1||_2 = 1; stops when the
-    eigen-residual ||-Lap e1 - lambda1 e1||_2 < tol * lambda1.
+    On a box it is the closed form: the lowest stencil eigenvalue and the
+    product of the first sine mode along every axis.  On a masked lattice it
+    is inverse power iteration, stopped when the eigen-residual
+    ||-Lap e1 - lambda1 e1||_2 < tol * lambda1.
     """
+    if isinstance(domain.spec.shape, Box):
+        S, eig = domain._sine_basis()
+        x = math.prod(np.ix_(*[S[:, 0]] * domain.ndim)).ravel()
+        return float(eig.flat[0]), Field(x / (np.sqrt(domain.weight) * np.linalg.norm(x)), domain)
+    return _inverse_power(domain, tol, max_outer)
+
+
+def _inverse_power(domain: Domain, tol: float, max_outer: int):
+    """Inverse power iteration for the principal eigenpair (see
+    principal_eigenpair); its inner solves run through solve_poisson."""
     A = domain.matrix
     w = domain.weight
     x = np.ones(domain.n_interior)
@@ -358,7 +432,7 @@ def principal_eigenpair(domain: Domain, tol: float = 1e-10, max_outer: int = 400
     lam = domain.inner(A @ x, x)
     z = x / lam
     for _ in range(max_outer):
-        z, _ = solve_cg(A, x, x0=z, rtol=1e-12, maxiter=20000, label="eigensolve")
+        z = domain.solve_poisson(x, x0=z, rtol=1e-12, maxiter=20000, label="eigensolve")
         x = z / (np.sqrt(w) * np.linalg.norm(z))
         Ax = A @ x
         lam = domain.inner(Ax, x)
@@ -440,7 +514,11 @@ def estimate_sobolev_S(
     for _ in range(max_outer):
         # L2 gradient of the quotient at ||u||_{2*} = 1 (up to the factor 2)
         g = A @ u - q * signed_pow(u, two_star - 1.0)
-        d, _ = solve_cg(A, g, x0=d_warm, rtol=inner_rtol, maxiter=5000, label="sobolev descent")
+        # Inexact CG on purpose, also on a box: the descent only needs a
+        # direction, and the estimate is the best quotient along the path of
+        # these iterates.  Exact solves move S by 2.7e-9 relative at res 25,
+        # far outside the 1e-12 at which s_quantum is compared.
+        d = _cg(A, g, d_warm, inner_rtol, 5000, "sobolev descent")
         d_warm = d
         gain = 0.0
         beta = step

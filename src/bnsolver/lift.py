@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ArgumentError, AssumptionGError, NumericalError
 from .grid import Box, Domain, Field
-from .numutil import solve_cg
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,9 @@ class HarmonicLift:
         return self.phi.domain
 
 
-def solve_lift(g, domain: Domain, rtol: float = 1e-13) -> HarmonicLift:
-    """Solve the discrete Laplace equation with Dirichlet data g by CG.
+def solve_lift(g, domain: Domain) -> HarmonicLift:
+    """Solve the discrete Laplace equation with Dirichlet data g
+    (`Domain.solve_poisson`: exact on a box, CG to 1e-13 otherwise).
 
     The returned lift satisfies the discrete maximum principle bounds
     min g <= phi <= max g and has interior residual below 1e-10 * max g.
@@ -127,7 +127,7 @@ def solve_lift(g, domain: Domain, rtol: float = 1e-13) -> HarmonicLift:
         np.add.at(rhs, ii, gvals[border] / domain.h[d] ** 2)
 
     A = domain.matrix
-    phi, ok = solve_cg(A, rhs, rtol=rtol, maxiter=50 * domain.n_interior, label="lift")
+    phi = domain.solve_poisson(rhs, rtol=1e-13, maxiter=50 * domain.n_interior, label="lift")
     resid = np.sqrt(domain.weight) * float(np.linalg.norm(A @ phi - rhs))
     if resid >= 1e-10 * gmax:
         raise NumericalError(
@@ -135,8 +135,8 @@ def solve_lift(g, domain: Domain, rtol: float = 1e-13) -> HarmonicLift:
             residual=resid,
         )
 
-    # The discrete solution obeys the maximum principle exactly; the CG
-    # iterate may sit a few ulps outside.  Snap those, reject anything larger.
+    # The discrete solution obeys the maximum principle exactly; the computed
+    # one may sit a few ulps outside.  Snap those, reject anything larger.
     lo, hi = float(gvals.min()), gmax
     slack = 1e-9 * max(gmax, 1.0)
     if phi.min() < lo - slack or phi.max() > hi + slack:

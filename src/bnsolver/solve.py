@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     ArgumentError,
@@ -33,7 +32,7 @@ from .functional import Params, energy, gradient_values
 from .grid import AnnulusD, Domain, Field, _default_bump
 from .lift import compose_solution
 from .nehari import Klass, NehariClass, barycenter, classify, find_roots, reduced_functional
-from .numutil import abs_pow, signed_pow, smoothstep, solve_cg, solve_minres
+from .numutil import abs_pow, signed_pow, smoothstep, solve_minres
 
 
 class SeedKind(enum.Enum):
@@ -95,17 +94,13 @@ def _wnorm(domain: Domain, vals):
     return float(np.sqrt(domain.weight) * np.linalg.norm(vals))
 
 
-def _riesz(domain: Domain, gvals, x0=None, rtol=1e-8):
-    d, _ = solve_cg(domain.matrix, gvals, x0=x0, rtol=rtol, maxiter=20 * domain.n_interior,
-                    label="riesz lift")
-    return d
-
-
 def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
     """Damped Newton on the full first-order system; returns
     (values, grad_norm, steps, converged)."""
     d = p.domain
     A = d.matrix
+    H = A.copy()  # the Hessian A - diag(...), its diagonal reset at every step
+    a_diag = A.diagonal()
     ts = p.two_star
     v = np.array(vvals, dtype=float)
     g = gradient_values(v, p)
@@ -116,7 +111,7 @@ def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
         if gn <= _target_tol(p, v, e_val):
             return v, gn, steps, True
         w = v + p.mu_phi
-        H = A - sparse.diags(p.lam + (ts - 1.0) * abs_pow(w, ts - 2.0))
+        H.setdiag(a_diag - (p.lam + (ts - 1.0) * abs_pow(w, ts - 2.0)))
         delta, _ = solve_minres(H, -g, rtol=min(1e-2, inner_rtol + 0.1 * gn), maxiter=4000,
                                 label="newton step")
         step = 1.0
@@ -195,7 +190,7 @@ def minimize_on_Nplus(
         e_val = energy(v, p)
         if gn <= 1e3 * _target_tol(p, v, e_val) or it >= descent_cap:
             break
-        dr = _riesz(d, g, x0=warm_dir)
+        dr = d.solve_poisson(g, x0=warm_dir)
         warm_dir = dr
         slope = d.inner(g, dr)
         accepted = False
@@ -336,7 +331,7 @@ def minimize_on_Nminus(
             gn = _wnorm(d, g)
             if gn <= 1e2 * _target_tol(p, w, j_val):
                 break
-            dr = _riesz(d, g, x0=warm_dir)
+            dr = d.solve_poisson(g, x0=warm_dir)
             warm_dir = dr
             step = _cone_step(p, v, t, j_val, g, dr, beta0, max_backtracks=30)
             if step is None:
@@ -595,7 +590,7 @@ def minimax_gamma(
             jv, t, w = reduced_functional(v, p)
             for _ in range(inner_steps):
                 g = gradient_values(w, p)
-                step = _cone_step(p, v, t, jv, g, _riesz(d, g), 1.0, max_backtracks=20)
+                step = _cone_step(p, v, t, jv, g, d.solve_poisson(g), 1.0, max_backtracks=20)
                 if step is None:
                     break
                 v, t, w, jv, _ = step

@@ -158,6 +158,21 @@ def test_fibering_profile_empty_list_is_anchored(tmp_path, capsys):
         assert f"{cfg}:{bad_line}: " in capsys.readouterr().err
 
 
+def test_fibering_profile_lambda_at_or_above_lambda1_is_anchored(tmp_path, capsys):
+    dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
+    ray_path = tmp_path / "ray.txt"
+    dump_field(type(zero_field(dom))(np.ones(dom.n_interior), dom), ray_path)
+    for lambdas in ("lambdas = 1.2*lambda1 0.5*lambda1", "lambdas = 1*lambda1"):
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "lambdas = 0.5*lambda1 1.2*lambda1", lambdas)
+        cfg = write_config(tmp_path, text)
+        bad_line = text.splitlines().index(lambdas) + 1
+        assert main(["fibering-profile", str(cfg), "--ray", str(ray_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:{bad_line}: " in err
+        assert "lambda1" in err and "mu too large" not in err
+
+
 def test_nonexistence_cell_at_mu_zero_is_uncertified(tmp_path):
     """The mu = 0 pairing margins are zero: the cell is uncertified, not failed."""
     out = tmp_path / "out"

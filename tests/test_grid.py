@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bnsolver.errors import ArgumentError, ConfigurationError
+from bnsolver import grid
+from bnsolver.errors import ArgumentError, ConfigurationError, NumericalError
 from bnsolver.grid import (
     AnnulusD,
     Box,
@@ -15,7 +18,10 @@ from bnsolver.grid import (
     principal_eigenpair,
     rayleigh_quotient,
     zero_field,
+    _inverse_power,
 )
+from bnsolver.lift import NodeTable, solve_lift
+from bnsolver.numutil import solve_cg
 
 S4_CONTINUUM = 10.2603986413  # best critical quotient in dimension 4 (closed form)
 
@@ -101,6 +107,8 @@ def test_summation_by_parts(box9, annulus9):
     rng = np.random.default_rng(7)
     for setup in (box9, annulus9):
         dom = setup.domain
+        # sorted columns, no duplicates: the row sums run in a fixed order
+        assert dom.matrix.has_canonical_format
         for _ in range(12):
             u = rng.standard_normal(dom.n_interior)
             v = rng.standard_normal(dom.n_interior)
@@ -137,6 +145,93 @@ def test_quadrature_positivity(box9, annulus9):
         assert setup.domain.lp_norm(u, 2.0) == 0.0
         u[0] = 1e-8
         assert setup.domain.lp_norm(u, 2.0) > 0.0
+
+
+# -- Poisson layer --------------------------------------------------------------
+
+# Random boxes: N in {3, 4}, res in 5..17, sides in [0.5, 2].  The condition
+# number of -Lap is about 4 (res - 1)^2 / pi^2 <= 104 whatever the sides, so
+# CG at rtol 1e-13 is within 1e-11 of the exact solve.
+box_specs = st.builds(
+    lambda N, res, sides: DomainSpec(Box(tuple(sides[:N])), N, res),
+    st.sampled_from([3, 4]),
+    st.integers(5, 17),
+    st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4),
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(spec=box_specs, seed=st.integers(0, 2**32 - 1))
+def test_box_poisson_solve_is_exact(spec, seed):
+    dom = build_domain(spec)
+    b = np.random.default_rng(seed).standard_normal(dom.n_interior)
+    x = dom.solve_poisson(b)
+    A = dom.matrix
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    x_cg, ok = solve_cg(A, b, rtol=1e-13, maxiter=50 * dom.n_interior)
+    assert ok
+    assert np.linalg.norm(x - x_cg) <= 1e-10 * np.linalg.norm(x)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(spec=box_specs.filter(lambda s: s.resolution <= 11))
+def test_box_eigenpair_matches_inverse_power(spec):
+    dom = build_domain(spec)
+    lam, e1 = principal_eigenpair(dom)
+    lam_ip, e1_ip = _inverse_power(dom, tol=1e-12, max_outer=3000)
+    assert abs(lam - lam_ip) <= 1e-12 * lam
+    assert np.abs(e1.values - e1_ip.values).max() <= 1e-8
+    assert abs(lam - exact_box_lambda1(spec.shape.sides, spec.resolution)) <= 1e-12 * lam
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(spec=box_specs, seed=st.integers(0, 2**32 - 1))
+def test_box_lift_matches_cg_and_maximum_principle(spec, seed):
+    dom = build_domain(spec)
+    g = np.random.default_rng(seed).uniform(0.0, 2.0, dom.boundary_flat.size)
+    phi = solve_lift(NodeTable(g), dom).phi.values
+    # the lift's right-hand side, assembled on the full lattice: the stencil
+    # weights of the boundary neighbours of each interior node
+    full = np.zeros(int(np.prod(dom.lattice_shape)))
+    full[dom.boundary_flat] = g
+    full = full.reshape(dom.lattice_shape)
+    rhs = sum((np.roll(full, 1, d) + np.roll(full, -1, d)) / dom.h[d] ** 2
+              for d in range(dom.ndim)).ravel()[dom.interior_flat]
+    raw = dom.solve_poisson(rhs)
+    phi_cg, ok = solve_cg(dom.matrix, rhs, rtol=1e-13, maxiter=50 * dom.n_interior)
+    assert ok
+    assert np.abs(phi - phi_cg).max() <= 1e-12 * g.max()
+    # maximum principle on the unclipped exact solve
+    assert raw.min() >= g.min() - 1e-13 * g.max()
+    assert raw.max() <= g.max() * (1.0 + 1e-13)
+
+
+def test_annulus_poisson_solve_is_plain_cg(annulus9):
+    dom = annulus9.domain
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal(dom.n_interior)
+    x0 = rng.standard_normal(dom.n_interior)
+    x = dom.solve_poisson(b)
+    ref, _ = solve_cg(dom.matrix, b, rtol=1e-8, maxiter=20 * dom.n_interior)
+    assert x.tobytes() == ref.tobytes()
+    x = dom.solve_poisson(b, x0=x0, rtol=1e-12, maxiter=20000, label="eigensolve")
+    ref, _ = solve_cg(dom.matrix, b, x0=x0, rtol=1e-12, maxiter=20000)
+    assert x.tobytes() == ref.tobytes()
+
+
+def test_unconverged_cg_raises_with_label_and_residual(annulus9, box9, monkeypatch):
+    dom = annulus9.domain
+    with pytest.raises(NumericalError, match="riesz lift") as err:
+        dom.solve_poisson(np.ones(dom.n_interior), rtol=1e-14, maxiter=2)
+    assert err.value.residual > 1e-14
+
+    def one_iteration(A, b, **kwargs):
+        return solve_cg(A, b, **{**kwargs, "maxiter": 1})
+
+    monkeypatch.setattr(grid, "solve_cg", one_iteration)
+    with pytest.raises(NumericalError, match="sobolev descent") as err:
+        estimate_sobolev_S(box9.domain)
+    assert err.value.residual > 1e-6
 
 
 # -- eigenpair ----------------------------------------------------------------
