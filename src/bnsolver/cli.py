@@ -34,7 +34,6 @@ from .grid import (
 from .lift import BumpOnBoundary, Constant, load_node_table, solve_lift
 from .nehari import find_roots
 from .solve import (
-    ContinuationConfig,
     SeedKind,
     build_record,
     estimate_mu_star,
@@ -198,19 +197,32 @@ def parse_config(path) -> RunConfig:
             raise cfg.error("searches", "run",
                             f"unknown search {s!r} (known: {', '.join(KNOWN_SEARCHES)})")
 
+    directions = cfg.number("searches", "directions", int, default="6")
+    epsilon = cfg.number("searches", "epsilon", default="0.2")
+    budget_factor = cfg.number("searches", "budget_factor", default="1.0")
+    mu_star_cells = cfg.number("searches", "mu_star_cells", int, default="24")
+    for key, val, ok, need in (
+        ("directions", directions, directions >= 1, ">= 1"),
+        ("epsilon", epsilon, 0.0 < epsilon < 1.0, "in (0, 1)"),
+        ("budget_factor", budget_factor, budget_factor > 0.0, "> 0"),
+        ("mu_star_cells", mu_star_cells, mu_star_cells >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise cfg.error("searches", key, f"{key} must be {need}, got {val}")
+
     return RunConfig(
         domain_spec=spec,
         boundary=boundary,
         lambdas_text=cfg.get("parameters", "lambdas", required=True),
         mus_text=cfg.get("parameters", "mus", "0.0"),
         searches=searches,
-        directions=cfg.number("searches", "directions", int, default="6"),
-        epsilon=cfg.number("searches", "epsilon", default="0.2"),
+        directions=directions,
+        epsilon=epsilon,
         out_dir=cfg.get("output", "directory", "out"),
         dump_fields=cfg.get("output", "dump_fields", "false").lower() in ("true", "1", "yes"),
         seed=seed,
-        budget_factor=cfg.number("searches", "budget_factor", default="1.0"),
-        mu_star_cells=cfg.number("searches", "mu_star_cells", int, default="24"),
+        budget_factor=budget_factor,
+        mu_star_cells=mu_star_cells,
         cfg=cfg,
     )
 
@@ -364,13 +376,12 @@ def run(config_path, out_dir_override=None) -> int:
         exit_code = 1
 
     if "mu_star" in rc.searches:
-        cfg = ContinuationConfig(max_cells=rc.mu_star_cells,
-                                 budget_factor=rc.budget_factor)
         stars = []
         for lam in lambdas:
             if lam >= spectral.lambda1:
                 continue
-            mu_star, rows = estimate_mu_star(lam, spectral, lift, cfg)
+            mu_star, rows = estimate_mu_star(lam, spectral, lift, max_cells=rc.mu_star_cells,
+                                             budget_factor=rc.budget_factor)
             if not (np.isfinite(mu_star) and mu_star > 0):
                 raise NonconvergenceError(
                     f"mu* estimate at lambda={lam} is not finite positive: {mu_star}"

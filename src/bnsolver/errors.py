@@ -53,10 +53,6 @@ class SeedingError(BNSolverError):
 class ProjectionError(BNSolverError):
     """An iterate left the admissible cone and could not be projected back."""
 
-    def __init__(self, message, snapshot=None):
-        super().__init__(message)
-        self.snapshot = snapshot
-
 
 class NonconvergenceError(NumericalError):
     """A solver exhausted its iteration budget above tolerance."""

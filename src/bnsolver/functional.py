@@ -39,7 +39,6 @@ class Params:
     spectral: SpectralData
     lift: HarmonicLift
     admissible: bool = dc_field(init=False)
-    admissible_note: str = dc_field(init=False)
     mu_phi: np.ndarray = dc_field(init=False, repr=False, compare=False)  # read-only mu * phi
 
     def __post_init__(self):
@@ -52,9 +51,7 @@ class Params:
         mu_phi = self.mu * self.lift.phi.values
         mu_phi.flags.writeable = False
         object.__setattr__(self, "mu_phi", mu_phi)
-        ok, note = _probe_admissibility(self)
-        object.__setattr__(self, "admissible", ok)
-        object.__setattr__(self, "admissible_note", note)
+        object.__setattr__(self, "admissible", _probe_admissibility(self))
 
     @property
     def domain(self):
@@ -228,13 +225,14 @@ def fibering(v, p: Params, t):
     return prof.T(t), prof.dT(t), prof.d2T(t)
 
 
-def _probe_admissibility(p: Params):
-    """Operational admissibility of (lam, mu): t0 well defined and T'(t0) > 0
-    on a fixed probe set.  Advisory; operations re-check on their own rays."""
+def _probe_admissibility(p: Params) -> bool:
+    """Operational admissibility of (lam, mu): lam < lambda1 and, for mu > 0,
+    t0 well defined and T'(t0) > 0 on a fixed probe set.  Advisory;
+    operations re-check on their own rays."""
     if p.lam >= p.spectral.lambda1:
-        return False, "lam >= lambda1 (nonexistence regime)"
+        return False
     if p.mu == 0.0:
-        return True, "homogeneous case"
+        return True
     domain = p.spectral.domain
     probes = [p.spectral.e1.values]
     bump = _default_bump(domain)
@@ -245,7 +243,7 @@ def _probe_admissibility(p: Params):
         for probe in probes:
             prof = FiberingProfile(probe, p)
             if prof.dT(prof.t0) <= 0:
-                return False, "T'(t0) <= 0 on a probe ray"
-    except MuTooLargeError as e:
-        return False, f"t0 undefined on a probe ray ({e})"
-    return True, "probe rays passed"
+                return False
+    except MuTooLargeError:
+        return False
+    return True

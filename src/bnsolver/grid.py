@@ -49,6 +49,19 @@ ANNULUS_INNER_FACTOR = 0.75
 ANNULUS_OUTER_FACTOR = 1.1
 ANNULUS_BOX_FACTOR = 1.1
 
+# Principal eigenpair by inverse power iteration (masked lattices): stop at
+# eigen-residual EIG_TOL * lambda1, give up after EIG_MAX_OUTER iterations.
+EIG_TOL = 1e-10
+EIG_MAX_OUTER = 400
+
+# Sobolev descent (see estimate_sobolev_S): outer iteration cap, relative
+# stagnation test, inexact CG tolerance and the single-cell mass share past
+# which an iterate counts as a lattice spike.
+SOBOLEV_MAX_OUTER = 200
+SOBOLEV_STAG_TOL = 1e-10
+SOBOLEV_INNER_RTOL = 1e-6
+SOBOLEV_SHARE_CAP = 0.25
+
 
 @dataclass(frozen=True)
 class Box:
@@ -244,9 +257,6 @@ class Domain:
 
     # -- quadrature and norms ----------------------------------------------
 
-    def integrate(self, values):
-        return self.weight * float(np.sum(values))
-
     def inner(self, u, v):
         return self.weight * float(np.dot(u, v))
 
@@ -379,14 +389,12 @@ class SpectralData:
     domain: Domain
     lambda1: float
     e1: Field
-    sobolev_S: Optional[float] = None
+    sobolev_S: float
     ground_state_cache: dict = dc_field(default_factory=dict)
 
     @property
     def s_quantum(self):
         """(1/N) S^{N/2}: the compactness energy quantum of this grid."""
-        if self.sobolev_S is None:
-            raise ArgumentError("sobolev_S was not estimated for this SpectralData")
         N = self.domain.ndim
         return self.sobolev_S ** (N / 2.0) / N
 
@@ -407,19 +415,19 @@ def norms(u: Field, p: Optional[float] = None):
     return d.h1_norm_sq(u.values), d.l2_norm_sq(u.values), d.lp_norm(u.values, p)
 
 
-def principal_eigenpair(domain: Domain, tol: float = 1e-10, max_outer: int = 400):
+def principal_eigenpair(domain: Domain):
     """Principal Dirichlet eigenpair (lambda1, e1) with e1 > 0 and ||e1||_2 = 1.
 
     On a box it is the closed form: the lowest stencil eigenvalue and the
     product of the first sine mode along every axis.  On a masked lattice it
     is inverse power iteration, stopped when the eigen-residual
-    ||-Lap e1 - lambda1 e1||_2 < tol * lambda1.
+    ||-Lap e1 - lambda1 e1||_2 < EIG_TOL * lambda1.
     """
     if isinstance(domain.spec.shape, Box):
         S, eig = domain._sine_basis()
         x = math.prod(np.ix_(*[S[:, 0]] * domain.ndim)).ravel()
         return float(eig.flat[0]), Field(x / (np.sqrt(domain.weight) * np.linalg.norm(x)), domain)
-    return _inverse_power(domain, tol, max_outer)
+    return _inverse_power(domain, EIG_TOL, EIG_MAX_OUTER)
 
 
 def _inverse_power(domain: Domain, tol: float, max_outer: int):
@@ -473,26 +481,21 @@ def _default_bump(domain: Domain):
     return np.exp(-d2 / rho**2)
 
 
-def estimate_sobolev_S(
-    domain: Domain,
-    max_outer: int = 200,
-    stag_tol: float = 1e-10,
-    inner_rtol: float = 1e-6,
-    share_cap: float = 0.25,
-) -> float:
+def estimate_sobolev_S(domain: Domain) -> float:
     """Minimize the critical Rayleigh quotient by projected gradient descent.
 
     Descent direction is the Riesz lift (-Lap)^{-1} of the quotient gradient;
     iterates are renormalized in the critical norm and the minimum quotient
-    over the descent path is returned.
+    over the descent path is returned.  The descent stops when one step gains
+    less than SOBOLEV_STAG_TOL relative, or after SOBOLEV_MAX_OUTER steps.
 
     The unconstrained discrete minimizer is a single-cell spike whose
     one-sided-difference quotient sits well below the continuum constant (a
     lattice artifact: measured limits are about 4.0 for N=3 and 6.4 for N=4
     against 5.478 and 10.260).  Iterates are therefore only scored while they
     remain grid-resolved, i.e. while no single cell carries more than
-    `share_cap` of the critical mass; past that point the descent has entered
-    the spike regime and is stopped.  The capped value sits above the
+    SOBOLEV_SHARE_CAP of the critical mass; past that point the descent has
+    entered the spike regime and is stopped.  The capped value sits above the
     continuum constant and decreases under refinement.
     """
     N = domain.ndim
@@ -511,14 +514,14 @@ def estimate_sobolev_S(
     q = best
     d_warm = None
     step = 1.0
-    for _ in range(max_outer):
+    for _ in range(SOBOLEV_MAX_OUTER):
         # L2 gradient of the quotient at ||u||_{2*} = 1 (up to the factor 2)
         g = A @ u - q * signed_pow(u, two_star - 1.0)
         # Inexact CG on purpose, also on a box: the descent only needs a
         # direction, and the estimate is the best quotient along the path of
         # these iterates.  Exact solves move S by 2.7e-9 relative at res 25,
         # far outside the 1e-12 at which s_quantum is compared.
-        d = _cg(A, g, d_warm, inner_rtol, 5000, "sobolev descent")
+        d = _cg(A, g, d_warm, SOBOLEV_INNER_RTOL, 5000, "sobolev descent")
         d_warm = d
         gain = 0.0
         beta = step
@@ -534,28 +537,22 @@ def estimate_sobolev_S(
                     step = min(beta * 2.0, 4.0)
                     break
             beta *= 0.5
-        if peak_share(u) > share_cap:
+        if peak_share(u) > SOBOLEV_SHARE_CAP:
             break
         best = min(best, q)
-        if gain < stag_tol * abs(q):
+        if gain < SOBOLEV_STAG_TOL * abs(q):
             break
     else:
         warnings.warn(
-            f"sobolev estimate still descending after {max_outer} iterations",
+            f"sobolev estimate still descending after {SOBOLEV_MAX_OUTER} iterations",
             stacklevel=2,
         )
     return float(best)
 
 
-def compute_spectral_data(
-    domain: Domain,
-    with_sobolev: bool = True,
-    eig_tol: float = 1e-10,
-    sobolev_iters: int = 200,
-) -> SpectralData:
-    lam1, e1 = principal_eigenpair(domain, tol=eig_tol)
-    S = estimate_sobolev_S(domain, max_outer=sobolev_iters) if with_sobolev else None
-    return SpectralData(domain=domain, lambda1=lam1, e1=e1, sobolev_S=S)
+def compute_spectral_data(domain: Domain) -> SpectralData:
+    lam1, e1 = principal_eigenpair(domain)
+    return SpectralData(domain=domain, lambda1=lam1, e1=e1, sobolev_S=estimate_sobolev_S(domain))
 
 
 # -- field dump format -------------------------------------------------------

@@ -33,9 +33,6 @@ class NodeTable:
     values: np.ndarray
 
 
-BoundaryData = (Constant, BumpOnBoundary, NodeTable)
-
-
 def _boundary_target(domain: Domain, direction):
     """Point where the ray from the domain center along `direction` exits."""
     d = np.asarray(direction, dtype=float)

@@ -3,10 +3,23 @@
 The local branch near zero (class Plus) and the excited branch (class Minus)
 are found by projected gradient descent — a gradient step followed by
 rescaling onto the manifold via the fibering roots of the stepped ray — with
-a final Newton polish of the full first-order system.  Bubble-translated
+a final Newton polish of the full first-order system.  Both descents take
+their steps through one Armijo line search (`_armijo`).  Bubble-translated
 seeds on annular domains, the boundary-pinned minimax search, and
 continuation in mu toward the solvability boundary build on the same two
 minimizers.
+
+Fixed constants (module level, below): the Newton inner MINRES tolerance
+floor, the bubble cutoff radius (`_bubble_delta0`: the annulus' delta0 capped
+at 0.45, 0.25 on a box), the multistart bubble scalings and deduplication
+distance, the minimax cone steps per point and round, and the mu*
+continuation schedule (first step, growth, shrink, step floor, failure
+limit).  Options that stay are the ones callers set to more than one value:
+`max_iter`/`budget_factor` of the branch minimizers (the nonexistence
+criterion runs them at a tenfold budget), `budget_factor` everywhere (a
+config key), `n_radii`/`relax_rounds` of the minimax search (the mu*
+criterion runs it smaller) and `max_cells`/`keep_records` of the
+continuation.
 """
 
 from __future__ import annotations
@@ -33,6 +46,18 @@ from .grid import AnnulusD, Domain, Field, _default_bump
 from .lift import compose_solution
 from .nehari import Klass, NehariClass, barycenter, classify, find_roots, reduced_functional
 from .numutil import abs_pow, signed_pow, smoothstep, solve_minres
+
+NEWTON_INNER_RTOL = 1e-9  # floor of the Newton MINRES tolerance min(1e-2, . + 0.1 |grad|)
+BUBBLE_T_FACTORS = (0.5, 1.0, 2.0)  # multistart composite vplus + f t_star bubble, f in these
+DEDUP_TOL = 1e-4  # H^1_0 distance below which two multistart records are one
+MINIMAX_INNER_STEPS = 2  # cone steps per family point and relaxation round
+
+# mu* continuation schedule
+MU_INIT = 1e-3  # first mu step
+MU_GROWTH = 1.6  # step factor after an accepted mu
+MU_SHRINK = 0.5  # step factor after a failed mu
+MU_MIN_STEP_REL = 1e-6  # step floor, relative to max(mu, MU_INIT)
+MU_FAIL_LIMIT = 3  # consecutive failures at the floor that end the continuation
 
 
 class SeedKind(enum.Enum):
@@ -94,9 +119,42 @@ def _wnorm(domain: Domain, vals):
     return float(np.sqrt(domain.weight) * np.linalg.norm(vals))
 
 
-def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
-    """Damped Newton on the full first-order system; returns
-    (values, grad_norm, steps, converged)."""
+def _unit(vals, domain: Domain, ts):
+    """vals scaled to unit critical norm, or None when it vanishes."""
+    n = domain.lp_norm(vals, ts)
+    return vals / n if n > 0.0 else None
+
+
+def _or_none(f, *args):
+    """f(*args), or None when a ray on the way leaves the two-root regime."""
+    try:
+        return f(*args)
+    except (MuTooLargeError, MuBeyondRangeError):
+        return None
+
+
+def _armijo(trial, f0, slope, beta, max_backtracks):
+    """Armijo backtracking from step beta, halved on each rejection.
+
+    trial(beta) returns (f, ...) of the trial point, or None when it has
+    none; a None trial, a MuTooLargeError and a MuBeyondRangeError count as
+    rejections.  Returns (trial(beta), beta) of the first trial with
+    f < f0 - 1e-4 * beta * slope, or None when all `max_backtracks` are
+    rejected.
+    """
+    for _ in range(max_backtracks):
+        out = _or_none(trial, beta)
+        if out is not None and out[0] < f0 - 1e-4 * beta * slope:
+            return out, beta
+        beta *= 0.5
+    return None
+
+
+def _newton_polish(p: Params, vvals, budget_factor=1.0, flags=None):
+    """Damped Newton on the full first-order system, at most
+    max(10, int(40 * budget_factor)) steps; returns (values, grad_norm,
+    steps, converged).  The convergence flag of every inner MINRES solve is
+    appended to the list `flags` when one is given."""
     d = p.domain
     A = d.matrix
     H = A.copy()  # the Hessian A - diag(...), its diagonal reset at every step
@@ -105,6 +163,7 @@ def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
     v = np.array(vvals, dtype=float)
     g = gradient_values(v, p)
     gn = _wnorm(d, g)
+    max_steps = max(10, int(40 * budget_factor))
     steps = 0
     while steps < max_steps:
         e_val = energy(v, p)
@@ -112,8 +171,10 @@ def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
             return v, gn, steps, True
         w = v + p.mu_phi
         H.setdiag(a_diag - (p.lam + (ts - 1.0) * abs_pow(w, ts - 2.0)))
-        delta, _ = solve_minres(H, -g, rtol=min(1e-2, inner_rtol + 0.1 * gn), maxiter=4000,
-                                label="newton step")
+        delta, ok = solve_minres(H, -g, rtol=min(1e-2, NEWTON_INNER_RTOL + 0.1 * gn),
+                                 maxiter=4000, label="newton step")
+        if flags is not None:
+            flags.append(ok)
         step = 1.0
         accepted = False
         for _ in range(30):
@@ -130,6 +191,10 @@ def _newton_polish(p: Params, vvals, max_steps=40, inner_rtol=1e-9):
         steps += 1
     e_val = energy(v, p)
     return v, gn, steps, gn <= _target_tol(p, v, e_val)
+
+
+def _short_note(flags):
+    return f"{flags.count(False)} of {len(flags)} Newton inner solves stopped short"
 
 
 def zero_relax_seed(p: Params) -> Field:
@@ -159,16 +224,9 @@ def minimize_on_Nplus(
     if seed is None:
         seed = zero_relax_seed(p)
 
-    budget = max(1, int(max_iter * budget_factor))
-    pairing_positive_seen = False
-
     def project_plus(vals):
-        nonlocal pairing_positive_seen
         rr = find_roots(vals, p)
-        if rr.t_plus is None:
-            return None
-        pairing_positive_seen = True
-        return rr.t_plus * vals
+        return None if rr.t_plus is None else rr.t_plus * vals
 
     v = project_plus(seed.values)
     if v is None:
@@ -179,63 +237,48 @@ def minimize_on_Nplus(
             "seed ray has nonpositive pairing sign: no t_plus root (restart advised)"
         )
 
-    iterations = 0
+    # at most 50 descent steps (scaled by the budget), and fewer than max_iter
+    cap = min(max(1, int(max_iter * budget_factor)) - 1, max(10, int(50 * budget_factor)))
+    iterations = 1
     warm_dir = None
     alpha = 1.0
-    descent_cap = min(budget - 1, max(10, int(50 * budget_factor)))
-    for it in range(budget):
-        iterations = it + 1
+    for _ in range(cap):
         g = gradient_values(v, p)
-        gn = _wnorm(d, g)
         e_val = energy(v, p)
-        if gn <= 1e3 * _target_tol(p, v, e_val) or it >= descent_cap:
+        if _wnorm(d, g) <= 1e3 * _target_tol(p, v, e_val):
             break
         dr = d.solve_poisson(g, x0=warm_dir)
         warm_dir = dr
-        slope = d.inner(g, dr)
-        accepted = False
-        beta = alpha
-        for _ in range(25):
-            try:
-                vt = project_plus(v - beta * dr)
-            except (MuTooLargeError, MuBeyondRangeError):
-                vt = None
-            if vt is not None:
-                et = energy(vt, p)
-                if et < e_val - 1e-4 * beta * slope:
-                    v = vt
-                    e_val = et
-                    alpha = min(beta * 2.0, 4.0)
-                    accepted = True
-                    break
-            beta *= 0.5
-        if not accepted:
+
+        def trial(beta):
+            vt = project_plus(v - beta * dr)
+            return None if vt is None else (energy(vt, p), vt)
+
+        step = _armijo(trial, e_val, d.inner(g, dr), alpha, 25)
+        if step is None:
             break
+        (e_val, v), beta = step
+        alpha = min(beta * 2.0, 4.0)
+        iterations += 1
         if v.min() < -1e-13 * max(1.0, np.abs(v).max()):
             # absolute-value move: energy does not increase on the Plus rescale
-            try:
-                va = project_plus(np.abs(v))
-            except (MuTooLargeError, MuBeyondRangeError):
-                va = None
+            va = _or_none(project_plus, np.abs(v))
             if va is not None and energy(va, p) <= e_val + 1e-12 * (1 + abs(e_val)):
                 v = va
 
-    if not pairing_positive_seen:
-        raise DegenerateSeedError("pairing sign stayed nonpositive along the whole descent")
-
-    newton_budget = max(10, int(40 * budget_factor))
-    v, gn, steps, ok = _newton_polish(p, v, max_steps=newton_budget)
+    flags = []
+    v, gn, steps, ok = _newton_polish(p, v, budget_factor, flags)
     iterations += steps
     if not ok:
         raise NonconvergenceError(
-            f"Plus-branch solve stalled at grad norm {gn:.3e} after {iterations} iterations",
+            f"Plus-branch solve stalled at grad norm {gn:.3e} after {iterations} iterations "
+            f"({_short_note(flags)})",
             residual=gn,
         )
     return build_record(p, v, gn, seed_kind, iterations)
 
 
-def build_record(p, vvals, gn, seed_kind, iterations, seed_direction=None,
-                 seed_energy=None, seed_below=None) -> SolutionRecord:
+def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
     """Record of the manifold point v with fresh diagnostics (energy, class,
     positivity of u = v + mu*phi, barycenter)."""
     d = p.domain
@@ -255,9 +298,6 @@ def build_record(p, vvals, gn, seed_kind, iterations, seed_direction=None,
         mu=p.mu,
         barycenter=barycenter(vf),
         grad_dir_integral=d.gradient_direction_integral(vvals),
-        seed_direction=None if seed_direction is None else np.asarray(seed_direction, float),
-        seed_energy=seed_energy,
-        seed_below_threshold=seed_below,
     )
 
 
@@ -268,10 +308,10 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta, max_backtracks):
     v is the current cone point with J(v) = j_val and t = t_minus(v), g the
     gradient at t v and dr its Riesz lift.  The lift is made tangent to the
     sphere at v, and trial points max(v - beta * dtan, 0) / norm are scored
-    by J with Armijo backtracking (beta halves on each rejection; a trial
-    point that vanishes or has no t_minus root counts as a rejection).
-    Returns (v, t, w, J, beta) of the accepted point, or None when dtan is
-    not a descent direction or all `max_backtracks` trials are rejected.
+    by J through `_armijo` (a trial point that vanishes or has no t_minus
+    root counts as a rejection).  Returns ((J, t, w, v), beta) of the
+    accepted point with w = t v, or None when dtan is not a descent
+    direction or all `max_backtracks` trials are rejected.
     """
     d = p.domain
     ts = p.two_star
@@ -280,19 +320,12 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta, max_backtracks):
     slope = t * d.inner(g, dtan)
     if slope <= 0:
         return None
-    for _ in range(max_backtracks):
-        vt = np.maximum(v - beta * dtan, 0.0)
-        nt = d.lp_norm(vt, ts)
-        if nt > 0.0:
-            vt /= nt
-            try:
-                jt, tt, wt = reduced_functional(vt, p)
-            except (MuTooLargeError, MuBeyondRangeError):
-                jt = None
-            if jt is not None and jt < j_val - 1e-4 * beta * slope:
-                return vt, tt, wt, jt, beta
-        beta *= 0.5
-    return None
+
+    def trial(beta):
+        vt = _unit(np.maximum(v - beta * dtan, 0.0), d, ts)
+        return None if vt is None else (*reduced_functional(vt, p), vt)
+
+    return _armijo(trial, j_val, slope, beta, max_backtracks)
 
 
 def minimize_on_Nminus(
@@ -301,9 +334,6 @@ def minimize_on_Nminus(
     max_iter: int = 300,
     budget_factor: float = 1.0,
     seed_kind: SeedKind = SeedKind.USER,
-    seed_direction=None,
-    seed_energy=None,
-    seed_below=None,
 ) -> SolutionRecord:
     """Minimize the reduced functional J(v) = E(t_minus(v) v) over the
     nonnegative cone of the critical-norm unit sphere."""
@@ -311,17 +341,15 @@ def minimize_on_Nminus(
     ts = p.two_star
     if seed is None or not np.any(seed.values):
         raise ArgumentError("Minus-branch minimization needs a nonzero seed")
-    v = np.abs(seed.values)
-    nrm = d.lp_norm(v, ts)
-    if nrm == 0.0:
-        raise ProjectionError("seed vanishes after cone projection", snapshot=seed)
-    v = v / nrm
+    v = _unit(np.abs(seed.values), d, ts)
+    if v is None:
+        raise ProjectionError("seed vanishes after cone projection")
 
     budget = max(1, int(max_iter * budget_factor))
-    newton_budget = max(10, int(40 * budget_factor))
     iterations = 0
     warm_dir = None
     beta0 = 1.0
+    flags = []
 
     j_val, t, w = reduced_functional(v, p)
     for attempt in range(3):
@@ -336,34 +364,27 @@ def minimize_on_Nminus(
             step = _cone_step(p, v, t, j_val, g, dr, beta0, max_backtracks=30)
             if step is None:
                 break
-            v, t, w, j_val, beta = step
+            (j_val, t, w, v), beta = step
             beta0 = min(beta * 2.0, 4.0)
 
-        wv, gn, steps, ok = _newton_polish(p, w, max_steps=newton_budget)
+        wv, gn, steps, ok = _newton_polish(p, w, budget_factor, flags)
         iterations += steps
         if ok:
             cls = classify(wv, p)
             e_val = energy(wv, p)
             if cls.klass is Klass.MINUS and e_val > 0:
-                return build_record(
-                    p, wv, gn, seed_kind, iterations,
-                    seed_direction=seed_direction,
-                    seed_energy=seed_energy,
-                    seed_below=seed_below,
-                )
+                return build_record(p, wv, gn, seed_kind, iterations)
         # polish drifted off the Minus part; restart descent from the cone
         # projection of the best manifold point with smaller steps
-        v = np.abs(w)
-        nrm = d.lp_norm(v, ts)
-        if nrm == 0:
-            raise ProjectionError("descent collapsed to zero", snapshot=Field(v, d))
-        v /= nrm
+        v = _unit(np.abs(w), d, ts)
+        if v is None:
+            raise ProjectionError("descent collapsed to zero")
         j_val, t, w = reduced_functional(v, p)
         beta0 *= 0.25
 
     raise NonconvergenceError(
         f"Minus-branch solve did not certify after {iterations} iterations "
-        f"(last grad norm {gn:.3e})",
+        f"(last grad norm {gn:.3e}; {_short_note(flags)})",
         residual=gn,
     )
 
@@ -426,30 +447,32 @@ def make_bubble(epsilon: float, direction, domain: Domain, delta0: float) -> Bub
     )
 
 
+def _bubble_delta0(domain: Domain):
+    """Bubble cutoff radius: the annulus' own delta0 kept below the 1/2 that
+    a nonempty plateau needs, and 0.25 on a box."""
+    shape = domain.spec.shape
+    return min(shape.delta0, 0.45) if isinstance(shape, AnnulusD) else 0.25
+
+
 def multistart_Nminus(
     p: Params,
     directions: Sequence,
     epsilon: float,
     vplus: SolutionRecord,
-    delta0: Optional[float] = None,
-    t_factors: Sequence[float] = (0.5, 1.0, 2.0),
-    dedup_tol: float = 1e-4,
-    max_iter: int = 300,
     budget_factor: float = 1.0,
 ):
     """Bubble-seeded Minus-branch searches, one per direction, deduplicated.
 
     Each direction seeds with vplus + t * bubble projected onto the Minus part
-    along the composite ray.  The seed energy is compared against the
-    compactness threshold m_plus + (1/N) S^{N/2} and recorded; directions
-    whose composite admits no projection are skipped.  Raises SeedingError if
-    every direction fails.
+    along the composite ray, t = t_star * BUBBLE_T_FACTORS.  The seed energy
+    is compared against the compactness threshold m_plus + (1/N) S^{N/2} and
+    recorded; directions whose composite admits no projection are skipped.
+    Records closer than DEDUP_TOL in H^1_0 to a kept one are dropped.  Raises
+    SeedingError if every direction fails.
     """
     d = p.domain
     ts = p.two_star
-    if delta0 is None:
-        # cutoff needs delta0 < 1/2 for a nonempty plateau
-        delta0 = min(d.spec.shape.delta0, 0.45) if isinstance(d.spec.shape, AnnulusD) else 0.25
+    delta0 = _bubble_delta0(d)
     threshold = vplus.energy + p.spectral.s_quantum
 
     seeds = []
@@ -465,14 +488,10 @@ def multistart_Nminus(
         bU = d.weight * float(np.sum(abs_pow(U, ts)))
         t_star = (aU / bU) ** (1.0 / (ts - 2.0)) if aU > 0 and bU > 0 else 1.0
         best = None
-        for tf in t_factors:
-            comp = vplus.v.values + tf * t_star * U
-            try:
-                e_val, _, w = reduced_functional(comp, p)
-            except (MuTooLargeError, MuBeyondRangeError):
-                continue
-            if best is None or e_val < best[1]:
-                best = (w, e_val)
+        for tf in BUBBLE_T_FACTORS:
+            out = _or_none(reduced_functional, vplus.v.values + tf * t_star * U, p)
+            if out is not None and (best is None or out[0] < best[1]):
+                best = (out[2], out[0])
         if best is None:
             failures.append((y, "composite ray admits no Minus projection"))
             continue
@@ -483,20 +502,18 @@ def multistart_Nminus(
     records = []
     for y, w, e_seed, below in seeds:
         try:
-            rec = minimize_on_Nminus(
-                p, Field(w, d), max_iter=max_iter, budget_factor=budget_factor,
-                seed_kind=SeedKind.BUBBLE, seed_direction=y,
-                seed_energy=e_seed, seed_below=below,
-            )
+            rec = minimize_on_Nminus(p, Field(w, d), budget_factor=budget_factor,
+                                     seed_kind=SeedKind.BUBBLE)
         except (NonconvergenceError, ProjectionError) as e:
             failures.append((y, str(e)))
             continue
+        rec.seed_direction, rec.seed_energy, rec.seed_below_threshold = y, e_seed, below
         records.append(rec)
 
     distinct = []
     for rec in records:
         if all(
-            np.sqrt(d.h1_norm_sq(rec.v.values - kept.v.values)) > dedup_tol
+            np.sqrt(d.h1_norm_sq(rec.v.values - kept.v.values)) > DEDUP_TOL
             for kept in distinct
         ):
             distinct.append(rec)
@@ -539,45 +556,44 @@ def minimax_gamma(
     vplus: SolutionRecord,
     vminus: SolutionRecord,
     n_radii: int = 4,
-    directions: Optional[Sequence] = None,
     relax_rounds: int = 3,
-    inner_steps: int = 2,
     budget_factor: float = 1.0,
 ) -> MinimaxResult:
     """Boundary-pinned inf-sup search for the higher critical level.
 
-    A finite family over the ball lattice {r_k y_j} is relaxed by
-    coordinate-wise descent of the reduced functional with the boundary ring
-    pinned to normalized bubbles at the given epsilon.  Interior points start
-    as blends with the antipodal bubble (weight growing toward the center),
-    so the family links through two-peak transition states where the sup
-    concentrates.  The relaxed maximizer is polished by Newton and accepted
-    only if it certifies with class Minus and energy inside the compactness
-    window; not-found is a legitimate outcome at coarse resolution.
+    A finite family over the ball lattice {r_k y_j} (y_j the sphere
+    directions of the domain dimension) is relaxed by coordinate-wise descent
+    of the reduced functional, MINIMAX_INNER_STEPS cone steps per point and
+    round, with the boundary ring pinned to normalized bubbles at the given
+    epsilon.  Interior points start as blends with the antipodal bubble
+    (weight growing toward the center), so the family links through two-peak
+    transition states where the sup concentrates.  The relaxed maximizer is
+    polished by Newton and accepted only if it certifies with class Minus and
+    energy inside the compactness window; not-found is a legitimate outcome
+    at coarse resolution.
     """
     d = p.domain
     if not isinstance(d.spec.shape, AnnulusD):
         raise PreconditionError("minimax search needs the annular domain")
-    delta0 = min(d.spec.shape.delta0, 0.45)
+    delta0 = _bubble_delta0(d)
     ts = p.two_star
     q = p.spectral.s_quantum
     window = (vplus.energy + q, vminus.energy + q)
 
-    dirs = list(directions) if directions is not None else sphere_directions(d.ndim)
     r_bar = 1.0 - epsilon
     radii = np.linspace(0.0, r_bar, n_radii)
 
     family = {}
-    for j, y in enumerate(dirs):
+    for j, y in enumerate(sphere_directions(d.ndim)):
         for k, r in enumerate(radii):
             eps_k = float(np.clip(1.0 - r, epsilon, 0.97))
             vals = make_bubble(eps_k, y, d, delta0).field.values
             mix = 1.0 - r / r_bar if r_bar > 0 else 1.0
             if mix > 0:
                 vals = vals + mix * make_bubble(eps_k, -y, d, delta0).field.values
-            n = d.lp_norm(vals, ts)
-            if n > 0:
-                family[(j, k)] = vals / n
+            vals = _unit(vals, d, ts)
+            if vals is not None:
+                family[(j, k)] = vals
 
     values = {key: reduced_functional(v, p)[0] for key, v in family.items()}
     boundary_keys = {key for key in family if key[1] == len(radii) - 1}
@@ -588,21 +604,23 @@ def minimax_gamma(
                 continue
             v = family[key]
             jv, t, w = reduced_functional(v, p)
-            for _ in range(inner_steps):
+            for _ in range(MINIMAX_INNER_STEPS):
                 g = gradient_values(w, p)
                 step = _cone_step(p, v, t, jv, g, d.solve_poisson(g), 1.0, max_backtracks=20)
                 if step is None:
                     break
-                v, t, w, jv, _ = step
+                (jv, t, w, v), _ = step
             family[key], values[key] = v, jv
 
     gamma_est = max(values.values())
     arg = max(values, key=lambda k: values[k])
     _, _, w_star = reduced_functional(family[arg], p)
 
-    wv, gn, steps, ok = _newton_polish(p, w_star, max_steps=max(10, int(40 * budget_factor)))
+    flags = []
+    wv, gn, steps, ok = _newton_polish(p, w_star, budget_factor, flags)
     if not ok:
-        return MinimaxResult(None, gamma_est, window, f"polish stalled at grad norm {gn:.3e}")
+        return MinimaxResult(None, gamma_est, window,
+                             f"polish stalled at grad norm {gn:.3e} ({_short_note(flags)})")
     rec = build_record(p, wv, gn, SeedKind.MINIMAX, steps)
     if rec.nehari_class.klass is not Klass.MINUS:
         return MinimaxResult(None, gamma_est, window,
@@ -633,19 +651,6 @@ def ground_state(lam: float, spectral, lift, budget_factor: float = 1.0) -> Fiel
 
 
 @dataclass
-class ContinuationConfig:
-    mu_init: float = 1e-3
-    growth: float = 1.6
-    shrink: float = 0.5
-    max_cells: int = 24
-    min_step_rel: float = 1e-6
-    fail_limit: int = 3
-    with_minus_branch: bool = True
-    budget_factor: float = 1.0
-    keep_records: bool = False
-
-
-@dataclass
 class BranchRow:
     mu: float
     energy_plus: float
@@ -655,14 +660,17 @@ class BranchRow:
     record_plus: Optional[SolutionRecord] = None
 
 
-def estimate_mu_star(lam: float, spectral, lift, cfg: Optional[ContinuationConfig] = None):
+def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
+                     budget_factor: float = 1.0, keep_records: bool = False):
     """Continuation in mu of the Plus branch until it persistently fails.
 
-    Failure semantics: the step is halved on every failed mu; once it hits
-    the relative floor, `fail_limit` consecutive failures with all restarts
-    diverging end the continuation.  Returns (mu_star_lower_estimate, rows).
+    The first step is MU_INIT.  A step that succeeds grows by MU_GROWTH and
+    also records the Minus branch from the ground-state ray; a failed mu
+    shrinks it by MU_SHRINK.  Once the step hits the relative floor
+    MU_MIN_STEP_REL, MU_FAIL_LIMIT consecutive failures with all restarts
+    diverging end the continuation, as do `max_cells` accepted rows.
+    Returns (mu_star_lower_estimate, rows).
     """
-    cfg = cfg or ContinuationConfig()
     if not 0.0 < lam < spectral.lambda1:
         raise PreconditionError(
             f"mu* continuation needs 0 < lambda < lambda1, got {lam} vs {spectral.lambda1}"
@@ -670,13 +678,12 @@ def estimate_mu_star(lam: float, spectral, lift, cfg: Optional[ContinuationConfi
     rows = []
     last_mu = 0.0
     warm: Optional[Field] = None
-    step = cfg.mu_init
+    step = MU_INIT
     small_fails = 0
 
-    gstate = ground_state(lam, spectral, lift, budget_factor=cfg.budget_factor) \
-        if cfg.with_minus_branch else None
+    gstate = ground_state(lam, spectral, lift, budget_factor=budget_factor)
 
-    while len(rows) < cfg.max_cells:
+    while len(rows) < max_cells:
         mu_try = last_mu + step
         rec_plus = None
         p_try = Params(lam=lam, mu=mu_try, spectral=spectral, lift=lift)
@@ -684,9 +691,7 @@ def estimate_mu_star(lam: float, spectral, lift, cfg: Optional[ContinuationConfi
             seeds = [warm, None] if warm is not None else [None]
             for seed in seeds:
                 try:
-                    rec_plus = minimize_on_Nplus(
-                        p_try, seed=seed, budget_factor=cfg.budget_factor
-                    )
+                    rec_plus = minimize_on_Nplus(p_try, seed=seed, budget_factor=budget_factor)
                     break
                 except (
                     NonconvergenceError,
@@ -698,31 +703,30 @@ def estimate_mu_star(lam: float, spectral, lift, cfg: Optional[ContinuationConfi
                     rec_plus = None
         if rec_plus is not None:
             e_minus, minus_ok = float("nan"), False
-            if cfg.with_minus_branch:
-                try:
-                    rec_minus = minimize_on_Nminus(
-                        p_try, gstate, seed_kind=SeedKind.GROUND_STATE_RAY,
-                        budget_factor=cfg.budget_factor,
-                    )
-                    e_minus, minus_ok = rec_minus.energy, True
-                except (NonconvergenceError, ProjectionError,
-                        MuTooLargeError, MuBeyondRangeError):
-                    pass
+            try:
+                rec_minus = minimize_on_Nminus(
+                    p_try, gstate, seed_kind=SeedKind.GROUND_STATE_RAY,
+                    budget_factor=budget_factor,
+                )
+                e_minus, minus_ok = rec_minus.energy, True
+            except (NonconvergenceError, ProjectionError,
+                    MuTooLargeError, MuBeyondRangeError):
+                pass
             rows.append(BranchRow(
                 mu=mu_try, energy_plus=rec_plus.energy, energy_minus=e_minus,
                 plus_converged=True, minus_converged=minus_ok,
-                record_plus=rec_plus if cfg.keep_records else None,
+                record_plus=rec_plus if keep_records else None,
             ))
             last_mu = mu_try
             warm = rec_plus.v
-            step *= cfg.growth
+            step *= MU_GROWTH
             small_fails = 0
         else:
-            step *= cfg.shrink
-            floor = cfg.min_step_rel * max(mu_try, cfg.mu_init)
+            step *= MU_SHRINK
+            floor = MU_MIN_STEP_REL * max(mu_try, MU_INIT)
             if step < floor:
                 step = floor
                 small_fails += 1
-                if small_fails >= cfg.fail_limit:
+                if small_fails >= MU_FAIL_LIMIT:
                     break
     return last_mu, rows

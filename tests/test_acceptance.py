@@ -31,7 +31,6 @@ from bnsolver.grid import (
 )
 from bnsolver.nehari import Klass, classify, find_roots
 from bnsolver.solve import (
-    ContinuationConfig,
     SeedKind,
     estimate_mu_star,
     ground_state,
@@ -86,7 +85,7 @@ def test_criterion_01_eigen_convergence():
     errs, hs = [], []
     for res in (9, 17, 33):
         dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, res))
-        lam1, e1 = principal_eigenpair(dom, tol=1e-10)
+        lam1, e1 = principal_eigenpair(dom)
         resid = np.sqrt(dom.weight) * np.linalg.norm(
             dom.apply_neg_laplacian(e1.values) - lam1 * e1.values
         )
@@ -331,14 +330,14 @@ def test_criterion_08_annulus_multiplicity(annulus27):
 
 def test_criterion_09_mu_star_boundary(box9):
     lam1 = box9.spectral.lambda1
-    cfg = ContinuationConfig(max_cells=10, keep_records=True)
+    cfg = dict(max_cells=10, keep_records=True)
     tables = []
     all_ok = True
     details = []
     for run in range(2):
         rows_by_lam = []
         for factor in (0.25, 0.5, 0.75):
-            mu_star, rows = estimate_mu_star(factor * lam1, box9.spectral, box9.lift, cfg)
+            mu_star, rows = estimate_mu_star(factor * lam1, box9.spectral, box9.lift, **cfg)
             if not (np.isfinite(mu_star) and mu_star > 0):
                 all_ok = False
             if run == 0:

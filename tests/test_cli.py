@@ -219,6 +219,12 @@ MALFORMED = [
     ("run = nplus nminus", "run = nplus nminus\nepsilon = 0.2.1"),
     ("run = nplus nminus", "run = nplus nminus\nbudget_factor = x"),
     ("run = nplus nminus", "run = nplus nminus\nmu_star_cells = 8.5"),
+    ("run = nplus nminus", "run = nplus nminus\ndirections = 0"),
+    ("run = nplus nminus", "run = nplus nminus\nepsilon = 1.5"),
+    ("run = nplus nminus", "run = nplus nminus\nepsilon = 0"),
+    ("run = nplus nminus", "run = nplus nminus\nbudget_factor = -1"),
+    ("run = nplus nminus", "run = nplus nminus\nbudget_factor = 0"),
+    ("run = nplus nminus", "run = nplus nminus\nmu_star_cells = 0"),
     ("seed = 0", "seed = zero"),
     ("seed = 0", "seed = -1"),
     ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = linspace 0.1 x 3"),

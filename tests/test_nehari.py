@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bnsolver.errors import ArgumentError
+from bnsolver.errors import ArgumentError, MuTooLargeError
 from bnsolver.functional import FiberingProfile
 from bnsolver.grid import Field
 from bnsolver.nehari import (
@@ -58,18 +60,27 @@ def test_mu_zero_closed_form_root(box9):
         assert abs(rr.t_minus - expected) <= 1e-10 * expected
 
 
-def test_root_ordering_and_pairing(box9):
-    rng = np.random.default_rng(41)
-    p = box9.params(lam_factor=0.5, mu=0.01)
-    for _ in range(15):
-        v = box9.random_field(rng, positive=True).values  # positive ray -> positive pairing
-        prof = FiberingProfile(v, p)
-        rr = find_roots(v, p, profile=prof)
-        assert rr.pairing_sign > 0
-        assert rr.t_plus is not None
-        assert 0.0 < rr.t_plus < prof.t0 < rr.t_minus
-        assert prof.d2T(rr.t_plus) > 0
-        assert prof.d2T(rr.t_minus) < 0
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(lam_factor=st.floats(0.05, 0.95), mu=st.floats(1e-4, 1.0),
+       offset=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_root_ordering_and_pairing(box9, lam_factor, mu, offset, seed):
+    """A positive ray has positive pairing, and in the two-root regime (t0
+    defined and T'(t0) > 0) its roots satisfy 0 < t_plus < t0 < t_minus with
+    T'' > 0 at t_plus and T'' < 0 at t_minus."""
+    p = box9.params(lam_factor=lam_factor, mu=mu)
+    v = np.abs(np.random.default_rng(seed).standard_normal(box9.domain.n_interior)) + offset
+    prof = FiberingProfile(v, p)
+    try:
+        two_root = prof.dT(prof.t0) > 0
+    except MuTooLargeError:
+        two_root = False
+    assume(two_root)
+    rr = find_roots(v, p, profile=prof)
+    assert rr.pairing_sign > 0
+    assert rr.t_plus is not None
+    assert 0.0 < rr.t_plus < prof.t0 < rr.t_minus
+    assert prof.d2T(rr.t_plus) > 0
+    assert prof.d2T(rr.t_minus) < 0
 
 
 def test_negative_pairing_has_no_plus_root(box9):

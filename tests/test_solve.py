@@ -4,6 +4,7 @@ import pytest
 from bnsolver.errors import (
     ArgumentError,
     BranchAbsentError,
+    NonconvergenceError,
     PreconditionError,
 )
 from bnsolver.functional import energy
@@ -11,7 +12,6 @@ from bnsolver.grid import Field, zero_field
 from bnsolver.nehari import Klass
 from bnsolver.numutil import signed_pow, solve_cg
 from bnsolver.solve import (
-    ContinuationConfig,
     SeedKind,
     estimate_mu_star,
     ground_state,
@@ -60,9 +60,36 @@ def test_newton_polish_counts_steps_taken(box9, monkeypatch):
 
     p = box9.params(lam_factor=0.5, mu=0.01)
     monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), True))
-    _, _, steps, ok = solve._newton_polish(p, solve.zero_relax_seed(p).values, max_steps=40)
+    _, _, steps, ok = solve._newton_polish(p, solve.zero_relax_seed(p).values)
     assert not ok
     assert steps == 0
+
+
+def test_unconverged_newton_inner_solves_are_reported(box9, monkeypatch):
+    """Every MINRES solve of the polish stops short: the Plus and Minus
+    errors name the count of inner solves that did."""
+    from bnsolver import solve
+
+    p = box9.params(lam_factor=0.5, mu=0.01)
+    gs = ground_state(p.lam, box9.spectral, box9.lift)
+    monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), False))
+    with pytest.raises(NonconvergenceError, match="1 of 1 Newton inner solves stopped short"):
+        minimize_on_Nplus(p)
+    with pytest.raises(NonconvergenceError, match="3 of 3 Newton inner solves stopped short"):
+        minimize_on_Nminus(p, gs)
+
+
+def test_unconverged_newton_inner_solve_in_minimax_reason(annulus9, monkeypatch):
+    from bnsolver import solve
+
+    p = annulus9.params(lam_factor=0.25, mu=0.01)
+    rec_plus = minimize_on_Nplus(p)
+    gs = ground_state(p.lam, annulus9.spectral, annulus9.lift)
+    rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
+    monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), False))
+    mm = minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=3, relax_rounds=1)
+    assert not mm.found
+    assert mm.reason.endswith("(1 of 1 Newton inner solves stopped short)")
 
 
 def test_plus_branch_absent_at_mu_zero(box13):
@@ -200,7 +227,7 @@ def test_multistart_on_box_is_permitted(box13):
     p = box13.params(lam_factor=0.25, mu=0.01)
     rec_plus = minimize_on_Nplus(p)
     dirs = [np.array([1.0, 0, 0]), np.array([-1.0, 0, 0])]
-    recs = multistart_Nminus(p, dirs, 0.3, rec_plus, delta0=0.25)
+    recs = multistart_Nminus(p, dirs, 0.3, rec_plus)
     assert len(recs) >= 1  # no distinctness claim without the annular geometry
     for r in recs:
         assert r.nehari_class.klass is Klass.MINUS
@@ -227,9 +254,9 @@ def test_mu_star_precondition(box9):
 
 
 def test_mu_star_finite_positive_and_deterministic(box9):
-    cfg = ContinuationConfig(max_cells=10, with_minus_branch=True)
+    cfg = dict(max_cells=10)
     lam = 0.5 * box9.spectral.lambda1
-    mu1, rows1 = estimate_mu_star(lam, box9.spectral, box9.lift, cfg)
+    mu1, rows1 = estimate_mu_star(lam, box9.spectral, box9.lift, **cfg)
     assert 0.0 < mu1 < np.inf
     assert rows1, "no successful continuation cells"
     mus = [r.mu for r in rows1]
@@ -243,7 +270,7 @@ def test_mu_star_finite_positive_and_deterministic(box9):
     e0s = [energy(zf(box9.domain).values, box9.params(lam=lam, mu=m)) for m in mus]
     assert all(b < a for a, b in zip(e0s, e0s[1:]))
 
-    mu2, rows2 = estimate_mu_star(lam, box9.spectral, box9.lift, cfg)
+    mu2, rows2 = estimate_mu_star(lam, box9.spectral, box9.lift, **cfg)
     assert repr((mu1, [(r.mu, r.energy_plus, r.energy_minus) for r in rows1])) == repr(
         (mu2, [(r.mu, r.energy_plus, r.energy_minus) for r in rows2])
     )
