@@ -20,22 +20,23 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import BNSolverError, ConfigurationError, NonconvergenceError
+from .errors import ArgumentError, BNSolverError, ConfigurationError, NonconvergenceError
 from .functional import FiberingProfile, Params
 from .grid import (
     AnnulusD,
     Box,
     DomainSpec,
+    Field,
     build_domain,
     compute_spectral_data,
     dump_field,
     load_field,
 )
-from .lift import BumpOnBoundary, Constant, load_node_table, solve_lift
-from .nehari import find_roots
+from .lift import BumpOnBoundary, Constant, compose_solution, load_node_table, solve_lift
+from .nehari import Klass, NehariClass, find_roots
 from .solve import (
     SeedKind,
-    build_record,
+    SolutionRecord,
     estimate_mu_star,
     ground_state,
     minimax_gamma,
@@ -69,22 +70,26 @@ class ConfigFile:
         self.sections = {}
         self.lines = {}
         section = None
-        with open(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.split("#")[0].strip()
-                if not line:
-                    continue
-                if line.startswith("[") and line.endswith("]"):
-                    section = line[1:-1].strip().lower()
-                    self.sections.setdefault(section, {})
-                    continue
-                if "=" not in line:
-                    raise ConfigurationError(f"{self.path}:{lineno}: expected 'key = value'")
-                if section is None:
-                    raise ConfigurationError(f"{self.path}:{lineno}: key outside any [section]")
-                key, val = (s.strip() for s in line.split("=", 1))
-                self.sections[section][key.lower()] = val
-                self.lines[(section, key.lower())] = lineno
+        try:
+            with open(path) as f:
+                text = f.readlines()
+        except (OSError, ValueError) as e:
+            raise ConfigurationError(f"{self.path}: unreadable config: {e}") from None
+        for lineno, raw in enumerate(text, 1):
+            line = raw.split("#")[0].strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip().lower()
+                self.sections.setdefault(section, {})
+                continue
+            if "=" not in line:
+                raise ConfigurationError(f"{self.path}:{lineno}: expected 'key = value'")
+            if section is None:
+                raise ConfigurationError(f"{self.path}:{lineno}: key outside any [section]")
+            key, val = (s.strip() for s in line.split("=", 1))
+            self.sections[section][key.lower()] = val
+            self.lines[(section, key.lower())] = lineno
 
     def error(self, section, key, msg):
         lineno = self.lines.get((section, key))
@@ -505,17 +510,36 @@ def profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0, out_path=No
     return 0
 
 
+def _stored_record(r, v: Field, p: Params) -> SolutionRecord:
+    """The record a cell JSON stores, around its loaded field v.  Its class
+    and seed are the recorded ones, so that certify_solution checks the
+    recorded class against a fresh classification.  A missing key or an
+    unknown class or seed raises KeyError or ValueError."""
+    nan = float("nan")
+    return SolutionRecord(
+        v=v, u=compose_solution(v, p.mu, p.lift), energy=r["energy"],
+        nehari_class=NehariClass(Klass[r["class"]], nan, nan, nan), grad_norm=r["grad_norm"],
+        positive=r["positive"], seed=SeedKind(r.get("seed", "user")),
+        iterations=r["iterations"], lam=p.lam, mu=p.mu, barycenter=np.array(r["barycenter"]),
+        grad_dir_integral=np.array(r["grad_dir_integral"]),
+    )
+
+
 def certify_cmd(record_path) -> int:
     rec_path = Path(record_path)
-    with open(rec_path) as f:
-        cell = json.load(f)
+    try:
+        with open(rec_path) as f:
+            cell = json.load(f)
+        lam, mu = cell["lambda"], cell["mu"]
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ArgumentError(f"{rec_path}: unreadable cell file: {e!r}") from None
     run_dir = rec_path.parent.parent
     cfg_path = run_dir / "config.ini"
     if not cfg_path.exists():
         print(f"error: no config.ini next to the run ({cfg_path})", file=sys.stderr)
         return 1
     domain, spectral, lift, _, _ = _setup(parse_config(cfg_path))
-    p = Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
+    p = Params(lam=lam, mu=mu, spectral=spectral, lift=lift)
     ok = True
     n = 0
     for k, r in enumerate(cell.get("records", [])):
@@ -525,9 +549,13 @@ def certify_cmd(record_path) -> int:
             ok = False
             continue
         v = load_field(rec_path.parent / dumpname, domain)
-        rebuilt = build_record(p, v.values, gn=float("nan"),
-                               seed_kind=SeedKind(r.get("seed", "user")), iterations=0)
-        cert = certify_solution(rebuilt, p)
+        try:
+            rec = _stored_record(r, v, p)
+        except (KeyError, ValueError) as e:
+            raise ArgumentError(
+                f"{rec_path}: record {k}: missing key or unknown value {e}"
+            ) from None
+        cert = certify_solution(rec, p)
         n += 1
         print(f"record {k} ({r['class']}, energy {_fmt(r['energy'])}):")
         print(cert)

@@ -4,8 +4,9 @@ For parameters (lam, mu) and lift phi the energy of a field v is
 
     E(v) = 1/2 ||v||^2 - lam/2 ||v + mu phi||_2^2 - 1/2* ||v + mu phi||_{2*}^{2*}
 
-with 2* = 2N/(N-2).  The fibering map of a ray v is t -> E(t v); its first
-two derivatives in t and the convexity threshold t0 below which the second
+with 2* the critical exponent of the dimension (`Domain.two_star`).  The
+fibering map of a ray v is t -> E(t v), for t >= 0; its first two
+derivatives in t and the convexity threshold t0 below which the second
 derivative is guaranteed positive are evaluated here.  Scalar ray
 coefficients are computed once per ray; the critical-power integrals are
 re-quadratured at every t (no closed form exists for fractional 2*).
@@ -19,15 +20,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, MuTooLargeError
-from .grid import SpectralData, _default_bump
+from .grid import SpectralData
 from .lift import HarmonicLift
 from .numutil import abs_pow, signed_pow
 
 _BATCH_ELEMS = 4_000_000  # cap on elements of one t-batch times node count
-
-
-def two_star_exponent(ndim: int) -> float:
-    return 2.0 * ndim / (ndim - 2.0)
 
 
 @dataclass(frozen=True)
@@ -38,7 +35,6 @@ class Params:
     mu: float
     spectral: SpectralData
     lift: HarmonicLift
-    admissible: bool = dc_field(init=False)
     mu_phi: np.ndarray = dc_field(init=False, repr=False, compare=False)  # read-only mu * phi
 
     def __post_init__(self):
@@ -51,7 +47,6 @@ class Params:
         mu_phi = self.mu * self.lift.phi.values
         mu_phi.flags.writeable = False
         object.__setattr__(self, "mu_phi", mu_phi)
-        object.__setattr__(self, "admissible", _probe_admissibility(self))
 
     @property
     def domain(self):
@@ -59,7 +54,7 @@ class Params:
 
     @property
     def two_star(self):
-        return two_star_exponent(self.domain.ndim)
+        return self.domain.two_star
 
     @property
     def lambda1(self):
@@ -160,6 +155,8 @@ class FiberingProfile:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
+        if (float(t) if scalar else tt.min()) < 0.0:
+            raise ArgumentError("fibering parameter t must be >= 0")
         n = self.v.size
         out = np.empty(tt.size)
         chunk = max(1, _BATCH_ELEMS // max(n, 1))
@@ -215,35 +212,3 @@ class FiberingProfile:
         if np.ndim(t) == 0:
             return float(val)
         return val
-
-
-def fibering(v, p: Params, t):
-    """(T, T', T'') of the fibering map of ray v at t >= 0."""
-    if np.any(np.asarray(t) < 0):
-        raise ArgumentError("fibering parameter t must be >= 0")
-    prof = FiberingProfile(v, p)
-    return prof.T(t), prof.dT(t), prof.d2T(t)
-
-
-def _probe_admissibility(p: Params) -> bool:
-    """Operational admissibility of (lam, mu): lam < lambda1 and, for mu > 0,
-    t0 well defined and T'(t0) > 0 on a fixed probe set.  Advisory;
-    operations re-check on their own rays."""
-    if p.lam >= p.spectral.lambda1:
-        return False
-    if p.mu == 0.0:
-        return True
-    domain = p.spectral.domain
-    probes = [p.spectral.e1.values]
-    bump = _default_bump(domain)
-    l2 = np.sqrt(domain.l2_norm_sq(bump))
-    if l2 > 0:
-        probes.append(bump / l2)
-    try:
-        for probe in probes:
-            prof = FiberingProfile(probe, p)
-            if prof.dT(prof.t0) <= 0:
-                return False
-    except MuTooLargeError:
-        return False
-    return True

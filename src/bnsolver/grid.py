@@ -9,6 +9,8 @@ Discrete conventions, fixed once and used everywhere:
 
 * fields live on interior nodes only and are extended by zero (or by the
   boundary data, for the harmonic lift) on the rest of the lattice;
+* the critical exponent 2* is `Domain.two_star`, computed once per domain;
+  every other module reads it from there;
 * quadrature weight is the constant cell volume prod(h); for functions
   vanishing on the boundary this coincides with the tensor trapezoid rule;
 * the H^1_0 seminorm is the edge sum of one-sided differences, which makes
@@ -16,9 +18,11 @@ Discrete conventions, fixed once and used everywhere:
   point up to roundoff;
 * `Field` lives only at the API edges: it is the type of stored and
   exchanged data (solution records, the lift, the eigenfunction, seeds and
-  field dumps).  The energy, fibering and manifold kernels and the `Domain`
-  methods take and return raw value arrays of length `n_interior`, and never
-  write to their inputs;
+  field dumps), an immutable checked array with no arithmetic of its own.
+  The energy, fibering and manifold kernels and the `Domain` methods
+  (quadrature `inner`, the norms `h1_norm_sq`, `l2_norm_sq`, `lp_norm`) take
+  and return raw value arrays of length `n_interior`, and never write to
+  their inputs;
 * linear solves: every solve with -Lap (the Riesz lift, the harmonic lift,
   the inverse power eigensolve) goes through `Domain.solve_poisson`, exact
   on boxes, where the stencil is diagonal in the tensor sine basis (and the
@@ -32,8 +36,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
-
 import numpy as np
 from scipy import sparse
 
@@ -115,6 +117,7 @@ class Domain:
         N = spec.dimension
         res = spec.resolution
         self.ndim = N
+        self.two_star = 2.0 * N / (N - 2.0)  # the critical exponent 2* of dimension N
         self.lattice_shape = (res,) * N
 
         if isinstance(spec.shape, Box):
@@ -356,30 +359,6 @@ class Field:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def _like(self, values):
-        return Field(values, self.domain)
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._like(self.values - other.values)
-
-    def __mul__(self, c):
-        return self._like(self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if not isinstance(other, Field) or other.domain is not self.domain:
-            raise ArgumentError("fields live on different domains")
-
-    @property
-    def norm_l2(self):
-        return float(np.sqrt(self.domain.l2_norm_sq(self.values)))
-
-
-def zero_field(domain):
-    return Field(np.zeros(domain.n_interior), domain)
-
 
 @dataclass
 class SpectralData:
@@ -404,15 +383,6 @@ class SpectralData:
 
 def build_domain(spec: DomainSpec) -> Domain:
     return Domain(spec)
-
-
-def norms(u: Field, p: Optional[float] = None):
-    """(h1 seminorm squared, l2 norm squared, lp norm); p defaults to the
-    critical exponent of the domain dimension."""
-    d = u.domain
-    if p is None:
-        p = 2.0 * d.ndim / (d.ndim - 2.0)
-    return d.h1_norm_sq(u.values), d.l2_norm_sq(u.values), d.lp_norm(u.values, p)
 
 
 def principal_eigenpair(domain: Domain):
@@ -457,10 +427,8 @@ def _inverse_power(domain: Domain, tol: float, max_outer: int):
 
 def rayleigh_quotient(domain: Domain, values, lam: float = 0.0):
     """(||u||^2 - lam ||u||_2^2) / ||u||_{2*}^2 for a raw value array."""
-    N = domain.ndim
-    two_star = 2.0 * N / (N - 2.0)
     num = domain.h1_norm_sq(values) - lam * domain.l2_norm_sq(values)
-    den = domain.lp_norm(values, two_star) ** 2
+    den = domain.lp_norm(values, domain.two_star) ** 2
     if den == 0.0:
         raise ArgumentError("rayleigh quotient of the zero field")
     return num / den
@@ -498,8 +466,7 @@ def estimate_sobolev_S(domain: Domain) -> float:
     entered the spike regime and is stopped.  The capped value sits above the
     continuum constant and decreases under refinement.
     """
-    N = domain.ndim
-    two_star = 2.0 * N / (N - 2.0)
+    two_star = domain.two_star
     A = domain.matrix
 
     def peak_share(vals):
@@ -570,19 +537,20 @@ def dump_field(u: Field, path):
 
 
 def load_field(path, domain: Domain) -> Field:
-    with open(path) as f:
-        header = f.readline().split()
-        body = f.read().split()
+    try:
+        with open(path) as f:
+            header = [int(s) for s in f.readline().split()]
+            full = np.array([float(x) for x in f.read().split()])
+    except (OSError, ValueError) as e:
+        raise ArgumentError(f"{path}: unreadable field dump: {e}") from None
     if len(header) < 1:
         raise ArgumentError(f"{path}: empty field dump")
-    ndim = int(header[0])
-    sizes = tuple(int(s) for s in header[1:])
+    ndim, sizes = header[0], tuple(header[1:])
     if ndim != domain.ndim or sizes != domain.lattice_shape:
         raise ArgumentError(
             f"{path}: dump lattice {ndim} {sizes} does not match domain "
             f"{domain.ndim} {domain.lattice_shape}"
         )
-    full = np.array([float(x) for x in body])
     if full.size != int(np.prod(domain.lattice_shape)):
         raise ArgumentError(f"{path}: expected {np.prod(domain.lattice_shape)} values")
     return Field(full[domain.interior_flat], domain)

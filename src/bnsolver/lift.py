@@ -84,18 +84,26 @@ def boundary_values(g, domain: Domain) -> np.ndarray:
 def load_node_table(path, domain: Domain) -> NodeTable:
     """Two-column text file: boundary node index, value."""
     vals = np.zeros(domain.boundary_flat.size)
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ArgumentError(f"{path}:{lineno}: expected 'index value'")
-            idx = int(parts[0])
-            if not 0 <= idx < vals.size:
-                raise ArgumentError(f"{path}:{lineno}: boundary index {idx} out of range")
-            vals[idx] = float(parts[1])
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except (OSError, ValueError) as e:
+        raise ArgumentError(f"{path}: unreadable node table: {e}") from None
+    for lineno, line in enumerate(lines, 1):
+        parts = line.split("#")[0].split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ArgumentError(f"{path}:{lineno}: expected 'index value'")
+        try:
+            idx, val = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise ArgumentError(
+                f"{path}:{lineno}: expected an integer index and a number, got {line.strip()!r}"
+            ) from None
+        if not 0 <= idx < vals.size:
+            raise ArgumentError(f"{path}:{lineno}: boundary index {idx} out of range")
+        vals[idx] = val
     return NodeTable(vals)
 
 
@@ -103,10 +111,6 @@ def load_node_table(path, domain: Domain) -> NodeTable:
 class HarmonicLift:
     phi: Field
     residual: float
-
-    @property
-    def domain(self):
-        return self.phi.domain
 
 
 def solve_lift(g, domain: Domain) -> HarmonicLift:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, MuBeyondRangeError, NumericalError
-from .functional import FiberingProfile, Params, _checked, energy
+from .functional import FiberingProfile, Params, energy
 from .grid import Field
 from .numutil import abs_pow
 
@@ -34,12 +34,6 @@ class NehariClass:
     t_prime: float
     t_second_deriv: float
     tolerance: float
-
-
-class RaySet(enum.Enum):
-    A_MINUS = "A_minus"
-    A_PLUS = "A_plus"
-    ON_N_MINUS = "on_N_minus"
 
 
 @dataclass(frozen=True)
@@ -150,25 +144,11 @@ def classify(v, p: Params) -> NehariClass:
     return NehariClass(klass=klass, t_prime=tp, t_second_deriv=tpp, tolerance=tol_class)
 
 
-def reduced_J(v_unit, p: Params, return_root: bool = False):
-    """J(v) = E(t_minus(v) v) on the nonnegative cone of the unit critical
-    sphere."""
-    v_unit = _checked(v_unit, p)
-    nrm = p.domain.lp_norm(v_unit, p.two_star)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ArgumentError(f"reduced functional needs ||v||_2* = 1, got {nrm:.12g}")
-    if v_unit.min() < -1e-12 * max(1.0, np.abs(v_unit).max()):
-        raise ArgumentError("reduced functional needs v >= 0 on the cone")
-    val, t_minus, _ = reduced_functional(v_unit, p)
-    if return_root:
-        return val, t_minus
-    return val
-
-
 def reduced_functional(v, p: Params):
-    """J(v) = E(t_minus(v) v), unchecked; returns (J, t_minus, t_minus * v).
-    The Minus-branch descent, the multistart seeds and the minimax search all
-    evaluate J here; `reduced_J` is the checked entry point on the unit cone."""
+    """J(v) = E(t_minus(v) v), 0-homogeneous in v; returns (J, t_minus,
+    t_minus * v).  The Minus-branch descent, the multistart seeds and the
+    minimax search all evaluate J here, on the nonnegative cone of the unit
+    critical sphere."""
     rr = find_roots(v, p)
     w = rr.t_minus * v
     return energy(w, p), rr.t_minus, w
@@ -177,23 +157,9 @@ def reduced_functional(v, p: Params):
 def barycenter(v: Field) -> np.ndarray:
     """Critical-density center of mass int x |v|^{2*} dx of the normalized v."""
     d = v.domain
-    ts = 2.0 * d.ndim / (d.ndim - 2.0)
+    ts = d.two_star
     nrm = d.lp_norm(v.values, ts)
     if nrm == 0.0:
         raise ArgumentError("barycenter of the zero field")
     dens = abs_pow(v.values / nrm, ts)
     return d.weight * (d.interior_coords * dens[:, None]).sum(axis=0)
-
-
-def ray_set_membership(u, p: Params, rtol: float = 1e-8) -> RaySet:
-    """Position of u relative to the Minus part along its own ray: compares
-    t_minus(u/||u||)/||u|| to 1."""
-    u = _checked(u, p)
-    nu = np.sqrt(p.domain.h1_norm_sq(u))
-    if nu == 0.0:
-        raise ArgumentError("membership of the zero field is undefined")
-    rr = find_roots(u / nu, p)
-    ratio = rr.t_minus / nu
-    if abs(ratio - 1.0) <= rtol:
-        return RaySet.ON_N_MINUS
-    return RaySet.A_MINUS if ratio < 1.0 else RaySet.A_PLUS

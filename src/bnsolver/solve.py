@@ -41,7 +41,7 @@ from .errors import (
     ProjectionError,
     SeedingError,
 )
-from .functional import Params, energy, gradient_values
+from .functional import FiberingProfile, Params, energy, gradient_values
 from .grid import AnnulusD, Domain, Field, _default_bump
 from .lift import compose_solution
 from .nehari import Klass, NehariClass, barycenter, classify, find_roots, reduced_functional
@@ -242,9 +242,9 @@ def minimize_on_Nplus(
     iterations = 1
     warm_dir = None
     alpha = 1.0
+    e_val = energy(v, p)
     for _ in range(cap):
         g = gradient_values(v, p)
-        e_val = energy(v, p)
         if _wnorm(d, g) <= 1e3 * _target_tol(p, v, e_val):
             break
         dr = d.solve_poisson(g, x0=warm_dir)
@@ -263,8 +263,10 @@ def minimize_on_Nplus(
         if v.min() < -1e-13 * max(1.0, np.abs(v).max()):
             # absolute-value move: energy does not increase on the Plus rescale
             va = _or_none(project_plus, np.abs(v))
-            if va is not None and energy(va, p) <= e_val + 1e-12 * (1 + abs(e_val)):
-                v = va
+            if va is not None:
+                e_abs = energy(va, p)
+                if e_abs <= e_val + 1e-12 * (1 + abs(e_val)):
+                    v, e_val = va, e_abs
 
     flags = []
     v, gn, steps, ok = _newton_polish(p, v, budget_factor, flags)
@@ -636,6 +638,27 @@ def minimax_gamma(
 # -- ground state cache and continuation --------------------------------------
 
 
+def _admissible(p: Params) -> bool:
+    """Operational admissibility of (lam, mu) with 0 < lam < lambda1 and
+    mu > 0: t0 well defined and T'(t0) > 0 on the rays of e1 and of the
+    default bump (unit L2 norm).  Advisory; the branch solvers re-check on
+    their own rays."""
+    domain = p.domain
+    probes = [p.spectral.e1.values]
+    bump = _default_bump(domain)
+    l2 = np.sqrt(domain.l2_norm_sq(bump))
+    if l2 > 0:
+        probes.append(bump / l2)
+    try:
+        for probe in probes:
+            prof = FiberingProfile(probe, p)
+            if prof.dT(prof.t0) <= 0:
+                return False
+    except MuTooLargeError:
+        return False
+    return True
+
+
 def ground_state(lam: float, spectral, lift, budget_factor: float = 1.0) -> Field:
     """Ground state of the homogeneous problem at this lambda (mu = 0),
     computed by the Minus-branch minimization and cached."""
@@ -687,7 +710,7 @@ def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
         mu_try = last_mu + step
         rec_plus = None
         p_try = Params(lam=lam, mu=mu_try, spectral=spectral, lift=lift)
-        if p_try.admissible:
+        if _admissible(p_try):
             seeds = [warm, None] if warm is not None else [None]
             for seed in seeds:
                 try:

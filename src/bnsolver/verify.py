@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ArgumentError, IncompleteInputError, PreconditionError
+from .errors import IncompleteInputError, PreconditionError
 from .functional import Params, energy, gradient_values, hessian_apply
 from .grid import Field
 from .nehari import Klass, classify
@@ -80,8 +80,6 @@ def r_lambda(p: Params) -> float:
     if p.lam >= p.lambda1:
         raise PreconditionError("convexity radius needs lam < lambda1")
     S = p.spectral.sobolev_S
-    if S is None:
-        raise ArgumentError("convexity radius needs the Sobolev estimate")
     ts = p.two_star
     num = 0.5 * (1.0 - p.lam / p.lambda1) * S
     den = (ts - 1.0) * 2.0 ** (ts - 2.0) * S ** ((ts - 2.0) / 2.0)
@@ -136,19 +134,18 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
             Check("sign pattern: energy > 0 on Minus", e_val > STRICT_MARGIN, e_val, 0.0,
                   STRICT_MARGIN)
         )
-        if p.spectral.sobolev_S is not None:
-            # branch minimizers sit below energy(0) + q; a minimax record only
-            # below the top of the compactness window, m_minus + q < energy(0) + 2q
-            q = p.spectral.s_quantum
-            if rec.seed is SeedKind.MINIMAX:
-                bound = _energy_at_zero(p) + 2.0 * q
-                name = "energy below energy(0) + (2/N) S^(N/2) on minimax Minus"
-            else:
-                bound = _energy_at_zero(p) + q
-                name = "energy below energy(0) + (1/N) S^(N/2) on Minus"
-            checks.append(
-                Check(name, e_val < bound - STRICT_MARGIN, e_val, bound, STRICT_MARGIN)
-            )
+        # branch minimizers sit below energy(0) + q; a minimax record only
+        # below the top of the compactness window, m_minus + q < energy(0) + 2q
+        q = p.spectral.s_quantum
+        if rec.seed is SeedKind.MINIMAX:
+            bound = _energy_at_zero(p) + 2.0 * q
+            name = "energy below energy(0) + (2/N) S^(N/2) on minimax Minus"
+        else:
+            bound = _energy_at_zero(p) + q
+            name = "energy below energy(0) + (1/N) S^(N/2) on Minus"
+        checks.append(
+            Check(name, e_val < bound - STRICT_MARGIN, e_val, bound, STRICT_MARGIN)
+        )
     return Certificate(tuple(checks))
 
 
@@ -285,8 +282,6 @@ def threshold_report(p: Params, records: Sequence[SolutionRecord]) -> Certificat
         )
     m_plus = min(r.energy for r in plus)
     m_minus = min(r.energy for r in minus)
-    if p.spectral.sobolev_S is None:
-        raise ArgumentError("threshold report needs the Sobolev estimate")
     q = p.spectral.s_quantum
     e0 = _energy_at_zero(p)
 

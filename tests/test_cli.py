@@ -1,11 +1,12 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from bnsolver.cli import main, parse_config
 from bnsolver.errors import ConfigurationError
-from bnsolver.grid import Box, DomainSpec, build_domain, dump_field, zero_field
+from bnsolver.grid import Box, DomainSpec, Field, build_domain, dump_field
 
 BASE_CONFIG = """
 # two-cell sweep on a small box
@@ -87,6 +88,87 @@ def test_certify_subcommand(completed_run, capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+def copied_run(completed_run, tmp_path, record_update=None):
+    """A copy of the completed run, with record 0 of its cell 0 updated by
+    the dict record_update.  Returns the copy's cell_0000.json."""
+    run = tmp_path / "run"
+    shutil.copytree(completed_run, run)
+    cell_path = run / "cells" / "cell_0000.json"
+    if record_update is not None:
+        cell = json.loads(cell_path.read_text())
+        cell["records"][0].update(record_update)
+        cell_path.write_text(json.dumps(cell, indent=1))
+    return cell_path
+
+
+def test_certify_checks_the_recorded_class(completed_run, tmp_path, capsys):
+    cell_path = copied_run(completed_run, tmp_path)
+    assert json.loads(cell_path.read_text())["records"][0]["class"] == "PLUS"
+    assert main(["certify", str(cell_path)]) == 0
+    assert "[PASS] manifold class is PLUS (recorded PLUS)" in capsys.readouterr().out
+
+    cell_path = copied_run(completed_run, tmp_path / "edited", {"class": "MINUS"})
+    assert main(["certify", str(cell_path)]) == 1
+    assert "[FAIL] manifold class is PLUS (recorded MINUS)" in capsys.readouterr().out
+
+
+def missing_config(tmp_path, completed_run):
+    path = tmp_path / "missing.ini"
+    return ["run", str(path)], str(path)
+
+
+def node_table_bad_line(tmp_path, completed_run):
+    table = tmp_path / "table.txt"
+    table.write_text("0 1.0\n1 abc\n")
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+        "kind = constant\nvalue = 1.0", f"kind = table\nfile = {table}")
+    return ["run", str(write_config(tmp_path, text))], f"{table}:2: "
+
+
+def field_dump_bad_header(tmp_path, completed_run):
+    ray = tmp_path / "ray.txt"
+    ray.write_text("garbage\n1 2 3\n")
+    cfg = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
+    return ["fibering-profile", str(cfg), "--ray", str(ray)], str(ray)
+
+
+def missing_cell_file(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    cell_path.unlink()
+    return ["certify", str(cell_path)], str(cell_path)
+
+
+def non_json_cell_file(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    cell_path.write_text("not json\n")
+    return ["certify", str(cell_path)], str(cell_path)
+
+
+def unknown_recorded_class(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path, {"class": "SIDEWAYS"})
+    return ["certify", str(cell_path)], f"{cell_path}: record 0: missing key or unknown value"
+
+
+def record_without_energy(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    cell = json.loads(cell_path.read_text())
+    del cell["records"][0]["energy"]
+    cell_path.write_text(json.dumps(cell))
+    return ["certify", str(cell_path)], f"{cell_path}: record 0: missing key or unknown value"
+
+
+@pytest.mark.parametrize("case", [missing_config, node_table_bad_line, field_dump_bad_header,
+                                  missing_cell_file, non_json_cell_file, unknown_recorded_class,
+                                  record_without_energy],
+                         ids=lambda case: case.__name__)
+def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, case):
+    """Missing or malformed input files exit 2 with an error that names the
+    file (and the line, for a node table), never with a traceback."""
+    argv, where = case(tmp_path, completed_run)
+    assert main(argv) == 2
+    assert where in capsys.readouterr().err
+
+
 def assert_same_outputs(a, b):
     """sweep.csv and every cells/*.json are byte-identical in run dirs a and b."""
     names = sorted(fp.name for fp in (a / "cells").glob("*.json"))
@@ -122,8 +204,7 @@ def test_fibering_profile_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.format(out=out))
     dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
     rng = np.random.default_rng(0)
-    ray = zero_field(dom)
-    ray = type(ray)(np.abs(rng.standard_normal(dom.n_interior)) + 0.1, dom)
+    ray = Field(np.abs(rng.standard_normal(dom.n_interior)) + 0.1, dom)
     ray_path = tmp_path / "ray.txt"
     dump_field(ray, ray_path)
     csv_path = tmp_path / "prof.csv"
@@ -148,7 +229,7 @@ def test_fibering_profile_subcommand(tmp_path, capsys):
 def test_fibering_profile_empty_list_is_anchored(tmp_path, capsys):
     dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
     ray_path = tmp_path / "ray.txt"
-    dump_field(type(zero_field(dom))(np.ones(dom.n_interior), dom), ray_path)
+    dump_field(Field(np.ones(dom.n_interior), dom), ray_path)
     for old, new in (("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = linspace 0.1 0.2 0"),
                      ("mus = 0.01", "mus = linspace 0.1 0.2 0")):
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
@@ -161,7 +242,7 @@ def test_fibering_profile_empty_list_is_anchored(tmp_path, capsys):
 def test_fibering_profile_lambda_at_or_above_lambda1_is_anchored(tmp_path, capsys):
     dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
     ray_path = tmp_path / "ray.txt"
-    dump_field(type(zero_field(dom))(np.ones(dom.n_interior), dom), ray_path)
+    dump_field(Field(np.ones(dom.n_interior), dom), ray_path)
     for lambdas in ("lambdas = 1.2*lambda1 0.5*lambda1", "lambdas = 1*lambda1"):
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(
             "lambdas = 0.5*lambda1 1.2*lambda1", lambdas)

@@ -6,12 +6,11 @@ from bnsolver.functional import (
     FiberingProfile,
     Params,
     energy,
-    fibering,
     gradient_values,
     hessian_apply,
-    two_star_exponent,
 )
-from bnsolver.grid import zero_field
+from bnsolver.grid import Box, DomainSpec, build_domain
+from bnsolver.solve import _admissible
 
 
 def homogeneous_energy(dom, vvals, lam):
@@ -25,13 +24,13 @@ def homogeneous_energy(dom, vvals, lam):
 
 def test_energy_zero_field(box9):
     p0 = box9.params(mu=0.0)
-    assert energy(zero_field(box9.domain).values, p0) == 0.0
+    assert energy(np.zeros(box9.domain.n_interior), p0) == 0.0
 
 
 def test_energy_at_zero_negative_for_positive_mu(box9):
     p = box9.params(mu=0.2)
     dom = box9.domain
-    e0 = energy(zero_field(dom).values, p)
+    e0 = energy(np.zeros(dom.n_interior), p)
     phi = box9.lift.phi.values
     ts = p.two_star
     expected = (
@@ -81,7 +80,7 @@ def test_hessian_finite_differences_symmetry_and_eigenbound(box9):
     dom = box9.domain
     p = box9.params(lam_factor=0.5, mu=0.01)
 
-    z = hessian_apply(box9.random_field(rng).values, zero_field(dom).values, p)
+    z = hessian_apply(box9.random_field(rng).values, np.zeros(dom.n_interior), p)
     assert not np.any(z)
 
     for _ in range(4):
@@ -104,7 +103,7 @@ def test_hessian_finite_differences_symmetry_and_eigenbound(box9):
     p0 = box9.params(lam_factor=0.5, mu=0.0)
     for _ in range(5):
         h = box9.random_field(rng)
-        form = dom.inner(hessian_apply(zero_field(dom).values, h.values, p0), h.values)
+        form = dom.inner(hessian_apply(np.zeros(dom.n_interior), h.values, p0), h.values)
         expected = dom.h1_norm_sq(h.values) - p0.lam * dom.l2_norm_sq(h.values)
         assert abs(form - expected) <= 1e-12 * abs(expected)
         assert form > 0
@@ -197,7 +196,7 @@ def test_t0_guarantees_convexity_below(box9):
 
 def test_t0_mu_too_large(box9):
     p_big = box9.params(lam_factor=0.5, mu=50.0)
-    assert not p_big.admissible
+    assert not _admissible(p_big)
     v = box9.spectral.e1.values
     with pytest.raises(MuTooLargeError) as ei:
         FiberingProfile(v, p_big).t0
@@ -207,16 +206,17 @@ def test_t0_mu_too_large(box9):
 def test_fibering_argument_errors(box9):
     p = box9.params()
     with pytest.raises(ArgumentError):
-        fibering(zero_field(box9.domain).values, p, 1.0)
+        FiberingProfile(np.zeros(box9.domain.n_interior), p)
     v = box9.random_field(np.random.default_rng(0)).values
-    with pytest.raises(ArgumentError):
-        fibering(v, p, -1.0)
+    prof = FiberingProfile(v, p)
+    for f in (prof.T, prof.dT, prof.d2T):
+        with pytest.raises(ArgumentError):
+            f(-1.0)
 
 
 def test_dimension5_fractional_exponent():
     # 2* = 10/3: fractional powers on both the energy and derivative paths
     from conftest import Setup
-    from bnsolver.grid import Box, DomainSpec
     from bnsolver.nehari import Klass, classify, find_roots
 
     setup = Setup(DomainSpec(Box((1.0,) * 5), 5, 5))
@@ -244,5 +244,6 @@ def test_params_validation(box9, box13):
         box9.params(mu=float("nan"))
     with pytest.raises(ArgumentError):
         Params(lam=1.0, mu=0.0, spectral=box9.spectral, lift=box13.lift)
-    assert two_star_exponent(3) == 6.0
-    assert abs(two_star_exponent(5) - 10.0 / 3.0) < 1e-15
+    assert box9.domain.two_star == 6.0
+    dom5 = build_domain(DomainSpec(Box((1.0,) * 5), 5, 4))
+    assert abs(dom5.two_star - 10.0 / 3.0) < 1e-15

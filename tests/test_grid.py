@@ -14,10 +14,8 @@ from bnsolver.grid import (
     dump_field,
     estimate_sobolev_S,
     load_field,
-    norms,
     principal_eigenpair,
     rayleigh_quotient,
-    zero_field,
     _inverse_power,
 )
 from bnsolver.lift import NodeTable, solve_lift
@@ -80,8 +78,8 @@ def test_bad_box_sides():
 
 
 def test_laplacian_of_zero(box9):
-    z = zero_field(box9.domain)
-    assert not np.any(box9.domain.apply_neg_laplacian(z.values))
+    z = np.zeros(box9.domain.n_interior)
+    assert not np.any(box9.domain.apply_neg_laplacian(z))
 
 
 def test_laplacian_matches_discrete_eigenfunction(box9):
@@ -103,27 +101,42 @@ def test_laplacian_of_e1(box9):
     assert np.sqrt(dom.weight) * np.linalg.norm(res) < 1e-9 * lam1
 
 
-def test_summation_by_parts(box9, annulus9):
-    rng = np.random.default_rng(7)
-    for setup in (box9, annulus9):
-        dom = setup.domain
-        # sorted columns, no duplicates: the row sums run in a fixed order
-        assert dom.matrix.has_canonical_format
-        for _ in range(12):
-            u = rng.standard_normal(dom.n_interior)
-            v = rng.standard_normal(dom.n_interior)
-            Au = dom.apply_neg_laplacian(u)
-            Av = dom.apply_neg_laplacian(v)
-            sym = abs(dom.inner(Au, v) - dom.inner(Av, u))
-            assert sym <= 1e-12 * max(1.0, abs(dom.inner(Au, v)))
-            lhs = dom.inner(Au, u)
-            rhs = dom.h1_norm_sq(u)
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+# Box sides in [0.5, 2] at resolutions 4-9, and annuli with delta0 in
+# [0.3, 0.5] at resolutions 9-13 (all keep three nodes across the shell), in
+# dimensions 3 and 4.
+sbp_domains = st.one_of(
+    st.builds(lambda N, sides, res: DomainSpec(Box(tuple(sides[:N])), N, res),
+              st.sampled_from([3, 4]),
+              st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4),
+              st.integers(4, 9)),
+    st.builds(lambda N, d0, res: DomainSpec(AnnulusD(d0), N, res),
+              st.sampled_from([3, 4]), st.floats(0.3, 0.5), st.integers(9, 13)),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spec=sbp_domains, seed=st.integers(0, 2**32 - 1))
+def test_summation_by_parts(spec, seed):
+    rng = np.random.default_rng(seed)
+    dom = build_domain(spec)
+    # sorted columns, no duplicates: the row sums run in a fixed order
+    assert dom.matrix.has_canonical_format
+    for _ in range(4):
+        u = rng.standard_normal(dom.n_interior)
+        v = rng.standard_normal(dom.n_interior)
+        Au = dom.apply_neg_laplacian(u)
+        Av = dom.apply_neg_laplacian(v)
+        sym = abs(dom.inner(Au, v) - dom.inner(Av, u))
+        assert sym <= 1e-12 * max(1.0, abs(dom.inner(Au, v)))
+        lhs = dom.inner(Au, u)
+        rhs = dom.h1_norm_sq(u)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_norms_zero_and_homogeneity(box9):
     dom = box9.domain
-    h1, l2, lp = norms(zero_field(dom))
+    z = np.zeros(dom.n_interior)
+    h1, l2, lp = dom.h1_norm_sq(z), dom.l2_norm_sq(z), dom.lp_norm(z, dom.two_star)
     assert h1 == 0 and l2 == 0 and lp == 0
     rng = np.random.default_rng(3)
     u = rng.standard_normal(dom.n_interior)
@@ -241,7 +254,7 @@ def test_eigenpair_positive_and_normalized(box9, annulus9):
     for setup in (box9, annulus9):
         e1 = setup.spectral.e1
         assert e1.values.min() > 0
-        assert abs(e1.norm_l2 - 1.0) < 1e-10
+        assert abs(np.sqrt(setup.domain.l2_norm_sq(e1.values)) - 1.0) < 1e-10
 
 
 def test_eigenvalue_matches_stencil_formula(box9):
@@ -313,8 +326,6 @@ def test_field_immutability_and_algebra(box9):
     u = Field(rng.standard_normal(dom.n_interior), dom)
     with pytest.raises(ValueError):
         u.values[0] = 1.0
-    w = 2.0 * u - u
-    assert np.allclose(w.values, u.values, rtol=0, atol=0)
 
 
 def test_dump_roundtrip(tmp_path, box9, annulus9):

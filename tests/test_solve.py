@@ -8,7 +8,7 @@ from bnsolver.errors import (
     PreconditionError,
 )
 from bnsolver.functional import energy
-from bnsolver.grid import Field, zero_field
+from bnsolver.grid import Field
 from bnsolver.nehari import Klass
 from bnsolver.numutil import signed_pow, solve_cg
 from bnsolver.solve import (
@@ -39,7 +39,7 @@ def test_plus_branch_record(cell13, box13):
     assert rec.energy < 0
     assert rec.nehari_class.klass is Klass.PLUS
     assert rec.positive
-    assert rec.energy <= energy(zero_field(dom).values, p) + 1e-12
+    assert rec.energy <= energy(np.zeros(dom.n_interior), p) + 1e-12
     h1 = np.sqrt(dom.h1_norm_sq(rec.v.values))
     assert rec.grad_norm < 1e-8 * (1.0 + abs(rec.energy))
     assert rec.grad_norm < 1e-7 * (1.0 + h1)
@@ -160,7 +160,7 @@ def test_minus_branch_mu_zero_matches_quotient_oracle(box9):
 def test_minus_needs_seed(box13):
     p = box13.params()
     with pytest.raises(ArgumentError):
-        minimize_on_Nminus(p, zero_field(box13.domain))
+        minimize_on_Nminus(p, Field(np.zeros(box13.domain.n_interior), box13.domain))
 
 
 def test_two_branches_dimension4():
@@ -265,9 +265,7 @@ def test_mu_star_finite_positive_and_deterministic(box9):
         assert r.plus_converged
         assert r.energy_plus < 0
     # energy at zero decreases in mu (closed form), a monotone backdrop
-    from bnsolver.grid import zero_field as zf
-
-    e0s = [energy(zf(box9.domain).values, box9.params(lam=lam, mu=m)) for m in mus]
+    e0s = [energy(np.zeros(box9.domain.n_interior), box9.params(lam=lam, mu=m)) for m in mus]
     assert all(b < a for a, b in zip(e0s, e0s[1:]))
 
     mu2, rows2 = estimate_mu_star(lam, box9.spectral, box9.lift, **cfg)

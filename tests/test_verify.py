@@ -6,7 +6,7 @@ import pytest
 from bnsolver import verify
 from bnsolver.errors import IncompleteInputError, PreconditionError
 from bnsolver.functional import Params, energy, hessian_apply
-from bnsolver.grid import Field, zero_field
+from bnsolver.grid import Field
 from bnsolver.nehari import Klass
 from bnsolver.solve import (
     SeedKind,
@@ -177,7 +177,8 @@ def test_nonexistence_degenerate_probe_inconclusive(box9):
     """At mu = 0 the zero candidate and the candidate-free probe prove
     nothing: their zero margins are reported as failed checks."""
     p = box9.params(lam=box9.spectral.lambda1, mu=0.0)
-    cert = nonexistence_certificate(p, candidate=zero_field(box9.domain))
+    zero = Field(np.zeros(box9.domain.n_interior), box9.domain)
+    cert = nonexistence_certificate(p, candidate=zero)
     assert not cert.overall
     _fails_alone(cert, "pairing margin (lam-lam1)")
     _fails_alone(nonexistence_certificate(p), "a-priori pairing margin")
