@@ -33,7 +33,7 @@ from .grid import (
     load_field,
 )
 from .lift import BumpOnBoundary, Constant, compose_solution, load_node_table, solve_lift
-from .nehari import Klass, NehariClass, find_roots
+from .nehari import Klass, NehariClass, t_minus, t_plus
 from .solve import (
     SeedKind,
     SolutionRecord,
@@ -491,8 +491,8 @@ def profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0, out_path=No
 
     v = load_field(ray_path, domain).values
     prof = FiberingProfile(v, p)
-    rr = find_roots(v, p, profile=prof)
-    ts = np.linspace(0.0, tmax_factor * rr.t_minus, samples)
+    tm, tp = t_minus(prof), t_plus(prof)
+    ts = np.linspace(0.0, tmax_factor * tm, samples)
     T, dT, d2T = prof.T(ts), prof.dT(ts), prof.d2T(ts)
 
     lines = ["t,T,T1,T2"]
@@ -504,9 +504,8 @@ def profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0, out_path=No
             f.write(text)
     else:
         sys.stdout.write(text)
-    print(f"# t0={_fmt(prof.t0)} t_minus={_fmt(rr.t_minus)} "
-          f"t_plus={'' if rr.t_plus is None else _fmt(rr.t_plus)} "
-          f"pairing={_fmt(rr.pairing_sign)}", file=sys.stderr)
+    print(f"# t0={_fmt(prof.t0)} t_minus={_fmt(tm)} t_plus={'' if tp is None else _fmt(tp)} "
+          f"pairing={_fmt(prof.sign_pairing)}", file=sys.stderr)
     return 0
 
 

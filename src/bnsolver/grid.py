@@ -435,7 +435,9 @@ def rayleigh_quotient(domain: Domain, values, lam: float = 0.0):
 
 
 def _default_bump(domain: Domain):
-    """Smooth positive bump centered where the mask is thickest."""
+    """Smooth positive bump centered where the mask is thickest.  Raises
+    ConfigurationError when it underflows to zero on every interior node (an
+    elongated box at a coarse resolution)."""
     pts = domain.interior_coords
     if isinstance(domain.spec.shape, Box):
         center = np.array([0.5 * s for s in domain.spec.shape.sides])
@@ -446,7 +448,12 @@ def _default_bump(domain: Domain):
         center[0] = r_mid
         rho = 0.5 * (domain._r_out - domain._r_in)
     d2 = np.sum((pts - center) ** 2, axis=1)
-    return np.exp(-d2 / rho**2)
+    bump = np.exp(-d2 / rho**2)
+    if not np.any(bump):
+        raise ConfigurationError(
+            f"default bump underflows to zero on every interior node of {domain!r}"
+        )
+    return bump
 
 
 def estimate_sobolev_S(domain: Domain) -> float:

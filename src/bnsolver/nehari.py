@@ -3,8 +3,12 @@
 For an admissible ray v the derivative T'(t) of the fibering map has a
 unique root t_minus above the convexity threshold t0, and, exactly when the
 pairing integral lam*mu*int(phi v) + mu^(2*-1)*int(phi^(2*-1) v) is
-positive, a second root t_plus below t0.  Membership of a field in the
-Plus/Minus/Zero parts of the manifold is read off T'(1) and T''(1).
+positive, a second root t_plus below t0.  Both are sought only in the
+two-root regime (t0 defined and T'(t0) > 0), which `two_root_regime` tests.
+Each root has its own function, which evaluates T' only on its own side of
+t0: `t_plus` for the Plus projection, `t_minus` for the reduced functional.
+Membership of a field in the Plus/Minus/Zero parts of the manifold is read
+off T'(1) and T''(1).
 """
 
 from __future__ import annotations
@@ -36,14 +40,7 @@ class NehariClass:
     tolerance: float
 
 
-@dataclass(frozen=True)
-class RayRoots:
-    t_minus: float
-    t_plus: Optional[float]
-    pairing_sign: float
-
-
-def _refine_root(prof: FiberingProfile, lo, flo, hi, fhi, tol, max_iter: int = 200):
+def _refine_root(prof: FiberingProfile, lo, flo, hi, fhi, tol):
     """Safeguarded Newton inside a sign-changing bracket of T'."""
     if flo == 0.0:
         return lo
@@ -53,7 +50,7 @@ def _refine_root(prof: FiberingProfile, lo, flo, hi, fhi, tol, max_iter: int = 2
         raise NumericalError(f"root bracket [{lo:g}, {hi:g}] does not change sign")
     t = 0.5 * (lo + hi)
     best_t, best_f = t, np.inf
-    for _ in range(max_iter):
+    for _ in range(200):
         f = prof.dT(t)
         if abs(f) < abs(best_f):
             best_t, best_f = t, f
@@ -80,20 +77,25 @@ def _refine_root(prof: FiberingProfile, lo, flo, hi, fhi, tol, max_iter: int = 2
     )
 
 
-def find_roots(v, p: Params, profile: Optional[FiberingProfile] = None) -> RayRoots:
-    """Roots of T' on the ray through v: always t_minus > t0, and t_plus in
-    (0, t0) exactly when the pairing sign is positive."""
-    prof = profile if profile is not None else FiberingProfile(v, p)
-    t0 = prof.t0  # raises MuTooLargeError when the threshold is undefined
+def two_root_regime(prof: FiberingProfile):
+    """(t0, T'(t0), tol) of a ray in the two-root regime: t0 defined and
+    T'(t0) > 0.  Raises MuTooLargeError when t0 is undefined and
+    MuBeyondRangeError when T'(t0) <= 0; tol is the |T'| at which a root is
+    accepted."""
+    t0 = prof.t0
     f0 = prof.dT(t0)
     if f0 <= 0.0:
         raise MuBeyondRangeError(
             f"T'(t0) = {f0:.6e} <= 0: mu beyond the two-root regime on this ray"
         )
-    tol = 1e-11 * (1.0 + abs(f0))
+    return t0, f0, 1e-11 * (1.0 + abs(f0))
 
+
+def t_minus(prof: FiberingProfile) -> float:
+    """The root of T' above t0: the local maximum of t -> E(t v), which
+    puts t v on the Minus part.  T' is evaluated only at t >= t0."""
+    t0, f0, tol = two_root_regime(prof)
     lo, flo = t0, f0
-    hi, fhi = t0, f0
     for k in range(1, 61):
         hi = t0 * 2.0**k
         fhi = prof.dT(hi)
@@ -102,18 +104,18 @@ def find_roots(v, p: Params, profile: Optional[FiberingProfile] = None) -> RayRo
         lo, flo = hi, fhi
     else:
         raise NumericalError("T' stayed positive after 60 doublings of t0")
-    t_minus = _refine_root(prof, lo, flo, hi, fhi, tol)
+    return float(_refine_root(prof, lo, flo, hi, fhi, tol))
 
-    t_plus = None
-    if prof.sign_pairing > 0.0:
-        # T'(0) = -pairing < 0 and T'(t0) > 0
-        t_plus = _refine_root(prof, 0.0, -prof.sign_pairing, t0, f0, tol)
 
-    return RayRoots(
-        t_minus=float(t_minus),
-        t_plus=None if t_plus is None else float(t_plus),
-        pairing_sign=float(prof.sign_pairing),
-    )
+def t_plus(prof: FiberingProfile) -> Optional[float]:
+    """The root of T' in (0, t0): the local minimum of t -> E(t v), which
+    puts t v on the Plus part.  None when the pairing sign is not positive.
+    T' is evaluated only at t <= t0."""
+    t0, f0, tol = two_root_regime(prof)
+    if prof.sign_pairing <= 0.0:
+        return None
+    # T'(0) = -pairing < 0 and T'(t0) > 0
+    return float(_refine_root(prof, 0.0, -prof.sign_pairing, t0, f0, tol))
 
 
 def classify(v, p: Params) -> NehariClass:
@@ -149,9 +151,9 @@ def reduced_functional(v, p: Params):
     t_minus * v).  The Minus-branch descent, the multistart seeds and the
     minimax search all evaluate J here, on the nonnegative cone of the unit
     critical sphere."""
-    rr = find_roots(v, p)
-    w = rr.t_minus * v
-    return energy(w, p), rr.t_minus, w
+    tm = t_minus(FiberingProfile(v, p))
+    w = tm * v
+    return energy(w, p), tm, w
 
 
 def barycenter(v: Field) -> np.ndarray:

@@ -44,7 +44,9 @@ from .errors import (
 from .functional import FiberingProfile, Params, energy, gradient_values
 from .grid import AnnulusD, Domain, Field, _default_bump
 from .lift import compose_solution
-from .nehari import Klass, NehariClass, barycenter, classify, find_roots, reduced_functional
+from .nehari import (
+    Klass, NehariClass, barycenter, classify, reduced_functional, t_plus, two_root_regime,
+)
 from .numutil import abs_pow, signed_pow, smoothstep, solve_minres
 
 NEWTON_INNER_RTOL = 1e-9  # floor of the Newton MINRES tolerance min(1e-2, . + 0.1 |grad|)
@@ -225,8 +227,8 @@ def minimize_on_Nplus(
         seed = zero_relax_seed(p)
 
     def project_plus(vals):
-        rr = find_roots(vals, p)
-        return None if rr.t_plus is None else rr.t_plus * vals
+        tp = t_plus(FiberingProfile(vals, p))
+        return None if tp is None else tp * vals
 
     v = project_plus(seed.values)
     if v is None:
@@ -372,10 +374,9 @@ def minimize_on_Nminus(
         wv, gn, steps, ok = _newton_polish(p, w, budget_factor, flags)
         iterations += steps
         if ok:
-            cls = classify(wv, p)
-            e_val = energy(wv, p)
-            if cls.klass is Klass.MINUS and e_val > 0:
-                return build_record(p, wv, gn, seed_kind, iterations)
+            rec = build_record(p, wv, gn, seed_kind, iterations)
+            if rec.nehari_class.klass is Klass.MINUS and rec.energy > 0:
+                return rec
         # polish drifted off the Minus part; restart descent from the cone
         # projection of the best manifold point with smaller steps
         v = _unit(np.abs(w), d, ts)
@@ -394,28 +395,19 @@ def minimize_on_Nminus(
 # -- bubbles -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BubbleSeed:
-    epsilon: float
-    direction: np.ndarray
-    delta0: float
-    field: Field
-    peak: np.ndarray
-
-
 def _bubble_frame(domain: Domain):
     """Coordinates the bubble formulas live in: absolute for the annulus,
     center-scaled for a box (unit sphere maps to the inscribed sphere)."""
     if isinstance(domain.spec.shape, AnnulusD):
-        return domain.interior_coords, 1.0
+        return domain.interior_coords
     sides = domain.spec.shape.sides
     center = np.array([0.5 * s for s in sides])
-    rho = 0.5 * min(sides)
-    return (domain.interior_coords - center) / rho, rho
+    return (domain.interior_coords - center) / (0.5 * min(sides))
 
 
-def make_bubble(epsilon: float, direction, domain: Domain, delta0: float) -> BubbleSeed:
-    """Cutoff concentration profile peaked near (1 - eps) * direction.
+def make_bubble(epsilon: float, direction, domain: Domain, delta0: float) -> np.ndarray:
+    """Values of the cutoff concentration profile peaked near
+    (1 - eps) * direction.
 
     Radial cutoff ramps up over [delta0, 2 delta0], is identically one on
     [2 delta0, 1/(2 delta0)], and ramps down over [1/(2 delta0), 1/delta0].
@@ -430,7 +422,7 @@ def make_bubble(epsilon: float, direction, domain: Domain, delta0: float) -> Bub
             f"delta0 must lie in (0, 0.5) so the cutoff plateau is nonempty, got {delta0}"
         )
     N = domain.ndim
-    pts, _ = _bubble_frame(domain)
+    pts = _bubble_frame(domain)
     r = np.linalg.norm(pts, axis=1)
     cut = smoothstep((r - delta0) / delta0)
     hi_lo = 1.0 / (2.0 * delta0)
@@ -443,10 +435,7 @@ def make_bubble(epsilon: float, direction, domain: Domain, delta0: float) -> Bub
     vals = cut * prof
     if not np.any(vals > 0):
         raise ArgumentError("bubble support misses every interior node")
-    return BubbleSeed(
-        epsilon=float(epsilon), direction=y, delta0=float(delta0),
-        field=Field(vals, domain), peak=peak,
-    )
+    return vals
 
 
 def _bubble_delta0(domain: Domain):
@@ -481,11 +470,10 @@ def multistart_Nminus(
     failures = []
     for y in directions:
         try:
-            bub = make_bubble(epsilon, y, d, delta0)
+            U = make_bubble(epsilon, y, d, delta0)
         except ArgumentError as e:
             failures.append((y, str(e)))
             continue
-        U = bub.field.values
         aU = d.h1_norm_sq(U) - p.lam * d.l2_norm_sq(U)
         bU = d.weight * float(np.sum(abs_pow(U, ts)))
         t_star = (aU / bU) ** (1.0 / (ts - 2.0)) if aU > 0 and bU > 0 else 1.0
@@ -589,10 +577,10 @@ def minimax_gamma(
     for j, y in enumerate(sphere_directions(d.ndim)):
         for k, r in enumerate(radii):
             eps_k = float(np.clip(1.0 - r, epsilon, 0.97))
-            vals = make_bubble(eps_k, y, d, delta0).field.values
+            vals = make_bubble(eps_k, y, d, delta0)
             mix = 1.0 - r / r_bar if r_bar > 0 else 1.0
             if mix > 0:
-                vals = vals + mix * make_bubble(eps_k, -y, d, delta0).field.values
+                vals = vals + mix * make_bubble(eps_k, -y, d, delta0)
             vals = _unit(vals, d, ts)
             if vals is not None:
                 family[(j, k)] = vals
@@ -640,23 +628,12 @@ def minimax_gamma(
 
 def _admissible(p: Params) -> bool:
     """Operational admissibility of (lam, mu) with 0 < lam < lambda1 and
-    mu > 0: t0 well defined and T'(t0) > 0 on the rays of e1 and of the
-    default bump (unit L2 norm).  Advisory; the branch solvers re-check on
+    mu > 0: the two-root regime (`two_root_regime`) on the rays of e1 and of
+    the default bump (unit L2 norm).  Advisory; the branch solvers re-check on
     their own rays."""
-    domain = p.domain
-    probes = [p.spectral.e1.values]
-    bump = _default_bump(domain)
-    l2 = np.sqrt(domain.l2_norm_sq(bump))
-    if l2 > 0:
-        probes.append(bump / l2)
-    try:
-        for probe in probes:
-            prof = FiberingProfile(probe, p)
-            if prof.dT(prof.t0) <= 0:
-                return False
-    except MuTooLargeError:
-        return False
-    return True
+    bump = _default_bump(p.domain)
+    probes = (p.spectral.e1.values, bump / np.sqrt(p.domain.l2_norm_sq(bump)))
+    return all(_or_none(two_root_regime, FiberingProfile(v, p)) is not None for v in probes)
 
 
 def ground_state(lam: float, spectral, lift, budget_factor: float = 1.0) -> Field:

@@ -29,7 +29,7 @@ from bnsolver.grid import (
     build_domain,
     principal_eigenpair,
 )
-from bnsolver.nehari import Klass, classify, find_roots
+from bnsolver.nehari import Klass, classify, t_minus, t_plus
 from bnsolver.solve import (
     SeedKind,
     estimate_mu_star,
@@ -146,20 +146,20 @@ def test_criterion_03_fibering_oracle(box5):
     for k in range(200):
         v = box5.random_field(rng).values
         prof = FiberingProfile(v, p)
-        rr = find_roots(v, p, profile=prof)
+        tp, tm = t_plus(prof), t_minus(prof)
         # oracle window [1e-4, 4 t_minus], 1e5 samples
-        roots = scan_oracle(prof, 4.0 * rr.t_minus, samples=100_000)
-        expected = [t for t in (rr.t_plus, rr.t_minus) if t is not None and t >= 1e-4]
+        roots = scan_oracle(prof, 4.0 * tm, samples=100_000)
+        expected = [t for t in (tp, tm) if t is not None and t >= 1e-4]
         assert len(roots) == len(expected), f"ray {k}: {roots} vs {expected}"
         for a, b in zip(roots, expected):
             worst_loc = max(worst_loc, abs(a - b) / max(1.0, b))
-        if rr.t_plus is not None:
-            assert rr.pairing_sign > 0
-            assert 0.0 < rr.t_plus < prof.t0 < rr.t_minus, f"ordering broken on ray {k}"
+        if tp is not None:
+            assert prof.sign_pairing > 0
+            assert 0.0 < tp < prof.t0 < tm, f"ordering broken on ray {k}"
             orderings_checked += 1
-            if classify(rr.t_plus * v, p).klass is Klass.ZERO:
+            if classify(tp * v, p).klass is Klass.ZERO:
                 zero_free = False
-        if classify(rr.t_minus * v, p).klass is Klass.ZERO:
+        if classify(tm * v, p).klass is Klass.ZERO:
             zero_free = False
 
     # mu = 0: closed-form root match to 1e-10
@@ -167,17 +167,16 @@ def test_criterion_03_fibering_oracle(box5):
     worst_cf = 0.0
     for _ in range(50):
         v = box5.random_field(rng).values
-        rr = find_roots(v, p0)
+        tm = t_minus(FiberingProfile(v, p0))
         a = dom.h1_norm_sq(v) - lam * dom.l2_norm_sq(v)
         b = dom.weight * np.sum(np.abs(v) ** ts)
         t_exact = (a / b) ** (1.0 / (ts - 2.0))
-        worst_cf = max(worst_cf, abs(rr.t_minus - t_exact) / t_exact)
+        worst_cf = max(worst_cf, abs(tm - t_exact) / t_exact)
 
     # a further 800 rescaled rays keep the Zero class empty (>= 1000 total)
     for _ in range(800):
         v = box5.random_field(rng).values
-        rr = find_roots(v, p)
-        if classify(rr.t_minus * v, p).klass is Klass.ZERO:
+        if classify(t_minus(FiberingProfile(v, p)) * v, p).klass is Klass.ZERO:
             zero_free = False
 
     ok = worst_loc < 1e-6 and worst_cf < 1e-10 and zero_free and orderings_checked > 20
@@ -367,7 +366,7 @@ def test_criterion_10_bubble_sanity(annulus29):
     masses = []
     for eps in (0.4, 0.2, 0.1):
         b = make_bubble(eps, y, dom, 0.45)
-        masses.append(dom.weight * float(np.sum(np.abs(b.field.values) ** ts)))
+        masses.append(dom.weight * float(np.sum(np.abs(b) ** ts)))
     trend_ok = masses[0] < masses[1] < masses[2]
     gaps = [abs(m - target) for m in masses]
     approach_ok = gaps[2] < 0.25 * target and gaps[2] == min(gaps)
@@ -377,8 +376,7 @@ def test_criterion_10_bubble_sanity(annulus29):
     rec_plus = minimize_on_Nplus(p)
     q = setup.spectral.s_quantum
     threshold = rec_plus.energy + q
-    b = make_bubble(0.1, y, dom, 0.45)
-    U = b.field.values
+    U = make_bubble(0.1, y, dom, 0.45)
     aU = dom.h1_norm_sq(U) - lam * dom.l2_norm_sq(U)
     bU = dom.weight * np.sum(np.abs(U) ** ts)
     t_star = (aU / bU) ** 0.25
@@ -386,10 +384,10 @@ def test_criterion_10_bubble_sanity(annulus29):
     for tf in np.geomspace(0.3, 3.0, 15):
         comp = rec_plus.v.values + tf * t_star * U
         try:
-            rr = find_roots(comp, p)
+            tm = t_minus(FiberingProfile(comp, p))
         except BNSolverError:
             continue
-        best = min(best, energy(rr.t_minus * comp, p))
+        best = min(best, energy(tm * comp, p))
     sublevel_ok = best < threshold
 
     ok = trend_ok and approach_ok and sublevel_ok

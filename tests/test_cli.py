@@ -1,8 +1,13 @@
 import json
 import shutil
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnsolver.cli import main, parse_config
 from bnsolver.errors import ConfigurationError
@@ -186,6 +191,25 @@ def test_run_determinism(tmp_path):
     assert_same_outputs(*outs)
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(resolution=st.integers(5, 7), lam_factor=st.floats(0.1, 1.3),
+       mu=st.floats(0.0, 0.05), searches=st.sampled_from(["nplus", "nminus", "nplus nminus"]))
+def test_rerun_is_byte_identical(resolution, lam_factor, mu, searches):
+    """Two runs of a drawn small box config give byte-identical outputs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        text = (BASE_CONFIG.format(out=tmp / "out")
+                .replace("resolution = 9", f"resolution = {resolution}")
+                .replace("lambdas = 0.5*lambda1 1.2*lambda1", f"lambdas = {lam_factor!r}*lambda1")
+                .replace("mus = 0.01", f"mus = {mu!r}")
+                .replace("run = nplus nminus", f"run = {searches}"))
+        cfg = write_config(tmp, text)
+        outs = [tmp / "a", tmp / "b"]
+        codes = [main(["run", str(cfg), "--out", str(out)]) for out in outs]
+        assert codes[0] == codes[1]
+        assert_same_outputs(*outs)
+
+
 def test_threaded_run_matches_serial(tmp_path, monkeypatch):
     """Cells run serially: BNSOLVER_THREADS, which a former cell pool read,
     leaves every output byte unchanged."""
@@ -285,6 +309,19 @@ def test_config_errors(tmp_path):
 
     code = main(["run", str(write_config(tmp_path, cfg, name="bad4.ini"))])
     assert code == 2
+
+
+def test_default_bump_underflow_is_a_config_error(tmp_path, capsys):
+    """A box so elongated that the default bump (the Sobolev descent's seed)
+    underflows on every interior node stops with an error naming the bump,
+    not with a NaN descent."""
+    text = (BASE_CONFIG.format(out=tmp_path / "out")
+            .replace("sides = 1 1 1", "sides = 1 1000 1")
+            .replace("resolution = 9", "resolution = 4"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+    assert "default bump underflows" in capsys.readouterr().err
 
 
 MALFORMED = [

@@ -217,7 +217,7 @@ def test_fibering_argument_errors(box9):
 def test_dimension5_fractional_exponent():
     # 2* = 10/3: fractional powers on both the energy and derivative paths
     from conftest import Setup
-    from bnsolver.nehari import Klass, classify, find_roots
+    from bnsolver.nehari import Klass, classify, t_minus, t_plus
 
     setup = Setup(DomainSpec(Box((1.0,) * 5), 5, 5))
     dom = setup.domain
@@ -232,9 +232,10 @@ def test_dimension5_fractional_exponent():
     an = dom.inner(gradient_values(v.values, p), h.values)
     assert abs(fd - an) / (1.0 + abs(fd)) < 1e-6
     pos = np.abs(v.values) + 0.1
-    rr = find_roots(pos, p)
-    assert rr.t_plus is not None and 0 < rr.t_plus < rr.t_minus
-    assert classify(rr.t_minus * pos, p).klass is Klass.MINUS
+    prof = FiberingProfile(pos, p)
+    tp, tm = t_plus(prof), t_minus(prof)
+    assert tp is not None and 0 < tp < tm
+    assert classify(tm * pos, p).klass is Klass.MINUS
 
 
 def test_params_validation(box9, box13):

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bnsolver.errors import ArgumentError, MuTooLargeError
+from bnsolver.errors import ArgumentError, MuBeyondRangeError, MuTooLargeError
 from bnsolver.functional import FiberingProfile
 from bnsolver.grid import Field
-from bnsolver.nehari import Klass, barycenter, classify, find_roots, reduced_functional
+from bnsolver.nehari import (
+    Klass, barycenter, classify, reduced_functional, t_minus, t_plus, two_root_regime,
+)
 from bnsolver.solve import make_bubble
 
 
@@ -44,12 +46,12 @@ def test_mu_zero_closed_form_root(box9):
     ts = p.two_star
     for _ in range(10):
         v = box9.random_field(rng)
-        rr = find_roots(v.values, p)
+        prof = FiberingProfile(v.values, p)
         a = dom.h1_norm_sq(v.values) - lam * dom.l2_norm_sq(v.values)
         b = dom.weight * np.sum(np.abs(v.values) ** ts)
         expected = (a / b) ** (1.0 / (ts - 2.0))
-        assert rr.t_plus is None
-        assert abs(rr.t_minus - expected) <= 1e-10 * expected
+        assert t_plus(prof) is None
+        assert abs(t_minus(prof) - expected) <= 1e-10 * expected
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -63,16 +65,17 @@ def test_root_ordering_and_pairing(box9, lam_factor, mu, offset, seed):
     v = np.abs(np.random.default_rng(seed).standard_normal(box9.domain.n_interior)) + offset
     prof = FiberingProfile(v, p)
     try:
-        two_root = prof.dT(prof.t0) > 0
-    except MuTooLargeError:
+        two_root_regime(prof)
+        two_root = True
+    except (MuTooLargeError, MuBeyondRangeError):
         two_root = False
     assume(two_root)
-    rr = find_roots(v, p, profile=prof)
-    assert rr.pairing_sign > 0
-    assert rr.t_plus is not None
-    assert 0.0 < rr.t_plus < prof.t0 < rr.t_minus
-    assert prof.d2T(rr.t_plus) > 0
-    assert prof.d2T(rr.t_minus) < 0
+    tp, tm = t_plus(prof), t_minus(prof)
+    assert prof.sign_pairing > 0
+    assert tp is not None
+    assert 0.0 < tp < prof.t0 < tm
+    assert prof.d2T(tp) > 0
+    assert prof.d2T(tm) < 0
 
 
 def test_negative_pairing_has_no_plus_root(box9):
@@ -80,9 +83,54 @@ def test_negative_pairing_has_no_plus_root(box9):
     v = -1.0 * box9.spectral.e1.values
     prof = FiberingProfile(v, p)
     assert prof.sign_pairing < 0
-    rr = find_roots(v, p, profile=prof)
-    assert rr.t_plus is None
-    assert rr.t_minus > prof.t0
+    assert t_plus(prof) is None
+    assert t_minus(prof) > prof.t0
+
+
+class RecordingProfile(FiberingProfile):
+    """A FiberingProfile that records every t passed to T' and T''."""
+
+    def __init__(self, v, p):
+        super().__init__(v, p)
+        self.seen = []
+
+    def dT(self, t):
+        self.seen.append(float(t))
+        return super().dT(t)
+
+    def d2T(self, t):
+        self.seen.append(float(t))
+        return super().d2T(t)
+
+
+def test_each_root_evaluates_only_its_side_of_t0(box9):
+    """t_plus evaluates T' and T'' only at t <= t0, t_minus only at t >= t0."""
+    rng = np.random.default_rng(53)
+    p = box9.params(lam_factor=0.5, mu=0.01)
+    rays = [box9.random_field(rng, positive=True).values for _ in range(5)]
+    rays += [box9.random_field(rng).values for _ in range(5)]
+    rays.append(-1.0 * box9.spectral.e1.values)
+    plus_found = 0
+    for v in rays:
+        prof = RecordingProfile(v, p)
+        tp = t_plus(prof)
+        assert prof.seen and max(prof.seen) <= prof.t0
+        plus_found += tp is not None
+        prof = RecordingProfile(v, p)
+        t_minus(prof)
+        assert prof.seen and min(prof.seen) >= prof.t0
+    assert 0 < plus_found < len(rays)
+
+
+def test_regime_is_checked_before_the_pairing_sign(box9):
+    """Outside the two-root regime t_plus raises even on a ray with negative
+    pairing, where it would otherwise answer None."""
+    p = box9.params(lam_factor=0.5, mu=50.0)
+    prof = FiberingProfile(-1.0 * box9.spectral.e1.values, p)
+    assert prof.sign_pairing < 0
+    for root in (two_root_regime, t_plus, t_minus):
+        with pytest.raises(MuTooLargeError):
+            root(prof)
 
 
 def test_roots_match_scan_oracle(box5):
@@ -91,10 +139,10 @@ def test_roots_match_scan_oracle(box5):
     for _ in range(25):
         v = box5.random_field(rng).values
         prof = FiberingProfile(v, p)
-        rr = find_roots(v, p, profile=prof)
+        tp, tm = t_plus(prof), t_minus(prof)
         lo = 1e-4
-        roots = scan_oracle(prof, 4.0 * rr.t_minus, samples=20_000)
-        expected = [t for t in (rr.t_plus, rr.t_minus) if t is not None and t >= lo]
+        roots = scan_oracle(prof, 4.0 * tm, samples=20_000)
+        expected = [t for t in (tp, tm) if t is not None and t >= lo]
         assert len(roots) == len(expected), (roots, expected)
         for a, b in zip(roots, expected):
             assert abs(a - b) <= 1e-6 * max(1.0, b)
@@ -106,12 +154,13 @@ def test_classify_constructed_points(box9):
     hits = {Klass.PLUS: 0, Klass.MINUS: 0}
     for _ in range(20):
         v = box9.random_field(rng, positive=True).values
-        rr = find_roots(v, p)
-        cm = classify(rr.t_minus * v, p)
+        prof = FiberingProfile(v, p)
+        tp, tm = t_plus(prof), t_minus(prof)
+        cm = classify(tm * v, p)
         assert cm.klass is Klass.MINUS
         hits[Klass.MINUS] += 1
-        if rr.t_plus is not None:
-            cp = classify(rr.t_plus * v, p)
+        if tp is not None:
+            cp = classify(tp * v, p)
             assert cp.klass is Klass.PLUS
             hits[Klass.PLUS] += 1
         off = classify(v, p)
@@ -124,12 +173,12 @@ def test_nonfinite_or_misfit_ray_rejected(box9, box5):
     v = box9.random_field(np.random.default_rng(51), positive=True).values.copy()
     v[7] = np.nan
     with pytest.raises(ArgumentError, match="non-finite"):
-        find_roots(v, p)
+        t_minus(FiberingProfile(v, p))
     with pytest.raises(ArgumentError, match="non-finite"):
         classify(v, p)
     # a ray from another domain is rejected by its length
     with pytest.raises(ArgumentError, match="interior size"):
-        find_roots(box5.random_field(np.random.default_rng(52)).values, p)
+        t_minus(FiberingProfile(box5.random_field(np.random.default_rng(52)).values, p))
 
 
 def test_no_zero_class_on_random_rescaled_rays(box5):
@@ -137,10 +186,11 @@ def test_no_zero_class_on_random_rescaled_rays(box5):
     p = box5.params(lam_factor=0.5, mu=0.02)
     for _ in range(100):
         v = box5.random_field(rng).values
-        rr = find_roots(v, p)
-        assert classify(rr.t_minus * v, p).klass is not Klass.ZERO
-        if rr.t_plus is not None:
-            assert classify(rr.t_plus * v, p).klass is not Klass.ZERO
+        prof = FiberingProfile(v, p)
+        tp, tm = t_plus(prof), t_minus(prof)
+        assert classify(tm * v, p).klass is not Klass.ZERO
+        if tp is not None:
+            assert classify(tp * v, p).klass is not Klass.ZERO
 
 
 def test_reduced_J_homogeneous_closed_form(box9):
@@ -166,9 +216,9 @@ def test_reduced_J_is_ray_maximum(box9):
     p = box9.params(lam_factor=0.5, mu=0.01)
     raw = np.abs(rng.standard_normal(dom.n_interior)) + 0.05
     raw /= dom.lp_norm(raw, p.two_star)
-    J, t_minus, _ = reduced_functional(raw, p)
+    J, tm, _ = reduced_functional(raw, p)
     prof = FiberingProfile(raw, p)
-    samples = prof.T(np.linspace(0.0, 3.0 * t_minus, 100))
+    samples = prof.T(np.linspace(0.0, 3.0 * tm, 100))
     assert J >= samples.max() - 1e-10 * (1.0 + abs(J))
 
 
@@ -178,11 +228,11 @@ def test_minimum_on_segment(box9):
     for _ in range(6):
         v = box9.random_field(rng, positive=True).values
         prof = FiberingProfile(v, p)
-        rr = find_roots(v, p, profile=prof)
-        assert rr.t_plus is not None
-        grid = np.linspace(0.0, rr.t_minus, 250)
+        tp = t_plus(prof)
+        assert tp is not None
+        grid = np.linspace(0.0, t_minus(prof), 250)
         vals = prof.T(grid)
-        assert prof.T(rr.t_plus) <= vals.min() + 1e-10 * (1.0 + abs(vals.min()))
+        assert prof.T(tp) <= vals.min() + 1e-10 * (1.0 + abs(vals.min()))
 
 
 def test_barycenter_symmetry_and_translation(box9):
@@ -207,7 +257,7 @@ def test_barycenter_of_bubble_aligns(annulus9):
     dom = annulus9.domain
     y = np.array([0.0, 1.0, 0.0])
     b = make_bubble(0.3, y, dom, 0.45)
-    beta = barycenter(b.field)
+    beta = barycenter(Field(b, dom))
     assert np.dot(beta, y) > 0.1
 
 
@@ -220,7 +270,7 @@ def test_gradient_direction_integral_symmetry(annulus9):
     dom = annulus9.domain
     y = np.array([1.0, 0.0, 0.0])
     b = make_bubble(0.3, y, dom, 0.45)
-    gdi = dom.gradient_direction_integral(b.field.values)
+    gdi = dom.gradient_direction_integral(b)
     assert np.dot(gdi, y) > 0
     # centered symmetric profile: integral vanishes
     r = np.linalg.norm(dom.interior_coords, axis=1)
@@ -234,7 +284,7 @@ def ray_position(u, p, rtol=1e-8):
     ratio t_minus(u/||u||)/||u||: "on" the Minus part, inside the set
     "A_minus" below it (ratio < 1) or "A_plus" beyond it."""
     nu = np.sqrt(p.domain.h1_norm_sq(u))
-    ratio = find_roots(u / nu, p).t_minus / nu
+    ratio = t_minus(FiberingProfile(u / nu, p)) / nu
     if abs(ratio - 1.0) <= rtol:
         return "on"
     return "A_minus" if ratio < 1.0 else "A_plus"
@@ -244,12 +294,13 @@ def test_ray_set_membership(box9):
     rng = np.random.default_rng(49)
     p = box9.params(lam_factor=0.5, mu=0.01)
     v = box9.random_field(rng, positive=True).values
-    rr = find_roots(v, p)
-    w = rr.t_minus * v
+    prof = FiberingProfile(v, p)
+    tp, tm = t_plus(prof), t_minus(prof)
+    w = tm * v
     assert ray_position(w, p) == "on"
     assert ray_position(3.0 * w, p) == "A_minus"
-    assert rr.t_plus is not None
-    small = 0.5 * rr.t_plus * v
+    assert tp is not None
+    small = 0.5 * tp * v
     assert ray_position(small, p) == "A_plus"
 
 
@@ -262,10 +313,11 @@ def test_manifold_separation_sampled_floor(box9):
         minus_pts, plus_pts = [], []
         for _ in range(8):
             v = box9.random_field(rng, positive=True)
-            rr = find_roots(v.values, p)
-            minus_pts.append(rr.t_minus * v.values)
-            if rr.t_plus is not None:
-                plus_pts.append(rr.t_plus * v.values)
+            prof = FiberingProfile(v.values, p)
+            tp, tm = t_plus(prof), t_minus(prof)
+            minus_pts.append(tm * v.values)
+            if tp is not None:
+                plus_pts.append(tp * v.values)
         floor = min(
             np.sqrt(dom.h1_norm_sq(a - b)) for a in minus_pts for b in plus_pts
         )
