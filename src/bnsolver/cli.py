@@ -476,6 +476,11 @@ def report(run_dir) -> int:
 
 
 def profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0, out_path=None) -> int:
+    # the samples span [0, tmax * t_minus], both ends included
+    if samples < 2:
+        raise ArgumentError(f"--samples must be at least 2, got {samples}")
+    if not (np.isfinite(tmax_factor) and tmax_factor > 0.0):
+        raise ArgumentError(f"--tmax must be finite and > 0, got {tmax_factor}")
     rc = parse_config(config_path)
     domain, spectral, lift, lambdas, mus = _setup(rc)
     for key, values in (("lambdas", lambdas), ("mus", mus)):

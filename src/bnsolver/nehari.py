@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, MuBeyondRangeError, NumericalError
-from .functional import FiberingProfile, Params, energy
+from .functional import FiberingProfile, Params
 from .grid import Field
 from .numutil import abs_pow
 
@@ -150,10 +150,10 @@ def reduced_functional(v, p: Params):
     """J(v) = E(t_minus(v) v), 0-homogeneous in v; returns (J, t_minus,
     t_minus * v).  The Minus-branch descent, the multistart seeds and the
     minimax search all evaluate J here, on the nonnegative cone of the unit
-    critical sphere."""
-    tm = t_minus(FiberingProfile(v, p))
-    w = tm * v
-    return energy(w, p), tm, w
+    critical sphere.  J is read off the ray's profile, E(t v) = T(t)."""
+    prof = FiberingProfile(v, p)
+    tm = t_minus(prof)
+    return prof.T(tm), tm, tm * v
 
 
 def barycenter(v: Field) -> np.ndarray:

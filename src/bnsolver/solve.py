@@ -207,6 +207,14 @@ def zero_relax_seed(p: Params) -> Field:
     return Field(s, p.domain)
 
 
+def _project_plus(vals, p: Params):
+    """(E(t_plus v), t_plus v) of the ray v = vals, read off its profile, or
+    None when the ray has no t_plus root."""
+    prof = FiberingProfile(vals, p)
+    tp = t_plus(prof)
+    return None if tp is None else (prof.T(tp), tp * vals)
+
+
 def minimize_on_Nplus(
     p: Params,
     seed: Optional[Field] = None,
@@ -226,25 +234,21 @@ def minimize_on_Nplus(
     if seed is None:
         seed = zero_relax_seed(p)
 
-    def project_plus(vals):
-        tp = t_plus(FiberingProfile(vals, p))
-        return None if tp is None else tp * vals
-
-    v = project_plus(seed.values)
-    if v is None:
+    proj = _project_plus(seed.values, p)
+    if proj is None:
         # |seed| has nonnegative pairing against phi; try once before giving up
-        v = project_plus(np.abs(seed.values))
-    if v is None:
+        proj = _project_plus(np.abs(seed.values), p)
+    if proj is None:
         raise DegenerateSeedError(
             "seed ray has nonpositive pairing sign: no t_plus root (restart advised)"
         )
+    e_val, v = proj
 
     # at most 50 descent steps (scaled by the budget), and fewer than max_iter
     cap = min(max(1, int(max_iter * budget_factor)) - 1, max(10, int(50 * budget_factor)))
     iterations = 1
     warm_dir = None
     alpha = 1.0
-    e_val = energy(v, p)
     for _ in range(cap):
         g = gradient_values(v, p)
         if _wnorm(d, g) <= 1e3 * _target_tol(p, v, e_val):
@@ -252,11 +256,8 @@ def minimize_on_Nplus(
         dr = d.solve_poisson(g, x0=warm_dir)
         warm_dir = dr
 
-        def trial(beta):
-            vt = project_plus(v - beta * dr)
-            return None if vt is None else (energy(vt, p), vt)
-
-        step = _armijo(trial, e_val, d.inner(g, dr), alpha, 25)
+        step = _armijo(lambda beta: _project_plus(v - beta * dr, p), e_val,
+                       d.inner(g, dr), alpha, 25)
         if step is None:
             break
         (e_val, v), beta = step
@@ -264,11 +265,9 @@ def minimize_on_Nplus(
         iterations += 1
         if v.min() < -1e-13 * max(1.0, np.abs(v).max()):
             # absolute-value move: energy does not increase on the Plus rescale
-            va = _or_none(project_plus, np.abs(v))
-            if va is not None:
-                e_abs = energy(va, p)
-                if e_abs <= e_val + 1e-12 * (1 + abs(e_val)):
-                    v, e_val = va, e_abs
+            proj = _or_none(_project_plus, np.abs(v), p)
+            if proj is not None and proj[0] <= e_val + 1e-12 * (1 + abs(e_val)):
+                e_val, v = proj
 
     flags = []
     v, gn, steps, ok = _newton_polish(p, v, budget_factor, flags)

@@ -11,6 +11,7 @@ from bnsolver.grid import (
     compute_spectral_data,
 )
 from bnsolver.lift import Constant, solve_lift
+from bnsolver.numutil import abs_pow, signed_pow
 
 
 class Setup:
@@ -30,6 +31,35 @@ class Setup:
         if positive:
             v = np.abs(v) + 0.1
         return Field(v, self.domain)
+
+
+def quadrature_fibering(v, p, t, order):
+    """Direct quadrature of the fibering map T(t) = E(t v) along the ray v,
+    independent of `FiberingProfile`.  For order k = 0, 1 or 2 returns the
+    arrays (C_k, T^(k)) at every t of the array t, with w = t v + mu phi and
+    the critical integrals C_0 = int |w|^(2*), C_1 = int |w|^(2*-2) w v and
+    C_2 = int |w|^(2*-2) v^2, each summed over every node at every t."""
+    d = p.domain
+    ts = p.two_star
+    a = d.h1_norm_sq(v)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    crit, lin = np.empty(t.size), np.empty(t.size)
+    step = max(1, 2**18 // v.size)
+    for s in range(0, t.size, step):
+        w = t[s : s + step, None] * v[None, :] + p.mu_phi[None, :]
+        if order == 0:
+            crit_k, lin_k = abs_pow(w, ts), w * w
+        elif order == 1:
+            crit_k, lin_k = signed_pow(w, ts - 1.0) * v, w * v
+        else:
+            crit_k, lin_k = abs_pow(w, ts - 2.0) * (v * v), np.broadcast_to(v * v, w.shape)
+        crit[s : s + step] = d.weight * crit_k.sum(axis=1)
+        lin[s : s + step] = d.weight * lin_k.sum(axis=1)
+    if order == 0:
+        return crit, 0.5 * (a * t * t - p.lam * lin) - crit / ts
+    if order == 1:
+        return crit, a * t - p.lam * lin - crit
+    return crit, a - p.lam * lin - (ts - 1.0) * crit
 
 
 @pytest.fixture(scope="session")

@@ -250,6 +250,22 @@ def test_fibering_profile_subcommand(tmp_path, capsys):
     assert out_text.splitlines()[0] == "t,T,T1,T2"
 
 
+@pytest.mark.parametrize("flag,value", [("--samples", "-3"), ("--samples", "1"),
+                                        ("--tmax", "nan"), ("--tmax", "inf"),
+                                        ("--tmax", "0"), ("--tmax", "-1")])
+def test_fibering_profile_bad_sampling_is_argument_error(tmp_path, capsys, flag, value):
+    dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
+    ray_path = tmp_path / "ray.txt"
+    dump_field(Field(np.ones(dom.n_interior), dom), ray_path)
+    cfg = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
+    csv_path = tmp_path / "prof.csv"
+    code = main(["fibering-profile", str(cfg), "--ray", str(ray_path), flag, value,
+                 "--out", str(csv_path)])
+    assert code == 2
+    assert f"error: {flag} must be" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_fibering_profile_empty_list_is_anchored(tmp_path, capsys):
     dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
     ray_path = tmp_path / "ray.txt"

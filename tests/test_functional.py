@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bnsolver.errors import ArgumentError, MuTooLargeError
+from bnsolver.errors import ArgumentError, MuBeyondRangeError, MuTooLargeError
 from bnsolver.functional import (
     FiberingProfile,
     Params,
@@ -10,7 +14,23 @@ from bnsolver.functional import (
     hessian_apply,
 )
 from bnsolver.grid import Box, DomainSpec, build_domain
+from bnsolver.nehari import t_minus
 from bnsolver.solve import _admissible
+
+from conftest import Setup, quadrature_fibering
+
+
+@functools.cache
+def unit_box(ndim):
+    """Unit box of dimension ndim with its spectral data and g = 1 lift."""
+    return Setup(DomainSpec(Box((1.0,) * ndim), ndim, {3: 7, 4: 5, 5: 5}[ndim]))
+
+
+def profile_pairs(prof):
+    """(k, C_k, T^(k)) for k = 0, 1, 2: the profile's methods that
+    `quadrature_fibering(..., order=k)` evaluates independently."""
+    return ((0, prof.crit_mass, prof.T), (1, prof.crit_pair_v, prof.dT),
+            (2, prof.crit_quad_v2, prof.d2T))
 
 
 def homogeneous_energy(dom, vvals, lam):
@@ -212,6 +232,69 @@ def test_fibering_argument_errors(box9):
     for f in (prof.T, prof.dT, prof.d2T):
         with pytest.raises(ArgumentError):
             f(-1.0)
+
+
+@pytest.mark.parametrize("ndim", [3, 5])
+def test_nonfinite_t_rejected_on_both_paths(ndim):
+    """NaN and inf t fail as a negative t does, on the moment polynomial
+    (N = 3) and on the quadrature (N = 5), for a scalar t and inside an array."""
+    setup = unit_box(ndim)
+    p = setup.params(lam_factor=0.5, mu=0.01)
+    prof = FiberingProfile(setup.random_field(np.random.default_rng(7)).values, p)
+    assert (prof.moments is None) == (ndim == 5)
+    for _, crit, deriv in profile_pairs(prof):
+        for f in (crit, deriv):
+            for bad in (np.nan, np.inf, -np.inf, -1.0):
+                with pytest.raises(ArgumentError, match="finite and >= 0"):
+                    f(bad)
+                with pytest.raises(ArgumentError, match="finite and >= 0"):
+                    f(np.array([0.5, bad]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ndim=st.sampled_from([3, 4]), signed=st.booleans(),
+       mu=st.just(0.0) | st.floats(1e-3, 0.02), lam_factor=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2**32 - 1))
+def test_moment_polynomial_matches_quadrature(ndim, signed, mu, lam_factor, seed):
+    """For even 2* (N = 3, 4) the critical integrals and T, T', T'' of the
+    moment polynomial, and the pairing -T'(0), agree with direct quadrature
+    on [0, 4 t_minus], to 1e-13 of the largest quadrature magnitude there,
+    for an array of t and for each scalar t."""
+    setup = unit_box(ndim)
+    p = setup.params(lam_factor=lam_factor, mu=mu)
+    v = setup.random_field(np.random.default_rng(seed), positive=not signed).values
+    prof = FiberingProfile(v, p)
+    assert len(prof.moments) == p.two_star + 1
+    try:
+        tm = t_minus(prof)
+    except (MuTooLargeError, MuBeyondRangeError):
+        assume(False)
+    ts = np.linspace(0.0, 4.0 * tm, 33)
+    for order, crit, deriv in profile_pairs(prof):
+        for f, ref in zip((crit, deriv), quadrature_fibering(v, p, ts, order)):
+            bound = 1e-13 * np.abs(ref).max()
+            assert np.abs(f(ts) - ref).max() <= bound
+            assert max(abs(f(float(t)) - r) for t, r in zip(ts, ref)) <= bound
+        if order == 1:
+            # the pairing is -T'(0), read off the moments: checked against the
+            # size of its own terms, which are far below max |T'| for small mu
+            w0, psi = p.domain.weight, p.mu_phi
+            scale = w0 * np.abs(v).dot(p.lam * psi + np.abs(psi) ** (p.two_star - 1.0))
+            assert abs(prof.sign_pairing + ref[0]) <= 1e-13 * scale
+
+
+def test_dimension5_takes_the_quadrature_path():
+    """2* = 10/3 is not an even integer: the profile has no ray moments, and
+    its integrals are the quadrature's."""
+    setup = unit_box(5)
+    p = setup.params(lam_factor=0.5, mu=0.01)
+    v = setup.random_field(np.random.default_rng(9)).values
+    prof = FiberingProfile(v, p)
+    assert prof.moments is None
+    ts = np.linspace(0.0, 4.0 * t_minus(prof), 9)
+    for order, crit, deriv in profile_pairs(prof):
+        for f, ref in zip((crit, deriv), quadrature_fibering(v, p, ts, order)):
+            assert np.abs(f(ts) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_dimension5_fractional_exponent():

@@ -4,19 +4,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bnsolver.errors import ArgumentError, MuBeyondRangeError, MuTooLargeError
-from bnsolver.functional import FiberingProfile
+from bnsolver.functional import FiberingProfile, energy
 from bnsolver.grid import Field
 from bnsolver.nehari import (
     Klass, barycenter, classify, reduced_functional, t_minus, t_plus, two_root_regime,
 )
-from bnsolver.solve import make_bubble
+from bnsolver.solve import _project_plus, make_bubble
+
+from conftest import quadrature_fibering
 
 
 def scan_oracle(prof, t_hi, samples=100_000, refine_tol=1e-9):
     """Independent root locator: dense sign-change scan of T' followed by
-    bisection inside each sign-changing interval."""
+    bisection inside each sign-changing interval.  T' is the direct
+    quadrature of `quadrature_fibering` on the profile's ray and parameters,
+    never the profile's own evaluation."""
+
+    def dT(t):
+        return quadrature_fibering(prof.v, prof.p, t, 1)[1]
+
     ts = np.linspace(1e-4, t_hi, samples)
-    vals = prof.dT(ts)
+    vals = dT(ts)
     roots = []
     sign = np.sign(vals)
     flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
@@ -25,7 +33,7 @@ def scan_oracle(prof, t_hi, samples=100_000, refine_tol=1e-9):
         flo = vals[i]
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            fm = prof.dT(mid)
+            fm = dT(mid)[0]
             if (fm > 0) == (flo > 0):
                 lo, flo = mid, fm
             else:
@@ -220,6 +228,30 @@ def test_reduced_J_is_ray_maximum(box9):
     prof = FiberingProfile(raw, p)
     samples = prof.T(np.linspace(0.0, 3.0 * tm, 100))
     assert J >= samples.max() - 1e-10 * (1.0 + abs(J))
+
+
+@pytest.mark.parametrize("domain", ["box9", "annulus9"])
+def test_profile_energy_matches_energy(domain, request):
+    """J and the Plus projection read E(t v) off the ray's profile; it equals
+    a fresh `energy` of t v."""
+    setup = request.getfixturevalue(domain)
+    rng = np.random.default_rng(49)
+    p = setup.params(lam_factor=0.5, mu=0.01)
+    plus_seen = 0
+    for positive in (True, False) * 3:
+        v = setup.random_field(rng, positive=positive).values
+        J, tm, w = reduced_functional(v, p)
+        assert np.array_equal(w, tm * v)
+        assert abs(J - energy(tm * v, p)) <= 1e-12 * abs(J)
+        proj = _project_plus(v, p)
+        tp = t_plus(FiberingProfile(v, p))
+        assert (proj is None) == (tp is None)
+        if proj is not None:
+            e_plus, w_plus = proj
+            assert np.array_equal(w_plus, tp * v)
+            assert abs(e_plus - energy(tp * v, p)) <= 1e-12 * abs(e_plus)
+            plus_seen += 1
+    assert plus_seen >= 3
 
 
 def test_minimum_on_segment(box9):
