@@ -33,7 +33,7 @@ from .grid import (
     load_field,
 )
 from .lift import BumpOnBoundary, Constant, compose_solution, load_node_table, solve_lift
-from .nehari import Klass, NehariClass, t_minus, t_plus
+from .nehari import Klass, t_minus, t_plus
 from .solve import (
     SeedKind,
     SolutionRecord,
@@ -53,6 +53,13 @@ from .verify import (
 )
 
 KNOWN_SEARCHES = ("nplus", "nminus", "multistart", "minimax", "mu_star")
+# Keys that `report` and `certify` read from a cell JSON and from each of its
+# records, with the JSON types they read them as; every cell that `run`
+# writes has all of them.
+_NUMBER = (int, float)
+CELL_KEYS = {"index": int, "lambda": _NUMBER, "mu": _NUMBER, "status": str, "records": list}
+RECORD_KEYS = {"class": str, "energy": _NUMBER, "grad_norm": _NUMBER, "positive": bool,
+               "seed": str, "iterations": int, "barycenter": list, "grad_dir_integral": list}
 
 
 def _fmt(x) -> str:
@@ -418,23 +425,39 @@ def run(config_path, out_dir_override=None) -> int:
 # -- report --------------------------------------------------------------------
 
 
+def _bad_key(obj, keys):
+    """The first key of `keys` that obj lacks or holds with another type
+    (the first key of all when obj is not a JSON object), or None."""
+    obj = obj if isinstance(obj, dict) else {}
+    return next((key for key, kind in keys.items() if not isinstance(obj.get(key), kind)), None)
+
+
+def _read_cell(fp) -> dict:
+    """The cell JSON at fp, with every key of CELL_KEYS and, on each record,
+    of RECORD_KEYS, each of its type.  A file that cannot be read or parsed
+    or fails that check is an ArgumentError naming fp."""
+    try:
+        with open(fp) as f:
+            cell = json.load(f)
+    except (OSError, ValueError) as e:
+        raise ArgumentError(f"{fp}: unreadable cell file: {e!r}") from None
+    bad = _bad_key(cell, CELL_KEYS)
+    if bad is not None:
+        raise ArgumentError(f"{fp}: not a cell file: missing or mistyped {bad}")
+    for k, r in enumerate(cell["records"]):
+        bad = _bad_key(r, RECORD_KEYS)
+        if bad is not None:
+            raise ArgumentError(f"{fp}: record {k}: missing key or unknown value {bad!r}")
+    return cell
+
+
 def report(run_dir) -> int:
     out = Path(run_dir)
     sweep = out / "sweep.csv"
     cells_dir = out / "cells"
     if not cells_dir.is_dir() and not (out / "mu_star.csv").exists():
-        print(f"error: {run_dir} does not look like a completed run", file=sys.stderr)
-        return 1
-
-    cells = []
-    if cells_dir.is_dir():
-        for fp in sorted(cells_dir.glob("cell_*.json")):
-            try:
-                with open(fp) as f:
-                    cells.append(json.load(f))
-            except json.JSONDecodeError as e:
-                print(f"error: corrupt cell file {fp}: {e}", file=sys.stderr)
-                return 1
+        raise ArgumentError(f"{run_dir} is not a completed run (no cells/ or mu_star.csv)")
+    cells = [_read_cell(fp) for fp in sorted(cells_dir.glob("cell_*.json"))]
 
     with open(out / "heatmap.csv", "w") as f:
         f.write("lambda,mu,n_solutions,status\n")
@@ -517,13 +540,12 @@ def profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0, out_path=No
 def _stored_record(r, v: Field, p: Params) -> SolutionRecord:
     """The record a cell JSON stores, around its loaded field v.  Its class
     and seed are the recorded ones, so that certify_solution checks the
-    recorded class against a fresh classification.  A missing key or an
-    unknown class or seed raises KeyError or ValueError."""
-    nan = float("nan")
+    recorded class against a fresh classification.  An unknown class or
+    seed raises KeyError or ValueError (`_read_cell` has checked the keys)."""
     return SolutionRecord(
         v=v, u=compose_solution(v, p.mu, p.lift), energy=r["energy"],
-        nehari_class=NehariClass(Klass[r["class"]], nan, nan, nan), grad_norm=r["grad_norm"],
-        positive=r["positive"], seed=SeedKind(r.get("seed", "user")),
+        klass=Klass[r["class"]], grad_norm=r["grad_norm"],
+        positive=r["positive"], seed=SeedKind(r["seed"]),
         iterations=r["iterations"], lam=p.lam, mu=p.mu, barycenter=np.array(r["barycenter"]),
         grad_dir_integral=np.array(r["grad_dir_integral"]),
     )
@@ -531,22 +553,15 @@ def _stored_record(r, v: Field, p: Params) -> SolutionRecord:
 
 def certify_cmd(record_path) -> int:
     rec_path = Path(record_path)
-    try:
-        with open(rec_path) as f:
-            cell = json.load(f)
-        lam, mu = cell["lambda"], cell["mu"]
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        raise ArgumentError(f"{rec_path}: unreadable cell file: {e!r}") from None
-    run_dir = rec_path.parent.parent
-    cfg_path = run_dir / "config.ini"
+    cell = _read_cell(rec_path)
+    cfg_path = rec_path.parent.parent / "config.ini"
     if not cfg_path.exists():
-        print(f"error: no config.ini next to the run ({cfg_path})", file=sys.stderr)
-        return 1
+        raise ArgumentError(f"{rec_path}: no config.ini next to the run ({cfg_path})")
     domain, spectral, lift, _, _ = _setup(parse_config(cfg_path))
-    p = Params(lam=lam, mu=mu, spectral=spectral, lift=lift)
+    p = Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
     ok = True
     n = 0
-    for k, r in enumerate(cell.get("records", [])):
+    for k, r in enumerate(cell["records"]):
         dumpname = r.get("field_dump")
         if not dumpname:
             print(f"record {k}: no field dump stored (rerun with dump_fields = true)")

@@ -40,7 +40,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ArgumentError, ConfigurationError, NumericalError
-from .numutil import signed_pow, solve_cg
+from .numutil import armijo, signed_pow, solve_cg
 
 # Annulus realization constants: the continuum annulus r_in < |x| < r_out with
 # r_in = ANNULUS_INNER_FACTOR*delta0 and r_out = ANNULUS_OUTER_FACTOR/delta0
@@ -459,10 +459,12 @@ def _default_bump(domain: Domain):
 def estimate_sobolev_S(domain: Domain) -> float:
     """Minimize the critical Rayleigh quotient by projected gradient descent.
 
-    Descent direction is the Riesz lift (-Lap)^{-1} of the quotient gradient;
-    iterates are renormalized in the critical norm and the minimum quotient
-    over the descent path is returned.  The descent stops when one step gains
-    less than SOBOLEV_STAG_TOL relative, or after SOBOLEV_MAX_OUTER steps.
+    Descent direction is the Riesz lift (-Lap)^{-1} of the quotient gradient.
+    Each step is the backtracking line search `numutil.armijo` with slope 0,
+    so any decrease of the quotient is accepted; iterates are renormalized in
+    the critical norm and the minimum quotient over the descent path is
+    returned.  The descent stops when one step gains less than
+    SOBOLEV_STAG_TOL relative, or after SOBOLEV_MAX_OUTER steps.
 
     The unconstrained discrete minimizer is a single-cell spike whose
     one-sided-difference quotient sits well below the continuum constant (a
@@ -481,6 +483,14 @@ def estimate_sobolev_S(domain: Domain) -> float:
         tot = float(mass.sum())
         return float(mass.max()) / tot if tot > 0 else 1.0
 
+    def renormalized(ut):
+        """(quotient, ut / ||ut||_{2*}), or None when ut vanishes."""
+        nt = domain.lp_norm(ut, two_star)
+        if not nt > 0:
+            return None
+        ut = ut / nt
+        return rayleigh_quotient(domain, ut), ut
+
     u = _default_bump(domain)
     u = u / domain.lp_norm(u, two_star)
     best = rayleigh_quotient(domain, u)
@@ -498,19 +508,10 @@ def estimate_sobolev_S(domain: Domain) -> float:
         d = _cg(A, g, d_warm, SOBOLEV_INNER_RTOL, 5000, "sobolev descent")
         d_warm = d
         gain = 0.0
-        beta = step
-        for _ in range(40):
-            ut = u - beta * d
-            nt = domain.lp_norm(ut, two_star)
-            if nt > 0:
-                ut = ut / nt
-                qt = rayleigh_quotient(domain, ut)
-                if qt < q:
-                    gain = q - qt
-                    u, q = ut, qt
-                    step = min(beta * 2.0, 4.0)
-                    break
-            beta *= 0.5
+        out = armijo(lambda beta: renormalized(u - beta * d), q, 0.0, step, 40)
+        if out is not None:
+            (qt, u), step = out
+            gain, q = q - qt, qt
         if peak_share(u) > SOBOLEV_SHARE_CAP:
             break
         best = min(best, q)

@@ -35,7 +35,6 @@ class Klass(enum.Enum):
 @dataclass(frozen=True)
 class NehariClass:
     klass: Klass
-    t_prime: float
     t_second_deriv: float
     tolerance: float
 
@@ -143,7 +142,7 @@ def classify(v, p: Params) -> NehariClass:
         klass = Klass.ZERO
     else:
         klass = Klass.NOT_ON_MANIFOLD
-    return NehariClass(klass=klass, t_prime=tp, t_second_deriv=tpp, tolerance=tol_class)
+    return NehariClass(klass=klass, t_second_deriv=tpp, tolerance=tol_class)
 
 
 def reduced_functional(v, p: Params):

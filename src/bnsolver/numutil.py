@@ -1,4 +1,4 @@
-"""Small numeric helpers shared by the grid and functional layers."""
+"""Small numeric helpers shared by the grid, functional and solve layers."""
 
 from __future__ import annotations
 
@@ -32,6 +32,23 @@ def smoothstep(x):
     """C^1 ramp: 0 for x<=0, 3x^2-2x^3 on [0,1], 1 for x>=1."""
     x = np.clip(x, 0.0, 1.0)
     return x * x * (3.0 - 2.0 * x)
+
+
+def armijo(trial, f0, slope, beta, max_backtracks):
+    """Backtracking line search from step beta, halved on each rejection.
+
+    trial(beta) returns (f, ...) of the trial point, or None, which counts as
+    a rejection.  Returns (trial(beta), min(2 beta, 4)) of the first trial
+    with f < f0 - beta * slope, the second entry being the step the next
+    search starts from; None when all `max_backtracks` trials are rejected.
+    slope = 0 accepts any plain decrease.
+    """
+    for _ in range(max_backtracks):
+        out = trial(beta)
+        if out is not None and out[0] < f0 - beta * slope:
+            return out, min(2.0 * beta, 4.0)
+        beta *= 0.5
+    return None
 
 
 def solve_cg(A, b, x0=None, rtol=1e-12, maxiter=None, label="cg"):

@@ -3,17 +3,18 @@
 The local branch near zero (class Plus) and the excited branch (class Minus)
 are found by projected gradient descent — a gradient step followed by
 rescaling onto the manifold via the fibering roots of the stepped ray — with
-a final Newton polish of the full first-order system.  Both descents take
-their steps through one Armijo line search (`_armijo`).  Bubble-translated
+a final Newton polish of the full first-order system.  Both descents and
+the polish take their steps through the one backtracking line search
+`numutil.armijo`, which also sets the next descent step.  Bubble-translated
 seeds on annular domains, the boundary-pinned minimax search, and
 continuation in mu toward the solvability boundary build on the same two
 minimizers.
 
 Fixed constants (module level, below): the Newton inner MINRES tolerance
-floor, the bubble cutoff radius (`_bubble_delta0`: the annulus' delta0 capped
-at 0.45, 0.25 on a box), the multistart bubble scalings and deduplication
-distance, the minimax cone steps per point and round, and the mu*
-continuation schedule (first step, growth, shrink, step floor, failure
+floor, the bubble cutoff radius (in `make_bubble`: the annulus' delta0
+capped at 0.45, 0.25 on a box), the multistart bubble scalings and
+deduplication distance, the minimax cone steps per point and round, and the
+mu* continuation schedule (first step, growth, shrink, step floor, failure
 limit).  Options that stay are the ones callers set to more than one value:
 `max_iter`/`budget_factor` of the branch minimizers (the nonexistence
 criterion runs them at a tenfold budget), `budget_factor` everywhere (a
@@ -45,9 +46,9 @@ from .functional import FiberingProfile, Params, energy, gradient_values
 from .grid import AnnulusD, Domain, Field, _default_bump
 from .lift import compose_solution
 from .nehari import (
-    Klass, NehariClass, barycenter, classify, reduced_functional, t_plus, two_root_regime,
+    Klass, barycenter, classify, reduced_functional, t_plus, two_root_regime,
 )
-from .numutil import abs_pow, signed_pow, smoothstep, solve_minres
+from .numutil import abs_pow, armijo, signed_pow, smoothstep, solve_minres
 
 NEWTON_INNER_RTOL = 1e-9  # floor of the Newton MINRES tolerance min(1e-2, . + 0.1 |grad|)
 BUBBLE_T_FACTORS = (0.5, 1.0, 2.0)  # multistart composite vplus + f t_star bubble, f in these
@@ -75,7 +76,7 @@ class SolutionRecord:
     v: Field
     u: Field
     energy: float
-    nehari_class: NehariClass
+    klass: Klass
     grad_norm: float
     positive: bool
     seed: SeedKind
@@ -93,7 +94,7 @@ class SolutionRecord:
             "lambda": self.lam,
             "mu": self.mu,
             "energy": self.energy,
-            "class": self.nehari_class.klass.name,
+            "class": self.klass.name,
             "grad_norm": self.grad_norm,
             "positive": bool(self.positive),
             "seed": self.seed.value,
@@ -135,23 +136,6 @@ def _or_none(f, *args):
         return None
 
 
-def _armijo(trial, f0, slope, beta, max_backtracks):
-    """Armijo backtracking from step beta, halved on each rejection.
-
-    trial(beta) returns (f, ...) of the trial point, or None when it has
-    none; a None trial, a MuTooLargeError and a MuBeyondRangeError count as
-    rejections.  Returns (trial(beta), beta) of the first trial with
-    f < f0 - 1e-4 * beta * slope, or None when all `max_backtracks` are
-    rejected.
-    """
-    for _ in range(max_backtracks):
-        out = _or_none(trial, beta)
-        if out is not None and out[0] < f0 - 1e-4 * beta * slope:
-            return out, beta
-        beta *= 0.5
-    return None
-
-
 def _newton_polish(p: Params, vvals, budget_factor=1.0, flags=None):
     """Damped Newton on the full first-order system, at most
     max(10, int(40 * budget_factor)) steps; returns (values, grad_norm,
@@ -177,19 +161,17 @@ def _newton_polish(p: Params, vvals, budget_factor=1.0, flags=None):
                                  maxiter=4000, label="newton step")
         if flags is not None:
             flags.append(ok)
-        step = 1.0
-        accepted = False
-        for _ in range(30):
+
+        def trial(step):
             vt = v + step * delta
             gt = gradient_values(vt, p)
-            gnt = _wnorm(d, gt)
-            if gnt < (1.0 - 0.25 * step) * gn:
-                v, g, gn = vt, gt, gnt
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+            return _wnorm(d, gt), vt, gt
+
+        # sufficient decrease |grad E(v + step delta)| < (1 - step / 4) |grad E(v)|
+        out = armijo(trial, gn, 0.25 * gn, 1.0, 30)
+        if out is None:
             break
+        (gn, v, g), _ = out
         steps += 1
     e_val = energy(v, p)
     return v, gn, steps, gn <= _target_tol(p, v, e_val)
@@ -256,12 +238,11 @@ def minimize_on_Nplus(
         dr = d.solve_poisson(g, x0=warm_dir)
         warm_dir = dr
 
-        step = _armijo(lambda beta: _project_plus(v - beta * dr, p), e_val,
-                       d.inner(g, dr), alpha, 25)
+        step = armijo(lambda beta: _or_none(_project_plus, v - beta * dr, p), e_val,
+                      1e-4 * d.inner(g, dr), alpha, 25)
         if step is None:
             break
-        (e_val, v), beta = step
-        alpha = min(beta * 2.0, 4.0)
+        (e_val, v), alpha = step
         iterations += 1
         if v.min() < -1e-13 * max(1.0, np.abs(v).max()):
             # absolute-value move: energy does not increase on the Plus rescale
@@ -287,12 +268,11 @@ def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
     d = p.domain
     vf = Field(vvals, d)
     uf = compose_solution(vf, p.mu, p.lift)
-    cls = classify(vvals, p)
     return SolutionRecord(
         v=vf,
         u=uf,
         energy=energy(vvals, p),
-        nehari_class=cls,
+        klass=classify(vvals, p).klass,
         grad_norm=gn,
         positive=bool(uf.values.min() > 0.0),
         seed=seed_kind,
@@ -311,10 +291,11 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta, max_backtracks):
     v is the current cone point with J(v) = j_val and t = t_minus(v), g the
     gradient at t v and dr its Riesz lift.  The lift is made tangent to the
     sphere at v, and trial points max(v - beta * dtan, 0) / norm are scored
-    by J through `_armijo` (a trial point that vanishes or has no t_minus
-    root counts as a rejection).  Returns ((J, t, w, v), beta) of the
-    accepted point with w = t v, or None when dtan is not a descent
-    direction or all `max_backtracks` trials are rejected.
+    by J through `armijo` (a trial point that vanishes or has no t_minus
+    root counts as a rejection).  Returns ((J, t, w, v), next_beta) of the
+    accepted point with w = t v and the step the next search starts from,
+    or None when dtan is not a descent direction or all `max_backtracks`
+    trials are rejected.
     """
     d = p.domain
     ts = p.two_star
@@ -328,7 +309,7 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta, max_backtracks):
         vt = _unit(np.maximum(v - beta * dtan, 0.0), d, ts)
         return None if vt is None else (*reduced_functional(vt, p), vt)
 
-    return _armijo(trial, j_val, slope, beta, max_backtracks)
+    return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, max_backtracks)
 
 
 def minimize_on_Nminus(
@@ -367,14 +348,13 @@ def minimize_on_Nminus(
             step = _cone_step(p, v, t, j_val, g, dr, beta0, max_backtracks=30)
             if step is None:
                 break
-            (j_val, t, w, v), beta = step
-            beta0 = min(beta * 2.0, 4.0)
+            (j_val, t, w, v), beta0 = step
 
         wv, gn, steps, ok = _newton_polish(p, w, budget_factor, flags)
         iterations += steps
         if ok:
             rec = build_record(p, wv, gn, seed_kind, iterations)
-            if rec.nehari_class.klass is Klass.MINUS and rec.energy > 0:
+            if rec.klass is Klass.MINUS and rec.energy > 0:
                 return rec
         # polish drifted off the Minus part; restart descent from the cone
         # projection of the best manifold point with smaller steps
@@ -394,34 +374,29 @@ def minimize_on_Nminus(
 # -- bubbles -----------------------------------------------------------------
 
 
-def _bubble_frame(domain: Domain):
-    """Coordinates the bubble formulas live in: absolute for the annulus,
-    center-scaled for a box (unit sphere maps to the inscribed sphere)."""
-    if isinstance(domain.spec.shape, AnnulusD):
-        return domain.interior_coords
-    sides = domain.spec.shape.sides
-    center = np.array([0.5 * s for s in sides])
-    return (domain.interior_coords - center) / (0.5 * min(sides))
-
-
-def make_bubble(epsilon: float, direction, domain: Domain, delta0: float) -> np.ndarray:
+def make_bubble(epsilon: float, direction, domain: Domain) -> np.ndarray:
     """Values of the cutoff concentration profile peaked near
     (1 - eps) * direction.
 
-    Radial cutoff ramps up over [delta0, 2 delta0], is identically one on
-    [2 delta0, 1/(2 delta0)], and ramps down over [1/(2 delta0), 1/delta0].
+    The formulas live in absolute coordinates on the annulus and in
+    center-scaled ones on a box (the unit sphere maps to the inscribed
+    sphere).  The radial cutoff ramps up over [delta0, 2 delta0], is
+    identically one on [2 delta0, 1/(2 delta0)], and ramps down over
+    [1/(2 delta0), 1/delta0]; delta0 is the annulus' own delta0 kept below
+    the 1/2 that a nonempty plateau needs, and 0.25 on a box.
     """
     if not 0.0 < epsilon < 1.0:
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon}")
     y = np.asarray(direction, dtype=float)
     if y.shape != (domain.ndim,) or abs(np.linalg.norm(y) - 1.0) > 1e-10:
         raise ArgumentError("direction must be a unit vector of the domain dimension")
-    if not 0.0 < delta0 < 0.5:
-        raise ArgumentError(
-            f"delta0 must lie in (0, 0.5) so the cutoff plateau is nonempty, got {delta0}"
-        )
+    shape = domain.spec.shape
+    if isinstance(shape, AnnulusD):
+        pts, delta0 = domain.interior_coords, min(shape.delta0, 0.45)
+    else:
+        center = np.array([0.5 * s for s in shape.sides])
+        pts, delta0 = (domain.interior_coords - center) / (0.5 * min(shape.sides)), 0.25
     N = domain.ndim
-    pts = _bubble_frame(domain)
     r = np.linalg.norm(pts, axis=1)
     cut = smoothstep((r - delta0) / delta0)
     hi_lo = 1.0 / (2.0 * delta0)
@@ -435,13 +410,6 @@ def make_bubble(epsilon: float, direction, domain: Domain, delta0: float) -> np.
     if not np.any(vals > 0):
         raise ArgumentError("bubble support misses every interior node")
     return vals
-
-
-def _bubble_delta0(domain: Domain):
-    """Bubble cutoff radius: the annulus' own delta0 kept below the 1/2 that
-    a nonempty plateau needs, and 0.25 on a box."""
-    shape = domain.spec.shape
-    return min(shape.delta0, 0.45) if isinstance(shape, AnnulusD) else 0.25
 
 
 def multistart_Nminus(
@@ -462,14 +430,13 @@ def multistart_Nminus(
     """
     d = p.domain
     ts = p.two_star
-    delta0 = _bubble_delta0(d)
     threshold = vplus.energy + p.spectral.s_quantum
 
     seeds = []
     failures = []
     for y in directions:
         try:
-            U = make_bubble(epsilon, y, d, delta0)
+            U = make_bubble(epsilon, y, d)
         except ArgumentError as e:
             failures.append((y, str(e)))
             continue
@@ -564,7 +531,6 @@ def minimax_gamma(
     d = p.domain
     if not isinstance(d.spec.shape, AnnulusD):
         raise PreconditionError("minimax search needs the annular domain")
-    delta0 = _bubble_delta0(d)
     ts = p.two_star
     q = p.spectral.s_quantum
     window = (vplus.energy + q, vminus.energy + q)
@@ -576,10 +542,10 @@ def minimax_gamma(
     for j, y in enumerate(sphere_directions(d.ndim)):
         for k, r in enumerate(radii):
             eps_k = float(np.clip(1.0 - r, epsilon, 0.97))
-            vals = make_bubble(eps_k, y, d, delta0)
+            vals = make_bubble(eps_k, y, d)
             mix = 1.0 - r / r_bar if r_bar > 0 else 1.0
             if mix > 0:
-                vals = vals + mix * make_bubble(eps_k, -y, d, delta0)
+                vals = vals + mix * make_bubble(eps_k, -y, d)
             vals = _unit(vals, d, ts)
             if vals is not None:
                 family[(j, k)] = vals
@@ -611,9 +577,9 @@ def minimax_gamma(
         return MinimaxResult(None, gamma_est, window,
                              f"polish stalled at grad norm {gn:.3e} ({_short_note(flags)})")
     rec = build_record(p, wv, gn, SeedKind.MINIMAX, steps)
-    if rec.nehari_class.klass is not Klass.MINUS:
+    if rec.klass is not Klass.MINUS:
         return MinimaxResult(None, gamma_est, window,
-                             f"polished point classified {rec.nehari_class.klass.name}")
+                             f"polished point classified {rec.klass.name}")
     if not window[0] < rec.energy < window[1]:
         return MinimaxResult(
             None, gamma_est, window,

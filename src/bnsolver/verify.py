@@ -10,7 +10,7 @@ come from the same grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,13 +40,7 @@ class Check:
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
     def to_json_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "tolerance": float(self.tolerance),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -107,10 +101,10 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
 
     cls = classify(rec.v.values, p)
     on_manifold = cls.klass in (Klass.PLUS, Klass.MINUS)
-    consistent = cls.klass is rec.nehari_class.klass
+    consistent = cls.klass is rec.klass
     checks.append(
         Check(
-            f"manifold class is {cls.klass.name} (recorded {rec.nehari_class.klass.name})",
+            f"manifold class is {cls.klass.name} (recorded {rec.klass.name})",
             on_manifold and consistent,
             cls.t_second_deriv,
             0.0,
@@ -274,8 +268,8 @@ def convexity_ball_check(
 def threshold_report(p: Params, records: Sequence[SolutionRecord]) -> Certificate:
     """Tabulates the branch minima against the energy quantum: sign pattern,
     the gap inequality, and each record's position in the compactness window."""
-    plus = [r for r in records if r.nehari_class.klass is Klass.PLUS]
-    minus = [r for r in records if r.nehari_class.klass is Klass.MINUS]
+    plus = [r for r in records if r.klass is Klass.PLUS]
+    minus = [r for r in records if r.klass is Klass.MINUS]
     if not plus or not minus:
         raise IncompleteInputError(
             "threshold report needs at least one Plus and one Minus record"
@@ -308,7 +302,7 @@ def threshold_report(p: Params, records: Sequence[SolutionRecord]) -> Certificat
         else:
             tag = "inside" if inside else ("below" if rec.energy <= lo else "above")
             checks.append(
-                Check(f"record {i} [{rec.nehari_class.klass.name}] {tag} window "
+                Check(f"record {i} [{rec.klass.name}] {tag} window "
                       f"({lo:.6g}, {hi:.6g})", True, rec.energy, lo, 0.0)
             )
     return Certificate(tuple(checks))

@@ -365,7 +365,7 @@ def test_criterion_10_bubble_sanity(annulus29):
     y = np.array([1.0, 0.0, 0.0])
     masses = []
     for eps in (0.4, 0.2, 0.1):
-        b = make_bubble(eps, y, dom, 0.45)
+        b = make_bubble(eps, y, dom)
         masses.append(dom.weight * float(np.sum(np.abs(b) ** ts)))
     trend_ok = masses[0] < masses[1] < masses[2]
     gaps = [abs(m - target) for m in masses]
@@ -376,7 +376,7 @@ def test_criterion_10_bubble_sanity(annulus29):
     rec_plus = minimize_on_Nplus(p)
     q = setup.spectral.s_quantum
     threshold = rec_plus.energy + q
-    U = make_bubble(0.1, y, dom, 0.45)
+    U = make_bubble(0.1, y, dom)
     aU = dom.h1_norm_sq(U) - lam * dom.l2_norm_sq(U)
     bU = dom.weight * np.sum(np.abs(U) ** ts)
     t_star = (aU / bU) ** 0.25

@@ -162,9 +162,53 @@ def record_without_energy(tmp_path, completed_run):
     return ["certify", str(cell_path)], f"{cell_path}: record 0: missing key or unknown value"
 
 
+def report_cell_without_lambda(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    cell = json.loads(cell_path.read_text())
+    del cell["lambda"]
+    cell_path.write_text(json.dumps(cell))
+    return ["report", str(cell_path.parent.parent)], f"{cell_path}: not a cell file: missing or mistyped lambda"
+
+
+def report_cell_is_a_list(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    cell_path.write_text("[1, 2]\n")
+    return ["report", str(cell_path.parent.parent)], f"{cell_path}: not a cell file"
+
+
+def report_lambda_not_a_number(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    cell = json.loads(cell_path.read_text())
+    cell["lambda"] = "x"
+    cell_path.write_text(json.dumps(cell))
+    return ["report", str(cell_path.parent.parent)], f"{cell_path}: not a cell file"
+
+
+def report_record_without_class(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    cell = json.loads(cell_path.read_text())
+    del cell["records"][1]["class"]
+    cell_path.write_text(json.dumps(cell))
+    return (["report", str(cell_path.parent.parent)],
+            f"{cell_path}: record 1: missing key or unknown value 'class'")
+
+
+def report_not_a_run(tmp_path, completed_run):
+    return ["report", str(tmp_path)], f"{tmp_path} is not a completed run"
+
+
+def certify_without_config(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    (cell_path.parent.parent / "config.ini").unlink()
+    return ["certify", str(cell_path)], f"{cell_path}: no config.ini next to the run"
+
+
 @pytest.mark.parametrize("case", [missing_config, node_table_bad_line, field_dump_bad_header,
                                   missing_cell_file, non_json_cell_file, unknown_recorded_class,
-                                  record_without_energy],
+                                  record_without_energy, report_cell_without_lambda,
+                                  report_cell_is_a_list, report_lambda_not_a_number,
+                                  report_record_without_class,
+                                  report_not_a_run, certify_without_config],
                          ids=lambda case: case.__name__)
 def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, case):
     """Missing or malformed input files exit 2 with an error that names the

@@ -288,7 +288,7 @@ def test_barycenter_symmetry_and_translation(box9):
 def test_barycenter_of_bubble_aligns(annulus9):
     dom = annulus9.domain
     y = np.array([0.0, 1.0, 0.0])
-    b = make_bubble(0.3, y, dom, 0.45)
+    b = make_bubble(0.3, y, dom)
     beta = barycenter(Field(b, dom))
     assert np.dot(beta, y) > 0.1
 
@@ -301,7 +301,7 @@ def test_barycenter_zero_field_rejected(box9):
 def test_gradient_direction_integral_symmetry(annulus9):
     dom = annulus9.domain
     y = np.array([1.0, 0.0, 0.0])
-    b = make_bubble(0.3, y, dom, 0.45)
+    b = make_bubble(0.3, y, dom)
     gdi = dom.gradient_direction_integral(b)
     assert np.dot(gdi, y) > 0
     # centered symmetric profile: integral vanishes

@@ -10,7 +10,7 @@ from bnsolver.errors import (
 from bnsolver.functional import energy
 from bnsolver.grid import Field
 from bnsolver.nehari import Klass
-from bnsolver.numutil import signed_pow, solve_cg
+from bnsolver.numutil import armijo, signed_pow, solve_cg
 from bnsolver.solve import (
     SeedKind,
     estimate_mu_star,
@@ -21,6 +21,53 @@ from bnsolver.solve import (
     minimize_on_Nplus,
     multistart_Nminus,
 )
+
+
+# -- line search --------------------------------------------------------------
+
+
+def table_trial(values):
+    """A line-search trial reading (f, beta) off the dict values (None where
+    absent) and logging every step it is asked for."""
+    tried = []
+
+    def trial(beta):
+        tried.append(beta)
+        return None if values.get(beta) is None else (values[beta], beta)
+
+    return trial, tried
+
+
+def test_armijo_accepts_the_first_sufficient_decrease():
+    # thresholds f0 - beta * slope: 0 at beta = 1, 0.5 at 1/2 (strict), 0.75 at 1/4
+    trial, tried = table_trial({1.0: 0.6, 0.5: 0.5, 0.25: 0.2, 0.125: 0.1})
+    assert armijo(trial, 1.0, 1.0, 1.0, 10) == ((0.2, 0.25), 0.5)
+    assert tried == [1.0, 0.5, 0.25]
+
+
+def test_armijo_slope_zero_is_a_plain_decrease():
+    trial, tried = table_trial({1.0: 1.0, 0.5: np.nextafter(1.0, 0.0)})
+    assert armijo(trial, 1.0, 0.0, 1.0, 10) == ((np.nextafter(1.0, 0.0), 0.5), 1.0)
+    assert tried == [1.0, 0.5]
+
+
+def test_armijo_none_trial_is_a_rejection():
+    trial, tried = table_trial({1.0: None, 0.5: -5.0})
+    assert armijo(trial, 0.0, 1.0, 1.0, 10) == ((-5.0, 0.5), 1.0)
+    assert tried == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("beta, next_beta", [(4.0, 4.0), (2.0, 4.0), (1.0, 2.0), (0.25, 0.5)])
+def test_armijo_next_step_doubles_up_to_four(beta, next_beta):
+    trial, _ = table_trial({beta: -1.0})
+    assert armijo(trial, 0.0, 0.0, beta, 10) == ((-1.0, beta), next_beta)
+
+
+@pytest.mark.parametrize("value", [None, 1.0])
+def test_armijo_gives_up_after_max_backtracks(value):
+    trial, tried = table_trial({2.0**-k: value for k in range(10)})
+    assert armijo(trial, 1.0, 0.0, 1.0, 5) is None
+    assert tried == [1.0, 0.5, 0.25, 0.125, 0.0625]
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +84,7 @@ def test_plus_branch_record(cell13, box13):
     p, rec, _ = cell13
     dom = box13.domain
     assert rec.energy < 0
-    assert rec.nehari_class.klass is Klass.PLUS
+    assert rec.klass is Klass.PLUS
     assert rec.positive
     assert rec.energy <= energy(np.zeros(dom.n_interior), p) + 1e-12
     h1 = np.sqrt(dom.h1_norm_sq(rec.v.values))
@@ -48,7 +95,7 @@ def test_plus_branch_record(cell13, box13):
 def test_minus_branch_record(cell13):
     p, rec_plus, rec = cell13
     assert rec.energy > 0
-    assert rec.nehari_class.klass is Klass.MINUS
+    assert rec.klass is Klass.MINUS
     assert rec.positive
     q = p.spectral.s_quantum
     assert rec.energy < rec_plus.energy + q
@@ -187,8 +234,8 @@ def test_two_branches_dimension4():
 def test_bubble_support_and_positivity(annulus9):
     dom = annulus9.domain
     y = np.array([1.0, 0.0, 0.0])
-    d0 = 0.45
-    vals = make_bubble(0.3, y, dom, d0)
+    d0 = 0.45  # the cutoff radius: annulus9's delta0 = 0.5, capped at 0.45
+    vals = make_bubble(0.3, y, dom)
     assert vals.min() >= 0.0
     r = np.linalg.norm(dom.interior_coords, axis=1)
     outside = (r <= d0) | (r >= 1.0 / d0)
@@ -203,20 +250,18 @@ def test_bubble_argument_errors(annulus9):
     dom = annulus9.domain
     y = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ArgumentError):
-        make_bubble(0.0, y, dom, 0.45)
+        make_bubble(0.0, y, dom)
     with pytest.raises(ArgumentError):
-        make_bubble(1.5, y, dom, 0.45)
+        make_bubble(1.5, y, dom)
     with pytest.raises(ArgumentError):
-        make_bubble(0.3, np.array([1.0, 1.0, 0.0]), dom, 0.45)
-    with pytest.raises(ArgumentError):
-        make_bubble(0.3, y, dom, 0.6)  # cutoff plateau empty
+        make_bubble(0.3, np.array([1.0, 1.0, 0.0]), dom)
 
 
 def test_bubble_mirror_symmetry(annulus9):
     p = annulus9.params(lam_factor=0.25, mu=0.01)
     y = np.array([0.0, 0.0, 1.0])
-    b1 = make_bubble(0.3, y, annulus9.domain, 0.45)
-    b2 = make_bubble(0.3, -y, annulus9.domain, 0.45)
+    b1 = make_bubble(0.3, y, annulus9.domain)
+    b2 = make_bubble(0.3, -y, annulus9.domain)
     e1 = energy(b1, p)
     e2 = energy(b2, p)
     assert abs(e1 - e2) <= 1e-8 * (1.0 + abs(e1))
@@ -229,7 +274,7 @@ def test_multistart_on_box_is_permitted(box13):
     recs = multistart_Nminus(p, dirs, 0.3, rec_plus)
     assert len(recs) >= 1  # no distinctness claim without the annular geometry
     for r in recs:
-        assert r.nehari_class.klass is Klass.MINUS
+        assert r.klass is Klass.MINUS
         assert r.seed is SeedKind.BUBBLE
 
 

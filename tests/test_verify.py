@@ -71,7 +71,7 @@ def test_certify_detects_corruption(cell9, box9, monkeypatch):
     u[0] = -1e-3
     _fails_alone(certify_solution(replace(rec_plus, u=Field(u, d)), p), "positive nodewise")
     _fails_alone(
-        certify_solution(replace(rec_plus, nehari_class=rec_minus.nehari_class), p),
+        certify_solution(replace(rec_plus, klass=rec_minus.klass), p),
         "manifold class",
     )
 
@@ -126,7 +126,7 @@ def test_certify_homogeneous_ground_state(box9):
     gs = ground_state(0.0, box9.spectral, box9.lift)
     rec = minimize_on_Nminus(p00, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
     cert = certify_solution(rec, p00)
-    assert rec.nehari_class.klass is Klass.MINUS
+    assert rec.klass is Klass.MINUS
     assert cert.overall, str(cert)
 
 
