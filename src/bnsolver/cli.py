@@ -434,8 +434,9 @@ def _bad_key(obj, keys):
 
 def _read_cell(fp) -> dict:
     """The cell JSON at fp, with every key of CELL_KEYS and, on each record,
-    of RECORD_KEYS, each of its type.  A file that cannot be read or parsed
-    or fails that check is an ArgumentError naming fp."""
+    of RECORD_KEYS, each of its type, with numbers in its two lists.  A file
+    that cannot be read or parsed or fails that check is an ArgumentError
+    naming fp."""
     try:
         with open(fp) as f:
             cell = json.load(f)
@@ -445,7 +446,9 @@ def _read_cell(fp) -> dict:
     if bad is not None:
         raise ArgumentError(f"{fp}: not a cell file: missing or mistyped {bad}")
     for k, r in enumerate(cell["records"]):
-        bad = _bad_key(r, RECORD_KEYS)
+        bad = _bad_key(r, RECORD_KEYS) or next(
+            (key for key in ("barycenter", "grad_dir_integral")
+             if not all(isinstance(x, _NUMBER) for x in r[key])), None)
         if bad is not None:
             raise ArgumentError(f"{fp}: record {k}: missing key or unknown value {bad!r}")
     return cell

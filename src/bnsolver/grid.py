@@ -133,8 +133,11 @@ class Domain:
         self.h = np.array([ax[1] - ax[0] for ax in self.axes])
         self.weight = float(np.prod(self.h))
 
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        try:
+            mesh = np.meshgrid(*self.axes, indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=1)
+        except MemoryError:
+            raise ConfigurationError(f"lattice of {res}^{N} nodes does not fit in memory") from None
         n_lattice = pts.shape[0]
 
         idx_nd = np.unravel_index(np.arange(n_lattice), self.lattice_shape)

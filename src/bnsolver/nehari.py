@@ -6,9 +6,9 @@ pairing integral lam*mu*int(phi v) + mu^(2*-1)*int(phi^(2*-1) v) is
 positive, a second root t_plus below t0.  Both are sought only in the
 two-root regime (t0 defined and T'(t0) > 0), which `two_root_regime` tests.
 Each root has its own function, which evaluates T' only on its own side of
-t0: `t_plus` for the Plus projection, `t_minus` for the reduced functional.
-Membership of a field in the Plus/Minus/Zero parts of the manifold is read
-off T'(1) and T''(1).
+t0, and `reduced_functional` takes either: `t_plus` for the Plus branch,
+`t_minus` for the Minus branch.  Membership of a field in the
+Plus/Minus/Zero parts of the manifold is read off T'(1) and T''(1).
 """
 
 from __future__ import annotations
@@ -145,14 +145,17 @@ def classify(v, p: Params) -> NehariClass:
     return NehariClass(klass=klass, t_second_deriv=tpp, tolerance=tol_class)
 
 
-def reduced_functional(v, p: Params):
-    """J(v) = E(t_minus(v) v), 0-homogeneous in v; returns (J, t_minus,
-    t_minus * v).  The Minus-branch descent, the multistart seeds and the
-    minimax search all evaluate J here, on the nonnegative cone of the unit
-    critical sphere.  J is read off the ray's profile, E(t v) = T(t)."""
+def reduced_functional(v, p: Params, root=t_minus):
+    """J(v) = E(root(v) v), 0-homogeneous in v; returns (J, t, t v) with
+    t = root(v), or None when the root is (`t_plus` on a ray whose pairing
+    is not positive).  With `t_minus` (the default) this is the Minus
+    branch's J, with `t_plus` the Plus branch's; the branch descents, the
+    multistart seeds and the minimax search all evaluate it here, on the
+    nonnegative cone of the unit critical sphere.  J is read off the ray's
+    profile, E(t v) = T(t)."""
     prof = FiberingProfile(v, p)
-    tm = t_minus(prof)
-    return prof.T(tm), tm, tm * v
+    t = root(prof)
+    return None if t is None else (prof.T(t), t, t * v)
 
 
 def barycenter(v: Field) -> np.ndarray:

@@ -1,26 +1,28 @@
 """Solution searches on the two Nehari manifold parts.
 
 The local branch near zero (class Plus) and the excited branch (class Minus)
-are found by projected gradient descent — a gradient step followed by
-rescaling onto the manifold via the fibering roots of the stepped ray — with
-a final Newton polish of the full first-order system.  Both descents and
-the polish take their steps through the one backtracking line search
-`numutil.armijo`, which also sets the next descent step.  Bubble-translated
-seeds on annular domains, the boundary-pinned minimax search, and
-continuation in mu toward the solvability boundary build on the same two
-minimizers.
+both minimize a reduced functional J(v) = E(t(v) v) over the nonnegative cone
+of the unit critical sphere, t = t_plus for Plus and t = t_minus for Minus
+(the Nehari decomposition of Tarantello, Ann. IHP Anal. Non Lineaire 9,
+1992).  One loop, `_cone_descent`, runs both descents and the minimax
+relaxation; a Newton polish of the full first-order system finishes each
+branch.  The descent and the polish take their steps through the one
+backtracking line search `numutil.armijo`, which also sets the next descent
+step.  Bubble-translated seeds on annular domains, the boundary-pinned
+minimax search, and continuation in mu toward the solvability boundary build
+on the same two minimizers.
 
 Fixed constants (module level, below): the Newton inner MINRES tolerance
-floor, the bubble cutoff radius (in `make_bubble`: the annulus' delta0
-capped at 0.45, 0.25 on a box), the multistart bubble scalings and
-deduplication distance, the minimax cone steps per point and round, and the
-mu* continuation schedule (first step, growth, shrink, step floor, failure
-limit).  Options that stay are the ones callers set to more than one value:
-`max_iter`/`budget_factor` of the branch minimizers (the nonexistence
-criterion runs them at a tenfold budget), `budget_factor` everywhere (a
-config key), `n_radii`/`relax_rounds` of the minimax search (the mu*
-criterion runs it smaller) and `max_cells`/`keep_records` of the
-continuation.
+floor, the cone step's 30 backtracks, the bubble cutoff radius (in
+`make_bubble`: the annulus' delta0 capped at 0.45, 0.25 on a box), the
+multistart bubble scalings and deduplication distance, the minimax descent
+passes per point and round, and the mu* continuation schedule (first step,
+growth, shrink, step floor, failure limit).  Options that stay are the
+ones callers set to more than one value: `max_iter`/`budget_factor` of the
+branch minimizers (the nonexistence criterion runs them at a tenfold
+budget), `budget_factor` everywhere (a config key), `n_radii`/`relax_rounds`
+of the minimax search (the mu* criterion runs it smaller) and
+`max_cells`/`keep_records` of the continuation.
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ from .functional import FiberingProfile, Params, energy, gradient_values
 from .grid import AnnulusD, Domain, Field, _default_bump
 from .lift import compose_solution
 from .nehari import (
-    Klass, barycenter, classify, reduced_functional, t_plus, two_root_regime,
+    Klass, barycenter, classify, reduced_functional, t_minus, t_plus, two_root_regime,
 )
 from .numutil import abs_pow, armijo, signed_pow, smoothstep, solve_minres
 
 NEWTON_INNER_RTOL = 1e-9  # floor of the Newton MINRES tolerance min(1e-2, . + 0.1 |grad|)
 BUBBLE_T_FACTORS = (0.5, 1.0, 2.0)  # multistart composite vplus + f t_star bubble, f in these
 DEDUP_TOL = 1e-4  # H^1_0 distance below which two multistart records are one
-MINIMAX_INNER_STEPS = 2  # cone steps per family point and relaxation round
+MINIMAX_INNER_STEPS = 2  # cone descent passes per family point and relaxation round
 
 # mu* continuation schedule
 MU_INIT = 1e-3  # first mu step
@@ -189,14 +191,6 @@ def zero_relax_seed(p: Params) -> Field:
     return Field(s, p.domain)
 
 
-def _project_plus(vals, p: Params):
-    """(E(t_plus v), t_plus v) of the ray v = vals, read off its profile, or
-    None when the ray has no t_plus root."""
-    prof = FiberingProfile(vals, p)
-    tp = t_plus(prof)
-    return None if tp is None else (prof.T(tp), tp * vals)
-
-
 def minimize_on_Nplus(
     p: Params,
     seed: Optional[Field] = None,
@@ -205,53 +199,26 @@ def minimize_on_Nplus(
 ) -> SolutionRecord:
     """Minimize the energy on the Plus part of the manifold.
 
-    Projected descent (gradient step, rescale to the t_plus root of the new
-    ray) with an absolute-value move whenever an iterate goes negative,
-    finished by a Newton polish.
+    Cone descent of J(v) = E(t_plus(v) v) from the normalized |seed|
+    (`_cone_descent`), finished by a Newton polish.  The Plus solution
+    v = u - mu phi is positive (-Lap_h is an M-matrix and the right-hand
+    side is positive), so the nonnegative cone holds it.
     """
     if p.mu == 0.0:
         raise BranchAbsentError("the Plus branch is empty at mu = 0")
-    d = p.domain
     seed_kind = SeedKind.USER if seed is not None else SeedKind.ZERO_RELAX
     if seed is None:
         seed = zero_relax_seed(p)
-
-    proj = _project_plus(seed.values, p)
-    if proj is None:
-        # |seed| has nonnegative pairing against phi; try once before giving up
-        proj = _project_plus(np.abs(seed.values), p)
-    if proj is None:
-        raise DegenerateSeedError(
-            "seed ray has nonpositive pairing sign: no t_plus root (restart advised)"
-        )
-    e_val, v = proj
+    v = _unit(np.abs(seed.values), p.domain, p.two_star)
+    if v is None:
+        raise DegenerateSeedError("seed vanishes: no t_plus root")
 
     # at most 50 descent steps (scaled by the budget), and fewer than max_iter
     cap = min(max(1, int(max_iter * budget_factor)) - 1, max(10, int(50 * budget_factor)))
-    iterations = 1
-    warm_dir = None
-    alpha = 1.0
-    for _ in range(cap):
-        g = gradient_values(v, p)
-        if _wnorm(d, g) <= 1e3 * _target_tol(p, v, e_val):
-            break
-        dr = d.solve_poisson(g, x0=warm_dir)
-        warm_dir = dr
-
-        step = armijo(lambda beta: _or_none(_project_plus, v - beta * dr, p), e_val,
-                      1e-4 * d.inner(g, dr), alpha, 25)
-        if step is None:
-            break
-        (e_val, v), alpha = step
-        iterations += 1
-        if v.min() < -1e-13 * max(1.0, np.abs(v).max()):
-            # absolute-value move: energy does not increase on the Plus rescale
-            proj = _or_none(_project_plus, np.abs(v), p)
-            if proj is not None and proj[0] <= e_val + 1e-12 * (1 + abs(e_val)):
-                e_val, v = proj
+    _, _, w, iterations, _, _ = _cone_descent(p, v, t_plus, cap, 1.0, None)
 
     flags = []
-    v, gn, steps, ok = _newton_polish(p, v, budget_factor, flags)
+    w, gn, steps, ok = _newton_polish(p, w, budget_factor, flags)
     iterations += steps
     if not ok:
         raise NonconvergenceError(
@@ -259,7 +226,7 @@ def minimize_on_Nplus(
             f"({_short_note(flags)})",
             residual=gn,
         )
-    return build_record(p, v, gn, seed_kind, iterations)
+    return build_record(p, w, gn, seed_kind, iterations)
 
 
 def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
@@ -284,18 +251,17 @@ def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
     )
 
 
-def _cone_step(p: Params, v, t, j_val, g, dr, beta, max_backtracks):
-    """One projected line-search step of J on the unit critical sphere's
-    nonnegative cone.
+def _cone_step(p: Params, v, t, j_val, g, dr, beta, root):
+    """One projected line-search step of J(v) = E(root(v) v) on the unit
+    critical sphere's nonnegative cone.
 
-    v is the current cone point with J(v) = j_val and t = t_minus(v), g the
+    v is the current cone point with J(v) = j_val and t = root(v), g the
     gradient at t v and dr its Riesz lift.  The lift is made tangent to the
     sphere at v, and trial points max(v - beta * dtan, 0) / norm are scored
-    by J through `armijo` (a trial point that vanishes or has no t_minus
-    root counts as a rejection).  Returns ((J, t, w, v), next_beta) of the
-    accepted point with w = t v and the step the next search starts from,
-    or None when dtan is not a descent direction or all `max_backtracks`
-    trials are rejected.
+    by J through `armijo` (a trial point that vanishes or has no root counts
+    as a rejection).  Returns ((J, t, w, v), next_beta) of the accepted
+    point with w = t v and the step the next search starts from, or None
+    when dtan is not a descent direction or all 30 trials are rejected.
     """
     d = p.domain
     ts = p.two_star
@@ -307,9 +273,44 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta, max_backtracks):
 
     def trial(beta):
         vt = _unit(np.maximum(v - beta * dtan, 0.0), d, ts)
-        return None if vt is None else (*reduced_functional(vt, p), vt)
+        out = None if vt is None else reduced_functional(vt, p, root)
+        return None if out is None else (*out, vt)
 
-    return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, max_backtracks)
+    return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, 30)
+
+
+def _cone_descent(p: Params, v, root, budget, beta, warm):
+    """At most `budget` passes of cone descent of J(v) = E(root(v) v) from
+    the cone point v, for every branch: Plus (root `t_plus`), Minus and the
+    minimax relaxation (root `t_minus`).
+
+    A pass stops at a gradient g (at t v) within 1e2 times the convergence
+    target, or lifts g by a Poisson solve warm-started from the last lift
+    and moves by `_cone_step`.  Returns (J, v, w, passes, beta, warm): the
+    last cone point with w = root(v) v, the passes made (the stopping one
+    included), and the step and lift a further descent starts from.  Raises
+    DegenerateSeedError when v has no root.
+    """
+    d = p.domain
+    start = reduced_functional(v, p, root)
+    if start is None:
+        raise DegenerateSeedError(
+            f"seed ray has nonpositive pairing sign: no {root.__name__} root (restart advised)"
+        )
+    j_val, t, w = start
+    passes = 0
+    for _ in range(budget):
+        passes += 1
+        g = gradient_values(w, p)
+        if _wnorm(d, g) <= 1e2 * _target_tol(p, w, j_val):
+            break
+        dr = d.solve_poisson(g, x0=warm)
+        warm = dr
+        step = _cone_step(p, v, t, j_val, g, dr, beta, root)
+        if step is None:
+            break
+        (j_val, t, w, v), beta = step
+    return j_val, v, w, passes, beta, warm
 
 
 def minimize_on_Nminus(
@@ -320,7 +321,8 @@ def minimize_on_Nminus(
     seed_kind: SeedKind = SeedKind.USER,
 ) -> SolutionRecord:
     """Minimize the reduced functional J(v) = E(t_minus(v) v) over the
-    nonnegative cone of the critical-norm unit sphere."""
+    nonnegative cone of the critical-norm unit sphere (`_cone_descent`), in
+    up to three attempts, each finished by a Newton polish."""
     d = p.domain
     ts = p.two_star
     if seed is None or not np.any(seed.values):
@@ -335,20 +337,9 @@ def minimize_on_Nminus(
     beta0 = 1.0
     flags = []
 
-    j_val, t, w = reduced_functional(v, p)
     for attempt in range(3):
-        for it in range(budget):
-            iterations += 1
-            g = gradient_values(w, p)
-            gn = _wnorm(d, g)
-            if gn <= 1e2 * _target_tol(p, w, j_val):
-                break
-            dr = d.solve_poisson(g, x0=warm_dir)
-            warm_dir = dr
-            step = _cone_step(p, v, t, j_val, g, dr, beta0, max_backtracks=30)
-            if step is None:
-                break
-            (j_val, t, w, v), beta0 = step
+        _, v, w, passes, beta0, warm_dir = _cone_descent(p, v, t_minus, budget, beta0, warm_dir)
+        iterations += passes
 
         wv, gn, steps, ok = _newton_polish(p, w, budget_factor, flags)
         iterations += steps
@@ -361,7 +352,6 @@ def minimize_on_Nminus(
         v = _unit(np.abs(w), d, ts)
         if v is None:
             raise ProjectionError("descent collapsed to zero")
-        j_val, t, w = reduced_functional(v, p)
         beta0 *= 0.25
 
     raise NonconvergenceError(
@@ -519,8 +509,8 @@ def minimax_gamma(
 
     A finite family over the ball lattice {r_k y_j} (y_j the sphere
     directions of the domain dimension) is relaxed by coordinate-wise descent
-    of the reduced functional, MINIMAX_INNER_STEPS cone steps per point and
-    round, with the boundary ring pinned to normalized bubbles at the given
+    of the reduced functional, MINIMAX_INNER_STEPS passes of `_cone_descent`
+    per point and round, with the boundary ring pinned to normalized bubbles at the given
     epsilon.  Interior points start as blends with the antipodal bubble
     (weight growing toward the center), so the family links through two-peak
     transition states where the sup concentrates.  The relaxed maximizer is
@@ -557,15 +547,8 @@ def minimax_gamma(
         for key in sorted(family):
             if key in boundary_keys:
                 continue
-            v = family[key]
-            jv, t, w = reduced_functional(v, p)
-            for _ in range(MINIMAX_INNER_STEPS):
-                g = gradient_values(w, p)
-                step = _cone_step(p, v, t, jv, g, d.solve_poisson(g), 1.0, max_backtracks=20)
-                if step is None:
-                    break
-                (jv, t, w, v), _ = step
-            family[key], values[key] = v, jv
+            values[key], family[key], *_ = _cone_descent(
+                p, family[key], t_minus, MINIMAX_INNER_STEPS, 1.0, None)
 
     gamma_est = max(values.values())
     arg = max(values, key=lambda k: values[k])

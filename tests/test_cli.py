@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bnsolver
 from bnsolver.cli import main, parse_config
 from bnsolver.errors import ConfigurationError
 from bnsolver.grid import Box, DomainSpec, Field, build_domain, dump_field
@@ -193,6 +197,12 @@ def report_record_without_class(tmp_path, completed_run):
             f"{cell_path}: record 1: missing key or unknown value 'class'")
 
 
+def report_barycenter_entry_not_a_number(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path, {"barycenter": ["x"]})
+    return (["report", str(cell_path.parent.parent)],
+            f"{cell_path}: record 0: missing key or unknown value 'barycenter'")
+
+
 def report_not_a_run(tmp_path, completed_run):
     return ["report", str(tmp_path)], f"{tmp_path} is not a completed run"
 
@@ -208,6 +218,7 @@ def certify_without_config(tmp_path, completed_run):
                                   record_without_energy, report_cell_without_lambda,
                                   report_cell_is_a_list, report_lambda_not_a_number,
                                   report_record_without_class,
+                                  report_barycenter_entry_not_a_number,
                                   report_not_a_run, certify_without_config],
                          ids=lambda case: case.__name__)
 def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, case):
@@ -382,6 +393,18 @@ def test_default_bump_underflow_is_a_config_error(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["run", str(write_config(tmp_path, text))]) == 2
     assert "default bump underflows" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warnings():
+    """`python -W error -m bnsolver.cli` finds the module not yet imported
+    by its package (runpy warns otherwise)."""
+    src = str(Path(bnsolver.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "bnsolver.cli", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: bnsolver") and proc.stderr == ""
 
 
 MALFORMED = [

@@ -67,6 +67,13 @@ def test_degenerate_resolution_rejected():
         DomainSpec(Box((1.0,) * 3), 3, 2)
 
 
+def test_oversized_lattice_is_a_config_error():
+    """25^12 nodes: each meshgrid axis would take 424 PiB, so the first
+    allocation fails at once and nothing large is ever held."""
+    with pytest.raises(ConfigurationError, match=r"lattice of 25\^12 nodes"):
+        build_domain(DomainSpec(Box((1.0,) * 12), 12, 25))
+
+
 def test_bad_box_sides():
     with pytest.raises(ConfigurationError):
         Box((1.0, -1.0, 1.0))

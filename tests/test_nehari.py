@@ -9,7 +9,7 @@ from bnsolver.grid import Field
 from bnsolver.nehari import (
     Klass, barycenter, classify, reduced_functional, t_minus, t_plus, two_root_regime,
 )
-from bnsolver.solve import _project_plus, make_bubble
+from bnsolver.solve import make_bubble
 
 from conftest import quadrature_fibering
 
@@ -93,6 +93,8 @@ def test_negative_pairing_has_no_plus_root(box9):
     assert prof.sign_pairing < 0
     assert t_plus(prof) is None
     assert t_minus(prof) > prof.t0
+    assert reduced_functional(v, p, t_plus) is None
+    assert reduced_functional(v, p)[1] == t_minus(prof)
 
 
 class RecordingProfile(FiberingProfile):
@@ -230,10 +232,26 @@ def test_reduced_J_is_ray_maximum(box9):
     assert J >= samples.max() - 1e-10 * (1.0 + abs(J))
 
 
+def test_reduced_J_plus_is_ray_minimum_below_t0(box9):
+    """With root t_plus, J is the minimum of T on [0, t0] and equals a fresh
+    energy of t_plus v."""
+    rng = np.random.default_rng(47)
+    dom = box9.domain
+    p = box9.params(lam_factor=0.5, mu=0.01)
+    for _ in range(4):
+        raw = np.abs(rng.standard_normal(dom.n_interior)) + 0.05
+        raw /= dom.lp_norm(raw, p.two_star)
+        J, tp, w = reduced_functional(raw, p, t_plus)
+        prof = FiberingProfile(raw, p)
+        assert 0.0 < tp < prof.t0
+        assert J <= prof.T(np.linspace(0.0, prof.t0, 200)).min() + 1e-12 * abs(J)
+        assert abs(J - energy(w, p)) <= 1e-12 * abs(J)
+
+
 @pytest.mark.parametrize("domain", ["box9", "annulus9"])
 def test_profile_energy_matches_energy(domain, request):
-    """J and the Plus projection read E(t v) off the ray's profile; it equals
-    a fresh `energy` of t v."""
+    """J reads E(t v) off the ray's profile, with root t_minus or t_plus; it
+    equals a fresh `energy` of t v."""
     setup = request.getfixturevalue(domain)
     rng = np.random.default_rng(49)
     p = setup.params(lam_factor=0.5, mu=0.01)
@@ -243,12 +261,12 @@ def test_profile_energy_matches_energy(domain, request):
         J, tm, w = reduced_functional(v, p)
         assert np.array_equal(w, tm * v)
         assert abs(J - energy(tm * v, p)) <= 1e-12 * abs(J)
-        proj = _project_plus(v, p)
+        proj = reduced_functional(v, p, t_plus)
         tp = t_plus(FiberingProfile(v, p))
         assert (proj is None) == (tp is None)
         if proj is not None:
-            e_plus, w_plus = proj
-            assert np.array_equal(w_plus, tp * v)
+            e_plus, t, w_plus = proj
+            assert t == tp and np.array_equal(w_plus, tp * v)
             assert abs(e_plus - energy(tp * v, p)) <= 1e-12 * abs(e_plus)
             plus_seen += 1
     assert plus_seen >= 3

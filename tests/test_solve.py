@@ -153,6 +153,19 @@ def test_plus_uniqueness_two_seeds(cell13, box13):
     assert dist < 1e-6
 
 
+def test_sign_changing_seed_gives_the_zero_relax_record(cell13, box13):
+    """The Plus descent runs on the nonnegative cone from |seed|: a seed that
+    changes sign ends at the record of the zero-relax seed."""
+    p, rec, _ = cell13
+    e1 = box13.spectral.e1.values
+    seed = e1 - 0.5 * e1.max()
+    assert seed.min() < 0 < seed.max()
+    rec2 = minimize_on_Nplus(p, seed=Field(seed, box13.domain))
+    assert rec2.klass is Klass.PLUS and rec2.positive
+    assert abs(rec2.energy - rec.energy) <= 1e-12 * abs(rec.energy)
+    assert np.sqrt(box13.domain.h1_norm_sq(rec.v.values - rec2.v.values)) < 1e-10
+
+
 def test_warm_start_reproduces(cell13):
     p, rec, _ = cell13
     rec2 = minimize_on_Nplus(p, seed=rec.v)
