@@ -53,6 +53,16 @@ from .verify import (
 )
 
 KNOWN_SEARCHES = ("nplus", "nminus", "multistart", "minimax", "mu_star")
+# Every section of a config and the keys it may hold; any other section or
+# key is an error, so that a misspelt setting cannot fall back to its default.
+CONFIG_KEYS = {
+    "domain": ("shape", "sides", "delta0", "dimension", "resolution"),
+    "boundary": ("kind", "value", "direction", "width", "amplitude", "file"),
+    "parameters": ("lambdas", "mus"),
+    "searches": ("run", "directions", "epsilon", "budget_factor", "mu_star_cells"),
+    "output": ("directory", "dump_fields"),
+    "random": ("seed",),
+}
 # Keys that `report` and `certify` read from a cell JSON and from each of its
 # records, with the JSON types they read them as; every cell that `run`
 # writes has all of them.
@@ -70,7 +80,8 @@ def _fmt(x) -> str:
 
 
 class ConfigFile:
-    """Line-oriented `[section]` / `key = value` text, with line-anchored errors."""
+    """Line-oriented `[section]` / `key = value` text, with line-anchored
+    errors; sections and keys outside CONFIG_KEYS are rejected."""
 
     def __init__(self, path):
         self.path = str(path)
@@ -88,6 +99,10 @@ class ConfigFile:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip().lower()
+                if section not in CONFIG_KEYS:
+                    raise ConfigurationError(
+                        f"{self.path}:{lineno}: unknown section [{section}] "
+                        f"(known: {', '.join(CONFIG_KEYS)})")
                 self.sections.setdefault(section, {})
                 continue
             if "=" not in line:
@@ -95,6 +110,10 @@ class ConfigFile:
             if section is None:
                 raise ConfigurationError(f"{self.path}:{lineno}: key outside any [section]")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key.lower() not in CONFIG_KEYS[section]:
+                raise ConfigurationError(
+                    f"{self.path}:{lineno}: unknown key {key!r} in [{section}] "
+                    f"(known: {', '.join(CONFIG_KEYS[section])})")
             self.sections[section][key.lower()] = val
             self.lines[(section, key.lower())] = lineno
 

@@ -146,16 +146,17 @@ def classify(v, p: Params) -> NehariClass:
 
 
 def reduced_functional(v, p: Params, root=t_minus):
-    """J(v) = E(root(v) v), 0-homogeneous in v; returns (J, t, t v) with
-    t = root(v), or None when the root is (`t_plus` on a ray whose pairing
-    is not positive).  With `t_minus` (the default) this is the Minus
-    branch's J, with `t_plus` the Plus branch's; the branch descents, the
-    multistart seeds and the minimax search all evaluate it here, on the
-    nonnegative cone of the unit critical sphere.  J is read off the ray's
-    profile, E(t v) = T(t)."""
+    """J(v) = E(root(v) v), 0-homogeneous in v; returns (J, t, t v,
+    ||t v||^2) with t = root(v), or None when the root is (`t_plus` on a
+    ray whose pairing is not positive).  With `t_minus` (the default) this
+    is the Minus branch's J, with `t_plus` the Plus branch's; the branch
+    descents, the multistart seeds and the minimax search all evaluate it
+    here, on the nonnegative cone of the unit critical sphere.  J is read
+    off the ray's profile, E(t v) = T(t), and so is ||t v||^2 = t^2 ||v||^2
+    (the profile's `a`)."""
     prof = FiberingProfile(v, p)
     t = root(prof)
-    return None if t is None else (prof.T(t), t, t * v)
+    return None if t is None else (prof.T(t), t, t * v, t * t * prof.a)
 
 
 def barycenter(v: Field) -> np.ndarray:

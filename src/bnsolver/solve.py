@@ -113,11 +113,11 @@ class SolutionRecord:
         return d
 
 
-def _target_tol(p: Params, vvals, e_val):
-    """Convergence target on the gradient norm; well inside every certificate
+def _target_tol(h1_sq, e_val):
+    """Convergence target on the gradient norm at a point v with
+    ||v||^2 = h1_sq and E(v) = e_val; well inside every certificate
     tolerance used downstream."""
-    h1 = np.sqrt(p.domain.h1_norm_sq(vvals))
-    return 1e-9 * (1.0 + h1 + abs(e_val))
+    return 1e-9 * (1.0 + np.sqrt(h1_sq) + abs(e_val))
 
 
 def _wnorm(domain: Domain, vals):
@@ -155,7 +155,7 @@ def _newton_polish(p: Params, vvals, budget_factor=1.0, flags=None):
     steps = 0
     while steps < max_steps:
         e_val = energy(v, p)
-        if gn <= _target_tol(p, v, e_val):
+        if gn <= _target_tol(d.h1_norm_sq(v), e_val):
             return v, gn, steps, True
         w = v + p.mu_phi
         H.setdiag(a_diag - (p.lam + (ts - 1.0) * abs_pow(w, ts - 2.0)))
@@ -176,7 +176,7 @@ def _newton_polish(p: Params, vvals, budget_factor=1.0, flags=None):
         (gn, v, g), _ = out
         steps += 1
     e_val = energy(v, p)
-    return v, gn, steps, gn <= _target_tol(p, v, e_val)
+    return v, gn, steps, gn <= _target_tol(d.h1_norm_sq(v), e_val)
 
 
 def _short_note(flags):
@@ -259,9 +259,10 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta, root):
     gradient at t v and dr its Riesz lift.  The lift is made tangent to the
     sphere at v, and trial points max(v - beta * dtan, 0) / norm are scored
     by J through `armijo` (a trial point that vanishes or has no root counts
-    as a rejection).  Returns ((J, t, w, v), next_beta) of the accepted
-    point with w = t v and the step the next search starts from, or None
-    when dtan is not a descent direction or all 30 trials are rejected.
+    as a rejection).  Returns ((J, t, w, ||w||^2, v), next_beta) of the
+    accepted point with w = t v and the step the next search starts from,
+    or None when dtan is not a descent direction or all 30 trials are
+    rejected.
     """
     d = p.domain
     ts = p.two_star
@@ -297,19 +298,19 @@ def _cone_descent(p: Params, v, root, budget, beta, warm):
         raise DegenerateSeedError(
             f"seed ray has nonpositive pairing sign: no {root.__name__} root (restart advised)"
         )
-    j_val, t, w = start
+    j_val, t, w, w_sq = start
     passes = 0
     for _ in range(budget):
         passes += 1
         g = gradient_values(w, p)
-        if _wnorm(d, g) <= 1e2 * _target_tol(p, w, j_val):
+        if _wnorm(d, g) <= 1e2 * _target_tol(w_sq, j_val):
             break
         dr = d.solve_poisson(g, x0=warm)
         warm = dr
         step = _cone_step(p, v, t, j_val, g, dr, beta, root)
         if step is None:
             break
-        (j_val, t, w, v), beta = step
+        (j_val, t, w, w_sq, v), beta = step
     return j_val, v, w, passes, beta, warm
 
 
@@ -552,7 +553,7 @@ def minimax_gamma(
 
     gamma_est = max(values.values())
     arg = max(values, key=lambda k: values[k])
-    _, _, w_star = reduced_functional(family[arg], p)
+    w_star = reduced_functional(family[arg], p)[2]
 
     flags = []
     wv, gn, steps, ok = _newton_polish(p, w_star, budget_factor, flags)

@@ -382,6 +382,23 @@ def test_config_errors(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("old, new, bad, message", [
+    ("run = nplus nminus", "run = nplus nminus\nbudget_facter = 1.0", "budget_facter = 1.0",
+     "unknown key 'budget_facter' in [searches]"),
+    ("seed = 0", "seed = 0\n\n[typo_section]\nepsilonn = 0.25", "[typo_section]",
+     "unknown section [typo_section]"),
+    ("value = 1.0", "value = 1.0\nseed = 3", "seed = 3", "unknown key 'seed' in [boundary]"),
+], ids=["key", "section", "key-in-wrong-section"])
+def test_unknown_config_names_are_anchored(tmp_path, capsys, old, new, bad, message):
+    """A misspelt key or section, or a key in the wrong section, stops the
+    run at its line instead of leaving the setting at its default."""
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
+    bad_line = text.splitlines().index(bad) + 1
+    cfg = write_config(tmp_path, text)
+    assert main(["run", str(cfg)]) == 2
+    assert f"{cfg}:{bad_line}: {message}" in capsys.readouterr().err
+
+
 def test_default_bump_underflow_is_a_config_error(tmp_path, capsys):
     """A box so elongated that the default bump (the Sobolev descent's seed)
     underflows on every interior node stops with an error naming the bump,

@@ -213,7 +213,7 @@ def test_reduced_J_homogeneous_closed_form(box9):
     for _ in range(8):
         raw = np.abs(rng.standard_normal(dom.n_interior)) + 0.05
         raw /= dom.lp_norm(raw, ts)
-        J, _, _ = reduced_functional(raw, p)
+        J, _, _, _ = reduced_functional(raw, p)
         a = dom.h1_norm_sq(raw) - lam * dom.l2_norm_sq(raw)
         expected = a ** (N / 2.0) / N
         assert abs(J - expected) <= 1e-9 * expected
@@ -226,7 +226,7 @@ def test_reduced_J_is_ray_maximum(box9):
     p = box9.params(lam_factor=0.5, mu=0.01)
     raw = np.abs(rng.standard_normal(dom.n_interior)) + 0.05
     raw /= dom.lp_norm(raw, p.two_star)
-    J, tm, _ = reduced_functional(raw, p)
+    J, tm, _, _ = reduced_functional(raw, p)
     prof = FiberingProfile(raw, p)
     samples = prof.T(np.linspace(0.0, 3.0 * tm, 100))
     assert J >= samples.max() - 1e-10 * (1.0 + abs(J))
@@ -241,7 +241,7 @@ def test_reduced_J_plus_is_ray_minimum_below_t0(box9):
     for _ in range(4):
         raw = np.abs(rng.standard_normal(dom.n_interior)) + 0.05
         raw /= dom.lp_norm(raw, p.two_star)
-        J, tp, w = reduced_functional(raw, p, t_plus)
+        J, tp, w, _ = reduced_functional(raw, p, t_plus)
         prof = FiberingProfile(raw, p)
         assert 0.0 < tp < prof.t0
         assert J <= prof.T(np.linspace(0.0, prof.t0, 200)).min() + 1e-12 * abs(J)
@@ -250,24 +250,26 @@ def test_reduced_J_plus_is_ray_minimum_below_t0(box9):
 
 @pytest.mark.parametrize("domain", ["box9", "annulus9"])
 def test_profile_energy_matches_energy(domain, request):
-    """J reads E(t v) off the ray's profile, with root t_minus or t_plus; it
-    equals a fresh `energy` of t v."""
+    """J reads E(t v) and ||t v||^2 off the ray's profile, with root t_minus
+    or t_plus; they equal a fresh `energy` and `h1_norm_sq` of t v."""
     setup = request.getfixturevalue(domain)
     rng = np.random.default_rng(49)
     p = setup.params(lam_factor=0.5, mu=0.01)
     plus_seen = 0
     for positive in (True, False) * 3:
         v = setup.random_field(rng, positive=positive).values
-        J, tm, w = reduced_functional(v, p)
+        J, tm, w, w_sq = reduced_functional(v, p)
         assert np.array_equal(w, tm * v)
         assert abs(J - energy(tm * v, p)) <= 1e-12 * abs(J)
+        assert abs(w_sq - p.domain.h1_norm_sq(w)) <= 1e-12 * w_sq
         proj = reduced_functional(v, p, t_plus)
         tp = t_plus(FiberingProfile(v, p))
         assert (proj is None) == (tp is None)
         if proj is not None:
-            e_plus, t, w_plus = proj
+            e_plus, t, w_plus, w_plus_sq = proj
             assert t == tp and np.array_equal(w_plus, tp * v)
             assert abs(e_plus - energy(tp * v, p)) <= 1e-12 * abs(e_plus)
+            assert abs(w_plus_sq - p.domain.h1_norm_sq(w_plus)) <= 1e-12 * w_plus_sq
             plus_seen += 1
     assert plus_seen >= 3
 
