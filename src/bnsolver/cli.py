@@ -65,7 +65,9 @@ CONFIG_KEYS = {
 }
 # Keys that `report` and `certify` read from a cell JSON and from each of its
 # records, with the JSON types they read them as; every cell that `run`
-# writes has all of them.
+# writes has all of them.  A record that is the symmetry image of a solved
+# one also holds `image_of`, the index of that one, an earlier record of the
+# same cell.
 _NUMBER = (int, float)
 CELL_KEYS = {"index": int, "lambda": _NUMBER, "mu": _NUMBER, "status": str, "records": list}
 RECORD_KEYS = {"class": str, "energy": _NUMBER, "grad_norm": _NUMBER, "positive": bool,
@@ -229,11 +231,13 @@ def parse_config(path) -> RunConfig:
                             f"unknown search {s!r} (known: {', '.join(KNOWN_SEARCHES)})")
 
     directions = cfg.number("searches", "directions", int, default="6")
+    max_directions = 2 * dim + 2**dim  # the signed axes and the diagonals of R^dim
     epsilon = cfg.number("searches", "epsilon", default="0.2")
     budget_factor = cfg.number("searches", "budget_factor", default="1.0")
     mu_star_cells = cfg.number("searches", "mu_star_cells", int, default="24")
     for key, val, ok, need in (
-        ("directions", directions, directions >= 1, ">= 1"),
+        ("directions", directions, 1 <= directions <= max_directions,
+         f"in [1, {max_directions}] for dimension {dim}"),
         ("epsilon", epsilon, 0.0 < epsilon < 1.0, "in (0, 1)"),
         ("budget_factor", budget_factor, budget_factor > 0.0, "> 0"),
         ("mu_star_cells", mu_star_cells, mu_star_cells >= 1, ">= 1"),
@@ -336,12 +340,14 @@ def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig):
                 "gamma_estimate": mm.gamma_estimate,
                 "window": list(mm.window),
                 "reason": mm.reason,
+                "relaxed_points": mm.relaxed_points,
+                "image_points": mm.image_points,
             }
             if mm.found:
                 records.append(mm.record)
 
         certs = [certify_solution(r, p) for r in records]
-        cell["records"] = [r.to_json_dict() for r in records]
+        cell["records"] = [r.to_json_dict(records) for r in records]
         cell["certificates"] = [c.to_json_dict() for c in certs]
         cell["_fields"] = [r.v for r in records]
         if rec_plus is not None:
@@ -453,9 +459,10 @@ def _bad_key(obj, keys):
 
 def _read_cell(fp) -> dict:
     """The cell JSON at fp, with every key of CELL_KEYS and, on each record,
-    of RECORD_KEYS, each of its type, with numbers in its two lists.  A file
-    that cannot be read or parsed or fails that check is an ArgumentError
-    naming fp."""
+    of RECORD_KEYS, each of its type, with numbers in its two lists and,
+    where it has an `image_of`, the index of an earlier record there.  A
+    file that cannot be read or parsed or fails that check is an
+    ArgumentError naming fp."""
     try:
         with open(fp) as f:
             cell = json.load(f)
@@ -468,6 +475,9 @@ def _read_cell(fp) -> dict:
         bad = _bad_key(r, RECORD_KEYS) or next(
             (key for key in ("barycenter", "grad_dir_integral")
              if not all(isinstance(x, _NUMBER) for x in r[key])), None)
+        if bad is None and "image_of" in r and not (
+                type(r["image_of"]) is int and 0 <= r["image_of"] < k):
+            bad = "image_of"
         if bad is not None:
             raise ArgumentError(f"{fp}: record {k}: missing key or unknown value {bad!r}")
     return cell
@@ -496,12 +506,12 @@ def report(run_dir) -> int:
                 )
 
     with open(out / "barycenters.csv", "w") as f:
-        f.write("cell,record,class,seed," +
+        f.write("cell,record,class,seed,image_of," +
                 ",".join(f"beta_{i}" for i in range(8)) + "\n")
         for c in cells:
             for k, r in enumerate(c["records"]):
                 beta = r["barycenter"]
-                cols = [str(c["index"]), str(k), r["class"], r["seed"]]
+                cols = [str(c["index"]), str(k), r["class"], r["seed"], str(r.get("image_of", ""))]
                 cols += [_fmt(x) for x in beta] + ["" for _ in range(8 - len(beta))]
                 f.write(",".join(cols) + "\n")
 

@@ -29,11 +29,21 @@ Discrete conventions, fixed once and used everywhere:
   sine matrix is applied along each axis by a BLAS product, and the
   eigenpair is closed-form), and CG on masked lattices.  The one exception
   is the Sobolev descent, which keeps its own inexact CG on every domain
-  (see `estimate_sobolev_S`).
+  (see `estimate_sobolev_S`);
+* lattice symmetries: a signed axis permutation g = (P, S) (P a
+  permutation of the axes, S the flipped axes) acts on a raw value array by
+  zero-extending it onto the lattice, transposing the axes by P, flipping
+  the axes in S and gathering the interior nodes (`Domain.apply_symmetry`);
+  on points it acts by `symmetry_point`, so that a bump peaked at y maps to
+  one peaked at g y.  g is a symmetry of the domain (`Domain.symmetries`)
+  when it maps the interior mask onto itself and h[P[d]] == h[d] on every
+  axis; it then permutes the interior nodes and commutes with the stencil
+  and every norm.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -192,6 +202,7 @@ class Domain:
 
         self._matrix = None
         self._sine = None
+        self._symmetries = None
 
         if isinstance(spec.shape, AnnulusD):
             self._check_condition_d(pts, interior)
@@ -262,6 +273,34 @@ class Domain:
             return _sine_transform(S, coef / eig).ravel()
         return _cg(self.matrix, b, x0, rtol, maxiter or 20 * self.n_interior, label)
 
+    # -- lattice symmetries --------------------------------------------------
+
+    @property
+    def symmetries(self):
+        """The signed axis permutations g = (P, S) that are symmetries of the
+        domain: g maps the interior mask onto itself and keeps the spacings,
+        h[P[d]] == h[d].  The identity comes first.  Found once per domain;
+        only the (P, S) tuples are kept."""
+        if self._symmetries is None:
+            N = self.ndim
+            mask = np.zeros(self.lattice_shape, dtype=bool)
+            mask.flat[self.interior_flat] = True
+            flips = [S for k in range(N + 1) for S in itertools.combinations(range(N), k)]
+            self._symmetries = [
+                (P, S) for P in itertools.permutations(range(N)) for S in flips
+                if all(self.h[P[d]] == self.h[d] for d in range(N))
+                and np.array_equal(_lattice_act(mask, P, S), mask)
+            ]
+        return self._symmetries
+
+    def apply_symmetry(self, g, values):
+        """The signed axis permutation g = (P, S) applied to a raw value
+        array: zero-extended onto the lattice, axes transposed by P, the axes
+        in S flipped, interior nodes gathered."""
+        full = np.zeros(self.lattice_shape)
+        full.flat[self.interior_flat] = values
+        return _lattice_act(full, *g).ravel()[self.interior_flat]
+
     # -- quadrature and norms ----------------------------------------------
 
     def inner(self, u, v):
@@ -309,6 +348,22 @@ class Domain:
             f"Domain({self.spec.shape!r}, N={self.ndim}, res={self.spec.resolution}, "
             f"interior={self.n_interior})"
         )
+
+
+def _lattice_act(x, P, S):
+    """The lattice array x with its axes transposed by P and the axes in S
+    flipped (a view)."""
+    return np.flip(np.transpose(x, P), S)
+
+
+def symmetry_point(g, y):
+    """The point g y of R^N, (g y)[d] = -+ y[P[d]] (minus when d is in S),
+    in centred coordinates, for y of shape (..., N): `Domain.apply_symmetry`
+    maps a bump peaked at y to one peaked at g y."""
+    P, S = g
+    gy = np.asarray(y, dtype=float)[..., list(P)]
+    gy[..., list(S)] *= -1.0
+    return gy
 
 
 def _sine_transform(S, x):

@@ -12,23 +12,35 @@ step.  Bubble-translated seeds on annular domains, the boundary-pinned
 minimax search, and continuation in mu toward the solvability boundary build
 on the same two minimizers.
 
+Bubble multistart and minimax relaxation solve once per lattice-symmetry
+orbit.  Before each seed is solved, `_Orbits` looks for a seed y0 already
+solved in the same search (in the minimax, for each family point as the
+family is built) and a symmetry g of the domain (`grid.Domain.symmetries`)
+with g y0 = y for their directions that fixes mu*phi and maps the solved
+seed onto this one (to SYMMETRY_TOL); on a hit the outcome is g applied to
+the solved one.  Every solve is a deterministic function of its seed, and
+the discrete problem commutes with g, so the image is the outcome the seed
+would have had.  Data without the symmetry find no hit and solve every seed.
+
 Fixed constants (module level, below): the Newton inner MINRES tolerance
-floor, the cone step's 30 backtracks, the bubble cutoff radius (in
-`make_bubble`: the annulus' delta0 capped at 0.45, 0.25 on a box), the
-multistart bubble scalings and deduplication distance, the minimax descent
-passes per point and round, and the mu* continuation schedule (first step,
-growth, shrink, step floor, failure limit).  Options that stay are the
-ones callers set to more than one value: `max_iter`/`budget_factor` of the
-branch minimizers (the nonexistence criterion runs them at a tenfold
-budget), `budget_factor` everywhere (a config key), `n_radii`/`relax_rounds`
-of the minimax search (the mu* criterion runs it smaller) and
-`max_cells`/`keep_records` of the continuation.
+floor, the cone step's 30 backtracks (fewer once a step's required gain
+drops below one ulp of J), the bubble cutoff radius (in `make_bubble`: the
+annulus' delta0 capped at 0.45, 0.25 on a box), the multistart bubble
+scalings and deduplication distance, the symmetry match tolerance, the
+minimax descent passes per point and round, and the mu* continuation
+schedule (first step, growth, shrink, step floor, failure limit).  Options
+that stay are the ones callers set to more than one value:
+`max_iter`/`budget_factor` of the branch minimizers (the nonexistence
+criterion runs them at a tenfold budget), `budget_factor` everywhere (a
+config key), `n_radii`/`relax_rounds` of the minimax search (the mu*
+criterion runs it smaller) and `max_cells`/`keep_records` of the
+continuation.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,7 +57,7 @@ from .errors import (
     SeedingError,
 )
 from .functional import FiberingProfile, Params, energy, gradient_values
-from .grid import AnnulusD, Domain, Field, _default_bump
+from .grid import AnnulusD, Domain, Field, _default_bump, symmetry_point
 from .lift import compose_solution
 from .nehari import (
     Klass, barycenter, classify, reduced_functional, t_minus, t_plus, two_root_regime,
@@ -55,6 +67,8 @@ from .numutil import abs_pow, armijo, signed_pow, smoothstep, solve_minres
 NEWTON_INNER_RTOL = 1e-9  # floor of the Newton MINRES tolerance min(1e-2, . + 0.1 |grad|)
 BUBBLE_T_FACTORS = (0.5, 1.0, 2.0)  # multistart composite vplus + f t_star bubble, f in these
 DEDUP_TOL = 1e-4  # H^1_0 distance below which two multistart records are one
+SYMMETRY_TOL = 1e-12  # relative sup-norm within which g maps a solved seed onto a seed
+CONE_BACKTRACKS = 30  # most Armijo trials of one cone step
 MINIMAX_INNER_STEPS = 2  # cone descent passes per family point and relaxation round
 
 # mu* continuation schedule
@@ -90,8 +104,12 @@ class SolutionRecord:
     seed_direction: Optional[np.ndarray] = None
     seed_energy: Optional[float] = None
     seed_below_threshold: Optional[bool] = None
+    # the solved record this one is the symmetry image of
+    image_of: Optional["SolutionRecord"] = dc_field(default=None, repr=False, compare=False)
 
-    def to_json_dict(self):
+    def to_json_dict(self, records=()):
+        """JSON data of the record; `records` is the list it sits in, which
+        holds the record it is an image of (written as that one's index)."""
         d = {
             "lambda": self.lam,
             "mu": self.mu,
@@ -110,6 +128,8 @@ class SolutionRecord:
             d["seed_energy"] = self.seed_energy
         if self.seed_below_threshold is not None:
             d["seed_below_threshold"] = bool(self.seed_below_threshold)
+        if self.image_of is not None:
+            d["image_of"] = next(k for k, r in enumerate(records) if r is self.image_of)
         return d
 
 
@@ -259,10 +279,12 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta, root):
     gradient at t v and dr its Riesz lift.  The lift is made tangent to the
     sphere at v, and trial points max(v - beta * dtan, 0) / norm are scored
     by J through `armijo` (a trial point that vanishes or has no root counts
-    as a rejection).  Returns ((J, t, w, ||w||^2, v), next_beta) of the
-    accepted point with w = t v and the step the next search starts from,
-    or None when dtan is not a descent direction or all 30 trials are
-    rejected.
+    as a rejection).  A trial at step b must gain 1e-4 * b * slope; only the
+    steps, at most CONE_BACKTRACKS, at which that gain is at least one ulp
+    of J (eps * |J|) are tried, since below it roundoff decides.  Returns
+    ((J, t, w, ||w||^2, v), next_beta) of the accepted point with w = t v
+    and the step the next search starts from, or None when dtan is not a
+    descent direction, no step is resolvable or every trial is rejected.
     """
     d = p.domain
     ts = p.two_star
@@ -271,13 +293,19 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta, root):
     slope = t * d.inner(g, dtan)
     if slope <= 0:
         return None
+    ulp = np.finfo(float).eps * abs(j_val)
+    tries = 0
+    while tries < CONE_BACKTRACKS and 1e-4 * slope * beta * 0.5**tries >= ulp:
+        tries += 1
+    if tries == 0:
+        return None
 
     def trial(beta):
         vt = _unit(np.maximum(v - beta * dtan, 0.0), d, ts)
         out = None if vt is None else reduced_functional(vt, p, root)
         return None if out is None else (*out, vt)
 
-    return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, 30)
+    return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, tries)
 
 
 def _cone_descent(p: Params, v, root, budget, beta, warm):
@@ -362,6 +390,58 @@ def minimize_on_Nminus(
     )
 
 
+# -- one solve per symmetry orbit ----------------------------------------------
+
+
+def _matches(a, b):
+    """a equals b within SYMMETRY_TOL relative sup-norm."""
+    return float(np.max(np.abs(a - b))) <= SYMMETRY_TOL * float(np.max(np.abs(b)))
+
+
+class _Orbits:
+    """The seeds a search solves, each with its direction and its outcome
+    (or the key that locates it), looked up modulo the symmetries of the
+    domain that fix mu*phi."""
+
+    def __init__(self, p: Params):
+        d = p.domain
+        self.domain = d
+        self.group = [g for g in d.symmetries
+                      if _matches(d.apply_symmetry(g, p.mu_phi), p.mu_phi)]
+        self.solved = []
+
+    def add(self, y, seed, outcome):
+        self.solved.append((np.asarray(y, dtype=float), seed, outcome))
+
+    def find(self, y, seed):
+        """(g, outcome) of a solved seed y0 and a symmetry g with g y0 = y
+        that maps the solved seed onto `seed` (`_matches`), or None.  A
+        symmetry permutes the nodes, so the seeds' extreme values must match
+        first."""
+        d = self.domain
+        top, bottom = float(seed.max()), float(seed.min())
+        slack = SYMMETRY_TOL * float(np.max(np.abs(seed)))
+        for y0, seed0, outcome in self.solved:
+            if abs(seed0.max() - top) > slack or abs(seed0.min() - bottom) > slack:
+                continue
+            for g in self.group:
+                if (np.array_equal(symmetry_point(g, y0), y)
+                        and _matches(d.apply_symmetry(g, seed0), seed)):
+                    return g, outcome
+        return None
+
+
+def _image_record(p: Params, g, src: SolutionRecord) -> SolutionRecord:
+    """The record of g v for the solved record src of v, rebuilt by
+    `build_record` (fresh gradient norm, energy, class and barycenter) with
+    no iterations of its own."""
+    d = p.domain
+    v = d.apply_symmetry(g, src.v.values)
+    rec = build_record(p, v, _wnorm(d, gradient_values(v, p)), src.seed, 0)
+    rec.image_of = src
+    return rec
+
+
 # -- bubbles -----------------------------------------------------------------
 
 
@@ -416,8 +496,10 @@ def multistart_Nminus(
     along the composite ray, t = t_star * BUBBLE_T_FACTORS.  The seed energy
     is compared against the compactness threshold m_plus + (1/N) S^{N/2} and
     recorded; directions whose composite admits no projection are skipped.
-    Records closer than DEDUP_TOL in H^1_0 to a kept one are dropped.  Raises
-    SeedingError if every direction fails.
+    Records closer than DEDUP_TOL in H^1_0 to a kept one are dropped.  A
+    seed that a symmetry maps a kept solved seed onto (`_Orbits`) is not
+    solved: its record is the image of the solved one (`_image_record`,
+    `image_of` set).  Raises SeedingError if every direction fails.
     """
     d = p.domain
     ts = p.two_star
@@ -446,25 +528,24 @@ def multistart_Nminus(
     if not seeds:
         raise SeedingError(f"no direction produced a Minus seed: {failures}")
 
+    orbits = _Orbits(p)
     records = []
     for y, w, e_seed, below in seeds:
+        hit = orbits.find(y, w)
         try:
-            rec = minimize_on_Nminus(p, Field(w, d), budget_factor=budget_factor,
-                                     seed_kind=SeedKind.BUBBLE)
+            rec = (_image_record(p, *hit) if hit is not None else
+                   minimize_on_Nminus(p, Field(w, d), budget_factor=budget_factor,
+                                      seed_kind=SeedKind.BUBBLE))
         except (NonconvergenceError, ProjectionError) as e:
             failures.append((y, str(e)))
             continue
         rec.seed_direction, rec.seed_energy, rec.seed_below_threshold = y, e_seed, below
-        records.append(rec)
-
-    distinct = []
-    for rec in records:
-        if all(
-            np.sqrt(d.h1_norm_sq(rec.v.values - kept.v.values)) > DEDUP_TOL
-            for kept in distinct
-        ):
-            distinct.append(rec)
-    return distinct
+        if all(np.sqrt(d.h1_norm_sq(rec.v.values - kept.v.values)) > DEDUP_TOL
+               for kept in records):
+            records.append(rec)
+            if hit is None:
+                orbits.add(y, w, rec)
+    return records
 
 
 # -- minimax -----------------------------------------------------------------
@@ -476,6 +557,8 @@ class MinimaxResult:
     gamma_estimate: float
     window: tuple
     reason: str
+    relaxed_points: int  # family-point relaxations run by cone descent
+    image_points: int  # family-point relaxations saved: the point is a symmetry image
 
     @property
     def found(self):
@@ -484,7 +567,10 @@ class MinimaxResult:
 
 def sphere_directions(N: int, count: Optional[int] = None):
     """Unit directions in R^N: the 2N signed axes first, then the 2^N
-    normalized diagonals; the first `count` of them (all when None)."""
+    normalized diagonals; the first `count` of them (all when None).  Raises
+    ArgumentError when `count` exceeds 2N + 2^N."""
+    if count is not None and count > 2 * N + 2**N:
+        raise ArgumentError(f"{count} directions asked for, R^{N} has {2 * N + 2**N}")
     dirs = []
     for k in range(N):
         for s in (+1.0, -1.0):
@@ -511,9 +597,11 @@ def minimax_gamma(
     A finite family over the ball lattice {r_k y_j} (y_j the sphere
     directions of the domain dimension) is relaxed by coordinate-wise descent
     of the reduced functional, MINIMAX_INNER_STEPS passes of `_cone_descent`
-    per point and round, with the boundary ring pinned to normalized bubbles at the given
-    epsilon.  Interior points start as blends with the antipodal bubble
-    (weight growing toward the center), so the family links through two-peak
+    per point and round, with the boundary ring pinned to normalized bubbles
+    at the given epsilon; a point that a symmetry maps an earlier one onto
+    (`_Orbits`) is not relaxed: it is that one's image and has its J.
+    Interior points start as blends with the antipodal bubble (weight
+    growing toward the center), so the family links through two-peak
     transition states where the sup concentrates.  The relaxed maximizer is
     polished by Newton and accepted only if it certifies with class Minus and
     energy inside the compactness window; not-found is a legitimate outcome
@@ -529,8 +617,14 @@ def minimax_gamma(
     r_bar = 1.0 - epsilon
     radii = np.linspace(0.0, r_bar, n_radii)
 
-    family = {}
-    for j, y in enumerate(sphere_directions(d.ndim)):
+    # Only orbit representatives are kept and relaxed; rep_of names the
+    # representative of every other point.  A round relaxes each point by
+    # the same deterministic descent, so an image stays g applied to its
+    # representative's point, with its J.
+    dirs = sphere_directions(d.ndim)
+    orbits = _Orbits(p)
+    family, rep_of = {}, {}
+    for j, y in enumerate(dirs):
         for k, r in enumerate(radii):
             eps_k = float(np.clip(1.0 - r, epsilon, 0.97))
             vals = make_bubble(eps_k, y, d)
@@ -538,38 +632,45 @@ def minimax_gamma(
             if mix > 0:
                 vals = vals + mix * make_bubble(eps_k, -y, d)
             vals = _unit(vals, d, ts)
-            if vals is not None:
+            if vals is None:
+                continue
+            hit = orbits.find(y, vals)
+            if hit is None:
+                orbits.add(y, vals, (j, k))
                 family[(j, k)] = vals
+            else:
+                rep_of[(j, k)] = hit[1]
+    del orbits  # its references would keep the unrelaxed seeds alive
 
     values = {key: reduced_functional(v, p)[0] for key, v in family.items()}
-    boundary_keys = {key for key in family if key[1] == len(radii) - 1}
-
+    interior = [key for key in family if key[1] != len(radii) - 1]
     for _ in range(relax_rounds):
-        for key in sorted(family):
-            if key in boundary_keys:
-                continue
+        for key in interior:
             values[key], family[key], *_ = _cone_descent(
                 p, family[key], t_minus, MINIMAX_INNER_STEPS, 1.0, None)
+    relaxed = relax_rounds * len(interior)
+    mapped = relax_rounds * sum(1 for key in rep_of if key[1] != len(radii) - 1)
+    values.update({key: values[rep] for key, rep in rep_of.items()})
 
     gamma_est = max(values.values())
+    # a representative: an image ties with its own, which comes first in values
     arg = max(values, key=lambda k: values[k])
     w_star = reduced_functional(family[arg], p)[2]
+
+    def result(rec, reason):
+        return MinimaxResult(rec, gamma_est, window, reason, relaxed, mapped)
 
     flags = []
     wv, gn, steps, ok = _newton_polish(p, w_star, budget_factor, flags)
     if not ok:
-        return MinimaxResult(None, gamma_est, window,
-                             f"polish stalled at grad norm {gn:.3e} ({_short_note(flags)})")
+        return result(None, f"polish stalled at grad norm {gn:.3e} ({_short_note(flags)})")
     rec = build_record(p, wv, gn, SeedKind.MINIMAX, steps)
     if rec.klass is not Klass.MINUS:
-        return MinimaxResult(None, gamma_est, window,
-                             f"polished point classified {rec.klass.name}")
+        return result(None, f"polished point classified {rec.klass.name}")
     if not window[0] < rec.energy < window[1]:
-        return MinimaxResult(
-            None, gamma_est, window,
-            f"polished energy {rec.energy:.6g} outside window ({window[0]:.6g}, {window[1]:.6g})",
-        )
-    return MinimaxResult(rec, gamma_est, window, "accepted")
+        return result(None, f"polished energy {rec.energy:.6g} outside window "
+                            f"({window[0]:.6g}, {window[1]:.6g})")
+    return result(rec, "accepted")
 
 
 # -- ground state cache and continuation --------------------------------------

@@ -203,6 +203,18 @@ def report_barycenter_entry_not_a_number(tmp_path, completed_run):
             f"{cell_path}: record 0: missing key or unknown value 'barycenter'")
 
 
+def report_image_of_not_an_index(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path, {"image_of": "first"})
+    return (["report", str(cell_path.parent.parent)],
+            f"{cell_path}: record 0: missing key or unknown value 'image_of'")
+
+
+def report_image_of_not_an_earlier_record(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path, {"image_of": 0})
+    return (["report", str(cell_path.parent.parent)],
+            f"{cell_path}: record 0: missing key or unknown value 'image_of'")
+
+
 def report_not_a_run(tmp_path, completed_run):
     return ["report", str(tmp_path)], f"{tmp_path} is not a completed run"
 
@@ -219,6 +231,8 @@ def certify_without_config(tmp_path, completed_run):
                                   report_cell_is_a_list, report_lambda_not_a_number,
                                   report_record_without_class,
                                   report_barycenter_entry_not_a_number,
+                                  report_image_of_not_an_index,
+                                  report_image_of_not_an_earlier_record,
                                   report_not_a_run, certify_without_config],
                          ids=lambda case: case.__name__)
 def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, case):
@@ -399,6 +413,24 @@ def test_unknown_config_names_are_anchored(tmp_path, capsys, old, new, bad, mess
     assert f"{cfg}:{bad_line}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dimension, directions, most", [(3, 15, 14), (4, 25, 24)])
+def test_directions_beyond_the_sphere_set_are_anchored(tmp_path, capsys, dimension,
+                                                       directions, most):
+    """More multistart directions than the 2N signed axes and 2^N diagonals
+    of the dimension is an error at its line, not a silent truncation."""
+    text = (BASE_CONFIG.format(out=tmp_path / "out")
+            .replace("sides = 1 1 1", "sides = " + " ".join(["1"] * dimension))
+            .replace("dimension = 3", f"dimension = {dimension}")
+            .replace("run = nplus nminus", f"run = nplus nminus\ndirections = {directions}"))
+    line = text.splitlines().index(f"directions = {directions}") + 1
+    cfg = write_config(tmp_path, text)
+    assert main(["run", str(cfg)]) == 2
+    assert (f"{cfg}:{line}: directions must be in [1, {most}] for dimension {dimension}, "
+            f"got {directions}") in capsys.readouterr().err
+    ok = text.replace(f"directions = {directions}", f"directions = {most}")
+    assert parse_config(write_config(tmp_path, ok, name="ok.ini")).directions == most
+
+
 def test_default_bump_underflow_is_a_config_error(tmp_path, capsys):
     """A box so elongated that the default bump (the Sobolev descent's seed)
     underflows on every interior node stops with an error naming the bump,
@@ -544,3 +576,30 @@ def test_mu_star_combines_with_cell_searches(tmp_path):
     sweep = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(sweep) == 2  # the (lambda, mu) cell still ran
     assert (out / "mu_star.csv").exists()  # and so did the continuation
+
+
+def test_symmetry_images_are_recorded_reported_and_certified(tmp_path, capsys):
+    """On constant data the six axis bubbles are one orbit: records 3-7 are
+    images of record 2, with no iterations of their own; the minimax block
+    counts relaxed and image points; report and certify read the cell."""
+    out = tmp_path / "out"
+    text = (ANNULUS_CONFIG.format(out=out)
+            .replace("kind = bump\ndirection = 1 0 0\nwidth = 0.8\namplitude = 1.0",
+                     "kind = constant\nvalue = 1.0")
+            .replace("directions = 2", "directions = 6")
+            .replace("dump_fields = false", "dump_fields = true"))
+    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    cell_path = out / "cells" / "cell_0000.json"
+    cell = json.loads(cell_path.read_text())
+    records = cell["records"]
+    assert [r.get("image_of") for r in records[:3]] == [None, None, None]
+    assert records[2]["iterations"] > 0
+    assert all(r["image_of"] == 2 and r["iterations"] == 0 for r in records[3:8])
+    assert (cell["minimax"]["relaxed_points"], cell["minimax"]["image_points"]) == (18, 108)
+    assert main(["report", str(out)]) == 0
+    rows = (out / "barycenters.csv").read_text().splitlines()
+    assert rows[0].startswith("cell,record,class,seed,image_of,beta_0")
+    assert [row.split(",")[4] for row in rows[1:9]] == ["", "", ""] + ["2"] * 5
+    capsys.readouterr()
+    assert main(["certify", str(cell_path)]) == 0
+    assert capsys.readouterr().out.count("overall: PASS") == len(records)

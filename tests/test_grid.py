@@ -180,6 +180,49 @@ def test_quadrature_positivity(box9, annulus9):
         assert setup.domain.lp_norm(u, 2.0) > 0.0
 
 
+# -- lattice symmetries -----------------------------------------------------------
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(spec=sbp_domains, seed=st.integers(0, 2**32 - 1))
+def test_symmetries_permute_nodes_and_commute_with_the_stencil(spec, seed):
+    """Every accepted signed axis permutation is a bijection on the interior
+    nodes that moves each node x to g x (`grid.symmetry_point`, centred
+    coordinates) and commutes with -Lap, the H^1_0 norm and the critical
+    norm."""
+    dom = build_domain(spec)
+    assert dom.symmetries[0] == (tuple(range(dom.ndim)), ())
+    labels = np.arange(1.0, dom.n_interior + 1.0)
+    x = dom.interior_coords - [0.5 * (ax[0] + ax[-1]) for ax in dom.axes]
+    u = np.random.default_rng(seed).standard_normal(dom.n_interior)
+    Au = dom.matrix @ u
+    h1, lp = dom.h1_norm_sq(u), dom.lp_norm(u, dom.two_star)
+    for g in dom.symmetries:
+        assert np.array_equal(np.sort(dom.apply_symmetry(g, labels)), labels)
+        # (g u)(x) = u(g^-1 x), so g maps the coordinate functions to g^-1 x
+        pre = np.stack([dom.apply_symmetry(g, x[:, e]) for e in range(dom.ndim)], axis=1)
+        assert np.max(np.abs(grid.symmetry_point(g, pre) - x)) <= 1e-12 * np.max(np.abs(x))
+        gu = dom.apply_symmetry(g, u)
+        assert np.max(np.abs(dom.matrix @ gu - dom.apply_symmetry(g, Au))) <= 1e-12 * np.max(
+            np.abs(Au))
+        assert abs(dom.h1_norm_sq(gu) - h1) <= 1e-12 * h1
+        assert abs(dom.lp_norm(gu, dom.two_star) - lp) <= 1e-12 * lp
+
+
+@pytest.mark.parametrize("sides", [(1.0, 1.3, 0.7), (1.0, 1.3, 0.7, 1.6)], ids=["N3", "N4"])
+def test_unequal_box_sides_reject_axis_swaps(sides):
+    """On a box with unequal sides only the 2^N axis flips are symmetries."""
+    N = len(sides)
+    dom = build_domain(DomainSpec(Box(sides), N, 7))
+    assert {P for P, _ in dom.symmetries} == {tuple(range(N))}
+    assert len(dom.symmetries) == 2**N
+
+
+def test_cube_and_annulus_have_every_signed_axis_permutation(box9, annulus9):
+    assert len(box9.domain.symmetries) == 48
+    assert len(annulus9.domain.symmetries) == 48
+
+
 # -- Poisson layer --------------------------------------------------------------
 
 # Random boxes: N in {3, 4}, res in 5..17, sides in [0.5, 2].  The condition

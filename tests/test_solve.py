@@ -7,9 +7,11 @@ from bnsolver.errors import (
     NonconvergenceError,
     PreconditionError,
 )
-from bnsolver.functional import energy
-from bnsolver.grid import Field
-from bnsolver.nehari import Klass
+from bnsolver import solve
+from bnsolver.functional import Params, energy, gradient_values
+from bnsolver.grid import Field, symmetry_point
+from bnsolver.lift import BumpOnBoundary, solve_lift
+from bnsolver.nehari import Klass, reduced_functional, t_minus
 from bnsolver.numutil import armijo, signed_pow, solve_cg
 from bnsolver.solve import (
     SeedKind,
@@ -20,7 +22,9 @@ from bnsolver.solve import (
     minimize_on_Nminus,
     minimize_on_Nplus,
     multistart_Nminus,
+    sphere_directions,
 )
+from bnsolver.verify import certify_solution
 
 
 # -- line search --------------------------------------------------------------
@@ -298,6 +302,100 @@ def test_minimax_needs_annulus(box13):
     rec_minus = minimize_on_Nminus(p, gs)
     with pytest.raises(PreconditionError):
         minimax_gamma(p, 0.2, rec_plus, rec_minus)
+
+
+def test_symmetry_maps_a_bubble_to_the_bubble_at_the_image_point(annulus9):
+    dom = annulus9.domain
+    y = np.array([0.6, 0.8, 0.0])
+    b = make_bubble(0.3, y, dom)
+    for g in dom.symmetries:
+        gb = make_bubble(0.3, symmetry_point(g, y), dom)
+        assert np.max(np.abs(dom.apply_symmetry(g, b) - gb)) <= 1e-12 * np.max(gb)
+
+
+def test_symmetry_images_match_solved_seeds(annulus9, monkeypatch):
+    """Multistart over the six axes and the minimax relaxation give the same
+    records and level whether image seeds are mapped or solved."""
+    p = annulus9.params(lam_factor=0.25, mu=0.01)
+    rec_plus = minimize_on_Nplus(p)
+    gs = ground_state(p.lam, annulus9.spectral, annulus9.lift)
+    rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
+    dirs = sphere_directions(3, 6)
+
+    def searches():
+        return (multistart_Nminus(p, dirs, 0.3, rec_plus),
+                minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=3, relax_rounds=2))
+
+    mapped, mm = searches()
+    monkeypatch.setattr(solve._Orbits, "find", lambda self, y, seed: None)
+    solved, mm_solved = searches()
+
+    assert len(mapped) == len(solved) == 6
+    assert mapped[0].image_of is None and mapped[0].iterations > 0
+    assert all(r.image_of is mapped[0] and r.iterations == 0 for r in mapped[1:])
+    assert all(r.image_of is None for r in solved)
+    for a, b in zip(mapped, solved):
+        assert a.klass is b.klass is Klass.MINUS
+        assert abs(a.energy - b.energy) <= 1e-12 * abs(b.energy)
+        assert np.max(np.abs(a.v.values - b.v.values)) <= 1e-10
+        assert np.array_equal(a.seed_direction, b.seed_direction)
+        assert certify_solution(a, p).overall and certify_solution(b, p).overall
+    # 14 directions at 2 interior radii fall into 4 orbits; two rounds
+    assert (mm.relaxed_points, mm.image_points) == (8, 48)
+    assert (mm_solved.relaxed_points, mm_solved.image_points) == (56, 0)
+    assert mm.gamma_estimate == pytest.approx(mm_solved.gamma_estimate, rel=1e-12, abs=0.0)
+    assert (mm.found, mm.reason) == (mm_solved.found, mm_solved.reason)
+
+
+def test_asymmetric_boundary_data_solve_every_seed(annulus9):
+    """A boundary bump in a direction no signed axis permutation fixes
+    leaves only the identity, so no record or family point is an image."""
+    dom = annulus9.domain
+    lift = solve_lift(BumpOnBoundary((1.0, 0.4, 0.2), 0.8, 1.0), dom)
+    p = Params(lam=0.25 * annulus9.spectral.lambda1, mu=0.01, spectral=annulus9.spectral,
+               lift=lift)
+    assert solve._Orbits(p).group == [dom.symmetries[0]]
+    rec_plus = minimize_on_Nplus(p)
+    recs = multistart_Nminus(p, sphere_directions(3, 6), 0.3, rec_plus)
+    assert recs and all(r.image_of is None and r.iterations > 0 for r in recs)
+    gs = ground_state(p.lam, annulus9.spectral, lift)
+    rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
+    mm = minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=3, relax_rounds=1)
+    assert (mm.relaxed_points, mm.image_points) == (28, 0)
+
+
+def test_sphere_directions_count_is_bounded():
+    assert len(sphere_directions(3)) == 14 and len(sphere_directions(4, 24)) == 24
+    with pytest.raises(ArgumentError, match="15 directions asked for, R\\^3 has 14"):
+        sphere_directions(3, 15)
+
+
+def test_cone_step_tries_only_steps_resolvable_in_J(annulus9, monkeypatch):
+    """A cone step tries step b only while its required gain 1e-4 * b *
+    slope is at least one ulp of J, and at most 30 steps."""
+    p = annulus9.params(lam_factor=0.25, mu=0.01)
+    dom = annulus9.domain
+    v = make_bubble(0.3, np.array([1.0, 0.0, 0.0]), dom)
+    v /= dom.lp_norm(v, dom.two_star)
+    _, t, w, _ = reduced_functional(v, p)
+    g = gradient_values(w, p)
+    dr = dom.solve_poisson(g)
+    theta = dom.weight * float(np.dot(signed_pow(v, dom.two_star - 1.0), dr))
+    slope = t * dom.inner(g, dr - theta * v)
+    assert slope > 0
+    trials = []
+    # every trial is scored as rejected (no root), so armijo runs all it may
+    monkeypatch.setattr(solve, "reduced_functional", lambda *a: trials.append(a))
+
+    def tries(j_val):
+        trials.clear()
+        assert solve._cone_step(p, v, t, j_val, g, dr, 1.0, t_minus) is None
+        return len(trials)
+
+    eps = np.finfo(float).eps
+    assert tries(1.0) == 30
+    assert tries(1e-4 * slope * 0.5**4.5 / eps) == 5
+    assert tries(2e-4 * slope / eps) == 0
 
 
 # -- continuation -----------------------------------------------------------
