@@ -450,11 +450,17 @@ def run(config_path, out_dir_override=None) -> int:
 # -- report --------------------------------------------------------------------
 
 
+def _is(x, kind):
+    """x is of type `kind`; a JSON boolean is of type bool only, not a
+    number (in Python bool is a subclass of int)."""
+    return isinstance(x, kind) and (kind is bool or not isinstance(x, bool))
+
+
 def _bad_key(obj, keys):
     """The first key of `keys` that obj lacks or holds with another type
     (the first key of all when obj is not a JSON object), or None."""
     obj = obj if isinstance(obj, dict) else {}
-    return next((key for key, kind in keys.items() if not isinstance(obj.get(key), kind)), None)
+    return next((key for key, kind in keys.items() if not _is(obj.get(key), kind)), None)
 
 
 def _read_cell(fp) -> dict:
@@ -474,7 +480,7 @@ def _read_cell(fp) -> dict:
     for k, r in enumerate(cell["records"]):
         bad = _bad_key(r, RECORD_KEYS) or next(
             (key for key in ("barycenter", "grad_dir_integral")
-             if not all(isinstance(x, _NUMBER) for x in r[key])), None)
+             if not all(_is(x, _NUMBER) for x in r[key])), None)
         if bad is None and "image_of" in r and not (
                 type(r["image_of"]) is int and 0 <= r["image_of"] < k):
             bad = "image_of"

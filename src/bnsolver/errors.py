@@ -43,7 +43,8 @@ class BranchAbsentError(BNSolverError):
 
 
 class DegenerateSeedError(BNSolverError):
-    """The seed ray never acquires a positive pairing sign during descent."""
+    """The seed ray has no t_plus root: the seed vanishes or the pairing sign
+    of its ray is not positive."""
 
 
 class SeedingError(BNSolverError):

@@ -29,7 +29,11 @@ Discrete conventions, fixed once and used everywhere:
   sine matrix is applied along each axis by a BLAS product, and the
   eigenpair is closed-form), and CG on masked lattices.  The one exception
   is the Sobolev descent, which keeps its own inexact CG on every domain
-  (see `estimate_sobolev_S`);
+  (see `estimate_sobolev_S`).  One Poisson preconditioner,
+  `Domain.precondition`, serves the Newton polish's MINRES on every
+  domain: the sine-transform solve on the bounding box of the lattice,
+  restricted to the interior nodes, which on a box is the exact solve
+  that `solve_poisson` returns;
 * lattice symmetries: a signed axis permutation g = (P, S) (P a
   permutation of the axes, S the flipped axes) acts on a raw value array by
   zero-extending it onto the lattice, transposing the axes by P, flipping
@@ -175,7 +179,7 @@ class Domain:
             raise ConfigurationError("domain mask has no interior nodes")
         self.interior_coords = pts[self.interior_flat]
 
-        inv = np.full(n_lattice, -1, dtype=np.int64)
+        inv = np.full(n_lattice, -1, dtype=np.int32)  # the CSR's index type
         inv[self.interior_flat] = np.arange(self.n_interior)
 
         strides = np.array(
@@ -202,6 +206,7 @@ class Domain:
 
         self._matrix = None
         self._sine = None
+        self._box_flat = None  # bounding-box node of each interior node
         self._symmetries = None
 
         if isinstance(spec.shape, AnnulusD):
@@ -245,7 +250,8 @@ class Domain:
         return self.matrix @ values
 
     def _sine_basis(self):
-        """(S, eig) of a box: the orthonormal sine matrix
+        """(S, eig) of the lattice's bounding box (its (res-2)^N nodes off
+        the hull, the interior of a box): the orthonormal sine matrix
         S[j, k] = sqrt(2/(n+1)) sin(pi (j+1) (k+1) / (n+1)), n = res - 2, that
         diagonalises the 3-point stencil on every axis, and the eigenvalues of
         -Lap on the tensor grid of sine modes.  Built once per domain."""
@@ -268,10 +274,31 @@ class Domain:
         the Riesz lift in the descents.
         """
         if isinstance(self.spec.shape, Box):
-            S, eig = self._sine_basis()
-            coef = _sine_transform(S, np.reshape(b, eig.shape))
-            return _sine_transform(S, coef / eig).ravel()
+            return self.precondition(b)
         return _cg(self.matrix, b, x0, rtol, maxiter or 20 * self.n_interior, label)
+
+    def precondition(self, b):
+        """The sine-transform solve of -Lap on the bounding box of the
+        lattice (its (res-2)^N nodes off the hull), applied to the raw value
+        array b zero-extended onto that box, restricted to the interior
+        nodes.  On a box it is the exact solve (`solve_poisson`); on a masked
+        lattice it is R^T A_box^{-1} R with R the zero extension, symmetric
+        positive definite.  Either way it is one transform pair in two
+        box-sized buffers; the result is gathered from (on a box, is) the
+        first."""
+        S, eig = self._sine_basis()
+        if self._box_flat is None:
+            mask = np.zeros(self.lattice_shape, dtype=bool)
+            mask.flat[self.interior_flat] = True
+            flat = np.flatnonzero(mask[(slice(1, -1),) * self.ndim])
+            # interior nodes that fill their box are the box, in order
+            self._box_flat = slice(None) if flat.size == eig.size else flat
+        x, y = np.zeros(eig.shape), np.empty(eig.shape)
+        x.reshape(-1)[self._box_flat] = b
+        x, y = _sine_transform(S, x, y)
+        x /= eig
+        x, _ = _sine_transform(S, x, y)
+        return x.reshape(-1)[self._box_flat]
 
     # -- lattice symmetries --------------------------------------------------
 
@@ -366,16 +393,19 @@ def symmetry_point(g, y):
     return gy
 
 
-def _sine_transform(S, x):
-    """The symmetric matrix S applied along every axis of the array x.
-    Each BLAS product contracts the leading axis and appends the result as
-    the last one, so after x.ndim of them the axes are back in order.  The
-    BLAS work buffer does not show in peak RSS: a box-cells benchmark run
-    peaked at 69.8-70.1 MB, against 69.6-70.1 MB with an np.einsum loop
-    (three runs each, one BLAS thread)."""
+def _sine_transform(S, x, out):
+    """The symmetric n x n matrix S applied along every axis of the array x
+    of shape (n,) * N, by N BLAS products that alternate between the
+    buffers x and out (both overwritten); returns (result, the other
+    buffer).  Each product contracts the leading axis and appends the
+    result as the last one, so after N of them the axes are back in order.
+    No product allocates, so a solve adds no box-sized temporaries to the
+    heap beyond its two buffers."""
+    n = S.shape[0]
     for _ in range(x.ndim):
-        x = np.tensordot(x, S, axes=(0, 0))
-    return x
+        np.dot(x.reshape(n, -1).T, S, out=out.reshape(-1, n))
+        x, out = out, x
+    return x, out
 
 
 def _cg(A, b, x0, rtol, maxiter, label):

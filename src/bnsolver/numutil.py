@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as _scipy_cg
 from scipy.sparse.linalg import minres as _scipy_minres
 
@@ -62,9 +63,12 @@ def solve_cg(A, b, x0=None, rtol=1e-12, maxiter=None, label="cg"):
     return x, True
 
 
-def solve_minres(A, b, x0=None, rtol=1e-10, maxiter=None, label="minres"):
-    """MINRES solve for symmetric (possibly indefinite) systems."""
-    x, info = _scipy_minres(A, b, x0=x0, rtol=rtol, maxiter=maxiter)
+def solve_minres(A, b, M, rtol=1e-10, maxiter=None, label="minres"):
+    """MINRES solve for symmetric (possibly indefinite) systems, from zero,
+    preconditioned by the symmetric positive definite M given as the map
+    r -> M r of raw arrays."""
+    M = LinearOperator(A.shape, matvec=M, dtype=float)
+    x, info = _scipy_minres(A, b, rtol=rtol, maxiter=maxiter, M=M)
     if info < 0:
         raise NumericalError(f"{label}: minres broke down (info={info})")
     return x, info == 0

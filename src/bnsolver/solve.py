@@ -1,16 +1,20 @@
 """Solution searches on the two Nehari manifold parts.
 
 The local branch near zero (class Plus) and the excited branch (class Minus)
-both minimize a reduced functional J(v) = E(t(v) v) over the nonnegative cone
-of the unit critical sphere, t = t_plus for Plus and t = t_minus for Minus
-(the Nehari decomposition of Tarantello, Ann. IHP Anal. Non Lineaire 9,
-1992).  One loop, `_cone_descent`, runs both descents and the minimax
-relaxation; a Newton polish of the full first-order system finishes each
-branch.  The descent and the polish take their steps through the one
-backtracking line search `numutil.armijo`, which also sets the next descent
-step.  Bubble-translated seeds on annular domains, the boundary-pinned
-minimax search, and continuation in mu toward the solvability boundary build
-on the same two minimizers.
+minimize the energy on the two parts of the Nehari manifold (the Nehari
+decomposition of Tarantello, Ann. IHP Anal. Non Lineaire 9, 1992).  The Plus
+minimizer is a stable critical point: its seed is projected onto the Plus
+part along its ray, t_plus(v) v, and Newton converges from there.  The Minus
+branch minimizes the reduced functional J(v) = E(t_minus(v) v) over the
+nonnegative cone of the unit critical sphere; one loop, `_cone_descent`,
+runs that descent and the minimax relaxation.  A Newton polish of the full
+first-order system, its inner MINRES preconditioned by the domain's Poisson
+preconditioner (`grid.Domain.precondition`), finishes every branch.  The
+descent and the polish take their steps through the one backtracking line
+search `numutil.armijo`, which also sets the next descent step.
+Bubble-translated seeds on annular domains, the boundary-pinned minimax
+search, and continuation in mu toward the solvability boundary build on the
+same two minimizers.
 
 Bubble multistart and minimax relaxation solve once per lattice-symmetry
 orbit.  Before each seed is solved, `_Orbits` looks for a seed y0 already
@@ -29,11 +33,11 @@ annulus' delta0 capped at 0.45, 0.25 on a box), the multistart bubble
 scalings and deduplication distance, the symmetry match tolerance, the
 minimax descent passes per point and round, and the mu* continuation
 schedule (first step, growth, shrink, step floor, failure limit).  Options
-that stay are the ones callers set to more than one value:
-`max_iter`/`budget_factor` of the branch minimizers (the nonexistence
-criterion runs them at a tenfold budget), `budget_factor` everywhere (a
-config key), `n_radii`/`relax_rounds` of the minimax search (the mu*
-criterion runs it smaller) and `max_cells`/`keep_records` of the
+that stay are the ones callers set to more than one value: `max_iter` of
+the Minus minimizer (the nonexistence criterion sets it), `budget_factor`
+everywhere (a config key; the nonexistence criterion runs both minimizers
+at a tenfold budget), `n_radii`/`relax_rounds` of the minimax search (the
+mu* criterion runs it smaller) and `max_cells`/`keep_records` of the
 continuation.
 """
 
@@ -44,6 +48,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import (
     ArgumentError,
@@ -60,7 +65,7 @@ from .functional import FiberingProfile, Params, energy, gradient_values
 from .grid import AnnulusD, Domain, Field, _default_bump, symmetry_point
 from .lift import compose_solution
 from .nehari import (
-    Klass, barycenter, classify, reduced_functional, t_minus, t_plus, two_root_regime,
+    Klass, barycenter, classify, reduced_functional, t_plus, two_root_regime,
 )
 from .numutil import abs_pow, armijo, signed_pow, smoothstep, solve_minres
 
@@ -161,12 +166,15 @@ def _or_none(f, *args):
 def _newton_polish(p: Params, vvals, budget_factor=1.0, flags=None):
     """Damped Newton on the full first-order system, at most
     max(10, int(40 * budget_factor)) steps; returns (values, grad_norm,
-    steps, converged).  The convergence flag of every inner MINRES solve is
-    appended to the list `flags` when one is given."""
+    steps, converged).  Each step solves the Hessian system, -Lap - diag(c)
+    applied as a product with the cached CSR -Lap and no copy of it, by MINRES
+    preconditioned by `Domain.precondition` (the exact inverse of -Lap on a
+    box, its bounding-box sine solve on a masked lattice), and takes the
+    step length by `numutil.armijo` on the gradient norm.  The convergence
+    flag of every inner MINRES solve is appended to the list `flags` when
+    one is given."""
     d = p.domain
     A = d.matrix
-    H = A.copy()  # the Hessian A - diag(...), its diagonal reset at every step
-    a_diag = A.diagonal()
     ts = p.two_star
     v = np.array(vvals, dtype=float)
     g = gradient_values(v, p)
@@ -178,8 +186,10 @@ def _newton_polish(p: Params, vvals, budget_factor=1.0, flags=None):
         if gn <= _target_tol(d.h1_norm_sq(v), e_val):
             return v, gn, steps, True
         w = v + p.mu_phi
-        H.setdiag(a_diag - (p.lam + (ts - 1.0) * abs_pow(w, ts - 2.0)))
-        delta, ok = solve_minres(H, -g, rtol=min(1e-2, NEWTON_INNER_RTOL + 0.1 * gn),
+        c = p.lam + (ts - 1.0) * abs_pow(w, ts - 2.0)
+        H = LinearOperator(A.shape, matvec=lambda x, c=c: A @ x - c * x, dtype=float)
+        delta, ok = solve_minres(H, -g, M=d.precondition,
+                                 rtol=min(1e-2, NEWTON_INNER_RTOL + 0.1 * gn),
                                  maxiter=4000, label="newton step")
         if flags is not None:
             flags.append(ok)
@@ -214,15 +224,17 @@ def zero_relax_seed(p: Params) -> Field:
 def minimize_on_Nplus(
     p: Params,
     seed: Optional[Field] = None,
-    max_iter: int = 200,
     budget_factor: float = 1.0,
 ) -> SolutionRecord:
-    """Minimize the energy on the Plus part of the manifold.
+    """The minimizer of the energy on the Plus part of the manifold.
 
-    Cone descent of J(v) = E(t_plus(v) v) from the normalized |seed|
-    (`_cone_descent`), finished by a Newton polish.  The Plus solution
-    v = u - mu phi is positive (-Lap_h is an M-matrix and the right-hand
-    side is positive), so the nonnegative cone holds it.
+    The normalized |seed| is projected onto the Plus part along its ray,
+    t_plus(v) v, and Newton (`_newton_polish`) converges from there: the
+    minimizer is a stable critical point, where Newton converges
+    quadratically.  The Plus solution v = u - mu phi is positive (-Lap_h is
+    an M-matrix and the right-hand side is positive), so Newton starts in
+    the nonnegative cone that holds it.  Raises NonconvergenceError when
+    the polish stalls or ends at a point that is not of class Plus.
     """
     if p.mu == 0.0:
         raise BranchAbsentError("the Plus branch is empty at mu = 0")
@@ -230,23 +242,27 @@ def minimize_on_Nplus(
     if seed is None:
         seed = zero_relax_seed(p)
     v = _unit(np.abs(seed.values), p.domain, p.two_star)
-    if v is None:
-        raise DegenerateSeedError("seed vanishes: no t_plus root")
-
-    # at most 50 descent steps (scaled by the budget), and fewer than max_iter
-    cap = min(max(1, int(max_iter * budget_factor)) - 1, max(10, int(50 * budget_factor)))
-    _, _, w, iterations, _, _ = _cone_descent(p, v, t_plus, cap, 1.0, None)
+    start = None if v is None else reduced_functional(v, p, t_plus)
+    if start is None:
+        raise DegenerateSeedError("seed vanishes or its ray has nonpositive pairing sign: "
+                                  "no t_plus root")
 
     flags = []
-    w, gn, steps, ok = _newton_polish(p, w, budget_factor, flags)
-    iterations += steps
+    w, gn, steps, ok = _newton_polish(p, start[2], budget_factor, flags)
     if not ok:
         raise NonconvergenceError(
-            f"Plus-branch solve stalled at grad norm {gn:.3e} after {iterations} iterations "
+            f"Plus-branch solve stalled at grad norm {gn:.3e} after {steps} iterations "
             f"({_short_note(flags)})",
             residual=gn,
         )
-    return build_record(p, w, gn, seed_kind, iterations)
+    rec = build_record(p, w, gn, seed_kind, steps)
+    if rec.klass is not Klass.PLUS:
+        raise NonconvergenceError(
+            f"Plus-branch solve converged to a point of class {rec.klass.name} "
+            f"(grad norm {gn:.3e})",
+            residual=gn,
+        )
+    return rec
 
 
 def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
@@ -271,11 +287,11 @@ def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
     )
 
 
-def _cone_step(p: Params, v, t, j_val, g, dr, beta, root):
-    """One projected line-search step of J(v) = E(root(v) v) on the unit
+def _cone_step(p: Params, v, t, j_val, g, dr, beta):
+    """One projected line-search step of J(v) = E(t_minus(v) v) on the unit
     critical sphere's nonnegative cone.
 
-    v is the current cone point with J(v) = j_val and t = root(v), g the
+    v is the current cone point with J(v) = j_val and t = t_minus(v), g the
     gradient at t v and dr its Riesz lift.  The lift is made tangent to the
     sphere at v, and trial points max(v - beta * dtan, 0) / norm are scored
     by J through `armijo` (a trial point that vanishes or has no root counts
@@ -302,31 +318,24 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta, root):
 
     def trial(beta):
         vt = _unit(np.maximum(v - beta * dtan, 0.0), d, ts)
-        out = None if vt is None else reduced_functional(vt, p, root)
+        out = None if vt is None else reduced_functional(vt, p)
         return None if out is None else (*out, vt)
 
     return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, tries)
 
 
-def _cone_descent(p: Params, v, root, budget, beta, warm):
-    """At most `budget` passes of cone descent of J(v) = E(root(v) v) from
-    the cone point v, for every branch: Plus (root `t_plus`), Minus and the
-    minimax relaxation (root `t_minus`).
+def _cone_descent(p: Params, v, budget, beta, warm):
+    """At most `budget` passes of cone descent of J(v) = E(t_minus(v) v)
+    from the cone point v, for the Minus branch and the minimax relaxation.
 
     A pass stops at a gradient g (at t v) within 1e2 times the convergence
     target, or lifts g by a Poisson solve warm-started from the last lift
     and moves by `_cone_step`.  Returns (J, v, w, passes, beta, warm): the
-    last cone point with w = root(v) v, the passes made (the stopping one
-    included), and the step and lift a further descent starts from.  Raises
-    DegenerateSeedError when v has no root.
+    last cone point with w = t_minus(v) v, the passes made (the stopping one
+    included), and the step and lift a further descent starts from.
     """
     d = p.domain
-    start = reduced_functional(v, p, root)
-    if start is None:
-        raise DegenerateSeedError(
-            f"seed ray has nonpositive pairing sign: no {root.__name__} root (restart advised)"
-        )
-    j_val, t, w, w_sq = start
+    j_val, t, w, w_sq = reduced_functional(v, p)
     passes = 0
     for _ in range(budget):
         passes += 1
@@ -335,7 +344,7 @@ def _cone_descent(p: Params, v, root, budget, beta, warm):
             break
         dr = d.solve_poisson(g, x0=warm)
         warm = dr
-        step = _cone_step(p, v, t, j_val, g, dr, beta, root)
+        step = _cone_step(p, v, t, j_val, g, dr, beta)
         if step is None:
             break
         (j_val, t, w, w_sq, v), beta = step
@@ -367,7 +376,7 @@ def minimize_on_Nminus(
     flags = []
 
     for attempt in range(3):
-        _, v, w, passes, beta0, warm_dir = _cone_descent(p, v, t_minus, budget, beta0, warm_dir)
+        _, v, w, passes, beta0, warm_dir = _cone_descent(p, v, budget, beta0, warm_dir)
         iterations += passes
 
         wv, gn, steps, ok = _newton_polish(p, w, budget_factor, flags)
@@ -647,7 +656,7 @@ def minimax_gamma(
     for _ in range(relax_rounds):
         for key in interior:
             values[key], family[key], *_ = _cone_descent(
-                p, family[key], t_minus, MINIMAX_INNER_STEPS, 1.0, None)
+                p, family[key], MINIMAX_INNER_STEPS, 1.0, None)
     relaxed = relax_rounds * len(interior)
     mapped = relax_rounds * sum(1 for key in rep_of if key[1] != len(radii) - 1)
     values.update({key: values[rep] for key, rep in rep_of.items()})

@@ -215,6 +215,18 @@ def report_image_of_not_an_earlier_record(tmp_path, completed_run):
             f"{cell_path}: record 0: missing key or unknown value 'image_of'")
 
 
+def report_iterations_a_boolean(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path, {"iterations": False})
+    return (["report", str(cell_path.parent.parent)],
+            f"{cell_path}: record 0: missing key or unknown value 'iterations'")
+
+
+def certify_energy_a_boolean(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path, {"energy": True})
+    return (["certify", str(cell_path)],
+            f"{cell_path}: record 0: missing key or unknown value 'energy'")
+
+
 def report_not_a_run(tmp_path, completed_run):
     return ["report", str(tmp_path)], f"{tmp_path} is not a completed run"
 
@@ -233,6 +245,7 @@ def certify_without_config(tmp_path, completed_run):
                                   report_barycenter_entry_not_a_number,
                                   report_image_of_not_an_index,
                                   report_image_of_not_an_earlier_record,
+                                  report_iterations_a_boolean, certify_energy_a_boolean,
                                   report_not_a_run, certify_without_config],
                          ids=lambda case: case.__name__)
 def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, case):

@@ -17,6 +17,7 @@ from bnsolver.grid import (
     principal_eigenpair,
     rayleigh_quotient,
     _inverse_power,
+    _sine_transform,
 )
 from bnsolver.lift import NodeTable, solve_lift
 from bnsolver.numutil import solve_cg
@@ -306,6 +307,49 @@ def test_annulus_poisson_solve_is_plain_cg(annulus9):
     x = dom.solve_poisson(b, x0=x0, rtol=1e-12, maxiter=20000, label="eigensolve")
     ref, _ = solve_cg(dom.matrix, b, x0=x0, rtol=1e-12, maxiter=20000)
     assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("N, n", [(2, 9), (3, 7), (3, 23), (4, 5)])
+def test_sine_transform_matches_axis_by_axis_products(N, n):
+    """The buffer-alternating BLAS transform against S applied along each
+    axis in turn by `np.tensordot`, to 1e-14 relative."""
+    rng = np.random.default_rng(n)
+    S = rng.standard_normal((n, n))
+    S = S + S.T
+    x = rng.standard_normal((n,) * N)
+    ref = x
+    for d in range(N):
+        ref = np.moveaxis(np.tensordot(S, ref, axes=(1, d)), 0, d)
+    got, _ = _sine_transform(S, x.copy(), np.empty_like(x))
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(res=st.integers(5, 11), sides=st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_box_precondition_is_solve_poisson(N, res, sides, seed):
+    """On a box the preconditioner is the exact solve, bit for bit the one
+    `solve_poisson` returns."""
+    dom = build_domain(DomainSpec(Box(tuple(sides[:N])), N, res))
+    b = np.random.default_rng(seed).standard_normal(dom.n_interior)
+    x = dom.precondition(b)
+    assert x.tobytes() == dom.solve_poisson(b).tobytes()
+    assert np.linalg.norm(dom.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(d0=st.floats(0.3, 0.5), res=st.integers(9, 13), seed=st.integers(0, 2**32 - 1))
+def test_annulus_precondition_is_symmetric_positive(N, d0, res, seed):
+    """On a masked lattice the bounding-box sine solve restricted to the
+    interior is symmetric to 1e-12 and positive definite."""
+    dom = build_domain(DomainSpec(AnnulusD(d0), N, res))
+    b, c = np.random.default_rng(seed).standard_normal((2, dom.n_interior))
+    Pb, Pc = dom.precondition(b), dom.precondition(c)
+    scale = np.linalg.norm(b) * np.linalg.norm(Pc) + np.linalg.norm(c) * np.linalg.norm(Pb)
+    assert abs(np.dot(c, Pb) - np.dot(b, Pc)) <= 1e-12 * scale
+    assert np.dot(b, Pb) > 0 and np.dot(c, Pc) > 0
 
 
 def test_unconverged_cg_raises_with_label_and_residual(annulus9, box9, monkeypatch):

@@ -11,7 +11,7 @@ from bnsolver import solve
 from bnsolver.functional import Params, energy, gradient_values
 from bnsolver.grid import Field, symmetry_point
 from bnsolver.lift import BumpOnBoundary, solve_lift
-from bnsolver.nehari import Klass, reduced_functional, t_minus
+from bnsolver.nehari import Klass, reduced_functional
 from bnsolver.numutil import armijo, signed_pow, solve_cg
 from bnsolver.solve import (
     SeedKind,
@@ -141,6 +141,41 @@ def test_unconverged_newton_inner_solve_in_minimax_reason(annulus9, monkeypatch)
     mm = minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=3, relax_rounds=1)
     assert not mm.found
     assert mm.reason.endswith("(1 of 1 Newton inner solves stopped short)")
+
+
+def test_plus_solve_rejects_a_polished_point_of_another_class(cell13, monkeypatch):
+    """Newton converges to the critical point nearest its start: a polish
+    that ends at the cell's Minus point is a NonconvergenceError naming the
+    class and the gradient norm."""
+    p, _, rec_minus = cell13
+    monkeypatch.setattr(solve, "_newton_polish", lambda p, v, budget_factor, flags: (
+        rec_minus.v.values, rec_minus.grad_norm, 3, True))
+    with pytest.raises(NonconvergenceError,
+                       match=rf"class MINUS \(grad norm {rec_minus.grad_norm:.3e}\)"):
+        minimize_on_Nplus(p)
+
+
+@pytest.mark.parametrize("setup", ["box9", "annulus9"])
+@pytest.mark.parametrize("lam_factor", [0.1, 0.5, 0.9])
+def test_plus_record_certifies_as_plus(setup, lam_factor, request):
+    s = request.getfixturevalue(setup)
+    p = s.params(lam_factor=lam_factor, mu=0.01)
+    rec = minimize_on_Nplus(p)
+    assert rec.klass is Klass.PLUS
+    cert = certify_solution(rec, p)
+    assert cert.overall, str(cert)
+
+
+def test_plus_solve_certifies_near_the_end_of_the_branch(box13):
+    """At lam = 0.9 lam1, mu = 0.05 on the 13^3 box a cone descent of
+    E(t_plus(v) v) from the zero-relax seed stalls (Newton from its last
+    point leaves grad norm 0.18); projection and Newton certify a Plus
+    record in at most 5 steps."""
+    p = box13.params(lam_factor=0.9, mu=0.05)
+    rec = minimize_on_Nplus(p)
+    assert rec.klass is Klass.PLUS and rec.iterations <= 5
+    cert = certify_solution(rec, p)
+    assert cert.overall, str(cert)
 
 
 def test_plus_branch_absent_at_mu_zero(box13):
@@ -389,7 +424,7 @@ def test_cone_step_tries_only_steps_resolvable_in_J(annulus9, monkeypatch):
 
     def tries(j_val):
         trials.clear()
-        assert solve._cone_step(p, v, t, j_val, g, dr, 1.0, t_minus) is None
+        assert solve._cone_step(p, v, t, j_val, g, dr, 1.0) is None
         return len(trials)
 
     eps = np.finfo(float).eps
