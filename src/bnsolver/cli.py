@@ -185,7 +185,7 @@ class RunConfig:
     epsilon: float = 0.2
     out_dir: str = "out"
     dump_fields: bool = False
-    seed: int = 0
+    seed: int = 0  # `[random] seed`: validated, read by no solver step
     budget_factor: float = 1.0
     mu_star_cells: int = 24
     cfg: Optional[ConfigFile] = dc_field(default=None, repr=False)
@@ -351,9 +351,7 @@ def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig):
         cell["certificates"] = [c.to_json_dict() for c in certs]
         cell["_fields"] = [r.v for r in records]
         if rec_plus is not None:
-            cell["convexity"] = convexity_ball_check(
-                p, trials=100, seed=rc.seed, nplus_records=[rec_plus]
-            ).to_json_dict()
+            cell["convexity"] = convexity_ball_check(p, [rec_plus]).to_json_dict()
         if rec_plus is not None and rec_minus is not None:
             cell["threshold"] = threshold_report(p, records).to_json_dict()
         if records and not all(c["overall"] for c in cell["certificates"]):

@@ -210,11 +210,12 @@ class Domain:
         self._symmetries = None
 
         if isinstance(spec.shape, AnnulusD):
-            self._check_condition_d(pts, interior)
+            self._check_condition_d(r, interior)
 
-    def _check_condition_d(self, pts, interior):
+    def _check_condition_d(self, r, interior):
+        """The annulus mask, given the radii r of all lattice nodes, contains
+        the shell delta0 <= |x| <= 1/delta0 and misses the ball |x| < delta0/2."""
         d0 = self.spec.shape.delta0
-        r = np.linalg.norm(pts, axis=1)
         shell = (r >= d0) & (r <= 1.0 / d0)
         if not interior[shell].all():
             raise ConfigurationError("annulus mask fails to contain the required shell")

@@ -222,10 +222,17 @@ def test_criterion_06_uniqueness_and_convexity(cell17):
     dist = np.sqrt(dom.h1_norm_sq(rec_plus.v.values - rec2.v.values))
     rl = r_lambda(p)
     nv = np.sqrt(dom.h1_norm_sq(rec_plus.v.values))
-    cert = convexity_ball_check(p, trials=200, seed=606, nplus_records=[rec_plus])
+    # The convexity lemma: E''(u)[h, h] > 0 for every u in B(0, r_lam) and
+    # every h.  Its critical term int |u + mu phi|^(2*-2) h^2 grows as u and
+    # h concentrate, so the form must be positive on the worst pair with u
+    # and h each on one node, u on the ball's sphere; and at u = v+ it must
+    # be positive for every h: the smallest eigenvalue of (E''(v+), -Lap).
+    cert = convexity_ball_check(p, [rec_plus])
+    one_node, _, eig = cert.checks
     ok = dist < 1e-6 and nv < rl and cert.overall
     report(6, ok, f"seed distance {dist:.2e} (<1e-6), ||v+|| = {nv:.4g} < "
-                  f"r_lam = {rl:.4g}, 200 ball samples positive: {cert.overall}")
+                  f"r_lam = {rl:.4g}, worst one-node form in the ball {one_node.lhs:.6f} > 0, "
+                  f"smallest eigenvalue of (E''(v+), -Lap) {eig.lhs:.6f} > 0: {cert.overall}")
 
 
 def test_criterion_07_nonexistence(box13):

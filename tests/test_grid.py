@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import cg as scipy_cg
 
 from bnsolver import grid
 from bnsolver.errors import ArgumentError, ConfigurationError, NumericalError
@@ -307,6 +308,38 @@ def test_annulus_poisson_solve_is_plain_cg(annulus9):
     x = dom.solve_poisson(b, x0=x0, rtol=1e-12, maxiter=20000, label="eigensolve")
     ref, _ = solve_cg(dom.matrix, b, x0=x0, rtol=1e-12, maxiter=20000)
     assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_solve_cg_matches_scipy_cg_bit_for_bit(annulus9, warm):
+    """solve_cg's loop reproduces scipy's cg (M = I) on a masked-lattice
+    system, cold and warm-started, converged and cut by maxiter, and leaves
+    x0 unwritten."""
+    dom = annulus9.domain
+    rng = np.random.default_rng(11)
+    b, x0 = rng.standard_normal((2, dom.n_interior))
+    x0 = x0 if warm else None
+    kept = None if x0 is None else x0.copy()
+    for rtol, maxiter in ((1e-8, None), (1e-12, 2000), (1e-12, 7)):
+        ref, info = scipy_cg(dom.matrix, b, x0=None if x0 is None else x0.copy(),
+                             rtol=rtol, atol=0.0, maxiter=maxiter)
+        x, ok = solve_cg(dom.matrix, b, x0=x0, rtol=rtol, maxiter=maxiter)
+        assert x.tobytes() == ref.tobytes()
+        assert ok == (info == 0) and ok == (maxiter != 7)
+    if warm:
+        assert x0.tobytes() == kept.tobytes()
+
+
+def test_solve_cg_zero_rhs_and_breakdown(annulus9):
+    """b = 0 returns x = 0 at once, warm start or not; a matrix that is not
+    positive definite raises NumericalError with the label."""
+    dom = annulus9.domain
+    zero = np.zeros(dom.n_interior)
+    for x0 in (None, np.ones(dom.n_interior)):
+        x, ok = solve_cg(dom.matrix, zero, x0=x0)
+        assert ok and not x.any()
+    with pytest.raises(NumericalError, match="probe: conjugate gradients broke down"):
+        solve_cg(-dom.matrix, np.ones(dom.n_interior), label="probe")
 
 
 @pytest.mark.parametrize("N, n", [(2, 9), (3, 7), (3, 23), (4, 5)])

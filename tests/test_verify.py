@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bnsolver import verify
 from bnsolver.errors import IncompleteInputError, PreconditionError
@@ -135,8 +136,8 @@ def test_certificates_deterministic(cell9):
     a = certify_solution(rec_plus, p).to_json_dict()
     b = certify_solution(rec_plus, p).to_json_dict()
     assert a == b
-    ca = convexity_ball_check(p, trials=50, seed=3).to_json_dict()
-    cb = convexity_ball_check(p, trials=50, seed=3).to_json_dict()
+    ca = convexity_ball_check(p, [rec_plus]).to_json_dict()
+    cb = convexity_ball_check(p, [rec_plus]).to_json_dict()
     assert ca == cb
 
 
@@ -195,10 +196,79 @@ def test_r_lambda_needs_subcritical_lambda(box9):
 
 def test_convexity_ball_positive_forms(cell9):
     p, rec_plus, _ = cell9
-    cert = convexity_ball_check(p, trials=200, seed=0, nplus_records=[rec_plus])
+    cert = convexity_ball_check(p, [rec_plus])
     assert cert.overall, str(cert)
+    starts = ("second variation positive at the worst one-node pair in B(0, r_lam)",
+              "Plus record 0 inside B(0, r_lam)",
+              "smallest eigenvalue of (E'', -Lap) at Plus record 0 positive")
+    assert len(cert.checks) == 3
+    assert all(c.name.startswith(s) for c, s in zip(cert.checks, starts)), str(cert)
     rl = r_lambda(p)
     assert np.sqrt(p.domain.h1_norm_sq(rec_plus.v.values)) < rl
+    # the Hessian is -Lap minus a positive weight, so sigma < 1; at a
+    # resolved Plus record the weight is about lam, so sigma ~ 1 - lam/lambda1
+    sigma = cert.checks[2].lhs
+    assert 0.0 < sigma < 1.0 and abs(sigma - (1.0 - p.lam / p.lambda1)) < 1e-2
+
+
+def test_convexity_ball_fails_on_a_thirtyfold_radius(cell9, monkeypatch):
+    """With r_lam scaled by 30 the worst one-node pair has a negative form,
+    and that check alone fails: the record stays inside the larger ball and
+    its eigenvalue does not depend on r_lam."""
+    p, rec_plus, _ = cell9
+    rl = r_lambda(p)
+    monkeypatch.setattr(verify, "r_lambda", lambda p: 30.0 * rl)
+    cert = convexity_ball_check(p, [rec_plus])
+    _fails_alone(cert, "worst one-node pair")
+    assert cert.checks[0].lhs < 0.0
+
+
+def test_one_node_form_matches_hessian_on_every_node(cell9):
+    """The closed form 1 - c_k / A_kk is the second variation
+    <E''(u) h, h> on u = s e_k at 0.999 r_lam (sign of phi_k) and
+    h = e_k / ||e_k||: the certificate's minimum and its node agree with the
+    Hessian applied on every node, to 1e-12."""
+    p, _, _ = cell9
+    d = p.domain
+    rl = r_lambda(p)
+    forms = np.empty(d.n_interior)
+    for k in range(d.n_interior):
+        e = np.zeros(d.n_interior)
+        e[k] = 1.0
+        ne = np.sqrt(d.h1_norm_sq(e))
+        u = np.sign(p.mu_phi[k]) * (0.999 * rl / ne) * e
+        h = e / ne
+        forms[k] = d.inner(hessian_apply(u, h, p), h)
+    check = convexity_ball_check(p).checks[0]
+    assert abs(check.lhs - forms.min()) <= 1e-12
+    assert f"(node {int(np.argmin(forms))})" in check.name
+
+
+def test_hessian_eigenvalue_matches_dense_eigh(cell9):
+    """The LOBPCG eigenvalue of (E''(v+), -Lap) against scipy.linalg.eigh
+    of the dense pencil built column by column from hessian_apply."""
+    p, rec_plus, _ = cell9
+    d = p.domain
+    v = rec_plus.v.values
+    H = np.stack([hessian_apply(v, e, p) for e in np.eye(d.n_interior)], axis=1)
+    ref = scipy.linalg.eigh(H, d.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 0])
+    sigma, resid = verify.hessian_min_eigenvalue(p, v)
+    assert resid <= verify.CONVEXITY_EIG_RTOL
+    assert abs(sigma - ref[0]) <= 1e-8
+    check = convexity_ball_check(p, [rec_plus]).checks[2]
+    assert check.lhs == sigma
+
+
+def test_hessian_eigen_solve_stopped_short_fails_its_check(cell9, monkeypatch):
+    """An eigen solve that stops short of its tolerance fails its check, and
+    the check's name gives the residual (no LOBPCG warning escapes)."""
+    p, rec_plus, _ = cell9
+    monkeypatch.setattr(verify, "CONVEXITY_EIG_MAXITER", 1)
+    monkeypatch.setattr(verify, "CONVEXITY_EIG_RTOL", 1e-30)
+    cert = convexity_ball_check(p, [rec_plus])
+    _fails_alone(cert, "eigen solve stopped at relative residual")
+    assert "rtol 1e-30" in cert.failed()[0].name
+    assert cert.failed()[0].lhs > 0.0
 
 
 def test_convexity_fails_far_outside(box9):
