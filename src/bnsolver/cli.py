@@ -384,7 +384,7 @@ def run(config_path, out_dir_override=None) -> int:
         fields = cell.pop("_fields", [])
         if rc.dump_fields:
             for k, f in enumerate(fields):
-                fp = out / "cells" / f"cell_{cell['index']:04d}_field_{k}.txt"
+                fp = out / "cells" / f"cell_{cell['index']:04d}_field_{k}.npy"
                 dump_field(f, fp)
                 cell["records"][k]["field_dump"] = str(fp.name)
         with open(out / "cells" / f"cell_{cell['index']:04d}.json", "w") as f:
@@ -641,7 +641,8 @@ def main(argv=None) -> int:
 
     ap_fib = sub.add_parser("fibering-profile", help="dump (t, T, T', T'') for a ray")
     ap_fib.add_argument("config")
-    ap_fib.add_argument("--ray", required=True, help="field dump file for the ray")
+    ap_fib.add_argument("--ray", required=True,
+                        help="field dump of the ray, such as cells/cell_0000_field_0.npy")
     ap_fib.add_argument("--samples", type=int, default=200)
     ap_fib.add_argument("--tmax", type=float, default=2.0,
                         help="sample up to tmax * t_minus")

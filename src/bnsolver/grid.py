@@ -23,6 +23,8 @@ Discrete conventions, fixed once and used everywhere:
   (quadrature `inner`, the norms `h1_norm_sq`, `l2_norm_sq`, `lp_norm`) take
   and return raw value arrays of length `n_interior`, and never write to
   their inputs;
+* a field dump is one binary `.npy` file: the zero-extended float64 lattice
+  array of shape `lattice_shape` (`dump_field`, `load_field`);
 * linear solves: every solve with -Lap (the Riesz lift, the harmonic lift,
   the inverse power eigensolve) goes through `Domain.solve_poisson`, exact
   on boxes, where the stencil is diagonal in the tensor sine basis (the
@@ -349,26 +351,22 @@ class Domain:
         return self.inner(self.matrix @ values, values)
 
     def gradient_direction_integral(self, values):
-        """Vector integral of (x/|x|) |grad u|^2 via edge midpoints."""
+        """Vector integral of (x/|x|) |grad u|^2 over the lattice edges with
+        an interior end: per axis, the squared differences of the
+        zero-extended values, over the radius of the edge midpoints (edges
+        whose midpoint is within 1e-12 of the origin are left out),
+        contracted against each axis's coordinates."""
+        full = np.zeros(self.lattice_shape)
+        full.flat[self.interior_flat] = values
         out = np.zeros(self.ndim)
-        for d in range(self.ndim):
-            c = self.weight / self.h[d] ** 2
-            step = np.zeros(self.ndim)
-            step[d] = 0.5 * self.h[d]
-            nbp = self.nb_plus[d]
-            vp = np.where(nbp >= 0, values[np.maximum(nbp, 0)], 0.0)
-            mids = self.interior_coords + step
-            norms = np.linalg.norm(mids, axis=1)
-            ok = norms > 1e-12
-            w = c * (vp - values) ** 2
-            out += ((mids[ok] / norms[ok, None]) * w[ok, None]).sum(axis=0)
-            miss = self.nb_minus[d] < 0
-            if miss.any():
-                mids = self.interior_coords[miss] - step
-                norms = np.linalg.norm(mids, axis=1)
-                ok = norms > 1e-12
-                w = c * values[miss] ** 2
-                out += ((mids[ok] / norms[ok, None]) * w[ok, None]).sum(axis=0)
+        dims = list(range(self.ndim))
+        for d in dims:
+            coords = list(self.axes)
+            coords[d] = coords[d][:-1] + 0.5 * self.h[d]  # edge midpoints
+            r = np.sqrt(sum(np.ix_(*(c * c for c in coords))))
+            w = (self.weight / self.h[d] ** 2) * np.diff(full, axis=d) ** 2
+            q = np.divide(w, r, out=np.zeros_like(w), where=r > 1e-12)
+            out += [np.einsum(q, dims, c, [k], []) for k, c in enumerate(coords)]
         return out
 
     def __repr__(self):
@@ -613,35 +611,36 @@ def compute_spectral_data(domain: Domain) -> SpectralData:
     return SpectralData(domain=domain, lambda1=lam1, e1=e1, sobolev_S=estimate_sobolev_S(domain))
 
 
-# -- field dump format -------------------------------------------------------
+# -- field dumps --------------------------------------------------------------
 
 
 def dump_field(u: Field, path):
-    """Text dump: header "N size_1 ... size_N", then one value per lattice
-    node in row-major order (non-interior nodes as 0)."""
+    """Binary dump: the zero-extended lattice array of u (non-interior nodes
+    0), of shape `lattice_shape`, as one float64 `.npy` array."""
     d = u.domain
-    full = np.zeros(int(np.prod(d.lattice_shape)))
-    full[d.interior_flat] = u.values
-    with open(path, "w") as f:
-        f.write(" ".join(str(x) for x in (d.ndim, *d.lattice_shape)) + "\n")
-        f.write(" ".join("%.17g" % x for x in full) + "\n")
+    full = np.zeros(d.lattice_shape)
+    full.flat[d.interior_flat] = u.values
+    with open(path, "wb") as f:
+        np.save(f, full, allow_pickle=False)
 
 
 def load_field(path, domain: Domain) -> Field:
+    """The field of a `dump_field` dump on this domain.  ArgumentError,
+    naming the path, when the file is not a readable `.npy` array (empty,
+    truncated, text or pickled), not float64, not of shape
+    `domain.lattice_shape` or not finite on the interior nodes."""
     try:
-        with open(path) as f:
-            header = [int(s) for s in f.readline().split()]
-            full = np.array([float(x) for x in f.read().split()])
-    except (OSError, ValueError) as e:
-        raise ArgumentError(f"{path}: unreadable field dump: {e}") from None
-    if len(header) < 1:
-        raise ArgumentError(f"{path}: empty field dump")
-    ndim, sizes = header[0], tuple(header[1:])
-    if ndim != domain.ndim or sizes != domain.lattice_shape:
+        with open(path, "rb") as f:
+            full = np.lib.format.read_array(f, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as e:
+        raise ArgumentError(f"{path}: not a readable .npy field dump: {e}") from None
+    if full.dtype != np.float64:
+        raise ArgumentError(f"{path}: field dump of dtype {full.dtype}, not float64")
+    if full.shape != domain.lattice_shape:
         raise ArgumentError(
-            f"{path}: dump lattice {ndim} {sizes} does not match domain "
-            f"{domain.ndim} {domain.lattice_shape}"
+            f"{path}: dump lattice {full.shape} does not match domain {domain.lattice_shape}"
         )
-    if full.size != int(np.prod(domain.lattice_shape)):
-        raise ArgumentError(f"{path}: expected {np.prod(domain.lattice_shape)} values")
-    return Field(full[domain.interior_flat], domain)
+    try:
+        return Field(full.ravel()[domain.interior_flat], domain)
+    except ArgumentError as e:  # non-finite values
+        raise ArgumentError(f"{path}: {e}") from None

@@ -33,6 +33,13 @@ class Setup:
         return Field(v, self.domain)
 
 
+def text_dump(full):
+    """A lattice array in the text dump format of older runs: a header line
+    "N size_1 ... size_N", then the values in row-major order."""
+    return (" ".join(str(n) for n in (full.ndim, *full.shape)) + "\n"
+            + " ".join("%.17g" % x for x in full.ravel()) + "\n")
+
+
 def quadrature_fibering(v, p, t, order):
     """Direct quadrature of the fibering map T(t) = E(t v) along the ray v,
     independent of `FiberingProfile`.  For order k = 0, 1 or 2 returns the

@@ -17,6 +17,8 @@ from bnsolver.cli import main, parse_config
 from bnsolver.errors import ConfigurationError
 from bnsolver.grid import Box, DomainSpec, Field, build_domain, dump_field
 
+from conftest import text_dump
+
 BASE_CONFIG = """
 # two-cell sweep on a small box
 [domain]
@@ -141,6 +143,14 @@ def field_dump_bad_header(tmp_path, completed_run):
     return ["fibering-profile", str(cfg), "--ray", str(ray)], str(ray)
 
 
+def certify_old_text_dump(tmp_path, completed_run):
+    """Record 0's field dump is in the text format of older runs."""
+    cell_path = copied_run(completed_run, tmp_path, {"field_dump": "cell_0000_field_0.txt"})
+    dump = cell_path.parent / "cell_0000_field_0.txt"
+    dump.write_text(text_dump(np.load(cell_path.parent / "cell_0000_field_0.npy")))
+    return ["certify", str(cell_path)], str(dump)
+
+
 def missing_cell_file(tmp_path, completed_run):
     cell_path = copied_run(completed_run, tmp_path)
     cell_path.unlink()
@@ -238,8 +248,8 @@ def certify_without_config(tmp_path, completed_run):
 
 
 @pytest.mark.parametrize("case", [missing_config, node_table_bad_line, field_dump_bad_header,
-                                  missing_cell_file, non_json_cell_file, unknown_recorded_class,
-                                  record_without_energy, report_cell_without_lambda,
+                                  certify_old_text_dump, missing_cell_file, non_json_cell_file,
+                                  unknown_recorded_class, record_without_energy, report_cell_without_lambda,
                                   report_cell_is_a_list, report_lambda_not_a_number,
                                   report_record_without_class,
                                   report_barycenter_entry_not_a_number,
@@ -257,19 +267,24 @@ def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, cas
 
 
 def assert_same_outputs(a, b):
-    """sweep.csv and every cells/*.json are byte-identical in run dirs a and b."""
+    """sweep.csv, every cells/*.json and every field dump cells/*_field_*.npy
+    are byte-identical in run dirs a and b."""
     names = sorted(fp.name for fp in (a / "cells").glob("*.json"))
     assert names and names == sorted(fp.name for fp in (b / "cells").glob("*.json"))
-    for rel in ["sweep.csv"] + [f"cells/{n}" for n in names]:
+    dumps = sorted(fp.name for fp in (a / "cells").glob("*_field_*.npy"))
+    assert dumps == sorted(fp.name for fp in (b / "cells").glob("*_field_*.npy"))
+    for rel in ["sweep.csv"] + [f"cells/{n}" for n in names + dumps]:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
 def test_run_determinism(tmp_path):
-    """Two runs of one config give byte-identical sweep.csv and cell files."""
+    """Two runs of one config give byte-identical sweep.csv, cell files and
+    field dumps."""
     cfg = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert list((outs[0] / "cells").glob("*_field_*.npy"))
     assert_same_outputs(*outs)
 
 
@@ -311,7 +326,7 @@ def test_fibering_profile_subcommand(tmp_path, capsys):
     dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
     rng = np.random.default_rng(0)
     ray = Field(np.abs(rng.standard_normal(dom.n_interior)) + 0.1, dom)
-    ray_path = tmp_path / "ray.txt"
+    ray_path = tmp_path / "ray.npy"
     dump_field(ray, ray_path)
     csv_path = tmp_path / "prof.csv"
     code = main(["fibering-profile", str(cfg), "--ray", str(ray_path),
@@ -337,7 +352,7 @@ def test_fibering_profile_subcommand(tmp_path, capsys):
                                         ("--tmax", "0"), ("--tmax", "-1")])
 def test_fibering_profile_bad_sampling_is_argument_error(tmp_path, capsys, flag, value):
     dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
-    ray_path = tmp_path / "ray.txt"
+    ray_path = tmp_path / "ray.npy"
     dump_field(Field(np.ones(dom.n_interior), dom), ray_path)
     cfg = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
     csv_path = tmp_path / "prof.csv"
@@ -350,7 +365,7 @@ def test_fibering_profile_bad_sampling_is_argument_error(tmp_path, capsys, flag,
 
 def test_fibering_profile_empty_list_is_anchored(tmp_path, capsys):
     dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
-    ray_path = tmp_path / "ray.txt"
+    ray_path = tmp_path / "ray.npy"
     dump_field(Field(np.ones(dom.n_interior), dom), ray_path)
     for old, new in (("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = linspace 0.1 0.2 0"),
                      ("mus = 0.01", "mus = linspace 0.1 0.2 0")):
@@ -363,7 +378,7 @@ def test_fibering_profile_empty_list_is_anchored(tmp_path, capsys):
 
 def test_fibering_profile_lambda_at_or_above_lambda1_is_anchored(tmp_path, capsys):
     dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9))
-    ray_path = tmp_path / "ray.txt"
+    ray_path = tmp_path / "ray.npy"
     dump_field(Field(np.ones(dom.n_interior), dom), ray_path)
     for lambdas in ("lambdas = 1.2*lambda1 0.5*lambda1", "lambdas = 1*lambda1"):
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(

@@ -1,3 +1,7 @@
+import io
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,9 @@ from bnsolver.grid import (
 )
 from bnsolver.lift import NodeTable, solve_lift
 from bnsolver.numutil import solve_cg
+from bnsolver.solve import make_bubble
+
+from conftest import text_dump
 
 S4_CONTINUUM = 10.2603986413  # best critical quotient in dimension 4 (closed form)
 
@@ -134,6 +141,43 @@ def edge_sum(dom, u):
         total += float(np.sum((up - u) ** 2)) / dom.h[d] ** 2
         total += float(np.sum(u[dom.nb_minus[d] < 0] ** 2)) / dom.h[d] ** 2
     return dom.weight * total
+
+
+def edge_midpoint_direction_integral(dom, u):
+    """The vector integral of (x/|x|) |grad u|^2 node by node: for every
+    interior node and axis, the edge to its plus neighbour and, where its
+    minus neighbour is not interior, the edge to that one, each weighted by
+    its squared one-sided difference (zero ghost) and the unit vector of its
+    midpoint (left out within 1e-12 of the origin).  Returns the integral
+    and, per component, the sum of the absolute values of its terms: the
+    oracle for `Domain.gradient_direction_integral`."""
+    out, scale = np.zeros(dom.ndim), np.zeros(dom.ndim)
+    for d in range(dom.ndim):
+        step = np.zeros(dom.ndim)
+        step[d] = 0.5 * dom.h[d]
+        nbp = dom.nb_plus[d]
+        up = np.where(nbp >= 0, u[np.maximum(nbp, 0)], 0.0)
+        miss = dom.nb_minus[d] < 0
+        for mids, w in ((dom.interior_coords + step, (up - u) ** 2),
+                        (dom.interior_coords[miss] - step, u[miss] ** 2)):
+            norms = np.linalg.norm(mids, axis=1)
+            ok = norms > 1e-12
+            terms = (dom.weight / dom.h[d] ** 2) * w[ok, None] * mids[ok] / norms[ok, None]
+            out += terms.sum(axis=0)
+            scale += np.abs(terms).sum(axis=0)
+    return out, scale
+
+
+@pytest.mark.parametrize("setup", ["box9", "annulus9"])
+def test_gradient_direction_integral_matches_edge_oracle(request, setup):
+    dom = request.getfixturevalue(setup).domain
+    rng = np.random.default_rng(5)
+    fields = [rng.standard_normal(dom.n_interior) for _ in range(4)]
+    fields.append(make_bubble(0.3, np.eye(dom.ndim)[0], dom))
+    for u in fields:
+        got = dom.gradient_direction_integral(u)
+        want, scale = edge_midpoint_direction_integral(dom, u)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), (got, want)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -485,24 +529,66 @@ def test_dump_roundtrip(tmp_path, box9, annulus9):
     rng = np.random.default_rng(11)
     for setup in (box9, annulus9):
         u = setup.random_field(rng)
-        path = tmp_path / "field.txt"
+        path = tmp_path / "field.npy"
         dump_field(u, path)
         v = load_field(path, setup.domain)
         assert np.array_equal(u.values, v.values)
+        full = np.load(path, allow_pickle=False)
+        assert full.dtype == np.float64 and full.shape == setup.domain.lattice_shape
 
 
 def test_dump_mismatch_rejected(tmp_path, box9, box13):
     u = box9.random_field(np.random.default_rng(1))
-    path = tmp_path / "field.txt"
+    path = tmp_path / "field.npy"
     dump_field(u, path)
     with pytest.raises(ArgumentError):
         load_field(path, box13.domain)
 
-    truncated = tmp_path / "short.txt"
-    lines = path.read_text().splitlines()
-    truncated.write_text(lines[0] + "\n" + " ".join(lines[1].split()[:-3]) + "\n")
+    truncated = tmp_path / "short.npy"
+    truncated.write_bytes(path.read_bytes()[:-24])
     with pytest.raises(ArgumentError):
         load_field(truncated, box9.domain)
+
+
+def _npy_bytes(array, allow_pickle=False):
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+BAD_DUMPS = {
+    "empty": lambda full: b"",
+    "header-only": lambda full: _npy_bytes(full)[:64],
+    "truncated-data": lambda full: _npy_bytes(full)[:-8],
+    "text-dump": lambda full: text_dump(full).encode(),
+    "pickle": pickle.dumps,
+    "object-array": lambda full: _npy_bytes(full.astype(object), allow_pickle=True),
+    "float32": lambda full: _npy_bytes(full.astype(np.float32)),
+    "flat": lambda full: _npy_bytes(full.ravel()),
+    "wrong-shape": lambda full: _npy_bytes(full[:, :, :-1]),
+    "non-finite": lambda full: _npy_bytes(np.full_like(full, np.nan)),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_DUMPS))
+def test_bad_dump_is_argument_error_naming_the_path(tmp_path, box9, kind):
+    """Every file that is not a float64 `.npy` array of the domain's lattice
+    shape is an ArgumentError that names the file."""
+    good = tmp_path / "good.npy"
+    dump_field(box9.random_field(np.random.default_rng(2)), good)
+    path = tmp_path / "bad.npy"
+    path.write_bytes(BAD_DUMPS[kind](np.load(good)))
+    with pytest.raises(ArgumentError, match=re.escape(str(path))):
+        load_field(path, box9.domain)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unopenable_dump_is_argument_error(tmp_path, box9, kind):
+    path = tmp_path / "dump"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(ArgumentError, match=re.escape(str(path))):
+        load_field(path, box9.domain)
 
 
 def test_annulus_dimension4_condition_d():
