@@ -25,17 +25,18 @@ Discrete conventions, fixed once and used everywhere:
   their inputs;
 * a field dump is one binary `.npy` file: the zero-extended float64 lattice
   array of shape `lattice_shape` (`dump_field`, `load_field`);
-* linear solves: every solve with -Lap (the Riesz lift, the harmonic lift,
-  the inverse power eigensolve) goes through `Domain.solve_poisson`, exact
-  on boxes, where the stencil is diagonal in the tensor sine basis (the
-  sine matrix is applied along each axis by a BLAS product, and the
-  eigenpair is closed-form), and CG on masked lattices.  The one exception
-  is the Sobolev descent, which keeps its own inexact CG on every domain
-  (see `estimate_sobolev_S`).  One Poisson preconditioner,
-  `Domain.precondition`, serves the Newton polish's MINRES on every
-  domain: the sine-transform solve on the bounding box of the lattice,
-  restricted to the interior nodes, which on a box is the exact solve
-  that `solve_poisson` returns;
+* linear solves: every exact solve with -Lap (the harmonic lift, the
+  inverse power eigensolve) goes through `Domain.solve_poisson`, exact on
+  boxes, where the stencil is diagonal in the tensor sine basis (the sine
+  matrix is applied along each axis by a BLAS product, and the eigenpair
+  is closed-form), and CG on masked lattices.  The one exception is the
+  Sobolev descent, which keeps its own inexact CG on every domain (see
+  `estimate_sobolev_S`).  All of these are setup.  One Poisson
+  preconditioner, `Domain.precondition`, serves everything after it on
+  every domain, the cone descent's gradient lift and the MINRES of the
+  Newton polish: the sine-transform solve on the bounding box of the
+  lattice, restricted to the interior nodes, which on a box is the exact
+  solve that `solve_poisson` returns;
 * lattice symmetries: a signed axis permutation g = (P, S) (P a
   permutation of the axes, S the flipped axes) acts on a raw value array by
   zero-extending it onto the lattice, transposing the axes by P, flipping
@@ -266,15 +267,17 @@ class Domain:
             self._sine = (S, sum(np.ix_(*(4.0 / h**2 * axis_eig for h in self.h))))
         return self._sine
 
-    def solve_poisson(self, b, x0=None, rtol=1e-8, maxiter=None, label="riesz lift"):
+    def solve_poisson(self, b, x0=None, rtol=1e-8, maxiter=None, label="poisson solve"):
         """x = (-Lap)^{-1} b for a raw value array b.
 
         Exact on a box: the sine matrix is applied along every axis, the
         coefficients are divided by the stencil eigenvalues and the sine
         matrix is applied again.  On a masked lattice, CG from x0 to relative
         residual rtol within maxiter iterations (default 20 * n_interior) that
-        raises NumericalError when it stops short.  The defaults are those of
-        the Riesz lift in the descents.
+        raises NumericalError, naming `label`, when it stops short.  The
+        callers are the inverse power eigensolve (`principal_eigenpair`) and
+        the harmonic lift (`lift.solve_lift`); each passes its own
+        tolerance, cap and label.
         """
         if isinstance(self.spec.shape, Box):
             return self.precondition(b)

@@ -10,6 +10,8 @@ nonnegative cone of the unit critical sphere; one loop, `_cone_descent`,
 runs that descent and the minimax relaxation.  A Newton polish of the full
 first-order system, its inner MINRES preconditioned by the domain's Poisson
 preconditioner (`grid.Domain.precondition`), finishes every branch.  The
+cone descent lifts its gradients by the same preconditioner, so no search
+runs CG; on a masked lattice CG is left to the domain's setup.  The
 descent and the polish take their steps through the one backtracking line
 search `numutil.armijo`, which also sets the next descent step.
 Bubble-translated seeds on annular domains, the boundary-pinned minimax
@@ -292,15 +294,17 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta):
     critical sphere's nonnegative cone.
 
     v is the current cone point with J(v) = j_val and t = t_minus(v), g the
-    gradient at t v and dr its Riesz lift.  The lift is made tangent to the
-    sphere at v, and trial points max(v - beta * dtan, 0) / norm are scored
-    by J through `armijo` (a trial point that vanishes or has no root counts
-    as a rejection).  A trial at step b must gain 1e-4 * b * slope; only the
-    steps, at most CONE_BACKTRACKS, at which that gain is at least one ulp
-    of J (eps * |J|) are tried, since below it roundoff decides.  Returns
-    ((J, t, w, ||w||^2, v), next_beta) of the accepted point with w = t v
-    and the step the next search starts from, or None when dtan is not a
-    descent direction, no step is resolvable or every trial is rejected.
+    gradient at t v and dr = P g its lift by a symmetric positive definite
+    P (the preconditioner, in `_cone_descent`).  The lift is made tangent
+    to the sphere at v, and trial points max(v - beta * dtan, 0) / norm are
+    scored by J through `armijo` (a trial point that vanishes or has no root
+    counts as a rejection).  A trial at step b must gain 1e-4 * b * slope;
+    only the steps, at most CONE_BACKTRACKS, at which that gain is at least
+    one ulp of J (eps * |J|) are tried, since below it roundoff decides.
+    Returns ((J, t, w, ||w||^2, v), next_beta) of the accepted point with
+    w = t v and the step the next search starts from, or None when dtan is
+    not a descent direction, no step is resolvable or every trial is
+    rejected.
     """
     d = p.domain
     ts = p.two_star
@@ -324,15 +328,21 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta):
     return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, tries)
 
 
-def _cone_descent(p: Params, v, budget, beta, warm):
+def _cone_descent(p: Params, v, budget, beta):
     """At most `budget` passes of cone descent of J(v) = E(t_minus(v) v)
     from the cone point v, for the Minus branch and the minimax relaxation.
 
     A pass stops at a gradient g (at t v) within 1e2 times the convergence
-    target, or lifts g by a Poisson solve warm-started from the last lift
-    and moves by `_cone_step`.  Returns (J, v, w, passes, beta, warm): the
-    last cone point with w = t_minus(v) v, the passes made (the stopping one
-    included), and the step and lift a further descent starts from.
+    target, or lifts g by the domain's Poisson preconditioner
+    (`grid.Domain.precondition`: the exact solve on a box, the bounding-box
+    sine solve on a masked lattice) and moves by `_cone_step`.  Any
+    symmetric positive definite lift gives a descent direction: at w = t v
+    the gradient is orthogonal to v, so the step's slope is t <g, P g> > 0.
+    The gradient is then a Sobolev gradient in an inner product equivalent
+    to the H^1_0 one, and the Newton polish lands on the same critical
+    point.  Returns (J, v, w, passes, beta): the last cone point with
+    w = t_minus(v) v, the passes made (the stopping one included), and the
+    step a further descent starts from.
     """
     d = p.domain
     j_val, t, w, w_sq = reduced_functional(v, p)
@@ -342,13 +352,11 @@ def _cone_descent(p: Params, v, budget, beta, warm):
         g = gradient_values(w, p)
         if _wnorm(d, g) <= 1e2 * _target_tol(w_sq, j_val):
             break
-        dr = d.solve_poisson(g, x0=warm)
-        warm = dr
-        step = _cone_step(p, v, t, j_val, g, dr, beta)
+        step = _cone_step(p, v, t, j_val, g, d.precondition(g), beta)
         if step is None:
             break
         (j_val, t, w, w_sq, v), beta = step
-    return j_val, v, w, passes, beta, warm
+    return j_val, v, w, passes, beta
 
 
 def minimize_on_Nminus(
@@ -371,12 +379,11 @@ def minimize_on_Nminus(
 
     budget = max(1, int(max_iter * budget_factor))
     iterations = 0
-    warm_dir = None
     beta0 = 1.0
     flags = []
 
     for attempt in range(3):
-        _, v, w, passes, beta0, warm_dir = _cone_descent(p, v, budget, beta0, warm_dir)
+        _, v, w, passes, beta0 = _cone_descent(p, v, budget, beta0)
         iterations += passes
 
         wv, gn, steps, ok = _newton_polish(p, w, budget_factor, flags)
@@ -656,7 +663,7 @@ def minimax_gamma(
     for _ in range(relax_rounds):
         for key in interior:
             values[key], family[key], *_ = _cone_descent(
-                p, family[key], MINIMAX_INNER_STEPS, 1.0, None)
+                p, family[key], MINIMAX_INNER_STEPS, 1.0)
     relaxed = relax_rounds * len(interior)
     mapped = relax_rounds * sum(1 for key in rep_of if key[1] != len(radii) - 1)
     values.update({key: values[rep] for key, rep in rep_of.items()})

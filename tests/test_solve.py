@@ -7,9 +7,9 @@ from bnsolver.errors import (
     NonconvergenceError,
     PreconditionError,
 )
-from bnsolver import solve
+from bnsolver import grid, numutil, solve
 from bnsolver.functional import Params, energy, gradient_values
-from bnsolver.grid import Field, symmetry_point
+from bnsolver.grid import Field, _cg, symmetry_point
 from bnsolver.lift import BumpOnBoundary, solve_lift
 from bnsolver.nehari import Klass, reduced_functional
 from bnsolver.numutil import armijo, signed_pow, solve_cg
@@ -414,7 +414,7 @@ def test_cone_step_tries_only_steps_resolvable_in_J(annulus9, monkeypatch):
     v /= dom.lp_norm(v, dom.two_star)
     _, t, w, _ = reduced_functional(v, p)
     g = gradient_values(w, p)
-    dr = dom.solve_poisson(g)
+    dr = dom.precondition(g)
     theta = dom.weight * float(np.dot(signed_pow(v, dom.two_star - 1.0), dr))
     slope = t * dom.inner(g, dr - theta * v)
     assert slope > 0
@@ -431,6 +431,51 @@ def test_cone_step_tries_only_steps_resolvable_in_J(annulus9, monkeypatch):
     assert tries(1.0) == 30
     assert tries(1e-4 * slope * 0.5**4.5 / eps) == 5
     assert tries(2e-4 * slope / eps) == 0
+
+
+def test_cone_descent_metric_does_not_move_the_critical_point(annulus9, monkeypatch):
+    """The cone descent lifts its gradient by the bounding-box sine solve;
+    lifting it by the exact -Lap solve instead (CG to 1e-12, which then
+    also preconditions the Newton MINRES) gives a different descent path
+    but, after the Newton polish, the same Minus critical point from the
+    ground-state ray and from a bubble seed."""
+    p = annulus9.params(lam_factor=0.25, mu=0.01)
+    dom = annulus9.domain
+    seeds = [ground_state(p.lam, annulus9.spectral, annulus9.lift),
+             Field(make_bubble(0.3, np.array([1.0, 0.0, 0.0]), dom), dom)]
+
+    def solves():
+        return [minimize_on_Nminus(p, s) for s in seeds]
+
+    shipped = solves()
+    monkeypatch.setattr(type(dom), "precondition",
+                        lambda self, b: _cg(self.matrix, b, None, 1e-12, 20000, "exact lift"))
+    exact = solves()
+    for a, b in zip(shipped, exact):
+        assert a.klass is b.klass is Klass.MINUS
+        assert abs(a.energy - b.energy) <= 1e-12 * abs(b.energy)
+        assert np.sqrt(dom.h1_norm_sq(a.v.values - b.v.values)) < 1e-8
+
+
+def test_no_conjugate_gradients_after_setup(annulus9, monkeypatch):
+    """Past the domain's setup (eigensolve, harmonic lift, Sobolev
+    estimate) no search on the annulus runs CG: the descents lift by the
+    preconditioner and Newton runs MINRES."""
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("conjugate gradients called after setup")
+
+    # grid binds solve_cg at import, so patch its name there too
+    for module in (numutil, grid):
+        monkeypatch.setattr(module, "solve_cg", no_cg)
+    p = annulus9.params(lam_factor=0.25, mu=0.01)
+    rec_plus = minimize_on_Nplus(p)
+    gs = ground_state(p.lam, annulus9.spectral, annulus9.lift)
+    rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
+    assert rec_minus.klass is Klass.MINUS
+    assert multistart_Nminus(p, sphere_directions(3, 6), 0.3, rec_plus)
+    mm = minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=2, relax_rounds=1)
+    assert mm.relaxed_points > 0
 
 
 # -- continuation -----------------------------------------------------------
