@@ -30,7 +30,9 @@ from .grid import (
     build_domain,
     compute_spectral_data,
     dump_field,
+    dump_spectral_data,
     load_field,
+    load_spectral_data,
 )
 from .lift import BumpOnBoundary, Constant, compose_solution, load_node_table, solve_lift
 from .nehari import Klass, t_minus, t_plus
@@ -265,15 +267,25 @@ def parse_config(path) -> RunConfig:
 # -- run ----------------------------------------------------------------------
 
 
-def _setup(rc: RunConfig):
-    """Domain, spectral data, lift and the (lambda, mu) lists of a config."""
+# The run's spectral data archive (`grid.dump_spectral_data`), at the run
+# root next to config.ini: it belongs to the run, not to one cell.
+SPECTRAL_FILE = "spectral.npz"
+
+
+def _domain_and_lift(rc: RunConfig):
+    """Domain and harmonic lift of a config: the setup that run and certify
+    share."""
     domain = build_domain(rc.domain_spec)
-    spectral = compute_spectral_data(domain)
     boundary = rc.boundary
     if isinstance(boundary, tuple) and boundary[0] == "table":
         boundary = load_node_table(boundary[1], domain)
-    lift = solve_lift(boundary, domain)
+    return domain, solve_lift(boundary, domain)
 
+
+def _setup(rc: RunConfig):
+    """Domain, spectral data, lift and the (lambda, mu) lists of a config."""
+    domain, lift = _domain_and_lift(rc)
+    spectral = compute_spectral_data(domain)
     lambdas = _parse_values(rc.cfg, "parameters", "lambdas", rc.lambdas_text,
                             lambda1=spectral.lambda1)
     mus = _parse_values(rc.cfg, "parameters", "mus", rc.mus_text, lambda1=spectral.lambda1)
@@ -374,6 +386,8 @@ def run(config_path, out_dir_override=None) -> int:
     shutil.copy(config_path, out / "config.ini")
 
     _, spectral, lift, lambdas, mus = _setup(rc)
+    if rc.dump_fields:
+        dump_spectral_data(spectral, out / SPECTRAL_FILE)
     results = []
     if any(s != "mu_star" for s in rc.searches):
         results = [_run_cell(i, lam, mu, spectral, lift, rc)
@@ -588,13 +602,17 @@ def _stored_record(r, v: Field, p: Params) -> SolutionRecord:
 
 
 def certify_cmd(record_path) -> int:
+    """Re-certify the records of one cell file against the run's field dumps
+    and its stored spectral data (`grid.load_spectral_data` checks it; no
+    setup search is run again)."""
     rec_path = Path(record_path)
     cell = _read_cell(rec_path)
-    cfg_path = rec_path.parent.parent / "config.ini"
+    run_dir = rec_path.parent.parent
+    cfg_path = run_dir / "config.ini"
     if not cfg_path.exists():
         raise ArgumentError(f"{rec_path}: no config.ini next to the run ({cfg_path})")
-    domain, spectral, lift, _, _ = _setup(parse_config(cfg_path))
-    p = Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
+    domain, lift = _domain_and_lift(parse_config(cfg_path))
+    p = None  # built once a record with a field dump is found
     ok = True
     n = 0
     for k, r in enumerate(cell["records"]):
@@ -603,6 +621,9 @@ def certify_cmd(record_path) -> int:
             print(f"record {k}: no field dump stored (rerun with dump_fields = true)")
             ok = False
             continue
+        if p is None:
+            spectral = load_spectral_data(run_dir / SPECTRAL_FILE, domain)
+            p = Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
         v = load_field(rec_path.parent / dumpname, domain)
         try:
             rec = _stored_record(r, v, p)

@@ -25,6 +25,12 @@ Discrete conventions, fixed once and used everywhere:
   their inputs;
 * a field dump is one binary `.npy` file: the zero-extended float64 lattice
   array of shape `lattice_shape` (`dump_field`, `load_field`);
+* the spectral data of a run is one `.npz` archive (`dump_spectral_data`):
+  lambda1 and sobolev_S as 0-d float64 arrays, e1 and the Sobolev witness as
+  lattice arrays in the field dump layout.  `load_spectral_data` checks the
+  stored values instead of searching again: the eigenpair against the
+  inverse power stopping test, sobolev_S against the quotient of its
+  witness and of the descent's starting bump;
 * linear solves: every exact solve with -Lap (the harmonic lift, the
   inverse power eigensolve) goes through `Domain.solve_poisson`, exact on
   boxes, where the stencil is diagonal in the tensor sine basis (the sine
@@ -53,6 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+import zipfile
 from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import sparse
@@ -446,13 +453,16 @@ class Field:
 
 @dataclass
 class SpectralData:
-    """Principal eigenpair, best-quotient estimate and the per-lambda ground
-    state cache for a fixed domain."""
+    """Principal eigenpair, best-quotient estimate with its witness (the
+    field whose critical Rayleigh quotient is sobolev_S) and the per-lambda
+    ground state cache for a fixed domain.  A run stores all but the cache
+    (`dump_spectral_data`); certify reads them back (`load_spectral_data`)."""
 
     domain: Domain
     lambda1: float
     e1: Field
     sobolev_S: float
+    sobolev_witness: Field
     ground_state_cache: dict = dc_field(default_factory=dict)
 
     @property
@@ -484,6 +494,14 @@ def principal_eigenpair(domain: Domain):
     return _inverse_power(domain, EIG_TOL, EIG_MAX_OUTER)
 
 
+def _eigen_residual(domain: Domain, lam, x, Ax, tol=EIG_TOL):
+    """The inverse power stopping test of a candidate pair (lam, x) with
+    ||x||_2 = 1, given Ax = -Lap x: (the eigen-residual ||Ax - lam x||_2,
+    whether it is below tol * lam)."""
+    resid = np.sqrt(domain.weight) * np.linalg.norm(Ax - lam * x)
+    return resid, bool(resid < tol * lam)
+
+
 def _inverse_power(domain: Domain, tol: float, max_outer: int):
     """Inverse power iteration for the principal eigenpair (see
     principal_eigenpair); its inner solves run through solve_poisson."""
@@ -498,8 +516,8 @@ def _inverse_power(domain: Domain, tol: float, max_outer: int):
         x = z / (np.sqrt(w) * np.linalg.norm(z))
         Ax = A @ x
         lam = domain.inner(Ax, x)
-        resid = np.sqrt(w) * np.linalg.norm(Ax - lam * x)
-        if resid < tol * lam:
+        resid, converged = _eigen_residual(domain, lam, x, Ax, tol)
+        if converged:
             if np.sum(x) < 0:
                 x = -x
             return float(lam), Field(x, domain)
@@ -540,8 +558,21 @@ def _default_bump(domain: Domain):
     return bump
 
 
-def estimate_sobolev_S(domain: Domain) -> float:
-    """Minimize the critical Rayleigh quotient by projected gradient descent.
+def _renormalized(domain: Domain, ut):
+    """(critical Rayleigh quotient, ut / ||ut||_{2*}), or None when ut
+    vanishes."""
+    nt = domain.lp_norm(ut, domain.two_star)
+    if not nt > 0:
+        return None
+    ut = ut / nt
+    return rayleigh_quotient(domain, ut), ut
+
+
+def estimate_sobolev_S(domain: Domain):
+    """Minimize the critical Rayleigh quotient by projected gradient descent;
+    returns (S, witness), the minimum quotient and the Field that attains
+    it: the normalized default bump the descent starts from, or the
+    accepted iterate that set the minimum.
 
     Descent direction is the Riesz lift (-Lap)^{-1} of the quotient gradient.
     Each step is the backtracking line search `numutil.armijo` with slope 0,
@@ -567,17 +598,8 @@ def estimate_sobolev_S(domain: Domain) -> float:
         tot = float(mass.sum())
         return float(mass.max()) / tot if tot > 0 else 1.0
 
-    def renormalized(ut):
-        """(quotient, ut / ||ut||_{2*}), or None when ut vanishes."""
-        nt = domain.lp_norm(ut, two_star)
-        if not nt > 0:
-            return None
-        ut = ut / nt
-        return rayleigh_quotient(domain, ut), ut
-
-    u = _default_bump(domain)
-    u = u / domain.lp_norm(u, two_star)
-    best = rayleigh_quotient(domain, u)
+    best, u = _renormalized(domain, _default_bump(domain))
+    witness = u
 
     q = best
     d_warm = None
@@ -592,13 +614,14 @@ def estimate_sobolev_S(domain: Domain) -> float:
         d = _cg(A, g, d_warm, SOBOLEV_INNER_RTOL, 5000, "sobolev descent")
         d_warm = d
         gain = 0.0
-        out = armijo(lambda beta: renormalized(u - beta * d), q, 0.0, step, 40)
+        out = armijo(lambda beta: _renormalized(domain, u - beta * d), q, 0.0, step, 40)
         if out is not None:
             (qt, u), step = out
             gain, q = q - qt, qt
         if peak_share(u) > SOBOLEV_SHARE_CAP:
             break
-        best = min(best, q)
+        if q < best:
+            best, witness = q, u
         if gain < SOBOLEV_STAG_TOL * abs(q):
             break
     else:
@@ -606,25 +629,55 @@ def estimate_sobolev_S(domain: Domain) -> float:
             f"sobolev estimate still descending after {SOBOLEV_MAX_OUTER} iterations",
             stacklevel=2,
         )
-    return float(best)
+    return float(best), Field(witness, domain)
 
 
 def compute_spectral_data(domain: Domain) -> SpectralData:
     lam1, e1 = principal_eigenpair(domain)
-    return SpectralData(domain=domain, lambda1=lam1, e1=e1, sobolev_S=estimate_sobolev_S(domain))
+    S, witness = estimate_sobolev_S(domain)
+    return SpectralData(domain=domain, lambda1=lam1, e1=e1, sobolev_S=S, sobolev_witness=witness)
 
 
 # -- field dumps --------------------------------------------------------------
+
+# Members of the spectral data archive (`dump_spectral_data`), named after the
+# SpectralData attributes they hold: two 0-d float64 arrays and two lattice
+# arrays.
+_SPECTRAL_SCALARS = ("lambda1", "sobolev_S")
+_SPECTRAL_FIELDS = ("e1", "sobolev_witness")
+
+
+def _lattice_array(u: Field):
+    """The zero-extended lattice array of u (non-interior nodes 0), of shape
+    `lattice_shape`."""
+    d = u.domain
+    full = np.zeros(d.lattice_shape)
+    full.flat[d.interior_flat] = u.values
+    return full
+
+
+def _lattice_field(full, domain: Domain, where) -> Field:
+    """The field of the lattice array `full` read from `where` (a path, with
+    the archive member if any).  ArgumentError, naming `where`, when it is
+    not float64, not of shape `domain.lattice_shape` or not finite on the
+    interior nodes."""
+    if full.dtype != np.float64:
+        raise ArgumentError(f"{where}: field dump of dtype {full.dtype}, not float64")
+    if full.shape != domain.lattice_shape:
+        raise ArgumentError(
+            f"{where}: dump lattice {full.shape} does not match domain {domain.lattice_shape}"
+        )
+    try:
+        return Field(full.ravel()[domain.interior_flat], domain)
+    except ArgumentError as e:  # non-finite values
+        raise ArgumentError(f"{where}: {e}") from None
 
 
 def dump_field(u: Field, path):
     """Binary dump: the zero-extended lattice array of u (non-interior nodes
     0), of shape `lattice_shape`, as one float64 `.npy` array."""
-    d = u.domain
-    full = np.zeros(d.lattice_shape)
-    full.flat[d.interior_flat] = u.values
     with open(path, "wb") as f:
-        np.save(f, full, allow_pickle=False)
+        np.save(f, _lattice_array(u), allow_pickle=False)
 
 
 def load_field(path, domain: Domain) -> Field:
@@ -637,13 +690,76 @@ def load_field(path, domain: Domain) -> Field:
             full = np.lib.format.read_array(f, allow_pickle=False)
     except (OSError, ValueError, EOFError) as e:
         raise ArgumentError(f"{path}: not a readable .npy field dump: {e}") from None
-    if full.dtype != np.float64:
-        raise ArgumentError(f"{path}: field dump of dtype {full.dtype}, not float64")
-    if full.shape != domain.lattice_shape:
+    return _lattice_field(full, domain, path)
+
+
+def dump_spectral_data(spectral: SpectralData, path):
+    """One `.npz` archive (readable by `np.load`) of what the setup searches
+    found: `lambda1` and `sobolev_S` as 0-d float64 arrays, `e1` and
+    `sobolev_witness` as zero-extended lattice arrays in the layout of
+    `dump_field`.  The members carry the fixed zip timestamp of 1980, so a
+    rerun writes the same bytes."""
+    arrays = {name: np.array(getattr(spectral, name), dtype=np.float64)
+              for name in _SPECTRAL_SCALARS}
+    arrays.update((name, _lattice_array(getattr(spectral, name))) for name in _SPECTRAL_FIELDS)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in arrays.items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as f:
+                np.lib.format.write_array(f, array, allow_pickle=False)
+
+
+def load_spectral_data(path, domain: Domain) -> SpectralData:
+    """The spectral data of a `dump_spectral_data` archive on this domain,
+    checked instead of recomputed, each test at the cost of one product
+    with -Lap:
+
+    * (lambda1, e1) passes the inverse power stopping test
+      ||-Lap e1 - lambda1 e1||_2 < EIG_TOL * lambda1, with sum(e1) > 0 and
+      ||e1||_2 = 1 to 1e-12;
+    * the critical Rayleigh quotient of sobolev_witness is sobolev_S to
+      1e-12 relative, and sobolev_S is at most the quotient of the default
+      bump that the Sobolev descent starts from, with the same slack.
+
+    A stored value cannot be looser than the setup's starting point, but one
+    between the true estimate and the bump's quotient, with a matching
+    witness, passes: the archive is trusted as the run's config.ini and field
+    dumps are.  ArgumentError, naming the path, when the file is not a
+    readable archive of the four float64 arrays (each lattice array checked
+    as `load_field` checks a dump) or fails a test."""
+    arrays = {}
+    try:
+        with zipfile.ZipFile(path) as zf:
+            for name in _SPECTRAL_SCALARS + _SPECTRAL_FIELDS:
+                with zf.open(f"{name}.npy") as f:
+                    arrays[name] = np.lib.format.read_array(f, allow_pickle=False)
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile) as e:
+        raise ArgumentError(f"{path}: not a readable spectral data archive: {e}") from None
+    for name in _SPECTRAL_SCALARS:
+        x = arrays[name]
+        if x.dtype != np.float64 or x.shape != () or not np.isfinite(x):
+            raise ArgumentError(f"{path}: {name} is not a finite 0-d float64 array")
+    lam1, S = float(arrays["lambda1"]), float(arrays["sobolev_S"])
+    e1, witness = (_lattice_field(arrays[name], domain, f"{path}: {name}")
+                   for name in _SPECTRAL_FIELDS)
+
+    resid, converged = _eigen_residual(domain, lam1, e1.values, domain.matrix @ e1.values)
+    norm = math.sqrt(domain.l2_norm_sq(e1.values))
+    if not (converged and np.sum(e1.values) > 0 and abs(norm - 1.0) <= 1e-12):
         raise ArgumentError(
-            f"{path}: dump lattice {full.shape} does not match domain {domain.lattice_shape}"
+            f"{path}: (lambda1, e1) is not a normalized positive eigenpair: eigen-residual "
+            f"{resid:.3e} (tolerance {EIG_TOL * lam1:.3e}), sum {np.sum(e1.values):.6g}, "
+            f"norm {norm!r}"
         )
     try:
-        return Field(full.ravel()[domain.interior_flat], domain)
-    except ArgumentError as e:  # non-finite values
-        raise ArgumentError(f"{path}: {e}") from None
+        q = rayleigh_quotient(domain, witness.values)
+    except ArgumentError as e:  # the zero field
+        raise ArgumentError(f"{path}: sobolev_witness: {e}") from None
+    if not abs(q - S) <= 1e-12 * abs(S):
+        raise ArgumentError(
+            f"{path}: sobolev_S is not the quotient of its witness ({S!r} against {q!r})")
+    q_bump, _ = _renormalized(domain, _default_bump(domain))
+    if not S <= q_bump + 1e-12 * q_bump:
+        raise ArgumentError(
+            f"{path}: sobolev_S is above the default bump's quotient ({S!r} against {q_bump!r})")
+    return SpectralData(domain=domain, lambda1=lam1, e1=e1, sobolev_S=S,
+                        sobolev_witness=witness)

@@ -13,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnsolver
+from bnsolver import cli, grid
 from bnsolver.cli import main, parse_config
 from bnsolver.errors import ConfigurationError
-from bnsolver.grid import Box, DomainSpec, Field, build_domain, dump_field
+from bnsolver.functional import Params
+from bnsolver.grid import Box, DomainSpec, Field, build_domain, dump_field, load_spectral_data
+from bnsolver.verify import certify_solution
 
 from conftest import text_dump
 
@@ -247,6 +250,69 @@ def certify_without_config(tmp_path, completed_run):
     return ["certify", str(cell_path)], f"{cell_path}: no config.ini next to the run"
 
 
+def edited_spectral_data(tmp_path, completed_run, edit):
+    """A copy of the completed run whose spectral.npz arrays are changed by
+    edit(arrays, domain), arrays being a dict of them; returns the copy's
+    cell_0000.json and spectral.npz."""
+    cell_path = copied_run(completed_run, tmp_path)
+    path = cell_path.parent.parent / "spectral.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    edit(arrays, build_domain(parse_config(cell_path.parent.parent / "config.ini").domain_spec))
+    np.savez(path, **arrays)
+    return cell_path, path
+
+
+def certify_without_spectral_data(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    path = cell_path.parent.parent / "spectral.npz"
+    path.unlink()
+    return ["certify", str(cell_path)], f"{path}: not a readable spectral data archive"
+
+
+def certify_truncated_spectral_data(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    path = cell_path.parent.parent / "spectral.npz"
+    path.write_bytes(path.read_bytes()[:-100])
+    return ["certify", str(cell_path)], f"{path}: not a readable spectral data archive"
+
+
+def certify_pickled_spectral_data(tmp_path, completed_run):
+    def edit(arrays, domain):
+        arrays["e1"] = arrays["e1"].astype(object)
+    cell_path, path = edited_spectral_data(tmp_path, completed_run, edit)
+    return ["certify", str(cell_path)], f"{path}: not a readable spectral data archive"
+
+
+def certify_sobolev_S_off_its_witness(tmp_path, completed_run):
+    def edit(arrays, domain):
+        arrays["sobolev_S"] = arrays["sobolev_S"] * (1.0 - 1e-9)
+    cell_path, path = edited_spectral_data(tmp_path, completed_run, edit)
+    return ["certify", str(cell_path)], f"{path}: sobolev_S is not the quotient of its witness"
+
+
+def certify_sobolev_S_above_the_bump(tmp_path, completed_run):
+    """A noisy witness with its own, matching quotient, above the bump's."""
+    def edit(arrays, domain):
+        noise = np.zeros(domain.lattice_shape)
+        noise.flat[domain.interior_flat] = 1.0 + np.random.default_rng(0).random(domain.n_interior)
+        q = grid.rayleigh_quotient(domain, noise.flat[domain.interior_flat])
+        assert q > arrays["sobolev_S"] * 1.5
+        arrays["sobolev_witness"], arrays["sobolev_S"] = noise, np.float64(q)
+    cell_path, path = edited_spectral_data(tmp_path, completed_run, edit)
+    return ["certify", str(cell_path)], f"{path}: sobolev_S is above the default bump's quotient"
+
+
+def certify_e1_not_an_eigenvector(tmp_path, completed_run):
+    """e1 replaced by the positive, L2-normalized Sobolev witness."""
+    def edit(arrays, domain):
+        w = arrays["sobolev_witness"]
+        arrays["e1"] = w / np.sqrt(domain.l2_norm_sq(w.flat[domain.interior_flat]))
+    cell_path, path = edited_spectral_data(tmp_path, completed_run, edit)
+    return (["certify", str(cell_path)],
+            f"{path}: (lambda1, e1) is not a normalized positive eigenpair")
+
+
 @pytest.mark.parametrize("case", [missing_config, node_table_bad_line, field_dump_bad_header,
                                   certify_old_text_dump, missing_cell_file, non_json_cell_file,
                                   unknown_recorded_class, record_without_energy, report_cell_without_lambda,
@@ -256,7 +322,12 @@ def certify_without_config(tmp_path, completed_run):
                                   report_image_of_not_an_index,
                                   report_image_of_not_an_earlier_record,
                                   report_iterations_a_boolean, certify_energy_a_boolean,
-                                  report_not_a_run, certify_without_config],
+                                  report_not_a_run, certify_without_config,
+                                  certify_without_spectral_data, certify_truncated_spectral_data,
+                                  certify_pickled_spectral_data,
+                                  certify_sobolev_S_off_its_witness,
+                                  certify_sobolev_S_above_the_bump,
+                                  certify_e1_not_an_eigenvector],
                          ids=lambda case: case.__name__)
 def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, case):
     """Missing or malformed input files exit 2 with an error that names the
@@ -267,13 +338,14 @@ def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, cas
 
 
 def assert_same_outputs(a, b):
-    """sweep.csv, every cells/*.json and every field dump cells/*_field_*.npy
-    are byte-identical in run dirs a and b."""
+    """sweep.csv, the spectral data archive spectral.npz, every cells/*.json
+    and every field dump cells/*_field_*.npy are byte-identical in run dirs
+    a and b."""
     names = sorted(fp.name for fp in (a / "cells").glob("*.json"))
     assert names and names == sorted(fp.name for fp in (b / "cells").glob("*.json"))
     dumps = sorted(fp.name for fp in (a / "cells").glob("*_field_*.npy"))
     assert dumps == sorted(fp.name for fp in (b / "cells").glob("*_field_*.npy"))
-    for rel in ["sweep.csv"] + [f"cells/{n}" for n in names + dumps]:
+    for rel in ["sweep.csv", "spectral.npz"] + [f"cells/{n}" for n in names + dumps]:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
@@ -567,7 +639,7 @@ seed = 0
 """
 
 
-def test_annulus_run_with_multistart_and_minimax(tmp_path):
+def test_annulus_run_with_multistart_and_minimax(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, ANNULUS_CONFIG.format(out=out))
     code = main(["run", str(cfg)])
@@ -577,6 +649,51 @@ def test_annulus_run_with_multistart_and_minimax(tmp_path):
     assert len(cell["records"]) >= 2  # nplus, nminus, plus whatever multistart kept
     assert "minimax" in cell
     assert set(cell["minimax"]) >= {"found", "gamma_estimate", "window", "reason"}
+    # without field dumps the run stores no spectral data, and certify says
+    # what is missing instead of failing on the absent archive
+    assert not (out / "spectral.npz").exists()
+    capsys.readouterr()
+    assert main(["certify", str(out / "cells" / "cell_0000.json")]) == 1
+    assert "record 0: no field dump stored" in capsys.readouterr().out
+
+
+def test_certify_runs_no_setup_search(completed_run, tmp_path, monkeypatch, capsys):
+    """Certify reads the run's spectral data instead of searching again: with
+    the eigensolve and the Sobolev descent made to raise, every cell with
+    records certifies with the text that freshly computed spectral data
+    gives, and the stored lambda1 and sobolev_S are the run's bit for bit."""
+    annulus = tmp_path / "annulus"
+    text = (ANNULUS_CONFIG.format(out=annulus)
+            .replace("run = nplus nminus multistart minimax", "run = nplus nminus")
+            .replace("dump_fields = false", "dump_fields = true"))
+    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    expected = []
+    for out in (completed_run, annulus):
+        domain, spectral, lift, _, _ = cli._setup(parse_config(out / "config.ini"))
+        stored = load_spectral_data(out / "spectral.npz", domain)
+        assert (stored.lambda1, stored.sobolev_S) == (spectral.lambda1, spectral.sobolev_S)
+        for fp in sorted((out / "cells").glob("cell_*.json")):
+            cell = json.loads(fp.read_text())
+            if not cell["records"]:
+                continue
+            p = Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
+            lines = []
+            for k, r in enumerate(cell["records"]):
+                v = grid.load_field(fp.parent / r["field_dump"], domain)
+                cert = certify_solution(cli._stored_record(r, v, p), p)
+                lines += [f"record {k} ({r['class']}, energy {cli._fmt(r['energy'])}):", str(cert)]
+            expected.append((fp, "\n".join(lines) + "\n"))
+    assert len(expected) == 2
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("certify ran a setup search")
+
+    monkeypatch.setattr(grid, "estimate_sobolev_S", no_search)
+    monkeypatch.setattr(grid, "principal_eigenpair", no_search)
+    capsys.readouterr()
+    for fp, text in expected:
+        assert main(["certify", str(fp)]) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_mu_star_search(tmp_path):

@@ -17,8 +17,10 @@ from bnsolver.grid import (
     Field,
     build_domain,
     dump_field,
+    dump_spectral_data,
     estimate_sobolev_S,
     load_field,
+    load_spectral_data,
     principal_eigenpair,
     rayleigh_quotient,
     _inverse_power,
@@ -499,7 +501,9 @@ def test_sobolev_refinement_trend_dimension4():
     vals = []
     for res in (9, 11, 13):
         dom = build_domain(DomainSpec(Box((1.0,) * 4), 4, res))
-        vals.append(estimate_sobolev_S(dom))
+        S, witness = estimate_sobolev_S(dom)
+        assert rayleigh_quotient(dom, witness.values) == S
+        vals.append(S)
     assert vals[0] > vals[1] > vals[2], f"not monotone: {vals}"
     assert abs(vals[-1] - S4_CONTINUUM) < 0.10 * S4_CONTINUUM, vals
 
@@ -535,6 +539,25 @@ def test_dump_roundtrip(tmp_path, box9, annulus9):
         assert np.array_equal(u.values, v.values)
         full = np.load(path, allow_pickle=False)
         assert full.dtype == np.float64 and full.shape == setup.domain.lattice_shape
+
+
+def test_spectral_data_roundtrip(tmp_path, box9, annulus9):
+    """The spectral archive gives back every stored value bit for bit, its
+    lattice arrays are zero off the interior nodes, and a rewrite is
+    byte-identical."""
+    for setup in (box9, annulus9):
+        sd, path = setup.spectral, tmp_path / "spectral.npz"
+        dump_spectral_data(sd, path)
+        back = load_spectral_data(path, setup.domain)
+        assert (back.lambda1, back.sobolev_S) == (sd.lambda1, sd.sobolev_S)
+        for name in ("e1", "sobolev_witness"):
+            assert np.array_equal(getattr(back, name).values, getattr(sd, name).values)
+            full = np.load(path, allow_pickle=False)[name].ravel()
+            assert full.size == np.prod(setup.domain.lattice_shape)
+            assert not np.delete(full, setup.domain.interior_flat).any()
+        first = path.read_bytes()
+        dump_spectral_data(sd, path)
+        assert path.read_bytes() == first
 
 
 def test_dump_mismatch_rejected(tmp_path, box9, box13):
