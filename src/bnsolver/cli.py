@@ -331,7 +331,8 @@ def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig):
         if "nminus" in rc.searches:
             gs = ground_state(lam, spectral, lift, budget_factor=rc.budget_factor)
             rec_minus = minimize_on_Nminus(
-                p, gs, seed_kind=SeedKind.GROUND_STATE_RAY, budget_factor=rc.budget_factor
+                p, gs, seed_kind=SeedKind.GROUND_STATE_RAY, budget_factor=rc.budget_factor,
+                solved_seed=True,
             )
             records.append(rec_minus)
         if "multistart" in rc.searches:

@@ -79,13 +79,14 @@ def _checked(v, p: Params) -> np.ndarray:
     return v
 
 
-def energy(v, p: Params) -> float:
+def energy(v, p: Params, h1_sq=None) -> float:
+    """E(v); h1_sq is ||v||^2 (`Domain.h1_norm_sq`) when the caller has it."""
     v = _checked(v, p)
     d = p.domain
     w = v + p.mu_phi
     ts = p.two_star
     return (
-        0.5 * d.h1_norm_sq(v)
+        0.5 * (d.h1_norm_sq(v) if h1_sq is None else h1_sq)
         - 0.5 * p.lam * d.l2_norm_sq(w)
         - d.weight * float(np.sum(abs_pow(w, ts))) / ts
     )

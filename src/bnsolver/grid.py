@@ -65,7 +65,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ArgumentError, ConfigurationError, NumericalError
-from .numutil import armijo, signed_pow, solve_cg
+from .numutil import abs_pow, armijo, signed_pow, solve_cg
 
 # Annulus realization constants: the continuum annulus r_in < |x| < r_out with
 # r_in = ANNULUS_INNER_FACTOR*delta0 and r_out = ANNULUS_OUTER_FACTOR/delta0
@@ -352,7 +352,7 @@ class Domain:
     def lp_norm(self, values, p):
         if p < 1:
             raise ArgumentError(f"lp_norm requires p >= 1, got {p}")
-        return float((self.weight * np.sum(np.abs(values) ** p)) ** (1.0 / p))
+        return float((self.weight * np.sum(abs_pow(values, p))) ** (1.0 / p))
 
     def h1_norm_sq(self, values):
         """Dirichlet energy <-Lap v, v>: one product with `matrix`.  By

@@ -13,9 +13,30 @@ from .errors import NumericalError
 POW_FLUSH = 1e-300
 
 
+def _whole_pow(s, q, parity):
+    """s**q by repeated squaring when q is a whole number >= 2 of the given
+    parity (1 odd, 0 even), else None.  Then s**q is sign(s)|s|^q (odd q) or
+    |s|^q (even q), within a few ulp of libm pow, and every |s| < POW_FLUSH
+    gives 0 already: s*s underflows.  These are the powers 2*, 2*-1 and 2*-2
+    in N = 3 and 4."""
+    if not (q >= 2 and float(q).is_integer() and int(q) % 2 == parity):
+        return None
+    k, out, sq = int(q), None, s
+    while True:
+        if k & 1:
+            out = sq if out is None else out * sq
+        k >>= 1
+        if not k:
+            return out
+        sq = sq * sq
+
+
 def signed_pow(s, q):
     """sign(s) * |s|**q, elementwise, safe for fractional q and negative s."""
     s = np.asarray(s, dtype=float)
+    out = _whole_pow(s, q, 1)
+    if out is not None:
+        return out
     a = np.abs(s)
     a = np.where(a < POW_FLUSH, 0.0, a)
     return np.sign(s) * a**q
@@ -23,7 +44,11 @@ def signed_pow(s, q):
 
 def abs_pow(s, q):
     """|s|**q elementwise with the same underflow flush as signed_pow."""
-    a = np.abs(np.asarray(s, dtype=float))
+    s = np.asarray(s, dtype=float)
+    out = _whole_pow(s, q, 0)
+    if out is not None:
+        return out
+    a = np.abs(s)
     a = np.where(a < POW_FLUSH, 0.0, a)
     return a**q
 

@@ -7,7 +7,10 @@ minimizer is a stable critical point: its seed is projected onto the Plus
 part along its ray, t_plus(v) v, and Newton converges from there.  The Minus
 branch minimizes the reduced functional J(v) = E(t_minus(v) v) over the
 nonnegative cone of the unit critical sphere; one loop, `_cone_descent`,
-runs that descent and the minimax relaxation.  A Newton polish of the full
+runs that descent and the minimax relaxation.  A Minus solve seeded by an
+already solved field (the ground state, or the Minus record of a nearby mu)
+tries Newton from its t_minus projection first and descends only when that
+fails.  A Newton polish of the full
 first-order system, its inner MINRES preconditioned by the domain's Poisson
 preconditioner (`grid.Domain.precondition`), finishes every branch.  The
 cone descent lifts its gradients by the same preconditioner, so no search
@@ -29,9 +32,10 @@ the discrete problem commutes with g, so the image is the outcome the seed
 would have had.  Data without the symmetry find no hit and solve every seed.
 
 Fixed constants (module level, below): the Newton inner MINRES tolerance
-floor, the cone step's 30 backtracks (fewer once a step's required gain
-drops below one ulp of J), the bubble cutoff radius (in `make_bubble`: the
-annulus' delta0 capped at 0.45, 0.25 on a box), the multistart bubble
+floor, the Newton steps per budget and from a solved Minus seed, the cone
+step's 30 backtracks (fewer once a step's required gain drops below one ulp
+of J), the bubble cutoff radius (in `make_bubble`: the annulus' delta0
+capped at 0.45, 0.25 on a box), the multistart bubble
 scalings and deduplication distance, the symmetry match tolerance, the
 minimax descent passes per point and round, and the mu* continuation
 schedule (first step, growth, shrink, step floor, failure limit).  Options
@@ -39,8 +43,8 @@ that stay are the ones callers set to more than one value: `max_iter` of
 the Minus minimizer (the nonexistence criterion sets it), `budget_factor`
 everywhere (a config key; the nonexistence criterion runs both minimizers
 at a tenfold budget), `n_radii`/`relax_rounds` of the minimax search (the
-mu* criterion runs it smaller) and `max_cells`/`keep_records` of the
-continuation.
+mu* criterion runs it smaller), `solved_seed` of the Minus minimizer and
+`max_cells`/`keep_records` of the continuation.
 """
 
 from __future__ import annotations
@@ -72,6 +76,8 @@ from .nehari import (
 from .numutil import abs_pow, armijo, signed_pow, smoothstep, solve_minres
 
 NEWTON_INNER_RTOL = 1e-9  # floor of the Newton MINRES tolerance min(1e-2, . + 0.1 |grad|)
+NEWTON_STEPS = 40  # Newton polish steps per unit budget_factor (at least 10)
+NEWTON_FIRST_STEPS = 10  # Newton steps a Minus solve from a solved seed tries before descending
 BUBBLE_T_FACTORS = (0.5, 1.0, 2.0)  # multistart composite vplus + f t_star bubble, f in these
 DEDUP_TOL = 1e-4  # H^1_0 distance below which two multistart records are one
 SYMMETRY_TOL = 1e-12  # relative sup-norm within which g maps a solved seed onto a seed
@@ -165,27 +171,36 @@ def _or_none(f, *args):
         return None
 
 
-def _newton_polish(p: Params, vvals, budget_factor=1.0, flags=None):
-    """Damped Newton on the full first-order system, at most
-    max(10, int(40 * budget_factor)) steps; returns (values, grad_norm,
-    steps, converged).  Each step solves the Hessian system, -Lap - diag(c)
-    applied as a product with the cached CSR -Lap and no copy of it, by MINRES
-    preconditioned by `Domain.precondition` (the exact inverse of -Lap on a
-    box, its bounding-box sine solve on a masked lattice), and takes the
-    step length by `numutil.armijo` on the gradient norm.  The convergence
-    flag of every inner MINRES solve is appended to the list `flags` when
-    one is given."""
+def _converged(p: Params, v, gn):
+    """gn is within the convergence target at v (`_target_tol`), whose
+    ||v||^2 is taken once and shared with E(v)."""
+    h1_sq = p.domain.h1_norm_sq(v)
+    return gn <= _target_tol(h1_sq, energy(v, p, h1_sq))
+
+
+def _polish_steps(budget_factor):
+    """Newton polish steps a search runs at this budget factor."""
+    return max(10, int(NEWTON_STEPS * budget_factor))
+
+
+def _newton_polish(p: Params, vvals, max_steps=NEWTON_STEPS, flags=None):
+    """Damped Newton on the full first-order system, at most max_steps
+    steps; returns (values, grad_norm, steps, converged).  Each step solves
+    the Hessian system, -Lap - diag(c) applied as a product with the cached
+    CSR -Lap and no copy of it, by MINRES preconditioned by
+    `Domain.precondition` (the exact inverse of -Lap on a box, its
+    bounding-box sine solve on a masked lattice), and takes the step length
+    by `numutil.armijo` on the gradient norm.  The convergence flag of every
+    inner MINRES solve is appended to the list `flags` when one is given."""
     d = p.domain
     A = d.matrix
     ts = p.two_star
     v = np.array(vvals, dtype=float)
     g = gradient_values(v, p)
     gn = _wnorm(d, g)
-    max_steps = max(10, int(40 * budget_factor))
     steps = 0
     while steps < max_steps:
-        e_val = energy(v, p)
-        if gn <= _target_tol(d.h1_norm_sq(v), e_val):
+        if _converged(p, v, gn):
             return v, gn, steps, True
         w = v + p.mu_phi
         c = p.lam + (ts - 1.0) * abs_pow(w, ts - 2.0)
@@ -207,8 +222,7 @@ def _newton_polish(p: Params, vvals, budget_factor=1.0, flags=None):
             break
         (gn, v, g), _ = out
         steps += 1
-    e_val = energy(v, p)
-    return v, gn, steps, gn <= _target_tol(d.h1_norm_sq(v), e_val)
+    return v, gn, steps, _converged(p, v, gn)
 
 
 def _short_note(flags):
@@ -250,7 +264,7 @@ def minimize_on_Nplus(
                                   "no t_plus root")
 
     flags = []
-    w, gn, steps, ok = _newton_polish(p, start[2], budget_factor, flags)
+    w, gn, steps, ok = _newton_polish(p, start[2], _polish_steps(budget_factor), flags)
     if not ok:
         raise NonconvergenceError(
             f"Plus-branch solve stalled at grad norm {gn:.3e} after {steps} iterations "
@@ -365,10 +379,23 @@ def minimize_on_Nminus(
     max_iter: int = 300,
     budget_factor: float = 1.0,
     seed_kind: SeedKind = SeedKind.USER,
+    solved_seed: bool = False,
 ) -> SolutionRecord:
     """Minimize the reduced functional J(v) = E(t_minus(v) v) over the
     nonnegative cone of the critical-norm unit sphere (`_cone_descent`), in
-    up to three attempts, each finished by a Newton polish."""
+    up to three attempts, each finished by a Newton polish.
+
+    A solved seed (`solved_seed`: the ground state, or the Minus record of a
+    nearby mu) lies close to the solution, which Newton reaches in a few
+    steps where the descent converges only linearly.  Its ray is projected
+    by t_minus and polished by at most NEWTON_FIRST_STEPS Newton steps; the
+    result is taken when it converges to class Minus with an energy in
+    (0, E] for E the energy at the start ray, which no descent from that ray
+    ends above; Newton is not tried when E <= 0, where nothing could be
+    taken.  Otherwise the descent runs from the same seed.  The record's
+    `iterations` counts the Newton steps and the descent passes made; a
+    NonconvergenceError names every Newton inner solve that stopped short.
+    """
     d = p.domain
     ts = p.two_star
     if seed is None or not np.any(seed.values):
@@ -377,16 +404,25 @@ def minimize_on_Nminus(
     if v is None:
         raise ProjectionError("seed vanishes after cone projection")
 
-    budget = max(1, int(max_iter * budget_factor))
     iterations = 0
-    beta0 = 1.0
     flags = []
+    if solved_seed:
+        w0 = reduced_functional(v, p)[2]
+        e0 = energy(w0, p)
+        if e0 > 0:
+            wv, gn, iterations, ok = _newton_polish(p, w0, NEWTON_FIRST_STEPS, flags)
+            if ok:
+                rec = build_record(p, wv, gn, seed_kind, iterations)
+                if rec.klass is Klass.MINUS and 0 < rec.energy <= e0:
+                    return rec
 
+    budget = max(1, int(max_iter * budget_factor))
+    beta0 = 1.0
     for attempt in range(3):
         _, v, w, passes, beta0 = _cone_descent(p, v, budget, beta0)
         iterations += passes
 
-        wv, gn, steps, ok = _newton_polish(p, w, budget_factor, flags)
+        wv, gn, steps, ok = _newton_polish(p, w, _polish_steps(budget_factor), flags)
         iterations += steps
         if ok:
             rec = build_record(p, wv, gn, seed_kind, iterations)
@@ -677,7 +713,7 @@ def minimax_gamma(
         return MinimaxResult(rec, gamma_est, window, reason, relaxed, mapped)
 
     flags = []
-    wv, gn, steps, ok = _newton_polish(p, w_star, budget_factor, flags)
+    wv, gn, steps, ok = _newton_polish(p, w_star, _polish_steps(budget_factor), flags)
     if not ok:
         return result(None, f"polish stalled at grad norm {gn:.3e} ({_short_note(flags)})")
     rec = build_record(p, wv, gn, SeedKind.MINIMAX, steps)
@@ -731,8 +767,10 @@ def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
     """Continuation in mu of the Plus branch until it persistently fails.
 
     The first step is MU_INIT.  A step that succeeds grows by MU_GROWTH and
-    also records the Minus branch from the ground-state ray; a failed mu
-    shrinks it by MU_SHRINK.  Once the step hits the relative floor
+    also records the Minus branch, solved Newton-first (`minimize_on_Nminus`
+    with `solved_seed`) from the previous row's Minus record, or from the
+    ground state when that row has none; a failed mu shrinks it by
+    MU_SHRINK.  Once the step hits the relative floor
     MU_MIN_STEP_REL, MU_FAIL_LIMIT consecutive failures with all restarts
     diverging end the continuation, as do `max_cells` accepted rows.
     Returns (mu_star_lower_estimate, rows).
@@ -748,6 +786,7 @@ def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
     small_fails = 0
 
     gstate = ground_state(lam, spectral, lift, budget_factor=budget_factor)
+    minus_seed = gstate
 
     while len(rows) < max_cells:
         mu_try = last_mu + step
@@ -771,13 +810,14 @@ def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
             e_minus, minus_ok = float("nan"), False
             try:
                 rec_minus = minimize_on_Nminus(
-                    p_try, gstate, seed_kind=SeedKind.GROUND_STATE_RAY,
-                    budget_factor=budget_factor,
+                    p_try, minus_seed, seed_kind=SeedKind.GROUND_STATE_RAY,
+                    budget_factor=budget_factor, solved_seed=True,
                 )
                 e_minus, minus_ok = rec_minus.energy, True
             except (NonconvergenceError, ProjectionError,
                     MuTooLargeError, MuBeyondRangeError):
                 pass
+            minus_seed = rec_minus.v if minus_ok else gstate
             rows.append(BranchRow(
                 mu=mu_try, energy_plus=rec_plus.energy, energy_minus=e_minus,
                 plus_converged=True, minus_converged=minus_ok,

@@ -74,6 +74,51 @@ def test_armijo_gives_up_after_max_backtracks(value):
     assert tried == [1.0, 0.5, 0.25, 0.125, 0.0625]
 
 
+# -- powers -------------------------------------------------------------------
+
+
+def _libm_signed_pow(s, q):
+    a = np.abs(s)
+    return np.sign(s) * np.where(a < numutil.POW_FLUSH, 0.0, a) ** q
+
+
+def _libm_abs_pow(s, q):
+    a = np.abs(s)
+    return np.where(a < numutil.POW_FLUSH, 0.0, a) ** q
+
+
+POW_SAMPLES = np.concatenate([
+    np.random.default_rng(5).standard_normal(200) * 10.0 ** np.arange(-20, 20, 0.2),
+    [0.0, -0.0, 1e-301, -1e-301, 5e-324, -5e-324, 1.0, -1.0, 1e40, -1e40, 1e80, -1e80,
+     np.inf, -np.inf],
+])
+
+
+@pytest.mark.parametrize("new, old, q", [
+    (signed_pow, _libm_signed_pow, 3.0), (signed_pow, _libm_signed_pow, 5.0),
+    (numutil.abs_pow, _libm_abs_pow, 2.0), (numutil.abs_pow, _libm_abs_pow, 4.0),
+    (numutil.abs_pow, _libm_abs_pow, 6.0),
+])
+def test_whole_powers_match_float_pow_to_a_few_ulp(new, old, q):
+    with np.errstate(over="ignore"):
+        got, want = new(POW_SAMPLES, q), old(POW_SAMPLES, q)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])  # overflow and infinities
+    got, want = got[finite], want[finite]
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+    assert not np.any(got[np.abs(POW_SAMPLES[finite]) < numutil.POW_FLUSH])
+
+
+@pytest.mark.parametrize("new, old, q", [
+    (signed_pow, _libm_signed_pow, 7.0 / 3.0), (signed_pow, _libm_signed_pow, 2.0),
+    (signed_pow, _libm_signed_pow, 1.0), (numutil.abs_pow, _libm_abs_pow, 10.0 / 3.0),
+    (numutil.abs_pow, _libm_abs_pow, 4.0 / 3.0), (numutil.abs_pow, _libm_abs_pow, 3.0),
+])
+def test_other_powers_are_the_float_pow_bit_for_bit(new, old, q):
+    with np.errstate(over="ignore"):
+        assert np.array_equal(new(POW_SAMPLES, q), old(POW_SAMPLES, q))
+
+
 @pytest.fixture(scope="module")
 def cell13(box13):
     """Solved two-branch cell on the 13^3 box at lam = lam1/2, mu = 0.01."""
@@ -128,6 +173,101 @@ def test_unconverged_newton_inner_solves_are_reported(box9, monkeypatch):
         minimize_on_Nplus(p)
     with pytest.raises(NonconvergenceError, match="3 of 3 Newton inner solves stopped short"):
         minimize_on_Nminus(p, gs)
+
+
+def _descend_only(p, gs):
+    return minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
+
+
+def test_minus_from_ground_state_is_newton_only(box9, monkeypatch):
+    p = box9.params(lam_factor=0.5, mu=0.01)
+    gs = ground_state(p.lam, box9.spectral, box9.lift)
+    slow = _descend_only(p, gs)
+
+    def no_descent(*args):
+        raise AssertionError("the cone descent ran")
+
+    monkeypatch.setattr(solve, "_cone_descent", no_descent)
+    fast = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY, solved_seed=True)
+    assert fast.klass is Klass.MINUS
+    assert abs(fast.energy - slow.energy) <= 1e-12 * abs(slow.energy)
+    assert 0 < fast.iterations <= solve.NEWTON_FIRST_STEPS < slow.iterations
+    assert certify_solution(fast, p).overall
+    # at mu = 0 the ground state is the solution: no Newton step at all
+    p0 = box9.params(lam_factor=0.5, mu=0.0)
+    assert minimize_on_Nminus(p0, gs, solved_seed=True).iterations == 0
+
+
+def test_minus_falls_back_to_descent_when_newton_fails(box9, monkeypatch):
+    p = box9.params(lam_factor=0.5, mu=0.01)
+    gs = ground_state(p.lam, box9.spectral, box9.lift)
+    slow = _descend_only(p, gs)
+    polish, calls = solve._newton_polish, []
+
+    def first_fails(p, vvals, max_steps=solve.NEWTON_STEPS, flags=None):
+        calls.append(max_steps)
+        if len(calls) == 1:
+            flags.append(False)
+            return np.asarray(vvals), 1.0, 3, False
+        return polish(p, vvals, max_steps, flags)
+
+    monkeypatch.setattr(solve, "_newton_polish", first_fails)
+    rec = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY, solved_seed=True)
+    assert calls[0] == solve.NEWTON_FIRST_STEPS and len(calls) == 2
+    assert np.array_equal(rec.v.values, slow.v.values)
+    assert rec.iterations == slow.iterations + 3  # the tried Newton steps count
+    assert certify_solution(rec, p).overall
+
+    # the tried Newton inner solves are named when the whole solve fails
+    monkeypatch.setattr(solve, "_newton_polish", polish)
+    monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), False))
+    with pytest.raises(NonconvergenceError, match="4 of 4 Newton inner solves stopped short"):
+        minimize_on_Nminus(p, gs, solved_seed=True)
+
+
+def test_minus_newton_result_above_the_start_ray_is_refused(box9, monkeypatch):
+    """Newton from the ground state's ray "lands" on the Minus point of the
+    e1 ray, which is converged, of class Minus and positive, but above J of
+    the start ray: the solve descends instead."""
+    p = box9.params(lam_factor=0.5, mu=0.01)
+    gs = ground_state(p.lam, box9.spectral, box9.lift)
+    slow = _descend_only(p, gs)
+    ts = p.two_star
+    start = reduced_functional(solve._unit(np.abs(gs.values), p.domain, ts), p)
+    e1_ray = reduced_functional(solve._unit(box9.spectral.e1.values, p.domain, ts), p)[2]
+    above = solve.build_record(p, e1_ray, 0.0, SeedKind.USER, 0)
+    assert above.klass is Klass.MINUS and above.energy > energy(start[2], p) > 0
+    polish, calls = solve._newton_polish, []
+
+    def lands_above(p, vvals, max_steps=solve.NEWTON_STEPS, flags=None):
+        calls.append(max_steps)
+        return (e1_ray, 0.0, 1, True) if len(calls) == 1 else polish(p, vvals, max_steps, flags)
+
+    monkeypatch.setattr(solve, "_newton_polish", lands_above)
+    rec = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY, solved_seed=True)
+    assert len(calls) == 2
+    assert np.array_equal(rec.v.values, slow.v.values)
+    assert rec.iterations == slow.iterations + 1
+
+
+def test_minus_newton_is_not_tried_from_a_nonpositive_start_ray(box9, monkeypatch):
+    # past the end of the Minus branch (mu-star-sweep, lam = lam1/4): the
+    # ground state's ray has E <= 0 at t_minus, so no result can be taken
+    p = box9.params(lam_factor=0.25, mu=0.66)
+    gs = ground_state(p.lam, box9.spectral, box9.lift)
+    ts = p.two_star
+    w0 = reduced_functional(solve._unit(np.abs(gs.values), p.domain, ts), p)[2]
+    assert energy(w0, p) <= 0
+    polish, calls = solve._newton_polish, []
+
+    def logged(p, vvals, max_steps=solve.NEWTON_STEPS, flags=None):
+        calls.append(max_steps)
+        return polish(p, vvals, max_steps, flags)
+
+    monkeypatch.setattr(solve, "_newton_polish", logged)
+    with pytest.raises(NonconvergenceError):
+        minimize_on_Nminus(p, gs, solved_seed=True)
+    assert calls and solve.NEWTON_FIRST_STEPS not in calls
 
 
 def test_unconverged_newton_inner_solve_in_minimax_reason(annulus9, monkeypatch):
