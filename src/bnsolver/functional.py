@@ -100,14 +100,16 @@ def gradient_values(v, p: Params) -> np.ndarray:
     return p.domain.apply_neg_laplacian(v) - p.lam * w - signed_pow(w, p.two_star - 1.0)
 
 
-def hessian_apply(v, h, p: Params) -> np.ndarray:
-    """-Lap h - lam h - (2*-1)|v + mu phi|^(2*-2) h."""
-    v, h = _checked(v, p), _checked(h, p)
-    w = v + p.mu_phi
+def hessian_weight(v, p: Params) -> np.ndarray:
+    """c = lam + (2*-1)|v + mu phi|^(2*-2): the Hessian of E at v is -Lap - diag(c)."""
     ts = p.two_star
-    out = p.domain.apply_neg_laplacian(h) - p.lam * h
-    out -= (ts - 1.0) * abs_pow(w, ts - 2.0) * h
-    return out
+    return p.lam + (ts - 1.0) * abs_pow(_checked(v, p) + p.mu_phi, ts - 2.0)
+
+
+def hessian_apply(v, h, p: Params) -> np.ndarray:
+    """-Lap h - c h, with c the Hessian weight at v (`hessian_weight`)."""
+    h = _checked(h, p)
+    return p.domain.apply_neg_laplacian(h) - hessian_weight(v, p) * h
 
 
 def _fibering_t(t):

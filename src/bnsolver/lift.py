@@ -110,7 +110,6 @@ def load_node_table(path, domain: Domain) -> NodeTable:
 @dataclass(frozen=True)
 class HarmonicLift:
     phi: Field
-    residual: float
 
 
 def solve_lift(g, domain: Domain) -> HarmonicLift:
@@ -147,7 +146,7 @@ def solve_lift(g, domain: Domain) -> HarmonicLift:
         )
     phi = np.clip(phi, lo, hi)
 
-    return HarmonicLift(phi=Field(phi, domain), residual=resid)
+    return HarmonicLift(phi=Field(phi, domain))
 
 
 def compose_solution(v: Field, mu: float, lift: HarmonicLift) -> Field:

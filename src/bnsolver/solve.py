@@ -7,16 +7,17 @@ minimizer is a stable critical point: its seed is projected onto the Plus
 part along its ray, t_plus(v) v, and Newton converges from there.  The Minus
 branch minimizes the reduced functional J(v) = E(t_minus(v) v) over the
 nonnegative cone of the unit critical sphere; one loop, `_cone_descent`,
-runs that descent and the minimax relaxation.  A Minus solve seeded by an
-already solved field (the ground state, or the Minus record of a nearby mu)
-tries Newton from its t_minus projection first and descends only when that
-fails.  A Newton polish of the full
-first-order system, its inner MINRES preconditioned by the domain's Poisson
-preconditioner (`grid.Domain.precondition`), finishes every branch.  The
-cone descent lifts its gradients by the same preconditioner, so no search
-runs CG; on a masked lattice CG is left to the domain's setup.  The
-descent and the polish take their steps through the one backtracking line
-search `numutil.armijo`, which also sets the next descent step.
+runs that descent and the minimax relaxation, and a Minus solve is one
+descent and one polish.  A Minus solve seeded by an already solved field
+(the ground state, or the Minus record of a nearby mu) tries Newton from
+its t_minus projection first and descends only when that fails.  A Newton
+polish of the full first-order system, its inner MINRES preconditioned by
+the domain's Poisson preconditioner (`grid.Domain.precondition`), finishes
+every branch.  The cone descent lifts its gradients by the same
+preconditioner, so no search runs CG; on a masked lattice CG is left to the
+domain's setup.  The descent and the polish take their steps through the
+one backtracking line search `numutil.armijo`, which also sets the next
+descent step.
 Bubble-translated seeds on annular domains, the boundary-pinned minimax
 search, and continuation in mu toward the solvability boundary build on the
 same two minimizers.
@@ -32,18 +33,18 @@ the discrete problem commutes with g, so the image is the outcome the seed
 would have had.  Data without the symmetry find no hit and solve every seed.
 
 Fixed constants (module level, below): the Newton inner MINRES tolerance
-floor, the Newton steps per budget and from a solved Minus seed, the cone
-step's 30 backtracks (fewer once a step's required gain drops below one ulp
-of J), the bubble cutoff radius (in `make_bubble`: the annulus' delta0
-capped at 0.45, 0.25 on a box), the multistart bubble
-scalings and deduplication distance, the symmetry match tolerance, the
-minimax descent passes per point and round, and the mu* continuation
-schedule (first step, growth, shrink, step floor, failure limit).  Options
-that stay are the ones callers set to more than one value: `max_iter` of
-the Minus minimizer (the nonexistence criterion sets it), `budget_factor`
-everywhere (a config key; the nonexistence criterion runs both minimizers
-at a tenfold budget), `n_radii`/`relax_rounds` of the minimax search (the
-mu* criterion runs it smaller), `solved_seed` of the Minus minimizer and
+floor, the Newton steps per budget and from a solved Minus seed, the Minus
+descent passes per budget, the cone step's 30 backtracks (fewer once a
+step's required gain drops below one ulp of J), the bubble cutoff radius
+(in `make_bubble`: the annulus' delta0 capped at 0.45, 0.25 on a box), the
+multistart bubble scalings and deduplication distance, the symmetry match
+tolerance, the minimax descent passes per point and round, and the mu*
+continuation schedule (first step, growth, shrink, step floor, failure
+limit).  Options that stay are the ones callers set to more than one
+value: `budget_factor` everywhere (a config key; the nonexistence criterion
+runs both minimizers at a tenfold budget), `n_radii`/`relax_rounds` of the
+minimax search (the annulus multiplicity criterion and the solve tests run
+it smaller), `solved_seed` of the Minus minimizer and
 `max_cells`/`keep_records` of the continuation.
 """
 
@@ -67,7 +68,7 @@ from .errors import (
     ProjectionError,
     SeedingError,
 )
-from .functional import FiberingProfile, Params, energy, gradient_values
+from .functional import FiberingProfile, Params, energy, gradient_values, hessian_weight
 from .grid import AnnulusD, Domain, Field, _default_bump, symmetry_point
 from .lift import compose_solution
 from .nehari import (
@@ -78,6 +79,7 @@ from .numutil import abs_pow, armijo, signed_pow, smoothstep, solve_minres
 NEWTON_INNER_RTOL = 1e-9  # floor of the Newton MINRES tolerance min(1e-2, . + 0.1 |grad|)
 NEWTON_STEPS = 40  # Newton polish steps per unit budget_factor (at least 10)
 NEWTON_FIRST_STEPS = 10  # Newton steps a Minus solve from a solved seed tries before descending
+MINUS_PASSES = 300  # Minus cone descent passes per unit budget_factor
 BUBBLE_T_FACTORS = (0.5, 1.0, 2.0)  # multistart composite vplus + f t_star bubble, f in these
 DEDUP_TOL = 1e-4  # H^1_0 distance below which two multistart records are one
 SYMMETRY_TOL = 1e-12  # relative sup-norm within which g maps a solved seed onto a seed
@@ -186,15 +188,15 @@ def _polish_steps(budget_factor):
 def _newton_polish(p: Params, vvals, max_steps=NEWTON_STEPS, flags=None):
     """Damped Newton on the full first-order system, at most max_steps
     steps; returns (values, grad_norm, steps, converged).  Each step solves
-    the Hessian system, -Lap - diag(c) applied as a product with the cached
-    CSR -Lap and no copy of it, by MINRES preconditioned by
+    the Hessian system, -Lap - diag(c) for c the Hessian weight
+    (`functional.hessian_weight`) applied as a product with the cached CSR
+    -Lap and no copy of it, by MINRES preconditioned by
     `Domain.precondition` (the exact inverse of -Lap on a box, its
     bounding-box sine solve on a masked lattice), and takes the step length
     by `numutil.armijo` on the gradient norm.  The convergence flag of every
     inner MINRES solve is appended to the list `flags` when one is given."""
     d = p.domain
     A = d.matrix
-    ts = p.two_star
     v = np.array(vvals, dtype=float)
     g = gradient_values(v, p)
     gn = _wnorm(d, g)
@@ -202,8 +204,7 @@ def _newton_polish(p: Params, vvals, max_steps=NEWTON_STEPS, flags=None):
     while steps < max_steps:
         if _converged(p, v, gn):
             return v, gn, steps, True
-        w = v + p.mu_phi
-        c = p.lam + (ts - 1.0) * abs_pow(w, ts - 2.0)
+        c = hessian_weight(v, p)
         H = LinearOperator(A.shape, matvec=lambda x, c=c: A @ x - c * x, dtype=float)
         delta, ok = solve_minres(H, -g, M=d.precondition,
                                  rtol=min(1e-2, NEWTON_INNER_RTOL + 0.1 * gn),
@@ -342,7 +343,7 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta):
     return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, tries)
 
 
-def _cone_descent(p: Params, v, budget, beta):
+def _cone_descent(p: Params, v, budget):
     """At most `budget` passes of cone descent of J(v) = E(t_minus(v) v)
     from the cone point v, for the Minus branch and the minimax relaxation.
 
@@ -354,12 +355,12 @@ def _cone_descent(p: Params, v, budget, beta):
     the gradient is orthogonal to v, so the step's slope is t <g, P g> > 0.
     The gradient is then a Sobolev gradient in an inner product equivalent
     to the H^1_0 one, and the Newton polish lands on the same critical
-    point.  Returns (J, v, w, passes, beta): the last cone point with
-    w = t_minus(v) v, the passes made (the stopping one included), and the
-    step a further descent starts from.
+    point.  Returns (J, v, w, passes): the last cone point with
+    w = t_minus(v) v and the passes made (the stopping one included).
     """
     d = p.domain
     j_val, t, w, w_sq = reduced_functional(v, p)
+    beta = 1.0
     passes = 0
     for _ in range(budget):
         passes += 1
@@ -370,20 +371,25 @@ def _cone_descent(p: Params, v, budget, beta):
         if step is None:
             break
         (j_val, t, w, w_sq, v), beta = step
-    return j_val, v, w, passes, beta
+    return j_val, v, w, passes
 
 
 def minimize_on_Nminus(
     p: Params,
     seed: Field,
-    max_iter: int = 300,
     budget_factor: float = 1.0,
     seed_kind: SeedKind = SeedKind.USER,
     solved_seed: bool = False,
 ) -> SolutionRecord:
     """Minimize the reduced functional J(v) = E(t_minus(v) v) over the
-    nonnegative cone of the critical-norm unit sphere (`_cone_descent`), in
-    up to three attempts, each finished by a Newton polish.
+    nonnegative cone of the critical-norm unit sphere: one cone descent
+    (`_cone_descent`, MINUS_PASSES passes per unit budget_factor) finished
+    by one Newton polish.
+
+    The descent ends at w = t v with v on the cone, whose cone projection
+    is v again, so a second descent from its end would resume at the same
+    point and stop where this one did: a larger budget_factor is what buys
+    more passes.
 
     A solved seed (`solved_seed`: the ground state, or the Minus record of a
     nearby mu) lies close to the solution, which Newton reaches in a few
@@ -397,10 +403,9 @@ def minimize_on_Nminus(
     NonconvergenceError names every Newton inner solve that stopped short.
     """
     d = p.domain
-    ts = p.two_star
     if seed is None or not np.any(seed.values):
         raise ArgumentError("Minus-branch minimization needs a nonzero seed")
-    v = _unit(np.abs(seed.values), d, ts)
+    v = _unit(np.abs(seed.values), d, p.two_star)
     if v is None:
         raise ProjectionError("seed vanishes after cone projection")
 
@@ -416,25 +421,13 @@ def minimize_on_Nminus(
                 if rec.klass is Klass.MINUS and 0 < rec.energy <= e0:
                     return rec
 
-    budget = max(1, int(max_iter * budget_factor))
-    beta0 = 1.0
-    for attempt in range(3):
-        _, v, w, passes, beta0 = _cone_descent(p, v, budget, beta0)
-        iterations += passes
-
-        wv, gn, steps, ok = _newton_polish(p, w, _polish_steps(budget_factor), flags)
-        iterations += steps
-        if ok:
-            rec = build_record(p, wv, gn, seed_kind, iterations)
-            if rec.klass is Klass.MINUS and rec.energy > 0:
-                return rec
-        # polish drifted off the Minus part; restart descent from the cone
-        # projection of the best manifold point with smaller steps
-        v = _unit(np.abs(w), d, ts)
-        if v is None:
-            raise ProjectionError("descent collapsed to zero")
-        beta0 *= 0.25
-
+    _, _, w, passes = _cone_descent(p, v, max(1, int(MINUS_PASSES * budget_factor)))
+    wv, gn, steps, ok = _newton_polish(p, w, _polish_steps(budget_factor), flags)
+    iterations += passes + steps
+    if ok:
+        rec = build_record(p, wv, gn, seed_kind, iterations)
+        if rec.klass is Klass.MINUS and rec.energy > 0:
+            return rec
     raise NonconvergenceError(
         f"Minus-branch solve did not certify after {iterations} iterations "
         f"(last grad norm {gn:.3e}; {_short_note(flags)})",
@@ -698,8 +691,7 @@ def minimax_gamma(
     interior = [key for key in family if key[1] != len(radii) - 1]
     for _ in range(relax_rounds):
         for key in interior:
-            values[key], family[key], *_ = _cone_descent(
-                p, family[key], MINIMAX_INNER_STEPS, 1.0)
+            values[key], family[key], *_ = _cone_descent(p, family[key], MINIMAX_INNER_STEPS)
     relaxed = relax_rounds * len(interior)
     mapped = relax_rounds * sum(1 for key in rep_of if key[1] != len(radii) - 1)
     values.update({key: values[rep] for key, rep in rep_of.items()})
@@ -770,9 +762,10 @@ def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
     also records the Minus branch, solved Newton-first (`minimize_on_Nminus`
     with `solved_seed`) from the previous row's Minus record, or from the
     ground state when that row has none; a failed mu shrinks it by
-    MU_SHRINK.  Once the step hits the relative floor
-    MU_MIN_STEP_REL, MU_FAIL_LIMIT consecutive failures with all restarts
-    diverging end the continuation, as do `max_cells` accepted rows.
+    MU_SHRINK.  Each admissible mu is one Plus solve, seeded by the previous
+    row's Plus record (the zero-relax seed on the first row).  Once the step
+    hits the relative floor MU_MIN_STEP_REL, MU_FAIL_LIMIT consecutive
+    failures end the continuation, as do `max_cells` accepted rows.
     Returns (mu_star_lower_estimate, rows).
     """
     if not 0.0 < lam < spectral.lambda1:
@@ -793,19 +786,11 @@ def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
         rec_plus = None
         p_try = Params(lam=lam, mu=mu_try, spectral=spectral, lift=lift)
         if _admissible(p_try):
-            seeds = [warm, None] if warm is not None else [None]
-            for seed in seeds:
-                try:
-                    rec_plus = minimize_on_Nplus(p_try, seed=seed, budget_factor=budget_factor)
-                    break
-                except (
-                    NonconvergenceError,
-                    DegenerateSeedError,
-                    MuTooLargeError,
-                    MuBeyondRangeError,
-                    BranchAbsentError,
-                ):
-                    rec_plus = None
+            try:
+                rec_plus = minimize_on_Nplus(p_try, seed=warm, budget_factor=budget_factor)
+            except (NonconvergenceError, DegenerateSeedError, MuTooLargeError,
+                    MuBeyondRangeError, BranchAbsentError):
+                pass
         if rec_plus is not None:
             e_minus, minus_ok = float("nan"), False
             try:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse.linalg import lobpcg
 
 from .errors import IncompleteInputError, PreconditionError
-from .functional import Params, energy, gradient_values
+from .functional import Params, energy, gradient_values, hessian_weight
 from .grid import Field
 from .nehari import Klass, classify
 from .numutil import abs_pow, signed_pow
@@ -283,15 +283,14 @@ def convexity_ball_check(p: Params, nplus_records: Sequence[SolutionRecord] = ()
 
 def hessian_min_eigenvalue(p: Params, vvals) -> Tuple[float, float]:
     """(sigma, relative residual) of the smallest eigenvalue of
-    H x = sigma A x, H = A - diag(c) the Hessian of E at v and A = -Lap, by
-    LOBPCG from the principal eigenfunction, preconditioned by
-    `Domain.precondition`.  The residual is ||H x - sigma A x||_2 / ||A x||_2
+    H x = sigma A x, H = A - diag(c) the Hessian of E at v (c from
+    `functional.hessian_weight`) and A = -Lap, by LOBPCG from the principal
+    eigenfunction, preconditioned by `Domain.precondition`.  The residual is ||H x - sigma A x||_2 / ||A x||_2
     at the returned x; LOBPCG stops once it is below CONVEXITY_EIG_RTOL or
     after CONVEXITY_EIG_MAXITER iterations, and the caller judges it."""
     d = p.domain
     A = d.matrix
-    ts = p.two_star
-    c = p.lam + (ts - 1.0) * abs_pow(vvals + p.mu_phi, ts - 2.0)
+    c = hessian_weight(vvals, p)
 
     def H(X):
         return A @ X - c[:, None] * X

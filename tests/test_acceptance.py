@@ -261,7 +261,7 @@ def test_criterion_07_nonexistence(box13):
             (lambda: minimize_on_Nplus(p, budget_factor=10.0), None),
             (lambda: minimize_on_Nminus(
                 p, Field(np.abs(rng.standard_normal(dom.n_interior)) + 0.1, dom),
-                max_iter=40, budget_factor=10.0), None),
+                budget_factor=10.0), None),
         ):
             try:
                 rec = solver()

@@ -16,8 +16,13 @@ from bnsolver.lift import (
 
 def test_constant_lift_is_constant(box9):
     hl = box9.lift  # g = 1
+    dom = box9.domain
     assert np.abs(hl.phi.values - 1.0).max() < 1e-8
-    assert hl.residual < 1e-10
+    # -Lap phi equals the boundary term of g = 1 on every interior node
+    rhs = np.zeros(dom.n_interior)
+    for d, ii, _ in dom._boundary_edges:
+        np.add.at(rhs, ii, 1.0 / dom.h[d] ** 2)
+    assert np.sqrt(dom.weight) * np.linalg.norm(dom.matrix @ hl.phi.values - rhs) < 1e-10
 
 
 def test_bump_lift_strictly_inside_bounds(box9):

@@ -171,7 +171,7 @@ def test_unconverged_newton_inner_solves_are_reported(box9, monkeypatch):
     monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), False))
     with pytest.raises(NonconvergenceError, match="1 of 1 Newton inner solves stopped short"):
         minimize_on_Nplus(p)
-    with pytest.raises(NonconvergenceError, match="3 of 3 Newton inner solves stopped short"):
+    with pytest.raises(NonconvergenceError, match="1 of 1 Newton inner solves stopped short"):
         minimize_on_Nminus(p, gs)
 
 
@@ -221,7 +221,7 @@ def test_minus_falls_back_to_descent_when_newton_fails(box9, monkeypatch):
     # the tried Newton inner solves are named when the whole solve fails
     monkeypatch.setattr(solve, "_newton_polish", polish)
     monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), False))
-    with pytest.raises(NonconvergenceError, match="4 of 4 Newton inner solves stopped short"):
+    with pytest.raises(NonconvergenceError, match="2 of 2 Newton inner solves stopped short"):
         minimize_on_Nminus(p, gs, solved_seed=True)
 
 
@@ -268,6 +268,34 @@ def test_minus_newton_is_not_tried_from_a_nonpositive_start_ray(box9, monkeypatc
     with pytest.raises(NonconvergenceError):
         minimize_on_Nminus(p, gs, solved_seed=True)
     assert calls and solve.NEWTON_FIRST_STEPS not in calls
+
+
+def test_minus_solve_is_one_descent_and_one_polish(box9, monkeypatch):
+    """Past the end of the Minus branch (lam = lam1/4, mu = 0.66) the solve
+    fails after one cone descent and one polish: the descent's end point
+    w = t v projects back onto v, so a second descent would resume at the
+    point where the first stopped."""
+    p = box9.params(lam_factor=0.25, mu=0.66)
+    gs = ground_state(p.lam, box9.spectral, box9.lift)
+    descent, polish, ends, polishes = solve._cone_descent, solve._newton_polish, [], []
+
+    def logged_descent(p, v, budget):
+        out = descent(p, v, budget)
+        ends.append(out)
+        return out
+
+    def logged_polish(*args):
+        polishes.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(solve, "_cone_descent", logged_descent)
+    monkeypatch.setattr(solve, "_newton_polish", logged_polish)
+    with pytest.raises(NonconvergenceError):
+        minimize_on_Nminus(p, gs, solved_seed=True)
+    assert len(ends) == 1 and len(polishes) == 1
+    _, v, w, _ = ends[0]
+    again = solve._unit(np.abs(w), p.domain, p.two_star)
+    assert np.abs(again - v).max() <= 1e-14 * np.abs(v).max()
 
 
 def test_unconverged_newton_inner_solve_in_minimax_reason(annulus9, monkeypatch):
@@ -628,10 +656,26 @@ def test_mu_star_precondition(box9):
         estimate_mu_star(0.0, box9.spectral, box9.lift)
 
 
-def test_mu_star_finite_positive_and_deterministic(box9):
+def test_mu_star_finite_positive_and_deterministic(box9, monkeypatch):
     cfg = dict(max_cells=10)
     lam = 0.5 * box9.spectral.lambda1
+    admissible, admitted, plus_seeds = solve._admissible, [], []
+
+    def counted(p):
+        admitted.append(admissible(p))
+        return admitted[-1]
+
+    def plus(p, seed=None, budget_factor=1.0):
+        plus_seeds.append(seed)
+        return minimize_on_Nplus(p, seed, budget_factor)
+
+    monkeypatch.setattr(solve, "_admissible", counted)
+    monkeypatch.setattr(solve, "minimize_on_Nplus", plus)
     mu1, rows1 = estimate_mu_star(lam, box9.spectral, box9.lift, **cfg)
+    # one Plus solve per admissible row: the zero-relax seed on the first,
+    # the previous row's record after it
+    assert len(plus_seeds) == sum(admitted)
+    assert plus_seeds[0] is None and all(s is not None for s in plus_seeds[1:])
     assert 0.0 < mu1 < np.inf
     assert rows1, "no successful continuation cells"
     mus = [r.mu for r in rows1]
