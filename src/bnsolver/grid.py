@@ -29,20 +29,21 @@ Discrete conventions, fixed once and used everywhere:
   lambda1 and sobolev_S as 0-d float64 arrays, e1 and the Sobolev witness as
   lattice arrays in the field dump layout.  `load_spectral_data` checks the
   stored values instead of searching again: the eigenpair against the
-  inverse power stopping test, sobolev_S against the quotient of its
-  witness and of the descent's starting bump;
-* linear solves: every exact solve with -Lap (the harmonic lift, the
-  inverse power eigensolve) goes through `Domain.solve_poisson`, exact on
-  boxes, where the stencil is diagonal in the tensor sine basis (the sine
-  matrix is applied along each axis by a BLAS product, and the eigenpair
-  is closed-form), and CG on masked lattices.  The one exception is the
-  Sobolev descent, which keeps its own inexact CG on every domain (see
-  `estimate_sobolev_S`).  All of these are setup.  One Poisson
-  preconditioner, `Domain.precondition`, serves everything after it on
-  every domain, the cone descent's gradient lift and the MINRES of the
-  Newton polish: the sine-transform solve on the bounding box of the
-  lattice, restricted to the interior nodes, which on a box is the exact
-  solve that `solve_poisson` returns;
+  eigen-residual test of `principal_eigenpair`, sobolev_S against the
+  quotient of its witness and of the descent's starting bump;
+* linear solves: the exact solve with -Lap of the harmonic lift goes
+  through `Domain.solve_poisson`, exact on boxes, where the stencil is
+  diagonal in the tensor sine basis (the sine matrix is applied along each
+  axis by a BLAS product), and CG on masked lattices.  The Sobolev descent
+  keeps its own inexact CG on every domain (see `estimate_sobolev_S`).
+  Both are setup.  One Poisson preconditioner, `Domain.precondition`,
+  serves everything else on every domain: the cone descent's gradient
+  lift, the MINRES of the Newton polish and the one LOBPCG eigensolver
+  `lowest_eigenpair`, which finds the masked-lattice eigenpair (closed-form
+  on boxes) and the Hessian eigenvalue of the convexity check.  It is the
+  sine-transform solve on the bounding box of the lattice, restricted to
+  the interior nodes, which on a box is the exact solve that
+  `solve_poisson` returns;
 * lattice symmetries: a signed axis permutation g = (P, S) (P a
   permutation of the axes, S the flipped axes) acts on a raw value array by
   zero-extending it onto the lattice, transposing the axes by P, flipping
@@ -63,6 +64,7 @@ import zipfile
 from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import lobpcg
 
 from .errors import ArgumentError, ConfigurationError, NumericalError
 from .numutil import abs_pow, armijo, signed_pow, solve_cg
@@ -76,10 +78,10 @@ ANNULUS_INNER_FACTOR = 0.75
 ANNULUS_OUTER_FACTOR = 1.1
 ANNULUS_BOX_FACTOR = 1.1
 
-# Principal eigenpair by inverse power iteration (masked lattices): stop at
-# eigen-residual EIG_TOL * lambda1, give up after EIG_MAX_OUTER iterations.
+# Principal eigenpair by LOBPCG (masked lattices): accept at eigen-residual
+# EIG_TOL * lambda1, give up after EIG_MAXITER iterations.
 EIG_TOL = 1e-10
-EIG_MAX_OUTER = 400
+EIG_MAXITER = 200
 
 # Sobolev descent (see estimate_sobolev_S): outer iteration cap, relative
 # stagnation test, inexact CG tolerance and the single-cell mass share past
@@ -183,6 +185,7 @@ class Domain:
                     f"across the shell [{d0:g}, {1.0 / d0:g}] (need 3)"
                 )
 
+        self._interior_mask = interior.reshape(self.lattice_shape)
         self.interior_flat = np.flatnonzero(interior)
         self.n_interior = int(self.interior_flat.size)
         if self.n_interior == 0:
@@ -274,21 +277,20 @@ class Domain:
             self._sine = (S, sum(np.ix_(*(4.0 / h**2 * axis_eig for h in self.h))))
         return self._sine
 
-    def solve_poisson(self, b, x0=None, rtol=1e-8, maxiter=None, label="poisson solve"):
+    def solve_poisson(self, b, rtol=1e-8, maxiter=None, label="poisson solve"):
         """x = (-Lap)^{-1} b for a raw value array b.
 
         Exact on a box: the sine matrix is applied along every axis, the
         coefficients are divided by the stencil eigenvalues and the sine
-        matrix is applied again.  On a masked lattice, CG from x0 to relative
-        residual rtol within maxiter iterations (default 20 * n_interior) that
-        raises NumericalError, naming `label`, when it stops short.  The
-        callers are the inverse power eigensolve (`principal_eigenpair`) and
-        the harmonic lift (`lift.solve_lift`); each passes its own
-        tolerance, cap and label.
+        matrix is applied again.  On a masked lattice, CG from zero to
+        relative residual rtol within maxiter iterations (default
+        20 * n_interior) that raises NumericalError, naming `label`, when it
+        stops short.  The one program caller is the harmonic lift
+        (`lift.solve_lift`), which passes its own tolerance, cap and label.
         """
         if isinstance(self.spec.shape, Box):
             return self.precondition(b)
-        return _cg(self.matrix, b, x0, rtol, maxiter or 20 * self.n_interior, label)
+        return _cg(self.matrix, b, None, rtol, maxiter or 20 * self.n_interior, label)
 
     def precondition(self, b):
         """The sine-transform solve of -Lap on the bounding box of the
@@ -301,9 +303,7 @@ class Domain:
         first."""
         S, eig = self._sine_basis()
         if self._box_flat is None:
-            mask = np.zeros(self.lattice_shape, dtype=bool)
-            mask.flat[self.interior_flat] = True
-            flat = np.flatnonzero(mask[(slice(1, -1),) * self.ndim])
+            flat = np.flatnonzero(self._interior_mask[(slice(1, -1),) * self.ndim])
             # interior nodes that fill their box are the box, in order
             self._box_flat = slice(None) if flat.size == eig.size else flat
         x, y = np.zeros(eig.shape), np.empty(eig.shape)
@@ -323,8 +323,7 @@ class Domain:
         only the (P, S) tuples are kept."""
         if self._symmetries is None:
             N = self.ndim
-            mask = np.zeros(self.lattice_shape, dtype=bool)
-            mask.flat[self.interior_flat] = True
+            mask = self._interior_mask
             flips = [S for k in range(N + 1) for S in itertools.combinations(range(N), k)]
             self._symmetries = [
                 (P, S) for P in itertools.permutations(range(N)) for S in flips
@@ -337,9 +336,14 @@ class Domain:
         """The signed axis permutation g = (P, S) applied to a raw value
         array: zero-extended onto the lattice, axes transposed by P, the axes
         in S flipped, interior nodes gathered."""
+        return _lattice_act(self.lattice_array(values), *g).ravel()[self.interior_flat]
+
+    def lattice_array(self, values):
+        """The raw value array zero-extended onto the lattice (non-interior
+        nodes 0), of shape `lattice_shape`."""
         full = np.zeros(self.lattice_shape)
         full.flat[self.interior_flat] = values
-        return _lattice_act(full, *g).ravel()[self.interior_flat]
+        return full
 
     # -- quadrature and norms ----------------------------------------------
 
@@ -366,8 +370,7 @@ class Domain:
         zero-extended values, over the radius of the edge midpoints (edges
         whose midpoint is within 1e-12 of the origin are left out),
         contracted against each axis's coordinates."""
-        full = np.zeros(self.lattice_shape)
-        full.flat[self.interior_flat] = values
+        full = self.lattice_array(values)
         out = np.zeros(self.ndim)
         dims = list(range(self.ndim))
         for d in dims:
@@ -484,47 +487,56 @@ def principal_eigenpair(domain: Domain):
 
     On a box it is the closed form: the lowest stencil eigenvalue and the
     product of the first sine mode along every axis.  On a masked lattice it
-    is inverse power iteration, stopped when the eigen-residual
-    ||-Lap e1 - lambda1 e1||_2 < EIG_TOL * lambda1.
+    is `lowest_eigenpair` of -Lap from the constant field, to LOBPCG
+    residual EIG_TOL times the lowest stencil eigenvalue of the bounding
+    box (the masked -Lap is a principal submatrix of the box's, so that
+    eigenvalue is a lower bound for lambda1), within EIG_MAXITER
+    iterations.  lambda1 is the Rayleigh quotient of e1, and the pair is
+    accepted only when the eigen-residual ||-Lap e1 - lambda1 e1||_2 is
+    below EIG_TOL * lambda1; otherwise NumericalError with that residual.
     """
+    S, eig = domain._sine_basis()
     if isinstance(domain.spec.shape, Box):
-        S, eig = domain._sine_basis()
         x = math.prod(np.ix_(*[S[:, 0]] * domain.ndim)).ravel()
         return float(eig.flat[0]), Field(x / (np.sqrt(domain.weight) * np.linalg.norm(x)), domain)
-    return _inverse_power(domain, EIG_TOL, EIG_MAX_OUTER)
-
-
-def _eigen_residual(domain: Domain, lam, x, Ax, tol=EIG_TOL):
-    """The inverse power stopping test of a candidate pair (lam, x) with
-    ||x||_2 = 1, given Ax = -Lap x: (the eigen-residual ||Ax - lam x||_2,
-    whether it is below tol * lam)."""
-    resid = np.sqrt(domain.weight) * np.linalg.norm(Ax - lam * x)
-    return resid, bool(resid < tol * lam)
-
-
-def _inverse_power(domain: Domain, tol: float, max_outer: int):
-    """Inverse power iteration for the principal eigenpair (see
-    principal_eigenpair); its inner solves run through solve_poisson."""
     A = domain.matrix
-    w = domain.weight
-    x = np.ones(domain.n_interior)
-    x /= np.sqrt(w) * np.linalg.norm(x)
-    lam = domain.inner(A @ x, x)
-    z = x / lam
-    for _ in range(max_outer):
-        z = domain.solve_poisson(x, x0=z, rtol=1e-12, maxiter=20000, label="eigensolve")
-        x = z / (np.sqrt(w) * np.linalg.norm(z))
-        Ax = A @ x
-        lam = domain.inner(Ax, x)
-        resid, converged = _eigen_residual(domain, lam, x, Ax, tol)
-        if converged:
-            if np.sum(x) < 0:
-                x = -x
-            return float(lam), Field(x, domain)
-    raise NumericalError(
-        f"eigensolver did not reach tolerance {tol:g} in {max_outer} iterations",
-        residual=resid,
-    )
+    _, x = lowest_eigenpair(domain, A, np.ones(domain.n_interior),
+                            EIG_TOL * eig.flat[0], EIG_MAXITER)
+    x = x / (np.sqrt(domain.weight) * np.linalg.norm(x))
+    Ax = A @ x
+    lam = domain.inner(Ax, x)
+    resid, converged = _eigen_residual(domain, lam, x, Ax)
+    if not converged:
+        raise NumericalError(
+            f"eigensolve: LOBPCG stopped at eigen-residual {resid:.3e} "
+            f"(tolerance {EIG_TOL * lam:.3e}) after at most {EIG_MAXITER} iterations",
+            residual=resid,
+        )
+    if np.sum(x) < 0:
+        x = -x
+    return float(lam), Field(x, domain)
+
+
+def lowest_eigenpair(domain: Domain, op, x0, tol, maxiter, B=None):
+    """(sigma, x), the lowest eigenpair of op x = sigma B x (B = I when
+    None) by LOBPCG from the raw array x0, preconditioned by
+    `Domain.precondition`: it stops once the residual ||op x - sigma B x||_2
+    of the B-normalized x is below tol, or after maxiter iterations.
+    LOBPCG's warning on a stop short of tol is silenced; the caller judges
+    the pair."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        vals, X = lobpcg(op, x0[:, None], B=B, M=lambda R: domain.precondition(R.ravel())[:, None],
+                         tol=tol, maxiter=maxiter, largest=False)
+    return float(vals[0]), X[:, 0]
+
+
+def _eigen_residual(domain: Domain, lam, x, Ax):
+    """The acceptance test of a candidate principal pair (lam, x) with
+    ||x||_2 = 1, given Ax = -Lap x: (the eigen-residual ||Ax - lam x||_2,
+    whether it is below EIG_TOL * lam)."""
+    resid = np.sqrt(domain.weight) * np.linalg.norm(Ax - lam * x)
+    return resid, bool(resid < EIG_TOL * lam)
 
 
 def rayleigh_quotient(domain: Domain, values, lam: float = 0.0):
@@ -647,15 +659,6 @@ _SPECTRAL_SCALARS = ("lambda1", "sobolev_S")
 _SPECTRAL_FIELDS = ("e1", "sobolev_witness")
 
 
-def _lattice_array(u: Field):
-    """The zero-extended lattice array of u (non-interior nodes 0), of shape
-    `lattice_shape`."""
-    d = u.domain
-    full = np.zeros(d.lattice_shape)
-    full.flat[d.interior_flat] = u.values
-    return full
-
-
 def _lattice_field(full, domain: Domain, where) -> Field:
     """The field of the lattice array `full` read from `where` (a path, with
     the archive member if any).  ArgumentError, naming `where`, when it is
@@ -677,7 +680,7 @@ def dump_field(u: Field, path):
     """Binary dump: the zero-extended lattice array of u (non-interior nodes
     0), of shape `lattice_shape`, as one float64 `.npy` array."""
     with open(path, "wb") as f:
-        np.save(f, _lattice_array(u), allow_pickle=False)
+        np.save(f, u.domain.lattice_array(u.values), allow_pickle=False)
 
 
 def load_field(path, domain: Domain) -> Field:
@@ -701,7 +704,8 @@ def dump_spectral_data(spectral: SpectralData, path):
     rerun writes the same bytes."""
     arrays = {name: np.array(getattr(spectral, name), dtype=np.float64)
               for name in _SPECTRAL_SCALARS}
-    arrays.update((name, _lattice_array(getattr(spectral, name))) for name in _SPECTRAL_FIELDS)
+    arrays.update((name, spectral.domain.lattice_array(getattr(spectral, name).values))
+                  for name in _SPECTRAL_FIELDS)
     with zipfile.ZipFile(path, "w") as zf:
         for name, array in arrays.items():
             with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w") as f:
@@ -713,7 +717,7 @@ def load_spectral_data(path, domain: Domain) -> SpectralData:
     checked instead of recomputed, each test at the cost of one product
     with -Lap:
 
-    * (lambda1, e1) passes the inverse power stopping test
+    * (lambda1, e1) passes the eigen-residual test of `principal_eigenpair`
       ||-Lap e1 - lambda1 e1||_2 < EIG_TOL * lambda1, with sum(e1) > 0 and
       ||e1||_2 = 1 to 1e-12;
     * the critical Rayleigh quotient of sobolev_witness is sobolev_S to

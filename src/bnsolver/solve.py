@@ -44,8 +44,8 @@ limit).  Options that stay are the ones callers set to more than one
 value: `budget_factor` everywhere (a config key; the nonexistence criterion
 runs both minimizers at a tenfold budget), `n_radii`/`relax_rounds` of the
 minimax search (the annulus multiplicity criterion and the solve tests run
-it smaller), `solved_seed` of the Minus minimizer and
-`max_cells`/`keep_records` of the continuation.
+it smaller), `solved_seed` of the Minus minimizer and `max_cells` of the
+continuation (the `mu_star_cells` config key).
 """
 
 from __future__ import annotations
@@ -751,11 +751,10 @@ class BranchRow:
     energy_minus: float
     plus_converged: bool
     minus_converged: bool
-    record_plus: Optional[SolutionRecord] = None
 
 
 def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
-                     budget_factor: float = 1.0, keep_records: bool = False):
+                     budget_factor: float = 1.0):
     """Continuation in mu of the Plus branch until it persistently fails.
 
     The first step is MU_INIT.  A step that succeeds grows by MU_GROWTH and
@@ -806,7 +805,6 @@ def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
             rows.append(BranchRow(
                 mu=mu_try, energy_plus=rec_plus.energy, energy_minus=e_minus,
                 plus_converged=True, minus_converged=minus_ok,
-                record_plus=rec_plus if keep_records else None,
             ))
             last_mu = mu_try
             warm = rec_plus.v

@@ -10,16 +10,14 @@ come from the same grid.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import lobpcg
 
 from .errors import IncompleteInputError, PreconditionError
 from .functional import Params, energy, gradient_values, hessian_weight
-from .grid import Field
+from .grid import Field, lowest_eigenpair
 from .nehari import Klass, classify
 from .numutil import abs_pow, signed_pow
 from .solve import SeedKind, SolutionRecord
@@ -284,10 +282,11 @@ def convexity_ball_check(p: Params, nplus_records: Sequence[SolutionRecord] = ()
 def hessian_min_eigenvalue(p: Params, vvals) -> Tuple[float, float]:
     """(sigma, relative residual) of the smallest eigenvalue of
     H x = sigma A x, H = A - diag(c) the Hessian of E at v (c from
-    `functional.hessian_weight`) and A = -Lap, by LOBPCG from the principal
-    eigenfunction, preconditioned by `Domain.precondition`.  The residual is ||H x - sigma A x||_2 / ||A x||_2
-    at the returned x; LOBPCG stops once it is below CONVEXITY_EIG_RTOL or
-    after CONVEXITY_EIG_MAXITER iterations, and the caller judges it."""
+    `functional.hessian_weight`) and A = -Lap, by `grid.lowest_eigenpair`
+    from the principal eigenfunction.  The residual is
+    ||H x - sigma A x||_2 / ||A x||_2 at the returned x; LOBPCG stops once
+    it is below CONVEXITY_EIG_RTOL or after CONVEXITY_EIG_MAXITER
+    iterations, and the caller judges it."""
     d = p.domain
     A = d.matrix
     c = hessian_weight(vvals, p)
@@ -295,20 +294,15 @@ def hessian_min_eigenvalue(p: Params, vvals) -> Tuple[float, float]:
     def H(X):
         return A @ X - c[:, None] * X
 
-    x0 = p.spectral.e1.values[:, None]
     # With x normalized to x^T A x = 1, ||A x||_2 >= sqrt(lambda1), so an
     # absolute residual below CONVEXITY_EIG_RTOL sqrt(lambda1) is a relative
     # one below CONVEXITY_EIG_RTOL.  A stop short of it is reported by the
     # residual, not by LOBPCG's warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        vals, X = lobpcg(H, x0, B=A, M=lambda R: d.precondition(R.ravel())[:, None],
-                         tol=CONVEXITY_EIG_RTOL * np.sqrt(p.lambda1),
-                         maxiter=CONVEXITY_EIG_MAXITER, largest=False)
-    sigma = float(vals[0])
-    x = X[:, 0]
+    sigma, x = lowest_eigenpair(d, H, p.spectral.e1.values,
+                                CONVEXITY_EIG_RTOL * np.sqrt(p.lambda1),
+                                CONVEXITY_EIG_MAXITER, B=A)
     Ax = A @ x
-    resid = float(np.linalg.norm(H(X)[:, 0] - sigma * Ax) / np.linalg.norm(Ax))
+    resid = float(np.linalg.norm(H(x[:, None])[:, 0] - sigma * Ax) / np.linalg.norm(Ax))
     return sigma, resid
 
 

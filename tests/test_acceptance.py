@@ -336,7 +336,7 @@ def test_criterion_08_annulus_multiplicity(annulus27):
 
 def test_criterion_09_mu_star_boundary(box9):
     lam1 = box9.spectral.lambda1
-    cfg = dict(max_cells=10, keep_records=True)
+    cfg = dict(max_cells=10)
     tables = []
     all_ok = True
     details = []
@@ -347,11 +347,16 @@ def test_criterion_09_mu_star_boundary(box9):
             if not (np.isfinite(mu_star) and mu_star > 0):
                 all_ok = False
             if run == 0:
-                p_check = None
+                # each row's Plus record, re-solved as the continuation solves
+                # it: from the previous row's Plus record (no seed on the
+                # first row), at the row's energy and certified
+                warm = None
                 for r in rows:
                     p_check = Params(lam=factor * lam1, mu=r.mu,
                                      spectral=box9.spectral, lift=box9.lift)
-                    if not certify_solution(r.record_plus, p_check).overall:
+                    rec = minimize_on_Nplus(p_check, seed=warm)
+                    warm = rec.v
+                    if rec.energy != r.energy_plus or not certify_solution(rec, p_check).overall:
                         all_ok = False
                 details.append(f"lam={factor}*lam1: mu*~{mu_star:.6g} "
                                f"({len(rows)} certified cells)")

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 from scipy.sparse.linalg import cg as scipy_cg
 
-from bnsolver import grid
+from bnsolver import grid, numutil
 from bnsolver.errors import ArgumentError, ConfigurationError, NumericalError
 from bnsolver.grid import (
     AnnulusD,
@@ -21,9 +22,9 @@ from bnsolver.grid import (
     estimate_sobolev_S,
     load_field,
     load_spectral_data,
+    lowest_eigenpair,
     principal_eigenpair,
     rayleigh_quotient,
-    _inverse_power,
     _sine_transform,
 )
 from bnsolver.lift import NodeTable, solve_lift
@@ -312,12 +313,16 @@ def test_anisotropic_box_poisson_residual(spec):
 
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(spec=box_specs.filter(lambda s: s.resolution <= 11))
-def test_box_eigenpair_matches_inverse_power(spec):
+def test_box_eigenpair_matches_lobpcg(spec):
+    """The closed-form box eigenpair against `lowest_eigenpair` of -Lap
+    from the constant field, to residual 1e-12 lambda1."""
     dom = build_domain(spec)
     lam, e1 = principal_eigenpair(dom)
-    lam_ip, e1_ip = _inverse_power(dom, tol=1e-12, max_outer=3000)
-    assert abs(lam - lam_ip) <= 1e-12 * lam
-    assert np.abs(e1.values - e1_ip.values).max() <= 1e-8
+    A = dom.matrix
+    _, x = lowest_eigenpair(dom, A, np.ones(dom.n_interior), 1e-12 * lam, 50)
+    x = np.sign(x.sum()) * x / (np.sqrt(dom.weight) * np.linalg.norm(x))
+    assert abs(lam - dom.inner(A @ x, x)) <= 1e-12 * lam
+    assert np.abs(e1.values - x).max() <= 1e-8
     assert abs(lam - exact_box_lambda1(spec.shape.sides, spec.resolution)) <= 1e-12 * lam
 
 
@@ -347,12 +352,8 @@ def test_annulus_poisson_solve_is_plain_cg(annulus9):
     dom = annulus9.domain
     rng = np.random.default_rng(5)
     b = rng.standard_normal(dom.n_interior)
-    x0 = rng.standard_normal(dom.n_interior)
     x = dom.solve_poisson(b)
     ref, _ = solve_cg(dom.matrix, b, rtol=1e-8, maxiter=20 * dom.n_interior)
-    assert x.tobytes() == ref.tobytes()
-    x = dom.solve_poisson(b, x0=x0, rtol=1e-12, maxiter=20000, label="eigensolve")
-    ref, _ = solve_cg(dom.matrix, b, x0=x0, rtol=1e-12, maxiter=20000)
     assert x.tobytes() == ref.tobytes()
 
 
@@ -454,6 +455,43 @@ def test_eigenpair_positive_and_normalized(box9, annulus9):
         e1 = setup.spectral.e1
         assert e1.values.min() > 0
         assert abs(np.sqrt(setup.domain.l2_norm_sq(e1.values)) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("spec", [DomainSpec(AnnulusD(0.5), 3, 9), DomainSpec(AnnulusD(0.5), 4, 9)],
+                         ids=["N3", "N4"])
+def test_annulus_eigenpair_matches_dense_eigh(spec):
+    """The masked-lattice eigenpair against the lowest eigenpair of the
+    dense -Lap (LAPACK): lambda1 to 1e-12 relative, e1 to 1e-8 of its
+    maximum."""
+    dom = build_domain(spec)
+    lam, e1 = principal_eigenpair(dom)
+    vals, vecs = eigh(dom.matrix.toarray(), subset_by_index=[0, 0])
+    ref = vecs[:, 0] / (np.sqrt(dom.weight) * np.linalg.norm(vecs[:, 0]))
+    ref *= np.sign(ref.sum())
+    assert abs(lam - vals[0]) <= 1e-12 * vals[0]
+    assert np.abs(e1.values - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def test_annulus_eigenpair_runs_no_cg(annulus9, monkeypatch):
+    """The masked-lattice eigensolve is LOBPCG preconditioned by the
+    bounding-box sine solve: no conjugate gradients."""
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("conjugate gradients called by the eigensolve")
+
+    # grid binds solve_cg at import, so patch its name there too
+    for module in (numutil, grid):
+        monkeypatch.setattr(module, "solve_cg", no_cg)
+    lam, e1 = principal_eigenpair(annulus9.domain)
+    assert lam == annulus9.spectral.lambda1
+    assert e1.values.tobytes() == annulus9.spectral.e1.values.tobytes()
+
+
+def test_eigensolve_cut_short_raises_with_residual(annulus9, monkeypatch):
+    monkeypatch.setattr(grid, "EIG_MAXITER", 1)
+    with pytest.raises(NumericalError, match="eigensolve: LOBPCG stopped") as err:
+        principal_eigenpair(annulus9.domain)
+    assert err.value.residual >= grid.EIG_TOL * annulus9.spectral.lambda1
 
 
 def test_eigenvalue_matches_stencil_formula(box9):
