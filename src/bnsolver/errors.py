@@ -42,6 +42,18 @@ class BranchAbsentError(BNSolverError):
     """Requested solution branch does not exist (e.g. the local branch at mu = 0)."""
 
 
+class NonpositiveMinusLevelError(BranchAbsentError):
+    """A Minus solve's start ray has J(v0) = E(t_minus(v0) v0) <= 0, carried
+    as `j0`.  t_minus(v0) v0 lies on the Minus part of the Nehari manifold,
+    so the Minus level is at most J(v0) <= 0 and a record of positive energy
+    reached from this seed could not be the Minus minimum; the descent, which
+    only lowers J, is not run."""
+
+    def __init__(self, message, j0=None):
+        super().__init__(message)
+        self.j0 = j0
+
+
 class DegenerateSeedError(BNSolverError):
     """The seed ray has no t_plus root: the seed vanishes or the pairing sign
     of its ray is not positive."""

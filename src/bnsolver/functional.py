@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import ArgumentError, MuTooLargeError
-from .grid import SpectralData
+from .grid import SpectralData, _matches
 from .lift import HarmonicLift
 from .numutil import abs_pow, signed_pow
 
@@ -67,6 +68,15 @@ class Params:
     @property
     def lambda1(self):
         return self.spectral.lambda1
+
+    @cached_property
+    def symmetry_group(self):
+        """The symmetries g of the domain (`grid.Domain.symmetries`, identity
+        first) with g (mu phi) = mu phi to `grid.SYMMETRY_TOL`: the group the
+        discrete problem commutes with.  Found once per Params."""
+        d = self.domain
+        return [g for g in d.symmetries
+                if _matches(d.apply_symmetry(g, self.mu_phi), self.mu_phi)]
 
 
 def _checked(v, p: Params) -> np.ndarray:

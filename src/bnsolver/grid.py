@@ -52,7 +52,12 @@ Discrete conventions, fixed once and used everywhere:
   one peaked at g y.  g is a symmetry of the domain (`Domain.symmetries`)
   when it maps the interior mask onto itself and h[P[d]] == h[d] on every
   axis; it then permutes the interior nodes and commutes with the stencil
-  and every norm.
+  and every norm.  g maps one value array onto another when its image of
+  the first agrees with the second to SYMMETRY_TOL relative sup-norm
+  (`_matches`);
+* bubble profiles (`solve.make_bubble`) are evaluated in a frame and under
+  a radial cutoff that depend only on the domain (`Domain.bubble_frame`),
+  built on the first bubble.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from scipy import sparse
 from scipy.sparse.linalg import lobpcg
 
 from .errors import ArgumentError, ConfigurationError, NumericalError
-from .numutil import abs_pow, armijo, signed_pow, solve_cg
+from .numutil import abs_pow, armijo, signed_pow, smoothstep, solve_cg
 
 # Annulus realization constants: the continuum annulus r_in < |x| < r_out with
 # r_in = ANNULUS_INNER_FACTOR*delta0 and r_out = ANNULUS_OUTER_FACTOR/delta0
@@ -90,6 +95,10 @@ SOBOLEV_MAX_OUTER = 200
 SOBOLEV_STAG_TOL = 1e-10
 SOBOLEV_INNER_RTOL = 1e-6
 SOBOLEV_SHARE_CAP = 0.25
+
+# Relative sup-norm within which a symmetry maps one value array onto
+# another (`_matches`).
+SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -221,6 +230,7 @@ class Domain:
         self._sine = None
         self._box_flat = None  # bounding-box node of each interior node
         self._symmetries = None
+        self._bubble_frame = None
 
         if isinstance(spec.shape, AnnulusD):
             self._check_condition_d(r, interior)
@@ -332,6 +342,32 @@ class Domain:
             ]
         return self._symmetries
 
+    @property
+    def bubble_frame(self):
+        """(c, cut): the interior nodes in the frame of the bubble profiles
+        (`solve.make_bubble`), one contiguous row c[k] per axis, and the
+        radial cutoff those profiles are multiplied by.  The frame is the
+        absolute one on the annulus and the centre-scaled one on a box (the
+        unit sphere maps to the inscribed sphere).  With r the frame radius
+        the cutoff ramps up over [delta0, 2 delta0], is identically one on
+        [2 delta0, 1/(2 delta0)], and ramps down over [1/(2 delta0),
+        1/delta0]; delta0 is the annulus' own delta0 kept below the 1/2 that
+        a nonempty plateau needs, and 0.25 on a box.  Built once per domain."""
+        if self._bubble_frame is None:
+            shape = self.spec.shape
+            if isinstance(shape, AnnulusD):
+                pts, delta0 = self.interior_coords, min(shape.delta0, 0.45)
+            else:
+                center = np.array([0.5 * s for s in shape.sides])
+                pts, delta0 = (self.interior_coords - center) / (0.5 * min(shape.sides)), 0.25
+            r = np.linalg.norm(pts, axis=1)
+            cut = smoothstep((r - delta0) / delta0)
+            hi_lo = 1.0 / (2.0 * delta0)
+            hi_hi = 1.0 / delta0
+            cut = cut * (1.0 - smoothstep((r - hi_lo) / (hi_hi - hi_lo)))
+            self._bubble_frame = (pts.T.copy(), cut)
+        return self._bubble_frame
+
     def apply_symmetry(self, g, values):
         """The signed axis permutation g = (P, S) applied to a raw value
         array: zero-extended onto the lattice, axes transposed by P, the axes
@@ -403,6 +439,11 @@ def symmetry_point(g, y):
     gy = np.asarray(y, dtype=float)[..., list(P)]
     gy[..., list(S)] *= -1.0
     return gy
+
+
+def _matches(a, b):
+    """a equals b within SYMMETRY_TOL relative sup-norm."""
+    return float(np.max(np.abs(a - b))) <= SYMMETRY_TOL * float(np.max(np.abs(b)))
 
 
 def _sine_transform(S, x, out):

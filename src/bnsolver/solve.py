@@ -27,25 +27,36 @@ orbit.  Before each seed is solved, `_Orbits` looks for a seed y0 already
 solved in the same search (in the minimax, for each family point as the
 family is built) and a symmetry g of the domain (`grid.Domain.symmetries`)
 with g y0 = y for their directions that fixes mu*phi and maps the solved
-seed onto this one (to SYMMETRY_TOL); on a hit the outcome is g applied to
-the solved one.  Every solve is a deterministic function of its seed, and
-the discrete problem commutes with g, so the image is the outcome the seed
-would have had.  Data without the symmetry find no hit and solve every seed.
+seed onto this one (to `grid.SYMMETRY_TOL`); on a hit the outcome is g
+applied to the solved one.  Every solve is a deterministic function of its
+seed, and the discrete problem commutes with g, so the image is the outcome
+the seed would have had.  Data without the symmetry find no hit and solve
+every seed.  What does not change between seeds is paid for once: the
+bubbles' frame and radial cutoff once per domain (`grid.Domain.bubble_frame`),
+the group that fixes mu*phi once per (lam, mu) (`Params.symmetry_group`,
+shared by the multistart and the minimax of a cell), and the table of
+points g y0 once per solved seed, so a lookup is one array comparison per
+solved seed and a seed check per candidate g.
+
+A Minus solve whose start ray has J(v0) <= 0 raises
+NonpositiveMinusLevelError before any Newton step or descent: the Minus
+level is then at most J(v0), not positive.  The multistart and the mu*
+continuation record it as a failed seed or row.
 
 Fixed constants (module level, below): the Newton inner MINRES tolerance
 floor, the Newton steps per budget and from a solved Minus seed, the Minus
 descent passes per budget, the cone step's 30 backtracks (fewer once a
-step's required gain drops below one ulp of J), the bubble cutoff radius
-(in `make_bubble`: the annulus' delta0 capped at 0.45, 0.25 on a box), the
-multistart bubble scalings and deduplication distance, the symmetry match
-tolerance, the minimax descent passes per point and round, and the mu*
-continuation schedule (first step, growth, shrink, step floor, failure
-limit).  Options that stay are the ones callers set to more than one
-value: `budget_factor` everywhere (a config key; the nonexistence criterion
-runs both minimizers at a tenfold budget), `n_radii`/`relax_rounds` of the
-minimax search (the annulus multiplicity criterion and the solve tests run
-it smaller), `solved_seed` of the Minus minimizer and `max_cells` of the
-continuation (the `mu_star_cells` config key).
+step's required gain drops below one ulp of J), the multistart bubble
+scalings and deduplication distance, the minimax descent passes per point
+and round, and the mu* continuation schedule (first step, growth, shrink,
+step floor, failure limit); the bubble cutoff radius and the symmetry
+match tolerance live in `grid`.  Options that stay are the ones callers
+set to more than one value: `budget_factor` everywhere (a config key; the
+nonexistence criterion runs both minimizers at a tenfold budget),
+`n_radii`/`relax_rounds` of the minimax search (the annulus multiplicity
+criterion and the solve tests run it smaller), `solved_seed` of the Minus
+minimizer and `max_cells` of the continuation (the `mu_star_cells` config
+key).
 """
 
 from __future__ import annotations
@@ -64,17 +75,18 @@ from .errors import (
     MuBeyondRangeError,
     MuTooLargeError,
     NonconvergenceError,
+    NonpositiveMinusLevelError,
     PreconditionError,
     ProjectionError,
     SeedingError,
 )
 from .functional import FiberingProfile, Params, energy, gradient_values, hessian_weight
-from .grid import AnnulusD, Domain, Field, _default_bump, symmetry_point
+from .grid import SYMMETRY_TOL, AnnulusD, Domain, Field, _default_bump, _matches
 from .lift import compose_solution
 from .nehari import (
     Klass, barycenter, classify, reduced_functional, t_plus, two_root_regime,
 )
-from .numutil import abs_pow, armijo, signed_pow, smoothstep, solve_minres
+from .numutil import abs_pow, armijo, signed_pow, solve_minres
 
 NEWTON_INNER_RTOL = 1e-9  # floor of the Newton MINRES tolerance min(1e-2, . + 0.1 |grad|)
 NEWTON_STEPS = 40  # Newton polish steps per unit budget_factor (at least 10)
@@ -82,7 +94,6 @@ NEWTON_FIRST_STEPS = 10  # Newton steps a Minus solve from a solved seed tries b
 MINUS_PASSES = 300  # Minus cone descent passes per unit budget_factor
 BUBBLE_T_FACTORS = (0.5, 1.0, 2.0)  # multistart composite vplus + f t_star bubble, f in these
 DEDUP_TOL = 1e-4  # H^1_0 distance below which two multistart records are one
-SYMMETRY_TOL = 1e-12  # relative sup-norm within which g maps a solved seed onto a seed
 CONE_BACKTRACKS = 30  # most Armijo trials of one cone step
 MINIMAX_INNER_STEPS = 2  # cone descent passes per family point and relaxation round
 
@@ -391,16 +402,21 @@ def minimize_on_Nminus(
     point and stop where this one did: a larger budget_factor is what buys
     more passes.
 
+    Every solve first evaluates J(v0) = E(t_minus(v0) v0) on the seed's
+    ray.  When J(v0) <= 0 the Minus level is at most J(v0), not positive, so
+    no Minus record of positive energy is the minimum: it raises
+    NonpositiveMinusLevelError, carrying J(v0), before any Newton step or
+    descent.
+
     A solved seed (`solved_seed`: the ground state, or the Minus record of a
     nearby mu) lies close to the solution, which Newton reaches in a few
     steps where the descent converges only linearly.  Its ray is projected
     by t_minus and polished by at most NEWTON_FIRST_STEPS Newton steps; the
     result is taken when it converges to class Minus with an energy in
-    (0, E] for E the energy at the start ray, which no descent from that ray
-    ends above; Newton is not tried when E <= 0, where nothing could be
-    taken.  Otherwise the descent runs from the same seed.  The record's
-    `iterations` counts the Newton steps and the descent passes made; a
-    NonconvergenceError names every Newton inner solve that stopped short.
+    (0, J(v0)], which no descent from that ray ends above.  Otherwise the
+    descent runs from the same seed.  The record's `iterations` counts the
+    Newton steps and the descent passes made; a NonconvergenceError names
+    every Newton inner solve that stopped short.
     """
     d = p.domain
     if seed is None or not np.any(seed.values):
@@ -409,17 +425,22 @@ def minimize_on_Nminus(
     if v is None:
         raise ProjectionError("seed vanishes after cone projection")
 
+    w0 = reduced_functional(v, p)[2]
+    j0 = energy(w0, p)
+    if j0 <= 0:
+        raise NonpositiveMinusLevelError(
+            f"the seed's start ray has J = {j0:.6g} <= 0: the Minus level is not positive",
+            j0=j0,
+        )
+
     iterations = 0
     flags = []
     if solved_seed:
-        w0 = reduced_functional(v, p)[2]
-        e0 = energy(w0, p)
-        if e0 > 0:
-            wv, gn, iterations, ok = _newton_polish(p, w0, NEWTON_FIRST_STEPS, flags)
-            if ok:
-                rec = build_record(p, wv, gn, seed_kind, iterations)
-                if rec.klass is Klass.MINUS and 0 < rec.energy <= e0:
-                    return rec
+        wv, gn, iterations, ok = _newton_polish(p, w0, NEWTON_FIRST_STEPS, flags)
+        if ok:
+            rec = build_record(p, wv, gn, seed_kind, iterations)
+            if rec.klass is Klass.MINUS and 0 < rec.energy <= j0:
+                return rec
 
     _, _, w, passes = _cone_descent(p, v, max(1, int(MINUS_PASSES * budget_factor)))
     wv, gn, steps, ok = _newton_polish(p, w, _polish_steps(budget_factor), flags)
@@ -438,40 +459,40 @@ def minimize_on_Nminus(
 # -- one solve per symmetry orbit ----------------------------------------------
 
 
-def _matches(a, b):
-    """a equals b within SYMMETRY_TOL relative sup-norm."""
-    return float(np.max(np.abs(a - b))) <= SYMMETRY_TOL * float(np.max(np.abs(b)))
-
-
 class _Orbits:
     """The seeds a search solves, each with its direction and its outcome
     (or the key that locates it), looked up modulo the symmetries of the
-    domain that fix mu*phi."""
+    domain that fix mu*phi (`Params.symmetry_group`).  Each solved seed
+    keeps its image table, the points g y0 for every g of the group in
+    group order, and its extreme values."""
 
     def __init__(self, p: Params):
-        d = p.domain
-        self.domain = d
-        self.group = [g for g in d.symmetries
-                      if _matches(d.apply_symmetry(g, p.mu_phi), p.mu_phi)]
+        self.domain = p.domain
+        self.group = p.symmetry_group
+        # g y0 = sign * y0[perm], row by row (`grid.symmetry_point`)
+        self._perm = np.array([P for P, _ in self.group])
+        self._sign = np.array([[-1.0 if k in S else 1.0 for k in range(p.domain.ndim)]
+                               for _, S in self.group])
         self.solved = []
 
     def add(self, y, seed, outcome):
-        self.solved.append((np.asarray(y, dtype=float), seed, outcome))
+        images = self._sign * np.asarray(y, dtype=float)[self._perm]
+        self.solved.append((images, seed, float(seed.max()), float(seed.min()), outcome))
 
     def find(self, y, seed):
-        """(g, outcome) of a solved seed y0 and a symmetry g with g y0 = y
-        that maps the solved seed onto `seed` (`_matches`), or None.  A
-        symmetry permutes the nodes, so the seeds' extreme values must match
-        first."""
+        """(g, outcome) of a solved seed y0 and the first symmetry g in
+        group order with g y0 = y that maps the solved seed onto `seed`
+        (`grid._matches`), or None.  A symmetry permutes the nodes, so the
+        seeds' extreme values must match first."""
         d = self.domain
         top, bottom = float(seed.max()), float(seed.min())
         slack = SYMMETRY_TOL * float(np.max(np.abs(seed)))
-        for y0, seed0, outcome in self.solved:
-            if abs(seed0.max() - top) > slack or abs(seed0.min() - bottom) > slack:
+        for images, seed0, top0, bottom0, outcome in self.solved:
+            if abs(top0 - top) > slack or abs(bottom0 - bottom) > slack:
                 continue
-            for g in self.group:
-                if (np.array_equal(symmetry_point(g, y0), y)
-                        and _matches(d.apply_symmetry(g, seed0), seed)):
+            for i in np.flatnonzero(np.all(images == y, axis=1)):
+                g = self.group[i]
+                if _matches(d.apply_symmetry(g, seed0), seed):
                     return g, outcome
         return None
 
@@ -494,33 +515,23 @@ def make_bubble(epsilon: float, direction, domain: Domain) -> np.ndarray:
     """Values of the cutoff concentration profile peaked near
     (1 - eps) * direction.
 
-    The formulas live in absolute coordinates on the annulus and in
-    center-scaled ones on a box (the unit sphere maps to the inscribed
-    sphere).  The radial cutoff ramps up over [delta0, 2 delta0], is
-    identically one on [2 delta0, 1/(2 delta0)], and ramps down over
-    [1/(2 delta0), 1/delta0]; delta0 is the annulus' own delta0 kept below
-    the 1/2 that a nonempty plateau needs, and 0.25 on a box.
+    The profile is evaluated in the domain's bubble frame and multiplied by
+    its radial cutoff (`grid.Domain.bubble_frame`), both built once per
+    domain, so a call computes only the profile.  Its squared distances
+    are summed over the frame's axes in order, as numpy sums an (n, N) row.
     """
     if not 0.0 < epsilon < 1.0:
         raise ArgumentError(f"epsilon must lie in (0, 1), got {epsilon}")
     y = np.asarray(direction, dtype=float)
     if y.shape != (domain.ndim,) or abs(np.linalg.norm(y) - 1.0) > 1e-10:
         raise ArgumentError("direction must be a unit vector of the domain dimension")
-    shape = domain.spec.shape
-    if isinstance(shape, AnnulusD):
-        pts, delta0 = domain.interior_coords, min(shape.delta0, 0.45)
-    else:
-        center = np.array([0.5 * s for s in shape.sides])
-        pts, delta0 = (domain.interior_coords - center) / (0.5 * min(shape.sides)), 0.25
+    c, cut = domain.bubble_frame
     N = domain.ndim
-    r = np.linalg.norm(pts, axis=1)
-    cut = smoothstep((r - delta0) / delta0)
-    hi_lo = 1.0 / (2.0 * delta0)
-    hi_hi = 1.0 / delta0
-    cut = cut * (1.0 - smoothstep((r - hi_lo) / (hi_hi - hi_lo)))
     peak = (1.0 - epsilon) * y
     amp = (N * (N - 2.0) * epsilon**2) ** ((N - 2.0) / 4.0)
-    d2 = np.sum((pts - peak) ** 2, axis=1)
+    d2 = (c[0] - peak[0]) ** 2
+    for k in range(1, N):
+        d2 += (c[k] - peak[k]) ** 2
     prof = amp / (epsilon**2 + d2) ** ((N - 2.0) / 2.0)
     vals = cut * prof
     if not np.any(vals > 0):
@@ -581,7 +592,7 @@ def multistart_Nminus(
             rec = (_image_record(p, *hit) if hit is not None else
                    minimize_on_Nminus(p, Field(w, d), budget_factor=budget_factor,
                                       seed_kind=SeedKind.BUBBLE))
-        except (NonconvergenceError, ProjectionError) as e:
+        except (NonconvergenceError, NonpositiveMinusLevelError, ProjectionError) as e:
             failures.append((y, str(e)))
             continue
         rec.seed_direction, rec.seed_energy, rec.seed_below_threshold = y, e_seed, below
@@ -798,7 +809,7 @@ def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
                     budget_factor=budget_factor, solved_seed=True,
                 )
                 e_minus, minus_ok = rec_minus.energy, True
-            except (NonconvergenceError, ProjectionError,
+            except (NonconvergenceError, NonpositiveMinusLevelError, ProjectionError,
                     MuTooLargeError, MuBeyondRangeError):
                 pass
             minus_seed = rec_minus.v if minus_ok else gstate

@@ -5,14 +5,15 @@ from bnsolver.errors import (
     ArgumentError,
     BranchAbsentError,
     NonconvergenceError,
+    NonpositiveMinusLevelError,
     PreconditionError,
 )
 from bnsolver import grid, numutil, solve
 from bnsolver.functional import Params, energy, gradient_values
-from bnsolver.grid import Field, _cg, symmetry_point
+from bnsolver.grid import AnnulusD, Box, DomainSpec, Field, _cg, build_domain, symmetry_point
 from bnsolver.lift import BumpOnBoundary, solve_lift
 from bnsolver.nehari import Klass, reduced_functional
-from bnsolver.numutil import armijo, signed_pow, solve_cg
+from bnsolver.numutil import armijo, signed_pow, smoothstep, solve_cg
 from bnsolver.solve import (
     SeedKind,
     estimate_mu_star,
@@ -251,31 +252,86 @@ def test_minus_newton_result_above_the_start_ray_is_refused(box9, monkeypatch):
 
 
 def test_minus_newton_is_not_tried_from_a_nonpositive_start_ray(box9, monkeypatch):
-    # past the end of the Minus branch (mu-star-sweep, lam = lam1/4): the
-    # ground state's ray has E <= 0 at t_minus, so no result can be taken
+    """Past the end of the Minus branch (mu-star-sweep, lam = lam1/4) the
+    ground state's ray has J(v0) = E(t_minus(v0) v0) <= 0: every Minus
+    solve from it raises NonpositiveMinusLevelError carrying J(v0) before
+    any Newton step or descent, for every seed kind."""
     p = box9.params(lam_factor=0.25, mu=0.66)
     gs = ground_state(p.lam, box9.spectral, box9.lift)
     ts = p.two_star
     w0 = reduced_functional(solve._unit(np.abs(gs.values), p.domain, ts), p)[2]
-    assert energy(w0, p) <= 0
-    polish, calls = solve._newton_polish, []
+    j0 = energy(w0, p)
+    assert j0 <= 0
 
-    def logged(p, vvals, max_steps=solve.NEWTON_STEPS, flags=None):
-        calls.append(max_steps)
-        return polish(p, vvals, max_steps, flags)
+    def never(*args):
+        raise AssertionError("a Newton step or a descent ran")
 
-    monkeypatch.setattr(solve, "_newton_polish", logged)
-    with pytest.raises(NonconvergenceError):
-        minimize_on_Nminus(p, gs, solved_seed=True)
-    assert calls and solve.NEWTON_FIRST_STEPS not in calls
+    monkeypatch.setattr(solve, "_newton_polish", never)
+    monkeypatch.setattr(solve, "_cone_descent", never)
+    for kind in SeedKind:
+        for solved_seed in (False, True):
+            with pytest.raises(NonpositiveMinusLevelError) as err:
+                minimize_on_Nminus(p, gs, seed_kind=kind, solved_seed=solved_seed)
+            assert err.value.j0 == j0
+            assert isinstance(err.value, BranchAbsentError)
+
+
+def _minus_without_start_check(p, seed, budget_factor=1.0, seed_kind=SeedKind.USER,
+                               solved_seed=False):
+    """The Minus solve with no start-ray check, kept as the reference: Newton
+    first from a solved seed when E(w0) > 0, then the cone descent and the
+    polish."""
+    v = solve._unit(np.abs(seed.values), p.domain, p.two_star)
+    iterations, flags = 0, []
+    if solved_seed:
+        w0 = reduced_functional(v, p)[2]
+        e0 = energy(w0, p)
+        if e0 > 0:
+            wv, gn, iterations, ok = solve._newton_polish(p, w0, solve.NEWTON_FIRST_STEPS, flags)
+            if ok:
+                rec = solve.build_record(p, wv, gn, seed_kind, iterations)
+                if rec.klass is Klass.MINUS and 0 < rec.energy <= e0:
+                    return rec
+    _, _, w, passes = solve._cone_descent(p, v, max(1, int(solve.MINUS_PASSES * budget_factor)))
+    wv, gn, steps, ok = solve._newton_polish(p, w, solve._polish_steps(budget_factor), flags)
+    if ok:
+        rec = solve.build_record(p, wv, gn, seed_kind, iterations + passes + steps)
+        if rec.klass is Klass.MINUS and rec.energy > 0:
+            return rec
+    raise NonconvergenceError("no Minus record", residual=gn)
+
+
+def test_nonpositive_start_rays_leave_the_continuation_rows_unchanged(box9, monkeypatch):
+    """At lam = 3/4 lam1 the mu* continuation meets Minus rows whose start
+    ray has J(v0) <= 0 (and one, at J(v0) > 0, that fails after its
+    descent).  Ending the first kind at once gives the rows and the estimate
+    that running their descents gives."""
+    lam = 0.75 * box9.spectral.lambda1
+    shipped, raised = solve.minimize_on_Nminus, []
+
+    def counted(*args, **kwargs):
+        try:
+            return shipped(*args, **kwargs)
+        except NonpositiveMinusLevelError as e:
+            raised.append(e.j0)
+            raise
+
+    monkeypatch.setattr(solve, "minimize_on_Nminus", counted)
+    fast = estimate_mu_star(lam, box9.spectral, box9.lift)
+    monkeypatch.setattr(solve, "minimize_on_Nminus", _minus_without_start_check)
+    slow = estimate_mu_star(lam, box9.spectral, box9.lift)
+    assert raised and all(j0 <= 0 for j0 in raised)
+    assert sum(not r.minus_converged for r in fast[1]) > len(raised)
+    assert repr(fast) == repr(slow)
 
 
 def test_minus_solve_is_one_descent_and_one_polish(box9, monkeypatch):
-    """Past the end of the Minus branch (lam = lam1/4, mu = 0.66) the solve
-    fails after one cone descent and one polish: the descent's end point
-    w = t v projects back onto v, so a second descent would resume at the
-    point where the first stopped."""
-    p = box9.params(lam_factor=0.25, mu=0.66)
+    """Near the end of the Minus branch (lam = 3/4 lam1, mu = 0.12, where
+    the ground state's ray still has J > 0) the solve fails after one cone
+    descent and one polish: the descent's end point w = t v projects back
+    onto v, so a second descent would resume at the point where the first
+    stopped."""
+    p = box9.params(lam_factor=0.75, mu=0.12)
     gs = ground_state(p.lam, box9.spectral, box9.lift)
     descent, polish, ends, polishes = solve._cone_descent, solve._newton_polish, [], []
 
@@ -291,7 +347,7 @@ def test_minus_solve_is_one_descent_and_one_polish(box9, monkeypatch):
     monkeypatch.setattr(solve, "_cone_descent", logged_descent)
     monkeypatch.setattr(solve, "_newton_polish", logged_polish)
     with pytest.raises(NonconvergenceError):
-        minimize_on_Nminus(p, gs, solved_seed=True)
+        minimize_on_Nminus(p, gs)
     assert len(ends) == 1 and len(polishes) == 1
     _, v, w, _ = ends[0]
     again = solve._unit(np.abs(w), p.domain, p.two_star)
@@ -487,6 +543,48 @@ def test_bubble_mirror_symmetry(annulus9):
     assert abs(e1 - e2) <= 1e-8 * (1.0 + abs(e1))
 
 
+def _bubble_direct(epsilon, y, domain):
+    """The bubble computed from scratch on every call, the reference for
+    `make_bubble`: frame, radius and cutoff from the interior coordinates,
+    squared distances summed by numpy over each (n, N) row."""
+    shape = domain.spec.shape
+    if isinstance(shape, AnnulusD):
+        pts, delta0 = domain.interior_coords, min(shape.delta0, 0.45)
+    else:
+        center = np.array([0.5 * s for s in shape.sides])
+        pts, delta0 = (domain.interior_coords - center) / (0.5 * min(shape.sides)), 0.25
+    N = domain.ndim
+    r = np.linalg.norm(pts, axis=1)
+    cut = smoothstep((r - delta0) / delta0)
+    hi_lo = 1.0 / (2.0 * delta0)
+    hi_hi = 1.0 / delta0
+    cut = cut * (1.0 - smoothstep((r - hi_lo) / (hi_hi - hi_lo)))
+    peak = (1.0 - epsilon) * np.asarray(y, dtype=float)
+    amp = (N * (N - 2.0) * epsilon**2) ** ((N - 2.0) / 4.0)
+    d2 = np.sum((pts - peak) ** 2, axis=1)
+    prof = amp / (epsilon**2 + d2) ** ((N - 2.0) / 2.0)
+    return cut * prof
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(AnnulusD(0.5), 3, 9),  # annulus9's domain
+    DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9),  # box9's domain
+    DomainSpec(AnnulusD(0.3), 3, 13),
+    DomainSpec(Box((1.0, 0.8, 1.2, 1.0)), 4, 7),
+])
+def test_bubble_is_the_direct_formula_bit_for_bit(spec):
+    """make_bubble, with its frame and cutoff built on the domain's first
+    bubble and reused after, equals the direct formula exactly for every
+    axis and diagonal direction and several widths."""
+    dom = build_domain(spec)
+    for call in range(2):
+        for eps in (0.05, 0.2, 0.25, 0.3, 0.5, 0.9):
+            for y in sphere_directions(dom.ndim):
+                assert np.array_equal(make_bubble(eps, y, dom), _bubble_direct(eps, y, dom))
+        frame = dom.bubble_frame
+        assert dom.bubble_frame is frame and frame[0].flags.c_contiguous
+
+
 def test_multistart_on_box_is_permitted(box13):
     p = box13.params(lam_factor=0.25, mu=0.01)
     rec_plus = minimize_on_Nplus(p)
@@ -565,6 +663,71 @@ def test_asymmetric_boundary_data_solve_every_seed(annulus9):
     rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
     mm = minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=3, relax_rounds=1)
     assert (mm.relaxed_points, mm.image_points) == (28, 0)
+
+
+def test_symmetry_group_is_found_once_per_params(annulus9, monkeypatch):
+    """The multistart and the minimax of one (lam, mu) share one symmetry
+    group: all symmetries are applied to mu*phi once, on the first search."""
+    p = annulus9.params(lam_factor=0.25, mu=0.01)
+    rec_plus = minimize_on_Nplus(p)
+    gs = ground_state(p.lam, annulus9.spectral, annulus9.lift)
+    rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
+    dom = annulus9.domain
+    apply, on_mu_phi = type(dom).apply_symmetry, []
+
+    def counted(self, g, values):
+        if values is p.mu_phi:
+            on_mu_phi.append(g)
+        return apply(self, g, values)
+
+    monkeypatch.setattr(type(dom), "apply_symmetry", counted)
+    multistart_Nminus(p, sphere_directions(3, 6), 0.3, rec_plus)
+    assert on_mu_phi == dom.symmetries
+    minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=3, relax_rounds=1)
+    assert on_mu_phi == dom.symmetries
+    assert solve._Orbits(p).group is p.symmetry_group and len(p.symmetry_group) == 48
+
+
+@pytest.mark.parametrize("boundary", ["constant", "bump"])
+def test_orbit_lookup_is_a_scan_over_the_domain_symmetries(annulus9, boundary):
+    """`_Orbits.find` returns the (g, outcome) of a brute-force scan: the
+    solved seeds in the order added, for each the domain's symmetries in
+    order, keeping the first g that fixes mu*phi, maps y0 to y and maps the
+    solved seed onto the queried one."""
+    dom = annulus9.domain
+    lift = annulus9.lift if boundary == "constant" else solve_lift(
+        BumpOnBoundary((1.0, 0.4, 0.2), 0.8, 1.0), dom)
+    p = Params(lam=0.25 * annulus9.spectral.lambda1, mu=0.01, spectral=annulus9.spectral,
+               lift=lift)
+    dirs = sphere_directions(3)
+    orbits, solved = solve._Orbits(p), []
+    # an axis bubble, a diagonal one and an axis blend with its antipode
+    for k, (y, vals) in enumerate([
+            (dirs[0], make_bubble(0.3, dirs[0], dom)),
+            (dirs[6], make_bubble(0.3, dirs[6], dom)),
+            (dirs[2], make_bubble(0.5, dirs[2], dom) + 0.5 * make_bubble(0.5, -dirs[2], dom))]):
+        orbits.add(y, vals, k)
+        solved.append((y, vals, k))
+
+    def brute(y, seed):
+        for y0, seed0, outcome in solved:
+            for g in dom.symmetries:
+                if (grid._matches(dom.apply_symmetry(g, p.mu_phi), p.mu_phi)
+                        and np.array_equal(symmetry_point(g, y0), y)
+                        and grid._matches(dom.apply_symmetry(g, seed0), seed)):
+                    return g, outcome
+        return None
+
+    queries = [(y, make_bubble(eps, y, dom)) for y in dirs for eps in (0.3, 0.4)]
+    queries += [(y, make_bubble(0.5, y, dom) + 0.5 * make_bubble(0.5, -y, dom)) for y in dirs]
+    hits = 0
+    for y, seed in queries:
+        found = orbits.find(y, seed)
+        assert found == brute(y, seed)
+        hits += found is not None
+    # every direction's eps = 0.3 bubble and every axis blend hit with the
+    # full group; with the bump only the solved seeds themselves do
+    assert hits == (14 + 6 if boundary == "constant" else 3)
 
 
 def test_sphere_directions_count_is_bounded():
