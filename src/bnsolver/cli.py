@@ -442,12 +442,13 @@ def run(config_path, out_dir_override=None) -> int:
             for lam, mu_star, rows in stars:
                 f.write(f"{_fmt(lam)},{_fmt(mu_star)},{len(rows)}\n")
         with open(out / "mu_star_branches.csv", "w") as f:
+            # a row exists only when its Plus solve converged (`BranchRow`)
             f.write("lambda,mu,energy_plus,energy_minus,plus_converged,minus_converged\n")
             for lam, _, rows in stars:
                 for r in rows:
                     f.write(
                         f"{_fmt(lam)},{_fmt(r.mu)},{_fmt(r.energy_plus)},"
-                        f"{_fmt(r.energy_minus)},{r.plus_converged},{r.minus_converged}\n"
+                        f"{_fmt(r.energy_minus)},True,{r.minus_converged}\n"
                     )
 
     print(f"run complete: {len(results)} cells -> {out}")

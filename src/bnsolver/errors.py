@@ -43,11 +43,12 @@ class BranchAbsentError(BNSolverError):
 
 
 class NonpositiveMinusLevelError(BranchAbsentError):
-    """A Minus solve's start ray has J(v0) = E(t_minus(v0) v0) <= 0, carried
-    as `j0`.  t_minus(v0) v0 lies on the Minus part of the Nehari manifold,
-    so the Minus level is at most J(v0) <= 0 and a record of positive energy
-    reached from this seed could not be the Minus minimum; the descent, which
-    only lowers J, is not run."""
+    """A Minus solve met a point of the Minus part of the Nehari manifold
+    with energy `j0` <= 0: its start ray t_minus(v0) v0, with
+    J(v0) = E(t_minus(v0) v0) <= 0, or the converged point of class Minus of
+    its Newton-first step.  The Minus level is then at most j0 <= 0, so a
+    record of positive energy reached from this seed could not be the Minus
+    minimum; the descent, which only lowers J, is not run."""
 
     def __init__(self, message, j0=None):
         super().__init__(message)

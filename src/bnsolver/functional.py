@@ -1,13 +1,16 @@
 """Energy functional, derivatives, and fibering maps along rays.
 
-For parameters (lam, mu) and lift phi the energy of a field v is
+For parameters (lam, mu) and harmonic lift phi (`lift.solve_lift`) the
+energy of a field v is
 
     E(v) = 1/2 ||v||^2 - lam/2 ||v + mu phi||_2^2 - 1/2* ||v + mu phi||_{2*}^{2*}
 
 with 2* the critical exponent of the dimension (`Domain.two_star`).  The
 fibering map of a ray v is t -> E(t v), for t >= 0; its first two
 derivatives in t and the convexity threshold t0 below which the second
-derivative is guaranteed positive are evaluated here.  Scalar ray
+derivative is guaranteed positive are evaluated here.  What depends only
+on (lam, mu) and phi (mu*phi, ||phi||_2^2, E(0), the symmetry group) is a
+cached property of `Params`, built once per Params; scalar ray
 coefficients are computed once per ray.  The critical integrals along the
 ray take one of two paths, picked by the exponent:
 
@@ -22,15 +25,13 @@ ray take one of two paths, picked by the exponent:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .errors import ArgumentError, MuTooLargeError
-from .grid import SpectralData, _matches
-from .lift import HarmonicLift
+from .grid import Field, SpectralData, _matches
 from .numutil import abs_pow, signed_pow
 
 _BATCH_ELEMS = 4_000_000  # cap on elements of one t-batch times node count
@@ -38,28 +39,25 @@ _BATCH_ELEMS = 4_000_000  # cap on elements of one t-batch times node count
 
 @dataclass(frozen=True)
 class Params:
-    """Problem parameters (lam, mu) bound to one domain's spectral data and lift."""
+    """Problem parameters (lam, mu) bound to one domain's spectral data and
+    harmonic lift phi (`lift.solve_lift`)."""
 
     lam: float
     mu: float
     spectral: SpectralData
-    lift: HarmonicLift
-    mu_phi: np.ndarray = dc_field(init=False, repr=False, compare=False)  # read-only mu * phi
+    lift: Field
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ArgumentError(f"lambda must be finite and >= 0, got {self.lam}")
         if not np.isfinite(self.mu) or self.mu < 0:
             raise ArgumentError(f"mu must be finite and >= 0, got {self.mu}")
-        if self.spectral.domain is not self.lift.phi.domain:
+        if self.spectral.domain is not self.lift.domain:
             raise ArgumentError("spectral data and lift built on different domains")
-        mu_phi = self.mu * self.lift.phi.values
-        mu_phi.flags.writeable = False
-        object.__setattr__(self, "mu_phi", mu_phi)
 
     @property
     def domain(self):
-        return self.lift.phi.domain
+        return self.lift.domain
 
     @property
     def two_star(self):
@@ -70,10 +68,27 @@ class Params:
         return self.spectral.lambda1
 
     @cached_property
+    def mu_phi(self) -> np.ndarray:
+        """mu * phi, read-only."""
+        mu_phi = self.mu * self.lift.values
+        mu_phi.flags.writeable = False
+        return mu_phi
+
+    @cached_property
+    def phi_l2(self) -> float:
+        """||phi||_2^2, the lift's term of every fibering map."""
+        return self.domain.l2_norm_sq(self.lift.values)
+
+    @cached_property
+    def energy_at_zero(self) -> float:
+        """E(0), the bound the certificates compare branch energies with."""
+        return energy(np.zeros(self.domain.n_interior), self)
+
+    @cached_property
     def symmetry_group(self):
         """The symmetries g of the domain (`grid.Domain.symmetries`, identity
         first) with g (mu phi) = mu phi to `grid.SYMMETRY_TOL`: the group the
-        discrete problem commutes with.  Found once per Params."""
+        discrete problem commutes with."""
         d = self.domain
         return [g for g in d.symmetries
                 if _matches(d.apply_symmetry(g, self.mu_phi), self.mu_phi)]
@@ -149,8 +164,9 @@ def _horner(coef, t):
 class FiberingProfile:
     """Scalar data of one fibering map t -> E(t v).
 
-    Ray coefficients (||v||^2, ||v||_2^2, integrals against phi) are frozen at
-    construction.  For even 2* so are the ray moments
+    Ray coefficients (||v||^2, ||v||_2^2, integrals against phi) are
+    frozen at construction; ||phi||_2^2 is the Params' own
+    (`Params.phi_l2`).  For even 2* so are the ray moments
     M_j = int v^j (mu phi)^(2*-j), j = 0..2*, and each critical integral at t
     is a binomial-weighted Horner polynomial in them, pure float for a
     scalar t.  For any other 2* the critical integrals are re-quadratured at
@@ -166,11 +182,10 @@ class FiberingProfile:
         ts = p.two_star
         d = p.domain
         w0 = d.weight
-        phi = p.lift.phi.values
+        phi = p.lift.values
         self.a = d.h1_norm_sq(v)
         self.l2 = d.l2_norm_sq(v)
         self.phi_v = w0 * float(np.dot(phi, v))
-        self.phi_l2 = d.l2_norm_sq(phi)
         self._c = (ts - 1.0) * 2.0 ** (ts - 2.0)
         if ts.is_integer() and int(ts) % 2 == 0:
             q = int(ts)
@@ -206,21 +221,18 @@ class FiberingProfile:
             sums.extend(self.moments)
         if not np.isfinite(sums).all():
             raise ArgumentError("fibering ray contains non-finite values")
-        self._t0: Optional[float] = None
 
-    @property
+    @cached_property
     def t0(self) -> float:
         """Convexity threshold: T'' > 0 is guaranteed on (0, t0)."""
-        if self._t0 is None:
-            p = self.p
-            num = self.a - p.lam * self.l2 - self._c_psi_v2
-            if num <= 0:
-                raise MuTooLargeError(
-                    f"mu too large for this ray: t0 numerator {num:.6e} <= 0",
-                    numerator=num,
-                )
-            self._t0 = (num / (self._c * self.v_crit)) ** (1.0 / (p.two_star - 2.0))
-        return self._t0
+        p = self.p
+        num = self.a - p.lam * self.l2 - self._c_psi_v2
+        if num <= 0:
+            raise MuTooLargeError(
+                f"mu too large for this ray: t0 numerator {num:.6e} <= 0",
+                numerator=num,
+            )
+        return (num / (self._c * self.v_crit)) ** (1.0 / (p.two_star - 2.0))
 
     # -- critical integrals, evaluated per t --------------------------------
 
@@ -270,7 +282,7 @@ class FiberingProfile:
     def T(self, t):
         p = self.p
         t = _fibering_t(t)
-        quad = t * t * self.l2 + 2.0 * t * p.mu * self.phi_v + p.mu**2 * self.phi_l2
+        quad = t * t * self.l2 + 2.0 * t * p.mu * self.phi_v + p.mu**2 * p.phi_l2
         return 0.5 * t * t * self.a - 0.5 * p.lam * quad - self.crit_mass(t) / p.two_star
 
     def dT(self, t):

@@ -57,7 +57,13 @@ Discrete conventions, fixed once and used everywhere:
   (`_matches`);
 * bubble profiles (`solve.make_bubble`) are evaluated in a frame and under
   a radial cutoff that depend only on the domain (`Domain.bubble_frame`),
-  built on the first bubble.
+  built on the first bubble;
+* derived data are kept one way: a value that depends only on the domain
+  (the stencil matrix, the sine basis, the symmetries, the bubble frame,
+  the default bump) is a `functools.cached_property` of `Domain`, and one
+  that depends only on (lam, mu) and the lift (mu*phi, ||phi||_2^2, E(0),
+  the symmetry group) is one of `functional.Params`: built on first use,
+  once per object, and never recomputed by a caller.
 """
 
 from __future__ import annotations
@@ -67,6 +73,8 @@ import math
 import warnings
 import zipfile
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import lobpcg
@@ -226,12 +234,6 @@ class Domain:
             (d, miss, np.searchsorted(self.boundary_flat, flat)) for d, miss, flat in edges
         ]
 
-        self._matrix = None
-        self._sine = None
-        self._box_flat = None  # bounding-box node of each interior node
-        self._symmetries = None
-        self._bubble_frame = None
-
         if isinstance(spec.shape, AnnulusD):
             self._check_condition_d(r, interior)
 
@@ -248,44 +250,49 @@ class Domain:
 
     # -- linear algebra ----------------------------------------------------
 
-    @property
+    @cached_property
     def matrix(self):
-        """Sparse CSR matrix of -Lap on interior nodes (Dirichlet ghosts = 0)."""
-        if self._matrix is None:
-            # Assembled straight into CSR, one row per interior node with its
-            # columns in increasing order (interior numbering follows the
-            # lattice, so -stride_0 < ... < -1 < 0 < 1 < ... < stride_0).
-            n = self.n_interior
-            c = [-1.0 / h**2 for h in self.h]
-            stencil = (
-                [(self.nb_minus[d], c[d]) for d in range(self.ndim)]
-                + [(np.arange(n), 2.0 * float(np.sum(1.0 / self.h**2)))]
-                + [(self.nb_plus[d], c[d]) for d in reversed(range(self.ndim))]
-            )
-            cols = np.stack([nb for nb, _ in stencil], axis=1).astype(np.int32)
-            keep = cols >= 0
-            data = np.broadcast_to([v for _, v in stencil], cols.shape)[keep]
-            indptr = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(keep.sum(axis=1), out=indptr[1:])
-            self._matrix = sparse.csr_matrix((data, cols[keep], indptr), shape=(n, n))
-        return self._matrix
+        """Sparse CSR matrix of -Lap on interior nodes (Dirichlet ghosts = 0),
+        assembled on first use."""
+        # Assembled straight into CSR, one row per interior node with its
+        # columns in increasing order (interior numbering follows the
+        # lattice, so -stride_0 < ... < -1 < 0 < 1 < ... < stride_0).
+        n = self.n_interior
+        c = [-1.0 / h**2 for h in self.h]
+        stencil = (
+            [(self.nb_minus[d], c[d]) for d in range(self.ndim)]
+            + [(np.arange(n), 2.0 * float(np.sum(1.0 / self.h**2)))]
+            + [(self.nb_plus[d], c[d]) for d in reversed(range(self.ndim))]
+        )
+        cols = np.stack([nb for nb, _ in stencil], axis=1).astype(np.int32)
+        keep = cols >= 0
+        data = np.broadcast_to([v for _, v in stencil], cols.shape)[keep]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return sparse.csr_matrix((data, cols[keep], indptr), shape=(n, n))
 
     def apply_neg_laplacian(self, values):
         return self.matrix @ values
 
+    @cached_property
     def _sine_basis(self):
         """(S, eig) of the lattice's bounding box (its (res-2)^N nodes off
         the hull, the interior of a box): the orthonormal sine matrix
         S[j, k] = sqrt(2/(n+1)) sin(pi (j+1) (k+1) / (n+1)), n = res - 2, that
         diagonalises the 3-point stencil on every axis, and the eigenvalues of
-        -Lap on the tensor grid of sine modes.  Built once per domain."""
-        if self._sine is None:
-            n = self.spec.resolution - 2
-            k = np.arange(1, n + 1)
-            S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
-            axis_eig = np.sin(0.5 * np.pi * k / (n + 1)) ** 2
-            self._sine = (S, sum(np.ix_(*(4.0 / h**2 * axis_eig for h in self.h))))
-        return self._sine
+        -Lap on the tensor grid of sine modes."""
+        n = self.spec.resolution - 2
+        k = np.arange(1, n + 1)
+        S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+        axis_eig = np.sin(0.5 * np.pi * k / (n + 1)) ** 2
+        return S, sum(np.ix_(*(4.0 / h**2 * axis_eig for h in self.h)))
+
+    @cached_property
+    def _box_flat(self):
+        """The bounding-box node of each interior node: the whole box, in
+        order, when the interior nodes fill it."""
+        flat = np.flatnonzero(self._interior_mask[(slice(1, -1),) * self.ndim])
+        return slice(None) if flat.size == self._sine_basis[1].size else flat
 
     def solve_poisson(self, b, rtol=1e-8, maxiter=None, label="poisson solve"):
         """x = (-Lap)^{-1} b for a raw value array b.
@@ -311,11 +318,7 @@ class Domain:
         positive definite.  Either way it is one transform pair in two
         box-sized buffers; the result is gathered from (on a box, is) the
         first."""
-        S, eig = self._sine_basis()
-        if self._box_flat is None:
-            flat = np.flatnonzero(self._interior_mask[(slice(1, -1),) * self.ndim])
-            # interior nodes that fill their box are the box, in order
-            self._box_flat = slice(None) if flat.size == eig.size else flat
+        S, eig = self._sine_basis
         x, y = np.zeros(eig.shape), np.empty(eig.shape)
         x.reshape(-1)[self._box_flat] = b
         x, y = _sine_transform(S, x, y)
@@ -325,24 +328,22 @@ class Domain:
 
     # -- lattice symmetries --------------------------------------------------
 
-    @property
+    @cached_property
     def symmetries(self):
         """The signed axis permutations g = (P, S) that are symmetries of the
         domain: g maps the interior mask onto itself and keeps the spacings,
-        h[P[d]] == h[d].  The identity comes first.  Found once per domain;
-        only the (P, S) tuples are kept."""
-        if self._symmetries is None:
-            N = self.ndim
-            mask = self._interior_mask
-            flips = [S for k in range(N + 1) for S in itertools.combinations(range(N), k)]
-            self._symmetries = [
-                (P, S) for P in itertools.permutations(range(N)) for S in flips
-                if all(self.h[P[d]] == self.h[d] for d in range(N))
-                and np.array_equal(_lattice_act(mask, P, S), mask)
-            ]
-        return self._symmetries
+        h[P[d]] == h[d].  The identity comes first.  Only the (P, S) tuples
+        are kept."""
+        N = self.ndim
+        mask = self._interior_mask
+        flips = [S for k in range(N + 1) for S in itertools.combinations(range(N), k)]
+        return [
+            (P, S) for P in itertools.permutations(range(N)) for S in flips
+            if all(self.h[P[d]] == self.h[d] for d in range(N))
+            and np.array_equal(_lattice_act(mask, P, S), mask)
+        ]
 
-    @property
+    @cached_property
     def bubble_frame(self):
         """(c, cut): the interior nodes in the frame of the bubble profiles
         (`solve.make_bubble`), one contiguous row c[k] per axis, and the
@@ -352,21 +353,42 @@ class Domain:
         the cutoff ramps up over [delta0, 2 delta0], is identically one on
         [2 delta0, 1/(2 delta0)], and ramps down over [1/(2 delta0),
         1/delta0]; delta0 is the annulus' own delta0 kept below the 1/2 that
-        a nonempty plateau needs, and 0.25 on a box.  Built once per domain."""
-        if self._bubble_frame is None:
-            shape = self.spec.shape
-            if isinstance(shape, AnnulusD):
-                pts, delta0 = self.interior_coords, min(shape.delta0, 0.45)
-            else:
-                center = np.array([0.5 * s for s in shape.sides])
-                pts, delta0 = (self.interior_coords - center) / (0.5 * min(shape.sides)), 0.25
-            r = np.linalg.norm(pts, axis=1)
-            cut = smoothstep((r - delta0) / delta0)
-            hi_lo = 1.0 / (2.0 * delta0)
-            hi_hi = 1.0 / delta0
-            cut = cut * (1.0 - smoothstep((r - hi_lo) / (hi_hi - hi_lo)))
-            self._bubble_frame = (pts.T.copy(), cut)
-        return self._bubble_frame
+        a nonempty plateau needs, and 0.25 on a box."""
+        shape = self.spec.shape
+        if isinstance(shape, AnnulusD):
+            pts, delta0 = self.interior_coords, min(shape.delta0, 0.45)
+        else:
+            center = np.array([0.5 * s for s in shape.sides])
+            pts, delta0 = (self.interior_coords - center) / (0.5 * min(shape.sides)), 0.25
+        r = np.linalg.norm(pts, axis=1)
+        cut = smoothstep((r - delta0) / delta0)
+        hi_lo = 1.0 / (2.0 * delta0)
+        hi_hi = 1.0 / delta0
+        cut = cut * (1.0 - smoothstep((r - hi_lo) / (hi_hi - hi_lo)))
+        return pts.T.copy(), cut
+
+    @cached_property
+    def default_bump(self):
+        """Smooth positive bump centered where the mask is thickest, read-only:
+        the start of the Sobolev descent and of the ground state, and a probe
+        ray of the mu* continuation.  Raises ConfigurationError when it
+        underflows to zero on every interior node (an elongated box at a
+        coarse resolution)."""
+        if isinstance(self.spec.shape, Box):
+            center = np.array([0.5 * s for s in self.spec.shape.sides])
+            rho = 0.25 * min(self.spec.shape.sides)
+        else:
+            center = np.zeros(self.ndim)
+            center[0] = 0.5 * (self._r_in + self._r_out)
+            rho = 0.5 * (self._r_out - self._r_in)
+        d2 = np.sum((self.interior_coords - center) ** 2, axis=1)
+        bump = np.exp(-d2 / rho**2)
+        if not np.any(bump):
+            raise ConfigurationError(
+                f"default bump underflows to zero on every interior node of {self!r}"
+            )
+        bump.flags.writeable = False
+        return bump
 
     def apply_symmetry(self, g, values):
         """The signed axis permutation g = (P, S) applied to a raw value
@@ -388,6 +410,10 @@ class Domain:
 
     def l2_norm_sq(self, values):
         return self.weight * float(np.dot(values, values))
+
+    def l2_norm(self, values):
+        """||v||_2 = sqrt(weight) * |v|, the quadrature L2 norm."""
+        return float(np.sqrt(self.weight) * np.linalg.norm(values))
 
     def lp_norm(self, values, p):
         if p < 1:
@@ -536,14 +562,14 @@ def principal_eigenpair(domain: Domain):
     accepted only when the eigen-residual ||-Lap e1 - lambda1 e1||_2 is
     below EIG_TOL * lambda1; otherwise NumericalError with that residual.
     """
-    S, eig = domain._sine_basis()
+    S, eig = domain._sine_basis
     if isinstance(domain.spec.shape, Box):
         x = math.prod(np.ix_(*[S[:, 0]] * domain.ndim)).ravel()
-        return float(eig.flat[0]), Field(x / (np.sqrt(domain.weight) * np.linalg.norm(x)), domain)
+        return float(eig.flat[0]), Field(x / domain.l2_norm(x), domain)
     A = domain.matrix
     _, x = lowest_eigenpair(domain, A, np.ones(domain.n_interior),
                             EIG_TOL * eig.flat[0], EIG_MAXITER)
-    x = x / (np.sqrt(domain.weight) * np.linalg.norm(x))
+    x = x / domain.l2_norm(x)
     Ax = A @ x
     lam = domain.inner(Ax, x)
     resid, converged = _eigen_residual(domain, lam, x, Ax)
@@ -576,7 +602,7 @@ def _eigen_residual(domain: Domain, lam, x, Ax):
     """The acceptance test of a candidate principal pair (lam, x) with
     ||x||_2 = 1, given Ax = -Lap x: (the eigen-residual ||Ax - lam x||_2,
     whether it is below EIG_TOL * lam)."""
-    resid = np.sqrt(domain.weight) * np.linalg.norm(Ax - lam * x)
+    resid = domain.l2_norm(Ax - lam * x)
     return resid, bool(resid < EIG_TOL * lam)
 
 
@@ -587,28 +613,6 @@ def rayleigh_quotient(domain: Domain, values, lam: float = 0.0):
     if den == 0.0:
         raise ArgumentError("rayleigh quotient of the zero field")
     return num / den
-
-
-def _default_bump(domain: Domain):
-    """Smooth positive bump centered where the mask is thickest.  Raises
-    ConfigurationError when it underflows to zero on every interior node (an
-    elongated box at a coarse resolution)."""
-    pts = domain.interior_coords
-    if isinstance(domain.spec.shape, Box):
-        center = np.array([0.5 * s for s in domain.spec.shape.sides])
-        rho = 0.25 * min(domain.spec.shape.sides)
-    else:
-        r_mid = 0.5 * (domain._r_in + domain._r_out)
-        center = np.zeros(domain.ndim)
-        center[0] = r_mid
-        rho = 0.5 * (domain._r_out - domain._r_in)
-    d2 = np.sum((pts - center) ** 2, axis=1)
-    bump = np.exp(-d2 / rho**2)
-    if not np.any(bump):
-        raise ConfigurationError(
-            f"default bump underflows to zero on every interior node of {domain!r}"
-        )
-    return bump
 
 
 def _renormalized(domain: Domain, ut):
@@ -651,7 +655,7 @@ def estimate_sobolev_S(domain: Domain):
         tot = float(mass.sum())
         return float(mass.max()) / tot if tot > 0 else 1.0
 
-    best, u = _renormalized(domain, _default_bump(domain))
+    best, u = _renormalized(domain, domain.default_bump)
     witness = u
 
     q = best
@@ -802,7 +806,7 @@ def load_spectral_data(path, domain: Domain) -> SpectralData:
     if not abs(q - S) <= 1e-12 * abs(S):
         raise ArgumentError(
             f"{path}: sobolev_S is not the quotient of its witness ({S!r} against {q!r})")
-    q_bump, _ = _renormalized(domain, _default_bump(domain))
+    q_bump, _ = _renormalized(domain, domain.default_bump)
     if not S <= q_bump + 1e-12 * q_bump:
         raise ArgumentError(
             f"{path}: sobolev_S is above the default bump's quotient ({S!r} against {q_bump!r})")

@@ -3,7 +3,7 @@
 The nonhomogeneous problem with boundary values mu*g is reduced to a
 homogeneous one by the lift phi solving the discrete Laplace equation with
 Dirichlet data g; solutions are composed as u = v + mu*phi.  Admissible g is
-nonnegative and not identically zero.
+nonnegative and not identically zero.  The lift is the `Field` phi itself.
 """
 
 from __future__ import annotations
@@ -107,16 +107,11 @@ def load_node_table(path, domain: Domain) -> NodeTable:
     return NodeTable(vals)
 
 
-@dataclass(frozen=True)
-class HarmonicLift:
-    phi: Field
-
-
-def solve_lift(g, domain: Domain) -> HarmonicLift:
+def solve_lift(g, domain: Domain) -> Field:
     """Solve the discrete Laplace equation with Dirichlet data g
     (`Domain.solve_poisson`: exact on a box, CG to 1e-13 otherwise).
 
-    The returned lift satisfies the discrete maximum principle bounds
+    The returned lift phi satisfies the discrete maximum principle bounds
     min g <= phi <= max g and has interior residual below 1e-10 * max g.
     """
     gvals = boundary_values(g, domain)
@@ -126,9 +121,8 @@ def solve_lift(g, domain: Domain) -> HarmonicLift:
     for d, ii, border in domain._boundary_edges:
         np.add.at(rhs, ii, gvals[border] / domain.h[d] ** 2)
 
-    A = domain.matrix
     phi = domain.solve_poisson(rhs, rtol=1e-13, maxiter=50 * domain.n_interior, label="lift")
-    resid = np.sqrt(domain.weight) * float(np.linalg.norm(A @ phi - rhs))
+    resid = domain.l2_norm(domain.matrix @ phi - rhs)
     if resid >= 1e-10 * gmax:
         raise NumericalError(
             f"lift residual {resid:.3e} not below 1e-10 * max g = {1e-10 * gmax:.3e}",
@@ -146,13 +140,13 @@ def solve_lift(g, domain: Domain) -> HarmonicLift:
         )
     phi = np.clip(phi, lo, hi)
 
-    return HarmonicLift(phi=Field(phi, domain))
+    return Field(phi, domain)
 
 
-def compose_solution(v: Field, mu: float, lift: HarmonicLift) -> Field:
+def compose_solution(v: Field, mu: float, phi: Field) -> Field:
     """u = v + mu * phi."""
-    if v.domain is not lift.phi.domain:
+    if v.domain is not phi.domain:
         raise ArgumentError("field and lift live on different domains")
     if mu < 0:
         raise ArgumentError("mu must be nonnegative")
-    return Field(v.values + mu * lift.phi.values, v.domain)
+    return Field(v.values + mu * phi.values, v.domain)

@@ -40,23 +40,24 @@ solved seed and a seed check per candidate g.
 
 A Minus solve whose start ray has J(v0) <= 0 raises
 NonpositiveMinusLevelError before any Newton step or descent: the Minus
-level is then at most J(v0), not positive.  The multistart and the mu*
-continuation record it as a failed seed or row.
+level is then at most J(v0), not positive.  So does one whose Newton-first
+step converges to a point of class Minus with E <= 0, before any descent.
+The multistart and the mu* continuation record it as a failed seed or row.
+Each cone point is evaluated once (`_cone_point`): the descent starts from
+the evaluated point it is given and returns its evaluated end point.
 
 Fixed constants (module level, below): the Newton inner MINRES tolerance
 floor, the Newton steps per budget and from a solved Minus seed, the Minus
 descent passes per budget, the cone step's 30 backtracks (fewer once a
 step's required gain drops below one ulp of J), the multistart bubble
 scalings and deduplication distance, the minimax descent passes per point
-and round, and the mu* continuation schedule (first step, growth, shrink,
-step floor, failure limit); the bubble cutoff radius and the symmetry
-match tolerance live in `grid`.  Options that stay are the ones callers
-set to more than one value: `budget_factor` everywhere (a config key; the
-nonexistence criterion runs both minimizers at a tenfold budget),
-`n_radii`/`relax_rounds` of the minimax search (the annulus multiplicity
-criterion and the solve tests run it smaller), `solved_seed` of the Minus
-minimizer and `max_cells` of the continuation (the `mu_star_cells` config
-key).
+and round, the minimax radii and relaxation rounds, and the mu* continuation
+schedule (first step, growth, shrink, step floor, failure limit); the
+bubble cutoff radius and the symmetry match tolerance live in `grid`.
+Options that stay are the ones program callers set to more than one value:
+`budget_factor` everywhere (a config key; the nonexistence criterion runs
+both minimizers at a tenfold budget), `solved_seed` of the Minus minimizer
+and `max_cells` of the continuation (the `mu_star_cells` config key).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from .errors import (
     SeedingError,
 )
 from .functional import FiberingProfile, Params, energy, gradient_values, hessian_weight
-from .grid import SYMMETRY_TOL, AnnulusD, Domain, Field, _default_bump, _matches
+from .grid import SYMMETRY_TOL, AnnulusD, Domain, Field, _matches
 from .lift import compose_solution
 from .nehari import (
     Klass, barycenter, classify, reduced_functional, t_plus, two_root_regime,
@@ -96,6 +97,8 @@ BUBBLE_T_FACTORS = (0.5, 1.0, 2.0)  # multistart composite vplus + f t_star bubb
 DEDUP_TOL = 1e-4  # H^1_0 distance below which two multistart records are one
 CONE_BACKTRACKS = 30  # most Armijo trials of one cone step
 MINIMAX_INNER_STEPS = 2  # cone descent passes per family point and relaxation round
+MINIMAX_RADII = 4  # radii of the minimax family's ball lattice, 0 to 1 - epsilon
+MINIMAX_ROUNDS = 3  # minimax relaxation rounds
 
 # mu* continuation schedule
 MU_INIT = 1e-3  # first mu step
@@ -166,10 +169,6 @@ def _target_tol(h1_sq, e_val):
     return 1e-9 * (1.0 + np.sqrt(h1_sq) + abs(e_val))
 
 
-def _wnorm(domain: Domain, vals):
-    return float(np.sqrt(domain.weight) * np.linalg.norm(vals))
-
-
 def _unit(vals, domain: Domain, ts):
     """vals scaled to unit critical norm, or None when it vanishes."""
     n = domain.lp_norm(vals, ts)
@@ -196,7 +195,7 @@ def _polish_steps(budget_factor):
     return max(10, int(NEWTON_STEPS * budget_factor))
 
 
-def _newton_polish(p: Params, vvals, max_steps=NEWTON_STEPS, flags=None):
+def _newton_polish(p: Params, vvals, max_steps, flags):
     """Damped Newton on the full first-order system, at most max_steps
     steps; returns (values, grad_norm, steps, converged).  Each step solves
     the Hessian system, -Lap - diag(c) for c the Hessian weight
@@ -205,12 +204,12 @@ def _newton_polish(p: Params, vvals, max_steps=NEWTON_STEPS, flags=None):
     `Domain.precondition` (the exact inverse of -Lap on a box, its
     bounding-box sine solve on a masked lattice), and takes the step length
     by `numutil.armijo` on the gradient norm.  The convergence flag of every
-    inner MINRES solve is appended to the list `flags` when one is given."""
+    inner MINRES solve is appended to the list `flags`."""
     d = p.domain
     A = d.matrix
     v = np.array(vvals, dtype=float)
     g = gradient_values(v, p)
-    gn = _wnorm(d, g)
+    gn = d.l2_norm(g)
     steps = 0
     while steps < max_steps:
         if _converged(p, v, gn):
@@ -220,13 +219,12 @@ def _newton_polish(p: Params, vvals, max_steps=NEWTON_STEPS, flags=None):
         delta, ok = solve_minres(H, -g, M=d.precondition,
                                  rtol=min(1e-2, NEWTON_INNER_RTOL + 0.1 * gn),
                                  maxiter=4000, label="newton step")
-        if flags is not None:
-            flags.append(ok)
+        flags.append(ok)
 
         def trial(step):
             vt = v + step * delta
             gt = gradient_values(vt, p)
-            return _wnorm(d, gt), vt, gt
+            return d.l2_norm(gt), vt, gt
 
         # sufficient decrease |grad E(v + step delta)| < (1 - step / 4) |grad E(v)|
         out = armijo(trial, gn, 0.25 * gn, 1.0, 30)
@@ -315,6 +313,14 @@ def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
     )
 
 
+def _cone_point(p: Params, v):
+    """(J, t, v, ||t v||^2) of the cone point v, t = t_minus(v), by one
+    `reduced_functional`.  t v is left out, so that a family of cone points
+    does not keep it alive: t * v gives it again, bit for bit."""
+    j_val, t, _, w_sq = reduced_functional(v, p)
+    return j_val, t, v, w_sq
+
+
 def _cone_step(p: Params, v, t, j_val, g, dr, beta):
     """One projected line-search step of J(v) = E(t_minus(v) v) on the unit
     critical sphere's nonnegative cone.
@@ -327,10 +333,9 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta):
     counts as a rejection).  A trial at step b must gain 1e-4 * b * slope;
     only the steps, at most CONE_BACKTRACKS, at which that gain is at least
     one ulp of J (eps * |J|) are tried, since below it roundoff decides.
-    Returns ((J, t, w, ||w||^2, v), next_beta) of the accepted point with
-    w = t v and the step the next search starts from, or None when dtan is
-    not a descent direction, no step is resolvable or every trial is
-    rejected.
+    Returns (point, next_beta): the accepted point as `_cone_point` gives
+    it and the step the next search starts from, or None when dtan is not a
+    descent direction, no step is resolvable or every trial is rejected.
     """
     d = p.domain
     ts = p.two_star
@@ -348,15 +353,15 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta):
 
     def trial(beta):
         vt = _unit(np.maximum(v - beta * dtan, 0.0), d, ts)
-        out = None if vt is None else reduced_functional(vt, p)
-        return None if out is None else (*out, vt)
+        return None if vt is None else _cone_point(p, vt)
 
     return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, tries)
 
 
-def _cone_descent(p: Params, v, budget):
+def _cone_descent(p: Params, point, budget):
     """At most `budget` passes of cone descent of J(v) = E(t_minus(v) v)
-    from the cone point v, for the Minus branch and the minimax relaxation.
+    from the cone point `point` (as `_cone_point` gives it), for the Minus
+    branch and the minimax relaxation.
 
     A pass stops at a gradient g (at t v) within 1e2 times the convergence
     target, or lifts g by the domain's Poisson preconditioner
@@ -366,23 +371,23 @@ def _cone_descent(p: Params, v, budget):
     the gradient is orthogonal to v, so the step's slope is t <g, P g> > 0.
     The gradient is then a Sobolev gradient in an inner product equivalent
     to the H^1_0 one, and the Newton polish lands on the same critical
-    point.  Returns (J, v, w, passes): the last cone point with
-    w = t_minus(v) v and the passes made (the stopping one included).
+    point.  Returns (point, passes): the last cone point, as `_cone_point`
+    gives it, and the passes made (the stopping one included).
     """
     d = p.domain
-    j_val, t, w, w_sq = reduced_functional(v, p)
     beta = 1.0
     passes = 0
     for _ in range(budget):
         passes += 1
-        g = gradient_values(w, p)
-        if _wnorm(d, g) <= 1e2 * _target_tol(w_sq, j_val):
+        j_val, t, v, w_sq = point
+        g = gradient_values(t * v, p)
+        if d.l2_norm(g) <= 1e2 * _target_tol(w_sq, j_val):
             break
         step = _cone_step(p, v, t, j_val, g, d.precondition(g), beta)
         if step is None:
             break
-        (j_val, t, w, w_sq, v), beta = step
-    return j_val, v, w, passes
+        point, beta = step
+    return point, passes
 
 
 def minimize_on_Nminus(
@@ -406,17 +411,20 @@ def minimize_on_Nminus(
     ray.  When J(v0) <= 0 the Minus level is at most J(v0), not positive, so
     no Minus record of positive energy is the minimum: it raises
     NonpositiveMinusLevelError, carrying J(v0), before any Newton step or
-    descent.
+    descent.  The evaluated start ray is the descent's first point.
 
     A solved seed (`solved_seed`: the ground state, or the Minus record of a
     nearby mu) lies close to the solution, which Newton reaches in a few
     steps where the descent converges only linearly.  Its ray is projected
     by t_minus and polished by at most NEWTON_FIRST_STEPS Newton steps; the
     result is taken when it converges to class Minus with an energy in
-    (0, J(v0)], which no descent from that ray ends above.  Otherwise the
-    descent runs from the same seed.  The record's `iterations` counts the
-    Newton steps and the descent passes made; a NonconvergenceError names
-    every Newton inner solve that stopped short.
+    (0, J(v0)], which no descent from that ray ends above.  A converged
+    point of class Minus with E <= 0 lies on the Minus part, so the Minus
+    level is at most E: NonpositiveMinusLevelError, carrying that E, ends
+    the solve.  Otherwise the descent runs from the same seed.  The
+    record's `iterations` counts the Newton steps and the descent passes
+    made; a NonconvergenceError names every Newton inner solve that stopped
+    short.
     """
     d = p.domain
     if seed is None or not np.any(seed.values):
@@ -425,7 +433,8 @@ def minimize_on_Nminus(
     if v is None:
         raise ProjectionError("seed vanishes after cone projection")
 
-    w0 = reduced_functional(v, p)[2]
+    start = _cone_point(p, v)
+    w0 = start[1] * v
     j0 = energy(w0, p)
     if j0 <= 0:
         raise NonpositiveMinusLevelError(
@@ -439,11 +448,17 @@ def minimize_on_Nminus(
         wv, gn, iterations, ok = _newton_polish(p, w0, NEWTON_FIRST_STEPS, flags)
         if ok:
             rec = build_record(p, wv, gn, seed_kind, iterations)
-            if rec.klass is Klass.MINUS and 0 < rec.energy <= j0:
+            if rec.klass is Klass.MINUS and rec.energy <= 0:
+                raise NonpositiveMinusLevelError(
+                    f"Newton from the seed converged to a Minus point of energy "
+                    f"{rec.energy:.6g} <= 0: the Minus level is not positive",
+                    j0=rec.energy,
+                )
+            if rec.klass is Klass.MINUS and rec.energy <= j0:
                 return rec
 
-    _, _, w, passes = _cone_descent(p, v, max(1, int(MINUS_PASSES * budget_factor)))
-    wv, gn, steps, ok = _newton_polish(p, w, _polish_steps(budget_factor), flags)
+    (_, t, v, _), passes = _cone_descent(p, start, max(1, int(MINUS_PASSES * budget_factor)))
+    wv, gn, steps, ok = _newton_polish(p, t * v, _polish_steps(budget_factor), flags)
     iterations += passes + steps
     if ok:
         rec = build_record(p, wv, gn, seed_kind, iterations)
@@ -503,7 +518,7 @@ def _image_record(p: Params, g, src: SolutionRecord) -> SolutionRecord:
     no iterations of its own."""
     d = p.domain
     v = d.apply_symmetry(g, src.v.values)
-    rec = build_record(p, v, _wnorm(d, gradient_values(v, p)), src.seed, 0)
+    rec = build_record(p, v, d.l2_norm(gradient_values(v, p)), src.seed, 0)
     rec.image_of = src
     return rec
 
@@ -644,24 +659,22 @@ def minimax_gamma(
     epsilon: float,
     vplus: SolutionRecord,
     vminus: SolutionRecord,
-    n_radii: int = 4,
-    relax_rounds: int = 3,
     budget_factor: float = 1.0,
 ) -> MinimaxResult:
     """Boundary-pinned inf-sup search for the higher critical level.
 
     A finite family over the ball lattice {r_k y_j} (y_j the sphere
-    directions of the domain dimension) is relaxed by coordinate-wise descent
-    of the reduced functional, MINIMAX_INNER_STEPS passes of `_cone_descent`
-    per point and round, with the boundary ring pinned to normalized bubbles
-    at the given epsilon; a point that a symmetry maps an earlier one onto
-    (`_Orbits`) is not relaxed: it is that one's image and has its J.
-    Interior points start as blends with the antipodal bubble (weight
-    growing toward the center), so the family links through two-peak
-    transition states where the sup concentrates.  The relaxed maximizer is
-    polished by Newton and accepted only if it certifies with class Minus and
-    energy inside the compactness window; not-found is a legitimate outcome
-    at coarse resolution.
+    directions of the domain dimension, MINIMAX_RADII radii r_k) is relaxed
+    by coordinate-wise descent of the reduced functional, MINIMAX_ROUNDS
+    rounds of MINIMAX_INNER_STEPS passes of `_cone_descent` per point, with
+    the boundary ring pinned to normalized bubbles at the given epsilon; a
+    point that a symmetry maps an earlier one onto (`_Orbits`) is not
+    relaxed: it is that one's image and has its J.  Interior points start
+    as blends with the antipodal bubble (weight growing toward the center),
+    so the family links through two-peak transition states where the sup
+    concentrates.  The relaxed maximizer is polished by Newton and accepted
+    only if it certifies with class Minus and energy inside the compactness
+    window; not-found is a legitimate outcome at coarse resolution.
     """
     d = p.domain
     if not isinstance(d.spec.shape, AnnulusD):
@@ -671,7 +684,7 @@ def minimax_gamma(
     window = (vplus.energy + q, vminus.energy + q)
 
     r_bar = 1.0 - epsilon
-    radii = np.linspace(0.0, r_bar, n_radii)
+    radii = np.linspace(0.0, r_bar, MINIMAX_RADII)
 
     # Only orbit representatives are kept and relaxed; rep_of names the
     # representative of every other point.  A round relaxes each point by
@@ -693,24 +706,25 @@ def minimax_gamma(
             hit = orbits.find(y, vals)
             if hit is None:
                 orbits.add(y, vals, (j, k))
-                family[(j, k)] = vals
+                family[(j, k)] = _cone_point(p, vals)
             else:
                 rep_of[(j, k)] = hit[1]
     del orbits  # its references would keep the unrelaxed seeds alive
 
-    values = {key: reduced_functional(v, p)[0] for key, v in family.items()}
     interior = [key for key in family if key[1] != len(radii) - 1]
-    for _ in range(relax_rounds):
+    for _ in range(MINIMAX_ROUNDS):
         for key in interior:
-            values[key], family[key], *_ = _cone_descent(p, family[key], MINIMAX_INNER_STEPS)
-    relaxed = relax_rounds * len(interior)
-    mapped = relax_rounds * sum(1 for key in rep_of if key[1] != len(radii) - 1)
+            family[key], _ = _cone_descent(p, family[key], MINIMAX_INNER_STEPS)
+    relaxed = MINIMAX_ROUNDS * len(interior)
+    mapped = MINIMAX_ROUNDS * sum(1 for key in rep_of if key[1] != len(radii) - 1)
+    values = {key: point[0] for key, point in family.items()}
     values.update({key: values[rep] for key, rep in rep_of.items()})
 
     gamma_est = max(values.values())
     # a representative: an image ties with its own, which comes first in values
     arg = max(values, key=lambda k: values[k])
-    w_star = reduced_functional(family[arg], p)[2]
+    _, t, v, _ = family[arg]
+    w_star = t * v
 
     def result(rec, reason):
         return MinimaxResult(rec, gamma_est, window, reason, relaxed, mapped)
@@ -736,7 +750,7 @@ def _admissible(p: Params) -> bool:
     mu > 0: the two-root regime (`two_root_regime`) on the rays of e1 and of
     the default bump (unit L2 norm).  Advisory; the branch solvers re-check on
     their own rays."""
-    bump = _default_bump(p.domain)
+    bump = p.domain.default_bump
     probes = (p.spectral.e1.values, bump / np.sqrt(p.domain.l2_norm_sq(bump)))
     return all(_or_none(two_root_regime, FiberingProfile(v, p)) is not None for v in probes)
 
@@ -748,7 +762,7 @@ def ground_state(lam: float, spectral, lift, budget_factor: float = 1.0) -> Fiel
     cache = spectral.ground_state_cache
     if key not in cache:
         p0 = Params(lam=lam, mu=0.0, spectral=spectral, lift=lift)
-        seed = Field(_default_bump(p0.domain), p0.domain)
+        seed = Field(p0.domain.default_bump, p0.domain)
         rec = minimize_on_Nminus(p0, seed, seed_kind=SeedKind.GROUND_STATE_RAY,
                                  budget_factor=budget_factor)
         cache[key] = rec.v
@@ -757,10 +771,12 @@ def ground_state(lam: float, spectral, lift, budget_factor: float = 1.0) -> Fiel
 
 @dataclass
 class BranchRow:
+    """One accepted mu of the continuation: a row exists only when its Plus
+    solve converged."""
+
     mu: float
     energy_plus: float
     energy_minus: float
-    plus_converged: bool
     minus_converged: bool
 
 
@@ -815,7 +831,7 @@ def estimate_mu_star(lam: float, spectral, lift, *, max_cells: int = 24,
             minus_seed = rec_minus.v if minus_ok else gstate
             rows.append(BranchRow(
                 mu=mu_try, energy_plus=rec_plus.energy, energy_minus=e_minus,
-                plus_converged=True, minus_converged=minus_ok,
+                minus_converged=minus_ok,
             ))
             last_mu = mu_try
             warm = rec_plus.v

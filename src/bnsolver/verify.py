@@ -86,10 +86,6 @@ def r_lambda(p: Params) -> float:
     return float((num / den) ** (1.0 / (ts - 2.0)))
 
 
-def _energy_at_zero(p: Params) -> float:
-    return energy(np.zeros(p.domain.n_interior), p)
-
-
 def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
     """Residual, positivity, manifold class, sign pattern and per-record
     energy-gap checks for one converged record."""
@@ -97,7 +93,7 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
     checks = []
 
     g = gradient_values(rec.v.values, p)
-    gn = float(np.sqrt(d.weight) * np.linalg.norm(g))
+    gn = d.l2_norm(g)
     h1 = float(np.sqrt(d.h1_norm_sq(rec.v.values)))
     tol_res = 1e-7 * (1.0 + h1)
     checks.append(Check("pde residual |grad E| small", gn < tol_res, gn, 0.0, tol_res))
@@ -124,7 +120,7 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
             Check("sign pattern: energy < 0 on Plus", e_val < -STRICT_MARGIN, e_val, 0.0,
                   STRICT_MARGIN)
         )
-        e0 = _energy_at_zero(p)
+        e0 = p.energy_at_zero
         checks.append(
             Check("energy <= energy(0) on Plus", e_val <= e0 + STRICT_MARGIN, e_val, e0,
                   STRICT_MARGIN)
@@ -138,10 +134,10 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
         # below the top of the compactness window, m_minus + q < energy(0) + 2q
         q = p.spectral.s_quantum
         if rec.seed is SeedKind.MINIMAX:
-            bound = _energy_at_zero(p) + 2.0 * q
+            bound = p.energy_at_zero + 2.0 * q
             name = "energy below energy(0) + (2/N) S^(N/2) on minimax Minus"
         else:
-            bound = _energy_at_zero(p) + q
+            bound = p.energy_at_zero + q
             name = "energy below energy(0) + (1/N) S^(N/2) on Minus"
         checks.append(
             Check(name, e_val < bound - STRICT_MARGIN, e_val, bound, STRICT_MARGIN)
@@ -169,7 +165,7 @@ def nonexistence_certificate(p: Params, candidate: Optional[Field] = None) -> Ce
         )
     d = p.domain
     e1 = p.spectral.e1.values
-    phi_e1 = d.inner(p.lift.phi.values, e1)
+    phi_e1 = d.inner(p.lift.values, e1)
     a_priori = p.lam * p.mu * phi_e1
     checks = [
         Check("int(phi e1) positive", phi_e1 > STRICT_MARGIN, phi_e1, 0.0, STRICT_MARGIN)
@@ -318,7 +314,7 @@ def threshold_report(p: Params, records: Sequence[SolutionRecord]) -> Certificat
     m_plus = min(r.energy for r in plus)
     m_minus = min(r.energy for r in minus)
     q = p.spectral.s_quantum
-    e0 = _energy_at_zero(p)
+    e0 = p.energy_at_zero
 
     checks = [
         Check("m_plus <= energy(0)", m_plus <= e0 + STRICT_MARGIN, m_plus, e0, STRICT_MARGIN),

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,21 @@ class Setup:
         if positive:
             v = np.abs(v) + 0.1
         return Field(v, self.domain)
+
+
+def count_builds(monkeypatch, cls, names):
+    """Wrap the cached properties `names` of cls so that every build is
+    logged as (name, id of the object); returns the log."""
+    builds = []
+    for name in names:
+        def counted(self, func=vars(cls)[name].func, name=name):
+            builds.append((name, id(self)))
+            return func(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+    return builds
 
 
 def text_dump(full):

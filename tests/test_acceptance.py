@@ -29,6 +29,7 @@ from bnsolver.grid import (
     build_domain,
     principal_eigenpair,
 )
+from bnsolver import solve
 from bnsolver.nehari import Klass, classify, t_minus, t_plus
 from bnsolver.solve import (
     SeedKind,
@@ -243,11 +244,11 @@ def test_criterion_07_nonexistence(box13):
     details = []
     for factor in (1.0, 1.5):
         p = box13.params(lam=factor * lam1, mu=0.01)
-        a_priori = p.lam * p.mu * dom.inner(box13.lift.phi.values,
+        a_priori = p.lam * p.mu * dom.inner(box13.lift.values,
                                             box13.spectral.e1.values)
         probes = [box13.spectral.e1,
                   Field(np.abs(rng.standard_normal(dom.n_interior)), dom),
-                  box13.lift.phi]
+                  box13.lift]
         for probe in probes:
             cert = nonexistence_certificate(p, candidate=probe)
             margin = next(c for c in cert.checks if c.name.startswith("pairing margin"))
@@ -279,7 +280,7 @@ def test_criterion_07_nonexistence(box13):
     report(7, ok, "; ".join(details))
 
 
-def test_criterion_08_annulus_multiplicity(annulus27):
+def test_criterion_08_annulus_multiplicity(annulus27, monkeypatch):
     setup = annulus27
     lam = 0.1 * setup.spectral.lambda1
     p = setup.params(lam=lam, mu=0.005)
@@ -314,7 +315,9 @@ def test_criterion_08_annulus_multiplicity(annulus27):
     # record and a clean not-found are both acceptable outcomes
     gs = ground_state(lam, setup.spectral, setup.lift)
     rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
-    mm = minimax_gamma(p, 0.1, rec_plus, rec_minus, n_radii=3, relax_rounds=2)
+    monkeypatch.setattr(solve, "MINIMAX_RADII", 3)
+    monkeypatch.setattr(solve, "MINIMAX_ROUNDS", 2)
+    mm = minimax_gamma(p, 0.1, rec_plus, rec_minus)
     if mm.found:
         cert = certify_solution(mm.record, p)
         win_ok = cert.overall and mm.window[0] < mm.record.energy < mm.window[1]

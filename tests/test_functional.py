@@ -17,7 +17,7 @@ from bnsolver.grid import Box, DomainSpec, build_domain
 from bnsolver.nehari import t_minus
 from bnsolver.solve import _admissible
 
-from conftest import Setup, quadrature_fibering
+from conftest import Setup, count_builds, quadrature_fibering
 
 
 @functools.cache
@@ -51,7 +51,7 @@ def test_energy_at_zero_negative_for_positive_mu(box9):
     p = box9.params(mu=0.2)
     dom = box9.domain
     e0 = energy(np.zeros(dom.n_interior), p)
-    phi = box9.lift.phi.values
+    phi = box9.lift.values
     ts = p.two_star
     expected = (
         -0.5 * p.lam * dom.weight * np.sum((p.mu * phi) ** 2)
@@ -331,3 +331,24 @@ def test_params_validation(box9, box13):
     assert box9.domain.two_star == 6.0
     dom5 = build_domain(DomainSpec(Box((1.0,) * 5), 5, 4))
     assert abs(dom5.two_star - 10.0 / 3.0) < 1e-15
+
+
+def test_params_derived_data_are_built_once(box9, monkeypatch):
+    """mu*phi, ||phi||_2^2, E(0) and the symmetry group are built on first
+    use, once per Params, however many rays read them; mu*phi is
+    read-only."""
+    names = ("mu_phi", "phi_l2", "energy_at_zero", "symmetry_group")
+    builds = count_builds(monkeypatch, Params, names)
+    p = box9.params(mu=0.2)
+    assert builds == []
+    first = {name: getattr(p, name) for name in names}
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        prof = FiberingProfile(np.abs(rng.standard_normal(box9.domain.n_interior)), p)
+        prof.T(np.array([0.0, 0.5, 2.0]))
+        assert all(getattr(p, name) is first[name] for name in names)
+    assert sorted(builds) == sorted((name, id(p)) for name in names)
+    assert p.energy_at_zero == energy(np.zeros(box9.domain.n_interior), p)
+    with pytest.raises(ValueError):
+        p.mu_phi[0] = 1.0
+

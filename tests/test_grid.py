@@ -31,7 +31,7 @@ from bnsolver.lift import NodeTable, solve_lift
 from bnsolver.numutil import solve_cg
 from bnsolver.solve import make_bubble
 
-from conftest import text_dump
+from conftest import count_builds, text_dump
 
 S4_CONTINUUM = 10.2603986413  # best critical quotient in dimension 4 (closed form)
 
@@ -331,7 +331,7 @@ def test_box_eigenpair_matches_lobpcg(spec):
 def test_box_lift_matches_cg_and_maximum_principle(spec, seed):
     dom = build_domain(spec)
     g = np.random.default_rng(seed).uniform(0.0, 2.0, dom.boundary_flat.size)
-    phi = solve_lift(NodeTable(g), dom).phi.values
+    phi = solve_lift(NodeTable(g), dom).values
     # the lift's right-hand side, assembled on the full lattice: the stencil
     # weights of the boundary neighbours of each interior node
     full = np.zeros(int(np.prod(dom.lattice_shape)))
@@ -664,3 +664,27 @@ def test_annulus_dimension4_condition_d():
     interior[dom.interior_flat] = True
     shell = (rr >= 0.45) & (rr <= 1.0 / 0.45)
     assert interior[shell].all()
+
+
+@pytest.mark.parametrize("spec", [DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7),
+                                  DomainSpec(AnnulusD(0.5), 3, 9)])
+def test_domain_derived_data_are_built_once(spec, monkeypatch):
+    """Each cached property of a Domain is built on first use, once per
+    domain, however often the set-up, the preconditioner and the bubbles
+    read it; the default bump is read-only."""
+    names = ("matrix", "_sine_basis", "_box_flat", "symmetries", "bubble_frame",
+             "default_bump")
+    builds = count_builds(monkeypatch, grid.Domain, names)
+    dom = build_domain(spec)
+    assert builds == []
+    first = {name: getattr(dom, name) for name in names}
+    for _ in range(2):
+        grid.compute_spectral_data(dom)
+        solve_lift(NodeTable(np.ones(dom.boundary_flat.size)), dom)
+        dom.precondition(np.ones(dom.n_interior))
+        make_bubble(0.3, np.array([1.0, 0.0, 0.0]), dom)
+        assert all(getattr(dom, name) is first[name] for name in names)
+    assert sorted(builds) == sorted((name, id(dom)) for name in names)
+    with pytest.raises(ValueError):
+        dom.default_bump[0] = 1.0
+

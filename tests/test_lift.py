@@ -15,21 +15,22 @@ from bnsolver.lift import (
 
 
 def test_constant_lift_is_constant(box9):
-    hl = box9.lift  # g = 1
+    phi = box9.lift  # g = 1
     dom = box9.domain
-    assert np.abs(hl.phi.values - 1.0).max() < 1e-8
+    assert type(phi) is Field and phi.domain is dom  # the lift is the field phi itself
+    assert np.abs(phi.values - 1.0).max() < 1e-8
     # -Lap phi equals the boundary term of g = 1 on every interior node
     rhs = np.zeros(dom.n_interior)
     for d, ii, _ in dom._boundary_edges:
         np.add.at(rhs, ii, 1.0 / dom.h[d] ** 2)
-    assert np.sqrt(dom.weight) * np.linalg.norm(dom.matrix @ hl.phi.values - rhs) < 1e-10
+    assert np.sqrt(dom.weight) * np.linalg.norm(dom.matrix @ phi.values - rhs) < 1e-10
 
 
 def test_bump_lift_strictly_inside_bounds(box9):
     g = BumpOnBoundary((1.0, 0.0, 0.0), width=0.25, amplitude=2.0)
-    hl = solve_lift(g, box9.domain)
-    assert hl.phi.values.min() > 0.0
-    assert hl.phi.values.max() < 2.0
+    phi = solve_lift(g, box9.domain)
+    assert phi.values.min() > 0.0
+    assert phi.values.max() < 2.0
 
 
 def test_phi_pairs_positively_with_e1(box9, annulus9):
@@ -39,8 +40,8 @@ def test_phi_pairs_positively_with_e1(box9, annulus9):
         e1 = setup.spectral.e1.values
         for _ in range(5):
             g = NodeTable(rng.uniform(0.0, 1.0, dom.boundary_flat.size))
-            hl = solve_lift(g, dom)
-            assert dom.inner(hl.phi.values, e1) > 0.0
+            phi = solve_lift(g, dom)
+            assert dom.inner(phi.values, e1) > 0.0
 
 
 def test_maximum_principle_random_tables(box9):
@@ -49,9 +50,9 @@ def test_maximum_principle_random_tables(box9):
     for _ in range(8):
         vals = rng.uniform(0.0, 3.0, dom.boundary_flat.size)
         vals[rng.integers(0, vals.size, 5)] = 0.0
-        hl = solve_lift(NodeTable(vals), dom)
-        assert hl.phi.values.min() >= vals.min()
-        assert hl.phi.values.max() <= vals.max()
+        phi = solve_lift(NodeTable(vals), dom)
+        assert phi.values.min() >= vals.min()
+        assert phi.values.max() <= vals.max()
 
 
 def test_lift_linearity(box9):
@@ -60,9 +61,9 @@ def test_lift_linearity(box9):
     g1 = rng.uniform(0.0, 1.0, dom.boundary_flat.size)
     g2 = rng.uniform(0.0, 2.0, dom.boundary_flat.size)
     a, b = 0.7, 1.3
-    phi1 = solve_lift(NodeTable(g1), dom).phi.values
-    phi2 = solve_lift(NodeTable(g2), dom).phi.values
-    phi = solve_lift(NodeTable(a * g1 + b * g2), dom).phi.values
+    phi1 = solve_lift(NodeTable(g1), dom).values
+    phi2 = solve_lift(NodeTable(g2), dom).values
+    phi = solve_lift(NodeTable(a * g1 + b * g2), dom).values
     combo = a * phi1 + b * phi2
     scale = np.abs(combo).max()
     assert np.abs(phi - combo).max() <= 1e-10 * scale
@@ -89,7 +90,7 @@ def test_compose_and_invert(box9):
     rng = np.random.default_rng(1)
     v = box9.random_field(rng)
     u = compose_solution(v, 2.5, box9.lift)
-    back = u.values - 2.5 * box9.lift.phi.values
+    back = u.values - 2.5 * box9.lift.values
     assert np.abs(back - v.values).max() <= 4 * np.finfo(float).eps * np.abs(u.values).max()
     zero = Field(np.zeros(box9.domain.n_interior), box9.domain)
     z = compose_solution(zero, 0.0, box9.lift)
@@ -117,8 +118,8 @@ def test_node_table_file(tmp_path, box9):
     assert table.values[0] == 1.5
     assert table.values[-1] == 0.25
     assert table.values[1] == 0.0
-    hl = solve_lift(table, dom)
-    assert hl.phi.values.min() >= 0.0
+    phi = solve_lift(table, dom)
+    assert phi.values.min() >= 0.0
 
     bad = tmp_path / "bad.txt"
     with open(bad, "w") as f:

@@ -9,7 +9,7 @@ from bnsolver.errors import (
     PreconditionError,
 )
 from bnsolver import grid, numutil, solve
-from bnsolver.functional import Params, energy, gradient_values
+from bnsolver.functional import FiberingProfile, Params, energy, gradient_values
 from bnsolver.grid import AnnulusD, Box, DomainSpec, Field, _cg, build_domain, symmetry_point
 from bnsolver.lift import BumpOnBoundary, solve_lift
 from bnsolver.nehari import Klass, reduced_functional
@@ -26,6 +26,8 @@ from bnsolver.solve import (
     sphere_directions,
 )
 from bnsolver.verify import certify_solution
+
+from conftest import Setup, count_builds
 
 
 # -- line search --------------------------------------------------------------
@@ -157,7 +159,8 @@ def test_newton_polish_counts_steps_taken(box9, monkeypatch):
 
     p = box9.params(lam_factor=0.5, mu=0.01)
     monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), True))
-    _, _, steps, ok = solve._newton_polish(p, solve.zero_relax_seed(p).values)
+    _, _, steps, ok = solve._newton_polish(p, solve.zero_relax_seed(p).values,
+                                           solve.NEWTON_STEPS, [])
     assert not ok
     assert steps == 0
 
@@ -174,6 +177,37 @@ def test_unconverged_newton_inner_solves_are_reported(box9, monkeypatch):
         minimize_on_Nplus(p)
     with pytest.raises(NonconvergenceError, match="1 of 1 Newton inner solves stopped short"):
         minimize_on_Nminus(p, gs)
+
+
+def _small_minimax(monkeypatch, radii, rounds):
+    """Run the minimax search on MINIMAX_RADII = radii, MINIMAX_ROUNDS = rounds."""
+    monkeypatch.setattr(solve, "MINIMAX_RADII", radii)
+    monkeypatch.setattr(solve, "MINIMAX_ROUNDS", rounds)
+
+
+def _profile_rays(monkeypatch):
+    """Log the bytes of the ray of every FiberingProfile built."""
+    rays, init = [], FiberingProfile.__init__
+
+    def logged(self, v, p):
+        rays.append(np.asarray(v, dtype=float).tobytes())
+        init(self, v, p)
+
+    monkeypatch.setattr(FiberingProfile, "__init__", logged)
+    return rays
+
+
+def test_minus_solve_evaluates_its_start_ray_once(box9, monkeypatch):
+    """A Minus solve from an unsolved seed builds the profile of its start
+    ray once, for the J(v0) <= 0 check and the descent's first point, and
+    no profile twice for one point."""
+    p = box9.params(lam_factor=0.5, mu=0.01)
+    dom = box9.domain
+    rays = _profile_rays(monkeypatch)
+    rec = minimize_on_Nminus(p, Field(dom.default_bump, dom))
+    assert rec.klass is Klass.MINUS and rec.iterations > 0
+    v0 = solve._unit(np.abs(dom.default_bump), dom, p.two_star)
+    assert rays.count(v0.tobytes()) == 1 and len(set(rays)) == len(rays)
 
 
 def _descend_only(p, gs):
@@ -205,7 +239,7 @@ def test_minus_falls_back_to_descent_when_newton_fails(box9, monkeypatch):
     slow = _descend_only(p, gs)
     polish, calls = solve._newton_polish, []
 
-    def first_fails(p, vvals, max_steps=solve.NEWTON_STEPS, flags=None):
+    def first_fails(p, vvals, max_steps, flags):
         calls.append(max_steps)
         if len(calls) == 1:
             flags.append(False)
@@ -240,7 +274,7 @@ def test_minus_newton_result_above_the_start_ray_is_refused(box9, monkeypatch):
     assert above.klass is Klass.MINUS and above.energy > energy(start[2], p) > 0
     polish, calls = solve._newton_polish, []
 
-    def lands_above(p, vvals, max_steps=solve.NEWTON_STEPS, flags=None):
+    def lands_above(p, vvals, max_steps, flags):
         calls.append(max_steps)
         return (e1_ray, 0.0, 1, True) if len(calls) == 1 else polish(p, vvals, max_steps, flags)
 
@@ -292,8 +326,9 @@ def _minus_without_start_check(p, seed, budget_factor=1.0, seed_kind=SeedKind.US
                 rec = solve.build_record(p, wv, gn, seed_kind, iterations)
                 if rec.klass is Klass.MINUS and 0 < rec.energy <= e0:
                     return rec
-    _, _, w, passes = solve._cone_descent(p, v, max(1, int(solve.MINUS_PASSES * budget_factor)))
-    wv, gn, steps, ok = solve._newton_polish(p, w, solve._polish_steps(budget_factor), flags)
+    (_, t, v, _), passes = solve._cone_descent(p, solve._cone_point(p, v),
+                                               max(1, int(solve.MINUS_PASSES * budget_factor)))
+    wv, gn, steps, ok = solve._newton_polish(p, t * v, solve._polish_steps(budget_factor), flags)
     if ok:
         rec = solve.build_record(p, wv, gn, seed_kind, iterations + passes + steps)
         if rec.klass is Klass.MINUS and rec.energy > 0:
@@ -303,9 +338,10 @@ def _minus_without_start_check(p, seed, budget_factor=1.0, seed_kind=SeedKind.US
 
 def test_nonpositive_start_rays_leave_the_continuation_rows_unchanged(box9, monkeypatch):
     """At lam = 3/4 lam1 the mu* continuation meets Minus rows whose start
-    ray has J(v0) <= 0 (and one, at J(v0) > 0, that fails after its
-    descent).  Ending the first kind at once gives the rows and the estimate
-    that running their descents gives."""
+    ray has J(v0) <= 0, and one, at J(v0) > 0, whose Newton-first step
+    converges to a Minus point of energy <= 0.  Every failing Minus row
+    raises NonpositiveMinusLevelError, and ending those rows at once gives
+    the rows and the estimate that running their descents gives."""
     lam = 0.75 * box9.spectral.lambda1
     shipped, raised = solve.minimize_on_Nminus, []
 
@@ -321,8 +357,24 @@ def test_nonpositive_start_rays_leave_the_continuation_rows_unchanged(box9, monk
     monkeypatch.setattr(solve, "minimize_on_Nminus", _minus_without_start_check)
     slow = estimate_mu_star(lam, box9.spectral, box9.lift)
     assert raised and all(j0 <= 0 for j0 in raised)
-    assert sum(not r.minus_converged for r in fast[1]) > len(raised)
+    assert sum(not r.minus_converged for r in fast[1]) == len(raised)
     assert repr(fast) == repr(slow)
+
+
+def test_continuation_descends_only_for_the_ground_state(box9, monkeypatch):
+    """At lam = 3/4 lam1 every Minus row of the mu* continuation is solved
+    by Newton from a solved seed or ends with NonpositiveMinusLevelError:
+    the one cone descent is the ground state's."""
+    descent, descents = solve._cone_descent, []
+
+    def counted(*args):
+        descents.append(args[0].mu)
+        return descent(*args)
+
+    monkeypatch.setattr(solve, "_cone_descent", counted)
+    monkeypatch.setattr(box9.spectral, "ground_state_cache", {})  # solve the ground state here
+    _, rows = estimate_mu_star(0.75 * box9.spectral.lambda1, box9.spectral, box9.lift)
+    assert descents == [0.0] and len(rows) == 17
 
 
 def test_minus_solve_is_one_descent_and_one_polish(box9, monkeypatch):
@@ -335,8 +387,8 @@ def test_minus_solve_is_one_descent_and_one_polish(box9, monkeypatch):
     gs = ground_state(p.lam, box9.spectral, box9.lift)
     descent, polish, ends, polishes = solve._cone_descent, solve._newton_polish, [], []
 
-    def logged_descent(p, v, budget):
-        out = descent(p, v, budget)
+    def logged_descent(p, point, budget):
+        out = descent(p, point, budget)
         ends.append(out)
         return out
 
@@ -349,8 +401,8 @@ def test_minus_solve_is_one_descent_and_one_polish(box9, monkeypatch):
     with pytest.raises(NonconvergenceError):
         minimize_on_Nminus(p, gs)
     assert len(ends) == 1 and len(polishes) == 1
-    _, v, w, _ = ends[0]
-    again = solve._unit(np.abs(w), p.domain, p.two_star)
+    (_, t, v, _), _ = ends[0]
+    again = solve._unit(np.abs(t * v), p.domain, p.two_star)
     assert np.abs(again - v).max() <= 1e-14 * np.abs(v).max()
 
 
@@ -362,9 +414,24 @@ def test_unconverged_newton_inner_solve_in_minimax_reason(annulus9, monkeypatch)
     gs = ground_state(p.lam, annulus9.spectral, annulus9.lift)
     rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
     monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), False))
-    mm = minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=3, relax_rounds=1)
+    _small_minimax(monkeypatch, 3, 1)
+    mm = minimax_gamma(p, 0.3, rec_plus, rec_minus)
     assert not mm.found
     assert mm.reason.endswith("(1 of 1 Newton inner solves stopped short)")
+
+
+def test_minimax_evaluates_each_cone_point_once(annulus9, monkeypatch):
+    """Across the relaxation rounds and the pick of the maximizer the
+    minimax search builds no profile twice for one cone point."""
+    p = annulus9.params(lam_factor=0.25, mu=0.01)
+    rec_plus = minimize_on_Nplus(p)
+    gs = ground_state(p.lam, annulus9.spectral, annulus9.lift)
+    rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
+    _small_minimax(monkeypatch, 3, 2)
+    rays = _profile_rays(monkeypatch)
+    mm = minimax_gamma(p, 0.3, rec_plus, rec_minus)
+    assert mm.relaxed_points == 8 and len(rays) > mm.relaxed_points
+    assert len(set(rays)) == len(rays)
 
 
 def test_plus_solve_rejects_a_polished_point_of_another_class(cell13, monkeypatch):
@@ -622,10 +689,11 @@ def test_symmetry_images_match_solved_seeds(annulus9, monkeypatch):
     gs = ground_state(p.lam, annulus9.spectral, annulus9.lift)
     rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
     dirs = sphere_directions(3, 6)
+    _small_minimax(monkeypatch, 3, 2)
 
     def searches():
         return (multistart_Nminus(p, dirs, 0.3, rec_plus),
-                minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=3, relax_rounds=2))
+                minimax_gamma(p, 0.3, rec_plus, rec_minus))
 
     mapped, mm = searches()
     monkeypatch.setattr(solve._Orbits, "find", lambda self, y, seed: None)
@@ -648,7 +716,7 @@ def test_symmetry_images_match_solved_seeds(annulus9, monkeypatch):
     assert (mm.found, mm.reason) == (mm_solved.found, mm_solved.reason)
 
 
-def test_asymmetric_boundary_data_solve_every_seed(annulus9):
+def test_asymmetric_boundary_data_solve_every_seed(annulus9, monkeypatch):
     """A boundary bump in a direction no signed axis permutation fixes
     leaves only the identity, so no record or family point is an image."""
     dom = annulus9.domain
@@ -661,7 +729,8 @@ def test_asymmetric_boundary_data_solve_every_seed(annulus9):
     assert recs and all(r.image_of is None and r.iterations > 0 for r in recs)
     gs = ground_state(p.lam, annulus9.spectral, lift)
     rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
-    mm = minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=3, relax_rounds=1)
+    _small_minimax(monkeypatch, 3, 1)
+    mm = minimax_gamma(p, 0.3, rec_plus, rec_minus)
     assert (mm.relaxed_points, mm.image_points) == (28, 0)
 
 
@@ -683,7 +752,8 @@ def test_symmetry_group_is_found_once_per_params(annulus9, monkeypatch):
     monkeypatch.setattr(type(dom), "apply_symmetry", counted)
     multistart_Nminus(p, sphere_directions(3, 6), 0.3, rec_plus)
     assert on_mu_phi == dom.symmetries
-    minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=3, relax_rounds=1)
+    _small_minimax(monkeypatch, 3, 1)
+    minimax_gamma(p, 0.3, rec_plus, rec_minus)
     assert on_mu_phi == dom.symmetries
     assert solve._Orbits(p).group is p.symmetry_group and len(p.symmetry_group) == 48
 
@@ -751,7 +821,7 @@ def test_cone_step_tries_only_steps_resolvable_in_J(annulus9, monkeypatch):
     assert slope > 0
     trials = []
     # every trial is scored as rejected (no root), so armijo runs all it may
-    monkeypatch.setattr(solve, "reduced_functional", lambda *a: trials.append(a))
+    monkeypatch.setattr(solve, "_cone_point", lambda *a: trials.append(a))
 
     def tries(j_val):
         trials.clear()
@@ -805,11 +875,30 @@ def test_no_conjugate_gradients_after_setup(annulus9, monkeypatch):
     rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
     assert rec_minus.klass is Klass.MINUS
     assert multistart_Nminus(p, sphere_directions(3, 6), 0.3, rec_plus)
-    mm = minimax_gamma(p, 0.3, rec_plus, rec_minus, n_radii=2, relax_rounds=1)
+    _small_minimax(monkeypatch, 2, 1)
+    mm = minimax_gamma(p, 0.3, rec_plus, rec_minus)
     assert mm.relaxed_points > 0
 
 
 # -- continuation -----------------------------------------------------------
+
+
+def test_default_bump_is_built_once_across_a_continuation(monkeypatch):
+    """The domain's default bump starts the Sobolev descent and the ground
+    state and probes every continuation try; it is built once."""
+    builds = count_builds(monkeypatch, grid.Domain, ["default_bump"])
+    setup = Setup(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7))
+    assert len(builds) == 1  # the Sobolev descent's start
+    admissible, tries = solve._admissible, []
+
+    def counted(p):
+        tries.append(p.mu)
+        return admissible(p)
+
+    monkeypatch.setattr(solve, "_admissible", counted)
+    _, rows = estimate_mu_star(0.5 * setup.spectral.lambda1, setup.spectral, setup.lift,
+                               max_cells=4)
+    assert len(tries) >= len(rows) == 4 and len(builds) == 1
 
 
 def test_mu_star_precondition(box9):
@@ -844,7 +933,6 @@ def test_mu_star_finite_positive_and_deterministic(box9, monkeypatch):
     mus = [r.mu for r in rows1]
     assert mus == sorted(mus)
     for r in rows1:
-        assert r.plus_converged
         assert r.energy_plus < 0
     # energy at zero decreases in mu (closed form), a monotone backdrop
     e0s = [energy(np.zeros(box9.domain.n_interior), box9.params(lam=lam, mu=m)) for m in mus]

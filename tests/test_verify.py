@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bnsolver import verify
+from bnsolver import functional, verify
 from bnsolver.errors import IncompleteInputError, PreconditionError
 from bnsolver.functional import Params, energy, hessian_apply
 from bnsolver.grid import Field
@@ -76,17 +76,23 @@ def test_certify_detects_corruption(cell9, box9, monkeypatch):
         "manifold class",
     )
 
-    # sign patterns: the energy shifted by a constant, so every energy
-    # difference (and with it every bound relative to energy(0)) is kept
+    # sign patterns: the energy and E(0) shifted by one constant, so every
+    # energy difference (and with it every bound relative to energy(0)) is kept
     e_plus, e_minus = energy(rec_plus.v.values, p), energy(rec_minus.v.values, p)
+    e0 = p.energy_at_zero
+
+    def shift(m, c):
+        m.setattr(verify, "energy", lambda f, q: energy(f, q) + c)
+        m.setattr(Params, "energy_at_zero", property(lambda q: e0 + c))
+
     with monkeypatch.context() as m:
-        m.setattr(verify, "energy", lambda f, q: energy(f, q) - e_plus + 1.0)
+        shift(m, 1.0 - e_plus)
         _fails_alone(certify_solution(rec_plus, p), "energy < 0 on Plus")
     with monkeypatch.context() as m:
-        m.setattr(verify, "energy", lambda f, q: energy(f, q) - e_minus - 1.0)
+        shift(m, -1.0 - e_minus)
         _fails_alone(certify_solution(rec_minus, p), "energy > 0 on Minus")
     with monkeypatch.context() as m:
-        m.setattr(verify, "_energy_at_zero", lambda q: e_plus - 1.0)
+        m.setattr(Params, "energy_at_zero", property(lambda q: e_plus - 1.0))
         _fails_alone(certify_solution(rec_plus, p), "energy <= energy(0) on Plus")
 
     # Minus upper bounds: a quantum from a corrupted Sobolev estimate
@@ -106,8 +112,8 @@ def test_certify_detects_corruption(cell9, box9, monkeypatch):
 
     # int(phi e1) positive but below the strict margin, while lam*mu lifts
     # the a-priori margin above it
-    phi = box9.lift.phi.values
-    faint = replace(box9.lift, phi=Field(5e-13 / dom.inner(phi, e1.values) * phi, dom))
+    phi = box9.lift.values
+    faint = Field(5e-13 / dom.inner(phi, e1.values) * phi, dom)
     _fails_alone(cert(lam1, 1.0, lift=faint), "int(phi e1) positive")
     _fails_alone(cert(lam1, 1e-14), "a-priori pairing margin")
     u = e1.values.copy()
@@ -159,7 +165,7 @@ def test_nonexistence_a_priori_and_probe(box9):
         probe = nonexistence_certificate(p, candidate=box9.spectral.e1)
         assert probe.overall, str(probe)
         margin = next(c for c in probe.checks if c.name.startswith("pairing margin"))
-        a_priori = p.lam * p.mu * dom.inner(box9.lift.phi.values, box9.spectral.e1.values)
+        a_priori = p.lam * p.mu * dom.inner(box9.lift.values, box9.spectral.e1.values)
         assert margin.lhs >= a_priori - 1e-12
 
 
@@ -294,6 +300,23 @@ def test_threshold_report_passes(cell9):
     assert cert.overall, str(cert)
     gap = next(c for c in cert.checks if c.name.startswith("gap"))
     assert gap.lhs < gap.rhs
+
+
+def test_energy_at_zero_is_computed_once_per_params(cell9, monkeypatch):
+    """The certificates of a cell and its threshold report share one E(0)."""
+    p, rec_plus, rec_minus = cell9
+    zeros = []
+
+    def counted(v, q, h1_sq=None):
+        zeros.append(not np.any(v))
+        return energy(v, q, h1_sq)
+
+    monkeypatch.setattr(functional, "energy", counted)
+    fresh = Params(lam=p.lam, mu=p.mu, spectral=p.spectral, lift=p.lift)
+    assert certify_solution(rec_plus, fresh).overall
+    assert certify_solution(rec_minus, fresh).overall
+    assert threshold_report(fresh, [rec_plus, rec_minus]).overall
+    assert zeros == [True]
 
 
 def test_threshold_report_needs_both_branches(cell9):
