@@ -34,7 +34,14 @@ from .grid import (
     load_field,
     load_spectral_data,
 )
-from .lift import BumpOnBoundary, Constant, compose_solution, load_node_table, solve_lift
+from .lift import (
+    BumpOnBoundary,
+    Constant,
+    compose_solution,
+    load_lift,
+    load_node_table,
+    solve_lift,
+)
 from .nehari import Klass, t_minus, t_plus
 from .solve import (
     SeedKind,
@@ -71,7 +78,8 @@ CONFIG_KEYS = {
 # one also holds `image_of`, the index of that one, an earlier record of the
 # same cell.
 _NUMBER = (int, float)
-CELL_KEYS = {"index": int, "lambda": _NUMBER, "mu": _NUMBER, "status": str, "records": list}
+CELL_KEYS = {"index": int, "lambda": _NUMBER, "mu": _NUMBER, "mode": str, "status": str,
+             "records": list}
 RECORD_KEYS = {"class": str, "energy": _NUMBER, "grad_norm": _NUMBER, "positive": bool,
                "seed": str, "iterations": int, "barycenter": list, "grad_dir_integral": list}
 
@@ -267,24 +275,24 @@ def parse_config(path) -> RunConfig:
 # -- run ----------------------------------------------------------------------
 
 
-# The run's spectral data archive (`grid.dump_spectral_data`), at the run
-# root next to config.ini: it belongs to the run, not to one cell.
+# The run's spectral data archive (`grid.dump_spectral_data`) and its
+# harmonic lift (`grid.dump_field`), at the run root next to config.ini:
+# they belong to the run, not to one cell.
 SPECTRAL_FILE = "spectral.npz"
+LIFT_FILE = "lift.npy"
 
 
-def _domain_and_lift(rc: RunConfig):
-    """Domain and harmonic lift of a config: the setup that run and certify
-    share."""
-    domain = build_domain(rc.domain_spec)
-    boundary = rc.boundary
-    if isinstance(boundary, tuple) and boundary[0] == "table":
-        boundary = load_node_table(boundary[1], domain)
-    return domain, solve_lift(boundary, domain)
+def _boundary_data(rc: RunConfig, domain):
+    """The config's boundary data on the domain, its node table read."""
+    if isinstance(rc.boundary, tuple) and rc.boundary[0] == "table":
+        return load_node_table(rc.boundary[1], domain)
+    return rc.boundary
 
 
 def _setup(rc: RunConfig):
     """Domain, spectral data, lift and the (lambda, mu) lists of a config."""
-    domain, lift = _domain_and_lift(rc)
+    domain = build_domain(rc.domain_spec)
+    lift = solve_lift(_boundary_data(rc, domain), domain)
     spectral = compute_spectral_data(domain)
     lambdas = _parse_values(rc.cfg, "parameters", "lambdas", rc.lambdas_text,
                             lambda1=spectral.lambda1)
@@ -297,6 +305,12 @@ def _setup(rc: RunConfig):
         if mu < 0:
             raise rc.cfg.error("parameters", "mus", f"mu values must be nonnegative, got {mu}")
     return domain, spectral, lift, lambdas, mus
+
+
+def _nonexistence_certificates(p: Params):
+    """The two pairing certificates of a nonexistence cell: the a-priori
+    margin, and the probe with the candidate e1."""
+    return nonexistence_certificate(p), nonexistence_certificate(p, candidate=p.spectral.e1)
 
 
 def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig):
@@ -313,16 +327,14 @@ def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig):
         "error": None,
     }
     try:
+        p = Params(lam=lam, mu=mu, spectral=spectral, lift=lift)
         if lam >= spectral.lambda1:
             cell["mode"] = "nonexistence"
-            p = Params(lam=lam, mu=mu, spectral=spectral, lift=lift)
-            cert = nonexistence_certificate(p, candidate=None)
-            probe = nonexistence_certificate(p, candidate=spectral.e1)
-            cell["certificates"] = [cert.to_json_dict(), probe.to_json_dict()]
-            cell["status"] = "nonexistence" if cert.overall and probe.overall else "uncertified"
+            certs = _nonexistence_certificates(p)
+            cell["certificates"] = [c.to_json_dict() for c in certs]
+            cell["status"] = "nonexistence" if all(c.overall for c in certs) else "uncertified"
             return cell
 
-        p = Params(lam=lam, mu=mu, spectral=spectral, lift=lift)
         records = []
         rec_plus = rec_minus = None
         if "nplus" in rc.searches and mu > 0:
@@ -389,6 +401,7 @@ def run(config_path, out_dir_override=None) -> int:
     _, spectral, lift, lambdas, mus = _setup(rc)
     if rc.dump_fields:
         dump_spectral_data(spectral, out / SPECTRAL_FILE)
+        dump_field(lift, out / LIFT_FILE)
     results = []
     if any(s != "mu_star" for s in rc.searches):
         results = [_run_cell(i, lam, mu, spectral, lift, rc)
@@ -603,17 +616,39 @@ def _stored_record(r, v: Field, p: Params) -> SolutionRecord:
     )
 
 
+def _stored_params(run_dir, rc: RunConfig, domain, cell) -> Params:
+    """Params of a cell from the run's stored spectral data and lift, each
+    checked against the run's config (`load_spectral_data`, `load_lift`)
+    instead of computed again."""
+    spectral = load_spectral_data(run_dir / SPECTRAL_FILE, domain)
+    lift = load_lift(run_dir / LIFT_FILE, _boundary_data(rc, domain), domain)
+    return Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
+
+
 def certify_cmd(record_path) -> int:
-    """Re-certify the records of one cell file against the run's field dumps
-    and its stored spectral data (`grid.load_spectral_data` checks it; no
-    setup search is run again)."""
+    """Re-certify one cell file against the run's field dumps, its stored
+    spectral data and its stored lift; certify builds only the domain from
+    config.ini, and runs no setup search and no linear solve.  The stored
+    files are read and checked at the first record with a field dump; a
+    nonexistence cell recomputes its two pairing certificates from them
+    (exit 0 only when both pass)."""
     rec_path = Path(record_path)
     cell = _read_cell(rec_path)
     run_dir = rec_path.parent.parent
     cfg_path = run_dir / "config.ini"
     if not cfg_path.exists():
         raise ArgumentError(f"{rec_path}: no config.ini next to the run ({cfg_path})")
-    domain, lift = _domain_and_lift(parse_config(cfg_path))
+    rc = parse_config(cfg_path)
+    domain = build_domain(rc.domain_spec)
+    if cell["mode"] == "nonexistence":
+        if not rc.dump_fields:
+            print("nonexistence cell: no field dump stored (rerun with dump_fields = true)")
+            return 1
+        certs = _nonexistence_certificates(_stored_params(run_dir, rc, domain, cell))
+        for k, (what, cert) in enumerate(zip(("a-priori margin", "e1 probe"), certs)):
+            print(f"certificate {k} (nonexistence, {what}):")
+            print(cert)
+        return 0 if all(c.overall for c in certs) else 1
     p = None  # built once a record with a field dump is found
     ok = True
     n = 0
@@ -624,8 +659,7 @@ def certify_cmd(record_path) -> int:
             ok = False
             continue
         if p is None:
-            spectral = load_spectral_data(run_dir / SPECTRAL_FILE, domain)
-            p = Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
+            p = _stored_params(run_dir, rc, domain, cell)
         v = load_field(rec_path.parent / dumpname, domain)
         try:
             rec = _stored_record(r, v, p)

@@ -24,7 +24,8 @@ Discrete conventions, fixed once and used everywhere:
   and return raw value arrays of length `n_interior`, and never write to
   their inputs;
 * a field dump is one binary `.npy` file: the zero-extended float64 lattice
-  array of shape `lattice_shape` (`dump_field`, `load_field`);
+  array of shape `lattice_shape` (`dump_field`, `load_field`); a run stores
+  its solution records and its harmonic lift in this layout;
 * the spectral data of a run is one `.npz` archive (`dump_spectral_data`):
   lambda1 and sobolev_S as 0-d float64 arrays, e1 and the Sobolev witness as
   lattice arrays in the field dump layout.  `load_spectral_data` checks the
@@ -36,7 +37,9 @@ Discrete conventions, fixed once and used everywhere:
   diagonal in the tensor sine basis (the sine matrix is applied along each
   axis by a BLAS product), and CG on masked lattices.  The Sobolev descent
   keeps its own inexact CG on every domain (see `estimate_sobolev_S`).
-  Both are setup.  One Poisson preconditioner, `Domain.precondition`,
+  Both are setup: `bnsolver certify` checks the run's stored spectral data
+  and lift instead (`load_spectral_data`, `lift.load_lift`) and solves
+  nothing.  One Poisson preconditioner, `Domain.precondition`,
   serves everything else on every domain: the cone descent's gradient
   lift, the MINRES of the Newton polish and the one LOBPCG eigensolver
   `lowest_eigenpair`, which finds the masked-lattice eigenpair (closed-form

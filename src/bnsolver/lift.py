@@ -4,6 +4,12 @@ The nonhomogeneous problem with boundary values mu*g is reduced to a
 homogeneous one by the lift phi solving the discrete Laplace equation with
 Dirichlet data g; solutions are composed as u = v + mu*phi.  Admissible g is
 nonnegative and not identically zero.  The lift is the `Field` phi itself.
+
+A lift is accepted by one test, `check_lift`: interior residual below
+1e-10 * max g and the maximum principle bounds.  `solve_lift` solves for phi
+and applies it (the solve's few-ulp spill past the bounds is clipped);
+`load_lift` applies it, with no slack, to the lift a run stored, so that
+`bnsolver certify` reads phi instead of solving for it again.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, AssumptionGError, NumericalError
-from .grid import Box, Domain, Field
+from .grid import Box, Domain, Field, load_field
 
 
 @dataclass(frozen=True)
@@ -111,36 +117,63 @@ def solve_lift(g, domain: Domain) -> Field:
     """Solve the discrete Laplace equation with Dirichlet data g
     (`Domain.solve_poisson`: exact on a box, CG to 1e-13 otherwise).
 
-    The returned lift phi satisfies the discrete maximum principle bounds
-    min g <= phi <= max g and has interior residual below 1e-10 * max g.
+    The returned lift phi passes `check_lift`: interior residual below
+    1e-10 * max g and the discrete maximum principle bounds
+    min g <= phi <= max g, which the solve meets to a few ulps and the
+    returned phi exactly (clipped).
     """
     gvals = boundary_values(g, domain)
-    gmax = float(gvals.max())
+    rhs = _lift_rhs(gvals, domain)
+    phi = domain.solve_poisson(rhs, rtol=1e-13, maxiter=50 * domain.n_interior, label="lift")
+    # The discrete solution obeys the maximum principle exactly; the computed
+    # one may sit a few ulps outside.  Snap those, reject anything larger.
+    check_lift(phi, gvals, rhs, domain, slack=1e-9 * max(float(gvals.max()), 1.0))
+    return Field(np.clip(phi, gvals.min(), gvals.max()), domain)
 
+
+def load_lift(path, g, domain: Domain) -> Field:
+    """The lift of a run, read from its `dump_field` dump at path and checked
+    instead of solved again: it must pass `check_lift` against the boundary
+    data g with no slack, as the clipped lift that `solve_lift` returns
+    does.  ArgumentError, naming the path, when the file is not a readable
+    field dump (`load_field`) or fails the check."""
+    phi = load_field(path, domain)
+    gvals = boundary_values(g, domain)
+    try:
+        check_lift(phi.values, gvals, _lift_rhs(gvals, domain), domain)
+    except NumericalError as e:
+        raise ArgumentError(f"{path}: {e}") from None
+    return phi
+
+
+def _lift_rhs(gvals, domain: Domain):
+    """The boundary term of -Lap phi on the interior nodes: the stencil's
+    couplings to the boundary nodes, carrying the data gvals."""
     rhs = np.zeros(domain.n_interior)
     for d, ii, border in domain._boundary_edges:
         np.add.at(rhs, ii, gvals[border] / domain.h[d] ** 2)
+    return rhs
 
-    phi = domain.solve_poisson(rhs, rtol=1e-13, maxiter=50 * domain.n_interior, label="lift")
+
+def check_lift(phi, gvals, rhs, domain: Domain, slack=0.0):
+    """The acceptance test of a lift, the raw value array phi, for boundary
+    data gvals and their boundary term rhs (`_lift_rhs`): the interior
+    residual ||-Lap phi - rhs||_2 is below 1e-10 * max g, and
+    min g - slack <= phi <= max g + slack.  NumericalError, carrying the
+    residual when that is what fails."""
+    gmax = float(gvals.max())
     resid = domain.l2_norm(domain.matrix @ phi - rhs)
     if resid >= 1e-10 * gmax:
         raise NumericalError(
             f"lift residual {resid:.3e} not below 1e-10 * max g = {1e-10 * gmax:.3e}",
             residual=resid,
         )
-
-    # The discrete solution obeys the maximum principle exactly; the computed
-    # one may sit a few ulps outside.  Snap those, reject anything larger.
     lo, hi = float(gvals.min()), gmax
-    slack = 1e-9 * max(gmax, 1.0)
     if phi.min() < lo - slack or phi.max() > hi + slack:
         raise NumericalError(
             f"lift violates maximum principle bounds [{lo:g}, {hi:g}] "
-            f"beyond tolerance: range [{phi.min():g}, {phi.max():g}]"
+            f"beyond tolerance: range [{float(phi.min())!r}, {float(phi.max())!r}]"
         )
-    phi = np.clip(phi, lo, hi)
-
-    return Field(phi, domain)
 
 
 def compose_solution(v: Field, mu: float, phi: Field) -> Field:

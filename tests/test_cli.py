@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnsolver
-from bnsolver import cli, grid
+from bnsolver import cli, grid, numutil
 from bnsolver.cli import main, parse_config
 from bnsolver.errors import ConfigurationError
 from bnsolver.functional import Params
 from bnsolver.grid import Box, DomainSpec, Field, build_domain, dump_field, load_spectral_data
-from bnsolver.verify import certify_solution
+from bnsolver.lift import solve_lift
+from bnsolver.verify import certify_solution, nonexistence_certificate
 
 from conftest import text_dump
 
@@ -100,6 +101,12 @@ def test_certify_subcommand(completed_run, capsys):
     code = main(["certify", str(completed_run / "cells" / "cell_0000.json")])
     assert code == 0
     assert "overall: PASS" in capsys.readouterr().out
+    # the nonexistence cell: both pairing certificates, recomputed
+    assert main(["certify", str(completed_run / "cells" / "cell_0001.json")]) == 0
+    text = capsys.readouterr().out
+    assert "certificate 0 (nonexistence, a-priori margin):" in text
+    assert "certificate 1 (nonexistence, e1 probe):" in text
+    assert text.count("overall: PASS") == 2
 
 
 def copied_run(completed_run, tmp_path, record_update=None):
@@ -313,6 +320,50 @@ def certify_e1_not_an_eigenvector(tmp_path, completed_run):
             f"{path}: (lambda1, e1) is not a normalized positive eigenpair")
 
 
+def edited_lift(tmp_path, completed_run, edit):
+    """A copy of the completed run whose lift.npy lattice array is changed
+    in place by edit(array, domain); returns the copy's cell_0000.json and
+    lift.npy."""
+    cell_path = copied_run(completed_run, tmp_path)
+    path = cell_path.parent.parent / "lift.npy"
+    full = np.load(path)
+    edit(full, build_domain(parse_config(cell_path.parent.parent / "config.ini").domain_spec))
+    np.save(path, full)
+    return cell_path, path
+
+
+def certify_without_lift(tmp_path, completed_run):
+    cell_path = copied_run(completed_run, tmp_path)
+    path = cell_path.parent.parent / "lift.npy"
+    path.unlink()
+    return ["certify", str(cell_path)], f"{path}: not a readable .npy field dump"
+
+
+def certify_lift_off_its_residual(tmp_path, completed_run):
+    """One interior value of the lift moved by 1e-6."""
+    def edit(full, domain):
+        full.flat[domain.interior_flat[domain.n_interior // 2]] -= 1e-6
+    cell_path, path = edited_lift(tmp_path, completed_run, edit)
+    return ["certify", str(cell_path)], f"{path}: lift residual"
+
+
+def certify_lift_of_other_boundary_data(tmp_path, completed_run):
+    """The copied config.ini names the boundary value 2 instead of 1."""
+    cell_path = copied_run(completed_run, tmp_path)
+    cfg = cell_path.parent.parent / "config.ini"
+    cfg.write_text(cfg.read_text().replace("value = 1.0", "value = 2.0"))
+    return ["certify", str(cell_path)], f"{cell_path.parent.parent / 'lift.npy'}: lift residual"
+
+
+def certify_lift_above_max_g(tmp_path, completed_run):
+    """One interior value of the lift one ulp above max g = 1, which moves
+    the residual by far less than its tolerance."""
+    def edit(full, domain):
+        full.flat[domain.interior_flat[0]] = np.nextafter(1.0, 2.0)
+    cell_path, path = edited_lift(tmp_path, completed_run, edit)
+    return ["certify", str(cell_path)], f"{path}: lift violates maximum principle bounds"
+
+
 @pytest.mark.parametrize("case", [missing_config, node_table_bad_line, field_dump_bad_header,
                                   certify_old_text_dump, missing_cell_file, non_json_cell_file,
                                   unknown_recorded_class, record_without_energy, report_cell_without_lambda,
@@ -327,7 +378,10 @@ def certify_e1_not_an_eigenvector(tmp_path, completed_run):
                                   certify_pickled_spectral_data,
                                   certify_sobolev_S_off_its_witness,
                                   certify_sobolev_S_above_the_bump,
-                                  certify_e1_not_an_eigenvector],
+                                  certify_e1_not_an_eigenvector, certify_without_lift,
+                                  certify_lift_off_its_residual,
+                                  certify_lift_of_other_boundary_data,
+                                  certify_lift_above_max_g],
                          ids=lambda case: case.__name__)
 def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, case):
     """Missing or malformed input files exit 2 with an error that names the
@@ -338,14 +392,14 @@ def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, cas
 
 
 def assert_same_outputs(a, b):
-    """sweep.csv, the spectral data archive spectral.npz, every cells/*.json
-    and every field dump cells/*_field_*.npy are byte-identical in run dirs
-    a and b."""
+    """sweep.csv, the spectral data archive spectral.npz, the lift lift.npy,
+    every cells/*.json and every field dump cells/*_field_*.npy are
+    byte-identical in run dirs a and b."""
     names = sorted(fp.name for fp in (a / "cells").glob("*.json"))
     assert names and names == sorted(fp.name for fp in (b / "cells").glob("*.json"))
     dumps = sorted(fp.name for fp in (a / "cells").glob("*_field_*.npy"))
     assert dumps == sorted(fp.name for fp in (b / "cells").glob("*_field_*.npy"))
-    for rel in ["sweep.csv", "spectral.npz"] + [f"cells/{n}" for n in names + dumps]:
+    for rel in ["sweep.csv", "spectral.npz", "lift.npy"] + [f"cells/{n}" for n in names + dumps]:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
@@ -463,7 +517,7 @@ def test_fibering_profile_lambda_at_or_above_lambda1_is_anchored(tmp_path, capsy
         assert "lambda1" in err and "mu too large" not in err
 
 
-def test_nonexistence_cell_at_mu_zero_is_uncertified(tmp_path):
+def test_nonexistence_cell_at_mu_zero_is_uncertified(tmp_path, capsys):
     """The mu = 0 pairing margins are zero: the cell is uncertified, not failed."""
     out = tmp_path / "out"
     cfg_text = BASE_CONFIG.format(out=out).replace(
@@ -474,6 +528,47 @@ def test_nonexistence_cell_at_mu_zero_is_uncertified(tmp_path):
     assert cell["mode"] == "nonexistence"
     assert cell["status"] == "uncertified"
     assert cell["error"] is None
+    # certify recomputes the two certificates and finds the probe failing
+    capsys.readouterr()
+    assert main(["certify", str(out / "cells" / "cell_0000.json")]) == 1
+    text = capsys.readouterr().out
+    assert text.count("overall: ") == 2 and "overall: FAIL" in text
+
+
+def test_certify_nonexistence_cell_without_dumps(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_text = BASE_CONFIG.format(out=out).replace(
+        "lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = 1.2*lambda1").replace(
+        "dump_fields = true", "dump_fields = false")
+    assert main(["run", str(write_config(tmp_path, cfg_text))]) == 0
+    assert not (out / "lift.npy").exists()
+    capsys.readouterr()
+    assert main(["certify", str(out / "cells" / "cell_0000.json")]) == 1
+    assert capsys.readouterr().out == (
+        "nonexistence cell: no field dump stored (rerun with dump_fields = true)\n")
+
+
+def test_node_table_run_and_certify(tmp_path, capsys):
+    """A run on node-table boundary data, with the table at an absolute
+    path, certifies; once the table is edited, the stored lift no longer
+    passes against it."""
+    nb = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7)).boundary_flat.size
+    table = tmp_path / "table.txt"
+    table.write_text("".join(f"{i} {1.0 + (i % 5) / 4}\n" for i in range(nb)))
+    out = tmp_path / "out"
+    text = (BASE_CONFIG.format(out=out)
+            .replace("resolution = 9", "resolution = 7")
+            .replace("kind = constant\nvalue = 1.0", f"kind = table\nfile = {table}")
+            .replace("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = 0.5*lambda1"))
+    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    cell_path = out / "cells" / "cell_0000.json"
+    capsys.readouterr()
+    assert main(["certify", str(cell_path)]) == 0
+    assert capsys.readouterr().out.count("overall: PASS") == 2
+
+    table.write_text("".join(f"{i} {2.0 + (i % 5) / 4}\n" for i in range(nb)))
+    assert main(["certify", str(cell_path)]) == 2
+    assert f"{out / 'lift.npy'}: lift residual" in capsys.readouterr().err
 
 
 def test_config_errors(tmp_path):
@@ -649,51 +744,93 @@ def test_annulus_run_with_multistart_and_minimax(tmp_path, capsys):
     assert len(cell["records"]) >= 2  # nplus, nminus, plus whatever multistart kept
     assert "minimax" in cell
     assert set(cell["minimax"]) >= {"found", "gamma_estimate", "window", "reason"}
-    # without field dumps the run stores no spectral data, and certify says
-    # what is missing instead of failing on the absent archive
-    assert not (out / "spectral.npz").exists()
+    # without field dumps the run stores no spectral data and no lift, and
+    # certify says what is missing instead of failing on the absent files
+    assert not (out / "spectral.npz").exists() and not (out / "lift.npy").exists()
     capsys.readouterr()
     assert main(["certify", str(out / "cells" / "cell_0000.json")]) == 1
     assert "record 0: no field dump stored" in capsys.readouterr().out
 
 
-def test_certify_runs_no_setup_search(completed_run, tmp_path, monkeypatch, capsys):
-    """Certify reads the run's spectral data instead of searching again: with
-    the eigensolve and the Sobolev descent made to raise, every cell with
-    records certifies with the text that freshly computed spectral data
-    gives, and the stored lambda1 and sobolev_S are the run's bit for bit."""
-    annulus = tmp_path / "annulus"
-    text = (ANNULUS_CONFIG.format(out=annulus)
+@pytest.fixture(scope="module")
+def annulus_run(tmp_path_factory):
+    """A run of the annulus config with field dumps, nplus and nminus only."""
+    tmp = tmp_path_factory.mktemp("annulus")
+    out = tmp / "out"
+    text = (ANNULUS_CONFIG.format(out=out)
             .replace("run = nplus nminus multistart minimax", "run = nplus nminus")
             .replace("dump_fields = false", "dump_fields = true"))
-    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    assert main(["run", str(write_config(tmp, text))]) == 0
+    return out
+
+
+def test_stored_lift_is_the_solved_lift(completed_run, annulus_run):
+    """lift.npy is the dump of solve_lift on the run's config, bit for bit,
+    on a box and on the annulus."""
+    for out in (completed_run, annulus_run):
+        rc = parse_config(out / "config.ini")
+        domain = build_domain(rc.domain_spec)
+        phi = solve_lift(cli._boundary_data(rc, domain), domain)
+        assert np.load(out / "lift.npy").tobytes() == domain.lattice_array(phi.values).tobytes()
+
+
+def test_certify_runs_no_setup_search(completed_run, annulus_run, monkeypatch, capsys):
+    """Certify reads the run's spectral data and lift instead of computing
+    them again: with the eigensolve, the Sobolev descent and CG made to
+    raise, every cell with records, and the nonexistence cell, certifies
+    with the text that freshly computed spectral data and lift give, and the
+    stored lambda1 and sobolev_S are the run's bit for bit."""
     expected = []
-    for out in (completed_run, annulus):
+    for out in (completed_run, annulus_run):
         domain, spectral, lift, _, _ = cli._setup(parse_config(out / "config.ini"))
         stored = load_spectral_data(out / "spectral.npz", domain)
         assert (stored.lambda1, stored.sobolev_S) == (spectral.lambda1, spectral.sobolev_S)
         for fp in sorted((out / "cells").glob("cell_*.json")):
             cell = json.loads(fp.read_text())
-            if not cell["records"]:
-                continue
             p = Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
             lines = []
+            if cell["mode"] == "nonexistence":
+                for k, (what, candidate) in enumerate((("a-priori margin", None),
+                                                       ("e1 probe", spectral.e1))):
+                    cert = nonexistence_certificate(p, candidate=candidate)
+                    lines += [f"certificate {k} (nonexistence, {what}):", str(cert)]
             for k, r in enumerate(cell["records"]):
                 v = grid.load_field(fp.parent / r["field_dump"], domain)
                 cert = certify_solution(cli._stored_record(r, v, p), p)
                 lines += [f"record {k} ({r['class']}, energy {cli._fmt(r['energy'])}):", str(cert)]
             expected.append((fp, "\n".join(lines) + "\n"))
-    assert len(expected) == 2
+    assert len(expected) == 3
 
     def no_search(*args, **kwargs):
-        raise AssertionError("certify ran a setup search")
+        raise AssertionError("certify ran a setup search or a linear solve")
 
     monkeypatch.setattr(grid, "estimate_sobolev_S", no_search)
     monkeypatch.setattr(grid, "principal_eigenpair", no_search)
+    # grid binds solve_cg at import, so patch its name there too
+    for module in (numutil, grid):
+        monkeypatch.setattr(module, "solve_cg", no_search)
     capsys.readouterr()
     for fp, text in expected:
         assert main(["certify", str(fp)]) == 0
         assert capsys.readouterr().out == text
+
+
+def test_certify_without_field_dumps_reads_no_stored_file(completed_run, tmp_path, capsys):
+    """A cell whose records have no field dump is reported as such, without
+    reading the run's spectral data or lift: here both are garbage."""
+    cell_path = copied_run(completed_run, tmp_path)
+    cell = json.loads(cell_path.read_text())
+    for r in cell["records"]:
+        del r["field_dump"]
+    cell_path.write_text(json.dumps(cell))
+    for name in ("spectral.npz", "lift.npy"):
+        (cell_path.parent.parent / name).write_text("garbage\n")
+    assert main(["certify", str(cell_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(
+        f"record {k}: no field dump stored (rerun with dump_fields = true)\n"
+        for k in range(len(cell["records"])))
+    assert captured.err == "no records with field dumps found\n"
 
 
 def test_mu_star_search(tmp_path):
