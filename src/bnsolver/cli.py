@@ -37,9 +37,9 @@ from .grid import (
 from .lift import (
     BumpOnBoundary,
     Constant,
+    TableFile,
     compose_solution,
     load_lift,
-    load_node_table,
     solve_lift,
 )
 from .nehari import Klass, t_minus, t_plus
@@ -225,7 +225,7 @@ def parse_config(path) -> RunConfig:
             cfg.number("boundary", "amplitude", default="1.0"),
         )
     elif kind == "table":
-        boundary = ("table", cfg.get("boundary", "file", required=True))
+        boundary = TableFile(cfg.get("boundary", "file", required=True))
     else:
         raise cfg.error("boundary", "kind", f"unknown boundary kind {kind!r}")
 
@@ -282,17 +282,10 @@ SPECTRAL_FILE = "spectral.npz"
 LIFT_FILE = "lift.npy"
 
 
-def _boundary_data(rc: RunConfig, domain):
-    """The config's boundary data on the domain, its node table read."""
-    if isinstance(rc.boundary, tuple) and rc.boundary[0] == "table":
-        return load_node_table(rc.boundary[1], domain)
-    return rc.boundary
-
-
 def _setup(rc: RunConfig):
     """Domain, spectral data, lift and the (lambda, mu) lists of a config."""
     domain = build_domain(rc.domain_spec)
-    lift = solve_lift(_boundary_data(rc, domain), domain)
+    lift = solve_lift(rc.boundary, domain)
     spectral = compute_spectral_data(domain)
     lambdas = _parse_values(rc.cfg, "parameters", "lambdas", rc.lambdas_text,
                             lambda1=spectral.lambda1)
@@ -621,7 +614,7 @@ def _stored_params(run_dir, rc: RunConfig, domain, cell) -> Params:
     checked against the run's config (`load_spectral_data`, `load_lift`)
     instead of computed again."""
     spectral = load_spectral_data(run_dir / SPECTRAL_FILE, domain)
-    lift = load_lift(run_dir / LIFT_FILE, _boundary_data(rc, domain), domain)
+    lift = load_lift(run_dir / LIFT_FILE, rc.boundary, domain)
     return Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
 
 

@@ -41,12 +41,13 @@ Discrete conventions, fixed once and used everywhere:
   and lift instead (`load_spectral_data`, `lift.load_lift`) and solves
   nothing.  One Poisson preconditioner, `Domain.precondition`,
   serves everything else on every domain: the cone descent's gradient
-  lift, the MINRES of the Newton polish and the one LOBPCG eigensolver
-  `lowest_eigenpair`, which finds the masked-lattice eigenpair (closed-form
-  on boxes) and the Hessian eigenvalue of the convexity check.  It is the
-  sine-transform solve on the bounding box of the lattice, restricted to
-  the interior nodes, which on a box is the exact solve that
-  `solve_poisson` returns;
+  lift, the MINRES of the Newton polish and the one eigensolver
+  `lowest_eigenpair`, a single-vector LOBPCG on raw arrays (one 3x3
+  Rayleigh-Ritz step per iteration), which finds the masked-lattice
+  eigenpair (closed-form on boxes) and the Hessian eigenvalue of the
+  convexity check.  The preconditioner is the sine-transform solve on
+  the bounding box of the lattice, restricted to the interior nodes, which
+  on a box is the exact solve that `solve_poisson` returns;
 * lattice symmetries: a signed axis permutation g = (P, S) (P a
   permutation of the axes, S the flipped axes) acts on a raw value array by
   zero-extending it onto the lattice, transposing the axes by P, flipping
@@ -80,7 +81,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import lobpcg
+from scipy.linalg import LinAlgError, eigh
 
 from .errors import ArgumentError, ConfigurationError, NumericalError
 from .numutil import abs_pow, armijo, signed_pow, smoothstep, solve_cg
@@ -570,8 +571,8 @@ def principal_eigenpair(domain: Domain):
         x = math.prod(np.ix_(*[S[:, 0]] * domain.ndim)).ravel()
         return float(eig.flat[0]), Field(x / domain.l2_norm(x), domain)
     A = domain.matrix
-    _, x = lowest_eigenpair(domain, A, np.ones(domain.n_interior),
-                            EIG_TOL * eig.flat[0], EIG_MAXITER)
+    _, x, iters = lowest_eigenpair(domain, A.dot, np.ones(domain.n_interior),
+                                   EIG_TOL * eig.flat[0], EIG_MAXITER)
     x = x / domain.l2_norm(x)
     Ax = A @ x
     lam = domain.inner(Ax, x)
@@ -579,7 +580,7 @@ def principal_eigenpair(domain: Domain):
     if not converged:
         raise NumericalError(
             f"eigensolve: LOBPCG stopped at eigen-residual {resid:.3e} "
-            f"(tolerance {EIG_TOL * lam:.3e}) after at most {EIG_MAXITER} iterations",
+            f"(tolerance {EIG_TOL * lam:.3e}) after {iters} iterations",
             residual=resid,
         )
     if np.sum(x) < 0:
@@ -588,17 +589,47 @@ def principal_eigenpair(domain: Domain):
 
 
 def lowest_eigenpair(domain: Domain, op, x0, tol, maxiter, B=None):
-    """(sigma, x), the lowest eigenpair of op x = sigma B x (B = I when
-    None) by LOBPCG from the raw array x0, preconditioned by
-    `Domain.precondition`: it stops once the residual ||op x - sigma B x||_2
-    of the B-normalized x is below tol, or after maxiter iterations.
-    LOBPCG's warning on a stop short of tol is silenced; the caller judges
-    the pair."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        vals, X = lobpcg(op, x0[:, None], B=B, M=lambda R: domain.precondition(R.ravel())[:, None],
-                         tol=tol, maxiter=maxiter, largest=False)
-    return float(vals[0]), X[:, 0]
+    """(sigma, x, iterations), the lowest eigenpair of op x = sigma B x
+    (B = I when None; op and B act on raw arrays) by single-vector LOBPCG
+    from the raw array x0, preconditioned by `Domain.precondition`
+    (Knyazev, SIAM J. Sci. Comput. 23, 2001).  The rows of V are the basis
+    x, w = M r (B-orthogonal to x) and p, with their op and B images in
+    AV and BV; each iteration is one Rayleigh-Ritz step on the 3x3 Gram
+    matrices, on [x, w] alone when the B-Gram matrix is not positive
+    definite, and renews x and p in place, B-normalized.  It stops once
+    the residual ||op x - sigma B x||_2 is at most tol, or after maxiter
+    iterations; the caller judges the pair."""
+    V, AV = np.empty((3, x0.size)), np.empty((3, x0.size))
+    BV = V if B is None else np.empty((3, x0.size))
+    rows = (V, AV) if B is None else (V, AV, BV)
+
+    def renew(i, v):
+        Bv = v if B is None else B(v)
+        s = 1.0 / np.sqrt(v @ Bv)
+        V[i], BV[i] = s * v, s * Bv
+        AV[i] = op(V[i])
+
+    renew(0, x0)
+    sigma, k = V[0] @ AV[0], 2
+    for it in range(maxiter + 1):
+        r = AV[0] - sigma * BV[0]
+        if it == maxiter or np.linalg.norm(r) <= tol:
+            return float(sigma), V[0].copy(), it
+        w = domain.precondition(r)
+        w -= (BV[0] @ w) * V[0]
+        renew(1, w)
+        gA, gB = V[:k] @ AV[:k].T, V[:k] @ BV[:k].T
+        try:
+            vals, c = eigh(gA, gB, subset_by_index=[0, 0], check_finite=False)
+        except LinAlgError:
+            vals, c = eigh(gA[:2, :2], gB[:2, :2], subset_by_index=[0, 0], check_finite=False)
+        sigma, c, k = vals[0], c[:, 0], 3
+        for Z in rows:
+            Z[2] = c[1:] @ Z[1:c.size]
+            Z[0] = c[0] * Z[0] + Z[2]
+        s = 1.0 / np.sqrt(V[2] @ BV[2])
+        for Z in rows:
+            Z[2] *= s
 
 
 def _eigen_residual(domain: Domain, lam, x, Ax):

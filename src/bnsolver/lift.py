@@ -39,6 +39,13 @@ class NodeTable:
     values: np.ndarray
 
 
+@dataclass(frozen=True)
+class TableFile:
+    """A node table named by its path (`load_node_table`), read on the
+    domain each time the data are evaluated."""
+    path: str
+
+
 def _boundary_target(domain: Domain, direction):
     """Point where the ray from the domain center along `direction` exits."""
     d = np.asarray(direction, dtype=float)
@@ -61,6 +68,8 @@ def _boundary_target(domain: Domain, direction):
 def boundary_values(g, domain: Domain) -> np.ndarray:
     """Evaluate boundary data on the domain's boundary nodes and check the
     nonnegativity assumption."""
+    if isinstance(g, TableFile):
+        g = load_node_table(g.path, domain)
     nb = domain.boundary_flat.size
     if isinstance(g, Constant):
         vals = np.full(nb, float(g.value))

@@ -263,11 +263,11 @@ def convexity_ball_check(p: Params, nplus_records: Sequence[SolutionRecord] = ()
         checks.append(
             Check(f"Plus record {i} inside B(0, r_lam)", nv < rl, nv, rl, 0.0)
         )
-        sigma, resid = hessian_min_eigenvalue(p, rec.v.values)
+        sigma, resid, iters = hessian_min_eigenvalue(p, rec.v.values)
         name = f"smallest eigenvalue of (E'', -Lap) at Plus record {i} positive"
         if not resid <= CONVEXITY_EIG_RTOL:
             name += (f" (eigen solve stopped at relative residual {resid:.3e}, "
-                     f"rtol {CONVEXITY_EIG_RTOL:g})")
+                     f"rtol {CONVEXITY_EIG_RTOL:g}, after {iters} iterations)")
         checks.append(
             Check(name, sigma > STRICT_MARGIN and resid <= CONVEXITY_EIG_RTOL, sigma, 0.0,
                   STRICT_MARGIN)
@@ -275,31 +275,30 @@ def convexity_ball_check(p: Params, nplus_records: Sequence[SolutionRecord] = ()
     return Certificate(tuple(checks))
 
 
-def hessian_min_eigenvalue(p: Params, vvals) -> Tuple[float, float]:
-    """(sigma, relative residual) of the smallest eigenvalue of
+def hessian_min_eigenvalue(p: Params, vvals) -> Tuple[float, float, int]:
+    """(sigma, relative residual, iterations) of the smallest eigenvalue of
     H x = sigma A x, H = A - diag(c) the Hessian of E at v (c from
     `functional.hessian_weight`) and A = -Lap, by `grid.lowest_eigenpair`
     from the principal eigenfunction.  The residual is
     ||H x - sigma A x||_2 / ||A x||_2 at the returned x; LOBPCG stops once
-    it is below CONVEXITY_EIG_RTOL or after CONVEXITY_EIG_MAXITER
+    it is at most CONVEXITY_EIG_RTOL or after CONVEXITY_EIG_MAXITER
     iterations, and the caller judges it."""
     d = p.domain
     A = d.matrix
     c = hessian_weight(vvals, p)
 
-    def H(X):
-        return A @ X - c[:, None] * X
+    def H(x):
+        return A @ x - c * x
 
     # With x normalized to x^T A x = 1, ||A x||_2 >= sqrt(lambda1), so an
     # absolute residual below CONVEXITY_EIG_RTOL sqrt(lambda1) is a relative
-    # one below CONVEXITY_EIG_RTOL.  A stop short of it is reported by the
-    # residual, not by LOBPCG's warning.
-    sigma, x = lowest_eigenpair(d, H, p.spectral.e1.values,
-                                CONVEXITY_EIG_RTOL * np.sqrt(p.lambda1),
-                                CONVEXITY_EIG_MAXITER, B=A)
+    # one below CONVEXITY_EIG_RTOL.
+    sigma, x, iters = lowest_eigenpair(d, H, p.spectral.e1.values,
+                                       CONVEXITY_EIG_RTOL * np.sqrt(p.lambda1),
+                                       CONVEXITY_EIG_MAXITER, B=A.dot)
     Ax = A @ x
-    resid = float(np.linalg.norm(H(x[:, None])[:, 0] - sigma * Ax) / np.linalg.norm(Ax))
-    return sigma, resid
+    resid = float(np.linalg.norm(H(x) - sigma * Ax) / np.linalg.norm(Ax))
+    return sigma, resid, iters
 
 
 def threshold_report(p: Params, records: Sequence[SolutionRecord]) -> Certificate:

@@ -548,10 +548,9 @@ def test_certify_nonexistence_cell_without_dumps(tmp_path, capsys):
         "nonexistence cell: no field dump stored (rerun with dump_fields = true)\n")
 
 
-def test_node_table_run_and_certify(tmp_path, capsys):
-    """A run on node-table boundary data, with the table at an absolute
-    path, certifies; once the table is edited, the stored lift no longer
-    passes against it."""
+def _node_table_run(tmp_path):
+    """(run directory, table path, config path) of a res-7 box run on
+    node-table boundary data, the table at an absolute path."""
     nb = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7)).boundary_flat.size
     table = tmp_path / "table.txt"
     table.write_text("".join(f"{i} {1.0 + (i % 5) / 4}\n" for i in range(nb)))
@@ -560,7 +559,28 @@ def test_node_table_run_and_certify(tmp_path, capsys):
             .replace("resolution = 9", "resolution = 7")
             .replace("kind = constant\nvalue = 1.0", f"kind = table\nfile = {table}")
             .replace("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = 0.5*lambda1"))
-    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    cfg = write_config(tmp_path, text)
+    assert main(["run", str(cfg)]) == 0
+    return out, table, cfg
+
+
+def test_node_table_config_is_boundary_data(tmp_path):
+    """The boundary data that parse_config returns for a node-table config
+    lift on their own: solve_lift of them is the run's lift.npy, bit for
+    bit."""
+    out, _, cfg = _node_table_run(tmp_path)
+    rc = parse_config(cfg)
+    domain = build_domain(rc.domain_spec)
+    phi = solve_lift(rc.boundary, domain)
+    assert np.load(out / "lift.npy").tobytes() == domain.lattice_array(phi.values).tobytes()
+
+
+def test_node_table_run_and_certify(tmp_path, capsys):
+    """A run on node-table boundary data, with the table at an absolute
+    path, certifies; once the table is edited, the stored lift no longer
+    passes against it."""
+    out, table, _ = _node_table_run(tmp_path)
+    nb = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7)).boundary_flat.size
     cell_path = out / "cells" / "cell_0000.json"
     capsys.readouterr()
     assert main(["certify", str(cell_path)]) == 0
@@ -770,7 +790,7 @@ def test_stored_lift_is_the_solved_lift(completed_run, annulus_run):
     for out in (completed_run, annulus_run):
         rc = parse_config(out / "config.ini")
         domain = build_domain(rc.domain_spec)
-        phi = solve_lift(cli._boundary_data(rc, domain), domain)
+        phi = solve_lift(rc.boundary, domain)
         assert np.load(out / "lift.npy").tobytes() == domain.lattice_array(phi.values).tobytes()
 
 

@@ -1,6 +1,7 @@
 import io
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.sparse.linalg import cg as scipy_cg
+from scipy.sparse.linalg import lobpcg as scipy_lobpcg
 
 from bnsolver import grid, numutil
 from bnsolver.errors import ArgumentError, ConfigurationError, NumericalError
@@ -319,7 +321,7 @@ def test_box_eigenpair_matches_lobpcg(spec):
     dom = build_domain(spec)
     lam, e1 = principal_eigenpair(dom)
     A = dom.matrix
-    _, x = lowest_eigenpair(dom, A, np.ones(dom.n_interior), 1e-12 * lam, 50)
+    _, x, _ = lowest_eigenpair(dom, A.dot, np.ones(dom.n_interior), 1e-12 * lam, 50)
     x = np.sign(x.sum()) * x / (np.sqrt(dom.weight) * np.linalg.norm(x))
     assert abs(lam - dom.inner(A @ x, x)) <= 1e-12 * lam
     assert np.abs(e1.values - x).max() <= 1e-8
@@ -492,6 +494,44 @@ def test_eigensolve_cut_short_raises_with_residual(annulus9, monkeypatch):
     with pytest.raises(NumericalError, match="eigensolve: LOBPCG stopped") as err:
         principal_eigenpair(annulus9.domain)
     assert err.value.residual >= grid.EIG_TOL * annulus9.spectral.lambda1
+    assert "after 1 iterations" in str(err.value)
+
+
+def test_annulus_eigenpair_matches_scipy_lobpcg(annulus9):
+    """The single-vector LOBPCG of `lowest_eigenpair` against scipy's block
+    LOBPCG with the same start, preconditioner and tolerance: lambda1 to
+    1e-13 relative, e1 to 1e-9."""
+    dom = annulus9.domain
+    lam, e1 = annulus9.spectral.lambda1, annulus9.spectral.e1.values
+    _, eig = dom._sine_basis
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, X = scipy_lobpcg(dom.matrix, np.ones((dom.n_interior, 1)),
+                               M=lambda R: dom.precondition(R.ravel())[:, None],
+                               tol=grid.EIG_TOL * eig.flat[0], maxiter=grid.EIG_MAXITER,
+                               largest=False)
+    x = X[:, 0] / dom.l2_norm(X[:, 0])
+    assert abs(lam - vals[0]) <= 1e-13 * lam
+    assert np.abs(e1 - np.sign(x.sum()) * x).max() <= 1e-9
+
+
+def test_eigensolve_falls_back_to_two_vector_basis(annulus9, monkeypatch):
+    """When the 3x3 Rayleigh-Ritz step fails (its B-Gram matrix not
+    positive definite), that iteration runs on [x, w] alone and the solve
+    still reaches the same pair, to 1e-12."""
+    calls = []
+
+    def eigh_failing_once(a, b, **kwargs):
+        if a.shape == (3, 3) and not calls:
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("B-Gram matrix not positive definite")
+        return eigh(a, b, **kwargs)
+
+    monkeypatch.setattr(grid, "eigh", eigh_failing_once)
+    lam, e1 = principal_eigenpair(annulus9.domain)
+    assert calls == [(3, 3)]
+    assert abs(lam - annulus9.spectral.lambda1) <= 1e-12 * lam
+    assert np.abs(e1.values - annulus9.spectral.e1.values).max() <= 1e-12
 
 
 def test_eigenvalue_matches_stencil_formula(box9):

@@ -258,11 +258,22 @@ def test_hessian_eigenvalue_matches_dense_eigh(cell9):
     v = rec_plus.v.values
     H = np.stack([hessian_apply(v, e, p) for e in np.eye(d.n_interior)], axis=1)
     ref = scipy.linalg.eigh(H, d.matrix.toarray(), eigvals_only=True, subset_by_index=[0, 0])
-    sigma, resid = verify.hessian_min_eigenvalue(p, v)
+    sigma, resid, _ = verify.hessian_min_eigenvalue(p, v)
     assert resid <= verify.CONVEXITY_EIG_RTOL
     assert abs(sigma - ref[0]) <= 1e-8
     check = convexity_ball_check(p, [rec_plus]).checks[2]
     assert check.lhs == sigma
+
+
+def test_hessian_eigen_solve_from_an_eigenvector_runs_no_iteration(box9):
+    """At v = 0 and mu = 0 the Hessian is A - lam I, whose lowest
+    eigenvector is the start vector e1: the solve returns it after 0
+    iterations, with sigma = 1 - lam / lambda1."""
+    p = box9.params(lam=0.5 * box9.spectral.lambda1, mu=0.0)
+    sigma, resid, iters = verify.hessian_min_eigenvalue(p, np.zeros(p.domain.n_interior))
+    assert iters == 0
+    assert resid <= verify.CONVEXITY_EIG_RTOL
+    assert abs(sigma - 0.5) <= 1e-12
 
 
 def test_hessian_eigen_solve_stopped_short_fails_its_check(cell9, monkeypatch):
@@ -273,7 +284,7 @@ def test_hessian_eigen_solve_stopped_short_fails_its_check(cell9, monkeypatch):
     monkeypatch.setattr(verify, "CONVEXITY_EIG_RTOL", 1e-30)
     cert = convexity_ball_check(p, [rec_plus])
     _fails_alone(cert, "eigen solve stopped at relative residual")
-    assert "rtol 1e-30" in cert.failed()[0].name
+    assert "rtol 1e-30, after 1 iterations" in cert.failed()[0].name
     assert cert.failed()[0].lhs > 0.0
 
 
