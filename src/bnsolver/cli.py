@@ -275,11 +275,13 @@ def parse_config(path) -> RunConfig:
 # -- run ----------------------------------------------------------------------
 
 
-# The run's spectral data archive (`grid.dump_spectral_data`) and its
-# harmonic lift (`grid.dump_field`), at the run root next to config.ini:
-# they belong to the run, not to one cell.
+# The run's spectral data archive (`grid.dump_spectral_data`), its
+# harmonic lift (`grid.dump_field`) and the copy of the node table a
+# `kind = table` config names, at the run root next to config.ini: they
+# belong to the run, not to one cell, and certify reads the copy.
 SPECTRAL_FILE = "spectral.npz"
 LIFT_FILE = "lift.npy"
+TABLE_FILE = "boundary_table.txt"
 
 
 def _setup(rc: RunConfig):
@@ -392,6 +394,8 @@ def run(config_path, out_dir_override=None) -> int:
     shutil.copy(config_path, out / "config.ini")
 
     _, spectral, lift, lambdas, mus = _setup(rc)
+    if isinstance(rc.boundary, TableFile):
+        shutil.copy(rc.boundary.path, out / TABLE_FILE)
     if rc.dump_fields:
         dump_spectral_data(spectral, out / SPECTRAL_FILE)
         dump_field(lift, out / LIFT_FILE)
@@ -612,9 +616,12 @@ def _stored_record(r, v: Field, p: Params) -> SolutionRecord:
 def _stored_params(run_dir, rc: RunConfig, domain, cell) -> Params:
     """Params of a cell from the run's stored spectral data and lift, each
     checked against the run's config (`load_spectral_data`, `load_lift`)
-    instead of computed again."""
+    instead of computed again; node-table data are read from the run's own
+    copy of the table."""
     spectral = load_spectral_data(run_dir / SPECTRAL_FILE, domain)
-    lift = load_lift(run_dir / LIFT_FILE, rc.boundary, domain)
+    boundary = (TableFile(str(run_dir / TABLE_FILE)) if isinstance(rc.boundary, TableFile)
+                else rc.boundary)
+    lift = load_lift(run_dir / LIFT_FILE, boundary, domain)
     return Params(lam=cell["lambda"], mu=cell["mu"], spectral=spectral, lift=lift)
 
 

@@ -9,13 +9,15 @@ with 2* the critical exponent of the dimension (`Domain.two_star`).  The
 fibering map of a ray v is t -> E(t v), for t >= 0; its first two
 derivatives in t and the convexity threshold t0 below which the second
 derivative is guaranteed positive are evaluated here.  What depends only
-on (lam, mu) and phi (mu*phi, ||phi||_2^2, E(0), the symmetry group) is a
+on (lam, mu) and phi (mu*phi, ||phi||_2^2, E(0), the symmetry group, and
+for even 2* the powers (mu phi)^k with the sum of (mu phi)^(2*)) is a
 cached property of `Params`, built once per Params; scalar ray
 coefficients are computed once per ray.  The critical integrals along the
 ray take one of two paths, picked by the exponent:
 
 * even 2* (6 in N = 3, 4 in N = 4): |t v + mu phi|^(2*) is a polynomial in
-  t, so one pass over the nodes gives the 2*+1 ray moments
+  t, so one pass over the nodes, the powers of v against the Params'
+  powers of mu phi, gives the 2*+1 ray moments
   M_j = int v^j (mu phi)^(2*-j), and every later t costs a Horner
   evaluation of a binomial sum of them;
 * any other 2* (N >= 5): the integrals are re-quadratured over all nodes at
@@ -35,6 +37,10 @@ from .grid import Field, SpectralData, _matches
 from .numutil import abs_pow, signed_pow
 
 _BATCH_ELEMS = 4_000_000  # cap on elements of one t-batch times node count
+# C(q - k, j), j = 0..q-k, one row for each k = 0, 1, 2, for the even 2* = q
+# of N = 3 and 4 (2* = 2N/(N-2) is an even integer in no other dimension)
+_BINOMIALS = {q: [[math.comb(q - k, j) for j in range(q - k + 1)] for k in range(3)]
+              for q in (4, 6)}
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,27 @@ class Params:
         mu_phi = self.mu * self.lift.values
         mu_phi.flags.writeable = False
         return mu_phi
+
+    @cached_property
+    def lift_powers(self):
+        """The rows (mu phi)^k, k = 1..2*-1, of one read-only (2*-1, n)
+        array, each the previous times mu phi, for even 2* and mu > 0: the
+        ray-independent half of every `FiberingProfile`'s moments.  None
+        otherwise."""
+        if self.mu == 0.0 or self.two_star not in _BINOMIALS:
+            return None
+        rows = np.empty((int(self.two_star) - 1, self.mu_phi.size))
+        rows[0] = self.mu_phi
+        for k in range(1, len(rows)):
+            np.multiply(rows[k - 1], rows[0], out=rows[k])
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def lift_crit_sum(self) -> float:
+        """sum (mu phi)^(2*) over the nodes, unweighted, from `lift_powers`
+        (which must not be None)."""
+        return (self.lift_powers[-1] * self.lift_powers[0]).sum()
 
     @cached_property
     def phi_l2(self) -> float:
@@ -167,7 +194,9 @@ class FiberingProfile:
     Ray coefficients (||v||^2, ||v||_2^2, integrals against phi) are
     frozen at construction; ||phi||_2^2 is the Params' own
     (`Params.phi_l2`).  For even 2* so are the ray moments
-    M_j = int v^j (mu phi)^(2*-j), j = 0..2*, and each critical integral at t
+    M_j = int v^j (mu phi)^(2*-j), j = 0..2*, the powers of v taken against
+    `Params.lift_powers` (at mu = 0 every M_j but M_(2*) is 0), and each
+    critical integral at t
     is a binomial-weighted Horner polynomial in them, pure float for a
     scalar t.  For any other 2* the critical integrals are re-quadratured at
     every t.
@@ -187,22 +216,23 @@ class FiberingProfile:
         self.l2 = d.l2_norm_sq(v)
         self.phi_v = w0 * float(np.dot(phi, v))
         self._c = (ts - 1.0) * 2.0 ** (ts - 2.0)
-        if ts.is_integer() and int(ts) % 2 == 0:
+        if ts in _BINOMIALS:
             q = int(ts)
-            # rows v^k and (mu phi)^k for k = 1..q, then
-            # M_0 = int (mu phi)^q, M_j = int v^j (mu phi)^(q-j), M_q = int v^q
-            vp, pp = pows = np.empty((2, q, v.size))
-            vp[0], pp[0] = v, p.mu_phi
+            # rows v^k for k = 1..q against the Params' rows (mu phi)^k, then
+            # M_0 = int (mu phi)^q, M_j = int v^j (mu phi)^(q-j), M_q = int v^q;
+            # at mu = 0 every M_j but M_q is 0
+            vp = np.empty((q, v.size))
+            vp[0] = v
             for k in range(1, q):
-                np.multiply(pows[:, k - 1], pows[:, 0], out=pows[:, k])
-            inner = np.einsum("jn,jn->j", vp[:-1], pp[-2::-1])
-            self.moments = w0 * np.array([pp[-1].sum(), *inner, vp[-1].sum()])
+                np.multiply(vp[k - 1], vp[0], out=vp[k])
+            lower = ([0.0] * q if p.lift_powers is None else
+                     [p.lift_crit_sum, *np.einsum("jn,jn->j", vp[:-1], p.lift_powers[::-1])])
+            self.moments = w0 * np.array([*lower, vp[-1].sum()])
             m = self.moments.tolist()
             # coefficients in t of crit_mass, crit_pair_v and crit_quad_v2:
             # int (t v + mu phi)^(q-k) v^k = sum_j C(q-k, j) M_(j+k) t^j
-            self._coef = tuple(
-                [math.comb(q - k, j) * m[j + k] for j in range(q - k + 1)] for k in range(3)
-            )
+            self._coef = tuple([c * m[j + k] for j, c in enumerate(row)]
+                               for k, row in enumerate(_BINOMIALS[q]))
             self.v_crit = m[q]
             self._c_psi_v2 = self._c * m[2]
             psi_pairing = m[1]
@@ -216,9 +246,8 @@ class FiberingProfile:
         self.sign_pairing = p.lam * p.mu * self.phi_v + psi_pairing
         # Every ray sum is finite exactly when the ray is: a NaN or inf value
         # fails here rather than in a root bracket.
-        sums = [self.a, self.l2, self.phi_v, self.v_crit, self._c_psi_v2]
-        if self.moments is not None:
-            sums.extend(self.moments)
+        sums = [self.a, self.l2, self.phi_v, self.v_crit, self._c_psi_v2,
+                *(() if self.moments is None else self.moments)]
         if not np.isfinite(sums).all():
             raise ArgumentError("fibering ray contains non-finite values")
 

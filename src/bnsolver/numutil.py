@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
-from scipy.sparse.linalg import minres as _scipy_minres
 
 from .errors import NumericalError
 
@@ -81,20 +81,18 @@ def solve_cg(A, b, x0=None, rtol=1e-12, maxiter=None, label="cg"):
     once ||b - A x||_2 < rtol ||b||_2, (the last iterate, False) when
     maxiter iterations (default 10 n) run out; NumericalError when A is
     found not to be positive definite."""
-    x, info = _scipy_cg(A, b, x0=x0, rtol=rtol, maxiter=maxiter)
-    if info < 0:
-        raise NumericalError(f"{label}: conjugate gradients broke down: p.Ap <= 0 "
-                             "(matrix not positive definite)")
+    x, info = _scipy_cg(A, b, x0=x0, rtol=rtol, maxiter=maxiter, label=label)
     return x, info == 0
 
 
-def _scipy_cg(A, b, x0=None, *, rtol, maxiter=None, callback=None):
+def _scipy_cg(A, b, x0=None, *, rtol, maxiter=None, callback=None, label="cg"):
     """scipy.sparse.linalg.cg with M = I and atol = 0, on raw float arrays:
     the same arithmetic in the same order, so the same iterates bit for
     bit, and scipy's keywords and (x, info) return, info 0 when converged
     and maxiter when not, so that wrappers of scipy's cg (an iteration
     counter passed as `callback`) work unchanged.  It differs in two ways:
-    x0 is never written to, and a non-positive p.Ap returns info -1 at once.
+    x0 is never written to, and a non-positive p.Ap is a NumericalError
+    naming `label`, raised at once.
 
     Per iteration: one dot product r.r, used both for the stop test
     sqrt(r.r) < rtol ||b|| and as rho; one product A p; p updated in place;
@@ -122,7 +120,8 @@ def _scipy_cg(A, b, x0=None, *, rtol, maxiter=None, callback=None):
         q = A @ p
         pq = np.dot(p, q)
         if not pq > 0.0:
-            return x, -1
+            raise NumericalError(f"{label}: conjugate gradients broke down: p.Ap <= 0 "
+                                 "(matrix not positive definite)")
         alpha = rho / pq
         x += np.multiply(alpha, p, out=tmp)
         r -= np.multiply(alpha, q, out=tmp)
@@ -133,11 +132,88 @@ def _scipy_cg(A, b, x0=None, *, rtol, maxiter=None, callback=None):
 
 
 def solve_minres(A, b, M, rtol=1e-10, maxiter=None, label="minres"):
-    """MINRES solve for symmetric (possibly indefinite) systems, from zero,
-    preconditioned by the symmetric positive definite M given as the map
-    r -> M r of raw arrays."""
-    M = LinearOperator(A.shape, matvec=M, dtype=float)
-    x, info = _scipy_minres(A, b, rtol=rtol, maxiter=maxiter, M=M)
-    if info < 0:
-        raise NumericalError(f"{label}: minres broke down (info={info})")
+    """MINRES solve of A x = b for the symmetric (possibly indefinite) A
+    given as the map x -> A x of raw arrays, from zero, preconditioned by
+    the symmetric positive definite M given the same way (`_scipy_minres`):
+    (x, True) once converged, (the last iterate, False) when maxiter
+    iterations (default 5 n) run out; NumericalError when an inner product
+    shows M not positive definite or A not symmetric."""
+    x, info = _scipy_minres(A, b, rtol=rtol, maxiter=maxiter, M=M, label=label)
     return x, info == 0
+
+
+def _scipy_minres(matvec, b, *, rtol, maxiter=None, M, callback=None, label="minres"):
+    """scipy.sparse.linalg.minres with x0 = 0 and shift = 0, on raw float
+    arrays: matvec and M are the maps x -> A x and r -> M r, each returning
+    a new array.  The same arithmetic in the same order, so the same
+    iterates bit for bit, and scipy's keywords and (x, info) return, info 0
+    when a stop test holds and maxiter when the iterations run out, so that
+    wrappers of scipy's minres (an iteration counter passed as `callback`)
+    work unchanged.  It differs in two ways: scipy's ValueError on a
+    negative r.M r (M indefinite, or A not symmetric) is a NumericalError
+    naming `label` and the inner product, and x, v and the three search
+    directions are updated in place through one scratch buffer."""
+    r1 = r2 = np.array(b, dtype=float)
+    maxiter = 5 * r1.size if maxiter is None else maxiter
+    eps = np.finfo(float).eps
+    x = np.zeros_like(r1)
+    y = M(r1)
+    beta1 = np.inner(r1, y)
+    if beta1 < 0:
+        raise NumericalError(f"{label}: minres broke down: r.M r = {beta1:.6e} < 0 "
+                             "(preconditioner not positive definite)")
+    if beta1 == 0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+    oldb, beta, dbar, epsln, phibar, tnorm2 = 0, beta1, 0, 0, beta1, 0
+    cs, sn, gmax, gmin = -1, 0, 0, np.finfo(float).max
+    v, tmp = np.empty_like(r1), np.empty_like(r1)
+    w1, w2, w = np.zeros((3, r1.size))
+    for itn in range(1, maxiter + 1):
+        np.multiply(y, 1.0 / beta, out=v)
+        y = matvec(v)
+        if itn >= 2:
+            y -= np.multiply(r1, beta / oldb, out=tmp)
+        alfa = np.inner(v, y)
+        y -= np.multiply(r2, alfa / beta, out=tmp)
+        r1, r2 = r2, y
+        y = M(r2)
+        oldb, beta = beta, np.inner(r2, y)
+        if beta < 0:
+            raise NumericalError(f"{label}: minres broke down: r.M r = {beta:.6e} < 0 "
+                                 f"at iteration {itn} (matrix not symmetric)")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+
+        # apply the previous plane rotation, then compute the next one
+        oldeps, epsln = epsln, sn * beta
+        delta, gbar, dbar = cs * dbar + sn * alfa, sn * dbar - cs * alfa, -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+
+        # w = (v - oldeps w1 - delta w2) / gamma into the free buffer, x += phi w
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(w1, oldeps, out=tmp), out=w)
+        w -= np.multiply(w2, delta, out=tmp)
+        w *= 1.0 / gamma
+        x += np.multiply(w, phi, out=tmp)
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+
+        Anorm = math.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        test1 = math.inf if ynorm == 0 or Anorm == 0 else phibar / (Anorm * ynorm)
+        test2 = math.inf if Anorm == 0 else root / Anorm
+        if callback is not None:
+            callback(x)
+        # scipy's stop tests: a first step with beta/beta1 <= 10 eps (b and
+        # x eigenvectors), ||r|| / (||A|| ||x||) or ||A r|| / (||A|| ||r||)
+        # below rtol, x beyond 1/eps of b or cond(A) beyond 0.1/eps return
+        # 0; then the iteration limit returns maxiter, and either test below
+        # eps returns 0
+        stop = (itn == 1 and beta / beta1 <= 10 * eps) or test1 <= rtol or test2 <= rtol \
+            or Anorm * ynorm * eps >= beta1 or gmax / gmin >= 0.1 / eps
+        if stop or itn >= maxiter or 1 + test1 <= 1 or 1 + test2 <= 1:
+            return x, 0 if stop or itn < maxiter else maxiter
+    return x, 0

@@ -67,7 +67,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import (
     ArgumentError,
@@ -199,12 +198,12 @@ def _newton_polish(p: Params, vvals, max_steps, flags):
     """Damped Newton on the full first-order system, at most max_steps
     steps; returns (values, grad_norm, steps, converged).  Each step solves
     the Hessian system, -Lap - diag(c) for c the Hessian weight
-    (`functional.hessian_weight`) applied as a product with the cached CSR
-    -Lap and no copy of it, by MINRES preconditioned by
-    `Domain.precondition` (the exact inverse of -Lap on a box, its
-    bounding-box sine solve on a masked lattice), and takes the step length
-    by `numutil.armijo` on the gradient norm.  The convergence flag of every
-    inner MINRES solve is appended to the list `flags`."""
+    (`functional.hessian_weight`) given as the map x -> A x - c x of raw
+    arrays with A the cached CSR -Lap, by MINRES (`numutil.solve_minres`)
+    preconditioned by `Domain.precondition` (the exact inverse of -Lap on a
+    box, its bounding-box sine solve on a masked lattice), and takes the
+    step length by `numutil.armijo` on the gradient norm.  The convergence
+    flag of every inner MINRES solve is appended to the list `flags`."""
     d = p.domain
     A = d.matrix
     v = np.array(vvals, dtype=float)
@@ -215,8 +214,7 @@ def _newton_polish(p: Params, vvals, max_steps, flags):
         if _converged(p, v, gn):
             return v, gn, steps, True
         c = hessian_weight(v, p)
-        H = LinearOperator(A.shape, matvec=lambda x, c=c: A @ x - c * x, dtype=float)
-        delta, ok = solve_minres(H, -g, M=d.precondition,
+        delta, ok = solve_minres(lambda x, c=c: A @ x - c * x, -g, M=d.precondition,
                                  rtol=min(1e-2, NEWTON_INNER_RTOL + 0.1 * gn),
                                  maxiter=4000, label="newton step")
         flags.append(ok)

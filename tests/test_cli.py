@@ -548,20 +548,26 @@ def test_certify_nonexistence_cell_without_dumps(tmp_path, capsys):
         "nonexistence cell: no field dump stored (rerun with dump_fields = true)\n")
 
 
-def _node_table_run(tmp_path):
+def _node_table_run(tmp_path, file=None):
     """(run directory, table path, config path) of a res-7 box run on
-    node-table boundary data, the table at an absolute path."""
+    node-table boundary data; the config names the table by `file`, by
+    default its absolute path."""
     nb = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7)).boundary_flat.size
     table = tmp_path / "table.txt"
     table.write_text("".join(f"{i} {1.0 + (i % 5) / 4}\n" for i in range(nb)))
     out = tmp_path / "out"
     text = (BASE_CONFIG.format(out=out)
             .replace("resolution = 9", "resolution = 7")
-            .replace("kind = constant\nvalue = 1.0", f"kind = table\nfile = {table}")
+            .replace("kind = constant\nvalue = 1.0", f"kind = table\nfile = {file or table}")
             .replace("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = 0.5*lambda1"))
     cfg = write_config(tmp_path, text)
     assert main(["run", str(cfg)]) == 0
     return out, table, cfg
+
+
+def _edit_table(path):
+    nb = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7)).boundary_flat.size
+    path.write_text("".join(f"{i} {2.0 + (i % 5) / 4}\n" for i in range(nb)))
 
 
 def test_node_table_config_is_boundary_data(tmp_path):
@@ -577,18 +583,34 @@ def test_node_table_config_is_boundary_data(tmp_path):
 
 def test_node_table_run_and_certify(tmp_path, capsys):
     """A run on node-table boundary data, with the table at an absolute
-    path, certifies; once the table is edited, the stored lift no longer
-    passes against it."""
+    path, keeps a copy of the table and certifies against it, also after
+    the original table is edited; once the run's copy is edited, the stored
+    lift no longer passes against it."""
     out, table, _ = _node_table_run(tmp_path)
-    nb = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7)).boundary_flat.size
+    assert (out / cli.TABLE_FILE).read_bytes() == table.read_bytes()
     cell_path = out / "cells" / "cell_0000.json"
+    _edit_table(table)
     capsys.readouterr()
     assert main(["certify", str(cell_path)]) == 0
     assert capsys.readouterr().out.count("overall: PASS") == 2
 
-    table.write_text("".join(f"{i} {2.0 + (i % 5) / 4}\n" for i in range(nb)))
+    _edit_table(out / cli.TABLE_FILE)
     assert main(["certify", str(cell_path)]) == 2
     assert f"{out / 'lift.npy'}: lift residual" in capsys.readouterr().err
+
+
+def test_node_table_run_certifies_from_another_directory(tmp_path, monkeypatch, capsys):
+    """A node table named by a path relative to the directory the run
+    started in: certify from the run directory itself reads the run's copy
+    and passes, also after the original table is edited."""
+    monkeypatch.chdir(tmp_path)
+    out, table, _ = _node_table_run(tmp_path, file="table.txt")
+    monkeypatch.chdir(out)
+    capsys.readouterr()
+    assert main(["certify", "cells/cell_0000.json"]) == 0
+    assert capsys.readouterr().out.count("overall: PASS") == 2
+    _edit_table(table)
+    assert main(["certify", "cells/cell_0000.json"]) == 0
 
 
 def test_config_errors(tmp_path):

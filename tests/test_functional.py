@@ -283,6 +283,50 @@ def test_moment_polynomial_matches_quadrature(ndim, signed, mu, lam_factor, seed
             assert abs(prof.sign_pairing + ref[0]) <= 1e-13 * scale
 
 
+def _moments_from_one_buffer(v, p):
+    """The ray moments M_j = int v^j (mu phi)^(2*-j), j = 0..2*, built from
+    one (2, 2*, n) buffer of the rows v^k and (mu phi)^k: the reference
+    for the moments taken against `Params.lift_powers`."""
+    q = int(p.two_star)
+    vp, pp = pows = np.empty((2, q, v.size))
+    vp[0], pp[0] = v, p.mu_phi
+    for k in range(1, q):
+        np.multiply(pows[:, k - 1], pows[:, 0], out=pows[:, k])
+    inner = np.einsum("jn,jn->j", vp[:-1], pp[-2::-1])
+    return p.domain.weight * np.array([pp[-1].sum(), *inner, vp[-1].sum()])
+
+
+@pytest.mark.parametrize("ndim", [3, 4])
+@pytest.mark.parametrize("mu", [0.0, 0.01])
+def test_moments_match_the_one_buffer_moments_bit_for_bit(ndim, mu):
+    """The profile's moments, from the powers of v against the Params'
+    cached powers of mu phi (none at mu = 0), equal the one-buffer moments
+    bit for bit, on signed and positive rays."""
+    setup = unit_box(ndim)
+    p = setup.params(lam_factor=0.5, mu=mu)
+    rng = np.random.default_rng(13)
+    for positive in (False, True, False, True):
+        v = setup.random_field(rng, positive=positive).values * rng.uniform(0.1, 10.0)
+        moments = FiberingProfile(v, p).moments
+        assert moments.tobytes() == _moments_from_one_buffer(v, p).tobytes()
+
+
+def test_lift_powers_are_cached_read_only_rows():
+    """Params.lift_powers holds the rows (mu phi)^k, k = 1..2*-1, read-only
+    and built once; it is None at mu = 0 and for the fractional 2* of N = 5."""
+    for ndim in (3, 4):
+        p = unit_box(ndim).params(lam_factor=0.5, mu=0.01)
+        rows = p.lift_powers
+        assert rows.shape == (p.two_star - 1, p.domain.n_interior)
+        assert rows[0].tobytes() == p.mu_phi.tobytes()
+        assert np.allclose(rows[-1], p.mu_phi ** (p.two_star - 1), rtol=1e-14, atol=0.0)
+        assert p.lift_powers is rows and not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        assert unit_box(ndim).params(lam_factor=0.5, mu=0.0).lift_powers is None
+    assert unit_box(5).params(lam_factor=0.5, mu=0.01).lift_powers is None
+
+
 def test_dimension5_takes_the_quadrature_path():
     """2* = 10/3 is not an even integer: the profile has no ray moments, and
     its integrals are the quadrature's."""

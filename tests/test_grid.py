@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
+from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
 from scipy.sparse.linalg import lobpcg as scipy_lobpcg
+from scipy.sparse.linalg import minres as scipy_minres
 
 from bnsolver import grid, numutil
 from bnsolver.errors import ArgumentError, ConfigurationError, NumericalError
+from bnsolver.functional import FiberingProfile, gradient_values, hessian_weight
 from bnsolver.grid import (
     AnnulusD,
     Box,
@@ -30,6 +33,7 @@ from bnsolver.grid import (
     _sine_transform,
 )
 from bnsolver.lift import NodeTable, solve_lift
+from bnsolver.nehari import t_minus
 from bnsolver.numutil import solve_cg
 from bnsolver.solve import make_bubble
 
@@ -377,6 +381,42 @@ def test_solve_cg_matches_scipy_cg_bit_for_bit(annulus9, warm):
         assert ok == (info == 0) and ok == (maxiter != 7)
     if warm:
         assert x0.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("name", ["box9", "annulus9"])
+def test_minres_matches_scipy_minres_bit_for_bit(request, name):
+    """_scipy_minres reproduces scipy's minres, preconditioned by
+    Domain.precondition, on the Newton system E''(v) x = -E'(v) at the
+    t_minus projection v of the principal eigenvector (indefinite), given as
+    maps of raw arrays: converged at rtol 1e-2 and 1e-9 and cut by maxiter
+    (info == maxiter), with one callback per iteration."""
+    setup = request.getfixturevalue(name)
+    dom = setup.domain
+    p = setup.params(mu=0.01)
+    e1 = np.abs(setup.spectral.e1.values)
+    v = t_minus(FiberingProfile(e1, p)) * e1
+    c = hessian_weight(v, p)
+    H = lambda x: dom.matrix @ x - c * x
+    b = -gradient_values(v, p)
+    op = lambda f: LinearOperator(dom.matrix.shape, matvec=f, dtype=float)
+    for rtol, maxiter in ((1e-2, None), (1e-9, None), (1e-9, 3)):
+        ref_iters, iters = [], []
+        ref, ref_info = scipy_minres(op(H), b, rtol=rtol, maxiter=maxiter,
+                                     M=op(dom.precondition), callback=ref_iters.append)
+        x, info = numutil._scipy_minres(H, b, rtol=rtol, maxiter=maxiter,
+                                        M=dom.precondition, callback=iters.append)
+        assert x.tobytes() == ref.tobytes()
+        assert info == ref_info == (0 if maxiter is None else maxiter)
+        assert len(iters) == len(ref_iters) > (0 if maxiter is None else maxiter - 1)
+
+
+def test_minres_indefinite_preconditioner_raises_with_label(box9):
+    """A preconditioner with r.M r < 0 is a NumericalError that names the
+    solve and the inner product, not scipy's ValueError."""
+    dom = box9.domain
+    with pytest.raises(NumericalError, match=r"newton step: minres broke down: r\.M r = -"):
+        numutil.solve_minres(dom.matrix.dot, np.ones(dom.n_interior), M=lambda r: -r,
+                             label="newton step")
 
 
 def test_solve_cg_zero_rhs_and_breakdown(annulus9):
