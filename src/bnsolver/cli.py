@@ -608,8 +608,7 @@ def _stored_record(r, v: Field, p: Params) -> SolutionRecord:
         v=v, u=compose_solution(v, p.mu, p.lift), energy=r["energy"],
         klass=Klass[r["class"]], grad_norm=r["grad_norm"],
         positive=r["positive"], seed=SeedKind(r["seed"]),
-        iterations=r["iterations"], lam=p.lam, mu=p.mu, barycenter=np.array(r["barycenter"]),
-        grad_dir_integral=np.array(r["grad_dir_integral"]),
+        iterations=r["iterations"], lam=p.lam, mu=p.mu,
     )
 
 

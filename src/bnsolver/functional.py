@@ -144,12 +144,15 @@ def energy(v, p: Params, h1_sq=None) -> float:
     )
 
 
-def gradient_values(v, p: Params) -> np.ndarray:
+def gradient_values(v, p: Params, Av=None) -> np.ndarray:
     """L2 representation of the gradient:
-    -Lap v - lam (v + mu phi) - |v + mu phi|^(2*-2)(v + mu phi)."""
+    -Lap v - lam (v + mu phi) - |v + mu phi|^(2*-2)(v + mu phi); Av is
+    -Lap v (`Domain.apply_neg_laplacian`) when the caller has it."""
     v = _checked(v, p)
     w = v + p.mu_phi
-    return p.domain.apply_neg_laplacian(v) - p.lam * w - signed_pow(w, p.two_star - 1.0)
+    if Av is None:
+        Av = p.domain.apply_neg_laplacian(v)
+    return Av - p.lam * w - signed_pow(w, p.two_star - 1.0)
 
 
 def hessian_weight(v, p: Params) -> np.ndarray:
@@ -192,7 +195,8 @@ class FiberingProfile:
     """Scalar data of one fibering map t -> E(t v).
 
     Ray coefficients (||v||^2, ||v||_2^2, integrals against phi) are
-    frozen at construction; ||phi||_2^2 is the Params' own
+    frozen at construction; ||v||^2 is `a` when the caller passes it (the
+    value of `Domain.h1_norm_sq`), and ||phi||_2^2 is the Params' own
     (`Params.phi_l2`).  For even 2* so are the ray moments
     M_j = int v^j (mu phi)^(2*-j), j = 0..2*, the powers of v taken against
     `Params.lift_powers` (at mu = 0 every M_j but M_(2*) is 0), and each
@@ -202,7 +206,7 @@ class FiberingProfile:
     every t.
     """
 
-    def __init__(self, v, p: Params):
+    def __init__(self, v, p: Params, a=None):
         v = _checked(v, p)
         if not np.any(v):
             raise ArgumentError("fibering ray must be nonzero")
@@ -212,7 +216,7 @@ class FiberingProfile:
         d = p.domain
         w0 = d.weight
         phi = p.lift.values
-        self.a = d.h1_norm_sq(v)
+        self.a = d.h1_norm_sq(v) if a is None else a
         self.l2 = d.l2_norm_sq(v)
         self.phi_v = w0 * float(np.dot(phi, v))
         self._c = (ts - 1.0) * 2.0 ** (ts - 2.0)

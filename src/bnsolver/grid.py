@@ -7,6 +7,13 @@ Dirichlet eigenpair and a discrete best Sobolev constant.
 
 Discrete conventions, fixed once and used everywhere:
 
+* the lattice is res^N nodes, at most the int32 range that the CSR indices
+  address (`DomainSpec` checks it before anything is allocated), and is
+  never stored as a coordinate table: the interior mask is a boolean
+  lattice array (the block off the hull, on the annulus cut by |x| summed
+  from the squared axes), the interior and boundary nodes are the flat
+  indices of a mask, so they come out sorted and unique, and only their
+  coordinates are gathered from the axes;
 * fields live on interior nodes only and are extended by zero (or by the
   boundary data, for the harmonic lift) on the rest of the lattice;
 * the critical exponent 2* is `Domain.two_star`, computed once per domain;
@@ -151,6 +158,12 @@ class DomainSpec:
             raise ConfigurationError(
                 f"box has {len(self.shape.sides)} sides but dimension is {self.dimension}"
             )
+        n_lattice = self.resolution ** self.dimension
+        if n_lattice > np.iinfo(np.int32).max:  # the CSR's index type
+            raise ConfigurationError(
+                f"lattice of {self.resolution}^{self.dimension} nodes ({n_lattice:.3g}) "
+                f"exceeds the {np.iinfo(np.int32).max} nodes that int32 indices address"
+            )
 
 
 class Domain:
@@ -177,28 +190,6 @@ class Domain:
             self._r_out = ANNULUS_OUTER_FACTOR / d0
             L = ANNULUS_BOX_FACTOR * self._r_out
             self.axes = [np.linspace(-L, L, res) for _ in range(N)]
-
-        self.h = np.array([ax[1] - ax[0] for ax in self.axes])
-        self.weight = float(np.prod(self.h))
-
-        try:
-            mesh = np.meshgrid(*self.axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-        except MemoryError:
-            raise ConfigurationError(f"lattice of {res}^{N} nodes does not fit in memory") from None
-        n_lattice = pts.shape[0]
-
-        idx_nd = np.unravel_index(np.arange(n_lattice), self.lattice_shape)
-        on_hull = np.zeros(n_lattice, dtype=bool)
-        for d in range(N):
-            on_hull |= (idx_nd[d] == 0) | (idx_nd[d] == res - 1)
-
-        if isinstance(spec.shape, Box):
-            interior = ~on_hull
-        else:
-            r = np.linalg.norm(pts, axis=1)
-            interior = (r > self._r_in) & (r < self._r_out) & ~on_hull
-            d0 = spec.shape.delta0
             across = int(np.sum((self.axes[0] >= d0) & (self.axes[0] <= 1.0 / d0)))
             if across < 3:
                 raise ConfigurationError(
@@ -206,14 +197,31 @@ class Domain:
                     f"across the shell [{d0:g}, {1.0 / d0:g}] (need 3)"
                 )
 
-        self._interior_mask = interior.reshape(self.lattice_shape)
-        self.interior_flat = np.flatnonzero(interior)
+        self.h = np.array([ax[1] - ax[0] for ax in self.axes])
+        self.weight = float(np.prod(self.h))
+
+        # The interior mask as a lattice array: the block off the hull, on the
+        # annulus cut to r_in < |x| < r_out.  |x|^2 sums the squared axes in
+        # axis order, the order of np.linalg.norm over a row of coordinates.
+        inner = (slice(1, -1),) * N
+        try:
+            mask = np.zeros(self.lattice_shape, dtype=bool)
+            if isinstance(spec.shape, Box):
+                mask[inner] = True
+            else:
+                r = np.sqrt(sum(np.ix_(*(ax * ax for ax in self.axes))))
+                mask[inner] = (r[inner] > self._r_in) & (r[inner] < self._r_out)
+        except MemoryError:
+            raise ConfigurationError(f"lattice of {res}^{N} nodes does not fit in memory") from None
+
+        self._interior_mask = mask
+        self.interior_flat = np.flatnonzero(mask)
         self.n_interior = int(self.interior_flat.size)
         if self.n_interior == 0:
             raise ConfigurationError("domain mask has no interior nodes")
-        self.interior_coords = pts[self.interior_flat]
+        self.interior_coords = self._coords(self.interior_flat)
 
-        inv = np.full(n_lattice, -1, dtype=np.int32)  # the CSR's index type
+        inv = np.full(mask.size, -1, dtype=np.int32)  # the CSR's index type
         inv[self.interior_flat] = np.arange(self.n_interior)
 
         strides = np.array(
@@ -224,26 +232,36 @@ class Domain:
         self.nb_plus = [inv[self.interior_flat + strides[d]] for d in range(N)]
         self.nb_minus = [inv[self.interior_flat - strides[d]] for d in range(N)]
 
-        # Boundary = non-interior lattice nodes adjacent to an interior node.
-        # Stencil edges into the boundary, per axis and side, for lift solves:
+        # Boundary = non-interior lattice nodes adjacent to an interior node,
+        # marked on the lattice, so its flat indices come out sorted and
+        # unique and the running count of marks numbers them.  Stencil edges
+        # into the boundary, per axis and side, for lift solves:
         # (axis, interior index, boundary-order index).
         edges = []
+        on_boundary = np.zeros(mask.size, dtype=bool)
         for d in range(N):
             for sgn, nb in ((+1, self.nb_plus[d]), (-1, self.nb_minus[d])):
                 miss = np.flatnonzero(nb < 0)
-                edges.append((d, miss, self.interior_flat[miss] + sgn * strides[d]))
-        self.boundary_flat = np.unique(np.concatenate([flat for _, _, flat in edges]))
-        self.boundary_coords = pts[self.boundary_flat]
-        self._boundary_edges = [
-            (d, miss, np.searchsorted(self.boundary_flat, flat)) for d, miss, flat in edges
-        ]
+                flat = self.interior_flat[miss] + sgn * strides[d]
+                on_boundary[flat] = True
+                edges.append((d, miss, flat))
+        self.boundary_flat = np.flatnonzero(on_boundary)
+        self.boundary_coords = self._coords(self.boundary_flat)
+        order = np.cumsum(on_boundary) - 1
+        self._boundary_edges = [(d, miss, order[flat]) for d, miss, flat in edges]
 
         if isinstance(spec.shape, AnnulusD):
-            self._check_condition_d(r, interior)
+            self._check_condition_d(r, mask)
+
+    def _coords(self, flat):
+        """The lattice points of the flat node indices `flat`, one row each."""
+        idx = np.unravel_index(flat, self.lattice_shape)
+        return np.stack([ax[i] for ax, i in zip(self.axes, idx)], axis=1)
 
     def _check_condition_d(self, r, interior):
-        """The annulus mask, given the radii r of all lattice nodes, contains
-        the shell delta0 <= |x| <= 1/delta0 and misses the ball |x| < delta0/2."""
+        """The annulus mask, given the radii r of the lattice nodes (both
+        lattice arrays), contains the shell delta0 <= |x| <= 1/delta0 and
+        misses the ball |x| < delta0/2."""
         d0 = self.spec.shape.delta0
         shell = (r >= d0) & (r <= 1.0 / d0)
         if not interior[shell].all():
@@ -260,20 +278,20 @@ class Domain:
         assembled on first use."""
         # Assembled straight into CSR, one row per interior node with its
         # columns in increasing order (interior numbering follows the
-        # lattice, so -stride_0 < ... < -1 < 0 < 1 < ... < stride_0).
+        # lattice, so -stride_0 < ... < -1 < 0 < 1 < ... < stride_0): one
+        # int32 table of the 2N+1 stencil columns, -1 where a neighbour is
+        # off the interior, and one table of their values, both compressed
+        # by the same mask; a row holds the diagonal and the neighbours that
+        # the 2N neighbour tables find.
         n = self.n_interior
         c = [-1.0 / h**2 for h in self.h]
-        stencil = (
-            [(self.nb_minus[d], c[d]) for d in range(self.ndim)]
-            + [(np.arange(n), 2.0 * float(np.sum(1.0 / self.h**2)))]
-            + [(self.nb_plus[d], c[d]) for d in reversed(range(self.ndim))]
-        )
-        cols = np.stack([nb for nb, _ in stencil], axis=1).astype(np.int32)
+        cols = np.stack([*self.nb_minus, np.arange(n), *reversed(self.nb_plus)], axis=1,
+                        dtype=np.int32)
         keep = cols >= 0
-        data = np.broadcast_to([v for _, v in stencil], cols.shape)[keep]
+        values = np.tile([*c, 2.0 * float(np.sum(1.0 / self.h**2)), *reversed(c)], (n, 1))
         indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
-        return sparse.csr_matrix((data, cols[keep], indptr), shape=(n, n))
+        np.cumsum(1 + sum(nb >= 0 for nb in (*self.nb_minus, *self.nb_plus)), out=indptr[1:])
+        return sparse.csr_matrix((values[keep], cols[keep], indptr), shape=(n, n))
 
     def apply_neg_laplacian(self, values):
         return self.matrix @ values

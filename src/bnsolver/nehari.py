@@ -117,14 +117,16 @@ def t_plus(prof: FiberingProfile) -> Optional[float]:
     return float(_refine_root(prof, 0.0, -prof.sign_pairing, t0, f0, tol))
 
 
-def classify(v, p: Params) -> NehariClass:
-    """Three-way manifold membership from T'(1) and T''(1).
+def classify(v, p: Params, h1_sq=None) -> NehariClass:
+    """Three-way manifold membership from T'(1) and T''(1); h1_sq is
+    ||v||^2 (`Domain.h1_norm_sq`) when the caller has it, passed on to the
+    ray's `FiberingProfile` as its `a`.
 
     Zero is reported only when T'(1) vanishes well inside tolerance AND
     T''(1) is inside its own band; ambiguous boundary cases are reported as
     NotOnManifold (the Zero part is proven empty, so a Zero verdict must be a
     deliberate event, not a tie-break)."""
-    prof = FiberingProfile(v, p)
+    prof = FiberingProfile(v, p, h1_sq)
     tp = prof.dT(1.0)
     tpp = prof.d2T(1.0)
     scale = (

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -127,13 +128,24 @@ class SolutionRecord:
     iterations: int
     lam: float
     mu: float
-    barycenter: np.ndarray
-    grad_dir_integral: np.ndarray
     seed_direction: Optional[np.ndarray] = None
     seed_energy: Optional[float] = None
     seed_below_threshold: Optional[bool] = None
     # the solved record this one is the symmetry image of
     image_of: Optional["SolutionRecord"] = dc_field(default=None, repr=False, compare=False)
+
+    # The two diagnostics are taken when first read, which is when the
+    # record is written: a record only kept for its energy (a mu*
+    # continuation row) or certified never pays for them.
+    @cached_property
+    def barycenter(self) -> np.ndarray:
+        """Critical-density center of mass of v (`nehari.barycenter`)."""
+        return barycenter(self.v)
+
+    @cached_property
+    def grad_dir_integral(self) -> np.ndarray:
+        """`Domain.gradient_direction_integral` of v."""
+        return self.v.domain.gradient_direction_integral(self.v.values)
 
     def to_json_dict(self, records=()):
         """JSON data of the record; `records` is the list it sits in, which
@@ -291,9 +303,9 @@ def minimize_on_Nplus(
 
 def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
     """Record of the manifold point v with fresh diagnostics (energy, class,
-    positivity of u = v + mu*phi, barycenter)."""
-    d = p.domain
-    vf = Field(vvals, d)
+    positivity of u = v + mu*phi); the barycenter and the gradient direction
+    integral wait until the record is written."""
+    vf = Field(vvals, p.domain)
     uf = compose_solution(vf, p.mu, p.lift)
     return SolutionRecord(
         v=vf,
@@ -306,8 +318,6 @@ def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
         iterations=iterations,
         lam=p.lam,
         mu=p.mu,
-        barycenter=barycenter(vf),
-        grad_dir_integral=d.gradient_direction_integral(vvals),
     )
 
 

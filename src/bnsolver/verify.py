@@ -88,20 +88,27 @@ def r_lambda(p: Params) -> float:
 
 def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
     """Residual, positivity, manifold class, sign pattern and per-record
-    energy-gap checks for one converged record."""
+    energy-gap checks for one converged record.  The record's v is
+    multiplied by -Lap once: Av = -Lap v gives the gradient
+    (`gradient_values`) and ||v||^2 = <Av, v>, the value of
+    `Domain.h1_norm_sq`, which the class (`classify`) and the energy
+    (`energy`) read instead of taking the product again."""
     d = p.domain
     checks = []
 
-    g = gradient_values(rec.v.values, p)
+    v = rec.v.values
+    Av = d.apply_neg_laplacian(v)
+    h1_sq = d.inner(Av, v)
+    g = gradient_values(v, p, Av)
     gn = d.l2_norm(g)
-    h1 = float(np.sqrt(d.h1_norm_sq(rec.v.values)))
+    h1 = float(np.sqrt(h1_sq))
     tol_res = 1e-7 * (1.0 + h1)
     checks.append(Check("pde residual |grad E| small", gn < tol_res, gn, 0.0, tol_res))
 
     umin = float(rec.u.values.min())
     checks.append(Check("u = v + mu*phi positive nodewise", umin > 0.0, umin, 0.0, 0.0))
 
-    cls = classify(rec.v.values, p)
+    cls = classify(v, p, h1_sq)
     on_manifold = cls.klass in (Klass.PLUS, Klass.MINUS)
     consistent = cls.klass is rec.klass
     checks.append(
@@ -114,7 +121,7 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
         )
     )
 
-    e_val = energy(rec.v.values, p)
+    e_val = energy(v, p, h1_sq)
     if cls.klass is Klass.PLUS:
         checks.append(
             Check("sign pattern: energy < 0 on Plus", e_val < -STRICT_MARGIN, e_val, 0.0,

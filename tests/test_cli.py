@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnsolver
-from bnsolver import cli, grid, numutil
+from bnsolver import cli, grid, numutil, solve
 from bnsolver.cli import main, parse_config
 from bnsolver.errors import ConfigurationError
 from bnsolver.functional import Params
@@ -668,6 +668,20 @@ def test_directions_beyond_the_sphere_set_are_anchored(tmp_path, capsys, dimensi
     assert parse_config(write_config(tmp_path, ok, name="ok.ini")).directions == most
 
 
+def test_lattice_past_the_int32_range_is_a_config_error(tmp_path, capsys):
+    """dimension = 8 at resolution = 300 is 300^8 nodes, more than int32
+    indices address: the run stops at the spec check with exit 2 and an
+    error line, not a traceback from the first lattice allocation."""
+    text = (BASE_CONFIG.format(out=tmp_path / "out")
+            .replace("sides = 1 1 1", "sides = " + " ".join(["1"] * 8))
+            .replace("dimension = 3", "dimension = 8")
+            .replace("resolution = 9", "resolution = 300"))
+    assert main(["run", str(write_config(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lattice of 300^8 nodes") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_default_bump_underflow_is_a_config_error(tmp_path, capsys):
     """A box so elongated that the default bump (the Sobolev descent's seed)
     underflows on every interior node stops with an error naming the bump,
@@ -855,6 +869,21 @@ def test_certify_runs_no_setup_search(completed_run, annulus_run, monkeypatch, c
     for fp, text in expected:
         assert main(["certify", str(fp)]) == 0
         assert capsys.readouterr().out == text
+
+
+def test_certify_takes_no_record_diagnostics(completed_run, monkeypatch):
+    """Certify reads neither the barycenter nor the gradient direction
+    integral of a stored record: with both made to raise, every cell
+    certifies."""
+    def no_diagnostic(*args):
+        raise AssertionError("certify took a record diagnostic")
+
+    monkeypatch.setattr(solve, "barycenter", no_diagnostic)
+    monkeypatch.setattr(grid.Domain, "gradient_direction_integral", no_diagnostic)
+    cells = sorted((completed_run / "cells").glob("cell_*.json"))
+    assert len(cells) == 2
+    for fp in cells:
+        assert main(["certify", str(fp)]) == 0
 
 
 def test_certify_without_field_dumps_reads_no_stored_file(completed_run, tmp_path, capsys):

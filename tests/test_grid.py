@@ -86,10 +86,126 @@ def test_degenerate_resolution_rejected():
 
 
 def test_oversized_lattice_is_a_config_error():
-    """25^12 nodes: each meshgrid axis would take 424 PiB, so the first
-    allocation fails at once and nothing large is ever held."""
+    """25^12 nodes lie far past the int32 range of the CSR indices: the
+    spec is rejected before anything is allocated."""
     with pytest.raises(ConfigurationError, match=r"lattice of 25\^12 nodes"):
         build_domain(DomainSpec(Box((1.0,) * 12), 12, 25))
+
+
+@pytest.mark.parametrize("shape, N, res, ok", [
+    (Box((1.0,) * 3), 3, 1290, True),  # 2,146,689,000 nodes, just inside int32
+    (Box((1.0,) * 3), 3, 1291, False),  # 2,151,685,171 nodes
+    (AnnulusD(0.5), 4, 215, True),  # 2,136,750,625 nodes
+    (AnnulusD(0.5), 4, 216, False),
+    (Box((1.0,) * 8), 8, 300, False),  # past the int64 range as well
+])
+def test_lattice_size_is_checked_against_the_int32_range(shape, N, res, ok):
+    """A spec whose lattice has more nodes than int32 indices address is a
+    ConfigurationError naming res^N; the spec itself allocates nothing, so
+    the sizes just inside the range are checked here too."""
+    if ok:
+        assert DomainSpec(shape, N, res).resolution == res
+    else:
+        with pytest.raises(ConfigurationError, match=rf"lattice of {res}\^{N} nodes .* int32"):
+            DomainSpec(shape, N, res)
+
+
+def _reference_domain_arrays(dom):
+    """The interior and boundary node arrays, the neighbour tables, the
+    boundary edges and the CSR arrays of -Lap on dom's spec, built the way
+    the domain was built from a coordinate table of the whole lattice: a
+    meshgrid, the hull from unravel_index, |x| by np.linalg.norm, the
+    boundary from np.unique and np.searchsorted, and the CSR from a stacked
+    column table."""
+    spec = dom.spec
+    N, res = spec.dimension, spec.resolution
+    shape = (res,) * N
+    mesh = np.meshgrid(*dom.axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    n_lattice = pts.shape[0]
+    idx_nd = np.unravel_index(np.arange(n_lattice), shape)
+    on_hull = np.zeros(n_lattice, dtype=bool)
+    for d in range(N):
+        on_hull |= (idx_nd[d] == 0) | (idx_nd[d] == res - 1)
+    if isinstance(spec.shape, Box):
+        interior = ~on_hull
+    else:
+        d0 = spec.shape.delta0
+        r = np.linalg.norm(pts, axis=1)
+        interior = ((r > grid.ANNULUS_INNER_FACTOR * d0) & (r < grid.ANNULUS_OUTER_FACTOR / d0)
+                    & ~on_hull)
+    interior_flat = np.flatnonzero(interior)
+    n = interior_flat.size
+    inv = np.full(n_lattice, -1, dtype=np.int32)
+    inv[interior_flat] = np.arange(n)
+    strides = np.array([int(np.prod(shape[d + 1:])) for d in range(N)], dtype=np.int64)
+    nb_plus = [inv[interior_flat + strides[d]] for d in range(N)]
+    nb_minus = [inv[interior_flat - strides[d]] for d in range(N)]
+    edges = []
+    for d in range(N):
+        for sgn, nb in ((+1, nb_plus[d]), (-1, nb_minus[d])):
+            miss = np.flatnonzero(nb < 0)
+            edges.append((d, miss, interior_flat[miss] + sgn * strides[d]))
+    boundary_flat = np.unique(np.concatenate([flat for _, _, flat in edges]))
+    boundary_edges = [(d, miss, np.searchsorted(boundary_flat, flat)) for d, miss, flat in edges]
+
+    h = dom.h
+    c = [-1.0 / hd**2 for hd in h]
+    stencil = ([(nb_minus[d], c[d]) for d in range(N)]
+               + [(np.arange(n), 2.0 * float(np.sum(1.0 / h**2)))]
+               + [(nb_plus[d], c[d]) for d in reversed(range(N))])
+    cols = np.stack([nb for nb, _ in stencil], axis=1).astype(np.int32)
+    keep = cols >= 0
+    data = np.broadcast_to([v for _, v in stencil], cols.shape)[keep]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return {
+        "interior_flat": interior_flat, "interior_coords": pts[interior_flat],
+        "boundary_flat": boundary_flat, "boundary_coords": pts[boundary_flat],
+        "nb_plus": nb_plus, "nb_minus": nb_minus,
+        "boundary_edges": [a for d, miss, b in boundary_edges for a in (np.array(d), miss, b)],
+        "csr": [data, cols[keep], indptr],
+    }
+
+
+def _domain_arrays(dom):
+    A = dom.matrix
+    return {
+        "interior_flat": dom.interior_flat, "interior_coords": dom.interior_coords,
+        "boundary_flat": dom.boundary_flat, "boundary_coords": dom.boundary_coords,
+        "nb_plus": dom.nb_plus, "nb_minus": dom.nb_minus,
+        "boundary_edges": [a for d, miss, b in dom._boundary_edges
+                           for a in (np.array(d), miss, b)],
+        "csr": [A.data, A.indices, A.indptr],
+    }
+
+
+_LATTICE_CASES = [
+    (Box((1.0, 1.0, 1.0)), 3, 9),
+    (Box((1.0, 0.3, 2.5)), 3, 9),
+    (Box((1.0, 0.3, 2.5)), 3, 13),
+    (Box((1.0, 0.5, 1.7, 0.8)), 4, 9),
+    *((AnnulusD(d0), N, res) for d0 in (0.45, 0.3) for N in (3, 4) for res in (9, 13, 27)),
+]
+
+
+@pytest.mark.parametrize("shape, N, res", _LATTICE_CASES,
+                         ids=[f"{type(s).__name__}{getattr(s, 'sides', getattr(s, 'delta0', ''))}"
+                              f"-N{N}-res{res}" for s, N, res in _LATTICE_CASES])
+def test_domain_arrays_match_the_coordinate_table_construction(shape, N, res):
+    """The domain's node arrays, neighbour tables, boundary edges and CSR
+    arrays equal, in bytes and dtype, those of the construction from a
+    coordinate table of the whole lattice (kept inline as the reference)."""
+    dom = build_domain(DomainSpec(shape, N, res))
+    got, ref = _domain_arrays(dom), _reference_domain_arrays(dom)
+    for key, want in ref.items():
+        have = got[key]
+        if isinstance(want, np.ndarray):
+            have, want = [have], [want]
+        assert len(have) == len(want), key
+        for a, b in zip(have, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), key
+            assert a.tobytes() == b.tobytes(), key
 
 
 def test_bad_box_sides():

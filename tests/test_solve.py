@@ -189,9 +189,9 @@ def _profile_rays(monkeypatch):
     """Log the bytes of the ray of every FiberingProfile built."""
     rays, init = [], FiberingProfile.__init__
 
-    def logged(self, v, p):
+    def logged(self, v, p, a=None):
         rays.append(np.asarray(v, dtype=float).tobytes())
-        init(self, v, p)
+        init(self, v, p, a)
 
     monkeypatch.setattr(FiberingProfile, "__init__", logged)
     return rays
@@ -899,6 +899,26 @@ def test_default_bump_is_built_once_across_a_continuation(monkeypatch):
     _, rows = estimate_mu_star(0.5 * setup.spectral.lambda1, setup.spectral, setup.lift,
                                max_cells=4)
     assert len(tries) >= len(rows) == 4 and len(builds) == 1
+
+
+def test_record_diagnostics_are_taken_when_written(box9, monkeypatch):
+    """A record takes its barycenter and gradient direction integral when
+    its JSON is first written, each once, with the values a direct call
+    gives; building it and the mu* continuation's rows take neither."""
+    p = box9.params(lam_factor=0.5, mu=0.01)
+    dom = box9.domain
+    bary, gdi, calls = solve.barycenter, grid.Domain.gradient_direction_integral, []
+    monkeypatch.setattr(solve, "barycenter", lambda f: calls.append("bary") or bary(f))
+    monkeypatch.setattr(grid.Domain, "gradient_direction_integral",
+                        lambda self, v: calls.append("gdi") or gdi(self, v))
+    estimate_mu_star(p.lam, box9.spectral, box9.lift, max_cells=3)
+    v = reduced_functional(solve._unit(box9.spectral.e1.values, dom, p.two_star), p)[2]
+    rec = solve.build_record(p, v, 0.0, SeedKind.USER, 0)
+    assert calls == []
+    first = rec.to_json_dict()
+    assert sorted(calls) == ["bary", "gdi"] and rec.to_json_dict() == first and len(calls) == 2
+    assert first["barycenter"] == [float(x) for x in bary(rec.v)]
+    assert first["grad_dir_integral"] == [float(x) for x in gdi(dom, v)]
 
 
 def test_mu_star_precondition(box9):

@@ -6,9 +6,9 @@ import scipy.linalg
 
 from bnsolver import functional, verify
 from bnsolver.errors import IncompleteInputError, PreconditionError
-from bnsolver.functional import Params, energy, hessian_apply
-from bnsolver.grid import Field
-from bnsolver.nehari import Klass
+from bnsolver.functional import Params, energy, gradient_values, hessian_apply
+from bnsolver.grid import Domain, Field
+from bnsolver.nehari import Klass, classify
 from bnsolver.solve import (
     SeedKind,
     build_record,
@@ -44,6 +44,31 @@ def test_certify_converged_records(cell9):
     assert res_check.lhs < res_check.tolerance
     sign_check = next(c for c in cp.checks if "sign pattern" in c.name)
     assert sign_check.lhs < 0
+
+
+def test_certify_takes_one_product_per_record(cell9, monkeypatch):
+    """certify_solution multiplies a record's v by -Lap once and takes no
+    ||v||^2 of its own; the certificate is the one that gradient_values,
+    classify and energy give when each takes its own products."""
+    p, rec_plus, rec_minus = cell9
+    assert p.energy_at_zero < 0  # the Params' E(0), taken once per Params
+    with monkeypatch.context() as m:
+        m.setattr(verify, "gradient_values", lambda v, q, Av=None: gradient_values(v, q))
+        m.setattr(verify, "classify", lambda v, q, h1_sq=None: classify(v, q))
+        m.setattr(verify, "energy", lambda v, q, h1_sq=None: energy(v, q))
+        expected = [certify_solution(rec, p) for rec in (rec_plus, rec_minus)]
+
+    calls = []
+    for name in ("apply_neg_laplacian", "h1_norm_sq"):
+        def counted(self, values, name=name, method=getattr(Domain, name)):
+            calls.append(name)
+            return method(self, values)
+        monkeypatch.setattr(Domain, name, counted)
+    for rec, want in zip((rec_plus, rec_minus), expected):
+        calls.clear()
+        cert = certify_solution(rec, p)
+        assert calls == ["apply_neg_laplacian"]
+        assert cert == want and cert.overall, str(cert)
 
 
 def _fails_alone(cert, fragment):
@@ -82,7 +107,7 @@ def test_certify_detects_corruption(cell9, box9, monkeypatch):
     e0 = p.energy_at_zero
 
     def shift(m, c):
-        m.setattr(verify, "energy", lambda f, q: energy(f, q) + c)
+        m.setattr(verify, "energy", lambda f, q, h1_sq=None: energy(f, q, h1_sq) + c)
         m.setattr(Params, "energy_at_zero", property(lambda q: e0 + c))
 
     with monkeypatch.context() as m:
