@@ -108,8 +108,9 @@ class Params:
 
     @cached_property
     def energy_at_zero(self) -> float:
-        """E(0), the bound the certificates compare branch energies with."""
-        return energy(np.zeros(self.domain.n_interior), self)
+        """E(0), the bound the certificates compare branch energies with;
+        ||0||^2 = 0 is passed in, so it takes no -Lap product."""
+        return energy(np.zeros(self.domain.n_interior), self, h1_sq=0.0)
 
     @cached_property
     def symmetry_group(self):

@@ -50,7 +50,8 @@ Discrete conventions, fixed once and used everywhere:
   serves everything else on every domain: the cone descent's gradient
   lift, the MINRES of the Newton polish and the one eigensolver
   `lowest_eigenpair`, a single-vector LOBPCG on raw arrays (one 3x3
-  Rayleigh-Ritz step per iteration), which finds the masked-lattice
+  Rayleigh-Ritz step per iteration, by Cholesky and `eigh` of
+  numpy.linalg), which finds the masked-lattice
   eigenpair (closed-form on boxes) and the Hessian eigenvalue of the
   convexity check.  The preconditioner is the sine-transform solve on
   the bounding box of the lattice, restricted to the interior nodes, which
@@ -88,7 +89,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, eigh
 
 from .errors import ArgumentError, ConfigurationError, NumericalError
 from .numutil import abs_pow, armijo, signed_pow, smoothstep, solve_cg
@@ -403,7 +403,10 @@ class Domain:
             center = np.zeros(self.ndim)
             center[0] = 0.5 * (self._r_in + self._r_out)
             rho = 0.5 * (self._r_out - self._r_in)
-        d2 = np.sum((self.interior_coords - center) ** 2, axis=1)
+        x = self.interior_coords
+        d2 = (x[:, 0] - center[0]) ** 2
+        for k in range(1, self.ndim):
+            d2 += (x[:, k] - center[k]) ** 2
         bump = np.exp(-d2 / rho**2)
         if not np.any(bump):
             raise ConfigurationError(
@@ -613,8 +616,9 @@ def lowest_eigenpair(domain: Domain, op, x0, tol, maxiter, B=None):
     (Knyazev, SIAM J. Sci. Comput. 23, 2001).  The rows of V are the basis
     x, w = M r (B-orthogonal to x) and p, with their op and B images in
     AV and BV; each iteration is one Rayleigh-Ritz step on the 3x3 Gram
-    matrices, on [x, w] alone when the B-Gram matrix is not positive
-    definite, and renews x and p in place, B-normalized.  It stops once
+    matrices by numpy.linalg (`_lowest_ritz_pair`), on [x, w] alone when
+    the B-Gram matrix is not positive definite, and renews x and p in
+    place, B-normalized.  It stops once
     the residual ||op x - sigma B x||_2 is at most tol, or after maxiter
     iterations; the caller judges the pair."""
     V, AV = np.empty((3, x0.size)), np.empty((3, x0.size))
@@ -638,16 +642,27 @@ def lowest_eigenpair(domain: Domain, op, x0, tol, maxiter, B=None):
         renew(1, w)
         gA, gB = V[:k] @ AV[:k].T, V[:k] @ BV[:k].T
         try:
-            vals, c = eigh(gA, gB, subset_by_index=[0, 0], check_finite=False)
-        except LinAlgError:
-            vals, c = eigh(gA[:2, :2], gB[:2, :2], subset_by_index=[0, 0], check_finite=False)
-        sigma, c, k = vals[0], c[:, 0], 3
+            sigma, c = _lowest_ritz_pair(gA, gB)
+        except np.linalg.LinAlgError:
+            sigma, c = _lowest_ritz_pair(gA[:2, :2], gB[:2, :2])
+        k = 3
         for Z in rows:
             Z[2] = c[1:] @ Z[1:c.size]
             Z[0] = c[0] * Z[0] + Z[2]
         s = 1.0 / np.sqrt(V[2] @ BV[2])
         for Z in rows:
             Z[2] *= s
+
+
+def _lowest_ritz_pair(gA, gB):
+    """(sigma, c), the lowest eigenpair of the small symmetric pencil
+    gA c = sigma gB c, with c B-normalized (c' gB c = 1): gB = L L' by
+    Cholesky, (sigma, y) the lowest eigenpair of L^-1 gA L^-T (two solves,
+    no inverse), and c = L^-T y.  np.linalg.LinAlgError when gB is not
+    positive definite."""
+    L = np.linalg.cholesky(gB)
+    vals, Y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, gA).T))
+    return vals[0], np.linalg.solve(L.T, Y[:, 0])
 
 
 def _eigen_residual(domain: Domain, lam, x, Ax):

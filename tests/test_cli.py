@@ -707,6 +707,37 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.stdout.startswith("usage: bnsolver") and proc.stderr == ""
 
 
+SCIPY_LINALG_PROBE = """
+import sys
+import scipy.sparse
+loaded = ["scipy.linalg" in sys.modules]
+from bnsolver.cli import main
+assert main(["run", sys.argv[1]]) == 0
+assert main(["certify", sys.argv[2]]) == 0
+loaded.append("scipy.linalg" in sys.modules)
+sys.stderr.write(f"scipy.linalg loaded: {loaded}")
+"""
+
+
+def test_run_and_certify_leave_scipy_linalg_unimported(tmp_path):
+    """A res-7 box run and certify in one fresh interpreter never import
+    scipy.linalg (about 8.5 MB of resident memory): the package takes its
+    small dense eigenproblems from numpy.linalg."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("resolution = 9", "resolution = 7")
+                       .format(out=out))
+    src = str(Path(bnsolver.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_LINALG_PROBE, str(cfg),
+                           str(out / "cells" / "cell_0000.json")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stderr.endswith("[True, True]"):
+        pytest.skip("this scipy loads scipy.linalg on import scipy.sparse")
+    assert proc.stderr.endswith("scipy.linalg loaded: [False, False]"), proc.stderr
+
+
 MALFORMED = [
     ("dimension = 3", "dimension = three"),
     ("resolution = 9", "resolution = 9.5"),

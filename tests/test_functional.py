@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from bnsolver.functional import (
     gradient_values,
     hessian_apply,
 )
-from bnsolver.grid import Box, DomainSpec, build_domain
+from bnsolver.grid import Box, Domain, DomainSpec, build_domain
 from bnsolver.nehari import t_minus
 from bnsolver.solve import _admissible
 
@@ -42,9 +43,20 @@ def homogeneous_energy(dom, vvals, lam):
     return 0.5 * h1 - 0.5 * lam * l2 - crit / ts
 
 
-def test_energy_zero_field(box9):
-    p0 = box9.params(mu=0.0)
-    assert energy(np.zeros(box9.domain.n_interior), p0) == 0.0
+def test_energy_zero_field(box9, monkeypatch):
+    """E(0) as `Params.energy_at_zero` takes it, without a -Lap product, is
+    the full evaluation's float: +0.0 at mu = 0, sign included."""
+    zeros = np.zeros(box9.domain.n_interior)
+    full = {mu: energy(zeros, box9.params(mu=mu)) for mu in (0.0, 0.04)}
+    assert full[0.0] == 0.0 and math.copysign(1.0, full[0.0]) == 1.0
+
+    def no_product(self, values):
+        raise AssertionError("E(0) took a -Lap product")
+
+    monkeypatch.setattr(Domain, "h1_norm_sq", no_product)
+    for mu, e0 in full.items():
+        at_zero = box9.params(mu=mu).energy_at_zero
+        assert at_zero == e0 and math.copysign(1.0, at_zero) == math.copysign(1.0, e0)
 
 
 def test_energy_at_zero_negative_for_positive_mu(box9):

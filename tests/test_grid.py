@@ -676,18 +676,47 @@ def test_eigensolve_falls_back_to_two_vector_basis(annulus9, monkeypatch):
     positive definite), that iteration runs on [x, w] alone and the solve
     still reaches the same pair, to 1e-12."""
     calls = []
+    ritz = grid._lowest_ritz_pair
 
-    def eigh_failing_once(a, b, **kwargs):
-        if a.shape == (3, 3) and not calls:
-            calls.append(a.shape)
+    def ritz_failing_once(gA, gB):
+        if gA.shape == (3, 3) and not calls:
+            calls.append(gA.shape)
             raise np.linalg.LinAlgError("B-Gram matrix not positive definite")
-        return eigh(a, b, **kwargs)
+        return ritz(gA, gB)
 
-    monkeypatch.setattr(grid, "eigh", eigh_failing_once)
+    monkeypatch.setattr(grid, "_lowest_ritz_pair", ritz_failing_once)
     lam, e1 = principal_eigenpair(annulus9.domain)
     assert calls == [(3, 3)]
     assert abs(lam - annulus9.spectral.lambda1) <= 1e-12 * lam
     assert np.abs(e1.values - annulus9.spectral.e1.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spread", [None, 0.1])
+def test_lowest_ritz_pair_matches_scipy_eigh(spread):
+    """The 3x3 Rayleigh-Ritz step by numpy.linalg against scipy's
+    generalized eigh on Gram pairs (X A X', X X') of random bases X, one
+    row a 0.1-perturbed copy of another when spread is set (a nearly
+    dependent basis, cond(gB) about 4e2): the eigenvalue to 1e-12
+    relative, the vector up to sign, B-normalized."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        X = rng.standard_normal((3, 30))
+        if spread is not None:
+            X[2] = X[0] + spread * rng.standard_normal(30)
+        Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        gA, gB = X @ (Q * np.linspace(1.0, 10.0, 30)) @ Q.T @ X.T, X @ X.T
+        sigma, c = grid._lowest_ritz_pair(gA, gB)
+        vals, C = eigh(gA, gB, subset_by_index=[0, 0])
+        ref = C[:, 0] * np.sign(C[:, 0] @ gB @ c)
+        assert abs(sigma - vals[0]) <= 1e-12 * abs(vals[0])
+        assert np.abs(c - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert abs(c @ gB @ c - 1.0) <= 1e-12
+
+
+def test_lowest_ritz_pair_rejects_indefinite_gram():
+    gB = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-3]])
+    with pytest.raises(np.linalg.LinAlgError):
+        grid._lowest_ritz_pair(np.eye(2), gB)
 
 
 def test_eigenvalue_matches_stencil_formula(box9):
