@@ -385,6 +385,34 @@ def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig):
     return cell
 
 
+def _write_cell(out, cell, dump_fields, s_quantum):
+    """Write a finished cell's field dumps (when `dump_fields`) and its JSON
+    under out/cells; returns its sweep.csv row and its summary line."""
+    fields = cell.pop("_fields", [])
+    if dump_fields:
+        for k, f in enumerate(fields):
+            fp = out / "cells" / f"cell_{cell['index']:04d}_field_{k}.npy"
+            dump_field(f, fp)
+            cell["records"][k]["field_dump"] = str(fp.name)
+    with open(out / "cells" / f"cell_{cell['index']:04d}.json", "w") as f:
+        json.dump(cell, f, indent=1)
+    m_plus = min((r["energy"] for r in cell["records"] if r["class"] == "PLUS"),
+                 default=float("nan"))
+    m_minus = min((r["energy"] for r in cell["records"] if r["class"] == "MINUS"),
+                  default=float("nan"))
+    certified = sum(1 for c in cell["certificates"] if c.get("overall"))
+    row = [
+        _fmt(cell["lambda"]), _fmt(cell["mu"]), cell["mode"],
+        _fmt(m_plus), _fmt(m_minus), _fmt(s_quantum),
+        str(len(cell["records"])), str(certified), cell["status"],
+    ]
+    line = f"  cell {cell['index']:3d} lambda={cell['lambda']:.6g} mu={cell['mu']:.6g}: "
+    line += f"{cell['status']} ({len(cell['records'])} records)"
+    if cell["error"]:
+        line += f" [{cell['error'].splitlines()[0]}]"
+    return row, line
+
+
 def run(config_path, out_dir_override=None) -> int:
     rc = parse_config(config_path)
     if out_dir_override:
@@ -399,41 +427,21 @@ def run(config_path, out_dir_override=None) -> int:
     if rc.dump_fields:
         dump_spectral_data(spectral, out / SPECTRAL_FILE)
         dump_field(lift, out / LIFT_FILE)
-    results = []
-    if any(s != "mu_star" for s in rc.searches):
-        results = [_run_cell(i, lam, mu, spectral, lift, rc)
-                   for i, (lam, mu) in enumerate((lam, mu) for lam in lambdas for mu in mus)]
-
-    sweep_rows = []
-    for cell in results:
-        fields = cell.pop("_fields", [])
-        if rc.dump_fields:
-            for k, f in enumerate(fields):
-                fp = out / "cells" / f"cell_{cell['index']:04d}_field_{k}.npy"
-                dump_field(f, fp)
-                cell["records"][k]["field_dump"] = str(fp.name)
-        with open(out / "cells" / f"cell_{cell['index']:04d}.json", "w") as f:
-            json.dump(cell, f, indent=1)
-        m_plus = min((r["energy"] for r in cell["records"] if r["class"] == "PLUS"),
-                     default=float("nan"))
-        m_minus = min((r["energy"] for r in cell["records"] if r["class"] == "MINUS"),
-                      default=float("nan"))
-        certified = sum(1 for c in cell["certificates"] if c.get("overall"))
-        sweep_rows.append(
-            [
-                _fmt(cell["lambda"]), _fmt(cell["mu"]), cell["mode"],
-                _fmt(m_plus), _fmt(m_minus), _fmt(spectral.s_quantum),
-                str(len(cell["records"])), str(certified), cell["status"],
-            ]
-        )
+    # Each cell's files are written as soon as it is solved; only its sweep
+    # row and its summary line are kept for the end of the run.
+    sweep_rows, summary = [], []
+    pairs = ([(lam, mu) for lam in lambdas for mu in mus]
+             if any(s != "mu_star" for s in rc.searches) else [])
+    for i, (lam, mu) in enumerate(pairs):
+        row, line = _write_cell(out, _run_cell(i, lam, mu, spectral, lift, rc),
+                                rc.dump_fields, spectral.s_quantum)
+        sweep_rows.append(row)
+        summary.append(line)
     with open(out / "sweep.csv", "w") as f:
         f.write("lambda,mu,mode,m_plus,m_minus,s_quantum,n_records,n_certified,status\n")
         for row in sweep_rows:
             f.write(",".join(row) + "\n")
-
-    exit_code = 0
-    if any(c["status"] == "failed" for c in results):
-        exit_code = 1
+    exit_code = 1 if any(row[-1] == "failed" for row in sweep_rows) else 0
 
     if "mu_star" in rc.searches:
         stars = []
@@ -461,12 +469,8 @@ def run(config_path, out_dir_override=None) -> int:
                         f"{_fmt(r.energy_minus)},True,{r.minus_converged}\n"
                     )
 
-    print(f"run complete: {len(results)} cells -> {out}")
-    for cell in results:
-        line = f"  cell {cell['index']:3d} lambda={cell['lambda']:.6g} mu={cell['mu']:.6g}: "
-        line += f"{cell['status']} ({len(cell['records'])} records)"
-        if cell["error"]:
-            line += f" [{cell['error'].splitlines()[0]}]"
+    print(f"run complete: {len(summary)} cells -> {out}")
+    for line in summary:
         print(line)
     return exit_code
 

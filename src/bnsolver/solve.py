@@ -8,9 +8,10 @@ part along its ray, t_plus(v) v, and Newton converges from there.  The Minus
 branch minimizes the reduced functional J(v) = E(t_minus(v) v) over the
 nonnegative cone of the unit critical sphere; one loop, `_cone_descent`,
 runs that descent and the minimax relaxation, and a Minus solve is one
-descent and one polish.  A Minus solve seeded by an already solved field
-(the ground state, or the Minus record of a nearby mu) tries Newton from
-its t_minus projection first and descends only when that fails.  A Newton
+descent that hands over to Newton at a relative gradient of
+NEWTON_HANDOFF.  A Minus solve seeded by an already solved field (the
+ground state, or the Minus record of a nearby mu) tries Newton from its
+t_minus projection first and descends only when that fails.  A Newton
 polish of the full first-order system, its inner MINRES preconditioned by
 the domain's Poisson preconditioner (`grid.Domain.precondition`), finishes
 every branch.  The cone descent lifts its gradients by the same
@@ -40,14 +41,16 @@ solved seed and a seed check per candidate g.
 
 A Minus solve whose start ray has J(v0) <= 0 raises
 NonpositiveMinusLevelError before any Newton step or descent: the Minus
-level is then at most J(v0), not positive.  So does one whose Newton-first
-step converges to a point of class Minus with E <= 0, before any descent.
+level is then at most J(v0), not positive.  So does one whose Newton try,
+from a solved seed or from the descent's handoff point, converges to a
+point of class Minus with E <= 0.
 The multistart and the mu* continuation record it as a failed seed or row.
 Each cone point is evaluated once (`_cone_point`): the descent starts from
 the evaluated point it is given and returns its evaluated end point.
 
 Fixed constants (module level, below): the Newton inner MINRES tolerance
-floor, the Newton steps per budget and from a solved Minus seed, the Minus
+floor, the Newton steps per budget and of a Minus solve's Newton try, the
+convergence target and the Minus descent's handoff level, the Minus
 descent passes per budget, the cone step's 30 backtracks (fewer once a
 step's required gain drops below one ulp of J), the multistart bubble
 scalings and deduplication distance, the minimax descent passes per point
@@ -91,7 +94,9 @@ from .numutil import abs_pow, armijo, signed_pow, solve_minres
 
 NEWTON_INNER_RTOL = 1e-9  # floor of the Newton MINRES tolerance min(1e-2, . + 0.1 |grad|)
 NEWTON_STEPS = 40  # Newton polish steps per unit budget_factor (at least 10)
-NEWTON_FIRST_STEPS = 10  # Newton steps a Minus solve from a solved seed tries before descending
+NEWTON_FIRST_STEPS = 10  # Newton steps of a Minus solve's try from a solved seed or its handoff
+TARGET_REL = 1e-9  # convergence target on the gradient norm, relative to 1 + ||v|| + |E(v)|
+NEWTON_HANDOFF = 1e-2  # relative gradient norm at which a Minus descent hands over to Newton
 MINUS_PASSES = 300  # Minus cone descent passes per unit budget_factor
 BUBBLE_T_FACTORS = (0.5, 1.0, 2.0)  # multistart composite vplus + f t_star bubble, f in these
 DEDUP_TOL = 1e-4  # H^1_0 distance below which two multistart records are one
@@ -128,6 +133,7 @@ class SolutionRecord:
     iterations: int
     lam: float
     mu: float
+    descent_passes: int = 0  # the cone descent passes among the iterations
     seed_direction: Optional[np.ndarray] = None
     seed_energy: Optional[float] = None
     seed_below_threshold: Optional[bool] = None
@@ -161,6 +167,7 @@ class SolutionRecord:
             "barycenter": [float(x) for x in self.barycenter],
             "grad_dir_integral": [float(x) for x in self.grad_dir_integral],
             "iterations": int(self.iterations),
+            "descent_passes": int(self.descent_passes),
         }
         if self.seed_direction is not None:
             d["seed_direction"] = [float(x) for x in self.seed_direction]
@@ -177,7 +184,7 @@ def _target_tol(h1_sq, e_val):
     """Convergence target on the gradient norm at a point v with
     ||v||^2 = h1_sq and E(v) = e_val; well inside every certificate
     tolerance used downstream."""
-    return 1e-9 * (1.0 + np.sqrt(h1_sq) + abs(e_val))
+    return TARGET_REL * (1.0 + np.sqrt(h1_sq) + abs(e_val))
 
 
 def _unit(vals, domain: Domain, ts):
@@ -301,7 +308,7 @@ def minimize_on_Nplus(
     return rec
 
 
-def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
+def build_record(p, vvals, gn, seed_kind, iterations, descent_passes=0) -> SolutionRecord:
     """Record of the manifold point v with fresh diagnostics (energy, class,
     positivity of u = v + mu*phi); the barycenter and the gradient direction
     integral wait until the record is written."""
@@ -318,6 +325,7 @@ def build_record(p, vvals, gn, seed_kind, iterations) -> SolutionRecord:
         iterations=iterations,
         lam=p.lam,
         mu=p.mu,
+        descent_passes=descent_passes,
     )
 
 
@@ -366,36 +374,61 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta):
     return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, tries)
 
 
-def _cone_descent(p: Params, point, budget):
+def _cone_descent(p: Params, point, budget, stop=1e2, beta=None):
     """At most `budget` passes of cone descent of J(v) = E(t_minus(v) v)
     from the cone point `point` (as `_cone_point` gives it), for the Minus
     branch and the minimax relaxation.
 
-    A pass stops at a gradient g (at t v) within 1e2 times the convergence
-    target, or lifts g by the domain's Poisson preconditioner
-    (`grid.Domain.precondition`: the exact solve on a box, the bounding-box
-    sine solve on a masked lattice) and moves by `_cone_step`.  Any
-    symmetric positive definite lift gives a descent direction: at w = t v
-    the gradient is orthogonal to v, so the step's slope is t <g, P g> > 0.
-    The gradient is then a Sobolev gradient in an inner product equivalent
-    to the H^1_0 one, and the Newton polish lands on the same critical
-    point.  Returns (point, passes): the last cone point, as `_cone_point`
-    gives it, and the passes made (the stopping one included).
+    A pass stops at a gradient g (at t v) within `stop` times the
+    convergence target (`_target_tol`), or lifts g by the domain's Poisson
+    preconditioner (`grid.Domain.precondition`: the exact solve on a box,
+    the bounding-box sine solve on a masked lattice) and moves by
+    `_cone_step`.  Any symmetric positive definite lift gives a descent
+    direction: at w = t v the gradient is orthogonal to v, so the step's
+    slope is t <g, P g> > 0.  The gradient is then a Sobolev gradient in an
+    inner product equivalent to the H^1_0 one, and the Newton polish lands
+    on the same critical point.  `beta`, when given, is a one-item list
+    holding the first trial step; the descent leaves in it the step its
+    next pass would start from, so that a call from the returned point with
+    the same list resumes this descent bit for bit.  Returns (point,
+    passes): the last cone point, as `_cone_point` gives it, and the passes
+    made (the stopping one included).
     """
     d = p.domain
-    beta = 1.0
+    beta = [1.0] if beta is None else beta
     passes = 0
     for _ in range(budget):
         passes += 1
         j_val, t, v, w_sq = point
         g = gradient_values(t * v, p)
-        if d.l2_norm(g) <= 1e2 * _target_tol(w_sq, j_val):
+        if d.l2_norm(g) <= stop * _target_tol(w_sq, j_val):
             break
-        step = _cone_step(p, v, t, j_val, g, d.precondition(g), beta)
+        step = _cone_step(p, v, t, j_val, g, d.precondition(g), beta[0])
         if step is None:
             break
-        point, beta = step
+        point, beta[0] = step
     return point, passes
+
+
+def _newton_try(p: Params, w, j_cap, seed_kind, flags, iterations, passes):
+    """At most NEWTON_FIRST_STEPS Newton steps from the Minus-branch point
+    w, for a solve that has made `iterations` iterations, `passes` of them
+    descent passes: (record, steps), the record None unless the polish
+    converges to class Minus with an energy in (0, j_cap].  A converged
+    point of class Minus with E <= 0 lies on the Minus part, so the Minus
+    level is at most E: NonpositiveMinusLevelError, carrying that E."""
+    wv, gn, steps, ok = _newton_polish(p, w, NEWTON_FIRST_STEPS, flags)
+    if ok:
+        rec = build_record(p, wv, gn, seed_kind, iterations + steps, passes)
+        if rec.klass is Klass.MINUS and rec.energy <= 0:
+            raise NonpositiveMinusLevelError(
+                f"Newton converged to a Minus point of energy {rec.energy:.6g} <= 0: "
+                f"the Minus level is not positive",
+                j0=rec.energy,
+            )
+        if rec.klass is Klass.MINUS and rec.energy <= j_cap:
+            return rec, steps
+    return None, steps
 
 
 def minimize_on_Nminus(
@@ -406,14 +439,9 @@ def minimize_on_Nminus(
     solved_seed: bool = False,
 ) -> SolutionRecord:
     """Minimize the reduced functional J(v) = E(t_minus(v) v) over the
-    nonnegative cone of the critical-norm unit sphere: one cone descent
-    (`_cone_descent`, MINUS_PASSES passes per unit budget_factor) finished
-    by one Newton polish.
-
-    The descent ends at w = t v with v on the cone, whose cone projection
-    is v again, so a second descent from its end would resume at the same
-    point and stop where this one did: a larger budget_factor is what buys
-    more passes.
+    nonnegative cone of the critical-norm unit sphere: a cone descent
+    (`_cone_descent`, MINUS_PASSES passes per unit budget_factor) that hands
+    over to Newton.
 
     Every solve first evaluates J(v0) = E(t_minus(v0) v0) on the seed's
     ray.  When J(v0) <= 0 the Minus level is at most J(v0), not positive, so
@@ -421,18 +449,26 @@ def minimize_on_Nminus(
     NonpositiveMinusLevelError, carrying J(v0), before any Newton step or
     descent.  The evaluated start ray is the descent's first point.
 
-    A solved seed (`solved_seed`: the ground state, or the Minus record of a
-    nearby mu) lies close to the solution, which Newton reaches in a few
-    steps where the descent converges only linearly.  Its ray is projected
-    by t_minus and polished by at most NEWTON_FIRST_STEPS Newton steps; the
-    result is taken when it converges to class Minus with an energy in
-    (0, J(v0)], which no descent from that ray ends above.  A converged
-    point of class Minus with E <= 0 lies on the Minus part, so the Minus
-    level is at most E: NonpositiveMinusLevelError, carrying that E, ends
-    the solve.  Otherwise the descent runs from the same seed.  The
-    record's `iterations` counts the Newton steps and the descent passes
-    made; a NonconvergenceError names every Newton inner solve that stopped
-    short.
+    The descent converges linearly, Newton quadratically once close, so
+    the descent stops at a gradient of NEWTON_HANDOFF relative to
+    1 + ||w|| + |J| and Newton finishes.  Both Newton tries, from a solved
+    seed and from the handoff point, are one rule (`_newton_try`): at most
+    NEWTON_FIRST_STEPS steps, the result taken when it converges to class
+    Minus with an energy in (0, J] for J at the point Newton starts from,
+    which no descent from there ends above, and NonpositiveMinusLevelError
+    when it converges to class Minus with E <= 0.  A solved seed
+    (`solved_seed`: the ground state, or the Minus record of a nearby mu)
+    lies close to the solution, so its ray, projected by t_minus, is tried
+    before any descent.  When the handoff try is refused, the descent
+    resumes from the handoff point with the step it had reached, stops at
+    1e2 times the convergence target, and one Newton polish finishes it:
+    the path of a descent that never handed over.  Its end point w = t v
+    projects back onto v, so a further descent would stop where it did: a
+    larger budget_factor is what buys more passes.
+
+    The record's `iterations` counts the Newton steps and the descent
+    passes made, `descent_passes` the latter; a NonconvergenceError names
+    every Newton inner solve that stopped short.
     """
     d = p.domain
     if seed is None or not np.any(seed.values):
@@ -453,23 +489,25 @@ def minimize_on_Nminus(
     iterations = 0
     flags = []
     if solved_seed:
-        wv, gn, iterations, ok = _newton_polish(p, w0, NEWTON_FIRST_STEPS, flags)
-        if ok:
-            rec = build_record(p, wv, gn, seed_kind, iterations)
-            if rec.klass is Klass.MINUS and rec.energy <= 0:
-                raise NonpositiveMinusLevelError(
-                    f"Newton from the seed converged to a Minus point of energy "
-                    f"{rec.energy:.6g} <= 0: the Minus level is not positive",
-                    j0=rec.energy,
-                )
-            if rec.klass is Klass.MINUS and rec.energy <= j0:
-                return rec
+        rec, iterations = _newton_try(p, w0, j0, seed_kind, flags, 0, 0)
+        if rec is not None:
+            return rec
 
-    (_, t, v, _), passes = _cone_descent(p, start, max(1, int(MINUS_PASSES * budget_factor)))
-    wv, gn, steps, ok = _newton_polish(p, t * v, _polish_steps(budget_factor), flags)
-    iterations += passes + steps
+    budget = max(1, int(MINUS_PASSES * budget_factor))
+    beta = [1.0]
+    point, passes = _cone_descent(p, start, budget, NEWTON_HANDOFF / TARGET_REL, beta)
+    iterations += passes
+    rec, steps = _newton_try(p, point[1] * point[2], point[0], seed_kind, flags,
+                             iterations, passes)
+    if rec is not None:
+        return rec
+    # the resumed descent repeats the pass the first one stopped at
+    (_, t, v, _), more = _cone_descent(p, point, budget - passes + 1, 1e2, beta)
+    passes += more
+    wv, gn, steps2, ok = _newton_polish(p, t * v, _polish_steps(budget_factor), flags)
+    iterations += steps + more + steps2
     if ok:
-        rec = build_record(p, wv, gn, seed_kind, iterations)
+        rec = build_record(p, wv, gn, seed_kind, iterations, passes)
         if rec.klass is Klass.MINUS and rec.energy > 0:
             return rec
     raise NonconvergenceError(
@@ -722,7 +760,7 @@ def minimax_gamma(
     interior = [key for key in family if key[1] != len(radii) - 1]
     for _ in range(MINIMAX_ROUNDS):
         for key in interior:
-            family[key], _ = _cone_descent(p, family[key], MINIMAX_INNER_STEPS)
+            family[key], _ = _cone_descent(p, family[key], MINIMAX_INNER_STEPS, 1e2)
     relaxed = MINIMAX_ROUNDS * len(interior)
     mapped = MINIMAX_ROUNDS * sum(1 for key in rep_of if key[1] != len(radii) - 1)
     values = {key: point[0] for key, point in family.items()}

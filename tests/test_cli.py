@@ -86,6 +86,21 @@ def test_run_outputs(completed_run):
     assert float(row[0]) == cell0["lambda"]
 
 
+def test_run_writes_each_cell_before_the_next_starts(tmp_path, monkeypatch):
+    """`run` writes a cell's field dumps and JSON as soon as the cell is
+    solved: when cell k starts, cells/cell_{k-1}.json and its dumps exist."""
+    out = tmp_path / "out"
+    run_cell, written = cli._run_cell, []
+
+    def logged(ci, *args):
+        written.append(sorted(p.name for p in (out / "cells").iterdir()))
+        return run_cell(ci, *args)
+
+    monkeypatch.setattr(cli, "_run_cell", logged)
+    assert main(["run", str(write_config(tmp_path, BASE_CONFIG.format(out=out)))]) == 0
+    assert written == [[], ["cell_0000.json", "cell_0000_field_0.npy", "cell_0000_field_1.npy"]]
+
+
 def test_report(completed_run, capsys):
     code = main(["report", str(completed_run)])
     assert code == 0
@@ -120,6 +135,22 @@ def copied_run(completed_run, tmp_path, record_update=None):
         cell["records"][0].update(record_update)
         cell_path.write_text(json.dumps(cell, indent=1))
     return cell_path
+
+
+def test_records_without_descent_passes_report_and_certify(completed_run, tmp_path, capsys):
+    """Every record carries `descent_passes`, the descent passes among its
+    `iterations` (none for the Plus record, the Minus record here is
+    Newton's from the ground state); cell files written before the key
+    existed still report and certify."""
+    cell_path = copied_run(completed_run, tmp_path)
+    cell = json.loads(cell_path.read_text())
+    assert [r["descent_passes"] for r in cell["records"]] == [0, 0]
+    for r in cell["records"]:
+        del r["descent_passes"]
+    cell_path.write_text(json.dumps(cell, indent=1))
+    assert main(["report", str(cell_path.parent.parent)]) == 0
+    assert main(["certify", str(cell_path)]) == 0
+    assert capsys.readouterr().out.count("overall: PASS") == 2
 
 
 def test_certify_checks_the_recorded_class(completed_run, tmp_path, capsys):

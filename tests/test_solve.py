@@ -167,7 +167,8 @@ def test_newton_polish_counts_steps_taken(box9, monkeypatch):
 
 def test_unconverged_newton_inner_solves_are_reported(box9, monkeypatch):
     """Every MINRES solve of the polish stops short: the Plus and Minus
-    errors name the count of inner solves that did."""
+    errors name the count of inner solves that did, for the Minus solve the
+    refused handoff try's and the final polish's."""
     from bnsolver import solve
 
     p = box9.params(lam_factor=0.5, mu=0.01)
@@ -175,7 +176,7 @@ def test_unconverged_newton_inner_solves_are_reported(box9, monkeypatch):
     monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), False))
     with pytest.raises(NonconvergenceError, match="1 of 1 Newton inner solves stopped short"):
         minimize_on_Nplus(p)
-    with pytest.raises(NonconvergenceError, match="1 of 1 Newton inner solves stopped short"):
+    with pytest.raises(NonconvergenceError, match="2 of 2 Newton inner solves stopped short"):
         minimize_on_Nminus(p, gs)
 
 
@@ -226,7 +227,9 @@ def test_minus_from_ground_state_is_newton_only(box9, monkeypatch):
     fast = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY, solved_seed=True)
     assert fast.klass is Klass.MINUS
     assert abs(fast.energy - slow.energy) <= 1e-12 * abs(slow.energy)
-    assert 0 < fast.iterations <= solve.NEWTON_FIRST_STEPS < slow.iterations
+    # the descent path hands over to Newton within NEWTON_FIRST_STEPS too
+    assert 0 < fast.iterations <= solve.NEWTON_FIRST_STEPS
+    assert fast.descent_passes == 0 < slow.descent_passes < slow.iterations
     assert certify_solution(fast, p).overall
     # at mu = 0 the ground state is the solution: no Newton step at all
     p0 = box9.params(lam_factor=0.5, mu=0.0)
@@ -256,7 +259,7 @@ def test_minus_falls_back_to_descent_when_newton_fails(box9, monkeypatch):
     # the tried Newton inner solves are named when the whole solve fails
     monkeypatch.setattr(solve, "_newton_polish", polish)
     monkeypatch.setattr(solve, "solve_minres", lambda A, b, **kw: (np.zeros_like(b), False))
-    with pytest.raises(NonconvergenceError, match="2 of 2 Newton inner solves stopped short"):
+    with pytest.raises(NonconvergenceError, match="3 of 3 Newton inner solves stopped short"):
         minimize_on_Nminus(p, gs, solved_seed=True)
 
 
@@ -379,16 +382,21 @@ def test_continuation_descends_only_for_the_ground_state(box9, monkeypatch):
 
 def test_minus_solve_is_one_descent_and_one_polish(box9, monkeypatch):
     """Near the end of the Minus branch (lam = 3/4 lam1, mu = 0.12, where
-    the ground state's ray still has J > 0) the solve fails after one cone
-    descent and one polish: the descent's end point w = t v projects back
-    onto v, so a second descent would resume at the point where the first
-    stopped."""
+    the ground state's ray still has J > 0) the descent passes below J = 0,
+    and Newton from its handoff point converges to a Minus point of energy
+    about -0.108: the solve ends with NonpositiveMinusLevelError after one
+    descent and one Newton run.  With that try refused, the solve fails
+    after two descents, the second resumed from the first's end, and two
+    Newton runs: the resumed descent's end point w = t v projects back onto
+    v, so a further descent would resume at the point where it stopped."""
     p = box9.params(lam_factor=0.75, mu=0.12)
     gs = ground_state(p.lam, box9.spectral, box9.lift)
-    descent, polish, ends, polishes = solve._cone_descent, solve._newton_polish, [], []
+    descent, polish, starts, ends, polishes = (solve._cone_descent, solve._newton_polish,
+                                               [], [], [])
 
-    def logged_descent(p, point, budget):
-        out = descent(p, point, budget)
+    def logged_descent(p, point, budget, stop, beta):
+        starts.append(point)
+        out = descent(p, point, budget, stop, beta)
         ends.append(out)
         return out
 
@@ -398,12 +406,61 @@ def test_minus_solve_is_one_descent_and_one_polish(box9, monkeypatch):
 
     monkeypatch.setattr(solve, "_cone_descent", logged_descent)
     monkeypatch.setattr(solve, "_newton_polish", logged_polish)
+    with pytest.raises(NonpositiveMinusLevelError) as err:
+        minimize_on_Nminus(p, gs)
+    assert len(ends) == 1 and len(polishes) == 1 and err.value.j0 < 0
+
+    def refused(p, w, j_cap, seed_kind, flags, iterations, passes):
+        return None, solve._newton_polish(p, w, solve.NEWTON_FIRST_STEPS, flags)[2]
+
+    monkeypatch.setattr(solve, "_newton_try", refused)
+    del starts[:], ends[:], polishes[:]
     with pytest.raises(NonconvergenceError):
         minimize_on_Nminus(p, gs)
-    assert len(ends) == 1 and len(polishes) == 1
-    (_, t, v, _), _ = ends[0]
+    assert len(ends) == 2 and len(polishes) == 2
+    assert starts[1] is ends[0][0]
+    assert polishes[0][2] == solve.NEWTON_FIRST_STEPS
+    (_, t, v, _), _ = ends[1]
     again = solve._unit(np.abs(t * v), p.domain, p.two_star)
     assert np.abs(again - v).max() <= 1e-14 * np.abs(v).max()
+
+
+def _descent_then_polish(p, seed):
+    """The Minus solve with no handoff, kept as the reference: one cone
+    descent to 1e2 times the convergence target, then one Newton polish."""
+    v = solve._unit(np.abs(seed.values), p.domain, p.two_star)
+    (_, t, v, _), passes = solve._cone_descent(p, solve._cone_point(p, v),
+                                               solve.MINUS_PASSES, 1e2)
+    wv, gn, steps, ok = solve._newton_polish(p, t * v, solve._polish_steps(1.0), [])
+    assert ok
+    return solve.build_record(p, wv, gn, SeedKind.USER, passes + steps, passes)
+
+
+@pytest.mark.parametrize("setup, lam_factor", [("box9", 0.25), ("box9", 0.75),
+                                               ("annulus9", 0.5)])
+def test_minus_handoff_lands_where_the_full_descent_does(setup, lam_factor, request,
+                                                         monkeypatch):
+    """From the default bump (a lattice spike at 0.25 lam1 on the 9^3 box, a
+    resolved record at 0.75 lam1, and on the annulus) the descent hands
+    over to Newton early and lands on the record of the descent run to 1e2
+    times the target and polished, energy within 1e-12.  With the handoff
+    try refused, the resumed descent takes the reference's path: the record
+    is the reference's bit for bit, and the pass the resumed descent
+    repeats counts once more."""
+    s = request.getfixturevalue(setup)
+    p = s.params(lam_factor=lam_factor, mu=0.01)
+    seed = Field(s.domain.default_bump, s.domain)
+    ref = _descent_then_polish(p, seed)
+    rec = minimize_on_Nminus(p, seed)
+    assert rec.klass is ref.klass is Klass.MINUS
+    assert abs(rec.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+    assert 0 < rec.descent_passes < ref.descent_passes
+
+    monkeypatch.setattr(solve, "_newton_try", lambda *args: (None, 0))
+    slow = minimize_on_Nminus(p, seed)
+    assert np.array_equal(slow.v.values, ref.v.values)
+    assert (slow.energy, slow.grad_norm, slow.klass) == (ref.energy, ref.grad_norm, ref.klass)
+    assert (slow.iterations, slow.descent_passes) == (ref.iterations + 1, ref.descent_passes + 1)
 
 
 def test_unconverged_newton_inner_solve_in_minimax_reason(annulus9, monkeypatch):
