@@ -62,6 +62,9 @@ from .verify import (
 )
 
 KNOWN_SEARCHES = ("nplus", "nminus", "multistart", "minimax", "mu_star")
+# The spellings of a boolean setting, matched in any case; any other value is
+# an error, so that a misspelt "true" cannot turn the setting off.
+BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 # Every section of a config and the keys it may hold; any other section or
 # key is an error, so that a misspelt setting cannot fall back to its default.
 CONFIG_KEYS = {
@@ -240,6 +243,11 @@ def parse_config(path) -> RunConfig:
             raise cfg.error("searches", "run",
                             f"unknown search {s!r} (known: {', '.join(KNOWN_SEARCHES)})")
 
+    dump_fields = cfg.get("output", "dump_fields", "false").lower()
+    if dump_fields not in BOOLEANS:
+        raise cfg.error("output", "dump_fields",
+                        f"dump_fields must be one of {'/'.join(BOOLEANS)}, got {dump_fields!r}")
+
     directions = cfg.number("searches", "directions", int, default="6")
     max_directions = 2 * dim + 2**dim  # the signed axes and the diagonals of R^dim
     epsilon = cfg.number("searches", "epsilon", default="0.2")
@@ -264,7 +272,7 @@ def parse_config(path) -> RunConfig:
         directions=directions,
         epsilon=epsilon,
         out_dir=cfg.get("output", "directory", "out"),
-        dump_fields=cfg.get("output", "dump_fields", "false").lower() in ("true", "1", "yes"),
+        dump_fields=BOOLEANS[dump_fields],
         seed=seed,
         budget_factor=budget_factor,
         mu_star_cells=mu_star_cells,
@@ -539,14 +547,16 @@ def report(run_dir) -> int:
                     f"{_fmt(r['grad_norm'])},{r['positive']},{r['seed']}\n"
                 )
 
+    # at least 8 beta columns, more when a record's barycenter is longer (N > 8)
+    width = max([8] + [len(r["barycenter"]) for c in cells for r in c["records"]])
     with open(out / "barycenters.csv", "w") as f:
         f.write("cell,record,class,seed,image_of," +
-                ",".join(f"beta_{i}" for i in range(8)) + "\n")
+                ",".join(f"beta_{i}" for i in range(width)) + "\n")
         for c in cells:
             for k, r in enumerate(c["records"]):
                 beta = r["barycenter"]
                 cols = [str(c["index"]), str(k), r["class"], r["seed"], str(r.get("image_of", ""))]
-                cols += [_fmt(x) for x in beta] + ["" for _ in range(8 - len(beta))]
+                cols += [_fmt(x) for x in beta] + ["" for _ in range(width - len(beta))]
                 f.write(",".join(cols) + "\n")
 
     n_rec = sum(len(c["records"]) for c in cells)

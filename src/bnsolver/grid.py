@@ -43,7 +43,8 @@ Discrete conventions, fixed once and used everywhere:
   through `Domain.solve_poisson`, exact on boxes, where the stencil is
   diagonal in the tensor sine basis (the sine matrix is applied along each
   axis by a BLAS product), and CG on masked lattices.  The Sobolev descent
-  keeps its own inexact CG on every domain (see `estimate_sobolev_S`).
+  keeps its own inexact CG on every domain, on a box in sine coordinates,
+  where -Lap is diagonal (see `estimate_sobolev_S`).
   Both are setup: `bnsolver certify` checks the run's stored spectral data
   and lift instead (`load_spectral_data`, `lift.load_lift`) and solves
   nothing.  One Poisson preconditioner, `Domain.precondition`,
@@ -329,7 +330,7 @@ class Domain:
         """
         if isinstance(self.spec.shape, Box):
             return self.precondition(b)
-        return _cg(self.matrix, b, None, rtol, maxiter or 20 * self.n_interior, label)
+        return _cg(self.matrix.dot, b, None, rtol, maxiter or 20 * self.n_interior, label)
 
     def precondition(self, b):
         """The sine-transform solve of -Lap on the bounding box of the
@@ -513,11 +514,11 @@ def _sine_transform(S, x, out):
 
 
 def _cg(A, b, x0, rtol, maxiter, label):
-    """CG solve that raises NumericalError, with its label and relative
-    residual, when it stops short of rtol."""
+    """CG solve of A x = b, A the map x -> A x, that raises NumericalError,
+    with its label and relative residual, when it stops short of rtol."""
     x, ok = solve_cg(A, b, x0=x0, rtol=rtol, maxiter=maxiter, label=label)
     if not ok:
-        resid = float(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
+        resid = float(np.linalg.norm(b - A(x)) / np.linalg.norm(b))
         raise NumericalError(
             f"{label}: conjugate gradients stopped at relative residual {resid:.3e} "
             f"(rtol {rtol:g}) after {maxiter} iterations",
@@ -705,6 +706,15 @@ def estimate_sobolev_S(domain: Domain):
     returned.  The descent stops when one step gains less than
     SOBOLEV_STAG_TOL relative, or after SOBOLEV_MAX_OUTER steps.
 
+    The lift is CG to relative residual SOBOLEV_INNER_RTOL, warm-started
+    from the previous direction.  On a masked lattice CG runs on the CSR
+    matrix.  On a box it runs in sine coordinates, where -Lap = Q diag(eig) Q
+    is the map x -> eig * x (Q the symmetric orthonormal sine transform of
+    `Domain._sine_basis`): CG is invariant under an orthogonal change of
+    basis, so it takes the same iterations as on the CSR matrix, each one a
+    scaling instead of a sparse product, and the gradient and the direction
+    cost one transform each.
+
     The unconstrained discrete minimizer is a single-cell spike whose
     one-sided-difference quotient sits well below the continuum constant (a
     lattice artifact: measured limits are about 4.0 for N=3 and 6.4 for N=4
@@ -716,6 +726,18 @@ def estimate_sobolev_S(domain: Domain):
     """
     two_star = domain.two_star
     A = domain.matrix
+    if isinstance(domain.spec.shape, Box):
+        Q, eig = domain._sine_basis
+        diag = eig.reshape(-1)
+
+        def op(x):
+            return diag * x
+
+        def sine(v):
+            x = np.array(v, dtype=float).reshape(eig.shape)
+            return _sine_transform(Q, x, np.empty(eig.shape))[0].reshape(-1)
+    else:
+        op, sine = A.dot, lambda v: v
 
     def peak_share(vals):
         mass = np.abs(vals) ** two_star
@@ -726,17 +748,19 @@ def estimate_sobolev_S(domain: Domain):
     witness = u
 
     q = best
-    d_warm = None
+    d_sine = None
     step = 1.0
     for _ in range(SOBOLEV_MAX_OUTER):
         # L2 gradient of the quotient at ||u||_{2*} = 1 (up to the factor 2)
         g = A @ u - q * signed_pow(u, two_star - 1.0)
-        # Inexact CG on purpose, also on a box: the descent only needs a
-        # direction, and the estimate is the best quotient along the path of
-        # these iterates.  Exact solves move S by 2.7e-9 relative at res 25,
-        # far outside the 1e-12 at which s_quantum is compared.
-        d = _cg(A, g, d_warm, SOBOLEV_INNER_RTOL, 5000, "sobolev descent")
-        d_warm = d
+        # Inexact CG on purpose, also on a box, where the diagonal map in
+        # sine coordinates would allow an exact solve: the descent only
+        # needs a direction, and the estimate is the best quotient along the
+        # path of these iterates.  Exact solves move S by 2.7e-9 relative at
+        # res 25, far outside the 1e-12 at which s_quantum is compared.  The
+        # warm start stays in sine coordinates.
+        d_sine = _cg(op, sine(g), d_sine, SOBOLEV_INNER_RTOL, 5000, "sobolev descent")
+        d = sine(d_sine)
         gain = 0.0
         out = armijo(lambda beta: _renormalized(domain, u - beta * d), q, 0.0, step, 40)
         if out is not None:

@@ -77,22 +77,24 @@ def armijo(trial, f0, slope, beta, max_backtracks):
 
 
 def solve_cg(A, b, x0=None, rtol=1e-12, maxiter=None, label="cg"):
-    """Conjugate-gradient solve with an explicit failure signal: (x, True)
-    once ||b - A x||_2 < rtol ||b||_2, (the last iterate, False) when
-    maxiter iterations (default 10 n) run out; NumericalError when A is
-    found not to be positive definite."""
+    """Conjugate-gradient solve of A x = b for the symmetric positive
+    definite A given as the map x -> A x of raw arrays (`_scipy_cg`), with
+    an explicit failure signal: (x, True) once ||b - A x||_2 < rtol ||b||_2,
+    (the last iterate, False) when maxiter iterations (default 10 n) run
+    out; NumericalError when A is found not to be positive definite."""
     x, info = _scipy_cg(A, b, x0=x0, rtol=rtol, maxiter=maxiter, label=label)
     return x, info == 0
 
 
-def _scipy_cg(A, b, x0=None, *, rtol, maxiter=None, callback=None, label="cg"):
+def _scipy_cg(matvec, b, x0=None, *, rtol, maxiter=None, callback=None, label="cg"):
     """scipy.sparse.linalg.cg with M = I and atol = 0, on raw float arrays:
-    the same arithmetic in the same order, so the same iterates bit for
-    bit, and scipy's keywords and (x, info) return, info 0 when converged
-    and maxiter when not, so that wrappers of scipy's cg (an iteration
-    counter passed as `callback`) work unchanged.  It differs in two ways:
-    x0 is never written to, and a non-positive p.Ap is a NumericalError
-    naming `label`, raised at once.
+    matvec is the map x -> A x (a sparse matrix's `dot`, or a diagonal
+    scaling).  The same arithmetic in the same order, so the same iterates
+    bit for bit, and scipy's keywords and (x, info) return, info 0 when
+    converged and maxiter when not, so that wrappers of scipy's cg (an
+    iteration counter passed as `callback`) work unchanged.  It differs in
+    two ways: x0 is never written to, and a non-positive p.Ap is a
+    NumericalError naming `label`, raised at once.
 
     Per iteration: one dot product r.r, used both for the stop test
     sqrt(r.r) < rtol ||b|| and as rho; one product A p; p updated in place;
@@ -105,7 +107,7 @@ def _scipy_cg(A, b, x0=None, *, rtol, maxiter=None, callback=None, label="cg"):
     n = b.size
     maxiter = 10 * n if maxiter is None else maxiter
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x if x.any() else b.copy()
+    r = b - matvec(x) if x.any() else b.copy()
     p, tmp = np.empty(n), np.empty(n)
     rho_prev = None
     for it in range(maxiter):
@@ -117,7 +119,7 @@ def _scipy_cg(A, b, x0=None, *, rtol, maxiter=None, callback=None, label="cg"):
             p += r
         else:
             p[:] = r
-        q = A @ p
+        q = matvec(p)
         pq = np.dot(p, q)
         if not pq > 0.0:
             raise NumericalError(f"{label}: conjugate gradients broke down: p.Ap <= 0 "

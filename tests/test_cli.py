@@ -112,6 +112,21 @@ def test_report(completed_run, capsys):
     assert (completed_run / "barycenters.csv").exists()
 
 
+def test_report_widens_barycenters_past_eight_components(tmp_path, capsys):
+    """A record whose barycenter has 9 components (dimension 9) widens the
+    barycenters.csv header to beta_8, so every row has the header's width."""
+    record = {"class": "PLUS", "energy": 1.0, "grad_norm": 0.0, "positive": True,
+              "seed": "zero", "iterations": 1, "barycenter": [0.5] * 9,
+              "grad_dir_integral": [0.0] * 9}
+    cell = {"index": 0, "lambda": 1.0, "mu": 0.0, "mode": "search", "status": "ok",
+            "records": [record]}
+    (tmp_path / "cells").mkdir()
+    (tmp_path / "cells" / "cell_0000.json").write_text(json.dumps(cell))
+    assert main(["report", str(tmp_path)]) == 0
+    rows = [row.split(",") for row in (tmp_path / "barycenters.csv").read_text().splitlines()]
+    assert rows[0][-1] == "beta_8" and [len(row) for row in rows] == [14, 14]
+
+
 def test_certify_subcommand(completed_run, capsys):
     code = main(["certify", str(completed_run / "cells" / "cell_0000.json")])
     assert code == 0
@@ -670,15 +685,26 @@ def test_config_errors(tmp_path):
     ("seed = 0", "seed = 0\n\n[typo_section]\nepsilonn = 0.25", "[typo_section]",
      "unknown section [typo_section]"),
     ("value = 1.0", "value = 1.0\nseed = 3", "seed = 3", "unknown key 'seed' in [boundary]"),
-], ids=["key", "section", "key-in-wrong-section"])
+    ("dump_fields = true", "dump_fields = ture", "dump_fields = ture",
+     "dump_fields must be one of true/yes/1/false/no/0, got 'ture'"),
+], ids=["key", "section", "key-in-wrong-section", "boolean"])
 def test_unknown_config_names_are_anchored(tmp_path, capsys, old, new, bad, message):
-    """A misspelt key or section, or a key in the wrong section, stops the
-    run at its line instead of leaving the setting at its default."""
+    """A misspelt key, section or boolean value, or a key in the wrong
+    section, stops the run at its line instead of leaving the setting at its
+    default."""
     text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
     bad_line = text.splitlines().index(bad) + 1
     cfg = write_config(tmp_path, text)
     assert main(["run", str(cfg)]) == 2
     assert f"{cfg}:{bad_line}: {message}" in capsys.readouterr().err
+
+
+def test_dump_fields_takes_booleans_in_any_case(tmp_path):
+    for value, on in (("TRUE", True), ("Yes", True), ("1", True),
+                      ("False", False), ("NO", False), ("0", False)):
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+            "dump_fields = true", f"dump_fields = {value}")
+        assert parse_config(write_config(tmp_path, text)).dump_fields is on
 
 
 @pytest.mark.parametrize("dimension, directions, most", [(3, 15, 14), (4, 25, 24)])

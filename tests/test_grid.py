@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import cg as scipy_cg
@@ -34,7 +35,7 @@ from bnsolver.grid import (
 )
 from bnsolver.lift import NodeTable, solve_lift
 from bnsolver.nehari import t_minus
-from bnsolver.numutil import solve_cg
+from bnsolver.numutil import armijo, signed_pow, solve_cg
 from bnsolver.solve import make_bubble
 
 from conftest import count_builds, text_dump
@@ -415,7 +416,7 @@ def test_box_poisson_solve_is_exact(spec, seed):
     x = dom.solve_poisson(b)
     A = dom.matrix
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
-    x_cg, ok = solve_cg(A, b, rtol=1e-13, maxiter=50 * dom.n_interior)
+    x_cg, ok = solve_cg(A.dot, b, rtol=1e-13, maxiter=50 * dom.n_interior)
     assert ok
     assert np.linalg.norm(x - x_cg) <= 1e-10 * np.linalg.norm(x)
 
@@ -462,7 +463,7 @@ def test_box_lift_matches_cg_and_maximum_principle(spec, seed):
     rhs = sum((np.roll(full, 1, d) + np.roll(full, -1, d)) / dom.h[d] ** 2
               for d in range(dom.ndim)).ravel()[dom.interior_flat]
     raw = dom.solve_poisson(rhs)
-    phi_cg, ok = solve_cg(dom.matrix, rhs, rtol=1e-13, maxiter=50 * dom.n_interior)
+    phi_cg, ok = solve_cg(dom.matrix.dot, rhs, rtol=1e-13, maxiter=50 * dom.n_interior)
     assert ok
     assert np.abs(phi - phi_cg).max() <= 1e-12 * g.max()
     # maximum principle on the unclipped exact solve
@@ -475,7 +476,7 @@ def test_annulus_poisson_solve_is_plain_cg(annulus9):
     rng = np.random.default_rng(5)
     b = rng.standard_normal(dom.n_interior)
     x = dom.solve_poisson(b)
-    ref, _ = solve_cg(dom.matrix, b, rtol=1e-8, maxiter=20 * dom.n_interior)
+    ref, _ = solve_cg(dom.matrix.dot, b, rtol=1e-8, maxiter=20 * dom.n_interior)
     assert x.tobytes() == ref.tobytes()
 
 
@@ -492,7 +493,7 @@ def test_solve_cg_matches_scipy_cg_bit_for_bit(annulus9, warm):
     for rtol, maxiter in ((1e-8, None), (1e-12, 2000), (1e-12, 7)):
         ref, info = scipy_cg(dom.matrix, b, x0=None if x0 is None else x0.copy(),
                              rtol=rtol, atol=0.0, maxiter=maxiter)
-        x, ok = solve_cg(dom.matrix, b, x0=x0, rtol=rtol, maxiter=maxiter)
+        x, ok = solve_cg(dom.matrix.dot, b, x0=x0, rtol=rtol, maxiter=maxiter)
         assert x.tobytes() == ref.tobytes()
         assert ok == (info == 0) and ok == (maxiter != 7)
     if warm:
@@ -541,10 +542,10 @@ def test_solve_cg_zero_rhs_and_breakdown(annulus9):
     dom = annulus9.domain
     zero = np.zeros(dom.n_interior)
     for x0 in (None, np.ones(dom.n_interior)):
-        x, ok = solve_cg(dom.matrix, zero, x0=x0)
+        x, ok = solve_cg(dom.matrix.dot, zero, x0=x0)
         assert ok and not x.any()
     with pytest.raises(NumericalError, match="probe: conjugate gradients broke down"):
-        solve_cg(-dom.matrix, np.ones(dom.n_interior), label="probe")
+        solve_cg((-dom.matrix).dot, np.ones(dom.n_interior), label="probe")
 
 
 @pytest.mark.parametrize("N, n", [(2, 9), (3, 7), (3, 23), (4, 5)])
@@ -757,6 +758,101 @@ def test_rayleigh_scale_invariance(box9):
     q1 = rayleigh_quotient(dom, u)
     q2 = rayleigh_quotient(dom, 2.0 * u)
     assert abs(q1 - q2) <= 1e-12 * q1
+
+
+def csr_sobolev_reference(dom):
+    """The Sobolev descent with its CG on the CSR matrix on every domain,
+    as `estimate_sobolev_S` ran it before boxes took their CG into sine
+    coordinates: (S, witness values)."""
+    A, ts = dom.matrix, dom.two_star
+    best, u = grid._renormalized(dom, dom.default_bump)
+    witness, q, d, step = u, best, None, 1.0
+    for _ in range(grid.SOBOLEV_MAX_OUTER):
+        g = A @ u - q * signed_pow(u, ts - 1.0)
+        d = grid._cg(A.dot, g, d, grid.SOBOLEV_INNER_RTOL, 5000, "sobolev descent")
+        gain = 0.0
+        out = armijo(lambda beta: grid._renormalized(dom, u - beta * d), q, 0.0, step, 40)
+        if out is not None:
+            (qt, u), step = out
+            gain, q = q - qt, qt
+        mass = np.abs(u) ** ts
+        if float(mass.max()) / float(mass.sum()) > grid.SOBOLEV_SHARE_CAP:
+            break
+        if q < best:
+            best, witness = q, u
+        if gain < grid.SOBOLEV_STAG_TOL * abs(q):
+            break
+    return float(best), witness
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9),
+    DomainSpec(Box((1.0, 1.0, 1.0)), 3, 13),
+    DomainSpec(Box((1.0, 1.0, 1.0)), 3, 25),
+    DomainSpec(Box((1.0, 0.6, 0.8)), 3, 9),
+    DomainSpec(Box((1.0,) * 4), 4, 9),
+    DomainSpec(AnnulusD(0.5), 3, 9),
+], ids=["cube9", "cube13", "cube25", "sides9", "N4-9", "annulus9"])
+def test_sobolev_descent_matches_csr_cg_reference(spec, monkeypatch):
+    """The box descent's CG in sine coordinates against the CSR-CG descent:
+    the same CG iterations per solve, S within 1e-13 relative and the
+    witness within 1e-12 sup-norm; the annulus runs the CSR CG itself, so
+    there S and the witness are the reference's bit for bit."""
+    cg, iters = numutil._scipy_cg, []
+
+    def counted(*args, **kwargs):
+        n = []
+        out = cg(*args, callback=n.append, **kwargs)
+        iters.append(len(n))
+        return out
+
+    monkeypatch.setattr(numutil, "_scipy_cg", counted)
+    dom = build_domain(spec)
+    S_ref, w_ref = csr_sobolev_reference(dom)
+    ref_iters = list(iters)
+    iters.clear()
+    S, witness = estimate_sobolev_S(dom)
+    assert iters == ref_iters and len(iters) > 0
+    if isinstance(spec.shape, AnnulusD):
+        assert S == S_ref and witness.values.tobytes() == w_ref.tobytes()
+    else:
+        assert abs(S - S_ref) <= 1e-13 * S_ref
+        assert np.abs(witness.values - w_ref).max() <= 1e-12
+
+
+def test_box_sobolev_cg_runs_no_sparse_product(monkeypatch):
+    """No CSR product runs inside the box descent's CG, seen by wrapping
+    the operator that solve_cg receives while the domain's matrix counts
+    its products; the same watch sees the annulus's CG on the CSR matrix.
+    The gradients are CSR products outside CG on both."""
+    inside, products = [False], []
+
+    class CountedCSR(sparse.csr_matrix):
+        def __matmul__(self, other):
+            products.append(inside[0])
+            return super().__matmul__(other)
+
+        def dot(self, other):
+            products.append(inside[0])
+            return super().dot(other)
+
+    def watched(A, b, **kwargs):
+        def op(x):
+            inside[0] = True
+            try:
+                return A(x)
+            finally:
+                inside[0] = False
+        return solve_cg(op, b, **kwargs)
+
+    monkeypatch.setattr(grid, "solve_cg", watched)
+    for spec, in_cg in ((DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9), False),
+                        (DomainSpec(AnnulusD(0.5), 3, 9), True)):
+        dom = build_domain(spec)
+        dom.__dict__["matrix"] = CountedCSR(dom.matrix)
+        products.clear()
+        estimate_sobolev_S(dom)
+        assert any(products) is in_cg and not all(products)
 
 
 def test_sobolev_refinement_trend_dimension4():

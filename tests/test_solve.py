@@ -573,7 +573,7 @@ def rayleigh_min_oracle(dom, lam, iters=800):
     warm = None
     for _ in range(iters):
         g = A @ u - lam * u - q * signed_pow(u, ts - 1.0)
-        d, _ = solve_cg(A, g, x0=warm, rtol=1e-6, maxiter=4000)
+        d, _ = solve_cg(A.dot, g, x0=warm, rtol=1e-6, maxiter=4000)
         warm = d
         beta, moved = step, False
         for _ in range(40):
@@ -907,7 +907,7 @@ def test_cone_descent_metric_does_not_move_the_critical_point(annulus9, monkeypa
 
     shipped = solves()
     monkeypatch.setattr(type(dom), "precondition",
-                        lambda self, b: _cg(self.matrix, b, None, 1e-12, 20000, "exact lift"))
+                        lambda self, b: _cg(self.matrix.dot, b, None, 1e-12, 20000, "exact lift"))
     exact = solves()
     for a, b in zip(shipped, exact):
         assert a.klass is b.klass is Klass.MINUS
