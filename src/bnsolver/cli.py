@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import sys
 import traceback
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .lift import (
     BumpOnBoundary,
     Constant,
     TableFile,
-    compose_solution,
     load_lift,
     solve_lift,
 )
@@ -62,6 +62,9 @@ from .verify import (
 )
 
 KNOWN_SEARCHES = ("nplus", "nminus", "multistart", "minimax", "mu_star")
+# The searches that start from the records of others: multistart from the
+# Plus record, minimax from the Plus and the Minus records.
+SEARCH_NEEDS = {"multistart": ("nplus",), "minimax": ("nplus", "nminus")}
 # The spellings of a boolean setting, matched in any case; any other value is
 # an error, so that a misspelt "true" cannot turn the setting off.
 BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -119,20 +122,28 @@ class ConfigFile:
                         f"{self.path}:{lineno}: unknown section [{section}] "
                         f"(known: {', '.join(CONFIG_KEYS)})")
                 self.sections.setdefault(section, {})
+                self.lines.setdefault((section, None), lineno)  # its first header
                 continue
             if "=" not in line:
                 raise ConfigurationError(f"{self.path}:{lineno}: expected 'key = value'")
             if section is None:
                 raise ConfigurationError(f"{self.path}:{lineno}: key outside any [section]")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key.lower() not in CONFIG_KEYS[section]:
+            key = key.lower()
+            if key not in CONFIG_KEYS[section]:
                 raise ConfigurationError(
                     f"{self.path}:{lineno}: unknown key {key!r} in [{section}] "
                     f"(known: {', '.join(CONFIG_KEYS[section])})")
-            self.sections[section][key.lower()] = val
-            self.lines[(section, key.lower())] = lineno
+            if (section, key) in self.lines:
+                raise ConfigurationError(
+                    f"{self.path}:{lineno}: key {key!r} in [{section}] repeats the one "
+                    f"at line {self.lines[(section, key)]}")
+            self.sections[section][key] = val
+            self.lines[(section, key)] = lineno
 
     def error(self, section, key, msg):
+        """A ConfigurationError anchored at the key's line (key None: the
+        section's first header)."""
         lineno = self.lines.get((section, key))
         anchor = f"{self.path}:{lineno}" if lineno else f"{self.path}:[{section}] {key}"
         return ConfigurationError(f"{anchor}: {msg}")
@@ -144,12 +155,17 @@ class ConfigFile:
         return val
 
     def token(self, section, key, tok, kind=float):
-        """One token of a key's value converted by `kind` (int or float)."""
+        """One token of a key's value converted by `kind` (int or float); a
+        float must be finite (`nan`, `inf` and an overflowing `1e400` are
+        errors)."""
         try:
-            return kind(tok)
+            val = kind(tok)
         except ValueError:
             what = "an integer" if kind is int else "a number"
             raise self.error(section, key, f"not {what}: {tok!r}") from None
+        if kind is float and not math.isfinite(val):
+            raise self.error(section, key, f"not a finite number: {tok!r}")
+        return val
 
     def number(self, section, key, kind=float, default=None, required=False, many=False):
         """Typed value of a key: one `kind` number, or a tuple of one or more
@@ -172,8 +188,8 @@ def _parse_values(cfg, section, key, text, lambda1=None):
             raise cfg.error(section, key, "linspace needs: linspace start stop count")
         a, b = (cfg.token(section, key, tok) for tok in toks[1:3])
         n = cfg.token(section, key, toks[3], int)
-        if n < 0:
-            raise cfg.error(section, key, f"linspace count must be >= 0, got {n}")
+        if n < 1:
+            raise cfg.error(section, key, f"linspace count must be >= 1, got {n}")
         return [float(x) for x in np.linspace(a, b, n)]
     out = []
     for tok in toks:
@@ -189,19 +205,21 @@ def _parse_values(cfg, section, key, text, lambda1=None):
 
 @dataclass
 class RunConfig:
+    """A parsed config; `parse_config` sets every field."""
+
     domain_spec: DomainSpec
     boundary: object
     lambdas_text: str
     mus_text: str
     searches: List[str]
-    directions: int = 6
-    epsilon: float = 0.2
-    out_dir: str = "out"
-    dump_fields: bool = False
-    seed: int = 0  # `[random] seed`: validated, read by no solver step
-    budget_factor: float = 1.0
-    mu_star_cells: int = 24
-    cfg: Optional[ConfigFile] = dc_field(default=None, repr=False)
+    directions: int
+    epsilon: float
+    out_dir: str
+    dump_fields: bool
+    seed: int  # `[random] seed`: validated, read by no solver step
+    budget_factor: float
+    mu_star_cells: int
+    cfg: ConfigFile = dc_field(repr=False)
 
 
 def parse_config(path) -> RunConfig:
@@ -211,12 +229,15 @@ def parse_config(path) -> RunConfig:
     dim = cfg.number("domain", "dimension", int, required=True)
     res = cfg.number("domain", "resolution", int, required=True)
     if shape_name == "box":
-        shape = Box(cfg.number("domain", "sides", required=True, many=True))
+        make_shape, size = Box, cfg.number("domain", "sides", required=True, many=True)
     elif shape_name == "annulus":
-        shape = AnnulusD(cfg.number("domain", "delta0", required=True))
+        make_shape, size = AnnulusD, cfg.number("domain", "delta0", required=True)
     else:
         raise cfg.error("domain", "shape", f"unknown shape {shape_name!r}")
-    spec = DomainSpec(shape, dim, res)
+    try:
+        spec = DomainSpec(make_shape(size), dim, res)
+    except ConfigurationError as e:
+        raise cfg.error("domain", None, str(e)) from None
 
     kind = cfg.get("boundary", "kind", "constant").lower()
     if kind == "constant":
@@ -242,6 +263,9 @@ def parse_config(path) -> RunConfig:
         if s not in KNOWN_SEARCHES:
             raise cfg.error("searches", "run",
                             f"unknown search {s!r} (known: {', '.join(KNOWN_SEARCHES)})")
+    for s, needs in SEARCH_NEEDS.items():
+        if s in searches and not all(n in searches for n in needs):
+            raise cfg.error("searches", "run", f"{s} needs {' and '.join(needs)} in the same run")
 
     dump_fields = cfg.get("output", "dump_fields", "false").lower()
     if dump_fields not in BOOLEANS:
@@ -338,6 +362,8 @@ def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig):
             cell["status"] = "nonexistence" if all(c.overall for c in certs) else "uncertified"
             return cell
 
+        # No Plus branch exists at mu = 0, so the searches that start from
+        # it (SEARCH_NEEDS) are skipped there too.
         records = []
         rec_plus = rec_minus = None
         if "nplus" in rc.searches and mu > 0:
@@ -350,17 +376,13 @@ def _run_cell(ci, lam, mu, spectral, lift, rc: RunConfig):
                 solved_seed=True,
             )
             records.append(rec_minus)
-        if "multistart" in rc.searches:
-            if rec_plus is None:
-                raise ConfigurationError("multistart needs the nplus search in the same run")
+        if "multistart" in rc.searches and mu > 0:
             dirs = sphere_directions(p.domain.ndim, rc.directions)
             extra = multistart_Nminus(
                 p, dirs, rc.epsilon, rec_plus, budget_factor=rc.budget_factor
             )
             records.extend(extra)
-        if "minimax" in rc.searches:
-            if rec_plus is None or rec_minus is None:
-                raise ConfigurationError("minimax needs nplus and nminus in the same run")
+        if "minimax" in rc.searches and mu > 0:
             mm = minimax_gamma(p, rc.epsilon, rec_plus, rec_minus,
                                budget_factor=rc.budget_factor)
             cell["minimax"] = {
@@ -596,12 +618,9 @@ def profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0, out_path=No
     v = load_field(ray_path, domain).values
     prof = FiberingProfile(v, p)
     tm, tp = t_minus(prof), t_plus(prof)
-    ts = np.linspace(0.0, tmax_factor * tm, samples)
-    T, dT, d2T = prof.T(ts), prof.dT(ts), prof.d2T(ts)
-
     lines = ["t,T,T1,T2"]
-    for i in range(len(ts)):
-        lines.append(f"{_fmt(ts[i])},{_fmt(T[i])},{_fmt(dT[i])},{_fmt(d2T[i])}")
+    for t in np.linspace(0.0, tmax_factor * tm, samples).tolist():
+        lines.append(f"{_fmt(t)},{_fmt(prof.T(t))},{_fmt(prof.dT(t))},{_fmt(prof.d2T(t))}")
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w") as f:
@@ -619,7 +638,7 @@ def _stored_record(r, v: Field, p: Params) -> SolutionRecord:
     recorded class against a fresh classification.  An unknown class or
     seed raises KeyError or ValueError (`_read_cell` has checked the keys)."""
     return SolutionRecord(
-        v=v, u=compose_solution(v, p.mu, p.lift), energy=r["energy"],
+        v=v, energy=r["energy"],
         klass=Klass[r["class"]], grad_norm=r["grad_norm"],
         positive=r["positive"], seed=SeedKind(r["seed"]),
         iterations=r["iterations"], lam=p.lam, mu=p.mu,

@@ -36,7 +36,6 @@ from .errors import ArgumentError, MuTooLargeError
 from .grid import Field, SpectralData, _matches
 from .numutil import abs_pow, signed_pow
 
-_BATCH_ELEMS = 4_000_000  # cap on elements of one t-batch times node count
 # C(q - k, j), j = 0..q-k, one row for each k = 0, 1, 2, for the even 2* = q
 # of N = 3 and 4 (2* = 2N/(N-2) is an even integer in no other dimension)
 _BINOMIALS = {q: [[math.comb(q - k, j) for j in range(q - k + 1)] for k in range(3)]
@@ -168,24 +167,20 @@ def hessian_apply(v, h, p: Params) -> np.ndarray:
     return p.domain.apply_neg_laplacian(h) - hessian_weight(v, p) * h
 
 
-def _fibering_t(t):
-    """t as a float, or as a float array of several t; every t must be finite
-    and >= 0."""
+def _fibering_t(t) -> float:
+    """t as a float; t must be one finite real number >= 0."""
     if not isinstance(t, float):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            t = float(t)
-    if isinstance(t, float):
-        ok = 0.0 <= t < math.inf
-    else:
-        ok = np.isfinite(t).all() and t.min(initial=0.0) >= 0.0
-    if not ok:
+        if np.ndim(t) != 0:
+            raise ArgumentError(
+                f"fibering parameter t must be one number, got an array of shape {np.shape(t)}")
+        t = float(t)
+    if not 0.0 <= t < math.inf:
         raise ArgumentError(f"fibering parameter t must be finite and >= 0, got {t}")
     return t
 
 
 def _horner(coef, t):
-    """sum_j coef[j] t^j, for a float t or a float array of t."""
+    """sum_j coef[j] t^j for a float t."""
     acc = coef[-1]
     for c in coef[-2::-1]:
         acc = acc * t + c
@@ -193,7 +188,8 @@ def _horner(coef, t):
 
 
 class FiberingProfile:
-    """Scalar data of one fibering map t -> E(t v).
+    """Scalar data of one fibering map t -> E(t v), evaluated at one real
+    t at a time.
 
     Ray coefficients (||v||^2, ||v||_2^2, integrals against phi) are
     frozen at construction; ||v||^2 is `a` when the caller passes it (the
@@ -201,10 +197,11 @@ class FiberingProfile:
     (`Params.phi_l2`).  For even 2* so are the ray moments
     M_j = int v^j (mu phi)^(2*-j), j = 0..2*, the powers of v taken against
     `Params.lift_powers` (at mu = 0 every M_j but M_(2*) is 0), and each
-    critical integral at t
-    is a binomial-weighted Horner polynomial in them, pure float for a
-    scalar t.  For any other 2* the critical integrals are re-quadratured at
-    every t.
+    critical integral at t is a binomial-weighted Horner polynomial in
+    them, pure float.  For any other 2* the critical integrals are one
+    quadrature of t v + mu phi over every node at each t.  Every public
+    method takes one finite t >= 0 and checks it once; anything else,
+    an array included, is an ArgumentError.
     """
 
     def __init__(self, v, p: Params, a=None):
@@ -270,60 +267,49 @@ class FiberingProfile:
 
     # -- critical integrals, evaluated per t --------------------------------
 
-    def _critical(self, t, k, kernel):
+    def _critical(self, t, k):
         """Critical integral k (0: mass, 1: pair with v, 2: quadratic in v)
-        at t, after checking t: the moment polynomial for even 2*, otherwise
-        the quadrature of `kernel` over every node."""
-        t = _fibering_t(t)
+        at the checked float t: the Horner evaluation of the moment
+        polynomial for even 2*, otherwise one quadrature of w = t v + mu phi
+        over every node."""
         if self._coef is not None:
             return _horner(self._coef[k], t)
-        tt = np.atleast_1d(t)
-        n = self.v.size
-        out = np.empty(tt.size)
-        chunk = max(1, _BATCH_ELEMS // max(n, 1))
-        muphi = self.p.mu_phi
-        for s in range(0, tt.size, chunk):
-            block = tt[s : s + chunk, None] * self.v[None, :] + muphi[None, :]
-            out[s : s + chunk] = kernel(block)
-        return float(out[0]) if isinstance(t, float) else out
+        ts = self.p.two_star
+        w = t * self.v + self.p.mu_phi
+        if k == 0:
+            terms = abs_pow(w, ts)
+        elif k == 1:
+            terms = signed_pow(w, ts - 1.0) * self.v
+        else:
+            terms = abs_pow(w, ts - 2.0) * self.v**2
+        return float(self.p.domain.weight * terms.sum())
 
     def crit_mass(self, t):
         """int |t v + mu phi|^{2*} dx."""
-        ts = self.p.two_star
-        w0 = self.p.domain.weight
-        return self._critical(t, 0, lambda W: w0 * abs_pow(W, ts).sum(axis=1))
+        return self._critical(_fibering_t(t), 0)
 
     def crit_pair_v(self, t):
         """int |t v + mu phi|^{2*-2} (t v + mu phi) v dx."""
-        ts = self.p.two_star
-        w0 = self.p.domain.weight
-        return self._critical(
-            t, 1, lambda W: w0 * (signed_pow(W, ts - 1.0) * self.v[None, :]).sum(axis=1)
-        )
+        return self._critical(_fibering_t(t), 1)
 
     def crit_quad_v2(self, t):
         """int |t v + mu phi|^{2*-2} v^2 dx."""
-        ts = self.p.two_star
-        w0 = self.p.domain.weight
-        return self._critical(
-            t, 2, lambda W: w0 * (abs_pow(W, ts - 2.0) * (self.v**2)[None, :]).sum(axis=1)
-        )
+        return self._critical(_fibering_t(t), 2)
 
     # -- fibering map and derivatives ----------------------------------------
-    # A scalar t gives a float, an array of t an array; every t is checked
-    # to be finite and >= 0.
 
     def T(self, t):
         p = self.p
         t = _fibering_t(t)
         quad = t * t * self.l2 + 2.0 * t * p.mu * self.phi_v + p.mu**2 * p.phi_l2
-        return 0.5 * t * t * self.a - 0.5 * p.lam * quad - self.crit_mass(t) / p.two_star
+        return 0.5 * t * t * self.a - 0.5 * p.lam * quad - self._critical(t, 0) / p.two_star
 
     def dT(self, t):
         p = self.p
         t = _fibering_t(t)
-        return t * self.a - p.lam * (t * self.l2 + p.mu * self.phi_v) - self.crit_pair_v(t)
+        return t * self.a - p.lam * (t * self.l2 + p.mu * self.phi_v) - self._critical(t, 1)
 
     def d2T(self, t):
         p = self.p
-        return self.a - p.lam * self.l2 - (p.two_star - 1.0) * self.crit_quad_v2(t)
+        return (self.a - p.lam * self.l2
+                - (p.two_star - 1.0) * self._critical(_fibering_t(t), 2))

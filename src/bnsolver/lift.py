@@ -184,11 +184,3 @@ def check_lift(phi, gvals, rhs, domain: Domain, slack=0.0):
             f"beyond tolerance: range [{float(phi.min())!r}, {float(phi.max())!r}]"
         )
 
-
-def compose_solution(v: Field, mu: float, phi: Field) -> Field:
-    """u = v + mu * phi."""
-    if v.domain is not phi.domain:
-        raise ArgumentError("field and lift live on different domains")
-    if mu < 0:
-        raise ArgumentError("mu must be nonnegative")
-    return Field(v.values + mu * phi.values, v.domain)

@@ -86,7 +86,6 @@ from .errors import (
 )
 from .functional import FiberingProfile, Params, energy, gradient_values, hessian_weight
 from .grid import SYMMETRY_TOL, AnnulusD, Domain, Field, _matches
-from .lift import compose_solution
 from .nehari import (
     Klass, barycenter, classify, reduced_functional, t_plus, two_root_regime,
 )
@@ -124,7 +123,6 @@ class SeedKind(enum.Enum):
 @dataclass
 class SolutionRecord:
     v: Field
-    u: Field
     energy: float
     klass: Klass
     grad_norm: float
@@ -313,14 +311,12 @@ def build_record(p, vvals, gn, seed_kind, iterations, descent_passes=0) -> Solut
     positivity of u = v + mu*phi); the barycenter and the gradient direction
     integral wait until the record is written."""
     vf = Field(vvals, p.domain)
-    uf = compose_solution(vf, p.mu, p.lift)
     return SolutionRecord(
         v=vf,
-        u=uf,
         energy=energy(vvals, p),
         klass=classify(vvals, p).klass,
         grad_norm=gn,
-        positive=bool(uf.values.min() > 0.0),
+        positive=bool((vf.values + p.mu_phi).min() > 0.0),
         seed=seed_kind,
         iterations=iterations,
         lam=p.lam,
@@ -374,7 +370,7 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta):
     return armijo(lambda beta: _or_none(trial, beta), j_val, 1e-4 * slope, beta, tries)
 
 
-def _cone_descent(p: Params, point, budget, stop=1e2, beta=None):
+def _cone_descent(p: Params, point, budget, stop=1e2, beta=1.0):
     """At most `budget` passes of cone descent of J(v) = E(t_minus(v) v)
     from the cone point `point` (as `_cone_point` gives it), for the Minus
     branch and the minimax relaxation.
@@ -387,15 +383,13 @@ def _cone_descent(p: Params, point, budget, stop=1e2, beta=None):
     direction: at w = t v the gradient is orthogonal to v, so the step's
     slope is t <g, P g> > 0.  The gradient is then a Sobolev gradient in an
     inner product equivalent to the H^1_0 one, and the Newton polish lands
-    on the same critical point.  `beta`, when given, is a one-item list
-    holding the first trial step; the descent leaves in it the step its
-    next pass would start from, so that a call from the returned point with
-    the same list resumes this descent bit for bit.  Returns (point,
-    passes): the last cone point, as `_cone_point` gives it, and the passes
-    made (the stopping one included).
+    on the same critical point.  `beta` is the first trial step.  Returns
+    (point, passes, beta): the last cone point, as `_cone_point` gives it,
+    the passes made (the stopping one included) and the step the next pass
+    would start from, so that a call from the returned point with that step
+    resumes this descent bit for bit.
     """
     d = p.domain
-    beta = [1.0] if beta is None else beta
     passes = 0
     for _ in range(budget):
         passes += 1
@@ -403,11 +397,11 @@ def _cone_descent(p: Params, point, budget, stop=1e2, beta=None):
         g = gradient_values(t * v, p)
         if d.l2_norm(g) <= stop * _target_tol(w_sq, j_val):
             break
-        step = _cone_step(p, v, t, j_val, g, d.precondition(g), beta[0])
+        step = _cone_step(p, v, t, j_val, g, d.precondition(g), beta)
         if step is None:
             break
-        point, beta[0] = step
-    return point, passes
+        point, beta = step
+    return point, passes, beta
 
 
 def _newton_try(p: Params, w, j_cap, seed_kind, flags, iterations, passes):
@@ -494,15 +488,14 @@ def minimize_on_Nminus(
             return rec
 
     budget = max(1, int(MINUS_PASSES * budget_factor))
-    beta = [1.0]
-    point, passes = _cone_descent(p, start, budget, NEWTON_HANDOFF / TARGET_REL, beta)
+    point, passes, beta = _cone_descent(p, start, budget, NEWTON_HANDOFF / TARGET_REL)
     iterations += passes
     rec, steps = _newton_try(p, point[1] * point[2], point[0], seed_kind, flags,
                              iterations, passes)
     if rec is not None:
         return rec
     # the resumed descent repeats the pass the first one stopped at
-    (_, t, v, _), more = _cone_descent(p, point, budget - passes + 1, 1e2, beta)
+    (_, t, v, _), more, _ = _cone_descent(p, point, budget - passes + 1, 1e2, beta)
     passes += more
     wv, gn, steps2, ok = _newton_polish(p, t * v, _polish_steps(budget_factor), flags)
     iterations += steps + more + steps2
@@ -760,7 +753,7 @@ def minimax_gamma(
     interior = [key for key in family if key[1] != len(radii) - 1]
     for _ in range(MINIMAX_ROUNDS):
         for key in interior:
-            family[key], _ = _cone_descent(p, family[key], MINIMAX_INNER_STEPS, 1e2)
+            family[key], _, _ = _cone_descent(p, family[key], MINIMAX_INNER_STEPS, 1e2)
     relaxed = MINIMAX_ROUNDS * len(interior)
     mapped = MINIMAX_ROUNDS * sum(1 for key in rep_of if key[1] != len(radii) - 1)
     values = {key: point[0] for key, point in family.items()}

@@ -105,7 +105,7 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
     tol_res = 1e-7 * (1.0 + h1)
     checks.append(Check("pde residual |grad E| small", gn < tol_res, gn, 0.0, tol_res))
 
-    umin = float(rec.u.values.min())
+    umin = float((v + p.mu_phi).min())
     checks.append(Check("u = v + mu*phi positive nodewise", umin > 0.0, umin, 0.0, 0.0))
 
     cls = classify(v, p, h1_sq)

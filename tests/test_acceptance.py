@@ -196,10 +196,11 @@ def test_criterion_04_two_solution_regime(cell17):
         gn = np.sqrt(dom.weight) * np.linalg.norm(g)
         h1 = np.sqrt(dom.h1_norm_sq(rec.v.values))
         res_ok = gn < 1e-7 * (1.0 + h1)
-        pos_ok = rec.u.values.min() > 0.0
+        umin = (rec.v.values + p.mu_phi).min()
+        pos_ok = umin > 0.0
         ok = ok and res_ok and pos_ok
         details.append(f"{tag}: residual {gn:.2e} (<{1e-7 * (1 + h1):.2e}), "
-                       f"min u {rec.u.values.min():.3e}")
+                       f"min u {umin:.3e}")
     sign_ok = rec_plus.energy < 0.0 < rec_minus.energy
     ok = ok and sign_ok and elapsed < 120.0
     report(4, ok, f"E+={rec_plus.energy:.6e} < 0 < E-={rec_minus.energy:.6e}; "

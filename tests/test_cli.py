@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bnsolver
 from bnsolver import cli, grid, numutil, solve
-from bnsolver.cli import main, parse_config
+from bnsolver.cli import RunConfig, main, parse_config
 from bnsolver.errors import ConfigurationError
 from bnsolver.functional import Params
 from bnsolver.grid import Box, DomainSpec, Field, build_domain, dump_field, load_spectral_data
@@ -687,16 +689,43 @@ def test_config_errors(tmp_path):
     ("value = 1.0", "value = 1.0\nseed = 3", "seed = 3", "unknown key 'seed' in [boundary]"),
     ("dump_fields = true", "dump_fields = ture", "dump_fields = ture",
      "dump_fields must be one of true/yes/1/false/no/0, got 'ture'"),
-], ids=["key", "section", "key-in-wrong-section", "boolean"])
+    ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = nan", "lambdas = nan",
+     "not a finite number: 'nan'"),
+    ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = 1e400", "lambdas = 1e400",
+     "not a finite number: '1e400'"),
+    ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = inf*lambda1", "lambdas = inf*lambda1",
+     "not a finite number: 'inf'"),
+    ("mus = 0.01", "mus = inf", "mus = inf", "not a finite number: 'inf'"),
+    ("run = nplus nminus", "run = nplus nminus\nbudget_factor = inf", "budget_factor = inf",
+     "not a finite number: 'inf'"),
+    ("value = 1.0", "value = inf", "value = inf", "not a finite number: 'inf'"),
+    ("mus = 0.01", "mus = linspace 0.01 0.1 0", "mus = linspace 0.01 0.1 0",
+     "linspace count must be >= 1, got 0"),
+    ("mus = 0.01", "mus = 0.01\nmus = 0.02", "mus = 0.02",
+     "key 'mus' in [parameters] repeats the one at line 15"),
+    ("run = nplus nminus", "run = nminus multistart", "run = nminus multistart",
+     "multistart needs nplus in the same run"),
+    ("run = nplus nminus", "run = nplus minimax", "run = nplus minimax",
+     "minimax needs nplus and nminus in the same run"),
+    ("resolution = 9", "resolution = -0", "[domain]",
+     "resolution must be >= 4 points per axis"),
+], ids=["key", "section", "key-in-wrong-section", "boolean",
+        "nan", "overflow", "inf-lambda1", "inf-mu", "budget-inf", "boundary-inf",
+        "linspace-0", "repeated-key", "multistart-deps", "minimax-deps", "domain-spec"])
 def test_unknown_config_names_are_anchored(tmp_path, capsys, old, new, bad, message):
     """A misspelt key, section or boolean value, or a key in the wrong
     section, stops the run at its line instead of leaving the setting at its
-    default."""
+    default.  So do a non-finite or overflowing number, a linspace of no
+    values, a key given twice, a search without the searches it starts from
+    and a domain the spec check refuses (anchored at its [domain] header):
+    exit 2, no traceback and no cell run."""
     text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
     bad_line = text.splitlines().index(bad) + 1
     cfg = write_config(tmp_path, text)
     assert main(["run", str(cfg)]) == 2
-    assert f"{cfg}:{bad_line}: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{cfg}:{bad_line}: {message}" in err and "Traceback" not in err
+    assert not list((tmp_path / "out").glob("cells/*"))
 
 
 def test_dump_fields_takes_booleans_in_any_case(tmp_path):
@@ -725,6 +754,96 @@ def test_directions_beyond_the_sphere_set_are_anchored(tmp_path, capsys, dimensi
     assert parse_config(write_config(tmp_path, ok, name="ok.ini")).directions == most
 
 
+
+def test_mu_zero_cell_skips_the_searches_that_start_from_plus(tmp_path, capsys):
+    """At mu = 0 there is no Plus branch: nplus, multistart and minimax
+    (which on a box would fail) are skipped, and the cell keeps and
+    certifies its Minus record."""
+    text = (BASE_CONFIG.format(out=tmp_path / "out")
+            .replace("resolution = 9", "resolution = 7")
+            .replace("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = 0.5*lambda1")
+            .replace("mus = 0.01", "mus = 0")
+            .replace("run = nplus nminus", "run = nplus nminus multistart minimax"))
+    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    cell_path = tmp_path / "out" / "cells" / "cell_0000.json"
+    cell = json.loads(cell_path.read_text())
+    assert cell["status"] == "ok" and cell["error"] is None and "minimax" not in cell
+    assert [r["class"] for r in cell["records"]] == ["MINUS"]
+    assert cell["certificates"][0]["overall"]
+    capsys.readouterr()
+    assert main(["certify", str(cell_path)]) == 0
+    assert capsys.readouterr().out.count("overall: PASS") == 1
+
+
+# A valid box config that sets every numeric key, and a number in its lines
+_FUZZ_CONFIG = BASE_CONFIG.format(out="out").replace(
+    "run = nplus nminus", "run = nplus nminus multistart\ndirections = 6\nepsilon = 0.2\n"
+    "budget_factor = 1.0\nmu_star_cells = 24")
+_FUZZ_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?![\w.])")
+
+
+@st.composite
+def _mutated_configs(draw):
+    """_FUZZ_CONFIG with one to three lines dropped, duplicated or copied to
+    another place (a key repeated), or a number replaced by a non-finite,
+    overflowing or negative-zero one; its bytes then possibly truncated."""
+    lines = _FUZZ_CONFIG.splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["number", "number", "drop", "duplicate", "copy"]))
+        if how == "number":
+            numbers = [(i, m) for i, line in enumerate(lines)
+                       for m in _FUZZ_NUMBER.finditer(line)]
+            if not numbers:
+                continue
+            i, m = draw(st.sampled_from(numbers))
+            bad = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "-0"]))
+            lines[i] = lines[i][:m.start()] + bad + lines[i][m.end():]
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if how == "drop":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        if not lines:
+            break
+    data = "".join(lines).encode()
+    return data[:draw(st.integers(0, len(data)))] if draw(st.integers(0, 3)) == 0 else data
+
+
+def _fuzz_edit(old, new):
+    return _FUZZ_CONFIG.replace(old, new).encode()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=_mutated_configs())
+@example(data=_fuzz_edit("budget_factor = 1.0", "budget_factor = inf"))
+@example(data=_fuzz_edit("value = 1.0", "value = 1e400"))
+@example(data=_fuzz_edit("sides = 1 1 1", "sides = 1 -0 1"))
+@example(data=_fuzz_edit("resolution = 9", "resolution = -0"))
+@example(data=_fuzz_edit("mus = 0.01", "mus = nan"))
+@example(data=_fuzz_edit("mus = 0.01", "mus = 0.01\nmus = 0.01"))
+@example(data=_FUZZ_CONFIG.encode()[:60])
+def test_parse_config_takes_mutated_configs(tmp_path_factory, data):
+    """Every mutation of a valid config parses to a RunConfig with finite
+    numbers, whose lambda and mu lists (`_parse_values`) are finite too, or
+    is a ConfigurationError whose message starts with the path."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    path.write_bytes(data)
+    try:
+        rc = parse_config(path)
+        assert isinstance(rc, RunConfig)
+        numbers = [rc.epsilon, rc.budget_factor, rc.boundary.value,
+                   *rc.domain_spec.shape.sides]
+        for key, text in (("lambdas", rc.lambdas_text), ("mus", rc.mus_text)):
+            numbers += cli._parse_values(rc.cfg, "parameters", key, text, lambda1=1.0)
+    except ConfigurationError as e:
+        assert str(e).startswith(f"{path}:"), str(e)
+        return
+    assert all(math.isfinite(x) for x in numbers)
+
+
 def test_lattice_past_the_int32_range_is_a_config_error(tmp_path, capsys):
     """dimension = 8 at resolution = 300 is 300^8 nodes, more than int32
     indices address: the run stops at the spec check with exit 2 and an
@@ -733,9 +852,11 @@ def test_lattice_past_the_int32_range_is_a_config_error(tmp_path, capsys):
             .replace("sides = 1 1 1", "sides = " + " ".join(["1"] * 8))
             .replace("dimension = 3", "dimension = 8")
             .replace("resolution = 9", "resolution = 300"))
-    assert main(["run", str(write_config(tmp_path, text))]) == 2
+    cfg = write_config(tmp_path, text)
+    assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: lattice of 300^8 nodes") and "Traceback" not in err
+    # anchored at the [domain] header, line 3 of the config
+    assert err.startswith(f"error: {cfg}:3: lattice of 300^8 nodes") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

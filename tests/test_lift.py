@@ -8,7 +8,6 @@ from bnsolver.lift import (
     Constant,
     NodeTable,
     boundary_values,
-    compose_solution,
     load_node_table,
     solve_lift,
 )
@@ -84,27 +83,6 @@ def test_assumption_violations(box9):
 def test_wrong_table_size(box9):
     with pytest.raises(ArgumentError):
         solve_lift(NodeTable(np.ones(7)), box9.domain)
-
-
-def test_compose_and_invert(box9):
-    rng = np.random.default_rng(1)
-    v = box9.random_field(rng)
-    u = compose_solution(v, 2.5, box9.lift)
-    back = u.values - 2.5 * box9.lift.values
-    assert np.abs(back - v.values).max() <= 4 * np.finfo(float).eps * np.abs(u.values).max()
-    zero = Field(np.zeros(box9.domain.n_interior), box9.domain)
-    z = compose_solution(zero, 0.0, box9.lift)
-    assert not np.any(z.values)
-    ones = compose_solution(zero, 1.0, box9.lift)
-    assert np.abs(ones.values - 1.0).max() < 1e-8
-
-
-def test_compose_domain_mismatch(box9, box13):
-    v = Field(np.zeros(box13.domain.n_interior), box13.domain)
-    with pytest.raises(ArgumentError):
-        compose_solution(v, 1.0, box9.lift)
-    with pytest.raises(ArgumentError):
-        compose_solution(Field(np.zeros(box9.domain.n_interior), box9.domain), -1.0, box9.lift)
 
 
 def test_node_table_file(tmp_path, box9):

@@ -329,8 +329,8 @@ def _minus_without_start_check(p, seed, budget_factor=1.0, seed_kind=SeedKind.US
                 rec = solve.build_record(p, wv, gn, seed_kind, iterations)
                 if rec.klass is Klass.MINUS and 0 < rec.energy <= e0:
                     return rec
-    (_, t, v, _), passes = solve._cone_descent(p, solve._cone_point(p, v),
-                                               max(1, int(solve.MINUS_PASSES * budget_factor)))
+    (_, t, v, _), passes, _ = solve._cone_descent(
+        p, solve._cone_point(p, v), max(1, int(solve.MINUS_PASSES * budget_factor)))
     wv, gn, steps, ok = solve._newton_polish(p, t * v, solve._polish_steps(budget_factor), flags)
     if ok:
         rec = solve.build_record(p, wv, gn, seed_kind, iterations + passes + steps)
@@ -394,9 +394,9 @@ def test_minus_solve_is_one_descent_and_one_polish(box9, monkeypatch):
     descent, polish, starts, ends, polishes = (solve._cone_descent, solve._newton_polish,
                                                [], [], [])
 
-    def logged_descent(p, point, budget, stop, beta):
+    def logged_descent(p, point, *args):
         starts.append(point)
-        out = descent(p, point, budget, stop, beta)
+        out = descent(p, point, *args)
         ends.append(out)
         return out
 
@@ -420,7 +420,7 @@ def test_minus_solve_is_one_descent_and_one_polish(box9, monkeypatch):
     assert len(ends) == 2 and len(polishes) == 2
     assert starts[1] is ends[0][0]
     assert polishes[0][2] == solve.NEWTON_FIRST_STEPS
-    (_, t, v, _), _ = ends[1]
+    (_, t, v, _), _, _ = ends[1]
     again = solve._unit(np.abs(t * v), p.domain, p.two_star)
     assert np.abs(again - v).max() <= 1e-14 * np.abs(v).max()
 
@@ -429,8 +429,8 @@ def _descent_then_polish(p, seed):
     """The Minus solve with no handoff, kept as the reference: one cone
     descent to 1e2 times the convergence target, then one Newton polish."""
     v = solve._unit(np.abs(seed.values), p.domain, p.two_star)
-    (_, t, v, _), passes = solve._cone_descent(p, solve._cone_point(p, v),
-                                               solve.MINUS_PASSES, 1e2)
+    (_, t, v, _), passes, _ = solve._cone_descent(p, solve._cone_point(p, v),
+                                                  solve.MINUS_PASSES, 1e2)
     wv, gn, steps, ok = solve._newton_polish(p, t * v, solve._polish_steps(1.0), [])
     assert ok
     return solve.build_record(p, wv, gn, SeedKind.USER, passes + steps, passes)
