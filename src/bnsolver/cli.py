@@ -21,7 +21,13 @@ from typing import List
 
 import numpy as np
 
-from .errors import ArgumentError, BNSolverError, ConfigurationError, NonconvergenceError
+from .errors import (
+    ArgumentError,
+    AssumptionGError,
+    BNSolverError,
+    ConfigurationError,
+    NonconvergenceError,
+)
 from .functional import FiberingProfile, Params
 from .grid import (
     AnnulusD,
@@ -317,9 +323,14 @@ TABLE_FILE = "boundary_table.txt"
 
 
 def _setup(rc: RunConfig):
-    """Domain, spectral data, lift and the (lambda, mu) lists of a config."""
+    """Domain, spectral data, lift and the (lambda, mu) lists of a config.
+    Boundary data that break the assumption on g (`lift.boundary_values`)
+    are an error anchored at the [boundary] header."""
     domain = build_domain(rc.domain_spec)
-    lift = solve_lift(rc.boundary, domain)
+    try:
+        lift = solve_lift(rc.boundary, domain)
+    except AssumptionGError as e:
+        raise rc.cfg.error("boundary", None, str(e)) from None
     spectral = compute_spectral_data(domain)
     lambdas = _parse_values(rc.cfg, "parameters", "lambdas", rc.lambdas_text,
                             lambda1=spectral.lambda1)
@@ -447,11 +458,12 @@ def run(config_path, out_dir_override=None) -> int:
     rc = parse_config(config_path)
     if out_dir_override:
         rc.out_dir = out_dir_override
+    # set up before the output directory is touched, so that a config
+    # refused there leaves an earlier run in that directory as it was
+    _, spectral, lift, lambdas, mus = _setup(rc)
     out = Path(rc.out_dir)
     (out / "cells").mkdir(parents=True, exist_ok=True)
     shutil.copy(config_path, out / "config.ini")
-
-    _, spectral, lift, lambdas, mus = _setup(rc)
     if isinstance(rc.boundary, TableFile):
         shutil.copy(rc.boundary.path, out / TABLE_FILE)
     if rc.dump_fields:

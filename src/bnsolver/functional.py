@@ -96,9 +96,9 @@ class Params:
 
     @cached_property
     def lift_crit_sum(self) -> float:
-        """sum (mu phi)^(2*) over the nodes, unweighted, from `lift_powers`
-        (which must not be None)."""
-        return (self.lift_powers[-1] * self.lift_powers[0]).sum()
+        """The node sum (`Domain.node_sum`) of (mu phi)^(2*), without the
+        cell volume, from `lift_powers` (which must not be None)."""
+        return self.domain.node_sum(self.lift_powers[-1] * self.lift_powers[0])
 
     @cached_property
     def phi_l2(self) -> float:
@@ -120,6 +120,32 @@ class Params:
         return [g for g in d.symmetries
                 if _matches(d.apply_symmetry(g, self.mu_phi), self.mu_phi)]
 
+    @cached_property
+    def folded(self):
+        """These parameters on the reflection fold of the lattice
+        (`grid.Domain.fold`), with its spectral data and lift restricted to
+        the fold (`_restricted`), when the lattice and mu phi are
+        mirror-symmetric: mu phi comes back from its fold values to
+        `grid.SYMMETRY_TOL`.  None otherwise."""
+        fold = self.domain.fold
+        if fold is None or not _matches(fold.unfold(fold.restrict(self.mu_phi)), self.mu_phi):
+            return None
+        return Params(self.lam, self.mu, *_restricted(self.spectral, self.lift))
+
+
+def _restricted(spectral: SpectralData, lift: Field):
+    """(spectral data, lift) restricted to the reflection fold of their
+    lattice, made once per lift, not once per Params, and kept in the
+    spectral data's `fold_cache`."""
+    cache = spectral.fold_cache
+    if cache.get("lift") is not lift:
+        fold = lift.domain.fold
+        e1, witness, phi = (Field(fold.restrict(f.values), fold)
+                            for f in (spectral.e1, spectral.sobolev_witness, lift))
+        cache.update(lift=lift, data=(SpectralData(fold, spectral.lambda1, e1,
+                                                   spectral.sobolev_S, witness), phi))
+    return cache["data"]
+
 
 def _checked(v, p: Params) -> np.ndarray:
     """The value array v, checked to have one value per interior node of p's domain."""
@@ -140,7 +166,7 @@ def energy(v, p: Params, h1_sq=None) -> float:
     return (
         0.5 * (d.h1_norm_sq(v) if h1_sq is None else h1_sq)
         - 0.5 * p.lam * d.l2_norm_sq(w)
-        - d.weight * float(np.sum(abs_pow(w, ts))) / ts
+        - d.weight * float(d.node_sum(abs_pow(w, ts))) / ts
     )
 
 
@@ -216,7 +242,7 @@ class FiberingProfile:
         phi = p.lift.values
         self.a = d.h1_norm_sq(v) if a is None else a
         self.l2 = d.l2_norm_sq(v)
-        self.phi_v = w0 * float(np.dot(phi, v))
+        self.phi_v = d.inner(phi, v)
         self._c = (ts - 1.0) * 2.0 ** (ts - 2.0)
         if ts in _BINOMIALS:
             q = int(ts)
@@ -227,9 +253,14 @@ class FiberingProfile:
             vp[0] = v
             for k in range(1, q):
                 np.multiply(vp[k - 1], vp[0], out=vp[k])
-            lower = ([0.0] * q if p.lift_powers is None else
-                     [p.lift_crit_sum, *np.einsum("jn,jn->j", vp[:-1], p.lift_powers[::-1])])
-            self.moments = w0 * np.array([*lower, vp[-1].sum()])
+            if p.lift_powers is None:
+                lower = [0.0] * q
+            elif d.mult is None:
+                lower = [p.lift_crit_sum, *np.einsum("jn,jn->j", vp[:-1], p.lift_powers[::-1])]
+            else:  # each fold node weighted by its orbit size
+                lower = [p.lift_crit_sum,
+                         *np.einsum("jn,jn,n->j", vp[:-1], p.lift_powers[::-1], d.mult)]
+            self.moments = w0 * np.array([*lower, d.node_sum(vp[-1])])
             m = self.moments.tolist()
             # coefficients in t of crit_mass, crit_pair_v and crit_quad_v2:
             # int (t v + mu phi)^(q-k) v^k = sum_j C(q-k, j) M_(j+k) t^j
@@ -240,11 +271,11 @@ class FiberingProfile:
             psi_pairing = m[1]
         else:
             self.moments = self._coef = None
-            self.v_crit = w0 * float(np.sum(abs_pow(v, ts)))
-            phi_crit_v2 = w0 * float(np.dot(abs_pow(phi, ts - 2.0), v**2))
+            self.v_crit = w0 * float(d.node_sum(abs_pow(v, ts)))
+            phi_crit_v2 = d.inner(abs_pow(phi, ts - 2.0), v**2)
             # c * int |mu phi|^(2*-2) v^2, the critical term of the t0 numerator
             self._c_psi_v2 = self._c * p.mu ** (ts - 2.0) * phi_crit_v2
-            psi_pairing = p.mu ** (ts - 1.0) * w0 * float(np.dot(abs_pow(phi, ts - 1.0), v))
+            psi_pairing = p.mu ** (ts - 1.0) * w0 * float(d.node_sum(abs_pow(phi, ts - 1.0), v))
         self.sign_pairing = p.lam * p.mu * self.phi_v + psi_pairing
         # Every ray sum is finite exactly when the ray is: a NaN or inf value
         # fails here rather than in a root bracket.
@@ -282,7 +313,8 @@ class FiberingProfile:
             terms = signed_pow(w, ts - 1.0) * self.v
         else:
             terms = abs_pow(w, ts - 2.0) * self.v**2
-        return float(self.p.domain.weight * terms.sum())
+        d = self.p.domain
+        return float(d.weight * d.node_sum(terms))
 
     def crit_mass(self, t):
         """int |t v + mu phi|^{2*} dx."""

@@ -68,15 +68,23 @@ Discrete conventions, fixed once and used everywhere:
   and every norm.  g maps one value array onto another when its image of
   the first agrees with the second to SYMMETRY_TOL relative sup-norm
   (`_matches`);
+* the reflection fold (`Domain.fold`, a `Fold`): when each axis's
+  mid-plane reflection maps the interior mask onto itself, the fields those
+  reflections fix are carried by the nodes of box index n//2 and up on
+  every axis, each weighted by its orbit size `Fold.mult` in every node sum,
+  with their own -Lap and preconditioner; `restrict` and `unfold` move a
+  field between the lattice and the fold, and the fold keeps no reference
+  to its lattice;
 * bubble profiles (`solve.make_bubble`) are evaluated in a frame and under
   a radial cutoff that depend only on the domain (`Domain.bubble_frame`),
   built on the first bubble;
 * derived data are kept one way: a value that depends only on the domain
   (the stencil matrix, the sine basis, the symmetries, the bubble frame,
-  the default bump) is a `functools.cached_property` of `Domain`, and one
-  that depends only on (lam, mu) and the lift (mu*phi, ||phi||_2^2, E(0),
-  the symmetry group) is one of `functional.Params`: built on first use,
-  once per object, and never recomputed by a caller.
+  the reflection fold, the default bump) is a `functools.cached_property`
+  of `Domain`, and one that depends only on (lam, mu) and the lift
+  (mu*phi, ||phi||_2^2, E(0), the symmetry group, the problem on the fold)
+  is one of `functional.Params`: built on first use, once per object, and
+  never recomputed by a caller.
 """
 
 from __future__ import annotations
@@ -173,6 +181,8 @@ class Domain:
     Immutable after construction; all public operations are pure functions of
     the stored arrays.
     """
+
+    mult = None  # every lattice node is its own orbit (see `Fold.mult`)
 
     def __init__(self, spec: DomainSpec):
         self.spec = spec
@@ -349,6 +359,16 @@ class Domain:
         x, _ = _sine_transform(S, x, y)
         return x.reshape(-1)[self._box_flat]
 
+    @cached_property
+    def fold(self):
+        """The reflection fold of the lattice (`Fold`), or None unless each
+        axis's mid-plane reflection maps the interior mask onto itself.
+        Built on the first folded solve, not by `build_domain`."""
+        box = self._interior_mask[(slice(1, -1),) * self.ndim]
+        if not all(np.array_equal(np.flip(box, a), box) for a in range(self.ndim)):
+            return None
+        return Fold(self, box)
+
     # -- lattice symmetries --------------------------------------------------
 
     @cached_property
@@ -446,6 +466,12 @@ class Domain:
             raise ArgumentError(f"lp_norm requires p >= 1, got {p}")
         return float((self.weight * np.sum(abs_pow(values, p))) ** (1.0 / p))
 
+    @staticmethod
+    def node_sum(x, y=None):
+        """The sum of x over the nodes, or of x y when y is given, without
+        the cell volume."""
+        return np.sum(x) if y is None else np.dot(x, y)
+
     def h1_norm_sq(self, values):
         """Dirichlet energy <-Lap v, v>: one product with `matrix`.  By
         summation by parts it is the edge sum of one-sided differences, to
@@ -477,6 +503,132 @@ class Domain:
         )
 
 
+class Fold:
+    """The reflection fold of a lattice: its interior nodes with every box
+    index at least n//2 on each axis (n = res - 2 box nodes per axis), the
+    unknowns of a field that each axis's mid-plane reflection fixes.  Along
+    one axis fold node k is box node n//2 + k; its orbit under that
+    reflection has 2 nodes, except the mid-plane node of an odd n, which is
+    its own mirror.  `mult`, the product of the per-axis orbit sizes (1 or
+    2, so mult * x is exact), weights each fold node in every node sum, so
+    the quadrature of a folded field is that of its unfolding.
+
+    It keeps no reference to its lattice: only index tables and the sine
+    data of its own precondition, so dropping the lattice frees it at once.
+    """
+
+    def __init__(self, domain: Domain, box):
+        N = domain.ndim
+        self.two_star, self.weight = domain.two_star, domain.weight
+        n = box.shape[0]
+        half, odd = n // 2, n % 2
+        m = n - half
+        shape = (m,) * N
+        flat = np.flatnonzero(box[(slice(half, None),) * N])
+        nf = self.n_interior = int(flat.size)
+        inv = np.full(m**N, -1, dtype=np.int32)  # the CSR's index type
+        inv[flat] = np.arange(nf)
+        k = np.unravel_index(flat, shape)
+
+        # -Lap on the fold, straight into CSR as `Domain.matrix` is: the
+        # minus neighbour of k = 0 is the mirror image of box node n//2 - 1,
+        # the plus neighbour k = 1 on an odd n (that entry doubles) and the
+        # node itself on an even n (the entry lands on the diagonal).
+        c = [-1.0 / h**2 for h in domain.h]
+        diag = np.full(nf, 2.0 * float(np.sum(1.0 / domain.h**2)))
+        minus, plus, c_minus, c_plus = [], [], [], []
+        mult = np.ones(nf)
+        for a in range(N):
+            stride = m ** (N - 1 - a)
+            mid, last = k[a] == 0, k[a] == m - 1
+            minus.append(np.where(mid, -1, inv[flat - stride * ~mid]))
+            plus.append(np.where(last, -1, inv[flat + stride * ~last]))
+            c_minus.append(np.full(nf, c[a]))
+            if odd:
+                c_plus.append(np.where(mid, 2.0 * c[a], c[a]))
+                mult[~mid] *= 2.0
+            else:
+                c_plus.append(np.full(nf, c[a]))
+                diag[mid] += c[a]
+                mult *= 2.0
+        self.mult = mult
+        cols = np.stack([*minus, np.arange(nf), *reversed(plus)], axis=1, dtype=np.int32)
+        values = np.stack([*c_minus, diag, *reversed(c_plus)], axis=1)
+        keep = cols >= 0
+        indptr = np.zeros(nf + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        # diag(mult) matrix is symmetric: -Lap in the weighted inner product
+        self.matrix = sparse.csr_matrix((values[keep], cols[keep], indptr), shape=(nf, nf))
+
+        # restrict: the interior index of each fold node; unfold: the fold
+        # node of each interior node, its mirror image max(j, n-1-j) per axis
+        interior = np.full(n**N, -1, dtype=np.int64)
+        interior[domain._box_flat] = np.arange(domain.n_interior)
+        self._restrict = interior.reshape((n,) * N)[(slice(half, None),) * N].ravel()[flat]
+        j = np.arange(n)
+        image = np.maximum(j, n - 1 - j) - half
+        self._unfold = inv.reshape(shape)[np.ix_(*[image] * N)].ravel()[domain._box_flat]
+
+        # the odd (mirror-symmetric) sine modes of each axis, on the fold's
+        # half of the axis, and their stencil eigenvalues
+        S, eig = domain._sine_basis
+        self._sine = np.ascontiguousarray(S[half:, 0::2])
+        self._sine_t = np.ascontiguousarray(self._sine.T)
+        self._eig = np.ascontiguousarray(eig[(slice(0, None, 2),) * N])
+        self._box_flat = slice(None) if nf == m**N else flat
+
+    # -- quadrature: `Domain`'s, each fold node weighted by its orbit size --
+
+    def node_sum(self, x, y=None):
+        return np.dot(self.mult, x) if y is None else np.dot(self.mult * x, y)
+
+    def inner(self, u, v):
+        return self.weight * float(self.node_sum(u, v))
+
+    def l2_norm_sq(self, values):
+        return self.inner(values, values)
+
+    def l2_norm(self, values):
+        return math.sqrt(self.l2_norm_sq(values))
+
+    def lp_norm(self, values, p):
+        if p < 1:
+            raise ArgumentError(f"lp_norm requires p >= 1, got {p}")
+        return float((self.weight * self.node_sum(abs_pow(values, p))) ** (1.0 / p))
+
+    def h1_norm_sq(self, values):
+        return self.inner(self.matrix @ values, values)
+
+    def apply_neg_laplacian(self, values):
+        return self.matrix @ values
+
+    def restrict(self, values):
+        """The fold's values of a raw value array of the lattice."""
+        return values[self._restrict]
+
+    def unfold(self, values):
+        """The mirror-symmetric lattice array whose fold values are these."""
+        return values[self._unfold]
+
+    def precondition(self, b):
+        """`Domain.precondition` restricted to mirror-symmetric fields: the
+        odd sine modes of each axis carry them, so mult * b, zero-extended
+        onto the fold's half of the bounding box, is transformed by those
+        modes, divided by their eigenvalues and transformed back.  Exact on
+        a box."""
+        return self.weighted_precondition(self.mult * b)
+
+    def weighted_precondition(self, r):
+        """precondition(r / mult), symmetric positive definite: the
+        preconditioner of diag(mult) -Lap, whose inverse it is on a box."""
+        x, y = np.zeros(self._eig.shape), np.empty(self._eig.shape)
+        x.reshape(-1)[self._box_flat] = r
+        x, y = _sine_transform(self._sine, x, y)
+        x /= self._eig
+        x, _ = _sine_transform(self._sine_t, x, y)
+        return x.reshape(-1)[self._box_flat]
+
+
 def _lattice_act(x, P, S):
     """The lattice array x with its axes transposed by P and the axes in S
     flipped (a view)."""
@@ -499,10 +651,10 @@ def _matches(a, b):
 
 
 def _sine_transform(S, x, out):
-    """The symmetric n x n matrix S applied along every axis of the array x
-    of shape (n,) * N, by N BLAS products that alternate between the
-    buffers x and out (both overwritten); returns (result, the other
-    buffer).  Each product contracts the leading axis and appends the
+    """The n x n matrix S applied along every axis of the array x of shape
+    (n,) * N, x_j -> sum_i x_i S[i, j], by N BLAS products that alternate
+    between the buffers x and out (both overwritten); returns (result, the
+    other buffer).  Each product contracts the leading axis and appends the
     result as the last one, so after N of them the axes are back in order.
     No product allocates, so a solve adds no box-sized temporaries to the
     heap beyond its two buffers."""
@@ -560,6 +712,8 @@ class SpectralData:
     sobolev_S: float
     sobolev_witness: Field
     ground_state_cache: dict = dc_field(default_factory=dict)
+    # the fold's restriction of these data and of one lift (`functional.Params.folded`)
+    fold_cache: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def s_quantum(self):

@@ -39,6 +39,14 @@ shared by the multistart and the minimax of a cell), and the table of
 points g y0 once per solved seed, so a lookup is one array comparison per
 solved seed and a seed check per candidate g.
 
+The Plus and Minus minimizers solve on the reflection fold of the lattice
+(`grid.Domain.fold`) when the lattice has at least FOLD_MIN_NODES interior
+nodes and the lattice, mu*phi and the seed are mirror-symmetric
+(`_solve_folded`): by the principle of symmetric criticality a critical
+point among the mirror-symmetric fields is one of E.  The record comes back
+unfolded and rebuilt on the full lattice, so its callers (the cells, the
+ground state and the mu* continuation) and the certificates see no fold.
+
 A Minus solve whose start ray has J(v0) <= 0 raises
 NonpositiveMinusLevelError before any Newton step or descent: the Minus
 level is then at most J(v0), not positive.  So does one whose Newton try,
@@ -54,9 +62,10 @@ convergence target and the Minus descent's handoff level, the Minus
 descent passes per budget, the cone step's 30 backtracks (fewer once a
 step's required gain drops below one ulp of J), the multistart bubble
 scalings and deduplication distance, the minimax descent passes per point
-and round, the minimax radii and relaxation rounds, and the mu* continuation
-schedule (first step, growth, shrink, step floor, failure limit); the
-bubble cutoff radius and the symmetry match tolerance live in `grid`.
+and round, the minimax radii and relaxation rounds, the fold's node-count
+floor, and the mu* continuation schedule (first step, growth, shrink, step
+floor, failure limit); the bubble cutoff radius and the symmetry match
+tolerance live in `grid`.
 Options that stay are the ones program callers set to more than one value:
 `budget_factor` everywhere (a config key; the nonexistence criterion runs
 both minimizers at a tenfold budget), `solved_seed` of the Minus minimizer
@@ -103,6 +112,13 @@ CONE_BACKTRACKS = 30  # most Armijo trials of one cone step
 MINIMAX_INNER_STEPS = 2  # cone descent passes per family point and relaxation round
 MINIMAX_RADII = 4  # radii of the minimax family's ball lattice, 0 to 1 - epsilon
 MINIMAX_ROUNDS = 3  # minimax relaxation rounds
+# Lattices with fewer interior nodes solve unfolded: the fold saves work in
+# proportion to the lattice, while its Params, the seed check and the
+# record's rebuild on the lattice cost a fixed time per solve.  On the bench
+# mu-star-sweep config (2-core VM, one BLAS thread) folding ran 7% slower on
+# a res-9 cube (343 nodes), 2% slower at res 10 (512), 2% faster at res 11
+# (729), 7% faster at res 12 (1000) and 15-20% faster at res 13 (1331).
+FOLD_MIN_NODES = 1000
 
 # mu* continuation schedule
 MU_INIT = 1e-3  # first mu step
@@ -219,10 +235,12 @@ def _newton_polish(p: Params, vvals, max_steps, flags):
     arrays with A the cached CSR -Lap, by MINRES (`numutil.solve_minres`)
     preconditioned by `Domain.precondition` (the exact inverse of -Lap on a
     box, its bounding-box sine solve on a masked lattice), and takes the
-    step length by `numutil.armijo` on the gradient norm.  The convergence
+    step length by `numutil.armijo` on the gradient norm.  On a reflection
+    fold (`grid.Fold`) the system is scaled by its orbit sizes, so that
+    MINRES runs in the fold's weighted inner product.  The convergence
     flag of every inner MINRES solve is appended to the list `flags`."""
     d = p.domain
-    A = d.matrix
+    A, w = d.matrix, d.mult
     v = np.array(vvals, dtype=float)
     g = gradient_values(v, p)
     gn = d.l2_norm(g)
@@ -231,8 +249,15 @@ def _newton_polish(p: Params, vvals, max_steps, flags):
         if _converged(p, v, gn):
             return v, gn, steps, True
         c = hessian_weight(v, p)
-        delta, ok = solve_minres(lambda x, c=c: A @ x - c * x, -g, M=d.precondition,
-                                 rtol=min(1e-2, NEWTON_INNER_RTOL + 0.1 * gn),
+
+        def hess(x, c=c):
+            return A @ x - c * x
+
+        if w is None:
+            op, rhs, M = hess, -g, d.precondition
+        else:  # diag(mult)(A - c) delta = -mult g, symmetric: the fold's weighted product
+            op, rhs, M = (lambda x: w * hess(x)), -w * g, d.weighted_precondition
+        delta, ok = solve_minres(op, rhs, M=M, rtol=min(1e-2, NEWTON_INNER_RTOL + 0.1 * gn),
                                  maxiter=4000, label="newton step")
         flags.append(ok)
 
@@ -274,15 +299,22 @@ def minimize_on_Nplus(
     minimizer is a stable critical point, where Newton converges
     quadratically.  The Plus solution v = u - mu phi is positive (-Lap_h is
     an M-matrix and the right-hand side is positive), so Newton starts in
-    the nonnegative cone that holds it.  Raises NonconvergenceError when
-    the polish stalls or ends at a point that is not of class Plus.
+    the nonnegative cone that holds it.  The solve runs on the reflection
+    fold when the lattice, mu phi and the seed are mirror-symmetric
+    (`_solve_folded`).  Raises NonconvergenceError when the polish stalls
+    or ends at a point that is not of class Plus.
     """
     if p.mu == 0.0:
         raise BranchAbsentError("the Plus branch is empty at mu = 0")
     seed_kind = SeedKind.USER if seed is not None else SeedKind.ZERO_RELAX
     if seed is None:
         seed = zero_relax_seed(p)
-    v = _unit(np.abs(seed.values), p.domain, p.two_star)
+    return _solve_folded(_plus_solve, p, seed.values, seed_kind, budget_factor)
+
+
+def _plus_solve(p: Params, seed, seed_kind, budget_factor) -> SolutionRecord:
+    """`minimize_on_Nplus` from the raw seed array, on p's own nodes."""
+    v = _unit(np.abs(seed), p.domain, p.two_star)
     start = None if v is None else reduced_functional(v, p, t_plus)
     if start is None:
         raise DegenerateSeedError("seed vanishes or its ray has nonpositive pairing sign: "
@@ -306,16 +338,43 @@ def minimize_on_Nplus(
     return rec
 
 
+def _solve_folded(search, p: Params, seed, *args) -> SolutionRecord:
+    """search(p, seed, *args), for the raw seed array, on the reflection fold
+    of p's lattice (`Params.folded`) when the lattice, mu phi and the seed
+    are mirror-symmetric: the seed comes back from its fold values to
+    `grid.SYMMETRY_TOL` (`grid._matches`).  By the principle of symmetric
+    criticality (Palais, Comm. Math. Phys. 69, 1979) a critical point on
+    the fold is one on the lattice.  The fold's record is unfolded and
+    rebuilt on the lattice by `build_record`, its gradient norm taken
+    there; its iterations are the fold's.  A lattice of fewer than
+    FOLD_MIN_NODES interior nodes is not folded."""
+    pf = p.folded if p.domain.n_interior >= FOLD_MIN_NODES else None
+    if pf is not None:
+        fold = pf.domain
+        seed_f = fold.restrict(seed)
+        if _matches(fold.unfold(seed_f), seed):
+            rec = search(pf, seed_f, *args)
+            return build_record(p, fold.unfold(rec.v.values), None, rec.seed,
+                                rec.iterations, rec.descent_passes)
+    return search(p, seed, *args)
+
+
 def build_record(p, vvals, gn, seed_kind, iterations, descent_passes=0) -> SolutionRecord:
     """Record of the manifold point v with fresh diagnostics (energy, class,
-    positivity of u = v + mu*phi); the barycenter and the gradient direction
-    integral wait until the record is written."""
-    vf = Field(vvals, p.domain)
+    positivity of u = v + mu*phi) and the gradient norm gn, a fresh one when
+    gn is None; the fresh values share one product Av = -Lap v, as
+    `verify.certify_solution`'s do.  The barycenter and the gradient
+    direction integral wait until the record is written."""
+    d = p.domain
+    vf = Field(vvals, d)
+    v = vf.values
+    Av = d.apply_neg_laplacian(v)
+    h1_sq = d.inner(Av, v)
     return SolutionRecord(
         v=vf,
-        energy=energy(vvals, p),
-        klass=classify(vvals, p).klass,
-        grad_norm=gn,
+        energy=energy(v, p, h1_sq),
+        klass=classify(v, p, h1_sq).klass,
+        grad_norm=d.l2_norm(gradient_values(v, p, Av)) if gn is None else gn,
         positive=bool((vf.values + p.mu_phi).min() > 0.0),
         seed=seed_kind,
         iterations=iterations,
@@ -351,7 +410,7 @@ def _cone_step(p: Params, v, t, j_val, g, dr, beta):
     """
     d = p.domain
     ts = p.two_star
-    theta = d.weight * float(np.dot(signed_pow(v, ts - 1.0), dr))
+    theta = d.inner(signed_pow(v, ts - 1.0), dr)
     dtan = dr - theta * v
     slope = t * d.inner(g, dtan)
     if slope <= 0:
@@ -462,12 +521,18 @@ def minimize_on_Nminus(
 
     The record's `iterations` counts the Newton steps and the descent
     passes made, `descent_passes` the latter; a NonconvergenceError names
-    every Newton inner solve that stopped short.
+    every Newton inner solve that stopped short.  The solve runs on the
+    reflection fold when the lattice, mu phi and the seed are
+    mirror-symmetric (`_solve_folded`).
     """
-    d = p.domain
     if seed is None or not np.any(seed.values):
         raise ArgumentError("Minus-branch minimization needs a nonzero seed")
-    v = _unit(np.abs(seed.values), d, p.two_star)
+    return _solve_folded(_minus_solve, p, seed.values, budget_factor, seed_kind, solved_seed)
+
+
+def _minus_solve(p: Params, seed, budget_factor, seed_kind, solved_seed) -> SolutionRecord:
+    """`minimize_on_Nminus` from the raw nonzero seed array, on p's own nodes."""
+    v = _unit(np.abs(seed), p.domain, p.two_star)
     if v is None:
         raise ProjectionError("seed vanishes after cone projection")
 
@@ -555,9 +620,7 @@ def _image_record(p: Params, g, src: SolutionRecord) -> SolutionRecord:
     """The record of g v for the solved record src of v, rebuilt by
     `build_record` (fresh gradient norm, energy, class and barycenter) with
     no iterations of its own."""
-    d = p.domain
-    v = d.apply_symmetry(g, src.v.values)
-    rec = build_record(p, v, d.l2_norm(gradient_values(v, p)), src.seed, 0)
+    rec = build_record(p, p.domain.apply_symmetry(g, src.v.values), None, src.seed, 0)
     rec.image_of = src
     return rec
 

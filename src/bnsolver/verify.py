@@ -23,6 +23,9 @@ from .numutil import abs_pow, signed_pow
 from .solve import SeedKind, SolutionRecord
 
 STRICT_MARGIN = 1e-12
+# A record's stored energy and gradient norm must lie this close, relative,
+# to the values certify recomputes from its field.
+STORED_RTOL = 1e-12
 # Convexity ball: the one-node pairs sit on the sphere of this fraction of
 # r_lam; the Hessian eigen solve at a Plus record stops at this relative
 # residual, or fails after this many LOBPCG iterations.
@@ -86,10 +89,19 @@ def r_lambda(p: Params) -> float:
     return float((num / den) ** (1.0 / (ts - 2.0)))
 
 
+def _stored_check(key, stored, fresh) -> Check:
+    """The record's stored value of `key` lies within STORED_RTOL relative
+    of the recomputed value `fresh`; a non-finite one fails."""
+    tol = STORED_RTOL * abs(fresh)
+    return Check(f"stored {key} is the recomputed one",
+                 np.isfinite(stored) and abs(stored - fresh) <= tol, stored, fresh, tol)
+
+
 def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
     """Residual, positivity, manifold class, sign pattern and per-record
-    energy-gap checks for one converged record.  The record's v is
-    multiplied by -Lap once: Av = -Lap v gives the gradient
+    energy-gap checks for one converged record, and the stored energy and
+    gradient norm against the recomputed ones (`_stored_check`).  The
+    record's v is multiplied by -Lap once: Av = -Lap v gives the gradient
     (`gradient_values`) and ||v||^2 = <Av, v>, the value of
     `Domain.h1_norm_sq`, which the class (`classify`) and the energy
     (`energy`) read instead of taking the product again."""
@@ -104,6 +116,7 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
     h1 = float(np.sqrt(h1_sq))
     tol_res = 1e-7 * (1.0 + h1)
     checks.append(Check("pde residual |grad E| small", gn < tol_res, gn, 0.0, tol_res))
+    checks.append(_stored_check("grad_norm", rec.grad_norm, gn))
 
     umin = float((v + p.mu_phi).min())
     checks.append(Check("u = v + mu*phi positive nodewise", umin > 0.0, umin, 0.0, 0.0))
@@ -122,6 +135,7 @@ def certify_solution(rec: SolutionRecord, p: Params) -> Certificate:
     )
 
     e_val = energy(v, p, h1_sq)
+    checks.append(_stored_check("energy", rec.energy, e_val))
     if cls.klass is Klass.PLUS:
         checks.append(
             Check("sign pattern: energy < 0 on Plus", e_val < -STRICT_MARGIN, e_val, 0.0,

@@ -709,16 +709,23 @@ def test_config_errors(tmp_path):
      "minimax needs nplus and nminus in the same run"),
     ("resolution = 9", "resolution = -0", "[domain]",
      "resolution must be >= 4 points per axis"),
+    ("value = 1.0", "value = 0", "[boundary]", "boundary data must not vanish identically"),
+    ("value = 1.0", "value = -1", "[boundary]", "boundary data must be nonnegative"),
+    ("kind = constant\nvalue = 1.0",
+     "kind = bump\ndirection = 1 0 0\nwidth = 0.3\namplitude = 0", "[boundary]",
+     "boundary data must not vanish identically"),
 ], ids=["key", "section", "key-in-wrong-section", "boolean",
         "nan", "overflow", "inf-lambda1", "inf-mu", "budget-inf", "boundary-inf",
-        "linspace-0", "repeated-key", "multistart-deps", "minimax-deps", "domain-spec"])
+        "linspace-0", "repeated-key", "multistart-deps", "minimax-deps", "domain-spec",
+        "boundary-zero", "boundary-negative", "bump-zero-amplitude"])
 def test_unknown_config_names_are_anchored(tmp_path, capsys, old, new, bad, message):
     """A misspelt key, section or boolean value, or a key in the wrong
     section, stops the run at its line instead of leaving the setting at its
     default.  So do a non-finite or overflowing number, a linspace of no
-    values, a key given twice, a search without the searches it starts from
-    and a domain the spec check refuses (anchored at its [domain] header):
-    exit 2, no traceback and no cell run."""
+    values, a key given twice, a search without the searches it starts from,
+    a domain the spec check refuses (anchored at its [domain] header) and
+    boundary data that are zero or negative (anchored at the [boundary]
+    header): exit 2, no traceback and no cell run."""
     text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
     bad_line = text.splitlines().index(bad) + 1
     cfg = write_config(tmp_path, text)
@@ -726,6 +733,24 @@ def test_unknown_config_names_are_anchored(tmp_path, capsys, old, new, bad, mess
     err = capsys.readouterr().err
     assert f"{cfg}:{bad_line}: {message}" in err and "Traceback" not in err
     assert not list((tmp_path / "out").glob("cells/*"))
+
+
+def test_rejected_rerun_leaves_the_finished_run_certifiable(tmp_path, capsys):
+    """A config refused at set-up (boundary data that vanish, a negative
+    lambda) exits 2 before it touches the output directory: the certified
+    run there keeps its config.ini and still certifies."""
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace("resolution = 9", "resolution = 7")
+    assert main(["run", str(write_config(tmp_path, text))]) == 0
+    stored = (tmp_path / "out" / "config.ini").read_bytes()
+    cell = tmp_path / "out" / "cells" / "cell_0000.json"
+    for old, new in (("value = 1.0", "value = 0"),
+                     ("lambdas = 0.5*lambda1 1.2*lambda1", "lambdas = -1")):
+        bad = write_config(tmp_path, text.replace(old, new), name="bad.ini")
+        assert main(["run", str(bad)]) == 2
+        assert (tmp_path / "out" / "config.ini").read_bytes() == stored
+        capsys.readouterr()
+        assert main(["certify", str(cell)]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_dump_fields_takes_booleans_in_any_case(tmp_path):

@@ -1,7 +1,9 @@
+import gc
 import io
 import pickle
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -589,6 +591,73 @@ def test_annulus_precondition_is_symmetric_positive(N, d0, res, seed):
     scale = np.linalg.norm(b) * np.linalg.norm(Pc) + np.linalg.norm(c) * np.linalg.norm(Pb)
     assert abs(np.dot(c, Pb) - np.dot(b, Pc)) <= 1e-12 * scale
     assert np.dot(b, Pb) > 0 and np.dot(c, Pc) > 0
+
+
+# -- reflection fold -------------------------------------------------------------
+
+FOLD_SPECS = [
+    DomainSpec(Box((1.0, 1.0, 1.0)), 3, 9),  # odd n = 7
+    DomainSpec(Box((1.0, 1.0, 1.0)), 3, 8),  # even n = 6
+    DomainSpec(Box((1.0, 0.6, 0.8)), 3, 9),
+    DomainSpec(Box((1.0, 1.0, 1.0, 1.0)), 4, 7),
+    DomainSpec(Box((1.0, 1.0, 1.0, 1.0)), 4, 8),
+    DomainSpec(AnnulusD(0.5), 3, 9),
+    DomainSpec(AnnulusD(0.45), 3, 10),
+]
+
+
+@pytest.mark.parametrize("spec", FOLD_SPECS, ids=["cube-odd", "cube-even", "sides", "N4-odd",
+                                                   "N4-even", "annulus-odd", "annulus-even"])
+def test_fold_is_the_lattice_on_mirror_symmetric_fields(spec):
+    """On mirror-symmetric fields x (the unfolding of random fold values)
+    the fold's -Lap, preconditioner and quadrature are the lattice's, to
+    1e-14 relative; diag(mult) -Lap_fold is exactly symmetric, and
+    unfold(restrict(x)) is x."""
+    dom = build_domain(spec)
+    fold = dom.fold
+    rng = np.random.default_rng(spec.resolution)
+    x, y = (fold.unfold(rng.standard_normal(fold.n_interior)) for _ in range(2))
+    xf, yf = fold.restrict(x), fold.restrict(y)
+    assert np.array_equal(fold.unfold(xf), x)
+    assert np.all(np.isin(fold.mult, (1.0, 2.0, 4.0, 8.0, 16.0)))
+    assert fold.n_interior < dom.n_interior
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    assert close(fold.matrix @ xf, fold.restrict(dom.matrix @ x))
+    assert close(fold.precondition(xf), fold.restrict(dom.precondition(x)))
+    for got, want in ((fold.inner(xf, yf), dom.inner(x, y)),
+                      (fold.l2_norm(xf), dom.l2_norm(x)),
+                      (fold.lp_norm(xf, dom.two_star), dom.lp_norm(x, dom.two_star)),
+                      (fold.h1_norm_sq(xf), dom.h1_norm_sq(x))):
+        assert abs(got - want) <= 1e-14 * abs(want)
+    W = (sparse.diags(fold.mult) @ fold.matrix).toarray()
+    assert np.array_equal(W, W.T)
+    assert fold.matrix.indices.dtype == np.int32 and fold.matrix.has_sorted_indices
+
+
+def test_fold_needs_a_mirror_symmetric_mask(box9):
+    """A lattice whose interior mask a mid-plane reflection does not map
+    onto itself has no fold; the fold is built on first use."""
+    dom = build_domain(box9.domain.spec)
+    assert "fold" not in vars(dom)
+    dom._interior_mask[1, 1, 1] = False
+    assert dom.fold is None
+
+
+def test_dropped_domain_with_its_fold_is_freed_without_gc(box9):
+    """The fold keeps no reference to its lattice, so a dropped domain is
+    freed at once, with the garbage collector off."""
+    gc.disable()
+    try:
+        dom = build_domain(box9.domain.spec)
+        dom.fold.precondition(np.ones(dom.fold.n_interior))
+        ref = weakref.ref(dom)
+        del dom
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_unconverged_cg_raises_with_label_and_residual(annulus9, box9, monkeypatch):

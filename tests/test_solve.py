@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -463,6 +466,122 @@ def test_minus_handoff_lands_where_the_full_descent_does(setup, lam_factor, requ
     assert (slow.iterations, slow.descent_passes) == (ref.iterations + 1, ref.descent_passes + 1)
 
 
+# -- reflection fold ---------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fold_setups(box9, annulus9):
+    """Lattices of both parities of n, in N = 3 and 4, a cube, an
+    anisotropic box and the annulus."""
+    return {"cube-odd": box9, "annulus-odd": annulus9,
+            "cube-even": Setup(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 8)),
+            "sides": Setup(DomainSpec(Box((1.0, 0.6, 0.8)), 3, 9)),
+            "N4-odd": Setup(DomainSpec(Box((1.0, 1.0, 1.0, 1.0)), 4, 7)),
+            "N4-even": Setup(DomainSpec(Box((1.0, 1.0, 1.0, 1.0)), 4, 8))}
+
+
+def _solved_on(monkeypatch):
+    """Log the number of nodes each Plus and Minus solve runs on."""
+    nodes = []
+    for name in ("_plus_solve", "_minus_solve"):
+        def logged(p, *args, search=getattr(solve, name)):
+            nodes.append(p.domain.n_interior)
+            return search(p, *args)
+        monkeypatch.setattr(solve, name, logged)
+    return nodes
+
+
+@pytest.mark.parametrize("name", ["cube-odd", "cube-even", "sides", "N4-odd", "N4-even",
+                                  "annulus-odd"])
+def test_folded_solve_matches_the_full_one(fold_setups, name, monkeypatch):
+    """With the node-count floor lifted, the Plus solve, the ground state's
+    descent and the Minus solve from the ground state run on the fold when
+    the lattice, mu phi and the seed are mirror-symmetric (on the annulus
+    the default bump is not, so its ground state and Minus solve run
+    unfolded).  Each record is the unfolded solve's on the full lattice
+    (`_plus_solve`, `_minus_solve`): energy within 1e-12, the same class,
+    a grad_norm taken on the full lattice, and it certifies there."""
+    s = fold_setups[name]
+    p = s.params(lam_factor=0.5, mu=0.01)
+    monkeypatch.setattr(solve, "FOLD_MIN_NODES", 0)
+    monkeypatch.setattr(s.spectral, "ground_state_cache", {})
+    nodes = _solved_on(monkeypatch)
+    gs = ground_state(p.lam, s.spectral, s.lift)
+    bump = s.domain.default_bump
+    folded = [minimize_on_Nplus(p),
+              minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY, solved_seed=True)]
+    monkeypatch.undo()
+    full = [solve._plus_solve(p, solve.zero_relax_seed(p).values, SeedKind.ZERO_RELAX, 1.0),
+            solve._minus_solve(p, gs.values, 1.0, SeedKind.GROUND_STATE_RAY, True)]
+    gs_full = solve._minus_solve(s.params(lam_factor=0.5, mu=0.0), bump, 1.0,
+                                 SeedKind.GROUND_STATE_RAY, False)
+    fold = s.domain.fold
+    on_gs = (fold.n_interior if grid._matches(fold.unfold(fold.restrict(bump)), bump)
+             else s.domain.n_interior)
+    assert nodes == [on_gs, fold.n_interior, on_gs]
+    assert (on_gs == fold.n_interior) is (name != "annulus-odd")
+    assert abs(gs.values - gs_full.v.values).max() <= 1e-9 * abs(gs_full.v.values).max()
+    for rec, ref in zip(folded, full):
+        assert rec.klass is ref.klass
+        assert abs(rec.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+        v = rec.v.values
+        assert rec.grad_norm == p.domain.l2_norm(gradient_values(v, p))
+        assert certify_solution(rec, p).overall
+
+
+def test_asymmetric_data_or_seed_solve_unfolded(box13, monkeypatch):
+    """A 13^3 cube folds its solves by default; a seed that no mid-plane
+    reflection fixes runs unfolded, and so does every solve when the
+    boundary data are not mirror-symmetric."""
+    p = box13.params(lam_factor=0.5, mu=0.01)
+    dom = box13.domain
+    nodes = _solved_on(monkeypatch)
+    minimize_on_Nplus(p)
+    seed = np.abs(np.random.default_rng(0).standard_normal(dom.n_interior)) + 0.1
+    minimize_on_Nplus(p, seed=Field(seed, dom))
+    minimize_on_Nminus(p, Field(seed, dom))
+    lift = solve_lift(BumpOnBoundary((1.0, 0.0, 0.0), 0.3, 1.0), dom)
+    q = Params(lam=p.lam, mu=0.01, spectral=box13.spectral, lift=lift)
+    assert q.folded is None and p.folded is not None
+    minimize_on_Nplus(q)
+    assert nodes == [dom.fold.n_interior] + [dom.n_interior] * 3
+
+
+def test_small_lattices_solve_unfolded(box9, monkeypatch):
+    """Below FOLD_MIN_NODES interior nodes (the 9^3 cube has 343) the
+    solves run on the lattice."""
+    nodes = _solved_on(monkeypatch)
+    minimize_on_Nplus(box9.params(lam_factor=0.5, mu=0.01))
+    assert box9.domain.n_interior < solve.FOLD_MIN_NODES and nodes == [343]
+
+
+def test_fold_data_are_restricted_once_per_lift(box13):
+    """Every Params of one spectral data and lift (a mu* continuation builds
+    one per step) shares one restriction of e1, the witness and phi."""
+    p, q = (box13.params(lam_factor=0.5, mu=mu) for mu in (0.01, 0.02))
+    assert p.folded.spectral is q.folded.spectral and p.folded.lift is q.folded.lift
+    fold = box13.domain.fold
+    assert np.array_equal(p.folded.lift.values, fold.restrict(box13.lift.values))
+    assert np.array_equal(p.folded.mu_phi, fold.restrict(p.mu_phi))
+
+
+def test_dropped_run_is_freed_without_gc(monkeypatch):
+    """After a folded solve the lattice, its fold, the spectral data with
+    their fold cache and the lift hold no reference cycle: dropping them
+    frees the domain at once, with the garbage collector off."""
+    monkeypatch.setattr(solve, "FOLD_MIN_NODES", 0)
+    gc.disable()
+    try:
+        s = Setup(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7))
+        minimize_on_Nplus(s.params(lam_factor=0.5, mu=0.01))
+        assert s.spectral.fold_cache
+        ref = weakref.ref(s.domain)
+        del s
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_unconverged_newton_inner_solve_in_minimax_reason(annulus9, monkeypatch):
     from bnsolver import solve
 
@@ -494,10 +613,11 @@ def test_minimax_evaluates_each_cone_point_once(annulus9, monkeypatch):
 def test_plus_solve_rejects_a_polished_point_of_another_class(cell13, monkeypatch):
     """Newton converges to the critical point nearest its start: a polish
     that ends at the cell's Minus point is a NonconvergenceError naming the
-    class and the gradient norm."""
+    class and the gradient norm.  The 13^3 box solves on its reflection
+    fold, so the polish ends at the Minus point's fold values."""
     p, _, rec_minus = cell13
     monkeypatch.setattr(solve, "_newton_polish", lambda p, v, budget_factor, flags: (
-        rec_minus.v.values, rec_minus.grad_norm, 3, True))
+        p.domain.restrict(rec_minus.v.values), rec_minus.grad_norm, 3, True))
     with pytest.raises(NonconvergenceError,
                        match=rf"class MINUS \(grad norm {rec_minus.grad_norm:.3e}\)"):
         minimize_on_Nplus(p)

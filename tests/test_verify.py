@@ -79,7 +79,10 @@ def _fails_alone(cert, fragment):
 def test_certify_detects_corruption(cell9, box9, monkeypatch):
     """Every check of certify_solution and nonexistence_certificate has a
     corruption that fails it and no other check, but the positivity of
-    v + mu*phi, which no change of v fails alone."""
+    v + mu*phi, which no change of v fails alone.  A corrupted field is
+    stored with its own energy and gradient norm, and a shifted energy with
+    the stored energy shifted alike, so the checks of the stored values
+    pass there."""
     p, rec_plus, rec_minus = cell9
     d = p.domain
 
@@ -89,10 +92,14 @@ def test_certify_detects_corruption(cell9, box9, monkeypatch):
     hv = hessian_apply(rec_plus.v.values, rec_plus.v.values, p)
     h = np.sin(7 * np.pi * d.interior_coords[:, 0]) * p.spectral.e1.values
     h -= d.inner(h, hv) / d.inner(hv, hv) * hv
-    bad = build_record(
-        p, v + 1e-7 * h, gn=rec_plus.grad_norm, seed_kind=rec_plus.seed, iterations=0,
-    )
+    bad = build_record(p, v + 1e-7 * h, gn=None, seed_kind=rec_plus.seed, iterations=0)
     _fails_alone(certify_solution(bad, p), "residual")
+
+    # stored values: each key non-finite or moved past STORED_RTOL relative
+    for key, rec in (("energy", rec_plus), ("grad_norm", rec_minus)):
+        for stored in (np.nan, np.inf, getattr(rec, key) * (1.0 + 1e-11)):
+            _fails_alone(certify_solution(replace(rec, **{key: stored}), p),
+                         f"stored {key}")
 
     # positivity is read off v + mu*phi, so a node where that sum is 0 also
     # moves the residual and the class: this check cannot fail alone
@@ -116,10 +123,12 @@ def test_certify_detects_corruption(cell9, box9, monkeypatch):
 
     with monkeypatch.context() as m:
         shift(m, 1.0 - e_plus)
-        _fails_alone(certify_solution(rec_plus, p), "energy < 0 on Plus")
+        _fails_alone(certify_solution(replace(rec_plus, energy=e_plus + (1.0 - e_plus)), p),
+                     "energy < 0 on Plus")
     with monkeypatch.context() as m:
         shift(m, -1.0 - e_minus)
-        _fails_alone(certify_solution(rec_minus, p), "energy > 0 on Minus")
+        _fails_alone(certify_solution(replace(rec_minus, energy=e_minus + (-1.0 - e_minus)), p),
+                     "energy > 0 on Minus")
     with monkeypatch.context() as m:
         m.setattr(Params, "energy_at_zero", property(lambda q: e_plus - 1.0))
         _fails_alone(certify_solution(rec_plus, p), "energy <= energy(0) on Plus")
