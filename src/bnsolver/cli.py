@@ -522,7 +522,10 @@ def run(config_path, out_dir_override=None) -> int:
 
 def _is(x, kind):
     """x is of type `kind`; a JSON boolean is of type bool only, not a
-    number (in Python bool is a subclass of int)."""
+    number (in Python bool is a subclass of int), and a JSON integer that
+    does not fit in a float is no number."""
+    if kind is _NUMBER and type(x) is int:
+        return abs(x) <= sys.float_info.max
     return isinstance(x, kind) and (kind is bool or not isinstance(x, bool))
 
 
@@ -537,12 +540,12 @@ def _read_cell(fp) -> dict:
     """The cell JSON at fp, with every key of CELL_KEYS and, on each record,
     of RECORD_KEYS, each of its type, with numbers in its two lists and,
     where it has an `image_of`, the index of an earlier record there.  A
-    file that cannot be read or parsed or fails that check is an
-    ArgumentError naming fp."""
+    file that cannot be read or parsed (nested too deep included) or fails
+    that check is an ArgumentError naming fp."""
     try:
         with open(fp) as f:
             cell = json.load(f)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise ArgumentError(f"{fp}: unreadable cell file: {e!r}") from None
     bad = _bad_key(cell, CELL_KEYS)
     if bad is not None:

@@ -123,28 +123,18 @@ class Params:
     @cached_property
     def folded(self):
         """These parameters on the reflection fold of the lattice
-        (`grid.Domain.fold`), with its spectral data and lift restricted to
-        the fold (`_restricted`), when the lattice and mu phi are
+        (`grid.Domain.fold`), with e1, the Sobolev witness and the lift
+        restricted to the fold, when the lattice and mu phi are
         mirror-symmetric: mu phi comes back from its fold values to
         `grid.SYMMETRY_TOL`.  None otherwise."""
         fold = self.domain.fold
         if fold is None or not _matches(fold.unfold(fold.restrict(self.mu_phi)), self.mu_phi):
             return None
-        return Params(self.lam, self.mu, *_restricted(self.spectral, self.lift))
-
-
-def _restricted(spectral: SpectralData, lift: Field):
-    """(spectral data, lift) restricted to the reflection fold of their
-    lattice, made once per lift, not once per Params, and kept in the
-    spectral data's `fold_cache`."""
-    cache = spectral.fold_cache
-    if cache.get("lift") is not lift:
-        fold = lift.domain.fold
+        s = self.spectral
         e1, witness, phi = (Field(fold.restrict(f.values), fold)
-                            for f in (spectral.e1, spectral.sobolev_witness, lift))
-        cache.update(lift=lift, data=(SpectralData(fold, spectral.lambda1, e1,
-                                                   spectral.sobolev_S, witness), phi))
-    return cache["data"]
+                            for f in (s.e1, s.sobolev_witness, self.lift))
+        return Params(self.lam, self.mu,
+                      SpectralData(fold, s.lambda1, e1, s.sobolev_S, witness), phi)
 
 
 def _checked(v, p: Params) -> np.ndarray:
@@ -255,11 +245,8 @@ class FiberingProfile:
                 np.multiply(vp[k - 1], vp[0], out=vp[k])
             if p.lift_powers is None:
                 lower = [0.0] * q
-            elif d.mult is None:
-                lower = [p.lift_crit_sum, *np.einsum("jn,jn->j", vp[:-1], p.lift_powers[::-1])]
-            else:  # each fold node weighted by its orbit size
-                lower = [p.lift_crit_sum,
-                         *np.einsum("jn,jn,n->j", vp[:-1], p.lift_powers[::-1], d.mult)]
+            else:
+                lower = [p.lift_crit_sum, *d.node_dots(vp[:-1], p.lift_powers[::-1])]
             self.moments = w0 * np.array([*lower, d.node_sum(vp[-1])])
             m = self.moments.tolist()
             # coefficients in t of crit_mass, crit_pair_v and crit_quad_v2:
@@ -275,7 +262,7 @@ class FiberingProfile:
             phi_crit_v2 = d.inner(abs_pow(phi, ts - 2.0), v**2)
             # c * int |mu phi|^(2*-2) v^2, the critical term of the t0 numerator
             self._c_psi_v2 = self._c * p.mu ** (ts - 2.0) * phi_crit_v2
-            psi_pairing = p.mu ** (ts - 1.0) * w0 * float(d.node_sum(abs_pow(phi, ts - 1.0), v))
+            psi_pairing = p.mu ** (ts - 1.0) * w0 * float(d.node_dot(abs_pow(phi, ts - 1.0), v))
         self.sign_pairing = p.lam * p.mu * self.phi_v + psi_pairing
         # Every ray sum is finite exactly when the ray is: a NaN or inf value
         # fails here rather than in a root bracket.

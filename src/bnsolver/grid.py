@@ -71,10 +71,13 @@ Discrete conventions, fixed once and used everywhere:
 * the reflection fold (`Domain.fold`, a `Fold`): when each axis's
   mid-plane reflection maps the interior mask onto itself, the fields those
   reflections fix are carried by the nodes of box index n//2 and up on
-  every axis, each weighted by its orbit size `Fold.mult` in every node sum,
-  with their own -Lap and preconditioner; `restrict` and `unfold` move a
-  field between the lattice and the fold, and the fold keeps no reference
-  to its lattice;
+  every axis.  The fold is a `Domain` with its own nodes, -Lap and sine
+  data whose node-sum kernels (`node_sum`, `node_dot`, `node_dots`) and
+  residual weighting (`weigh`) count each node by its orbit size
+  `Fold.mult`; every quadrature formula, the CSR compression of the stencil
+  (`_stencil_csr`) and the transform pair of the preconditioner are written
+  once and shared.  `restrict` and `unfold` move a field between the
+  lattice and the fold, and the fold keeps no reference to its lattice;
 * bubble profiles (`solve.make_bubble`) are evaluated in a frame and under
   a radial cutoff that depend only on the domain (`Domain.bubble_frame`),
   built on the first bubble;
@@ -182,8 +185,6 @@ class Domain:
     the stored arrays.
     """
 
-    mult = None  # every lattice node is its own orbit (see `Fold.mult`)
-
     def __init__(self, spec: DomainSpec):
         self.spec = spec
         N = spec.dimension
@@ -286,23 +287,10 @@ class Domain:
     @cached_property
     def matrix(self):
         """Sparse CSR matrix of -Lap on interior nodes (Dirichlet ghosts = 0),
-        assembled on first use."""
-        # Assembled straight into CSR, one row per interior node with its
-        # columns in increasing order (interior numbering follows the
-        # lattice, so -stride_0 < ... < -1 < 0 < 1 < ... < stride_0): one
-        # int32 table of the 2N+1 stencil columns, -1 where a neighbour is
-        # off the interior, and one table of their values, both compressed
-        # by the same mask; a row holds the diagonal and the neighbours that
-        # the 2N neighbour tables find.
-        n = self.n_interior
+        assembled on first use from the neighbour tables (`_stencil_csr`)."""
         c = [-1.0 / h**2 for h in self.h]
-        cols = np.stack([*self.nb_minus, np.arange(n), *reversed(self.nb_plus)], axis=1,
-                        dtype=np.int32)
-        keep = cols >= 0
-        values = np.tile([*c, 2.0 * float(np.sum(1.0 / self.h**2)), *reversed(c)], (n, 1))
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(1 + sum(nb >= 0 for nb in (*self.nb_minus, *self.nb_plus)), out=indptr[1:])
-        return sparse.csr_matrix((values[keep], cols[keep], indptr), shape=(n, n))
+        return _stencil_csr(self.nb_minus, self.nb_plus,
+                            [*c, 2.0 * float(np.sum(1.0 / self.h**2)), *reversed(c)])
 
     def apply_neg_laplacian(self, values):
         return self.matrix @ values
@@ -349,15 +337,27 @@ class Domain:
         nodes.  On a box it is the exact solve (`solve_poisson`); on a masked
         lattice it is R^T A_box^{-1} R with R the zero extension, symmetric
         positive definite.  Either way it is one transform pair in two
-        box-sized buffers; the result is gathered from (on a box, is) the
-        first."""
+        box-sized buffers, into the modes by `_sine_basis` and back by
+        `_sine_inverse`; the result is gathered from (on a box, is) the
+        first.  On a lattice, whose nodes all weigh one, it is also
+        `weighted_precondition`, the preconditioner of a residual weighted
+        by `weigh`."""
         S, eig = self._sine_basis
         x, y = np.zeros(eig.shape), np.empty(eig.shape)
         x.reshape(-1)[self._box_flat] = b
         x, y = _sine_transform(S, x, y)
         x /= eig
-        x, _ = _sine_transform(S, x, y)
+        x, _ = _sine_transform(self._sine_inverse, x, y)
         return x.reshape(-1)[self._box_flat]
+
+    weighted_precondition = precondition
+
+    @cached_property
+    def _sine_inverse(self):
+        """The matrix that takes the sine coefficients of `_sine_basis` back
+        to node values: on the bounding box the sine matrix itself,
+        symmetric and orthogonal."""
+        return self._sine_basis[0]
 
     @cached_property
     def fold(self):
@@ -450,27 +450,39 @@ class Domain:
         return full
 
     # -- quadrature and norms ----------------------------------------------
+    #
+    # Every node sum of the quadrature is one of the kernels node_sum (of x),
+    # node_dot (of x y) and node_dots (of each row product X[j] Y[j]), and a
+    # residual is weighted by weigh: a lattice node is one cell, so the first
+    # two are numpy's own sums, called with no frame of ours, and weigh is
+    # the identity.  A `Fold` weights each of its nodes by its orbit size.
+
+    node_sum = staticmethod(np.sum)
+    node_dot = staticmethod(np.dot)
+
+    @staticmethod
+    def node_dots(X, Y):
+        return np.einsum("jn,jn->j", X, Y)
+
+    @staticmethod
+    def weigh(x):
+        return x
 
     def inner(self, u, v):
-        return self.weight * float(np.dot(u, v))
+        return self.weight * float(self.node_dot(u, v))
 
     def l2_norm_sq(self, values):
-        return self.weight * float(np.dot(values, values))
+        return self.weight * float(self.node_dot(values, values))
 
     def l2_norm(self, values):
-        """||v||_2 = sqrt(weight) * |v|, the quadrature L2 norm."""
-        return float(np.sqrt(self.weight) * np.linalg.norm(values))
+        """||v||_2 = sqrt(weight) * sqrt(<v, v>), the quadrature L2 norm (on
+        a lattice sqrt(weight) * np.linalg.norm(v), bit for bit)."""
+        return float(np.sqrt(self.weight) * np.sqrt(self.node_dot(values, values)))
 
     def lp_norm(self, values, p):
         if p < 1:
             raise ArgumentError(f"lp_norm requires p >= 1, got {p}")
-        return float((self.weight * np.sum(abs_pow(values, p))) ** (1.0 / p))
-
-    @staticmethod
-    def node_sum(x, y=None):
-        """The sum of x over the nodes, or of x y when y is given, without
-        the cell volume."""
-        return np.sum(x) if y is None else np.dot(x, y)
+        return float((self.weight * self.node_sum(abs_pow(values, p))) ** (1.0 / p))
 
     def h1_norm_sq(self, values):
         """Dirichlet energy <-Lap v, v>: one product with `matrix`.  By
@@ -503,7 +515,7 @@ class Domain:
         )
 
 
-class Fold:
+class Fold(Domain):
     """The reflection fold of a lattice: its interior nodes with every box
     index at least n//2 on each axis (n = res - 2 box nodes per axis), the
     unknowns of a field that each axis's mid-plane reflection fixes.  Along
@@ -513,11 +525,18 @@ class Fold:
     2, so mult * x is exact), weights each fold node in every node sum, so
     the quadrature of a folded field is that of its unfolding.
 
-    It keeps no reference to its lattice: only index tables and the sine
-    data of its own precondition, so dropping the lattice frees it at once.
+    A fold is a `Domain` that differs from its lattice only in its nodes,
+    its -Lap (`matrix`), its sine data (`_sine_basis`, `_sine_inverse`,
+    `_box_flat`) and the node-sum kernels, which weight each node by `mult`;
+    the quadrature, the -Lap product and the transform pair of the
+    preconditioner are `Domain`'s own methods.  It has no lattice mask,
+    spec or axes, so the lattice-only queries (`symmetries`,
+    `bubble_frame`, `fold`, the repr and the rest) raise AttributeError.
+    It keeps no reference to its lattice, so dropping the lattice frees it
+    at once.
     """
 
-    def __init__(self, domain: Domain, box):
+    def __init__(self, domain: Domain, box):  # built from its lattice, not by Domain's
         N = domain.ndim
         self.two_star, self.weight = domain.two_star, domain.weight
         n = box.shape[0]
@@ -530,7 +549,7 @@ class Fold:
         inv[flat] = np.arange(nf)
         k = np.unravel_index(flat, shape)
 
-        # -Lap on the fold, straight into CSR as `Domain.matrix` is: the
+        # -Lap on the fold, by `_stencil_csr` as `Domain.matrix` is: the
         # minus neighbour of k = 0 is the mirror image of box node n//2 - 1,
         # the plus neighbour k = 1 on an odd n (that entry doubles) and the
         # node itself on an even n (the entry lands on the diagonal).
@@ -552,13 +571,9 @@ class Fold:
                 diag[mid] += c[a]
                 mult *= 2.0
         self.mult = mult
-        cols = np.stack([*minus, np.arange(nf), *reversed(plus)], axis=1, dtype=np.int32)
-        values = np.stack([*c_minus, diag, *reversed(c_plus)], axis=1)
-        keep = cols >= 0
-        indptr = np.zeros(nf + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=1), out=indptr[1:])
         # diag(mult) matrix is symmetric: -Lap in the weighted inner product
-        self.matrix = sparse.csr_matrix((values[keep], cols[keep], indptr), shape=(nf, nf))
+        self.matrix = _stencil_csr(minus, plus,
+                                   np.stack([*c_minus, diag, *reversed(c_plus)], axis=1))
 
         # restrict: the interior index of each fold node; unfold: the fold
         # node of each interior node, its mirror image max(j, n-1-j) per axis
@@ -570,37 +585,36 @@ class Fold:
         self._unfold = inv.reshape(shape)[np.ix_(*[image] * N)].ravel()[domain._box_flat]
 
         # the odd (mirror-symmetric) sine modes of each axis, on the fold's
-        # half of the axis, and their stencil eigenvalues
+        # half of the axis, with their stencil eigenvalues, and the way back
         S, eig = domain._sine_basis
-        self._sine = np.ascontiguousarray(S[half:, 0::2])
-        self._sine_t = np.ascontiguousarray(self._sine.T)
-        self._eig = np.ascontiguousarray(eig[(slice(0, None, 2),) * N])
+        sine = np.ascontiguousarray(S[half:, 0::2])
+        self._sine_basis = sine, np.ascontiguousarray(eig[(slice(0, None, 2),) * N])
+        self._sine_inverse = np.ascontiguousarray(sine.T)
         self._box_flat = slice(None) if nf == m**N else flat
 
-    # -- quadrature: `Domain`'s, each fold node weighted by its orbit size --
+    # -- the node-sum kernels of `Domain`, each node weighted by its orbit size
 
-    def node_sum(self, x, y=None):
-        return np.dot(self.mult, x) if y is None else np.dot(self.mult * x, y)
+    def node_sum(self, x):
+        return np.dot(self.mult, x)
 
-    def inner(self, u, v):
-        return self.weight * float(self.node_sum(u, v))
+    def node_dot(self, x, y):
+        return np.dot(self.mult * x, y)
 
-    def l2_norm_sq(self, values):
-        return self.inner(values, values)
+    def node_dots(self, X, Y):
+        return np.einsum("jn,jn,n->j", X, Y, self.mult)
 
-    def l2_norm(self, values):
-        return math.sqrt(self.l2_norm_sq(values))
+    def weigh(self, x):
+        return self.mult * x
 
-    def lp_norm(self, values, p):
-        if p < 1:
-            raise ArgumentError(f"lp_norm requires p >= 1, got {p}")
-        return float((self.weight * self.node_sum(abs_pow(values, p))) ** (1.0 / p))
-
-    def h1_norm_sq(self, values):
-        return self.inner(self.matrix @ values, values)
-
-    def apply_neg_laplacian(self, values):
-        return self.matrix @ values
+    def precondition(self, b):
+        """`Domain.precondition` restricted to mirror-symmetric fields: the
+        odd sine modes of each axis carry them, so mult * b, zero-extended
+        onto the fold's half of the bounding box, is transformed by those
+        modes, divided by their eigenvalues and transformed back
+        (`weighted_precondition`, precondition(r / mult): the
+        preconditioner of diag(mult) -Lap, whose inverse it is on a box).
+        Exact on a box."""
+        return self.weighted_precondition(self.mult * b)
 
     def restrict(self, values):
         """The fold's values of a raw value array of the lattice."""
@@ -610,23 +624,24 @@ class Fold:
         """The mirror-symmetric lattice array whose fold values are these."""
         return values[self._unfold]
 
-    def precondition(self, b):
-        """`Domain.precondition` restricted to mirror-symmetric fields: the
-        odd sine modes of each axis carry them, so mult * b, zero-extended
-        onto the fold's half of the bounding box, is transformed by those
-        modes, divided by their eigenvalues and transformed back.  Exact on
-        a box."""
-        return self.weighted_precondition(self.mult * b)
 
-    def weighted_precondition(self, r):
-        """precondition(r / mult), symmetric positive definite: the
-        preconditioner of diag(mult) -Lap, whose inverse it is on a box."""
-        x, y = np.zeros(self._eig.shape), np.empty(self._eig.shape)
-        x.reshape(-1)[self._box_flat] = r
-        x, y = _sine_transform(self._sine, x, y)
-        x /= self._eig
-        x, _ = _sine_transform(self._sine_t, x, y)
-        return x.reshape(-1)[self._box_flat]
+def _stencil_csr(minus, plus, values):
+    """The CSR matrix of a (2N+1)-point stencil on n nodes, assembled
+    straight into CSR.  Row k holds the diagonal and the neighbours that
+    the tables minus[a] and plus[a] give along each axis a (-1 where the
+    neighbour is no node), in the column order minus[0], ..., minus[N-1],
+    the node itself, plus[N-1], ..., plus[0]: increasing when the node
+    numbering follows the lattice (-stride_0 < ... < -1 < 0 < 1 < ... <
+    stride_0).  `values` is the (n, 2N+1) table of the entries in that
+    order, or one row of them shared by every node.  One int32 table of the
+    columns and the values are compressed by the same mask."""
+    n = minus[0].size
+    cols = np.stack([*minus, np.arange(n), *reversed(plus)], axis=1, dtype=np.int32)
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(sum(keep.T), out=indptr[1:])  # row lengths, one add per column
+    return sparse.csr_matrix((np.broadcast_to(values, cols.shape)[keep], cols[keep], indptr),
+                             shape=(n, n))
 
 
 def _lattice_act(x, P, S):
@@ -712,8 +727,6 @@ class SpectralData:
     sobolev_S: float
     sobolev_witness: Field
     ground_state_cache: dict = dc_field(default_factory=dict)
-    # the fold's restriction of these data and of one lift (`functional.Params.folded`)
-    fold_cache: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def s_quantum(self):
@@ -973,15 +986,26 @@ def dump_field(u: Field, path):
         np.save(f, u.domain.lattice_array(u.values), allow_pickle=False)
 
 
+def _read_npy(f):
+    """The array of the `.npy` stream f (`np.lib.format.read_array`, no
+    pickles).  A header that numpy has to repair first, one written by
+    Python 2, is refused (its UserWarning raised): no dump of ours has one.
+    Every way these bytes can fail to be read raises; the callers name the
+    file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        return np.lib.format.read_array(f, allow_pickle=False)
+
+
 def load_field(path, domain: Domain) -> Field:
     """The field of a `dump_field` dump on this domain.  ArgumentError,
     naming the path, when the file is not a readable `.npy` array (empty,
-    truncated, text or pickled), not float64, not of shape
+    truncated, damaged, text or pickled), not float64, not of shape
     `domain.lattice_shape` or not finite on the interior nodes."""
     try:
         with open(path, "rb") as f:
-            full = np.lib.format.read_array(f, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as e:
+            full = _read_npy(f)
+    except Exception as e:  # the reader's failures on damaged bytes have many types
         raise ArgumentError(f"{path}: not a readable .npy field dump: {e}") from None
     return _lattice_field(full, domain, path)
 
@@ -1002,6 +1026,7 @@ def dump_spectral_data(spectral: SpectralData, path):
                 np.lib.format.write_array(f, array, allow_pickle=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # damaged values that overflow fail the tests
 def load_spectral_data(path, domain: Domain) -> SpectralData:
     """The spectral data of a `dump_spectral_data` archive on this domain,
     checked instead of recomputed, each test at the cost of one product
@@ -1025,8 +1050,8 @@ def load_spectral_data(path, domain: Domain) -> SpectralData:
         with zipfile.ZipFile(path) as zf:
             for name in _SPECTRAL_SCALARS + _SPECTRAL_FIELDS:
                 with zf.open(f"{name}.npy") as f:
-                    arrays[name] = np.lib.format.read_array(f, allow_pickle=False)
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile) as e:
+                    arrays[name] = _read_npy(f)
+    except Exception as e:  # zipfile's and the reader's failures have many types
         raise ArgumentError(f"{path}: not a readable spectral data archive: {e}") from None
     for name in _SPECTRAL_SCALARS:
         x = arrays[name]

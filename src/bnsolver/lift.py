@@ -14,6 +14,7 @@ and applies it (the solve's few-ulp spill past the bounds is clipped);
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,12 @@ def boundary_values(g, domain: Domain) -> np.ndarray:
 
 
 def load_node_table(path, domain: Domain) -> NodeTable:
-    """Two-column text file: boundary node index, value."""
+    """Two-column text file: boundary node index, value; an index not given
+    is 0.  ArgumentError, naming the file and line, on a line that is not a
+    boundary index and a finite number, and on an index given twice (both
+    lines named)."""
     vals = np.zeros(domain.boundary_flat.size)
+    given = {}  # the line of each index
     try:
         with open(path) as f:
             lines = f.readlines()
@@ -118,7 +123,12 @@ def load_node_table(path, domain: Domain) -> NodeTable:
             ) from None
         if not 0 <= idx < vals.size:
             raise ArgumentError(f"{path}:{lineno}: boundary index {idx} out of range")
-        vals[idx] = val
+        if not math.isfinite(val):
+            raise ArgumentError(f"{path}:{lineno}: not a finite number: {parts[1]!r}")
+        if idx in given:
+            raise ArgumentError(
+                f"{path}:{lineno}: boundary index {idx} repeats the one at line {given[idx]}")
+        vals[idx], given[idx] = val, lineno
     return NodeTable(vals)
 
 
@@ -140,6 +150,7 @@ def solve_lift(g, domain: Domain) -> Field:
     return Field(np.clip(phi, gvals.min(), gvals.max()), domain)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # damaged values that overflow fail the check
 def load_lift(path, g, domain: Domain) -> Field:
     """The lift of a run, read from its `dump_field` dump at path and checked
     instead of solved again: it must pass `check_lift` against the boundary

@@ -232,15 +232,18 @@ def _newton_polish(p: Params, vvals, max_steps, flags):
     steps; returns (values, grad_norm, steps, converged).  Each step solves
     the Hessian system, -Lap - diag(c) for c the Hessian weight
     (`functional.hessian_weight`) given as the map x -> A x - c x of raw
-    arrays with A the cached CSR -Lap, by MINRES (`numutil.solve_minres`)
-    preconditioned by `Domain.precondition` (the exact inverse of -Lap on a
-    box, its bounding-box sine solve on a masked lattice), and takes the
-    step length by `numutil.armijo` on the gradient norm.  On a reflection
-    fold (`grid.Fold`) the system is scaled by its orbit sizes, so that
-    MINRES runs in the fold's weighted inner product.  The convergence
-    flag of every inner MINRES solve is appended to the list `flags`."""
+    arrays with A the cached CSR -Lap, by MINRES (`numutil.solve_minres`),
+    and takes the step length by `numutil.armijo` on the gradient norm.
+    The system is weighted by the domain's node weights (`Domain.weigh`)
+    and preconditioned by `Domain.weighted_precondition`: on a lattice the
+    plain system, with no copy, and `Domain.precondition` (the exact
+    inverse of -Lap on a box, its bounding-box sine solve on a masked
+    lattice); on a reflection fold (`grid.Fold`) the system scaled by the
+    orbit sizes, MINRES in the fold's weighted inner product.  The
+    convergence flag of every inner MINRES solve is appended to the list
+    `flags`."""
     d = p.domain
-    A, w = d.matrix, d.mult
+    A = d.matrix
     v = np.array(vvals, dtype=float)
     g = gradient_values(v, p)
     gn = d.l2_norm(g)
@@ -250,14 +253,11 @@ def _newton_polish(p: Params, vvals, max_steps, flags):
             return v, gn, steps, True
         c = hessian_weight(v, p)
 
-        def hess(x, c=c):
-            return A @ x - c * x
+        def hess(x, c=c):  # diag(weights)(A - c), symmetric
+            return d.weigh(A @ x - c * x)
 
-        if w is None:
-            op, rhs, M = hess, -g, d.precondition
-        else:  # diag(mult)(A - c) delta = -mult g, symmetric: the fold's weighted product
-            op, rhs, M = (lambda x: w * hess(x)), -w * g, d.weighted_precondition
-        delta, ok = solve_minres(op, rhs, M=M, rtol=min(1e-2, NEWTON_INNER_RTOL + 0.1 * gn),
+        delta, ok = solve_minres(hess, -d.weigh(g), M=d.weighted_precondition,
+                                 rtol=min(1e-2, NEWTON_INNER_RTOL + 0.1 * gn),
                                  maxiter=4000, label="newton step")
         flags.append(ok)
 

@@ -2,6 +2,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bnsolver.functional import Params
 from bnsolver.grid import (
@@ -48,6 +49,38 @@ def count_builds(monkeypatch, cls, names):
         prop.__set_name__(cls, name)
         monkeypatch.setattr(cls, name, prop)
     return builds
+
+
+def byte_mutations(anchors):
+    """Strategy: one to three mutations of a file's bytes, each a tuple
+    (kind, anchor, offset, payload) that `mutated` applies at `offset`
+    bytes past the first occurrence of `anchor` (one of `anchors`, b"" for
+    the start of the file), wrapped around the file's length: "truncate"
+    cuts the file there, "replace" overwrites it with the payload,
+    "insert" puts the payload before it and "delete" drops as many bytes as
+    the payload has."""
+    return st.lists(st.tuples(st.sampled_from(["truncate", "replace", "insert", "delete"]),
+                              st.sampled_from(anchors), st.integers(0, 1 << 16),
+                              st.binary(min_size=1, max_size=3)),
+                    min_size=1, max_size=3)
+
+
+def mutated(data, mutations):
+    """The bytes data after the mutations drawn by `byte_mutations`."""
+    b = bytearray(data)
+    for kind, anchor, offset, payload in mutations:
+        if not b:
+            break
+        i = (max(b.find(anchor), 0) + offset) % len(b)
+        if kind == "truncate":
+            del b[i:]
+        elif kind == "replace":
+            b[i:i + len(payload)] = payload
+        elif kind == "insert":
+            b[i:i] = payload
+        else:
+            del b[i:i + len(payload)]
+    return bytes(b)
 
 
 def text_dump(full):

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 import bnsolver
 from bnsolver import cli, grid, numutil, solve
 from bnsolver.cli import RunConfig, main, parse_config
-from bnsolver.errors import ConfigurationError
+from bnsolver.errors import BNSolverError, ConfigurationError
 from bnsolver.functional import Params
 from bnsolver.grid import Box, DomainSpec, Field, build_domain, dump_field, load_spectral_data
 from bnsolver.lift import solve_lift
 from bnsolver.verify import certify_solution, nonexistence_certificate
 
-from conftest import text_dump
+from conftest import byte_mutations, mutated, text_dump
 
 BASE_CONFIG = """
 # two-cell sweep on a small box
@@ -192,6 +192,25 @@ def node_table_bad_line(tmp_path, completed_run):
     text = BASE_CONFIG.format(out=tmp_path / "out").replace(
         "kind = constant\nvalue = 1.0", f"kind = table\nfile = {table}")
     return ["run", str(write_config(tmp_path, text))], f"{table}:2: "
+
+
+def node_table_case(tmp_path, lines):
+    """A run on the node table of these lines, and the table's path."""
+    table = tmp_path / "table.txt"
+    table.write_text("".join(line + "\n" for line in lines))
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace(
+        "kind = constant\nvalue = 1.0", f"kind = table\nfile = {table}")
+    return ["run", str(write_config(tmp_path, text))], table
+
+
+def node_table_repeated_index(tmp_path, completed_run):
+    argv, table = node_table_case(tmp_path, ["0 1.0", "1 1.0", "# comment", "0 2.0"])
+    return argv, f"{table}:4: boundary index 0 repeats the one at line 1"
+
+
+def node_table_nan_value(tmp_path, completed_run):
+    argv, table = node_table_case(tmp_path, ["0 1.0", "1 nan"])
+    return argv, f"{table}:2: not a finite number: 'nan'"
 
 
 def field_dump_bad_header(tmp_path, completed_run):
@@ -412,7 +431,18 @@ def certify_lift_above_max_g(tmp_path, completed_run):
     return ["certify", str(cell_path)], f"{path}: lift violates maximum principle bounds"
 
 
-@pytest.mark.parametrize("case", [missing_config, node_table_bad_line, field_dump_bad_header,
+def certify_lift_overflowing(tmp_path, completed_run):
+    """One interior value of the lift 1e300, whose residual overflows: the
+    check fails, with no overflow warning."""
+    def edit(full, domain):
+        full.flat[domain.interior_flat[0]] = 1e300
+    cell_path, path = edited_lift(tmp_path, completed_run, edit)
+    return ["certify", str(cell_path)], f"{path}: lift residual inf"
+
+
+@pytest.mark.parametrize("case", [missing_config, node_table_bad_line,
+                                  node_table_repeated_index, node_table_nan_value,
+                                  field_dump_bad_header,
                                   certify_old_text_dump, missing_cell_file, non_json_cell_file,
                                   unknown_recorded_class, record_without_energy, report_cell_without_lambda,
                                   report_cell_is_a_list, report_lambda_not_a_number,
@@ -429,7 +459,7 @@ def certify_lift_above_max_g(tmp_path, completed_run):
                                   certify_e1_not_an_eigenvector, certify_without_lift,
                                   certify_lift_off_its_residual,
                                   certify_lift_of_other_boundary_data,
-                                  certify_lift_above_max_g],
+                                  certify_lift_above_max_g, certify_lift_overflowing],
                          ids=lambda case: case.__name__)
 def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, case):
     """Missing or malformed input files exit 2 with an error that names the
@@ -437,6 +467,29 @@ def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, cas
     argv, where = case(tmp_path, completed_run)
     assert main(argv) == 2
     assert where in capsys.readouterr().err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutations=byte_mutations([b"", b'"records"', b'"energy"', b'"barycenter"', b"["]))
+# energy becomes the integer 10**400, which no float holds (its old value
+# moves to a new key); the cell nested 100,000 lists deep
+@example(mutations=[("insert", b'"energy"', 10, b"1" + b"0" * 400 + b', "was": ')])
+@example(mutations=[("insert", b"", 0, b"[" * 100_000)])
+def test_read_cell_takes_mutated_cell_files(tmp_path_factory, completed_run, mutations):
+    """A cell file with bytes cut, replaced, inserted or deleted reads to a
+    cell whose numbers all fit in a float, or is an ArgumentError that
+    names the file."""
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_bytes(mutated((completed_run / "cells" / "cell_0000.json").read_bytes(),
+                             mutations))
+    try:
+        cell = cli._read_cell(path)
+    except BNSolverError as e:
+        assert str(path) in str(e), str(e)
+        return
+    for r in cell["records"]:
+        for x in (r["energy"], r["grad_norm"], *r["barycenter"], *r["grad_dir_integral"]):
+            float(x)
 
 
 def assert_same_outputs(a, b):

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import eigh
@@ -17,7 +17,7 @@ from scipy.sparse.linalg import lobpcg as scipy_lobpcg
 from scipy.sparse.linalg import minres as scipy_minres
 
 from bnsolver import grid, numutil
-from bnsolver.errors import ArgumentError, ConfigurationError, NumericalError
+from bnsolver.errors import ArgumentError, BNSolverError, ConfigurationError, NumericalError
 from bnsolver.functional import FiberingProfile, gradient_values, hessian_weight
 from bnsolver.grid import (
     AnnulusD,
@@ -40,7 +40,7 @@ from bnsolver.nehari import t_minus
 from bnsolver.numutil import armijo, signed_pow, solve_cg
 from bnsolver.solve import make_bubble
 
-from conftest import count_builds, text_dump
+from conftest import byte_mutations, count_builds, mutated, text_dump
 
 S4_CONTINUUM = 10.2603986413  # best critical quotient in dimension 4 (closed form)
 
@@ -646,6 +646,16 @@ def test_fold_needs_a_mirror_symmetric_mask(box9):
     assert dom.fold is None
 
 
+@pytest.mark.parametrize("query", [lambda f: f.symmetries, lambda f: f.bubble_frame,
+                                   lambda f: f.fold, repr],
+                         ids=["symmetries", "bubble_frame", "fold", "repr"])
+def test_fold_refuses_the_lattice_only_queries(box9, query):
+    """A fold is a `Domain` without a lattice mask, spec or axes: the
+    queries that only a lattice answers raise AttributeError on it."""
+    with pytest.raises(AttributeError):
+        query(box9.domain.fold)
+
+
 def test_dropped_domain_with_its_fold_is_freed_without_gc(box9):
     """The fold keeps no reference to its lattice, so a dropped domain is
     freed at once, with the garbage collector off."""
@@ -1031,6 +1041,42 @@ def test_bad_dump_is_argument_error_naming_the_path(tmp_path, box9, kind):
     path.write_bytes(BAD_DUMPS[kind](np.load(good)))
     with pytest.raises(ArgumentError, match=re.escape(str(path))):
         load_field(path, box9.domain)
+
+
+def loads_or_names_the_path(load, path, data):
+    """load(path) of a file holding the bytes data returns, or raises a
+    BNSolverError whose message names the path."""
+    path.write_bytes(data)
+    try:
+        load(path)
+    except BNSolverError as e:
+        assert str(path) in str(e), str(e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutations=byte_mutations([b"", b"{", b"'shape'", b"}", b"\n"]))
+@example(mutations=[("replace", b"}", 0, b" ")])  # the header dict left open
+def test_load_field_takes_mutated_dumps(tmp_path_factory, box9, mutations):
+    """A field dump with bytes cut, replaced, inserted or deleted loads to
+    a Field or is an ArgumentError that names the file."""
+    data = _npy_bytes(box9.domain.lattice_array(box9.spectral.e1.values))
+    loads_or_names_the_path(lambda path: load_field(path, box9.domain),
+                            tmp_path_factory.getbasetemp() / "mutated.npy",
+                            mutated(data, mutations))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutations=byte_mutations([b"", b"PK\x03\x04", b"PK\x01\x02", b"PK\x05\x06",
+                                 b"\x93NUMPY", b"sobolev_witness"]))
+@example(mutations=[("replace", b"PK\x01\x02", 6, b"G")])  # zip version 7.1 needed
+def test_load_spectral_data_takes_mutated_archives(tmp_path_factory, box9, mutations):
+    """A spectral data archive with bytes cut, replaced, inserted or
+    deleted loads to SpectralData or is an ArgumentError that names the
+    file."""
+    path = tmp_path_factory.getbasetemp() / "mutated.npz"
+    dump_spectral_data(box9.spectral, path)
+    loads_or_names_the_path(lambda path: load_spectral_data(path, box9.domain), path,
+                            mutated(path.read_bytes(), mutations))
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])

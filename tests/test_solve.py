@@ -545,6 +545,9 @@ def test_asymmetric_data_or_seed_solve_unfolded(box13, monkeypatch):
     assert q.folded is None and p.folded is not None
     minimize_on_Nplus(q)
     assert nodes == [dom.fold.n_interior] + [dom.n_interior] * 3
+    fold = dom.fold
+    assert np.array_equal(p.folded.lift.values, fold.restrict(box13.lift.values))
+    assert np.array_equal(p.folded.mu_phi, fold.restrict(p.mu_phi))
 
 
 def test_small_lattices_solve_unfolded(box9, monkeypatch):
@@ -555,26 +558,29 @@ def test_small_lattices_solve_unfolded(box9, monkeypatch):
     assert box9.domain.n_interior < solve.FOLD_MIN_NODES and nodes == [343]
 
 
-def test_fold_data_are_restricted_once_per_lift(box13):
-    """Every Params of one spectral data and lift (a mu* continuation builds
-    one per step) shares one restriction of e1, the witness and phi."""
-    p, q = (box13.params(lam_factor=0.5, mu=mu) for mu in (0.01, 0.02))
-    assert p.folded.spectral is q.folded.spectral and p.folded.lift is q.folded.lift
-    fold = box13.domain.fold
-    assert np.array_equal(p.folded.lift.values, fold.restrict(box13.lift.values))
-    assert np.array_equal(p.folded.mu_phi, fold.restrict(p.mu_phi))
+def test_folded_solve_runs_the_lattice_quadrature(box13, monkeypatch):
+    """The fold shares `Domain`'s quadrature and -Lap product: a folded
+    Plus solve on the 13^3 cube calls `Domain.h1_norm_sq` and
+    `Domain.apply_neg_laplacian` with the fold itself."""
+    calls = []
+    for name in ("h1_norm_sq", "apply_neg_laplacian"):
+        def counted(self, values, method=getattr(grid.Domain, name), name=name):
+            calls.append((name, type(self)))
+            return method(self, values)
+        monkeypatch.setattr(grid.Domain, name, counted)
+    minimize_on_Nplus(box13.params(lam_factor=0.5, mu=0.01))
+    assert ("h1_norm_sq", grid.Fold) in calls and ("apply_neg_laplacian", grid.Fold) in calls
 
 
 def test_dropped_run_is_freed_without_gc(monkeypatch):
-    """After a folded solve the lattice, its fold, the spectral data with
-    their fold cache and the lift hold no reference cycle: dropping them
-    frees the domain at once, with the garbage collector off."""
+    """After a folded solve the lattice, its fold, the spectral data and
+    the lift hold no reference cycle: dropping them frees the domain at
+    once, with the garbage collector off."""
     monkeypatch.setattr(solve, "FOLD_MIN_NODES", 0)
     gc.disable()
     try:
         s = Setup(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7))
         minimize_on_Nplus(s.params(lam_factor=0.5, mu=0.01))
-        assert s.spectral.fold_cache
         ref = weakref.ref(s.domain)
         del s
         assert ref() is None
