@@ -707,14 +707,21 @@ def certify_cmd(record_path) -> int:
             continue
         if p is None:
             p = _stored_params(run_dir, rc, domain, cell)
-        v = load_field(rec_path.parent / dumpname, domain)
+        dump = rec_path.parent / dumpname
+        v = load_field(dump, domain)
         try:
             rec = _stored_record(r, v, p)
         except (KeyError, ValueError) as e:
             raise ArgumentError(
                 f"{rec_path}: record {k}: missing key or unknown value {e}"
             ) from None
-        cert = certify_solution(rec, p)
+        # a dump that no fibering map takes (zero, or values whose powers
+        # overflow) is refused by its ray's profile, without a warning
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                cert = certify_solution(rec, p)
+        except ArgumentError as e:
+            raise ArgumentError(f"{dump}: {e}") from None
         n += 1
         print(f"record {k} ({r['class']}, energy {_fmt(r['energy'])}):")
         print(cert)

@@ -9,11 +9,12 @@ with 2* the critical exponent of the dimension (`Domain.two_star`).  The
 fibering map of a ray v is t -> E(t v), for t >= 0; its first two
 derivatives in t and the convexity threshold t0 below which the second
 derivative is guaranteed positive are evaluated here.  What depends only
-on (lam, mu) and phi (mu*phi, ||phi||_2^2, E(0), the symmetry group, and
-for even 2* the powers (mu phi)^k with the sum of (mu phi)^(2*)) is a
-cached property of `Params`, built once per Params; scalar ray
-coefficients are computed once per ray.  The critical integrals along the
-ray take one of two paths, picked by the exponent:
+on (lam, mu) and phi (mu*phi, ||phi||_2^2, E(0), the symmetry group, the
+mirror axes that fix mu*phi, and for even 2* the powers (mu phi)^k with the
+sum of (mu phi)^(2*)) is a cached property of `Params`, built once per
+Params, and so is the problem on each reflection fold (`Params.folded`);
+scalar ray coefficients are computed once per ray.  The critical integrals
+along the ray take one of two paths, picked by the exponent:
 
 * even 2* (6 in N = 3, 4 in N = 4): |t v + mu phi|^(2*) is a polynomial in
   t, so one pass over the nodes, the powers of v against the Params'
@@ -33,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, MuTooLargeError
-from .grid import Field, SpectralData, _matches
+from .grid import Field, SpectralData, _lattice_act, _matches, fixed_axes
 from .numutil import abs_pow, signed_pow
 
 # C(q - k, j), j = 0..q-k, one row for each k = 0, 1, 2, for the even 2* = q
@@ -115,26 +116,38 @@ class Params:
     def symmetry_group(self):
         """The symmetries g of the domain (`grid.Domain.symmetries`, identity
         first) with g (mu phi) = mu phi to `grid.SYMMETRY_TOL`: the group the
-        discrete problem commutes with."""
+        discrete problem commutes with.  Each g is tested on a view of one
+        lattice array of mu phi: g maps the interior nodes onto themselves,
+        so this is `_matches` of `grid.Domain.apply_symmetry`."""
         d = self.domain
-        return [g for g in d.symmetries
-                if _matches(d.apply_symmetry(g, self.mu_phi), self.mu_phi)]
+        full = d.lattice_array(self.mu_phi)
+        return [g for g in d.symmetries if _matches(_lattice_act(full, *g), full)]
 
     @cached_property
-    def folded(self):
-        """These parameters on the reflection fold of the lattice
-        (`grid.Domain.fold`), with e1, the Sobolev witness and the lift
-        restricted to the fold, when the lattice and mu phi are
-        mirror-symmetric: mu phi comes back from its fold values to
-        `grid.SYMMETRY_TOL`.  None otherwise."""
-        fold = self.domain.fold
-        if fold is None or not _matches(fold.unfold(fold.restrict(self.mu_phi)), self.mu_phi):
-            return None
-        s = self.spectral
-        e1, witness, phi = (Field(fold.restrict(f.values), fold)
-                            for f in (s.e1, s.sobolev_witness, self.lift))
-        return Params(self.lam, self.mu,
-                      SpectralData(fold, s.lambda1, e1, s.sobolev_S, witness), phi)
+    def mirror_axes(self):
+        """The mirror axes of the lattice (`grid.Domain.mirror_axes`) whose
+        mid-plane reflection fixes mu phi (`grid.fixed_axes`)."""
+        d = self.domain
+        return fixed_axes(d, d.mirror_axes, self.mu_phi)
+
+    def folded(self, axes):
+        """These parameters on the reflection fold of the lattice over
+        `axes`, a tuple of `mirror_axes` (`grid.Domain.fold`), with e1, the
+        Sobolev witness and the lift restricted to the fold; built on first
+        use, once per tuple."""
+        folds = self._folds
+        if axes not in folds:
+            fold = self.domain.fold(axes)
+            s = self.spectral
+            e1, witness, phi = (Field(fold.restrict(f.values), fold)
+                                for f in (s.e1, s.sobolev_witness, self.lift))
+            folds[axes] = Params(self.lam, self.mu,
+                                 SpectralData(fold, s.lambda1, e1, s.sobolev_S, witness), phi)
+        return folds[axes]
+
+    @cached_property
+    def _folds(self):
+        return {}
 
 
 def _checked(v, p: Params) -> np.ndarray:

@@ -68,26 +68,35 @@ Discrete conventions, fixed once and used everywhere:
   and every norm.  g maps one value array onto another when its image of
   the first agrees with the second to SYMMETRY_TOL relative sup-norm
   (`_matches`);
-* the reflection fold (`Domain.fold`, a `Fold`): when each axis's
-  mid-plane reflection maps the interior mask onto itself, the fields those
-  reflections fix are carried by the nodes of box index n//2 and up on
-  every axis.  The fold is a `Domain` with its own nodes, -Lap and sine
-  data whose node-sum kernels (`node_sum`, `node_dot`, `node_dots`) and
-  residual weighting (`weigh`) count each node by its orbit size
-  `Fold.mult`; every quadrature formula, the CSR compression of the stencil
-  (`_stencil_csr`) and the transform pair of the preconditioner are written
-  once and shared.  `restrict` and `unfold` move a field between the
-  lattice and the fold, and the fold keeps no reference to its lattice;
+* reflection folds (`Domain.fold(axes)`, a `Fold`): the mirror axes
+  (`Domain.mirror_axes`) are those whose mid-plane reflection maps the
+  interior mask onto itself (`Domain.reflect` applies one, an int32
+  gather).  For any tuple of them, the fields those reflections fix are
+  carried by the nodes of box index n//2 and up on each folded axis and
+  every box index on the others, so each folded axis halves the unknowns.
+  A fold is a `Domain` with its own nodes, -Lap (the mirror stencil along a
+  folded axis, the plain one along the others) and sine data (the odd sine
+  modes along a folded axis, the full sine matrix along the others), whose
+  node-sum kernels (`node_sum`, `node_dot`, `node_dots`) and residual
+  weighting (`weigh`) count each node by its orbit size `Fold.mult`; every
+  quadrature formula, the CSR compression of the stencil (`_stencil_csr`)
+  and the transform pair of the preconditioner are written once and
+  shared.  `restrict` and `unfold` move a field between the lattice and the
+  fold, and the fold keeps no reference to its lattice.  `fixed_axes`
+  picks the axes whose reflection fixes given data, with the fold's
+  round trip as the gate;
 * bubble profiles (`solve.make_bubble`) are evaluated in a frame and under
   a radial cutoff that depend only on the domain (`Domain.bubble_frame`),
   built on the first bubble;
 * derived data are kept one way: a value that depends only on the domain
-  (the stencil matrix, the sine basis, the symmetries, the bubble frame,
-  the reflection fold, the default bump) is a `functools.cached_property`
-  of `Domain`, and one that depends only on (lam, mu) and the lift
-  (mu*phi, ||phi||_2^2, E(0), the symmetry group, the problem on the fold)
-  is one of `functional.Params`: built on first use, once per object, and
-  never recomputed by a caller.
+  (the stencil matrix, the sine basis, the symmetries, the mirror axes and
+  their reflection tables, the bubble frame, the default bump) is a
+  `functools.cached_property` of `Domain`, and one that depends only on
+  (lam, mu) and the lift (mu*phi, ||phi||_2^2, E(0), the symmetry group,
+  the mirror axes that fix mu*phi) is one of `functional.Params`: built on
+  first use, once per object, and never recomputed by a caller.  The
+  reflection folds of a domain, and the problem on each of them, are kept
+  the same way, once per tuple of axes.
 """
 
 from __future__ import annotations
@@ -298,15 +307,16 @@ class Domain:
     @cached_property
     def _sine_basis(self):
         """(S, eig) of the lattice's bounding box (its (res-2)^N nodes off
-        the hull, the interior of a box): the orthonormal sine matrix
-        S[j, k] = sqrt(2/(n+1)) sin(pi (j+1) (k+1) / (n+1)), n = res - 2, that
-        diagonalises the 3-point stencil on every axis, and the eigenvalues of
-        -Lap on the tensor grid of sine modes."""
+        the hull, the interior of a box): S holds one orthonormal sine
+        matrix per axis, the same S[j, k] = sqrt(2/(n+1)) sin(pi (j+1) (k+1)
+        / (n+1)), n = res - 2, on each, which diagonalises the 3-point
+        stencil, and eig the eigenvalues of -Lap on the tensor grid of sine
+        modes."""
         n = self.spec.resolution - 2
         k = np.arange(1, n + 1)
         S = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
         axis_eig = np.sin(0.5 * np.pi * k / (n + 1)) ** 2
-        return S, sum(np.ix_(*(4.0 / h**2 * axis_eig for h in self.h)))
+        return (S,) * self.ndim, sum(np.ix_(*(4.0 / h**2 * axis_eig for h in self.h)))
 
     @cached_property
     def _box_flat(self):
@@ -354,20 +364,47 @@ class Domain:
 
     @cached_property
     def _sine_inverse(self):
-        """The matrix that takes the sine coefficients of `_sine_basis` back
-        to node values: on the bounding box the sine matrix itself,
-        symmetric and orthogonal."""
+        """The matrices, one per axis, that take the sine coefficients of
+        `_sine_basis` back to node values: on the bounding box the sine
+        matrices themselves, symmetric and orthogonal."""
         return self._sine_basis[0]
 
     @cached_property
-    def fold(self):
-        """The reflection fold of the lattice (`Fold`), or None unless each
-        axis's mid-plane reflection maps the interior mask onto itself.
-        Built on the first folded solve, not by `build_domain`."""
-        box = self._interior_mask[(slice(1, -1),) * self.ndim]
-        if not all(np.array_equal(np.flip(box, a), box) for a in range(self.ndim)):
-            return None
-        return Fold(self, box)
+    def mirror_axes(self):
+        """The axes whose mid-plane reflection maps the interior mask onto
+        itself, in increasing order."""
+        mask = self._interior_mask
+        return tuple(a for a in range(self.ndim) if np.array_equal(np.flip(mask, a), mask))
+
+    def fold(self, axes):
+        """The reflection fold of the lattice over `axes`, an increasing
+        tuple of its mirror axes (`Fold`).  Built on the first folded solve
+        over those axes, not by `build_domain`, and kept per tuple."""
+        if not set(axes) <= set(self.mirror_axes):
+            raise ArgumentError(f"axes {axes} are not among the mirror axes "
+                                f"{self.mirror_axes} of {self!r}")
+        folds = self._folds
+        if axes not in folds:
+            folds[axes] = Fold(self, axes)
+        return folds[axes]
+
+    @cached_property
+    def _folds(self):
+        return {}
+
+    def reflect(self, a, values):
+        """The mid-plane reflection of the mirror axis a applied to a raw
+        value array: one int32 gather, `apply_symmetry` of the reflection
+        bit for bit."""
+        return values[self._reflections[a]]
+
+    @cached_property
+    def _reflections(self):
+        """For each mirror axis, the interior index of the mirror image of
+        every interior node (int32), built on the first `reflect`."""
+        inv = np.full(self.lattice_shape, -1, dtype=np.int32)
+        inv.flat[self.interior_flat] = np.arange(self.n_interior)
+        return {a: np.flip(inv, a).ravel()[self.interior_flat] for a in self.mirror_axes}
 
     # -- lattice symmetries --------------------------------------------------
 
@@ -516,14 +553,17 @@ class Domain:
 
 
 class Fold(Domain):
-    """The reflection fold of a lattice: its interior nodes with every box
-    index at least n//2 on each axis (n = res - 2 box nodes per axis), the
-    unknowns of a field that each axis's mid-plane reflection fixes.  Along
-    one axis fold node k is box node n//2 + k; its orbit under that
-    reflection has 2 nodes, except the mid-plane node of an odd n, which is
-    its own mirror.  `mult`, the product of the per-axis orbit sizes (1 or
-    2, so mult * x is exact), weights each fold node in every node sum, so
-    the quadrature of a folded field is that of its unfolding.
+    """The reflection fold of a lattice over some of its mirror axes
+    (`Domain.mirror_axes`, `folded_axes` here): its interior nodes with box
+    index at least n//2 on each folded axis and any box index on the others
+    (n = res - 2 box nodes per axis), the unknowns of a field that each
+    folded axis's mid-plane reflection fixes.  Along a folded axis fold node
+    k is box node n//2 + k; its orbit under that reflection has 2 nodes,
+    except the mid-plane node of an odd n, which is its own mirror.  Along
+    an unfolded axis fold node k is box node k.  `mult`, the product of the
+    per-axis orbit sizes (1 or 2, so mult * x is exact), weights each fold
+    node in every node sum, so the quadrature of a folded field is that of
+    its unfolding.
 
     A fold is a `Domain` that differs from its lattice only in its nodes,
     its -Lap (`matrix`), its sine data (`_sine_basis`, `_sine_inverse`,
@@ -531,44 +571,48 @@ class Fold(Domain):
     the quadrature, the -Lap product and the transform pair of the
     preconditioner are `Domain`'s own methods.  It has no lattice mask,
     spec or axes, so the lattice-only queries (`symmetries`,
-    `bubble_frame`, `fold`, the repr and the rest) raise AttributeError.
-    It keeps no reference to its lattice, so dropping the lattice frees it
-    at once.
+    `bubble_frame`, `mirror_axes`, `fold`, `reflect` and the rest) raise
+    AttributeError.  It keeps no reference to its lattice, so dropping the
+    lattice frees it at once.
     """
 
-    def __init__(self, domain: Domain, box):  # built from its lattice, not by Domain's
+    def __init__(self, domain: Domain, axes):  # built from its lattice, not by Domain's
         N = domain.ndim
+        self.folded_axes = axes
         self.two_star, self.weight = domain.two_star, domain.weight
+        box = domain._interior_mask[(slice(1, -1),) * N]
         n = box.shape[0]
         half, odd = n // 2, n % 2
-        m = n - half
-        shape = (m,) * N
-        flat = np.flatnonzero(box[(slice(half, None),) * N])
+        first = [half if a in axes else 0 for a in range(N)]  # the first box index kept
+        shape = tuple(n - f for f in first)
+        keep = tuple(slice(f, None) for f in first)
+        flat = np.flatnonzero(box[keep])
         nf = self.n_interior = int(flat.size)
-        inv = np.full(m**N, -1, dtype=np.int32)  # the CSR's index type
+        inv = np.full(math.prod(shape), -1, dtype=np.int32)  # the CSR's index type
         inv[flat] = np.arange(nf)
         k = np.unravel_index(flat, shape)
 
-        # -Lap on the fold, by `_stencil_csr` as `Domain.matrix` is: the
-        # minus neighbour of k = 0 is the mirror image of box node n//2 - 1,
-        # the plus neighbour k = 1 on an odd n (that entry doubles) and the
-        # node itself on an even n (the entry lands on the diagonal).
+        # -Lap on the fold, by `_stencil_csr` as `Domain.matrix` is: along a
+        # folded axis the minus neighbour of k = 0 is the mirror image of box
+        # node n//2 - 1, the plus neighbour k = 1 on an odd n (that entry
+        # doubles) and the node itself on an even n (the entry lands on the
+        # diagonal); along an unfolded axis the stencil is the lattice's.
         c = [-1.0 / h**2 for h in domain.h]
         diag = np.full(nf, 2.0 * float(np.sum(1.0 / domain.h**2)))
         minus, plus, c_minus, c_plus = [], [], [], []
         mult = np.ones(nf)
         for a in range(N):
-            stride = m ** (N - 1 - a)
-            mid, last = k[a] == 0, k[a] == m - 1
-            minus.append(np.where(mid, -1, inv[flat - stride * ~mid]))
+            stride = math.prod(shape[a + 1:])
+            low, last = k[a] == 0, k[a] == shape[a] - 1
+            minus.append(np.where(low, -1, inv[flat - stride * ~low]))
             plus.append(np.where(last, -1, inv[flat + stride * ~last]))
             c_minus.append(np.full(nf, c[a]))
-            if odd:
-                c_plus.append(np.where(mid, 2.0 * c[a], c[a]))
-                mult[~mid] *= 2.0
-            else:
-                c_plus.append(np.full(nf, c[a]))
-                diag[mid] += c[a]
+            c_plus.append(np.full(nf, c[a]))
+            if a in axes and odd:
+                c_plus[a][low] *= 2.0
+                mult[~low] *= 2.0
+            elif a in axes:
+                diag[low] += c[a]
                 mult *= 2.0
         self.mult = mult
         # diag(mult) matrix is symmetric: -Lap in the weighted inner product
@@ -576,21 +620,29 @@ class Fold(Domain):
                                    np.stack([*c_minus, diag, *reversed(c_plus)], axis=1))
 
         # restrict: the interior index of each fold node; unfold: the fold
-        # node of each interior node, its mirror image max(j, n-1-j) per axis
+        # node of each interior node, its mirror image max(j, n-1-j) along
+        # each folded axis
         interior = np.full(n**N, -1, dtype=np.int64)
         interior[domain._box_flat] = np.arange(domain.n_interior)
-        self._restrict = interior.reshape((n,) * N)[(slice(half, None),) * N].ravel()[flat]
+        self._restrict = interior.reshape((n,) * N)[keep].ravel()[flat]
         j = np.arange(n)
-        image = np.maximum(j, n - 1 - j) - half
-        self._unfold = inv.reshape(shape)[np.ix_(*[image] * N)].ravel()[domain._box_flat]
+        image = [np.maximum(j, n - 1 - j) - half if a in axes else j for a in range(N)]
+        self._unfold = inv.reshape(shape)[np.ix_(*image)].ravel()[domain._box_flat]
 
-        # the odd (mirror-symmetric) sine modes of each axis, on the fold's
-        # half of the axis, with their stencil eigenvalues, and the way back
+        # along a folded axis the odd (mirror-symmetric) sine modes, on the
+        # fold's half of the axis, with their stencil eigenvalues, and the
+        # way back; along an unfolded axis the lattice's sine matrix
         S, eig = domain._sine_basis
-        sine = np.ascontiguousarray(S[half:, 0::2])
-        self._sine_basis = sine, np.ascontiguousarray(eig[(slice(0, None, 2),) * N])
-        self._sine_inverse = np.ascontiguousarray(sine.T)
-        self._box_flat = slice(None) if nf == m**N else flat
+        sine = np.ascontiguousarray(S[0][half:, 0::2])
+        back = np.ascontiguousarray(sine.T)
+        modes = tuple(slice(None, None, 2 if a in axes else 1) for a in range(N))
+        self._sine_basis = (tuple(sine if a in axes else S[a] for a in range(N)),
+                            np.ascontiguousarray(eig[modes]))
+        self._sine_inverse = tuple(back if a in axes else S[a] for a in range(N))
+        self._box_flat = slice(None) if nf == inv.size else flat
+
+    def __repr__(self):
+        return f"Fold(folded_axes={self.folded_axes}, interior={self.n_interior})"
 
     # -- the node-sum kernels of `Domain`, each node weighted by its orbit size
 
@@ -665,17 +717,36 @@ def _matches(a, b):
     return float(np.max(np.abs(a - b))) <= SYMMETRY_TOL * float(np.max(np.abs(b)))
 
 
+def fixed_axes(domain: Domain, axes, x):
+    """The axes among `axes` (mirror axes of the domain, in increasing
+    order) whose mid-plane reflection fixes the raw value array x, as the
+    gate of a fold over them: x comes back from its values on their fold
+    (`Fold.restrict`, `Fold.unfold`) to SYMMETRY_TOL (`_matches`).  When
+    the fold over all of `axes` fails the gate, the axes whose reflection
+    maps x onto itself (`Domain.reflect`) are kept if their fold passes it,
+    and none otherwise; data fixed by every reflection take no reflection."""
+    def gate(axes):
+        fold = domain.fold(axes)
+        return _matches(fold.unfold(fold.restrict(x)), x)
+
+    if axes and not gate(axes):
+        axes = tuple(a for a in axes if _matches(domain.reflect(a, x), x))
+        if axes and not gate(axes):
+            axes = ()
+    return axes
+
+
 def _sine_transform(S, x, out):
-    """The n x n matrix S applied along every axis of the array x of shape
-    (n,) * N, x_j -> sum_i x_i S[i, j], by N BLAS products that alternate
-    between the buffers x and out (both overwritten); returns (result, the
-    other buffer).  Each product contracts the leading axis and appends the
-    result as the last one, so after N of them the axes are back in order.
-    No product allocates, so a solve adds no box-sized temporaries to the
-    heap beyond its two buffers."""
-    n = S.shape[0]
-    for _ in range(x.ndim):
-        np.dot(x.reshape(n, -1).T, S, out=out.reshape(-1, n))
+    """The square matrix S[d] applied along axis d of the N-dimensional array
+    x, for every d, x_j -> sum_i x_i S[d][i, j], by N BLAS products that
+    alternate between the buffers x and out (both overwritten); returns
+    (result, the other buffer).  Each product contracts the leading axis and
+    appends the result as the last one, so after N of them the axes are
+    back in order.  No product allocates, so a solve adds no box-sized
+    temporaries to the heap beyond its two buffers."""
+    for Sd in S:
+        n = Sd.shape[0]
+        np.dot(x.reshape(n, -1).T, Sd, out=out.reshape(-1, n))
         x, out = out, x
     return x, out
 
@@ -757,7 +828,7 @@ def principal_eigenpair(domain: Domain):
     """
     S, eig = domain._sine_basis
     if isinstance(domain.spec.shape, Box):
-        x = math.prod(np.ix_(*[S[:, 0]] * domain.ndim)).ravel()
+        x = math.prod(np.ix_(*(Sd[:, 0] for Sd in S))).ravel()
         return float(eig.flat[0]), Field(x / domain.l2_norm(x), domain)
     A = domain.matrix
     _, x, iters = lowest_eigenpair(domain, A.dot, np.ones(domain.n_interior),

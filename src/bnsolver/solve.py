@@ -40,12 +40,16 @@ points g y0 once per solved seed, so a lookup is one array comparison per
 solved seed and a seed check per candidate g.
 
 The Plus and Minus minimizers solve on the reflection fold of the lattice
-(`grid.Domain.fold`) when the lattice has at least FOLD_MIN_NODES interior
-nodes and the lattice, mu*phi and the seed are mirror-symmetric
+over the axes whose mid-plane reflection fixes the lattice, mu*phi and the
+seed (`grid.Domain.fold`, `grid.fixed_axes`, `_on_fold`), when the lattice
+has at least FOLD_MIN_NODES interior nodes and there is such an axis
 (`_solve_folded`): by the principle of symmetric criticality a critical
-point among the mirror-symmetric fields is one of E.  The record comes back
-unfolded and rebuilt on the full lattice, so its callers (the cells, the
-ground state and the mu* continuation) and the certificates see no fold.
+point among the fields that a group of reflections fixes is one of E.  The
+record comes back unfolded and rebuilt on the full lattice, so its callers
+(the cells, the ground state and the mu* continuation) and the
+certificates see no fold.  The minimax relaxes each orbit representative
+on its own fold the same way and unfolds the maximiser before its polish;
+the orbit lookups stay on the lattice.
 
 A Minus solve whose start ray has J(v0) <= 0 raises
 NonpositiveMinusLevelError before any Newton step or descent: the Minus
@@ -94,7 +98,7 @@ from .errors import (
     SeedingError,
 )
 from .functional import FiberingProfile, Params, energy, gradient_values, hessian_weight
-from .grid import SYMMETRY_TOL, AnnulusD, Domain, Field, _matches
+from .grid import SYMMETRY_TOL, AnnulusD, Domain, Field, _matches, fixed_axes
 from .nehari import (
     Klass, barycenter, classify, reduced_functional, t_plus, two_root_regime,
 )
@@ -117,7 +121,11 @@ MINIMAX_ROUNDS = 3  # minimax relaxation rounds
 # record's rebuild on the lattice cost a fixed time per solve.  On the bench
 # mu-star-sweep config (2-core VM, one BLAS thread) folding ran 7% slower on
 # a res-9 cube (343 nodes), 2% slower at res 10 (512), 2% faster at res 11
-# (729), 7% faster at res 12 (1000) and 15-20% faster at res 13 (1331).
+# (729), 7% faster at res 12 (1000) and 15-20% faster at res 13 (1331).  A
+# fold over one axis pays at the floor too: on a res-12 cube with boundary
+# data peaked along (1, 1, 0), which only the third axis's reflection fixes,
+# the Plus, ground-state and Minus solves took 4.18 ms on the 500-node fold
+# against 4.50 ms unfolded (same VM, medians of 15).
 FOLD_MIN_NODES = 1000
 
 # mu* continuation schedule
@@ -300,8 +308,8 @@ def minimize_on_Nplus(
     quadratically.  The Plus solution v = u - mu phi is positive (-Lap_h is
     an M-matrix and the right-hand side is positive), so Newton starts in
     the nonnegative cone that holds it.  The solve runs on the reflection
-    fold when the lattice, mu phi and the seed are mirror-symmetric
-    (`_solve_folded`).  Raises NonconvergenceError when the polish stalls
+    fold of the axes whose reflection fixes the lattice, mu phi and the
+    seed (`_solve_folded`).  Raises NonconvergenceError when the polish stalls
     or ends at a point that is not of class Plus.
     """
     if p.mu == 0.0:
@@ -338,25 +346,34 @@ def _plus_solve(p: Params, seed, seed_kind, budget_factor) -> SolutionRecord:
     return rec
 
 
+def _on_fold(p: Params, x):
+    """(q, y): the Params a search from the raw array x runs on and x on
+    q's nodes.  q is p on the reflection fold of its lattice over the
+    mirror axes that fix mu phi (`Params.mirror_axes`) and whose reflection
+    fixes x (`grid.fixed_axes`), and p itself when there are none or the
+    lattice has fewer than FOLD_MIN_NODES interior nodes."""
+    d = p.domain
+    axes = fixed_axes(d, p.mirror_axes, x) if d.n_interior >= FOLD_MIN_NODES else ()
+    if not axes:
+        return p, x
+    q = p.folded(axes)
+    return q, q.domain.restrict(x)
+
+
 def _solve_folded(search, p: Params, seed, *args) -> SolutionRecord:
     """search(p, seed, *args), for the raw seed array, on the reflection fold
-    of p's lattice (`Params.folded`) when the lattice, mu phi and the seed
-    are mirror-symmetric: the seed comes back from its fold values to
-    `grid.SYMMETRY_TOL` (`grid._matches`).  By the principle of symmetric
-    criticality (Palais, Comm. Math. Phys. 69, 1979) a critical point on
-    the fold is one on the lattice.  The fold's record is unfolded and
-    rebuilt on the lattice by `build_record`, its gradient norm taken
-    there; its iterations are the fold's.  A lattice of fewer than
-    FOLD_MIN_NODES interior nodes is not folded."""
-    pf = p.folded if p.domain.n_interior >= FOLD_MIN_NODES else None
-    if pf is not None:
-        fold = pf.domain
-        seed_f = fold.restrict(seed)
-        if _matches(fold.unfold(seed_f), seed):
-            rec = search(pf, seed_f, *args)
-            return build_record(p, fold.unfold(rec.v.values), None, rec.seed,
-                                rec.iterations, rec.descent_passes)
-    return search(p, seed, *args)
+    of p's lattice over the axes whose reflection fixes the lattice, mu phi
+    and the seed (`_on_fold`).  By the principle of symmetric criticality
+    (Palais, Comm. Math. Phys. 69, 1979), which holds for any group of
+    reflections, a critical point on the fold is one on the lattice.  The
+    fold's record is unfolded and rebuilt on the lattice by `build_record`,
+    its gradient norm taken there; its iterations are the fold's."""
+    q, x = _on_fold(p, seed)
+    rec = search(q, x, *args)
+    if q is p:
+        return rec
+    return build_record(p, q.domain.unfold(rec.v.values), None, rec.seed,
+                        rec.iterations, rec.descent_passes)
 
 
 def build_record(p, vvals, gn, seed_kind, iterations, descent_passes=0) -> SolutionRecord:
@@ -522,8 +539,8 @@ def minimize_on_Nminus(
     The record's `iterations` counts the Newton steps and the descent
     passes made, `descent_passes` the latter; a NonconvergenceError names
     every Newton inner solve that stopped short.  The solve runs on the
-    reflection fold when the lattice, mu phi and the seed are
-    mirror-symmetric (`_solve_folded`).
+    reflection fold of the axes whose reflection fixes the lattice, mu phi
+    and the seed (`_solve_folded`).
     """
     if seed is None or not np.any(seed.values):
         raise ArgumentError("Minus-branch minimization needs a nonzero seed")
@@ -774,9 +791,11 @@ def minimax_gamma(
     relaxed: it is that one's image and has its J.  Interior points start
     as blends with the antipodal bubble (weight growing toward the center),
     so the family links through two-peak transition states where the sup
-    concentrates.  The relaxed maximizer is polished by Newton and accepted
-    only if it certifies with class Minus and energy inside the compactness
-    window; not-found is a legitimate outcome at coarse resolution.
+    concentrates.  Each representative is relaxed on the fold of the
+    reflections that fix its point (`_on_fold`).  The relaxed maximizer is
+    unfolded, polished by Newton on the lattice and accepted only if it
+    certifies with class Minus and energy inside the compactness window;
+    not-found is a legitimate outcome at coarse resolution.
     """
     d = p.domain
     if not isinstance(d.spec.shape, AnnulusD):
@@ -792,9 +811,11 @@ def minimax_gamma(
     # representative of every other point.  A round relaxes each point by
     # the same deterministic descent, so an image stays g applied to its
     # representative's point, with its J.
+    # Each representative is relaxed on the fold of the reflections that fix
+    # its point (`_on_fold`), whose Params `on` keeps.
     dirs = sphere_directions(d.ndim)
     orbits = _Orbits(p)
-    family, rep_of = {}, {}
+    family, on, rep_of = {}, {}, {}
     for j, y in enumerate(dirs):
         for k, r in enumerate(radii):
             eps_k = float(np.clip(1.0 - r, epsilon, 0.97))
@@ -808,7 +829,8 @@ def minimax_gamma(
             hit = orbits.find(y, vals)
             if hit is None:
                 orbits.add(y, vals, (j, k))
-                family[(j, k)] = _cone_point(p, vals)
+                on[(j, k)], x = _on_fold(p, vals)
+                family[(j, k)] = _cone_point(on[(j, k)], x)
             else:
                 rep_of[(j, k)] = hit[1]
     del orbits  # its references would keep the unrelaxed seeds alive
@@ -816,7 +838,7 @@ def minimax_gamma(
     interior = [key for key in family if key[1] != len(radii) - 1]
     for _ in range(MINIMAX_ROUNDS):
         for key in interior:
-            family[key], _, _ = _cone_descent(p, family[key], MINIMAX_INNER_STEPS, 1e2)
+            family[key], _, _ = _cone_descent(on[key], family[key], MINIMAX_INNER_STEPS, 1e2)
     relaxed = MINIMAX_ROUNDS * len(interior)
     mapped = MINIMAX_ROUNDS * sum(1 for key in rep_of if key[1] != len(radii) - 1)
     values = {key: point[0] for key, point in family.items()}
@@ -826,7 +848,7 @@ def minimax_gamma(
     # a representative: an image ties with its own, which comes first in values
     arg = max(values, key=lambda k: values[k])
     _, t, v, _ = family[arg]
-    w_star = t * v
+    w_star = t * (v if on[arg] is p else on[arg].domain.unfold(v))
 
     def result(rec, reason):
         return MinimaxResult(rec, gamma_est, window, reason, relaxed, mapped)

@@ -440,6 +440,19 @@ def certify_lift_overflowing(tmp_path, completed_run):
     return ["certify", str(cell_path)], f"{path}: lift residual inf"
 
 
+def certify_field_dump_overflowing(tmp_path, completed_run):
+    """One interior value of record 0's field dump 1e300, finite, so the
+    dump loads, but its ray's critical powers overflow: no fibering map
+    takes it, and the error names the dump, with no overflow warning."""
+    cell_path = copied_run(completed_run, tmp_path)
+    path = cell_path.parent / json.loads(cell_path.read_text())["records"][0]["field_dump"]
+    full = np.load(path)
+    domain = build_domain(parse_config(cell_path.parent.parent / "config.ini").domain_spec)
+    full.flat[domain.interior_flat[domain.n_interior // 2]] = 1e300
+    np.save(path, full)
+    return ["certify", str(cell_path)], f"{path}: fibering ray contains non-finite values"
+
+
 @pytest.mark.parametrize("case", [missing_config, node_table_bad_line,
                                   node_table_repeated_index, node_table_nan_value,
                                   field_dump_bad_header,
@@ -459,13 +472,17 @@ def certify_lift_overflowing(tmp_path, completed_run):
                                   certify_e1_not_an_eigenvector, certify_without_lift,
                                   certify_lift_off_its_residual,
                                   certify_lift_of_other_boundary_data,
-                                  certify_lift_above_max_g, certify_lift_overflowing],
+                                  certify_lift_above_max_g, certify_lift_overflowing,
+                                  certify_field_dump_overflowing],
                          ids=lambda case: case.__name__)
 def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, case):
     """Missing or malformed input files exit 2 with an error that names the
-    file (and the line, for a node table), never with a traceback."""
+    file (and the line, for a node table), never with a traceback or a
+    numpy warning."""
     argv, where = case(tmp_path, completed_run)
-    assert main(argv) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
     assert where in capsys.readouterr().err
 
 

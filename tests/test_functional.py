@@ -14,7 +14,8 @@ from bnsolver.functional import (
     gradient_values,
     hessian_apply,
 )
-from bnsolver.grid import Box, Domain, DomainSpec, build_domain
+from bnsolver.grid import Box, Domain, DomainSpec, _matches, build_domain
+from bnsolver.lift import BumpOnBoundary, Constant, solve_lift
 from bnsolver.nehari import t_minus
 from bnsolver.solve import _admissible
 
@@ -389,10 +390,11 @@ def test_params_validation(box9, box13):
 
 
 def test_params_derived_data_are_built_once(box9, monkeypatch):
-    """mu*phi, ||phi||_2^2, E(0) and the symmetry group are built on first
-    use, once per Params, however many rays read them; mu*phi is
+    """mu*phi, ||phi||_2^2, E(0), the symmetry group and the mirror axes
+    are built on first use, once per Params, however many rays read them;
+    so is the problem on a fold, once per tuple of axes; mu*phi is
     read-only."""
-    names = ("mu_phi", "phi_l2", "energy_at_zero", "symmetry_group")
+    names = ("mu_phi", "phi_l2", "energy_at_zero", "symmetry_group", "mirror_axes")
     builds = count_builds(monkeypatch, Params, names)
     p = box9.params(mu=0.2)
     assert builds == []
@@ -405,6 +407,25 @@ def test_params_derived_data_are_built_once(box9, monkeypatch):
         assert all(getattr(p, name) is first[name] for name in names)
     assert sorted(builds) == sorted((name, id(p)) for name in names)
     assert p.energy_at_zero == energy(np.zeros(box9.domain.n_interior), p)
+    assert p.folded((1,)) is p.folded((1,)) is not p.folded((0, 1, 2))
     with pytest.raises(ValueError):
         p.mu_phi[0] = 1.0
+
+
+@pytest.mark.parametrize("setup, boundary, order", [
+    ("box9", Constant(1.0), 48), ("annulus9", Constant(1.0), 48),
+    ("box9", BumpOnBoundary((1.0, 0.0, 0.0), 0.3, 1.0), 8),
+    ("annulus9", BumpOnBoundary((1.0, 1.0, 0.0), 0.5, 1.0), 4)],
+    ids=["box", "annulus", "box-bump", "annulus-bump"])
+def test_symmetry_group_is_the_symmetries_that_fix_mu_phi(setup, boundary, order, request):
+    """`Params.symmetry_group`, tested on one lattice array of mu phi, is
+    the list of the domain's symmetries g with `_matches` of
+    `Domain.apply_symmetry(g, mu phi)` and mu phi, in the same order; the
+    mirror axes are the reflections among them."""
+    s = request.getfixturevalue(setup)
+    d = s.domain
+    p = Params(lam=1.0, mu=0.01, spectral=s.spectral, lift=solve_lift(boundary, d))
+    want = [g for g in d.symmetries if _matches(d.apply_symmetry(g, p.mu_phi), p.mu_phi)]
+    assert p.symmetry_group == want and len(want) == order
+    assert p.mirror_axes == tuple(S[0] for P, S in want if P == (0, 1, 2) and len(S) == 1)
 

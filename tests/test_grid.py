@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import pickle
 import re
 import warnings
@@ -550,19 +551,30 @@ def test_solve_cg_zero_rhs_and_breakdown(annulus9):
         solve_cg((-dom.matrix).dot, np.ones(dom.n_interior), label="probe")
 
 
+def _check_sine_transform(sizes, seed):
+    """The buffer-alternating BLAS transform with one square matrix S[d] per
+    axis against S[d] applied along axis d in turn by `np.tensordot`, to
+    1e-14 relative."""
+    rng = np.random.default_rng(seed)
+    S = [rng.standard_normal((n, n)) for n in sizes]
+    x = rng.standard_normal(sizes)
+    ref = x
+    for d, Sd in enumerate(S):
+        ref = np.moveaxis(np.tensordot(Sd, ref, axes=(0, d)), 0, d)
+    got, _ = _sine_transform(S, x.copy(), np.empty_like(x))
+    assert got.shape == x.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("N, n", [(2, 9), (3, 7), (3, 23), (4, 5)])
 def test_sine_transform_matches_axis_by_axis_products(N, n):
-    """The buffer-alternating BLAS transform against S applied along each
-    axis in turn by `np.tensordot`, to 1e-14 relative."""
-    rng = np.random.default_rng(n)
-    S = rng.standard_normal((n, n))
-    S = S + S.T
-    x = rng.standard_normal((n,) * N)
-    ref = x
-    for d in range(N):
-        ref = np.moveaxis(np.tensordot(S, ref, axes=(1, d)), 0, d)
-    got, _ = _sine_transform(S, x.copy(), np.empty_like(x))
-    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    _check_sine_transform((n,) * N, n)
+
+
+@pytest.mark.parametrize("sizes", [(4, 8, 8), (5, 9, 5), (9, 5, 9, 5)])
+def test_sine_transform_takes_axes_of_different_lengths(sizes):
+    """A fold over some axes keeps a half of those and all of the others."""
+    _check_sine_transform(sizes, sum(sizes))
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -606,63 +618,113 @@ FOLD_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", FOLD_SPECS, ids=["cube-odd", "cube-even", "sides", "N4-odd",
-                                                   "N4-even", "annulus-odd", "annulus-even"])
+FOLD_IDS = ["cube-odd", "cube-even", "sides", "N4-odd", "N4-even", "annulus-odd",
+            "annulus-even"]
+
+
+def _axes_subsets(N):
+    return [axes for k in range(N + 1) for axes in itertools.combinations(range(N), k)]
+
+
+@pytest.mark.parametrize("spec", FOLD_SPECS, ids=FOLD_IDS)
 def test_fold_is_the_lattice_on_mirror_symmetric_fields(spec):
-    """On mirror-symmetric fields x (the unfolding of random fold values)
-    the fold's -Lap, preconditioner and quadrature are the lattice's, to
-    1e-14 relative; diag(mult) -Lap_fold is exactly symmetric, and
-    unfold(restrict(x)) is x."""
+    """For every subset of the axes, on fields x that those axes'
+    mid-plane reflections fix (the unfolding of random fold values) the
+    fold's -Lap, preconditioner and quadrature are the lattice's, to 1e-14
+    relative; diag(mult) -Lap_fold is exactly symmetric, and
+    unfold(restrict(x)) is x.  Each folded axis halves the nodes, or keeps
+    the mid-plane's too."""
     dom = build_domain(spec)
-    fold = dom.fold
+    assert dom.mirror_axes == tuple(range(spec.dimension))
     rng = np.random.default_rng(spec.resolution)
-    x, y = (fold.unfold(rng.standard_normal(fold.n_interior)) for _ in range(2))
-    xf, yf = fold.restrict(x), fold.restrict(y)
-    assert np.array_equal(fold.unfold(xf), x)
-    assert np.all(np.isin(fold.mult, (1.0, 2.0, 4.0, 8.0, 16.0)))
-    assert fold.n_interior < dom.n_interior
+    for axes in _axes_subsets(spec.dimension):
+        fold = dom.fold(axes)
+        x, y = (fold.unfold(rng.standard_normal(fold.n_interior)) for _ in range(2))
+        xf, yf = fold.restrict(x), fold.restrict(y)
+        assert np.array_equal(fold.unfold(xf), x)
+        assert np.all(np.isin(fold.mult, [2.0**k for k in range(len(axes) + 1)]))
+        if axes:
+            assert dom.fold(axes[:-1]).n_interior / 2 <= fold.n_interior
+            assert fold.n_interior < dom.fold(axes[:-1]).n_interior
+        else:
+            assert fold.n_interior == dom.n_interior
+        for a in axes:
+            assert np.array_equal(dom.reflect(a, x), x)
 
-    def close(a, b):
-        return np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
-    assert close(fold.matrix @ xf, fold.restrict(dom.matrix @ x))
-    assert close(fold.precondition(xf), fold.restrict(dom.precondition(x)))
-    for got, want in ((fold.inner(xf, yf), dom.inner(x, y)),
-                      (fold.l2_norm(xf), dom.l2_norm(x)),
-                      (fold.lp_norm(xf, dom.two_star), dom.lp_norm(x, dom.two_star)),
-                      (fold.h1_norm_sq(xf), dom.h1_norm_sq(x))):
-        assert abs(got - want) <= 1e-14 * abs(want)
-    W = (sparse.diags(fold.mult) @ fold.matrix).toarray()
-    assert np.array_equal(W, W.T)
-    assert fold.matrix.indices.dtype == np.int32 and fold.matrix.has_sorted_indices
+        assert close(fold.matrix @ xf, fold.restrict(dom.matrix @ x))
+        assert close(fold.precondition(xf), fold.restrict(dom.precondition(x)))
+        for got, want in ((fold.l2_norm(xf), dom.l2_norm(x)),
+                          (fold.lp_norm(xf, dom.two_star), dom.lp_norm(x, dom.two_star)),
+                          (fold.h1_norm_sq(xf), dom.h1_norm_sq(x))):
+            assert abs(got - want) <= 1e-14 * abs(want)
+        # relative to its Cauchy-Schwarz bound: <x, y> itself may cancel
+        assert abs(fold.inner(xf, yf) - dom.inner(x, y)) <= 1e-14 * dom.l2_norm(x) * dom.l2_norm(y)
+        W = (sparse.diags(fold.mult) @ fold.matrix).toarray()
+        assert np.array_equal(W, W.T)
+        assert fold.matrix.indices.dtype == np.int32 and fold.matrix.has_sorted_indices
+
+
+@pytest.mark.parametrize("spec", FOLD_SPECS, ids=FOLD_IDS)
+def test_reflect_is_apply_symmetry_of_the_reflection(spec):
+    """`Domain.reflect` is `apply_symmetry((identity, (a,)), x)` bit for bit
+    on every mirror axis a."""
+    dom = build_domain(spec)
+    x = np.random.default_rng(1).standard_normal(dom.n_interior)
+    identity = tuple(range(spec.dimension))
+    for a in dom.mirror_axes:
+        assert np.array_equal(dom.reflect(a, x), dom.apply_symmetry((identity, (a,)), x))
+    assert dom._reflections[0].dtype == np.int32
 
 
 def test_fold_needs_a_mirror_symmetric_mask(box9):
-    """A lattice whose interior mask a mid-plane reflection does not map
-    onto itself has no fold; the fold is built on first use."""
+    """A lattice folds over the axes whose mid-plane reflection maps its
+    interior mask onto itself (`Domain.mirror_axes`), and over no other;
+    a fold is built on first use, once per tuple of axes."""
     dom = build_domain(box9.domain.spec)
-    assert "fold" not in vars(dom)
-    dom._interior_mask[1, 1, 1] = False
-    assert dom.fold is None
+    assert "_folds" not in vars(dom)
+    assert dom.fold((1, 2)) is dom.fold((1, 2)) is not dom.fold((0, 1, 2))
+    dom = build_domain(box9.domain.spec)
+    dom._interior_mask[1, 1, 4] = False  # on the mid-plane of axis 2
+    assert dom.mirror_axes == (2,)
+    with pytest.raises(ArgumentError, match=r"axes \(0, 2\) are not among the mirror axes"):
+        dom.fold((0, 2))
 
 
 @pytest.mark.parametrize("query", [lambda f: f.symmetries, lambda f: f.bubble_frame,
-                                   lambda f: f.fold, repr],
-                         ids=["symmetries", "bubble_frame", "fold", "repr"])
+                                   lambda f: f.fold((0,)), grid.Domain.__repr__,
+                                   lambda f: f.mirror_axes,
+                                   lambda f: f.reflect(0, np.zeros(f.n_interior))],
+                         ids=["symmetries", "bubble_frame", "fold", "lattice_repr",
+                              "mirror_axes", "reflect"])
 def test_fold_refuses_the_lattice_only_queries(box9, query):
     """A fold is a `Domain` without a lattice mask, spec or axes: the
     queries that only a lattice answers raise AttributeError on it."""
     with pytest.raises(AttributeError):
-        query(box9.domain.fold)
+        query(box9.domain.fold((0, 1, 2)))
+
+
+def test_fold_repr_names_its_axes_and_nodes(box9):
+    """A fold has a repr of its own, so the Params and the spectral data on
+    it have readable reprs too."""
+    fold = box9.domain.fold((1, 2))
+    assert repr(fold) == "Fold(folded_axes=(1, 2), interior=112)"
+    p = box9.params(lam_factor=0.5, mu=0.01).folded((1, 2))
+    assert "Fold(folded_axes=(1, 2), interior=112)" in repr(p)
+    assert repr(p.spectral).startswith("SpectralData(domain=Fold(folded_axes=(1, 2)")
 
 
 def test_dropped_domain_with_its_fold_is_freed_without_gc(box9):
-    """The fold keeps no reference to its lattice, so a dropped domain is
+    """The folds keep no reference to their lattice, so a dropped domain is
     freed at once, with the garbage collector off."""
     gc.disable()
     try:
         dom = build_domain(box9.domain.spec)
-        dom.fold.precondition(np.ones(dom.fold.n_interior))
+        for axes in ((0, 1, 2), (1,)):
+            dom.fold(axes).precondition(np.ones(dom.fold(axes).n_interior))
+        dom.reflect(0, np.ones(dom.n_interior))
         ref = weakref.ref(dom)
         del dom
         assert ref() is None

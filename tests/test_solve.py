@@ -11,7 +11,7 @@ from bnsolver.errors import (
     NonpositiveMinusLevelError,
     PreconditionError,
 )
-from bnsolver import grid, numutil, solve
+from bnsolver import functional, grid, numutil, solve
 from bnsolver.functional import FiberingProfile, Params, energy, gradient_values
 from bnsolver.grid import AnnulusD, Box, DomainSpec, Field, _cg, build_domain, symmetry_point
 from bnsolver.lift import BumpOnBoundary, solve_lift
@@ -495,12 +495,13 @@ def _solved_on(monkeypatch):
                                   "annulus-odd"])
 def test_folded_solve_matches_the_full_one(fold_setups, name, monkeypatch):
     """With the node-count floor lifted, the Plus solve, the ground state's
-    descent and the Minus solve from the ground state run on the fold when
-    the lattice, mu phi and the seed are mirror-symmetric (on the annulus
-    the default bump is not, so its ground state and Minus solve run
-    unfolded).  Each record is the unfolded solve's on the full lattice
-    (`_plus_solve`, `_minus_solve`): energy within 1e-12, the same class,
-    a grad_norm taken on the full lattice, and it certifies there."""
+    descent and the Minus solve from the ground state run on the fold of
+    the axes whose reflection fixes the lattice, mu phi and the seed (on
+    the annulus the default bump sits on the first axis, so its ground
+    state and Minus solve fold over the other two).  Each record is the
+    unfolded solve's on the full lattice (`_plus_solve`, `_minus_solve`):
+    energy within 1e-12, the same class, a grad_norm taken on the full
+    lattice, and it certifies there."""
     s = fold_setups[name]
     p = s.params(lam_factor=0.5, mu=0.01)
     monkeypatch.setattr(solve, "FOLD_MIN_NODES", 0)
@@ -515,11 +516,10 @@ def test_folded_solve_matches_the_full_one(fold_setups, name, monkeypatch):
             solve._minus_solve(p, gs.values, 1.0, SeedKind.GROUND_STATE_RAY, True)]
     gs_full = solve._minus_solve(s.params(lam_factor=0.5, mu=0.0), bump, 1.0,
                                  SeedKind.GROUND_STATE_RAY, False)
-    fold = s.domain.fold
-    on_gs = (fold.n_interior if grid._matches(fold.unfold(fold.restrict(bump)), bump)
-             else s.domain.n_interior)
-    assert nodes == [on_gs, fold.n_interior, on_gs]
-    assert (on_gs == fold.n_interior) is (name != "annulus-odd")
+    dom = s.domain
+    on_gs = dom.fold(grid.fixed_axes(dom, dom.mirror_axes, bump)).n_interior
+    assert nodes == [on_gs, dom.fold(dom.mirror_axes).n_interior, on_gs]
+    assert on_gs == dom.fold((1, 2) if name == "annulus-odd" else dom.mirror_axes).n_interior
     assert abs(gs.values - gs_full.v.values).max() <= 1e-9 * abs(gs_full.v.values).max()
     for rec, ref in zip(folded, full):
         assert rec.klass is ref.klass
@@ -530,9 +530,9 @@ def test_folded_solve_matches_the_full_one(fold_setups, name, monkeypatch):
 
 
 def test_asymmetric_data_or_seed_solve_unfolded(box13, monkeypatch):
-    """A 13^3 cube folds its solves by default; a seed that no mid-plane
-    reflection fixes runs unfolded, and so does every solve when the
-    boundary data are not mirror-symmetric."""
+    """A 13^3 cube folds its solves over every axis by default; a seed that
+    no mid-plane reflection fixes runs unfolded, and boundary data peaked
+    on the first axis fold the solves over the other two."""
     p = box13.params(lam_factor=0.5, mu=0.01)
     dom = box13.domain
     nodes = _solved_on(monkeypatch)
@@ -542,12 +542,68 @@ def test_asymmetric_data_or_seed_solve_unfolded(box13, monkeypatch):
     minimize_on_Nminus(p, Field(seed, dom))
     lift = solve_lift(BumpOnBoundary((1.0, 0.0, 0.0), 0.3, 1.0), dom)
     q = Params(lam=p.lam, mu=0.01, spectral=box13.spectral, lift=lift)
-    assert q.folded is None and p.folded is not None
+    assert q.mirror_axes == (1, 2) and p.mirror_axes == (0, 1, 2)
     minimize_on_Nplus(q)
-    assert nodes == [dom.fold.n_interior] + [dom.n_interior] * 3
-    fold = dom.fold
-    assert np.array_equal(p.folded.lift.values, fold.restrict(box13.lift.values))
-    assert np.array_equal(p.folded.mu_phi, fold.restrict(p.mu_phi))
+    fold = dom.fold((0, 1, 2))
+    assert nodes == [fold.n_interior] + [dom.n_interior] * 2 + [dom.fold((1, 2)).n_interior]
+    assert np.array_equal(p.folded((0, 1, 2)).lift.values, fold.restrict(box13.lift.values))
+    assert np.array_equal(p.folded((0, 1, 2)).mu_phi, fold.restrict(p.mu_phi))
+
+
+@pytest.fixture(scope="module")
+def bump_box13():
+    """The 13^3 cube with boundary data peaked on the first axis: mu phi is
+    fixed by the reflections of the other two."""
+    s = Setup(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 13))
+    s.lift = solve_lift(BumpOnBoundary((1.0, 0.0, 0.0), 0.3, 1.0), s.domain)
+    return s
+
+
+def _matches_unfolded(rec, ref, p):
+    """rec, a solve on a partial fold, is ref, the unfolded solve's, on the
+    full lattice: same class, energy within 1e-12 and it certifies."""
+    assert rec.klass is ref.klass
+    assert abs(rec.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+    assert certify_solution(rec, p).overall
+
+
+def test_partially_folded_solves_match_the_unfolded_ones(annulus9, bump_box13, monkeypatch):
+    """Solves whose data or seed only some mid-plane reflections fix run on
+    the fold of those axes and match the unfolded `_plus_solve` and
+    `_minus_solve` within 1e-12: the annulus ground state (its default bump
+    sits on the first axis), a multistart seed on the first axis, and the
+    Plus and Minus solves of boundary data peaked on the first axis."""
+    monkeypatch.setattr(solve, "FOLD_MIN_NODES", 0)
+    monkeypatch.setattr(annulus9.spectral, "ground_state_cache", {})
+    nodes = _solved_on(monkeypatch)
+    p = annulus9.params(lam_factor=0.5, mu=0.01)
+    dom = annulus9.domain
+    gs = ground_state(p.lam, annulus9.spectral, annulus9.lift)
+    rec_plus = minimize_on_Nplus(p)
+    seeds, minus = [], solve.minimize_on_Nminus
+
+    def logged(p, seed, **kwargs):
+        seeds.append(seed.values)
+        return minus(p, seed, **kwargs)
+
+    monkeypatch.setattr(solve, "minimize_on_Nminus", logged)
+    bubble = multistart_Nminus(p, [np.array([1.0, 0.0, 0.0])], 0.3, rec_plus)[0]
+    q = bump_box13.params(lam_factor=0.5, mu=0.01)
+    q_plus = minimize_on_Nplus(q)
+    q_minus = minimize_on_Nminus(q, q_plus.v)
+    monkeypatch.undo()
+    on = [dom.fold((1, 2)).n_interior, dom.fold((0, 1, 2)).n_interior,
+          dom.fold((1, 2)).n_interior, bump_box13.domain.fold((1, 2)).n_interior]
+    assert nodes == on + on[-1:]
+    p0 = annulus9.params(lam_factor=0.5, mu=0.0)
+    gs_full = solve._minus_solve(p0, dom.default_bump, 1.0, SeedKind.GROUND_STATE_RAY, False)
+    _matches_unfolded(solve.build_record(p0, gs.values, None, SeedKind.GROUND_STATE_RAY, 0),
+                      gs_full, p0)
+    _matches_unfolded(bubble, solve._minus_solve(p, seeds[0], 1.0, SeedKind.BUBBLE, False), p)
+    _matches_unfolded(q_plus, solve._plus_solve(q, solve.zero_relax_seed(q).values,
+                                                SeedKind.ZERO_RELAX, 1.0), q)
+    _matches_unfolded(q_minus, solve._minus_solve(q, q_plus.v.values, 1.0, SeedKind.USER,
+                                                  False), q)
 
 
 def test_small_lattices_solve_unfolded(box9, monkeypatch):
@@ -919,26 +975,72 @@ def test_asymmetric_boundary_data_solve_every_seed(annulus9, monkeypatch):
 
 def test_symmetry_group_is_found_once_per_params(annulus9, monkeypatch):
     """The multistart and the minimax of one (lam, mu) share one symmetry
-    group: all symmetries are applied to mu*phi once, on the first search."""
+    group: all symmetries are applied to mu*phi once, on the first search,
+    each to the one lattice array of mu*phi."""
     p = annulus9.params(lam_factor=0.25, mu=0.01)
     rec_plus = minimize_on_Nplus(p)
     gs = ground_state(p.lam, annulus9.spectral, annulus9.lift)
     rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
     dom = annulus9.domain
-    apply, on_mu_phi = type(dom).apply_symmetry, []
+    act, on_mu_phi, arrays = functional._lattice_act, [], set()
 
-    def counted(self, g, values):
-        if values is p.mu_phi:
-            on_mu_phi.append(g)
-        return apply(self, g, values)
+    def counted(x, P, S):
+        on_mu_phi.append((P, S))
+        arrays.add(id(x))
+        return act(x, P, S)
 
-    monkeypatch.setattr(type(dom), "apply_symmetry", counted)
+    monkeypatch.setattr(functional, "_lattice_act", counted)
     multistart_Nminus(p, sphere_directions(3, 6), 0.3, rec_plus)
     assert on_mu_phi == dom.symmetries
     _small_minimax(monkeypatch, 3, 1)
     minimax_gamma(p, 0.3, rec_plus, rec_minus)
-    assert on_mu_phi == dom.symmetries
+    assert on_mu_phi == dom.symmetries and len(arrays) == 1
     assert solve._Orbits(p).group is p.symmetry_group and len(p.symmetry_group) == 48
+
+
+def test_minimax_on_folds_matches_the_unfolded_search(annulus9, monkeypatch):
+    """With the node-count floor lifted the minimax relaxes each orbit
+    representative on the fold of the reflections that fix its point (the
+    axis points over the other two axes; no reflection fixes a diagonal
+    point) and unfolds the maximiser before the polish: the same
+    gamma_estimate to 1e-12, the same point counts and the same outcome as
+    with the fold patched out."""
+    p = annulus9.params(lam_factor=0.25, mu=0.01)
+    rec_plus = minimize_on_Nplus(p)
+    gs = ground_state(p.lam, annulus9.spectral, annulus9.lift)
+    rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
+    _small_minimax(monkeypatch, 3, 2)
+    full = minimax_gamma(p, 0.3, rec_plus, rec_minus)
+    monkeypatch.setattr(solve, "FOLD_MIN_NODES", 0)
+    nodes, descent = [], solve._cone_descent
+
+    def logged(p, *args):
+        nodes.append(p.domain.n_interior)
+        return descent(p, *args)
+
+    monkeypatch.setattr(solve, "_cone_descent", logged)
+    folded = minimax_gamma(p, 0.3, rec_plus, rec_minus)
+    dom = annulus9.domain
+    assert set(nodes) == {dom.fold((0, 1, 2)).n_interior, dom.fold((1, 2)).n_interior,
+                          dom.n_interior}
+    assert abs(folded.gamma_estimate - full.gamma_estimate) <= 1e-12 * abs(full.gamma_estimate)
+    assert (folded.relaxed_points, folded.image_points) == (full.relaxed_points,
+                                                            full.image_points)
+    assert folded.found is full.found
+    if full.found:
+        assert abs(folded.record.energy - full.record.energy) <= 1e-12 * full.record.energy
+
+
+def test_folds_of_every_axis_take_no_reflection(monkeypatch):
+    """Data and seeds that every mid-plane reflection fixes pass the gate
+    of the fold over all axes at once: a folded box solve builds no
+    reflection table."""
+    s = Setup(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 12))
+    p = s.params(lam_factor=0.5, mu=0.01)
+    rec_plus = minimize_on_Nplus(p)
+    minimize_on_Nminus(p, ground_state(p.lam, s.spectral, s.lift))
+    assert rec_plus.iterations > 0 and list(vars(s.domain)["_folds"]) == [(0, 1, 2)]
+    assert "_reflections" not in vars(s.domain)
 
 
 @pytest.mark.parametrize("boundary", ["constant", "bump"])
