@@ -631,7 +631,14 @@ def profile_cmd(config_path, ray_path, samples=200, tmax_factor=2.0, out_path=No
     p = Params(lam=lambdas[0], mu=mus[0], spectral=spectral, lift=lift)
 
     v = load_field(ray_path, domain).values
-    prof = FiberingProfile(v, p)
+    # a dump that no fibering map takes (zero, or values whose powers
+    # overflow) is refused by its profile, without a warning, as certify
+    # refuses it
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            prof = FiberingProfile(v, p)
+    except ArgumentError as e:
+        raise ArgumentError(f"{ray_path}: {e}") from None
     tm, tp = t_minus(prof), t_plus(prof)
     lines = ["t,T,T1,T2"]
     for t in np.linspace(0.0, tmax_factor * tm, samples).tolist():

@@ -132,17 +132,18 @@ class Params:
 
     def folded(self, axes):
         """These parameters on the reflection fold of the lattice over
-        `axes`, a tuple of `mirror_axes` (`grid.Domain.fold`), with e1, the
-        Sobolev witness and the lift restricted to the fold; built on first
-        use, once per tuple."""
+        `axes`, a tuple of `mirror_axes` (`grid.Domain.fold`), with the lift
+        restricted to the fold, one gather; built on first use, once per
+        tuple.  Its spectral data carry lambda1 and sobolev_S, which the
+        searches read, and no e1 or Sobolev witness (None): no search on a
+        fold reads them, and the convexity check restricts e1 itself."""
         folds = self._folds
         if axes not in folds:
             fold = self.domain.fold(axes)
             s = self.spectral
-            e1, witness, phi = (Field(fold.restrict(f.values), fold)
-                                for f in (s.e1, s.sobolev_witness, self.lift))
             folds[axes] = Params(self.lam, self.mu,
-                                 SpectralData(fold, s.lambda1, e1, s.sobolev_S, witness), phi)
+                                 SpectralData(fold, s.lambda1, None, s.sobolev_S, None),
+                                 Field(fold.restrict(self.lift.values), fold))
         return folds[axes]
 
     @cached_property

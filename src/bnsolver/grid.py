@@ -47,7 +47,12 @@ Discrete conventions, fixed once and used everywhere:
   where -Lap is diagonal (see `estimate_sobolev_S`).
   Both are setup: `bnsolver certify` checks the run's stored spectral data
   and lift instead (`load_spectral_data`, `lift.load_lift`) and solves
-  nothing.  One Poisson preconditioner, `Domain.precondition`,
+  nothing.  On a masked lattice the set-up's three Krylov solves (the
+  eigenpair's LOBPCG, the descent's CG and the lift's CG) run on the
+  reflection fold over the mirror axes that fix their data (`fold_axes`),
+  in the fold's weighted coordinates (`Fold.symmetric`), and their results
+  are unfolded; every acceptance test stays on the lattice.  One Poisson
+  preconditioner, `Domain.precondition`,
   serves everything else on every domain: the cone descent's gradient
   lift, the MINRES of the Newton polish and the one eigensolver
   `lowest_eigenpair`, a single-vector LOBPCG on raw arrays (one 3x3
@@ -84,7 +89,13 @@ Discrete conventions, fixed once and used everywhere:
   shared.  `restrict` and `unfold` move a field between the lattice and the
   fold, and the fold keeps no reference to its lattice.  `fixed_axes`
   picks the axes whose reflection fixes given data, with the fold's
-  round trip as the gate;
+  round trip as the gate, and `fold_axes` adds the node-count floor
+  FOLD_MIN_NODES: the one gate of the set-up solves, the branch searches
+  and the convexity check.  CG and LOBPCG, whose steps take plain dot
+  products, run on a fold in the coordinates y = sqrt(mult) x
+  (`Fold.symmetric`, `Fold.root_mult`), where those products are the
+  lattice's, so they take the lattice's iterations on mirror-symmetric
+  data;
 * bubble profiles (`solve.make_bubble`) are evaluated in a frame and under
   a radial cutoff that depend only on the domain (`Domain.bubble_frame`),
   built on the first bubble;
@@ -139,6 +150,19 @@ SOBOLEV_SHARE_CAP = 0.25
 # Relative sup-norm within which a symmetry maps one value array onto
 # another (`_matches`).
 SYMMETRY_TOL = 1e-12
+
+# Lattices with fewer interior nodes solve unfolded (`fold_axes`): the fold
+# saves work in proportion to the lattice, while its Params, the data check
+# and the record's rebuild on the lattice cost a fixed time per solve.  On
+# the bench mu-star-sweep config (2-core VM, one BLAS thread) folding the
+# branch searches ran 7% slower on a res-9 cube (343 nodes), 2% slower at
+# res 10 (512), 2% faster at res 11 (729), 7% faster at res 12 (1000) and
+# 15-20% faster at res 13 (1331).  A fold over one axis pays at the floor
+# too: on a res-12 cube with boundary data peaked along (1, 1, 0), which
+# only the third axis's reflection fixes, the Plus, ground-state and Minus
+# solves took 4.18 ms on the 500-node fold against 4.50 ms unfolded (same
+# VM, medians of 15).
+FOLD_MIN_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -333,12 +357,21 @@ class Domain:
         matrix is applied again.  On a masked lattice, CG from zero to
         relative residual rtol within maxiter iterations (default
         20 * n_interior) that raises NumericalError, naming `label`, when it
-        stops short.  The one program caller is the harmonic lift
-        (`lift.solve_lift`), which passes its own tolerance, cap and label.
+        stops short; on the fold over the mirror axes whose reflection fixes
+        b (`_setup_fold`), in its weighted coordinates (`Fold.symmetric`),
+        where it takes the lattice's iterations, when there are such axes.
+        The one program caller is the harmonic lift (`lift.solve_lift`),
+        which passes its own tolerance, cap and label.
         """
         if isinstance(self.spec.shape, Box):
             return self.precondition(b)
-        return _cg(self.matrix.dot, b, None, rtol, maxiter or 20 * self.n_interior, label)
+        maxiter = maxiter or 20 * self.n_interior
+        fold = _setup_fold(self, b)
+        if fold is None:
+            return _cg(self.matrix.dot, b, None, rtol, maxiter, label)
+        r = fold.root_mult
+        y = _cg(fold.symmetric(fold.matrix.dot), r * fold.restrict(b), None, rtol, maxiter, label)
+        return fold.unfold(y / r)
 
     def precondition(self, b):
         """The sine-transform solve of -Lap on the bounding box of the
@@ -378,8 +411,11 @@ class Domain:
 
     def fold(self, axes):
         """The reflection fold of the lattice over `axes`, an increasing
-        tuple of its mirror axes (`Fold`).  Built on the first folded solve
-        over those axes, not by `build_domain`, and kept per tuple."""
+        tuple of its mirror axes (`Fold`).  Built on the first solve folded
+        over those axes or the first gate that tries them (`fixed_axes`),
+        not by `build_domain`: on a masked lattice past FOLD_MIN_NODES that
+        is the set-up (`principal_eigenpair`, `estimate_sobolev_S`, the
+        lift's `solve_poisson`).  Kept per tuple."""
         if not set(axes) <= set(self.mirror_axes):
             raise ArgumentError(f"axes {axes} are not among the mirror axes "
                                 f"{self.mirror_axes} of {self!r}")
@@ -563,7 +599,9 @@ class Fold(Domain):
     an unfolded axis fold node k is box node k.  `mult`, the product of the
     per-axis orbit sizes (1 or 2, so mult * x is exact), weights each fold
     node in every node sum, so the quadrature of a folded field is that of
-    its unfolding.
+    its unfolding; `root_mult` = sqrt(mult) carries the Krylov solves of a
+    fold in coordinates where the plain dot products are the lattice's
+    (`symmetric`).
 
     A fold is a `Domain` that differs from its lattice only in its nodes,
     its -Lap (`matrix`), its sine data (`_sine_basis`, `_sine_inverse`,
@@ -615,6 +653,7 @@ class Fold(Domain):
                 diag[low] += c[a]
                 mult *= 2.0
         self.mult = mult
+        self.root_mult = np.sqrt(mult)
         # diag(mult) matrix is symmetric: -Lap in the weighted inner product
         self.matrix = _stencil_csr(minus, plus,
                                    np.stack([*c_minus, diag, *reversed(c_plus)], axis=1))
@@ -667,6 +706,18 @@ class Fold(Domain):
         preconditioner of diag(mult) -Lap, whose inverse it is on a box).
         Exact on a box."""
         return self.weighted_precondition(self.mult * b)
+
+    def symmetric(self, op):
+        """The map y -> root_mult * op(y / root_mult) of the coordinates
+        y = root_mult * x of the fold values x, for a map op of fold values
+        that is symmetric in the fold's weighted inner product <mult x, z>
+        (`matrix`, `precondition`, and the Hessian, -Lap - diag(c)): it is
+        symmetric in the plain one, and the plain dot products and norms of
+        y are the lattice's of the unfolded fields.  So CG and LOBPCG, run
+        on y, take the lattice's steps and stop tests on mirror-symmetric
+        data."""
+        r = self.root_mult
+        return lambda y: r * op(y / r)
 
     def restrict(self, values):
         """The fold's values of a raw value array of the lattice."""
@@ -736,6 +787,23 @@ def fixed_axes(domain: Domain, axes, x):
     return axes
 
 
+def fold_axes(domain: Domain, axes, x):
+    """The axes of the reflection fold that a solve from the raw value
+    array x runs on: `fixed_axes(domain, axes, x)` on a lattice of at least
+    FOLD_MIN_NODES interior nodes, none (the lattice itself) on a smaller
+    one.  The one gate of the set-up solves, the branch searches
+    (`solve._on_fold`) and the convexity check's eigensolve."""
+    return fixed_axes(domain, axes, x) if domain.n_interior >= FOLD_MIN_NODES else ()
+
+
+def _setup_fold(domain: Domain, x):
+    """The fold over the mirror axes whose reflection fixes the data x of a
+    set-up solve on a masked lattice (`fold_axes`), or None when the solve
+    runs on the lattice."""
+    axes = fold_axes(domain, domain.mirror_axes, x)
+    return domain.fold(axes) if axes else None
+
+
 def _sine_transform(S, x, out):
     """The square matrix S[d] applied along axis d of the N-dimensional array
     x, for every d, x_j -> sum_i x_i S[d][i, j], by N BLAS products that
@@ -790,7 +858,9 @@ class SpectralData:
     """Principal eigenpair, best-quotient estimate with its witness (the
     field whose critical Rayleigh quotient is sobolev_S) and the per-lambda
     ground state cache for a fixed domain.  A run stores all but the cache
-    (`dump_spectral_data`); certify reads them back (`load_spectral_data`)."""
+    (`dump_spectral_data`); certify reads them back (`load_spectral_data`).
+    On a fold's Params (`functional.Params.folded`) e1 and the witness are
+    None."""
 
     domain: Domain
     lambda1: float
@@ -822,17 +892,28 @@ def principal_eigenpair(domain: Domain):
     residual EIG_TOL times the lowest stencil eigenvalue of the bounding
     box (the masked -Lap is a principal submatrix of the box's, so that
     eigenvalue is a lower bound for lambda1), within EIG_MAXITER
-    iterations.  lambda1 is the Rayleigh quotient of e1, and the pair is
-    accepted only when the eigen-residual ||-Lap e1 - lambda1 e1||_2 is
-    below EIG_TOL * lambda1; otherwise NumericalError with that residual.
+    iterations: on the fold over every mirror axis (`_setup_fold`), in its
+    weighted coordinates (`Fold.symmetric`), where it takes the lattice's
+    iterations, and unfolded.  lambda1 is the Rayleigh quotient of e1 on
+    the lattice, and the pair is accepted only when the eigen-residual
+    ||-Lap e1 - lambda1 e1||_2 is below EIG_TOL * lambda1; otherwise
+    NumericalError with that residual.
     """
     S, eig = domain._sine_basis
     if isinstance(domain.spec.shape, Box):
         x = math.prod(np.ix_(*(Sd[:, 0] for Sd in S))).ravel()
         return float(eig.flat[0]), Field(x / domain.l2_norm(x), domain)
     A = domain.matrix
-    _, x, iters = lowest_eigenpair(domain, A.dot, np.ones(domain.n_interior),
-                                   EIG_TOL * eig.flat[0], EIG_MAXITER)
+    x0, tol = np.ones(domain.n_interior), EIG_TOL * eig.flat[0]
+    fold = _setup_fold(domain, x0)
+    if fold is None:
+        _, x, iters = lowest_eigenpair(domain.precondition, A.dot, x0, tol, EIG_MAXITER)
+    else:
+        r = fold.root_mult
+        _, y, iters = lowest_eigenpair(fold.symmetric(fold.precondition),
+                                       fold.symmetric(fold.matrix.dot), r * fold.restrict(x0),
+                                       tol, EIG_MAXITER)
+        x = fold.unfold(y / r)
     x = x / domain.l2_norm(x)
     Ax = A @ x
     lam = domain.inner(Ax, x)
@@ -848,10 +929,11 @@ def principal_eigenpair(domain: Domain):
     return float(lam), Field(x, domain)
 
 
-def lowest_eigenpair(domain: Domain, op, x0, tol, maxiter, B=None):
+def lowest_eigenpair(M, op, x0, tol, maxiter, B=None):
     """(sigma, x, iterations), the lowest eigenpair of op x = sigma B x
     (B = I when None; op and B act on raw arrays) by single-vector LOBPCG
-    from the raw array x0, preconditioned by `Domain.precondition`
+    from the raw array x0, preconditioned by the map M, a domain's
+    `Domain.precondition` or its symmetric form on a fold (`Fold.symmetric`)
     (Knyazev, SIAM J. Sci. Comput. 23, 2001).  The rows of V are the basis
     x, w = M r (B-orthogonal to x) and p, with their op and B images in
     AV and BV; each iteration is one Rayleigh-Ritz step on the 3x3 Gram
@@ -876,7 +958,7 @@ def lowest_eigenpair(domain: Domain, op, x0, tol, maxiter, B=None):
         r = AV[0] - sigma * BV[0]
         if it == maxiter or np.linalg.norm(r) <= tol:
             return float(sigma), V[0].copy(), it
-        w = domain.precondition(r)
+        w = M(r)
         w -= (BV[0] @ w) * V[0]
         renew(1, w)
         gA, gB = V[:k] @ AV[:k].T, V[:k] @ BV[:k].T
@@ -946,24 +1028,33 @@ def estimate_sobolev_S(domain: Domain):
 
     The lift is CG to relative residual SOBOLEV_INNER_RTOL, warm-started
     from the previous direction.  On a masked lattice CG runs on the CSR
-    matrix.  On a box it runs in sine coordinates, where -Lap = Q diag(eig) Q
-    is the map x -> eig * x (Q the symmetric orthonormal sine transform of
-    `Domain._sine_basis`): CG is invariant under an orthogonal change of
-    basis, so it takes the same iterations as on the CSR matrix, each one a
-    scaling instead of a sparse product, and the gradient and the direction
-    cost one transform each.
+    matrix: the descent runs on the fold over the mirror axes whose
+    reflection fixes the default bump (`_setup_fold`), its CG in the fold's
+    weighted coordinates (`Fold.symmetric`), where it takes the lattice's
+    iterations, when there are such axes.  The witness is unfolded, and S is
+    its quotient on the lattice.  On a box CG runs in sine coordinates,
+    where -Lap = Q diag(eig) Q is the map x -> eig * x (Q the symmetric
+    orthonormal sine transform of `Domain._sine_basis`): CG is invariant
+    under an orthogonal change of basis, so it takes the same iterations as
+    on the CSR matrix, each one a scaling instead of a sparse product, and
+    the gradient and the direction cost one transform each.  The box
+    descent stays on the lattice: on the odd sine modes alone its CG would
+    drop the roundoff that the lattice CG carries in the even ones, which
+    moves S by 1.6e-11 at res 29, past the 1e-12 at which `s_quantum` is
+    compared.
 
     The unconstrained discrete minimizer is a single-cell spike whose
     one-sided-difference quotient sits well below the continuum constant (a
     lattice artifact: measured limits are about 4.0 for N=3 and 6.4 for N=4
     against 5.478 and 10.260).  Iterates are therefore only scored while they
-    remain grid-resolved, i.e. while no single cell carries more than
-    SOBOLEV_SHARE_CAP of the critical mass; past that point the descent has
-    entered the spike regime and is stopped.  The capped value sits above the
-    continuum constant and decreases under refinement.
+    remain grid-resolved, i.e. while no single node carries more than
+    SOBOLEV_SHARE_CAP of the critical mass (on a fold, of the mass weighted
+    by `Fold.mult`); past that point the descent has entered the spike
+    regime and is stopped.  The capped value sits above the continuum
+    constant and decreases under refinement.
     """
     two_star = domain.two_star
-    A = domain.matrix
+    d, bump = domain, domain.default_bump  # the domain the descent runs on, its start
     if isinstance(domain.spec.shape, Box):
         Q, eig = domain._sine_basis
         diag = eig.reshape(-1)
@@ -974,19 +1065,27 @@ def estimate_sobolev_S(domain: Domain):
         def sine(v):
             x = np.array(v, dtype=float).reshape(eig.shape)
             return _sine_transform(Q, x, np.empty(eig.shape))[0].reshape(-1)
+
+        into = back = sine  # into the CG's coordinates and back
     else:
-        op, sine = A.dot, lambda v: v
+        fold = _setup_fold(domain, bump)
+        if fold is None:
+            op, into, back = domain.matrix.dot, (lambda v: v), (lambda y: y)
+        else:
+            d, bump, r = fold, fold.restrict(bump), fold.root_mult
+            op, into, back = fold.symmetric(fold.matrix.dot), (lambda v: r * v), (lambda y: y / r)
+    A = d.matrix
 
     def peak_share(vals):
         mass = np.abs(vals) ** two_star
-        tot = float(mass.sum())
+        tot = float(d.node_sum(mass))
         return float(mass.max()) / tot if tot > 0 else 1.0
 
-    best, u = _renormalized(domain, domain.default_bump)
+    best, u = _renormalized(d, bump)
     witness = u
 
     q = best
-    d_sine = None
+    d_cg = None
     step = 1.0
     for _ in range(SOBOLEV_MAX_OUTER):
         # L2 gradient of the quotient at ||u||_{2*} = 1 (up to the factor 2)
@@ -996,11 +1095,11 @@ def estimate_sobolev_S(domain: Domain):
         # needs a direction, and the estimate is the best quotient along the
         # path of these iterates.  Exact solves move S by 2.7e-9 relative at
         # res 25, far outside the 1e-12 at which s_quantum is compared.  The
-        # warm start stays in sine coordinates.
-        d_sine = _cg(op, sine(g), d_sine, SOBOLEV_INNER_RTOL, 5000, "sobolev descent")
-        d = sine(d_sine)
+        # warm start stays in the CG's coordinates.
+        d_cg = _cg(op, into(g), d_cg, SOBOLEV_INNER_RTOL, 5000, "sobolev descent")
+        direction = back(d_cg)
         gain = 0.0
-        out = armijo(lambda beta: _renormalized(domain, u - beta * d), q, 0.0, step, 40)
+        out = armijo(lambda beta: _renormalized(d, u - beta * direction), q, 0.0, step, 40)
         if out is not None:
             (qt, u), step = out
             gain, q = q - qt, qt
@@ -1015,6 +1114,9 @@ def estimate_sobolev_S(domain: Domain):
             f"sobolev estimate still descending after {SOBOLEV_MAX_OUTER} iterations",
             stacklevel=2,
         )
+    if d is not domain:
+        witness = d.unfold(witness)
+        best = rayleigh_quotient(domain, witness)
     return float(best), Field(witness, domain)
 
 

@@ -41,8 +41,8 @@ solved seed and a seed check per candidate g.
 
 The Plus and Minus minimizers solve on the reflection fold of the lattice
 over the axes whose mid-plane reflection fixes the lattice, mu*phi and the
-seed (`grid.Domain.fold`, `grid.fixed_axes`, `_on_fold`), when the lattice
-has at least FOLD_MIN_NODES interior nodes and there is such an axis
+seed (`grid.Domain.fold`, `grid.fold_axes`, `_on_fold`), when the lattice
+has at least `grid.FOLD_MIN_NODES` interior nodes and there is such an axis
 (`_solve_folded`): by the principle of symmetric criticality a critical
 point among the fields that a group of reflections fixes is one of E.  The
 record comes back unfolded and rebuilt on the full lattice, so its callers
@@ -66,10 +66,10 @@ convergence target and the Minus descent's handoff level, the Minus
 descent passes per budget, the cone step's 30 backtracks (fewer once a
 step's required gain drops below one ulp of J), the multistart bubble
 scalings and deduplication distance, the minimax descent passes per point
-and round, the minimax radii and relaxation rounds, the fold's node-count
-floor, and the mu* continuation schedule (first step, growth, shrink, step
-floor, failure limit); the bubble cutoff radius and the symmetry match
-tolerance live in `grid`.
+and round, the minimax radii and relaxation rounds, and the mu*
+continuation schedule (first step, growth, shrink, step floor, failure
+limit); the bubble cutoff radius, the symmetry match tolerance and the
+fold's node-count floor live in `grid`.
 Options that stay are the ones program callers set to more than one value:
 `budget_factor` everywhere (a config key; the nonexistence criterion runs
 both minimizers at a tenfold budget), `solved_seed` of the Minus minimizer
@@ -98,7 +98,7 @@ from .errors import (
     SeedingError,
 )
 from .functional import FiberingProfile, Params, energy, gradient_values, hessian_weight
-from .grid import SYMMETRY_TOL, AnnulusD, Domain, Field, _matches, fixed_axes
+from .grid import SYMMETRY_TOL, AnnulusD, Domain, Field, _matches, fold_axes
 from .nehari import (
     Klass, barycenter, classify, reduced_functional, t_plus, two_root_regime,
 )
@@ -116,17 +116,6 @@ CONE_BACKTRACKS = 30  # most Armijo trials of one cone step
 MINIMAX_INNER_STEPS = 2  # cone descent passes per family point and relaxation round
 MINIMAX_RADII = 4  # radii of the minimax family's ball lattice, 0 to 1 - epsilon
 MINIMAX_ROUNDS = 3  # minimax relaxation rounds
-# Lattices with fewer interior nodes solve unfolded: the fold saves work in
-# proportion to the lattice, while its Params, the seed check and the
-# record's rebuild on the lattice cost a fixed time per solve.  On the bench
-# mu-star-sweep config (2-core VM, one BLAS thread) folding ran 7% slower on
-# a res-9 cube (343 nodes), 2% slower at res 10 (512), 2% faster at res 11
-# (729), 7% faster at res 12 (1000) and 15-20% faster at res 13 (1331).  A
-# fold over one axis pays at the floor too: on a res-12 cube with boundary
-# data peaked along (1, 1, 0), which only the third axis's reflection fixes,
-# the Plus, ground-state and Minus solves took 4.18 ms on the 500-node fold
-# against 4.50 ms unfolded (same VM, medians of 15).
-FOLD_MIN_NODES = 1000
 
 # mu* continuation schedule
 MU_INIT = 1e-3  # first mu step
@@ -350,10 +339,9 @@ def _on_fold(p: Params, x):
     """(q, y): the Params a search from the raw array x runs on and x on
     q's nodes.  q is p on the reflection fold of its lattice over the
     mirror axes that fix mu phi (`Params.mirror_axes`) and whose reflection
-    fixes x (`grid.fixed_axes`), and p itself when there are none or the
-    lattice has fewer than FOLD_MIN_NODES interior nodes."""
-    d = p.domain
-    axes = fixed_axes(d, p.mirror_axes, x) if d.n_interior >= FOLD_MIN_NODES else ()
+    fixes x, and p itself when there are none or the lattice has fewer
+    than `grid.FOLD_MIN_NODES` interior nodes (`grid.fold_axes`)."""
+    axes = fold_axes(p.domain, p.mirror_axes, x)
     if not axes:
         return p, x
     q = p.folded(axes)

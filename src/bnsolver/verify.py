@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IncompleteInputError, PreconditionError
 from .functional import Params, energy, gradient_values, hessian_weight
-from .grid import Field, lowest_eigenpair
+from .grid import Field, fold_axes, lowest_eigenpair
 from .nehari import Klass, classify
 from .numutil import abs_pow, signed_pow
 from .solve import SeedKind, SolutionRecord
@@ -301,9 +301,17 @@ def hessian_min_eigenvalue(p: Params, vvals) -> Tuple[float, float, int]:
     H x = sigma A x, H = A - diag(c) the Hessian of E at v (c from
     `functional.hessian_weight`) and A = -Lap, by `grid.lowest_eigenpair`
     from the principal eigenfunction.  The residual is
-    ||H x - sigma A x||_2 / ||A x||_2 at the returned x; LOBPCG stops once
-    it is at most CONVEXITY_EIG_RTOL or after CONVEXITY_EIG_MAXITER
-    iterations, and the caller judges it."""
+    ||H x - sigma A x||_2 / ||A x||_2 at the returned x, on the lattice;
+    LOBPCG stops once it is at most CONVEXITY_EIG_RTOL or after
+    CONVEXITY_EIG_MAXITER iterations, and the caller judges it.
+
+    LOBPCG runs on the fold over the reflections that fix mu phi and v
+    (`grid.fold_axes`), in the fold's weighted coordinates
+    (`grid.Fold.symmetric`), where it takes the lattice's iterations, from
+    e1 restricted to the fold.  That loses no mode: c >= lam > 0 and the
+    interior lattice is connected, so A^-1 diag(c) is a positive matrix and
+    the lowest eigenvector of (H, A) is simple and positive (Perron and
+    Frobenius), hence fixed by every reflection that fixes c."""
     d = p.domain
     A = d.matrix
     c = hessian_weight(vvals, p)
@@ -314,9 +322,18 @@ def hessian_min_eigenvalue(p: Params, vvals) -> Tuple[float, float, int]:
     # With x normalized to x^T A x = 1, ||A x||_2 >= sqrt(lambda1), so an
     # absolute residual below CONVEXITY_EIG_RTOL sqrt(lambda1) is a relative
     # one below CONVEXITY_EIG_RTOL.
-    sigma, x, iters = lowest_eigenpair(d, H, p.spectral.e1.values,
-                                       CONVEXITY_EIG_RTOL * np.sqrt(p.lambda1),
-                                       CONVEXITY_EIG_MAXITER, B=A.dot)
+    tol, e1 = CONVEXITY_EIG_RTOL * np.sqrt(p.lambda1), p.spectral.e1.values
+    axes = fold_axes(d, p.mirror_axes, vvals)
+    if axes:
+        fold = d.fold(axes)
+        r, c_fold, B = fold.root_mult, fold.restrict(c), fold.symmetric(fold.matrix.dot)
+        sigma, y, iters = lowest_eigenpair(fold.symmetric(fold.precondition),
+                                           lambda y: B(y) - c_fold * y, r * fold.restrict(e1),
+                                           tol, CONVEXITY_EIG_MAXITER, B=B)
+        x = fold.unfold(y / r)
+    else:
+        sigma, x, iters = lowest_eigenpair(d.precondition, H, e1, tol, CONVEXITY_EIG_MAXITER,
+                                           B=A.dot)
     Ax = A @ x
     resid = float(np.linalg.norm(H(x) - sigma * Ax) / np.linalg.norm(Ax))
     return sigma, resid, iters

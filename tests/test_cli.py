@@ -440,17 +440,33 @@ def certify_lift_overflowing(tmp_path, completed_run):
     return ["certify", str(cell_path)], f"{path}: lift residual inf"
 
 
-def certify_field_dump_overflowing(tmp_path, completed_run):
-    """One interior value of record 0's field dump 1e300, finite, so the
-    dump loads, but its ray's critical powers overflow: no fibering map
-    takes it, and the error names the dump, with no overflow warning."""
+def overflowing_field_dump(tmp_path, completed_run):
+    """A copy of the completed run with one interior value of record 0's
+    field dump 1e300, finite, so the dump loads, but its ray's critical
+    powers overflow; returns the copy's cell_0000.json and the dump."""
     cell_path = copied_run(completed_run, tmp_path)
     path = cell_path.parent / json.loads(cell_path.read_text())["records"][0]["field_dump"]
     full = np.load(path)
     domain = build_domain(parse_config(cell_path.parent.parent / "config.ini").domain_spec)
     full.flat[domain.interior_flat[domain.n_interior // 2]] = 1e300
     np.save(path, full)
+    return cell_path, path
+
+
+def certify_field_dump_overflowing(tmp_path, completed_run):
+    """No fibering map takes the overflowing dump, and the error names it,
+    with no overflow warning."""
+    cell_path, path = overflowing_field_dump(tmp_path, completed_run)
     return ["certify", str(cell_path)], f"{path}: fibering ray contains non-finite values"
+
+
+def profile_field_dump_overflowing(tmp_path, completed_run):
+    """fibering-profile --ray on the overflowing dump fails as certify
+    does: the error names the dump, with no overflow warning."""
+    cell_path, path = overflowing_field_dump(tmp_path, completed_run)
+    config = cell_path.parent.parent / "config.ini"
+    return (["fibering-profile", str(config), "--ray", str(path)],
+            f"{path}: fibering ray contains non-finite values")
 
 
 @pytest.mark.parametrize("case", [missing_config, node_table_bad_line,
@@ -473,7 +489,8 @@ def certify_field_dump_overflowing(tmp_path, completed_run):
                                   certify_lift_off_its_residual,
                                   certify_lift_of_other_boundary_data,
                                   certify_lift_above_max_g, certify_lift_overflowing,
-                                  certify_field_dump_overflowing],
+                                  certify_field_dump_overflowing,
+                                  profile_field_dump_overflowing],
                          ids=lambda case: case.__name__)
 def test_unreadable_inputs_are_typed_errors(tmp_path, completed_run, capsys, case):
     """Missing or malformed input files exit 2 with an error that names the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bnsolver import grid
 from bnsolver.errors import ArgumentError, MuBeyondRangeError, MuTooLargeError
 from bnsolver.functional import (
     FiberingProfile,
@@ -410,6 +411,31 @@ def test_params_derived_data_are_built_once(box9, monkeypatch):
     assert p.folded((1,)) is p.folded((1,)) is not p.folded((0, 1, 2))
     with pytest.raises(ValueError):
         p.mu_phi[0] = 1.0
+
+
+def test_folded_params_restrict_the_lift_alone(box9, monkeypatch):
+    """`Params.folded` restricts phi onto its fold, one gather per Params
+    and tuple of axes, and neither e1 nor the Sobolev witness, which no
+    search on a fold reads; the fold's spectral data keep lambda1 and S."""
+    calls = []
+    restrict = grid.Fold.restrict
+
+    def counted(self, values):
+        calls.append((self.folded_axes, values.size))
+        return restrict(self, values)
+
+    monkeypatch.setattr(grid.Fold, "restrict", counted)
+    p, q = box9.params(mu=0.2), box9.params(mu=0.1)
+    for params in (p, q, p, q):
+        for axes in ((0, 1, 2), (1,), (0, 1, 2)):
+            params.folded(axes)
+    n = box9.domain.n_interior
+    assert calls == [((0, 1, 2), n), ((1,), n)] * 2
+    s = p.folded((1,)).spectral
+    assert s.e1 is None and s.sobolev_witness is None
+    assert (s.lambda1, s.sobolev_S) == (box9.spectral.lambda1, box9.spectral.sobolev_S)
+    fold = box9.domain.fold((1,))
+    assert np.array_equal(p.folded((1,)).lift.values, restrict(fold, box9.lift.values))
 
 
 @pytest.mark.parametrize("setup, boundary, order", [

@@ -36,7 +36,7 @@ from bnsolver.grid import (
     rayleigh_quotient,
     _sine_transform,
 )
-from bnsolver.lift import NodeTable, solve_lift
+from bnsolver.lift import BumpOnBoundary, NodeTable, solve_lift
 from bnsolver.nehari import t_minus
 from bnsolver.numutil import armijo, signed_pow, solve_cg
 from bnsolver.solve import make_bubble
@@ -445,7 +445,7 @@ def test_box_eigenpair_matches_lobpcg(spec):
     dom = build_domain(spec)
     lam, e1 = principal_eigenpair(dom)
     A = dom.matrix
-    _, x, _ = lowest_eigenpair(dom, A.dot, np.ones(dom.n_interior), 1e-12 * lam, 50)
+    _, x, _ = lowest_eigenpair(dom.precondition, A.dot, np.ones(dom.n_interior), 1e-12 * lam, 50)
     x = np.sign(x.sum()) * x / (np.sqrt(dom.weight) * np.linalg.norm(x))
     assert abs(lam - dom.inner(A @ x, x)) <= 1e-12 * lam
     assert np.abs(e1.values - x).max() <= 1e-8
@@ -994,6 +994,130 @@ def test_box_sobolev_cg_runs_no_sparse_product(monkeypatch):
         products.clear()
         estimate_sobolev_S(dom)
         assert any(products) is in_cg and not all(products)
+
+
+class CountedProducts(sparse.csr_matrix):
+    """A CSR matrix that counts its products, by `@` or `dot`."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+    dot = __matmul__
+
+
+def logged_setup_iterations(monkeypatch):
+    """Log the iterations of each LOBPCG and CG solve as (label, count)."""
+    log, cg, lobpcg = [], numutil._scipy_cg, grid.lowest_eigenpair
+
+    def counted_cg(*args, **kwargs):
+        n = []
+        out = cg(*args, callback=n.append, **kwargs)
+        log.append((kwargs["label"], len(n)))
+        return out
+
+    def counted_lobpcg(*args, **kwargs):
+        out = lobpcg(*args, **kwargs)
+        log.append(("lobpcg", out[2]))
+        return out
+
+    monkeypatch.setattr(numutil, "_scipy_cg", counted_cg)
+    monkeypatch.setattr(grid, "lowest_eigenpair", counted_lobpcg)
+    return log
+
+
+def setup_values(dom, g):
+    """(lambda1, e1, S, witness, phi): the set-up of `bnsolver run` on dom
+    with boundary data g, as raw arrays and floats."""
+    lam, e1 = principal_eigenpair(dom)
+    S, witness = estimate_sobolev_S(dom)
+    return lam, e1.values, S, witness.values, solve_lift(g, dom).values
+
+
+def rel_sup(x, ref):
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("res", [17, 27])
+def test_folded_setup_matches_the_lattice_solves(res, monkeypatch):
+    """Past the fold's node floor the annulus's set-up solves run on folds:
+    the eigenpair on the fold over every axis, the Sobolev descent and the
+    lift of boundary data peaked on the first axis on the fold over the
+    other two, every Krylov product on a fold and the acceptance tests on
+    the lattice.  Against the lattice solves (the floor raised past the
+    lattice) they take the same iterations per solve; lambda1, S and phi
+    agree within 1e-14 relative, e1 and the witness within 1e-12, and S is
+    the lattice quotient of the witness, bit for bit."""
+    spec, g = DomainSpec(AnnulusD(0.5), 3, res), BumpOnBoundary((1.0, 0.0, 0.0), 0.3, 1.0)
+    log, floor = logged_setup_iterations(monkeypatch), grid.FOLD_MIN_NODES
+    monkeypatch.setattr(grid, "FOLD_MIN_NODES", 10**9)
+    ref = setup_values(build_domain(spec), g)
+    ref_log = list(log)
+    log.clear()
+    monkeypatch.setattr(grid, "FOLD_MIN_NODES", floor)
+    dom = build_domain(spec)
+    dom.__dict__["matrix"] = CountedProducts(dom.matrix)
+    folds = [dom.fold((0, 1, 2)), dom.fold((1, 2))]
+    for fold in folds:
+        fold.matrix = CountedProducts(fold.matrix)
+    lam, e1, S, witness, phi = setup_values(dom, g)
+    assert log == ref_log and log[0][0] == "lobpcg" and log[-1][0] == "lift"
+    eig_iters = log[0][1]
+    descent_iters = sum(n for label, n in log if label == "sobolev descent")
+    assert folds[0].matrix.products > eig_iters
+    assert folds[1].matrix.products > descent_iters + log[-1][1]
+    # e1's Rayleigh quotient, the witness's quotient and the lift's check
+    assert dom.matrix.products == 3
+    assert abs(lam - ref[0]) <= 1e-14 * ref[0] and abs(S - ref[2]) <= 1e-14 * ref[2]
+    assert rel_sup(e1, ref[1]) <= 1e-12 and rel_sup(witness, ref[3]) <= 1e-12
+    assert rel_sup(phi, ref[4]) <= 1e-14
+    assert rayleigh_quotient(dom, witness) == S
+
+
+def test_lift_of_data_fixed_by_one_reflection_folds_over_its_axis(monkeypatch):
+    """Boundary data peaked along (1, 1, 0), which only the third axis's
+    reflection fixes, solve the lift on the fold over that axis, with the
+    lattice CG's iterations and phi within 1e-14 relative."""
+    dom = build_domain(DomainSpec(AnnulusD(0.5), 3, 17))
+    g = BumpOnBoundary((1.0, 1.0, 0.0), 0.5, 1.0)
+    log = logged_setup_iterations(monkeypatch)
+    fold = dom.fold((2,))
+    fold.matrix = CountedProducts(fold.matrix)
+    phi = solve_lift(g, dom).values
+    assert fold.matrix.products == log[0][1] > 0
+    monkeypatch.setattr(grid, "FOLD_MIN_NODES", 10**9)
+    assert rel_sup(phi, solve_lift(g, dom).values) <= 1e-14
+    assert log[0] == log[1]
+
+
+def test_data_no_reflection_fixes_keep_the_lattice_solve(monkeypatch):
+    """A node table that breaks every mirror reflection solves its lift on
+    the lattice: bit for bit the CG that runs with the fold's floor raised
+    past the lattice, every CG product the lattice's."""
+    dom = build_domain(DomainSpec(AnnulusD(0.5), 3, 17))
+    g = NodeTable(np.random.default_rng(7).uniform(0.5, 1.5, dom.boundary_flat.size))
+    log = logged_setup_iterations(monkeypatch)
+    dom.__dict__["matrix"] = CountedProducts(dom.matrix)
+    phi = solve_lift(g, dom).values
+    assert dom.matrix.products == log[0][1] + 1  # and the lift's check
+    monkeypatch.setattr(grid, "FOLD_MIN_NODES", 10**9)
+    assert phi.tobytes() == solve_lift(g, dom).values.tobytes()
+
+
+def test_box_setup_builds_no_fold(monkeypatch):
+    """A box past the fold's floor keeps its set-up on the lattice: the
+    closed-form eigenpair, the exact sine solve of the lift and the Sobolev
+    descent in sine coordinates, whose CG on the odd modes alone would move
+    S past 1e-12."""
+    def no_fold(*args):
+        raise AssertionError("a fold was built")
+
+    monkeypatch.setattr(grid, "Fold", no_fold)
+    dom = build_domain(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 13))
+    assert dom.n_interior >= grid.FOLD_MIN_NODES
+    setup_values(dom, BumpOnBoundary((1.0, 0.0, 0.0), 0.3, 1.0))
 
 
 def test_sobolev_refinement_trend_dimension4():

@@ -504,7 +504,7 @@ def test_folded_solve_matches_the_full_one(fold_setups, name, monkeypatch):
     lattice, and it certifies there."""
     s = fold_setups[name]
     p = s.params(lam_factor=0.5, mu=0.01)
-    monkeypatch.setattr(solve, "FOLD_MIN_NODES", 0)
+    monkeypatch.setattr(grid, "FOLD_MIN_NODES", 0)
     monkeypatch.setattr(s.spectral, "ground_state_cache", {})
     nodes = _solved_on(monkeypatch)
     gs = ground_state(p.lam, s.spectral, s.lift)
@@ -573,7 +573,7 @@ def test_partially_folded_solves_match_the_unfolded_ones(annulus9, bump_box13, m
     `_minus_solve` within 1e-12: the annulus ground state (its default bump
     sits on the first axis), a multistart seed on the first axis, and the
     Plus and Minus solves of boundary data peaked on the first axis."""
-    monkeypatch.setattr(solve, "FOLD_MIN_NODES", 0)
+    monkeypatch.setattr(grid, "FOLD_MIN_NODES", 0)
     monkeypatch.setattr(annulus9.spectral, "ground_state_cache", {})
     nodes = _solved_on(monkeypatch)
     p = annulus9.params(lam_factor=0.5, mu=0.01)
@@ -611,7 +611,7 @@ def test_small_lattices_solve_unfolded(box9, monkeypatch):
     solves run on the lattice."""
     nodes = _solved_on(monkeypatch)
     minimize_on_Nplus(box9.params(lam_factor=0.5, mu=0.01))
-    assert box9.domain.n_interior < solve.FOLD_MIN_NODES and nodes == [343]
+    assert box9.domain.n_interior < grid.FOLD_MIN_NODES and nodes == [343]
 
 
 def test_folded_solve_runs_the_lattice_quadrature(box13, monkeypatch):
@@ -632,7 +632,7 @@ def test_dropped_run_is_freed_without_gc(monkeypatch):
     """After a folded solve the lattice, its fold, the spectral data and
     the lift hold no reference cycle: dropping them frees the domain at
     once, with the garbage collector off."""
-    monkeypatch.setattr(solve, "FOLD_MIN_NODES", 0)
+    monkeypatch.setattr(grid, "FOLD_MIN_NODES", 0)
     gc.disable()
     try:
         s = Setup(DomainSpec(Box((1.0, 1.0, 1.0)), 3, 7))
@@ -1011,7 +1011,7 @@ def test_minimax_on_folds_matches_the_unfolded_search(annulus9, monkeypatch):
     rec_minus = minimize_on_Nminus(p, gs, seed_kind=SeedKind.GROUND_STATE_RAY)
     _small_minimax(monkeypatch, 3, 2)
     full = minimax_gamma(p, 0.3, rec_plus, rec_minus)
-    monkeypatch.setattr(solve, "FOLD_MIN_NODES", 0)
+    monkeypatch.setattr(grid, "FOLD_MIN_NODES", 0)
     nodes, descent = [], solve._cone_descent
 
     def logged(p, *args):

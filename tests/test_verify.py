@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bnsolver import functional, verify
+from bnsolver import functional, grid, verify
 from bnsolver.errors import IncompleteInputError, PreconditionError
-from bnsolver.functional import Params, energy, gradient_values, hessian_apply
-from bnsolver.grid import Domain, Field
+from bnsolver.functional import Params, energy, gradient_values, hessian_apply, hessian_weight
+from bnsolver.grid import AnnulusD, Domain, DomainSpec, Field
 from bnsolver.nehari import Klass, classify
 from bnsolver.solve import (
     SeedKind,
@@ -23,6 +23,8 @@ from bnsolver.verify import (
     r_lambda,
     threshold_report,
 )
+
+from conftest import Setup
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +303,39 @@ def test_hessian_eigenvalue_matches_dense_eigh(cell9):
     assert abs(sigma - ref[0]) <= 1e-8
     check = convexity_ball_check(p, [rec_plus]).checks[2]
     assert check.lhs == sigma
+
+
+@pytest.mark.parametrize("name", ["box13", "annulus17"])
+def test_folded_hessian_eigenvalue_is_the_lattice_one(name, box13, monkeypatch):
+    """Past the fold's node floor the Hessian eigensolve at a Plus record
+    runs on the fold over the reflections that fix the record and mu phi,
+    and its sigma is the lowest eigenvalue of the whole lattice pencil:
+    within 1e-13 of a lattice LOBPCG started from a random, non-symmetric
+    vector (the lowest eigenvector is positive, so those reflections fix
+    it), and with the floor raised past the lattice the lattice solve
+    takes the same iterations to the same sigma within 1e-14."""
+    s = box13 if name == "box13" else Setup(DomainSpec(AnnulusD(0.5), 3, 17))
+    p = s.params(lam_factor=0.5, mu=0.01)
+    d = p.domain
+    v = minimize_on_Nplus(p).v.values
+    folded, symmetric = [], grid.Fold.symmetric
+
+    def logged(fold, op):
+        folded.append(fold.folded_axes)
+        return symmetric(fold, op)
+
+    monkeypatch.setattr(grid.Fold, "symmetric", logged)
+    sigma, resid, iters = verify.hessian_min_eigenvalue(p, v)
+    assert d.n_interior >= grid.FOLD_MIN_NODES and set(folded) == {p.mirror_axes}
+    assert resid <= verify.CONVEXITY_EIG_RTOL
+    A, c = d.matrix, hessian_weight(v, p)
+    x0 = np.random.default_rng(3).standard_normal(d.n_interior)
+    ref, _, _ = grid.lowest_eigenpair(d.precondition, lambda x: A @ x - c * x, x0,
+                                      1e-10 * np.sqrt(p.lambda1), 500, B=A.dot)
+    assert abs(sigma - ref) <= 1e-13
+    monkeypatch.setattr(grid, "FOLD_MIN_NODES", 10**9)
+    sigma_lattice, _, iters_lattice = verify.hessian_min_eigenvalue(p, v)
+    assert iters_lattice == iters and abs(sigma_lattice - sigma) <= 1e-14
 
 
 def test_hessian_eigen_solve_from_an_eigenvector_runs_no_iteration(box9):
