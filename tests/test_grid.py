@@ -1076,6 +1076,21 @@ def test_folded_setup_matches_the_lattice_solves(res, monkeypatch):
     assert rayleigh_quotient(dom, witness) == S
 
 
+def test_even_lattice_keeps_its_descent_on_the_lattice(monkeypatch):
+    """With an even number of box nodes per axis (a res-16 annulus, past
+    the fold's floor) the Sobolev descent stays on the lattice, bit for bit
+    the descent with the floor raised past the lattice.  On the fold no
+    iterate could put more than a quarter of its mass on one node, so it
+    would run on past the spike cap at which the lattice descent stops (S
+    moved by 7e-3, after 200 steps and a warning)."""
+    dom = build_domain(DomainSpec(AnnulusD(0.5), 3, 16))
+    assert dom.n_interior >= grid.FOLD_MIN_NODES
+    S, witness = estimate_sobolev_S(dom)
+    monkeypatch.setattr(grid, "FOLD_MIN_NODES", 10**9)
+    S_ref, w_ref = estimate_sobolev_S(dom)
+    assert S == S_ref and witness.values.tobytes() == w_ref.values.tobytes()
+
+
 def test_lift_of_data_fixed_by_one_reflection_folds_over_its_axis(monkeypatch):
     """Boundary data peaked along (1, 1, 0), which only the third axis's
     reflection fixes, solve the lift on the fold over that axis, with the
