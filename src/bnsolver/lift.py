@@ -134,10 +134,12 @@ def load_node_table(path, domain: Domain) -> NodeTable:
 
 def solve_lift(g, domain: Domain) -> Field:
     """Solve the discrete Laplace equation with Dirichlet data g
-    (`Domain.solve_poisson`: exact on a box, CG to 1e-13 otherwise).
+    (`Domain.solve_poisson`: exact on a box, CG to 1e-13 otherwise, on the
+    reflection fold over the axes that fix the boundary term when the
+    lattice has at least `grid.FOLD_MIN_NODES` interior nodes).
 
-    The returned lift phi passes `check_lift`: interior residual below
-    1e-10 * max g and the discrete maximum principle bounds
+    The returned lift phi passes `check_lift` on the lattice: interior
+    residual below 1e-10 * max g and the discrete maximum principle bounds
     min g <= phi <= max g, which the solve meets to a few ulps and the
     returned phi exactly (clipped).
     """
